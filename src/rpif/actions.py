@@ -28,6 +28,7 @@ Numerical posture:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -200,16 +201,64 @@ def action_kernels(w: complex, m: float, T: float) -> ActionKernels:
     return _kernels_closed(w, m, T)
 
 
-def _evaluate_action(kernels: ActionKernels, force: Callable, m: float,
-                     t0: float, t1: float, z1: float, z2: float) -> complex:
+@dataclass(frozen=True)
+class ActionBlocks:
+    """One beam's action, grouped by endpoint dependence:
+
+    S = (z1^2+z2^2)*b1 - 2*z1*z2*b2 + z1*q1 + z2*q2 - q12/m
+    """
+
+    b1: complex
+    b2: complex
+    q1: complex
+    q2: complex
+    q12: complex
+
+    def action(self, m: float, z1: float, z2: float) -> complex:
+        return ((z1 * z1 + z2 * z2) * self.b1 - 2.0 * z1 * z2 * self.b2
+                + z2 * self.q2 + z1 * self.q1 - self.q12 / m)
+
+
+def _integrate_blocks(kernels: ActionKernels, force: Callable,
+                      t0: float, t1: float) -> ActionBlocks:
     single = kernels.single
     q2 = quadrature.integrate(lambda t: force(t) * single(t - t0), t0, t1)
     q1 = quadrature.integrate(lambda t: force(t) * single(t1 - t), t0, t1)
     q12 = quadrature.integrate_triangle(
         lambda t, s: force(t) * force(s) * kernels.triangle(t1 - t, s - t0),
         t0, t1)
-    return ((z1 * z1 + z2 * z2) * kernels.b1 - 2.0 * z1 * z2 * kernels.b2
-            + z2 * q2 + z1 * q1 - q12 / m)
+    return ActionBlocks(kernels.b1, kernels.b2, q1, q2, q12)
+
+
+def _evaluate_action(kernels: ActionKernels, force: Callable, m: float,
+                     t0: float, t1: float, z1: float, z2: float) -> complex:
+    return _integrate_blocks(kernels, force, t0, t1).action(m, z1, z2)
+
+
+#: Entries per block cache.  A sweep reuses a block only between the mode
+#: rows of one point and between consecutive points, and one point needs at
+#: most four entries of a cache (the literal i3/i4 blocks: two beams times
+#: two anchors), so eight catch all the reuse there is.
+BLOCK_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _action_blocks(beam: BeamRecord, frame_profile: TimeFunction,
+                   params: PhysicalParams) -> ActionBlocks:
+    """The three action quadratures of one beam; none depends on z1, z2.
+
+    The arguments are frozen dataclasses compared by value, so a cache hit
+    returns exactly the bits a recomputation would.
+    """
+    w = ensure_stable(params, beam.resolution)
+    kernels = action_kernels(w, params.m, params.duration)
+    force = force_callable(beam, frame_profile, params)
+    return _integrate_blocks(kernels, force, params.tau_start, params.tau_end)
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _record_mean_square(trajectory: TimeFunction, params: PhysicalParams) -> float:
+    return mean_square(trajectory, params)
 
 
 def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
@@ -219,11 +268,7 @@ def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
     Uses the closed form for |wT| >= 1e-2 and the series expansion below;
     the two agree to better than 1e-9 relative at the crossover.
     """
-    w = ensure_stable(params, beam.resolution)
-    kernels = action_kernels(w, params.m, params.duration)
-    force = force_callable(beam, frame_profile, params)
-    value = _evaluate_action(kernels, force, params.m,
-                             params.tau_start, params.tau_end, z1, z2)
+    value = _action_blocks(beam, frame_profile, params).action(params.m, z1, z2)
     _ensure_finite(value, "classical_action")
     return ComplexAction.from_complex(value)
 
@@ -256,11 +301,17 @@ def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
                            action: ComplexAction) -> PropagatorValue:
     """Assemble the three propagator factors around a precomputed action."""
     w = ensure_stable(params, beam.resolution)
-    msq = mean_square(beam.trajectory, params)
+    msq = _record_mean_square(beam.trajectory, params)
     weight_norm = math.exp(-2.0 * msq / beam.resolution ** 2)
     prefactor = cmath.sqrt(
         params.m * _sine_ratio(w, params.duration) / (2j * math.pi * params.hbar))
-    phase_factor = cmath.exp(1j * action.as_complex / params.hbar)
+    try:
+        phase_factor = cmath.exp(1j * action.as_complex / params.hbar)
+    except OverflowError:
+        raise RpifError(
+            f"restricted_propagator: exp(i*S/hbar) overflows for the "
+            f"{beam.trajectory.kind} record at resolution {beam.resolution:g} "
+            f"(Im S/hbar = {action.s2 / params.hbar:.6g})") from None
     amplitude = weight_norm * prefactor * phase_factor
     _ensure_finite(amplitude, "restricted_propagator")
     return PropagatorValue(amplitude=amplitude, weight_norm_factor=weight_norm,

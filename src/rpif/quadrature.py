@@ -9,6 +9,7 @@ fully deterministic.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -49,21 +50,23 @@ def integrate(fn, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
     width = b - a
     if width == 0.0:
         return 0.0 + 0.0j
-    prev = None
+    prev, delta = None, math.nan
     panels = 1
     while panels * order <= node_budget:
         u, wu = _reference_rule(panels, order)
         est = complex(width * np.sum(wu * np.asarray(fn(a + width * u))))
         if not (np.isfinite(est.real) and np.isfinite(est.imag)):
             raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
-        if prev is not None and abs(est - prev) <= rtol * abs(est) + atol:
-            return est
+        if prev is not None:
+            delta = abs(est - prev)
+            if delta <= rtol * abs(est) + atol:
+                return est
         prev = est
         panels *= 2
     raise QuadratureError(
         f"integral over [{a:g}, {b:g}] did not converge within {node_budget} nodes "
-        f"(last delta {abs(est - prev):.3e})",
-        last_delta=abs(est - prev),
+        f"(last delta {delta:.3e})",
+        last_delta=delta,
     )
 
 
@@ -80,7 +83,7 @@ def integrate_triangle(fn, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
     width = b - a
     if width == 0.0:
         return 0.0 + 0.0j
-    prev = None
+    prev, delta = None, math.nan
     panels = 1
     while panels * order <= axis_budget:
         u, wu = _reference_rule(panels, order)
@@ -92,12 +95,14 @@ def integrate_triangle(fn, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
         est = complex(width * np.sum(wu * inner))
         if not (np.isfinite(est.real) and np.isfinite(est.imag)):
             raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
-        if prev is not None and abs(est - prev) <= rtol * abs(est) + atol:
-            return est
+        if prev is not None:
+            delta = abs(est - prev)
+            if delta <= rtol * abs(est) + atol:
+                return est
         prev = est
         panels *= 2
     raise QuadratureError(
         f"triangle integral over [{a:g}, {b:g}] did not converge within "
-        f"{axis_budget} nodes per axis (last delta {abs(est - prev):.3e})",
-        last_delta=abs(est - prev),
+        f"{axis_budget} nodes per axis (last delta {delta:.3e})",
+        last_delta=delta,
     )

@@ -10,6 +10,7 @@ JSON-pointer paths and every violation is collected before reporting.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -203,8 +204,17 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scena
     raise RpifError(f"unknown sweep parameter {parameter!r}")
 
 
+#: the mode rows of one sweep point share its oracle deviation; under
+#: ``--jobs`` they may be interleaved with a few other points' rows
+_ORACLE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
 def _oracle_deviation(scenario: Scenario, schedule: Sequence[int]) -> float:
-    """Max over beams of |closed - extrapolated| / |extrapolated|."""
+    """Max over beams of |closed - extrapolated| / |extrapolated|.
+
+    Depends on the point, not on the mode, so it runs once per point.
+    """
     nd = scenario.nondimensionalized()
     worst = 0.0
     for label in ("a", "b"):

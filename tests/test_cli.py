@@ -153,3 +153,19 @@ def test_compare_symmetric_exit_ok(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["compare", "--config", str(path)]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_simulate_overflowing_phase_fails_the_row_not_the_run(tmp_path, capsys):
+    # a record 25 resolutions from the origin drives |exp(i S/hbar)| past
+    # the double range; that row must fail alone, naming the beam
+    delta = 2.0 / 55.0
+    doc = dict(BASE)
+    doc["beam_a"] = {"trajectory": {"kind": "constant", "value": 25.0 * delta},
+                     "resolution": delta}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--output", str(out)]) == EXIT_GUARD
+    assert len(out.read_text().strip().split("\n")) == 4  # header + 3 failed rows
+    err = capsys.readouterr().err
+    assert "beam_a" in err and "overflows" in err

@@ -61,3 +61,21 @@ def test_triangle_complex_oscillator():
 def test_determinism():
     fn = lambda t: np.sin(3.7 * t) * np.exp(-t)
     assert integrate(fn, 0.0, 2.0) == integrate(fn, 0.0, 2.0)
+
+
+def test_stalled_integral_reports_its_last_delta():
+    # a kink at an irrational-looking point converges only like h^2
+    with pytest.raises(QuadratureError) as info:
+        integrate(lambda t: np.abs(t - 0.37) + 0j, 0.0, 1.0, node_budget=64)
+    exc = info.value
+    assert exc.last_delta > 0
+    assert f"last delta {exc.last_delta:.3e}" in str(exc)
+
+
+def test_stalled_triangle_reports_its_last_delta():
+    with pytest.raises(QuadratureError) as info:
+        integrate_triangle(lambda t, s: np.abs(t - 0.37) + 0j * s, 0.0, 1.0,
+                           axis_budget=64)
+    exc = info.value
+    assert exc.last_delta > 0
+    assert f"last delta {exc.last_delta:.3e}" in str(exc)

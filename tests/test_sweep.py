@@ -187,6 +187,64 @@ def test_oracle_deviation_small_on_baseline():
 
 
 # ---------------------------------------------------------------------------
+# reuse of per-beam blocks across rows and points
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Empty every block cache, then log each call of module.name."""
+    from rpif import actions, interference, sweep
+    for cached in (actions._action_blocks, actions._record_mean_square,
+                   interference._literal_linear_block,
+                   interference._literal_double_block, sweep._oracle_deviation):
+        cached.cache_clear()
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture()
+def triangle_calls(monkeypatch):
+    from rpif import quadrature
+    return _count_calls(monkeypatch, quadrature, "integrate_triangle")
+
+
+def test_z2_sweep_integrates_each_beam_once(triangle_calls):
+    scenario, _ = parse_config(_config())
+    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=16, mode="both")
+    rows = run_sweep(scenario, spec)
+    assert len(rows) == 32 and all(row.error is None for row in rows)
+    # 2 beams x (1 action block + 2 literal endpoint-free blocks)
+    assert len(triangle_calls) == 6
+
+
+def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
+    scenario, _ = parse_config(_config())
+    steps = 5
+    spec = SweepSpec(parameter="delta_a", start=0.5, stop=2.5, steps=steps,
+                     mode="both")
+    rows = run_sweep(scenario, spec)
+    assert all(row.error is None for row in rows)
+    # beam a: 3 triangles at every point; beam b: 3 triangles once
+    assert len(triangle_calls) == 3 * steps + 3
+
+
+def test_oracle_runs_once_per_point(monkeypatch):
+    from rpif import sweep
+    calls = _count_calls(monkeypatch, sweep, "oracle_propagator")
+    scenario, _ = parse_config(_config())
+    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode="both",
+                     oracle_schedule=(64, 128, 256))
+    rows = run_sweep(scenario, spec)
+    assert [row.oracle_dev for row in rows[::2]] == [row.oracle_dev for row in rows[1::2]]
+    assert len(calls) == 3 * 2  # points x beams, not x modes
+
+
+# ---------------------------------------------------------------------------
 # output formats
 # ---------------------------------------------------------------------------
 
