@@ -67,9 +67,14 @@ class ComplexAction:
 class PropagatorValue:
     """Restricted propagator with its three factors kept for diagnostics.
 
-    ``amplitude`` is the product weight_norm_factor * prefactor *
-    phase_factor.  ``phase_magnitude`` records |exp(i*S/hbar)|; no sign is
-    asserted for the imaginary action part, this is diagnostic only.
+    ``amplitude`` is prefactor * exp(-2*<c^2>/delta_c^2 + i*S/hbar), one
+    exp of the combined exponent, which equals weight_norm_factor *
+    prefactor * phase_factor.  Each of the two factors may leave the double
+    range on its own while the amplitude does not: weight_norm_factor then
+    underflows to 0.0, and phase_factor holds an infinite magnitude in the
+    direction of its phase Re(S)/hbar.  ``phase_magnitude`` records
+    |exp(i*S/hbar)|; no sign is asserted for the imaginary action part,
+    this is diagnostic only.
     """
 
     amplitude: complex
@@ -142,13 +147,17 @@ class ActionKernels:
 
     S = (z1^2+z2^2)*b1 - 2*z1*z2*b2
         + z2*Int[F(t)*single(t-t0)] + z1*Int[F(t)*single(t1-t)]
-        - (1/m)*DoubleInt[F(t)*F(s)*triangle(t1-t, s-t0)]
+        - (1/m)*DoubleInt[F(t)*F(s)*K(t1-t, s-t0)]
+
+    The triangle kernel K(e, p) = sin(w e) sin(w p)/(w sin(w T)) is kept as
+    its factors: K(e, p) = sum_k outer(e)[k] * inner(p)[k].
     """
 
     b1: complex
     b2: complex
     single: Callable        # u >= 0 -> sin(w u)/sin(w T)
-    triangle: Callable      # e, p >= 0 -> sin(w e) sin(w p)/(w sin(w T))
+    outer: Callable         # e >= 0 -> rows of shape (k, len(e))
+    inner: Callable         # p >= 0 -> rows of shape (k, len(p))
 
 
 def _kernels_closed(w: complex, m: float, T: float) -> ActionKernels:
@@ -167,10 +176,15 @@ def _kernels_closed(w: complex, m: float, T: float) -> ActionKernels:
     def single(u):
         return np.exp(q * (u - T)) * hsin(u) / hs_T
 
-    def triangle(e, p):
-        return np.exp(q * (e + p - T)) * hsin(e) * hsin(p) / (2j * w * hs_T)
+    # exp(q*(u-T/2))*hsin(u) = exp(conj(w)*u - q*T/2) - exp(-conj(w)*u - q*T/2):
+    # exp(q*(e+p-T)) split evenly, so each side stays within exp(+-q*T/2)
+    wc, shift = w.conjugate(), 0.5 * q * T
 
-    return ActionKernels(b1, b2, single, triangle)
+    def side(u):
+        return (np.exp(wc * u - shift) - np.exp(-wc * u - shift))[None, :]
+
+    scale = 1.0 / (2j * w * hs_T)
+    return ActionKernels(b1, b2, single, lambda e: scale * side(e), side)
 
 
 def _kernels_series(w: complex, m: float, T: float) -> ActionKernels:
@@ -185,14 +199,23 @@ def _kernels_series(w: complex, m: float, T: float) -> ActionKernels:
                           + w4 * (u ** 4 / 120.0 + 7.0 * T ** 4 / 360.0
                                   - u * u * T * T / 36.0))
 
-    def triangle(e, p):
-        return (e * p / T) * (
-            1.0 + w2 * (T * T - e * e - p * p) / 6.0
-            + w4 * (e ** 4 / 120.0 + p ** 4 / 120.0 + e * e * p * p / 36.0
-                    - T * T * e * e / 36.0 - T * T * p * p / 36.0
-                    + 7.0 * T ** 4 / 360.0))
+    # (e*p/T) * (1 + w2*(T^2-e^2-p^2)/6 + w4*(e^4/120 + p^4/120 + e^2 p^2/36
+    #            - T^2 e^2/36 - T^2 p^2/36 + 7 T^4/360)),
+    # grouped by the power of p: p, p^3 and p^5
+    c0 = (1.0 + w2 * T * T / 6.0 + 7.0 * w4 * T ** 4 / 360.0) / T
+    c1 = -(w2 / 6.0 + w4 * T * T / 36.0) / T
+    c2 = w4 / (120.0 * T)
+    c3 = w4 / (36.0 * T)
 
-    return ActionKernels(b1, b2, single, triangle)
+    def outer(e):
+        e2 = e * e
+        return np.stack((e * (c0 + e2 * (c1 + e2 * c2)), e * (c1 + e2 * c3), c2 * e))
+
+    def inner(p):
+        p2 = p * p
+        return np.stack((p, p * p2, p * p2 * p2))
+
+    return ActionKernels(b1, b2, single, outer, inner)
 
 
 def action_kernels(w: complex, m: float, T: float) -> ActionKernels:
@@ -224,9 +247,13 @@ def _integrate_blocks(kernels: ActionKernels, force: Callable,
     single = kernels.single
     q2 = quadrature.integrate(lambda t: force(t) * single(t - t0), t0, t1)
     q1 = quadrature.integrate(lambda t: force(t) * single(t1 - t), t0, t1)
-    q12 = quadrature.integrate_triangle(
-        lambda t, s: force(t) * force(s) * kernels.triangle(t1 - t, s - t0),
-        t0, t1)
+
+    def factors(t, s):
+        n = t.size
+        f = force(np.concatenate((t, s)))
+        return f[:n] * kernels.outer(t1 - t), f[n:] * kernels.inner(s - t0)
+
+    q12 = quadrature.integrate_triangle(factors, t0, t1)
     return ActionBlocks(kernels.b1, kernels.b2, q1, q2, q12)
 
 
@@ -257,8 +284,14 @@ def _action_blocks(beam: BeamRecord, frame_profile: TimeFunction,
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _record_mean_square(trajectory: TimeFunction, params: PhysicalParams) -> float:
-    return mean_square(trajectory, params)
+def _record_mean_square(trajectory: TimeFunction, tau_start: float,
+                        tau_end: float) -> float:
+    """<c^2> over [tau_start, tau_end].
+
+    ``mean_square`` reads only the window from its params, so the cache is
+    keyed on the window alone and a g sweep computes <c^2> once per beam.
+    """
+    return mean_square(trajectory, PhysicalParams(1.0, 0.0, 1.0, tau_start, tau_end))
 
 
 def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
@@ -301,19 +334,26 @@ def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
                            action: ComplexAction) -> PropagatorValue:
     """Assemble the three propagator factors around a precomputed action."""
     w = ensure_stable(params, beam.resolution)
-    msq = _record_mean_square(beam.trajectory, params)
-    weight_norm = math.exp(-2.0 * msq / beam.resolution ** 2)
+    msq = _record_mean_square(beam.trajectory, params.tau_start, params.tau_end)
+    weight_exponent = -2.0 * msq / beam.resolution ** 2
+    phase_exponent = 1j * action.as_complex / params.hbar
     prefactor = cmath.sqrt(
         params.m * _sine_ratio(w, params.duration) / (2j * math.pi * params.hbar))
+    exponent = weight_exponent + phase_exponent
     try:
-        phase_factor = cmath.exp(1j * action.as_complex / params.hbar)
-    except OverflowError:
+        amplitude = prefactor * cmath.exp(exponent)
+    except (OverflowError, ValueError):  # ValueError: an infinite phase
+        amplitude = complex(math.inf)
+    if not cmath.isfinite(amplitude):
         raise RpifError(
-            f"restricted_propagator: exp(i*S/hbar) overflows for the "
-            f"{beam.trajectory.kind} record at resolution {beam.resolution:g} "
-            f"(Im S/hbar = {action.s2 / params.hbar:.6g})") from None
-    amplitude = weight_norm * prefactor * phase_factor
-    _ensure_finite(amplitude, "restricted_propagator")
+            f"restricted_propagator: exp(-2<c^2>/delta^2 + i*S/hbar) is not "
+            f"finite for the {beam.trajectory.kind} record at resolution "
+            f"{beam.resolution:g} (exponent {exponent:.6g})")
+    weight_norm = math.exp(weight_exponent)
+    try:
+        phase_factor = cmath.exp(phase_exponent)
+    except OverflowError:
+        phase_factor = cmath.rect(math.inf, phase_exponent.imag)
     return PropagatorValue(amplitude=amplitude, weight_norm_factor=weight_norm,
                            prefactor=prefactor, phase_factor=phase_factor,
                            action=action)

@@ -209,8 +209,19 @@ def _literal_double_block(beam: BeamRecord, frame_profile: TimeFunction,
                           p: PhysicalParams, th: float) -> float:
     """One beam's contribution to i5, exactly as printed.
 
-    Kernel combines g^2*(f(t)+f(s)), the record sum, and the mixed
-    g*[f(t)c(s)+f(s)c(t)] term under exp((sigma+epsilon)/2).
+    The printed kernels combine g^2*(f(t)+f(s)), the record sum, and the
+    mixed g*[f(t)c(s)+f(s)c(t)] term under exp((sigma+epsilon)/2), with
+    sigma = omega*(s-t0) and epsilon = omega*(t1-t).  By angle addition the
+    second kernel plus i times the first is
+
+        -(i/2) e^{epsilon/2} hs(epsilon) e^{sigma/2} hs(sigma) (G + iH),
+        hs(x) = e^{ix/sqrt2} - e^{-sqrt2 x} e^{-ix/sqrt2},
+        G + iH = A(t) + A(s) + i*omega^2*g*(f(t)c(s) + c(t)f(s)),
+        A = g^2 f - omega^4 c,
+
+    four products of a complex outer and a complex inner factor.  Splitting
+    each inner factor into its real and imaginary parts gives eight real
+    inner rows, which both j1 (imaginary part) and j2 (real part) read.
     """
     om = _omega(p, beam.resolution)
     coef = om * om
@@ -218,33 +229,26 @@ def _literal_double_block(beam: BeamRecord, frame_profile: TimeFunction,
     t0, t1 = p.tau_start, p.tau_end
     rt2 = math.sqrt(2.0)
 
-    def pieces(t, s):
-        eps = om * (t1 - t)
-        sig = om * (np.asarray(s) - t0)
-        ft, fs = np.asarray(f(t)), np.asarray(f(s))
-        ct, cs = np.asarray(c(t)), np.asarray(c(s))
-        big_g = g * g * (ft + fs) - coef * coef * (ct + cs)
-        big_h = coef * g * (ft * cs + fs * ct)
-        e_sig = np.exp(-rt2 * sig)
-        e_eps = np.exp(-rt2 * eps)
-        e_both = np.exp(-rt2 * (sig + eps))
-        k1 = (np.cos((eps - sig) / rt2) * (e_sig + e_eps)
-              - np.cos((eps + sig) / rt2) * (1.0 + e_both))
-        k2 = (np.sin((eps + sig) / rt2) * (1.0 - e_both)
-              + (-e_sig + e_eps) * np.sin((eps - sig) / rt2))
-        lead = np.exp((sig + eps) / 2.0) / 2.0
-        return lead, big_g, big_h, k1, k2
+    grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
 
-    def kern_first(t, s):
-        lead, big_g, big_h, k1, k2 = pieces(t, s)
-        return lead * (big_g * k1 + big_h * k2) + 0j
+    def side(x):
+        # e^{x/2} hs(x) for x = epsilon or sigma
+        return np.exp(grow * x) - np.exp(decay * x)
 
-    def kern_second(t, s):
-        lead, big_g, big_h, k1, k2 = pieces(t, s)
-        return lead * (big_g * k2 - big_h * k1) + 0j
+    def factors(t, s):
+        n = t.size
+        both = np.concatenate((t, s))
+        fv, cv = np.asarray(f(both)), np.asarray(c(both))
+        a_v = g * g * fv - coef * coef * cv
+        base = -0.5j * side(om * (t1 - t))
+        outer = base * np.stack((a_v[:n], np.ones(n), 1j * coef * g * fv[:n],
+                                 1j * coef * g * cv[:n]))
+        inner = side(om * (s - t0)) * np.stack((np.ones(s.size), a_v[n:], cv[n:], fv[n:]))
+        outer = np.concatenate((outer, 1j * outer))
+        return (np.stack((outer.imag, outer.real)),
+                np.concatenate((inner.real, inner.imag)))
 
-    j1 = quadrature.integrate_triangle(kern_first, t0, t1).real
-    j2 = quadrature.integrate_triangle(kern_second, t0, t1).real
+    j1, j2 = quadrature.integrate_triangle(factors, t0, t1).real
     e2 = math.exp(-2.0 * th)
     w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
     w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)

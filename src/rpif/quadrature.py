@@ -5,6 +5,12 @@ Gauss order per panel, panel count doubled until two successive estimates
 agree to a relative tolerance, with a hard node budget.  The integrands
 here are smooth (piecewise-linear at worst), so this converges fast and is
 fully deterministic.
+
+Double integrals over the triangle s <= t have separable kernels (a
+finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
+factors rather than the kernel and integrates the inner factor
+cumulatively: a level with n nodes per axis costs O(order*n) evaluations
+and memory, not n^2.
 """
 
 from __future__ import annotations
@@ -70,35 +76,72 @@ def integrate(fn, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
     )
 
 
-def integrate_triangle(fn, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
+@lru_cache(maxsize=64)
+def _nested_rule(panels: int, order: int):
+    """The points and weights of one level of the nested rule on [0, 1].
+
+    Returns the composite nodes and weights (n = panels*order of each);
+    the inner points, which are the n nodes followed by, for each node
+    u_i, the ``order`` Gauss nodes of the partial panel [edge, u_i]; the
+    Gauss weights on [-1, 1]; and the half-length of each partial panel.
+    """
+    u, wu = _reference_rule(panels, order)
+    x, w = np.polynomial.legendre.leggauss(order)
+    edge = np.repeat(np.linspace(0.0, 1.0, panels + 1)[:-1], order)
+    half = 0.5 * (u - edge)
+    partial = (edge[:, None] + half[:, None] * (x + 1.0)[None, :]).ravel()
+    points = np.concatenate((u, partial))
+    for arr in (points, w, half):
+        arr.setflags(write=False)
+    return u, wu, points, w, half
+
+
+def integrate_triangle(factors, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
                        atol: float = DEFAULT_ATOL,
                        axis_budget: int = AXIS_NODE_BUDGET,
-                       order: int = GAUSS_ORDER) -> complex:
-    """Integrate fn(t, s) over the triangle a <= s <= t <= b.
+                       order: int = GAUSS_ORDER):
+    """Integrate a separable kernel over the triangle a <= s <= t <= b.
 
-    Iterated rule, outer in t and inner in s on [a, t], with the same
-    composite grid on both axes.  ``fn`` must broadcast: it is called with
-    t of shape (n, 1) and s of shape (n, n).
+    ``factors(t, s)`` receives the n outer nodes ``t`` and the m inner
+    points ``s`` (1-D arrays) and returns a pair: the outer rows at ``t``,
+    shape (..., k, n), and the inner rows at ``s``, shape (k, m).  The
+    result is the sum over k of
+    Int_a^b outer_k(t) Int_a^t inner_k(s) ds dt,
+    a complex scalar, or an array of shape (...) when the outer rows carry
+    leading axes; each entry must converge on its own.
+
+    Nested rule: the outer integral uses the composite rule of
+    ``integrate``; the inner integral up to outer node t_i is the sum of
+    the whole panels before t_i plus an ``order``-point Gauss rule on the
+    partial panel [edge, t_i].  A level therefore evaluates n outer and
+    (order+1)*n inner points and costs O(k*order*n); no n x n array is
+    built.  Panels double until successive estimates agree, at most
+    ``axis_budget`` outer nodes.
     """
     width = b - a
-    if width == 0.0:
-        return 0.0 + 0.0j
     prev, delta = None, math.nan
     panels = 1
     while panels * order <= axis_budget:
-        u, wu = _reference_rule(panels, order)
-        t = a + width * u
-        inner_width = t - a
-        s = a + inner_width[:, None] * u[None, :]
-        vals = np.asarray(fn(t[:, None], s))
-        inner = inner_width * (vals @ wu)
-        est = complex(width * np.sum(wu * inner))
-        if not (np.isfinite(est.real) and np.isfinite(est.imag)):
+        u, wu, points, w, half = _nested_rule(panels, order)
+        outer, inner = factors(a + width * u, a + width * points)
+        outer, inner = np.asarray(outer), np.asarray(inner)
+        k = inner.shape[0]
+        # Gauss sums over the whole panels, then over the n partial panels
+        sums = inner.reshape(k, -1, order) @ w
+        before = np.zeros((k, panels), dtype=sums.dtype)
+        np.cumsum(sums[:, :panels - 1], axis=1, out=before[:, 1:])
+        cumulative = (np.repeat(before, order, axis=1) * (0.5 / panels)
+                      + sums[:, panels:] * half)
+        est = width * width * (outer.reshape(outer.shape[:-2] + (-1,))
+                               @ (cumulative * wu).ravel())
+        est = np.asarray(est, dtype=complex)
+        if not np.all(np.isfinite(est)):
             raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
         if prev is not None:
-            delta = abs(est - prev)
-            if delta <= rtol * abs(est) + atol:
-                return est
+            delta = np.abs(est - prev)
+            if np.all(delta <= rtol * np.abs(est) + atol):
+                return complex(est) if est.ndim == 0 else est
+            delta = float(np.max(delta))
         prev = est
         panels *= 2
     raise QuadratureError(

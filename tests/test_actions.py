@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -14,10 +15,12 @@ from rpif import (
 )
 from rpif.actions import (
     SMALL_WT_CROSSOVER,
+    ComplexAction,
     _kernels_closed,
     _kernels_series,
     force_callable,
 )
+from rpif.interference import _amplitudes
 from rpif.sampling import random_scenario
 from rpif.scenario import BeamRecord, PhysicalParams
 from rpif.timefunctions import ConstantFunction
@@ -246,6 +249,33 @@ def test_weight_norm_is_one_for_zero_record():
     prop = restricted_propagator(scenario.beam_a, scenario.frame_profile,
                                  scenario.params, 0.0, 0.5)
     assert prop.weight_norm_factor == 1.0
+
+
+def test_far_record_amplitude_from_the_combined_exponent():
+    # 25 resolutions out, each factor alone leaves the double range
+    delta = 2.0 / 55.0
+    scenario = make_scenario(a=ConstantFunction(25.0 * delta), delta_a=delta)
+    prop = restricted_propagator(scenario.beam_a, scenario.frame_profile,
+                                 scenario.params, 0.0, 0.5)
+    assert prop.weight_norm_factor == 0.0
+    assert math.isinf(prop.phase_magnitude)
+    msq = (25.0 * delta) ** 2
+    exponent = -2.0 * msq / delta ** 2 + 1j * prop.action.as_complex
+    assert prop.amplitude == pytest.approx(prop.prefactor * cmath.exp(exponent),
+                                           rel=1e-12)
+    assert 0.0 < abs(prop.amplitude) < 1e-15
+
+
+@pytest.mark.parametrize("action", [ComplexAction(0.0, -1e4),
+                                    ComplexAction(0.0, -math.inf),
+                                    ComplexAction(math.nan, 0.0),
+                                    ComplexAction(math.inf, 0.0)])
+def test_non_finite_combined_exponent_names_the_beam(action):
+    scenario = make_scenario()
+    with pytest.raises(RpifError, match="restricted_propagator") as info:
+        _amplitudes(scenario, action, ComplexAction(0.0, 0.0))
+    assert str(info.value).startswith("beam_a: ")
+    assert "not finite" in str(info.value)
 
 
 def test_free_particle_propagator_limit():

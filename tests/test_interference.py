@@ -306,6 +306,22 @@ def test_phase_difference_baseline_against_lattice_oracle():
     assert phase_difference(scenario) == pytest.approx(oracle, rel=1e-6)
 
 
+def test_dyadic_tabulated_record_decomposes_and_matches_the_lattice():
+    # kinks on panel edges: the nested triangle rule never integrates
+    # across one, so both modes converge and the propagator matches the
+    # lattice
+    from rpif import oracle_propagator, restricted_propagator
+    from rpif.timefunctions import TabulatedFunction
+    record = TabulatedFunction((0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 0.3, -0.1, 0.2, 0.0))
+    scenario = make_scenario(a=record, delta_a=0.8)
+    for mode in (MODE_DERIVED, MODE_LITERAL):
+        assert math.isfinite(decompose(scenario, mode).i5)
+    closed = restricted_propagator(scenario.beam_a, scenario.frame_profile,
+                                   scenario.params, scenario.z1, scenario.z2).amplitude
+    lattice = oracle_propagator(scenario, "a", (512, 1024, 2048)).value
+    assert abs(closed - lattice) <= 1e-6 * abs(lattice)
+
+
 def test_reduced_interference_identical_beams():
     scenario = make_scenario(delta_a=2.0, delta_b=2.0,
                              a=ConstantFunction(-0.1), b=ConstantFunction(-0.1))

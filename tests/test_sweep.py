@@ -218,8 +218,9 @@ def test_z2_sweep_integrates_each_beam_once(triangle_calls):
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=16, mode="both")
     rows = run_sweep(scenario, spec)
     assert len(rows) == 32 and all(row.error is None for row in rows)
-    # 2 beams x (1 action block + 2 literal endpoint-free blocks)
-    assert len(triangle_calls) == 6
+    # 2 beams x (1 action block + 1 literal endpoint-free block, j1 and j2
+    # in one call)
+    assert len(triangle_calls) == 4
 
 
 def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
@@ -229,8 +230,8 @@ def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
                      mode="both")
     rows = run_sweep(scenario, spec)
     assert all(row.error is None for row in rows)
-    # beam a: 3 triangles at every point; beam b: 3 triangles once
-    assert len(triangle_calls) == 3 * steps + 3
+    # beam a: 2 triangles at every point; beam b: 2 triangles once
+    assert len(triangle_calls) == 2 * steps + 2
 
 
 def test_oracle_runs_once_per_point(monkeypatch):

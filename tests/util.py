@@ -9,7 +9,8 @@ Lagrangian along the numerical path.
 
 import numpy as np
 
-from rpif import BeamRecord, PhysicalParams, Scenario, validate_scenario
+import rpif
+from rpif import BeamRecord, PhysicalParams, Scenario, quadrature, validate_scenario
 from rpif.timefunctions import ConstantFunction
 
 NBASE = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
@@ -91,3 +92,105 @@ def bvp_on_path_action(w, force, m, t0, t1, z1, z2, n=4000) -> complex:
     f_vals = np.array([force(t) for t in ts], dtype=complex)
     lagrangian = 0.5 * m * zdot ** 2 - 0.5 * m * w * w * z ** 2 + f_vals * z
     return complex(simpson(lagrangian, x=ts))
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the double integrals
+# ---------------------------------------------------------------------------
+
+def reference_triangle(fn, a, b, *, rtol=quadrature.DEFAULT_RTOL,
+                       atol=quadrature.DEFAULT_ATOL,
+                       axis_budget=quadrature.AXIS_NODE_BUDGET,
+                       order=quadrature.GAUSS_ORDER) -> complex:
+    """Iterated n x n rule over the triangle a <= s <= t <= b.
+
+    Outer in t and inner in s on [a, t], with the same composite grid on
+    both axes; ``fn`` gets t of shape (n, 1) and s of shape (n, n).  It
+    evaluates any kernel, separable or not, at n^2 cost, and serves as
+    the reference for ``quadrature.integrate_triangle``.
+    """
+    width = b - a
+    prev = None
+    panels = 1
+    while panels * order <= axis_budget:
+        u, wu = quadrature._reference_rule(panels, order)
+        t = a + width * u
+        inner_width = t - a
+        s = a + inner_width[:, None] * u[None, :]
+        inner = inner_width * (np.asarray(fn(t[:, None], s)) @ wu)
+        est = complex(width * np.sum(wu * inner))
+        if prev is not None and abs(est - prev) <= rtol * abs(est) + atol:
+            return est
+        prev = est
+        panels *= 2
+    raise rpif.QuadratureError(f"reference triangle rule did not converge within "
+                          f"{axis_budget} nodes per axis")
+
+
+def closed_triangle_kernel(w: complex, T: float):
+    """sin(w e) sin(w p)/(w sin(w T)) in the exp-factored closed form."""
+    q = w.real
+
+    def hsin(u):
+        return np.exp(1j * q * u) - np.exp(-2.0 * q * u - 1j * q * u)
+
+    hs_T = hsin(T)
+    return lambda e, p: np.exp(q * (e + p - T)) * hsin(e) * hsin(p) / (2j * w * hs_T)
+
+
+def series_triangle_kernel(w: complex, T: float):
+    """The same kernel as a Taylor series in (wT) through fourth order."""
+    w2 = w * w
+    w4 = w2 * w2
+
+    def kernel(e, p):
+        return (e * p / T) * (
+            1.0 + w2 * (T * T - e * e - p * p) / 6.0
+            + w4 * (e ** 4 / 120.0 + p ** 4 / 120.0 + e * e * p * p / 36.0
+                    - T * T * e * e / 36.0 - T * T * p * p / 36.0
+                    + 7.0 * T ** 4 / 360.0))
+    return kernel
+
+
+def printed_i5_block(beam, frame_profile, p, th) -> float:
+    """One beam's i5 contribution with the kernels evaluated as printed."""
+    import math
+
+    om = math.sqrt(4.0 * p.hbar / (p.m * p.duration * beam.resolution ** 2))
+    coef = om * om
+    g, f, c = p.g, frame_profile, beam.trajectory
+    t0, t1 = p.tau_start, p.tau_end
+    rt2 = math.sqrt(2.0)
+
+    def pieces(t, s):
+        eps = om * (t1 - t)
+        sig = om * (np.asarray(s) - t0)
+        ft, fs = np.asarray(f(t)), np.asarray(f(s))
+        ct, cs = np.asarray(c(t)), np.asarray(c(s))
+        big_g = g * g * (ft + fs) - coef * coef * (ct + cs)
+        big_h = coef * g * (ft * cs + fs * ct)
+        e_sig = np.exp(-rt2 * sig)
+        e_eps = np.exp(-rt2 * eps)
+        e_both = np.exp(-rt2 * (sig + eps))
+        k1 = (np.cos((eps - sig) / rt2) * (e_sig + e_eps)
+              - np.cos((eps + sig) / rt2) * (1.0 + e_both))
+        k2 = (np.sin((eps + sig) / rt2) * (1.0 - e_both)
+              + (-e_sig + e_eps) * np.sin((eps - sig) / rt2))
+        lead = np.exp((sig + eps) / 2.0) / 2.0
+        return lead, big_g, big_h, k1, k2
+
+    def kern_first(t, s):
+        lead, big_g, big_h, k1, k2 = pieces(t, s)
+        return lead * (big_g * k1 + big_h * k2) + 0j
+
+    def kern_second(t, s):
+        lead, big_g, big_h, k1, k2 = pieces(t, s)
+        return lead * (big_g * k2 - big_h * k1) + 0j
+
+    j1 = reference_triangle(kern_first, t0, t1).real
+    j2 = reference_triangle(kern_second, t0, t1).real
+    e2 = math.exp(-2.0 * th)
+    denom = 1.0 + math.exp(-4.0 * th) - 2.0 * math.exp(-2.0 * th) * math.cos(2.0 * th)
+    w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
+    w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
+    return (p.duration * math.exp(-th) / (th * denom)) * (-w1 * j1 + w2 * j2)
