@@ -330,6 +330,25 @@ def _sine_ratio(w: complex, T: float) -> complex:
     return w / cmath.sin(x)
 
 
+def _prefactor(w: complex, params: PhysicalParams) -> complex:
+    """sqrt(m*w/(2*pi*i*hbar*sin(wT))) on the branch continuous in |wT|.
+
+    The principal root is right only while the radicand's argument stays in
+    (-pi, pi].  With q = Re w,
+    sin(wT) = exp(qT)*exp(iqT)*(1 - exp(-2qT(1+i)))/(2i), so the argument
+    continued from |wT| = 0 is
+    -pi/4 - qT - Arg(1 - exp(-2qT(1+i))), and the root is the principal one
+    or its negative, whichever lies at half that argument.  Where the
+    principal root is right its bits are unchanged.
+    """
+    root = cmath.sqrt(
+        params.m * _sine_ratio(w, params.duration) / (2j * math.pi * params.hbar))
+    q_t = w.real * params.duration
+    tail = 1.0 - cmath.exp(complex(-2.0 * q_t, -2.0 * q_t))
+    arg = -0.25 * math.pi - q_t - cmath.phase(tail)
+    return -root if math.cos(0.5 * arg - cmath.phase(root)) < 0.0 else root
+
+
 def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
                            action: ComplexAction) -> PropagatorValue:
     """Assemble the three propagator factors around a precomputed action."""
@@ -337,8 +356,7 @@ def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
     msq = _record_mean_square(beam.trajectory, params.tau_start, params.tau_end)
     weight_exponent = -2.0 * msq / beam.resolution ** 2
     phase_exponent = 1j * action.as_complex / params.hbar
-    prefactor = cmath.sqrt(
-        params.m * _sine_ratio(w, params.duration) / (2j * math.pi * params.hbar))
+    prefactor = _prefactor(w, params)
     exponent = weight_exponent + phase_exponent
     try:
         amplitude = prefactor * cmath.exp(exponent)

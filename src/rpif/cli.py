@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--oracle", default=None, metavar="N1,N2,N3",
                      help="lattice oracle schedule (doubling sizes, at least 3)")
     sim.add_argument("--jobs", type=int, default=1, metavar="K",
-                     help="evaluate sweep points with up to K threads")
+                     help="accepted for compatibility and ignored: sweeps run "
+                          "serially")
     sim.add_argument("--strict-modes", action="store_true",
                      help="exit 3 if any paper-literal residual exceeds "
                           f"{MODE_TOLERANCE:g}")

@@ -6,7 +6,8 @@ multivariate Gaussian over the N-1 interior points,
 
     exp(-1/2 z^T A z + r^T z + s0),   A complex symmetric tridiagonal,
 
-and the integral is done exactly by a tridiagonal determinant and solve.
+and the integral is done exactly: A is constant-coefficient tridiagonal,
+so its determinant and the solve have closed forms, each one numpy pass.
 The only approximation is the discretization of the exponent itself, and
 it converges at O(h^2):
 
@@ -28,14 +29,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .actions import ComplexAction
 from .errors import LatticeError, ValidationError
 from .scenario import PhysicalParams, Scenario
 
-_RESCALE_HI = 1e150
-_RESCALE_LO = 1e-150
+#: relative size of Re(kap) and Im(d + 2*kap) up to which a form still
+#: counts as the lattice's shape; assembly makes both exactly 0
+_BRANCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,79 +140,76 @@ def assemble_quadratic_form(scenario: Scenario, beam_label: str,
                          slice_norm=slice_norm, n_steps=n, step=h, hbar=p.hbar)
 
 
-def _tridiag_logdet(diag: np.ndarray, off: np.ndarray) -> complex:
-    """log(det A) via the continuant recurrence with continuous phase.
+def _toeplitz_reduce(diag: np.ndarray, off: np.ndarray,
+                     rhs: np.ndarray) -> tuple[complex, complex]:
+    """(log det A, 1/2 r^T A^(-1) r) for A = tridiag(kap, d, kap), in closed form.
 
-    The three-term recurrence D_k = a_k D_{k-1} - b_{k-1}^2 D_{k-2} is run
-    with magnitude rescaling (powers kept in a log accumulator) and the
-    argument unwrapped increment by increment, so det^(1/2) can later be
-    taken without branch jumps.  Returns log|det| + i*phase (phase not
-    reduced mod 2*pi).
+    The lattice's A is 2*lam*I + kap*tridiag(1, -2, 1) with lam >= 0 and
+    kap imaginary, so d = 2*lam - 2*kap.  Its eigenvalues are
+    2*lam - 4*kap*s_j^2 with s_j = sin(j*pi/(2N)), j = 1..N-1; their real
+    parts are all 2*lam >= 0, so the principal logs sum to the continuous
+    phase of det A.  The sum is taken factored as
+    (N-1)*log(-kap) + log N + sum log1p(2*lam/(-4*kap*s_j^2)), using
+    prod 4*s_j^2 = N, which keeps the O(N) size of each log out of the
+    rounding of the sum.
+
+    The quadratic form follows from the LDL^T factorization in
+    Green's-function form: with cosh(psi) = -d/(2*kap), the pivots are
+    u_k = -kap*sinh((k+1)psi)/sinh(k psi) and the forward-substituted
+    y_k = sum_{j<=k} sinh(j psi)*r_j / sinh(k psi) is one cumulative sum.
+    Under the stability guard |Re(N psi)| stays below about 43, so no
+    sinh overflows.  Singular, degenerate or non-constant forms raise
+    LatticeError.
     """
     n = diag.shape[0]
-    if n == 0:
-        return 0.0 + 0.0j
-    log_scale = 0.0
-    d_prev2 = 1.0 + 0.0j
-    d_prev = diag[0]
-    if d_prev == 0:
-        raise LatticeError("singular leading minor in tridiagonal determinant")
-    phase = cmath.phase(d_prev)
-    for k in range(1, n):
-        d_new = diag[k] * d_prev - off[k - 1] ** 2 * d_prev2
-        if d_new == 0:
-            raise LatticeError(f"singular minor of order {k + 1} in tridiagonal determinant")
-        phase += cmath.phase(d_new / d_prev)
-        d_prev2, d_prev = d_prev, d_new
-        mag = abs(d_prev)
-        if mag > _RESCALE_HI or mag < _RESCALE_LO:
-            d_prev /= mag
-            d_prev2 /= mag
-            log_scale += math.log(mag)
-    return complex(math.log(abs(d_prev)) + log_scale, phase)
+    d = complex(diag[0])
+    if n == 1:
+        if d == 0:
+            raise LatticeError("singular lattice form of size 1")
+        return cmath.log(d), 0.5 * complex(rhs[0]) ** 2 / d
+    kap = complex(off[0])
+    if np.any(diag != d) or np.any(off != kap):
+        raise LatticeError(f"lattice form of size {n} is not constant-coefficient")
+    if kap == 0:
+        raise LatticeError(f"degenerate lattice form of size {n}: zero off-diagonal")
+    two_lam = d + 2.0 * kap
+    if (abs(kap.real) > _BRANCH_TOL * abs(kap)
+            or abs(two_lam.imag) > _BRANCH_TOL * abs(kap) or two_lam.real < 0):
+        raise LatticeError(
+            f"lattice form of size {n} is not 2*lam*I + kap*tridiag(1, -2, 1) "
+            f"with lam >= 0 and kap imaginary (d={d!r}, kap={kap!r})")
+    two_lam = two_lam.real
+    size = n + 1
+    k = np.arange(1, size)
+    s_sq = np.sin(k * (math.pi / (2 * size))) ** 2
+    logdet = (n * cmath.log(-kap) + math.log(size)
+              + np.sum(np.log1p(two_lam / (-4.0 * kap * s_sq))))
+
+    psi = 2.0 * cmath.asinh(cmath.sqrt(two_lam / (-4.0 * kap)))
+    shs = np.sinh(psi * np.arange(1, size + 1)) if psi != 0 else np.arange(1.0, size + 1)
+    cum = np.cumsum(shs[:-1] * rhs)
+    quad = -0.5 / kap * np.sum(cum * cum / (shs[:-1] * shs[1:]))
+    if not (cmath.isfinite(logdet) and cmath.isfinite(quad)):
+        raise LatticeError(f"singular or overflowing lattice form of size {n}")
+    return complex(logdet), complex(quad)
 
 
-def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = diag.shape[0]
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise LatticeError(f"near-singular lattice form of size {n}: {exc}") from None
-
-
-def gaussian_reduce(form: QuadraticForm, order: str = "forward") -> complex:
+def gaussian_reduce(form: QuadraticForm) -> complex:
     """Exact Gaussian integration of the quadratic form.
 
     value = slice_norm^(N/2) * (2*pi)^((N-1)/2) * det(A)^(-1/2)
             * exp(1/2 r^T A^(-1) r + s0)
 
     assembled in log space (the raw normalization alone overflows for
-    large N).  ``order`` picks the elimination direction; "forward" and
-    "backward" are algebraically identical and agree to ~1e-12, which the
-    tests use to confirm the reduction is exact at fixed N.
+    large N), with the continuous phase of det A.
     """
-    if order not in ("forward", "backward"):
-        raise ValueError(f"order must be 'forward' or 'backward', got {order!r}")
     n = form.n_steps
     n_int = n - 1
-    if order == "backward" and n_int > 0:
-        diag = form.diag[::-1].copy()
-        off = form.off[::-1].copy()
-        rhs = form.linear[::-1].copy()
-    else:
-        diag, off, rhs = form.diag, form.off, form.linear
-
     log_norm = (n / 2.0) * cmath.log(form.slice_norm)
     if n_int == 0:
         return cmath.exp(log_norm + form.offset)
 
-    logdet = _tridiag_logdet(diag, off)
-    zstar = _tridiag_solve(diag, off, rhs)
-    quad = 0.5 * np.dot(rhs, zstar)
+    logdet, quad = _toeplitz_reduce(form.diag, form.off, form.linear)
     log_value = (log_norm + (n_int / 2.0) * math.log(2.0 * math.pi)
                  - 0.5 * logdet + quad + form.offset)
     if not (np.isfinite(log_value.real) and np.isfinite(log_value.imag)):
@@ -228,11 +226,9 @@ def stationary_action(scenario: Scenario, beam_label: str,
     endpoints.
     """
     form = assemble_quadratic_form(scenario, beam_label, lattice)
-    if form.n_steps == 1:
-        exponent = form.offset - form.weight_const
-    else:
-        zstar = _tridiag_solve(form.diag, form.off, form.linear)
-        exponent = 0.5 * np.dot(form.linear, zstar) + form.offset - form.weight_const
+    exponent = form.offset - form.weight_const
+    if form.n_steps > 1:
+        exponent += _toeplitz_reduce(form.diag, form.off, form.linear)[1]
     value = -1j * form.hbar * exponent
     return ComplexAction.from_complex(complex(value))
 

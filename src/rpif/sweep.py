@@ -14,7 +14,6 @@ import functools
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -204,9 +203,10 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scena
     raise RpifError(f"unknown sweep parameter {parameter!r}")
 
 
-#: the mode rows of one sweep point share its oracle deviation; under
-#: ``--jobs`` they may be interleaved with a few other points' rows
-_ORACLE_CACHE_SIZE = 8
+#: the mode rows of one sweep point share its oracle deviation; sweeps run
+#: serially (``--jobs`` is accepted and ignored), so those rows are adjacent
+#: and one entry catches them
+_ORACLE_CACHE_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
@@ -250,16 +250,13 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, jobs: int = 1) -> list[Result
 
     Per-point failures (guard trips, quadrature stalls, invalid swept
     values) are captured in the row's ``error`` field instead of aborting
-    the sweep.
+    the sweep.  Points run serially: ``jobs`` is accepted for callers that
+    pass it and has no effect, since threads only slowed sweeps down (the
+    work holds the interpreter lock and interleaved points defeat the
+    per-beam caches).
     """
-    tasks = [(float(value), mode)
-             for value in spec.points() for mode in spec.modes()]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_evaluate_point(scenario, spec, value, mode) for value, mode in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_evaluate_point, scenario, spec, value, mode)
-                   for value, mode in tasks]
-        return [f.result() for f in futures]
+    return [_evaluate_point(scenario, spec, float(value), mode)
+            for value in spec.points() for mode in spec.modes()]
 
 
 def _fmt(value: float | None) -> str:

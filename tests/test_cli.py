@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import rpif
 
 from rpif.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_MODES, EXIT_OK, main
 
@@ -172,3 +177,14 @@ def test_simulate_record_far_from_the_path_matches_the_lattice(tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert float(row.split(",")[-1]) <= 1e-6
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; it costs about 0.3 s of import time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rpif.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, rpif, rpif.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

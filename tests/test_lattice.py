@@ -14,11 +14,17 @@ from rpif import (
     oracle_propagator,
     restricted_propagator,
     richardson_extrapolate,
+    scenario_from_dict,
     stationary_action,
 )
-from rpif.lattice import _tridiag_logdet, _tridiag_solve
-from rpif.timefunctions import ConstantFunction
-from util import make_scenario
+from rpif.lattice import _toeplitz_reduce
+from rpif.timefunctions import ConstantFunction, SinusoidFunction
+from util import (
+    make_scenario,
+    reference_gaussian_reduce,
+    reference_tridiag_logdet,
+    reference_tridiag_solve,
+)
 
 
 def _free_scenario(**kw):
@@ -109,24 +115,47 @@ def test_free_particle_exact_at_any_resolution(n):
 def test_determinant_against_dense_matrix():
     scenario = make_scenario()
     form = assemble_quadratic_form(scenario, "a", _lattice(scenario, 8))
-    n = form.diag.shape[0]
     dense = np.diag(form.diag) + np.diag(form.off, 1) + np.diag(form.off, -1)
     sign, logabs = np.linalg.slogdet(dense)
     dense_logdet = logabs + 1j * np.angle(sign)
-    ours = _tridiag_logdet(form.diag, form.off)
-    assert ours.real == pytest.approx(dense_logdet.real, rel=1e-12)
-    # phases agree modulo 2*pi (the recurrence keeps the unwrapped value)
-    assert cmath.exp(1j * ours.imag) == pytest.approx(cmath.exp(1j * dense_logdet.imag),
-                                                      rel=1e-12)
+    reference = reference_tridiag_logdet(form.diag, form.off)
+    ours = _toeplitz_reduce(form.diag, form.off, form.linear)[0]
+    for logdet in (reference, ours):
+        assert logdet.real == pytest.approx(dense_logdet.real, rel=1e-12)
+        # phases agree modulo 2*pi (both keep the continuous value)
+        assert cmath.exp(1j * logdet.imag) == pytest.approx(
+            cmath.exp(1j * dense_logdet.imag), rel=1e-12)
 
 
 def test_reduction_orders_agree():
     scenario = make_scenario()
     for n in (16, 64, 256):
         form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
-        forward = gaussian_reduce(form, order="forward")
-        backward = gaussian_reduce(form, order="backward")
+        forward = reference_gaussian_reduce(form, order="forward")
+        backward = reference_gaussian_reduce(form, order="backward")
         assert abs(forward - backward) <= 1e-12 * abs(forward)
+        assert abs(gaussian_reduce(form) - forward) <= 1e-12 * abs(forward)
+
+
+#: |wT| = 2/delta in internal units: the series branch (|wT| < 1e-2, with
+#: the delta = 684 beam of a perfbench oracle_points scenario), the closed
+#: branch inside and outside the prefactor's bands, and the guard's edge
+_WT_GRID = (1e-6, 2.0 / 684.046242, 5e-3, 0.5, 2.0, 5.0, 17.0, 33.0, 59.9)
+
+
+@pytest.mark.parametrize("wt", _WT_GRID)
+def test_closed_reduction_matches_reference(wt):
+    scenario = make_scenario(delta_a=2.0 / wt, z1=0.1, z2=0.6,
+                             a=SinusoidFunction(0.3, 7.0, 0.2))
+    for n in (2, 3, 16, 256, 1024, 4096):
+        form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
+        logdet, quad = _toeplitz_reduce(form.diag, form.off, form.linear)
+        # the unwrapped phase itself, not only modulo 2*pi
+        expect_logdet = reference_tridiag_logdet(form.diag, form.off)
+        expect_quad = 0.5 * np.dot(form.linear, reference_tridiag_solve(
+            form.diag, form.off, form.linear))
+        assert abs(logdet - expect_logdet) <= 1e-12 * abs(expect_logdet)
+        assert abs(quad - expect_quad) <= 1e-12 * abs(expect_quad)
 
 
 def test_single_level_reduction_within_discretization_error():
@@ -157,6 +186,18 @@ def test_near_singular_form_reported():
         gaussian_reduce(bad)
 
 
+def test_form_outside_the_closed_form_reported():
+    scenario = make_scenario()
+    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, 8))
+    uneven = form.diag.copy()
+    uneven[3] += 1.0
+    with pytest.raises(LatticeError, match="constant-coefficient"):
+        _toeplitz_reduce(uneven, form.off, form.linear)
+    # Re(A) = 2*lam*I needs lam >= 0
+    with pytest.raises(LatticeError, match="lam >= 0"):
+        _toeplitz_reduce(form.diag - 10.0, form.off, form.linear)
+
+
 def test_tridiag_solve_matches_dense():
     rng = np.random.default_rng(5)
     n = 12
@@ -165,8 +206,15 @@ def test_tridiag_solve_matches_dense():
     rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     expect = np.linalg.solve(dense, rhs)
-    got = _tridiag_solve(diag, off, rhs)
+    got = reference_tridiag_solve(diag, off, rhs)
     assert np.allclose(got, expect, rtol=1e-11, atol=1e-12)
+
+    scenario = make_scenario()
+    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n + 1))
+    dense = np.diag(form.diag) + np.diag(form.off, 1) + np.diag(form.off, -1)
+    expect = 0.5 * np.dot(form.linear, np.linalg.solve(dense, form.linear))
+    quad = _toeplitz_reduce(form.diag, form.off, form.linear)[1]
+    assert abs(quad - expect) <= 1e-12 * abs(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +319,38 @@ def test_convergence_order_is_h2():
     r2 = abs(vals[256] - vals[512]) / abs(vals[512] - vals[1024])
     assert 3.6 <= r1 <= 4.4
     assert 3.6 <= r2 <= 4.4
+
+
+@pytest.mark.parametrize("wt", [1e-3, 0.5, 2.0, 3.45, 5.0, 8.0, 11.5, 13.0, 20.5, 22.0,
+                                27.0, 31.0, 40.0, 45.0, 50.0, 58.0, 59.9])
+def test_oracle_matches_closed_propagator_across_the_guarded_range(wt):
+    # the prefactor root's principal branch is wrong where
+    # |wT|/sqrt(2) mod 4*pi lies in (3*pi/4, 11*pi/4): |wT| in about
+    # (3.35, 12.2), (21.1, 30.0), (38.9, 47.8) and (56.7, 60)
+    scenario = make_scenario(delta_a=2.0 / wt, z1=0.1, z2=0.6)
+    closed = restricted_propagator(scenario.beam_a, scenario.frame_profile,
+                                   scenario.params, scenario.z1, scenario.z2)
+    ext = oracle_propagator(scenario, "a", (512, 1024, 2048))
+    assert abs(closed.amplitude - ext.value) <= 1e-6 * abs(ext.value)
+
+
+def test_series_beam_extrapolates_at_fine_levels():
+    # a perfbench oracle_points request (seed 601, r0062): beam b is on the
+    # series branch, and its level differences at N = 1024..4096 are about
+    # 1e-12, so rounding in the reduction alone can make them non-monotone
+    scenario = scenario_from_dict({
+        "params": {"m": 1.0, "g": 0.036477, "hbar": 1.0,
+                   "tau_start": 0.0, "tau_end": 1.0},
+        "z1": 0.046934, "z2": 0.036601,
+        "frame_profile": {"kind": "constant", "value": 0.357102},
+        "beam_a": {"trajectory": {"kind": "polynomial",
+                                  "coefficients": [0.847285, 0.268377, -0.595568, 0.085753]},
+                   "resolution": 2.17748},
+        "beam_b": {"trajectory": {"kind": "polynomial",
+                                  "coefficients": [-0.022007, -0.497947, 0.456246, -0.760483]},
+                   "resolution": 684.046242}}).nondimensionalized()
+    for label in ("a", "b"):
+        closed = restricted_propagator(scenario.beam(label), scenario.frame_profile,
+                                       scenario.params, scenario.z1, scenario.z2)
+        ext = oracle_propagator(scenario, label, (1024, 2048, 4096))
+        assert abs(closed.amplitude - ext.value) <= 1e-6 * abs(ext.value)
