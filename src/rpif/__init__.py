@@ -14,9 +14,7 @@ from .actions import (
     PropagatorValue,
     classical_action,
     complex_frequency,
-    driving_force,
     restricted_propagator,
-    small_w_action,
 )
 from .errors import (
     ConfigError,
@@ -76,7 +74,6 @@ from .timefunctions import (
     TabulatedFunction,
     TimeFunction,
     build_time_function,
-    evaluate,
 )
 
 __version__ = "0.1.0"
@@ -90,11 +87,10 @@ __all__ = [
     "SinusoidFunction", "StabilityError", "SweepSpec", "TabulatedFunction",
     "TimeFunction", "ValidationError", "assemble_quadratic_form",
     "auxiliary_angles", "build_time_function", "classical_action",
-    "compare_modes", "complex_frequency", "decompose", "driving_force",
-    "emit_results", "evaluate", "gaussian_reduce", "intensity",
-    "mean_square", "oracle_propagator", "parse_config", "phase_difference",
-    "reduced_interference", "restricted_propagator", "richardson_extrapolate",
-    "run_sweep", "scenario_from_dict", "small_w_action", "stationary_action",
-    "term_i1", "term_i2", "term_i3", "term_i4", "term_i5",
-    "validate_scenario",
+    "compare_modes", "complex_frequency", "decompose", "emit_results",
+    "gaussian_reduce", "intensity", "mean_square", "oracle_propagator",
+    "parse_config", "phase_difference", "reduced_interference",
+    "restricted_propagator", "richardson_extrapolate", "run_sweep",
+    "scenario_from_dict", "stationary_action", "term_i1", "term_i2",
+    "term_i3", "term_i4", "term_i5", "validate_scenario",
 ]

@@ -113,17 +113,6 @@ def ensure_stable(params: PhysicalParams, delta_c: float) -> complex:
     return w
 
 
-def driving_force(beam: BeamRecord, frame_profile: TimeFunction,
-                  params: PhysicalParams, t):
-    """F(t) = -m*g*f(t) - i*(4*hbar/(T*delta_c^2))*c(t), scalar or array."""
-    coef = 4.0 * params.hbar / (params.duration * beam.resolution ** 2)
-    val = (-params.m * params.g * np.asarray(frame_profile(t))
-           - 1j * coef * np.asarray(beam.trajectory(t)))
-    if np.ndim(t) == 0:
-        return _ensure_finite(complex(val), "driving_force")
-    return val
-
-
 def force_callable(beam: BeamRecord, frame_profile: TimeFunction,
                    params: PhysicalParams) -> Callable:
     coef = 4.0 * params.hbar / (params.duration * beam.resolution ** 2)
@@ -243,17 +232,19 @@ class ActionBlocks:
 
 
 def _integrate_blocks(kernels: ActionKernels, force: Callable,
-                      t0: float, t1: float) -> ActionBlocks:
+                      t0: float, t1: float, breaks=()) -> ActionBlocks:
     single = kernels.single
-    q2 = quadrature.integrate(lambda t: force(t) * single(t - t0), t0, t1)
-    q1 = quadrature.integrate(lambda t: force(t) * single(t1 - t), t0, t1)
+    q2 = quadrature.integrate(lambda t: force(t) * single(t - t0), t0, t1,
+                              breaks=breaks)
+    q1 = quadrature.integrate(lambda t: force(t) * single(t1 - t), t0, t1,
+                              breaks=breaks)
 
     def factors(t, s):
         n = t.size
         f = force(np.concatenate((t, s)))
         return f[:n] * kernels.outer(t1 - t), f[n:] * kernels.inner(s - t0)
 
-    q12 = quadrature.integrate_triangle(factors, t0, t1)
+    q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks)
     return ActionBlocks(kernels.b1, kernels.b2, q1, q2, q12)
 
 
@@ -280,7 +271,8 @@ def _action_blocks(beam: BeamRecord, frame_profile: TimeFunction,
     w = ensure_stable(params, beam.resolution)
     kernels = action_kernels(w, params.m, params.duration)
     force = force_callable(beam, frame_profile, params)
-    return _integrate_blocks(kernels, force, params.tau_start, params.tau_end)
+    return _integrate_blocks(kernels, force, params.tau_start, params.tau_end,
+                             frame_profile.breakpoints + beam.trajectory.breakpoints)
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
@@ -303,22 +295,6 @@ def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
     """
     value = _action_blocks(beam, frame_profile, params).action(params.m, z1, z2)
     _ensure_finite(value, "classical_action")
-    return ComplexAction.from_complex(value)
-
-
-def small_w_action(beam: BeamRecord, frame_profile: TimeFunction,
-                   params: PhysicalParams, z1: float, z2: float) -> ComplexAction:
-    """Series form of the action, valid only for |wT| < 1e-2."""
-    w = ensure_stable(params, beam.resolution)
-    if abs(w) * params.duration >= SMALL_WT_CROSSOVER:
-        raise RpifError(
-            f"small_w_action called outside its validity region: "
-            f"|wT| = {abs(w) * params.duration:.3e} >= {SMALL_WT_CROSSOVER:g}")
-    kernels = _kernels_series(w, params.m, params.duration)
-    force = force_callable(beam, frame_profile, params)
-    value = _evaluate_action(kernels, force, params.m,
-                             params.tau_start, params.tau_end, z1, z2)
-    _ensure_finite(value, "small_w_action")
     return ComplexAction.from_complex(value)
 
 

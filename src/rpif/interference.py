@@ -195,10 +195,11 @@ def _literal_linear_block(beam: BeamRecord, frame_profile: TimeFunction,
         return np.exp(x) * (coef * np.asarray(c(t)) * np.cos(x) * (1.0 - np.exp(-2.0 * x))
                             + g * np.asarray(f(t)) * np.sin(x) * (1.0 + np.exp(-2.0 * x)))
 
+    breaks = f.breakpoints + c.breakpoints
     j_sin = quadrature.integrate(lambda t: integrand_sin(t) + 0j,
-                                 p.tau_start, p.tau_end).real
+                                 p.tau_start, p.tau_end, breaks=breaks).real
     j_cos = quadrature.integrate(lambda t: integrand_cos(t) + 0j,
-                                 p.tau_start, p.tau_end).real
+                                 p.tau_start, p.tau_end, breaks=breaks).real
     e2 = math.exp(-2.0 * th)
     return (math.exp(-th) / _denom(th)) * ((1.0 - e2) * math.cos(th) * j_sin
                                            - (1.0 + e2) * math.sin(th) * j_cos)
@@ -248,7 +249,8 @@ def _literal_double_block(beam: BeamRecord, frame_profile: TimeFunction,
         return (np.stack((outer.imag, outer.real)),
                 np.concatenate((inner.real, inner.imag)))
 
-    j1, j2 = quadrature.integrate_triangle(factors, t0, t1).real
+    j1, j2 = quadrature.integrate_triangle(
+        factors, t0, t1, breaks=f.breakpoints + c.breakpoints).real
     e2 = math.exp(-2.0 * th)
     w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
     w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)

@@ -3,8 +3,14 @@
 One shared convergence policy for every integral in the package: a fixed
 Gauss order per panel, panel count doubled until two successive estimates
 agree to a relative tolerance, with a hard node budget.  The integrands
-here are smooth (piecewise-linear at worst), so this converges fast and is
-fully deterministic.
+here are smooth between known breakpoints (the sample times of tabulated
+records, where they have kinks), so [a, b] is first split at the
+breakpoints strictly inside it and every segment gets the same number of
+panels, doubled together (the QUADPACK QAGP idea, Piessens et al. 1983).
+No panel straddles a kink, so convergence is as fast as on a smooth
+integrand, and fully deterministic.  The budgets count nodes over all
+segments; a split that cannot run two levels within its budget is
+refused up front.
 
 Double integrals over the triangle s <= t have separable kernels (a
 finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
@@ -30,12 +36,41 @@ AXIS_NODE_BUDGET = 2 ** 12   # per axis of nested double integrals
 
 
 @lru_cache(maxsize=64)
-def _reference_rule(panels: int, order: int):
-    """Composite Gauss-Legendre nodes and weights on [0, 1]."""
+def _segments(a: float, b: float, breaks: tuple, what: str, budget: int,
+              order: int) -> tuple[float, ...]:
+    """Segment edges on [0, 1]: the breakpoints strictly inside (a, b),
+    mapped by t -> (t - a)/(b - a), between 0 and 1.
+
+    Raises QuadratureError when the budget cannot hold the two levels that
+    a convergence test needs.  Cached: every integral of a scenario asks
+    with the same breakpoints.
+    """
+    width = b - a
+    inside = sorted({float(x) for x in breaks if a < x < b})
+    edges = (0.0, *((x - a) / width for x in inside), 1.0)
+    segments = len(edges) - 1
+    if 2 * segments * order > budget:
+        raise QuadratureError(
+            f"{what} over [{a:g}, {b:g}] has {segments} segments between "
+            f"breakpoints; two levels need {2 * segments * order} nodes, over "
+            f"the budget of {budget}")
+    return edges
+
+
+def _panel_edges(panels: int, edges: tuple[float, ...]) -> np.ndarray:
+    """``panels`` equal panels in each segment between ``edges``."""
+    cuts = [np.linspace(lo, hi, panels + 1)[:-1] for lo, hi in zip(edges, edges[1:])]
+    return np.concatenate(cuts + [np.array(edges[-1:])])
+
+
+@lru_cache(maxsize=64)
+def _reference_rule(panels: int, order: int, edges: tuple[float, ...] = (0.0, 1.0)):
+    """Composite Gauss-Legendre nodes and weights on [0, 1], ``panels``
+    panels per segment."""
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
+    cuts = _panel_edges(panels, edges)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    half = 0.5 * np.diff(cuts)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     nodes.setflags(write=False)
@@ -43,23 +78,27 @@ def _reference_rule(panels: int, order: int):
     return nodes, weights
 
 
-def integrate(fn, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
-              atol: float = DEFAULT_ATOL, node_budget: int = LINE_NODE_BUDGET,
+def integrate(fn, a: float, b: float, *, breaks: tuple = (),
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+              node_budget: int = LINE_NODE_BUDGET,
               order: int = GAUSS_ORDER) -> complex:
     """Integrate a vectorized callable over [a, b].
 
     ``fn`` receives a 1-D ndarray of nodes and must return values of the
-    same shape (real or complex).  Raises QuadratureError if the doubling
-    loop exhausts ``node_budget`` nodes without two successive estimates
-    agreeing to ``rtol``/``atol``.
+    same shape (real or complex).  ``breaks`` is a tuple of the times where
+    ``fn`` may have a kink; those strictly inside (a, b) become panel edges.
+    Raises QuadratureError if the doubling loop exhausts ``node_budget``
+    nodes without two successive estimates agreeing to ``rtol``/``atol``.
     """
     width = b - a
     if width == 0.0:
         return 0.0 + 0.0j
+    edges = _segments(a, b, breaks, "integral", node_budget, order)
+    segments = len(edges) - 1
     prev, delta = None, math.nan
     panels = 1
-    while panels * order <= node_budget:
-        u, wu = _reference_rule(panels, order)
+    while segments * panels * order <= node_budget:
+        u, wu = _reference_rule(panels, order, edges)
         est = complex(width * np.sum(wu * np.asarray(fn(a + width * u))))
         if not (np.isfinite(est.real) and np.isfinite(est.imag)):
             raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
@@ -77,27 +116,32 @@ def integrate(fn, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
 
 
 @lru_cache(maxsize=64)
-def _nested_rule(panels: int, order: int):
+def _nested_rule(panels: int, order: int, edges: tuple[float, ...]):
     """The points and weights of one level of the nested rule on [0, 1].
 
-    Returns the composite nodes and weights (n = panels*order of each);
-    the inner points, which are the n nodes followed by, for each node
-    u_i, the ``order`` Gauss nodes of the partial panel [edge, u_i]; the
-    Gauss weights on [-1, 1]; and the half-length of each partial panel.
+    Returns the composite nodes and weights (n of each); the inner points,
+    which are the n nodes followed by, for each node u_i, the ``order``
+    Gauss nodes of the partial panel [edge, u_i]; the Gauss weights on
+    [-1, 1]; the half-length of each partial panel; the half-panel width
+    of the widest segment; and each whole panel's half-width relative to
+    it (all ones for a single segment).
     """
-    u, wu = _reference_rule(panels, order)
+    u, wu = _reference_rule(panels, order, edges)
     x, w = np.polynomial.legendre.leggauss(order)
-    edge = np.repeat(np.linspace(0.0, 1.0, panels + 1)[:-1], order)
+    edge = np.repeat(_panel_edges(panels, edges)[:-1], order)
     half = 0.5 * (u - edge)
     partial = (edge[:, None] + half[:, None] * (x + 1.0)[None, :]).ravel()
     points = np.concatenate((u, partial))
-    for arr in (points, w, half):
+    widths = np.diff(edges)
+    widest = widths.max()
+    ratio = np.repeat(widths / widest, panels)
+    for arr in (points, w, half, ratio):
         arr.setflags(write=False)
-    return u, wu, points, w, half
+    return u, wu, points, w, half, widest * (0.5 / panels), ratio
 
 
-def integrate_triangle(factors, a: float, b: float, *, rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL,
+def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
+                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                        axis_budget: int = AXIS_NODE_BUDGET,
                        order: int = GAUSS_ORDER):
     """Integrate a separable kernel over the triangle a <= s <= t <= b.
@@ -108,30 +152,41 @@ def integrate_triangle(factors, a: float, b: float, *, rtol: float = DEFAULT_RTO
     result is the sum over k of
     Int_a^b outer_k(t) Int_a^t inner_k(s) ds dt,
     a complex scalar, or an array of shape (...) when the outer rows carry
-    leading axes; each entry must converge on its own.
+    leading axes; each entry must converge on its own.  ``breaks`` are
+    the times where the factors may have kinks, as for ``integrate``.
 
     Nested rule: the outer integral uses the composite rule of
     ``integrate``; the inner integral up to outer node t_i is the sum of
     the whole panels before t_i plus an ``order``-point Gauss rule on the
-    partial panel [edge, t_i].  A level therefore evaluates n outer and
-    (order+1)*n inner points and costs O(k*order*n); no n x n array is
-    built.  Panels double until successive estimates agree, at most
-    ``axis_budget`` outer nodes.
+    partial panel [edge, t_i].  The whole panels are summed in one running
+    sum across segments, each weighted by its segment's half-panel width,
+    so the inner integral carries the totals of the earlier segments and
+    no partial panel reaches across a breakpoint.  A level
+    therefore evaluates n outer and (order+1)*n inner points and costs
+    O(k*order*n); no n x n array is built.  Panels double until
+    successive estimates agree, at most ``axis_budget`` outer nodes.
     """
     width = b - a
+    edges = _segments(a, b, breaks, "triangle integral", axis_budget, order)
+    segments = len(edges) - 1
     prev, delta = None, math.nan
     panels = 1
-    while panels * order <= axis_budget:
-        u, wu, points, w, half = _nested_rule(panels, order)
+    while segments * panels * order <= axis_budget:
+        u, wu, points, w, half, half_panel, ratio = _nested_rule(panels, order, edges)
         outer, inner = factors(a + width * u, a + width * points)
         outer, inner = np.asarray(outer), np.asarray(inner)
         k = inner.shape[0]
         # Gauss sums over the whole panels, then over the n partial panels
         sums = inner.reshape(k, -1, order) @ w
-        before = np.zeros((k, panels), dtype=sums.dtype)
-        np.cumsum(sums[:, :panels - 1], axis=1, out=before[:, 1:])
-        cumulative = (np.repeat(before, order, axis=1) * (0.5 / panels)
-                      + sums[:, panels:] * half)
+        m = segments * panels
+        # the whole panels before each panel, each weighted by its
+        # half-width relative to the widest segment's: one running sum
+        # carries the totals of the earlier segments into each segment
+        whole = sums[:, :m] * ratio
+        before = np.zeros((k, m), dtype=whole.dtype)
+        np.cumsum(whole[:, :m - 1], axis=1, out=before[:, 1:])
+        cumulative = (np.repeat(before, order, axis=1) * half_panel
+                      + sums[:, m:] * half)
         est = width * width * (outer.reshape(outer.shape[:-2] + (-1,))
                                @ (cumulative * wu).ravel())
         est = np.asarray(est, dtype=complex)

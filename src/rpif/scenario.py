@@ -111,10 +111,14 @@ class Scenario:
 
 
 def mean_square(c: TimeFunction, params: PhysicalParams) -> float:
-    """Time average (1/T) * integral of c(t)^2 over the window."""
+    """Time average (1/T) * integral of c(t)^2 over the window.
+
+    Panels end at the record's breakpoints, so a tabulated record's square,
+    piecewise quadratic, is integrated exactly at the first level.
+    """
     T = params.duration
     val = quadrature.integrate(lambda t: np.asarray(c(t)) ** 2 + 0j,
-                               params.tau_start, params.tau_end)
+                               params.tau_start, params.tau_end, breaks=c.breakpoints)
     return float(val.real) / T
 
 

@@ -55,6 +55,12 @@ class TimeFunction:
             return float(out)
         return out
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Times where the function may have a kink: quadrature panels end
+        there.  Derived from the fields, so it survives every rescaling."""
+        return ()
+
     def with_domain(self, domain: tuple[float, float]) -> "TimeFunction":
         return replace(self, domain=domain)
 
@@ -141,7 +147,8 @@ class TabulatedFunction(TimeFunction):
 
     Sample times must be strictly increasing and must cover the working
     domain; interpolation error is controlled by the supplier's sampling
-    density.
+    density.  The interior sample times are the breakpoints, where
+    quadrature panels end.
     """
 
     times: tuple[float, ...]
@@ -151,6 +158,10 @@ class TabulatedFunction(TimeFunction):
 
     def _values(self, t):
         return np.interp(t, np.asarray(self.times), np.asarray(self.values))
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return self.times[1:-1]
 
     def rescaled(self, origin, time_scale, value_scale, domain):
         new_times = tuple((tt - origin) / time_scale for tt in self.times)
@@ -231,8 +242,3 @@ def check_domain_coverage(fn: TimeFunction, domain: tuple[float, float],
                 [f"{where}/times: samples [{fn.times[0]:g}, {fn.times[-1]:g}] do not "
                  f"cover the interval [{lo:g}, {hi:g}]"]
             )
-
-
-def evaluate(fn: TimeFunction, t):
-    """Evaluate ``fn`` at time(s) ``t``, enforcing the attached domain."""
-    return fn(t)

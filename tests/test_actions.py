@@ -9,9 +9,7 @@ from rpif import (
     StabilityError,
     classical_action,
     complex_frequency,
-    driving_force,
     restricted_propagator,
-    small_w_action,
 )
 from rpif.actions import (
     SMALL_WT_CROSSOVER,
@@ -67,20 +65,20 @@ def test_frequency_requires_positive_resolution():
 
 def test_force_vanishes_without_sources():
     beam = BeamRecord(ConstantFunction(0.0), 1.0)
-    val = driving_force(beam, ConstantFunction(0.0), NBASE, 0.5)
+    val = force_callable(beam, ConstantFunction(0.0), NBASE)(0.5)
     assert val == 0.0 + 0.0j
 
 
 def test_force_gravity_only():
     beam = BeamRecord(ConstantFunction(0.0), 1.0)
-    val = driving_force(beam, ConstantFunction(1.0), NBASE, 0.5)
+    val = force_callable(beam, ConstantFunction(1.0), NBASE)(0.5)
     assert val == pytest.approx(-1.0 + 0.0j, abs=1e-15)
 
 
 def test_force_record_only():
     beam = BeamRecord(ConstantFunction(1.0), 2.0)
     params = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
-    val = driving_force(beam, ConstantFunction(0.0), params, 0.5)
+    val = force_callable(beam, ConstantFunction(0.0), params)(0.5)
     assert val == pytest.approx(0.0 - 1.0j, abs=1e-15)
 
 
@@ -178,30 +176,33 @@ def test_series_matches_closed_form_at_crossover():
     assert abs(closed - series) <= 1e-9 * abs(closed)
 
 
-def test_small_w_action_matches_closed_kernels_at_same_frequency():
+def test_series_kernels_match_closed_kernels_at_same_frequency():
+    # just below the switch point; both kernel sets at the same w
+    w = complex_frequency(NBASE, 2.0 / 0.00999)
+    closed, series = _kernels_closed(w, 1.0, 1.0), _kernels_series(w, 1.0, 1.0)
+    for name in ("b1", "b2"):
+        exact, approx = getattr(closed, name), getattr(series, name)
+        assert abs(exact - approx) <= 1e-9 * abs(exact)
+    u = np.linspace(0.05, 1.0, 20)
+    exact, approx = closed.single(u), series.single(u)
+    assert np.all(np.abs(exact - approx) <= 1e-9 * np.abs(exact))
+    e, p = np.meshgrid(u, u)
+    e, p = e.ravel(), p.ravel()
+    exact = np.sum(closed.outer(e) * closed.inner(p), axis=0)
+    approx = np.sum(series.outer(e) * series.inner(p), axis=0)
+    assert np.all(np.abs(exact - approx) <= 1e-9 * np.abs(exact))
+
+
+def test_dispatch_uses_series_kernels_below_crossover():
     from rpif.actions import _evaluate_action
-    # just below the switch point; both forms evaluated at the same w
-    delta = 2.0 / 0.00999
-    scenario = make_scenario(delta_a=delta)
-    w = complex_frequency(scenario.params, delta)
-    force = force_callable(scenario.beam_a, scenario.frame_profile, scenario.params)
-    closed = _evaluate_action(_kernels_closed(w, 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
-    series = small_w_action(scenario.beam_a, scenario.frame_profile,
-                            scenario.params, 0.0, 0.5).as_complex
-    assert abs(closed - series) <= 1e-9 * abs(closed)
-
-
-def test_small_w_action_rejects_large_wt():
-    scenario = make_scenario(delta_a=1.0)  # |wT| = 2
-    with pytest.raises(RpifError, match="validity"):
-        small_w_action(scenario.beam_a, scenario.frame_profile, scenario.params,
-                       0.0, 0.5)
-
-
-def test_small_w_action_agrees_with_dispatch():
     scenario = make_scenario(delta_a=1e4, a=ConstantFunction(0.1))
-    args = (scenario.beam_a, scenario.frame_profile, scenario.params, 0.0, 0.5)
-    assert small_w_action(*args) == classical_action(*args)
+    w = complex_frequency(scenario.params, 1e4)
+    force = force_callable(scenario.beam_a, scenario.frame_profile, scenario.params)
+    series = _evaluate_action(_kernels_series(w, 1.0, 1.0), force, 1.0,
+                              0.0, 1.0, 0.0, 0.5)
+    dispatched = classical_action(scenario.beam_a, scenario.frame_profile,
+                                  scenario.params, 0.0, 0.5)
+    assert dispatched == ComplexAction.from_complex(series)
 
 
 # ---------------------------------------------------------------------------

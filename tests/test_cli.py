@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -177,6 +178,31 @@ def test_simulate_record_far_from_the_path_matches_the_lattice(tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert float(row.split(",")[-1]) <= 1e-6
+
+
+def test_simulate_off_dyadic_tabulated_records_gives_finite_rows(tmp_path):
+    # kinks off the dyadic grid in the record and in the frame profile, in
+    # physical units; every row of both modes comes back finite
+    doc = dict(BASE)
+    doc["params"] = {"m": 3.0, "g": 0.2, "hbar": 0.5, "tau_start": 2.0, "tau_end": 5.0}
+    doc["frame_profile"] = {"kind": "tabulated", "times": [2.0, 2.69, 4.31, 5.0],
+                            "values": [1.0, 1.2, 0.8, 1.0]}
+    doc["beam_a"] = {"trajectory": {"kind": "tabulated",
+                                    "times": [2.0, 3.11, 3.83, 5.0],
+                                    "values": [0.07, 0.21, -0.14, 0.035]},
+                     "resolution": 0.57}
+    doc["sweep"] = dict(BASE["sweep"], mode="both")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--output", str(out)]) == EXIT_OK
+    header, *rows = out.read_text().strip().split("\n")
+    assert len(rows) == 6
+    for row in rows:
+        swept, mode, *cells = row.split(",")
+        assert mode in ("derived", "paper-literal")
+        assert all(math.isfinite(float(v)) for v in [swept] + cells[:-1])
+        assert cells[-1] == ""  # no oracle column requested
 
 
 def test_import_loads_no_scipy():

@@ -1,4 +1,4 @@
-"""Memory and work bounds on the hardest smooth record.
+"""Memory and work bounds on the hardest records.
 
 The omega = 400 sinusoid on beam a (amplitude 0.3, delta = 1, z2 = 0.5,
 otherwise the reference scenario; the same scenario as the benchmark's
@@ -6,6 +6,12 @@ omega = 400 request) needs 2048 nodes per axis in its double integrals.
 An n x n rule there peaks at about 430 MiB and evaluates its kernels at
 tens of millions of points; the nested rule stays at a few MiB and about
 a hundred thousand points.
+
+A zig-zag tabulated record (the benchmark's kind: eight interior samples,
+four of them off the dyadic grid) converges in a couple of thousand line
+nodes once panels end at its samples; without that, composite Gauss
+converges only like h^2 over the kinks and burns about 266 000 nodes
+before it fails.
 """
 
 import tracemalloc
@@ -13,17 +19,21 @@ import tracemalloc
 import numpy as np
 
 from rpif import actions, decompose, interference, quadrature
-from rpif.timefunctions import SinusoidFunction
+from rpif.timefunctions import SinusoidFunction, TabulatedFunction
 from util import make_scenario
+
+
+def _clear_block_caches():
+    for cached in (actions._action_blocks, actions._record_mean_square,
+                   interference._literal_linear_block,
+                   interference._literal_double_block):
+        cached.cache_clear()
 
 
 def test_omega_400_decompose_stays_small(monkeypatch):
     scenario = make_scenario(a=SinusoidFunction(amplitude=0.3, omega=400.0, phase=0.0),
                              delta_a=1.0, z2=0.5)
-    for cached in (actions._action_blocks, actions._record_mean_square,
-                   interference._literal_linear_block,
-                   interference._literal_double_block):
-        cached.cache_clear()
+    _clear_block_caches()
     points = []
     original = quadrature.integrate_triangle
 
@@ -43,3 +53,23 @@ def test_omega_400_decompose_stays_small(monkeypatch):
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert sum(points) < 200_000
+
+
+def test_zig_zag_tabulated_record_takes_few_line_nodes(monkeypatch):
+    times = (0.0, 0.0625, 0.1437, 0.25, 0.3719, 0.5, 0.6183, 0.8125, 0.9071, 1.0)
+    values = tuple((-1) ** k * (0.5 + 0.05 * k) for k in range(len(times)))
+    scenario = make_scenario(a=TabulatedFunction(times, values), delta_a=0.8, z2=0.5)
+    _clear_block_caches()
+    nodes = []
+    original = quadrature.integrate
+
+    def counted(fn, *args, **kwargs):
+        def inner(t):
+            nodes.append(np.size(t))
+            return fn(t)
+        return original(inner, *args, **kwargs)
+    monkeypatch.setattr(quadrature, "integrate", counted)
+
+    for mode in ("derived", "paper-literal"):
+        decompose(scenario, mode)
+    assert sum(nodes) < 5_000

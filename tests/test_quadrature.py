@@ -101,3 +101,95 @@ def test_stalled_triangle_reports_its_last_delta():
     exc = info.value
     assert exc.last_delta > 0
     assert f"last delta {exc.last_delta:.3e}" in str(exc)
+
+
+# ---------------------------------------------------------------------------
+# breakpoints: panel edges at the kinks
+# ---------------------------------------------------------------------------
+
+def test_kink_on_a_breakpoint_is_integrated_exactly():
+    # int_0^1 |t - 0.37| dt = (0.37^2 + 0.63^2)/2
+    val = integrate(lambda t: np.abs(t - 0.37) + 0j, 0.0, 1.0, breaks=(0.37,))
+    assert abs(val - 0.2669) <= 1e-14
+
+
+def test_triangle_kink_on_a_breakpoint_converges():
+    # with g = |t - 0.37| on both axes the triangle integral is (int g)^2/2
+    def factors(t, s):
+        return [np.abs(t - 0.37) + 0j], [np.abs(s - 0.37)]
+    val = integrate_triangle(factors, 0.0, 1.0, breaks=(0.37,))
+    assert abs(val - 0.2669 ** 2 / 2.0) <= 1e-14
+
+
+def _seen_nodes(run):
+    seen = []
+
+    def fn(t):
+        seen.append(np.array(t))
+        return np.cos(3.0 * t) + 0j
+    value = run(fn)
+    return value, seen
+
+
+def test_breakpoints_outside_or_on_the_ends_add_no_segment():
+    plain = _seen_nodes(lambda fn: integrate(fn, 0.2, 1.3))
+    for breaks in ((-1.0, 0.2), (1.3, 2.0), (0.2, 1.3, 7.0)):
+        value, seen = _seen_nodes(lambda fn: integrate(fn, 0.2, 1.3, breaks=breaks))
+        assert value == plain[0]
+        assert len(seen) == len(plain[1])
+        for got, want in zip(seen, plain[1]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_repeated_breakpoints_count_once():
+    once = _seen_nodes(lambda fn: integrate(fn, 0.0, 1.0, breaks=(0.37,)))
+    twice = _seen_nodes(lambda fn: integrate(fn, 0.0, 1.0, breaks=(0.37, 0.37)))
+    assert once[0] == twice[0]
+    assert [t.size for t in once[1]] == [t.size for t in twice[1]]
+
+
+def test_every_segment_doubles_together_and_no_panel_straddles_a_breakpoint():
+    breaks = (0.1, 0.37, 0.61)
+    seen = []
+
+    def factors(t, s):
+        seen.append((t, s))
+        return [np.exp(t)], [np.cos(s)]
+    integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
+    edges = np.array((0.0, *breaks, 1.0))
+    for level, (t, s) in enumerate(seen):
+        counts = np.histogram(t, edges)[0]
+        assert list(counts) == [GAUSS_ORDER * 2 ** level] * 4
+        # each inner point lies in the same segment as its outer node
+        segment_t = np.searchsorted(edges, t)
+        segment_s = np.searchsorted(edges, s[t.size:].reshape(t.size, -1))
+        assert np.all(segment_s == segment_t[:, None])
+
+
+def test_too_many_segments_for_two_levels_are_refused_up_front():
+    # 299 interior breakpoints: 300 segments need 4800 nodes per axis for
+    # two levels, over the budget of 4096; no level may run
+    breaks = tuple(np.linspace(0.0, 1.0, 301)[1:-1])
+    calls = []
+
+    def factors(t, s):
+        calls.append(t.size)
+        return [np.ones_like(t)], [np.ones_like(s)]
+    with pytest.raises(QuadratureError, match="300 segments") as info:
+        integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
+    assert "4096" in str(info.value)
+    assert "nan" not in str(info.value)
+    assert calls == []
+    with pytest.raises(QuadratureError, match="300 segments"):
+        integrate(lambda t: t + 0j, 0.0, 1.0, breaks=breaks, node_budget=4096)
+
+
+def test_the_largest_split_that_fits_converges():
+    # 256 segments run two levels in exactly 4096 nodes per axis; the kink
+    # at 0.5 is one of the 255 breakpoints
+    breaks = tuple(np.linspace(0.0, 1.0, 257)[1:-1])
+
+    def factors(t, s):
+        return [np.abs(t - 0.5) + 0j], [np.abs(s - 0.5)]
+    val = integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
+    assert abs(val - 0.25 ** 2 / 2.0) <= 1e-14

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpif import ValidationError, build_time_function, evaluate
+from rpif import ValidationError, build_time_function
 from rpif.timefunctions import (
     ConstantFunction,
     LinearFunction,
@@ -32,17 +32,17 @@ def test_tabulated_midpoint_interpolation():
 
 
 def test_evaluate_constant():
-    assert evaluate(ConstantFunction(3.0), 0.7) == 3.0
+    assert ConstantFunction(3.0)(0.7) == 3.0
 
 
 def test_evaluate_sinusoid_quarter_period():
     f = SinusoidFunction(amplitude=1.0, omega=2.0 * np.pi, phase=0.0)
-    assert evaluate(f, 0.25) == pytest.approx(1.0, abs=1e-15)
+    assert f(0.25) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_evaluate_polynomial():
     f = PolynomialFunction((0.0, 0.0, 1.0))
-    assert evaluate(f, 3.0) == 9.0
+    assert f(3.0) == 9.0
 
 
 def test_evaluate_is_deterministic():
@@ -109,6 +109,33 @@ def test_rescaled_matches_composition(spec):
     for u in np.linspace(0.0, 1.0, 17):
         assert g(u) == pytest.approx(scale * f(origin + width * u),
                                      rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "constant", "value": 0.7},
+    {"kind": "linear", "slope": -1.3, "intercept": 0.4},
+    {"kind": "sinusoid", "amplitude": 0.8, "omega": 5.0, "phase": 0.3},
+    {"kind": "polynomial", "coefficients": [0.1, -0.2, 0.5, 1.0]},
+])
+def test_smooth_kinds_have_no_breakpoints(spec):
+    f = build_time_function(spec, domain=(1.0, 3.0))
+    assert f.breakpoints == ()
+    assert f.rescaled(1.0, 2.0, 0.25, (0.0, 1.0)).breakpoints == ()
+
+
+def test_tabulated_breakpoints_are_the_interior_samples_through_every_rescaling():
+    from rpif.scenario import BeamRecord, PhysicalParams, Scenario
+    f = TabulatedFunction((1.0, 1.7, 2.4, 3.0), (0.0, 1.0, -1.0, 0.5))
+    assert f.breakpoints == (1.7, 2.4)
+    assert f.with_domain((1.0, 3.0)).breakpoints == (1.7, 2.4)
+    g = f.rescaled(1.0, 2.0, 0.25, (0.0, 1.0))
+    assert g.breakpoints == pytest.approx((0.35, 0.7), abs=1e-15)
+    scenario = Scenario(PhysicalParams(2.0, 1.0, 0.5, 1.0, 3.0), 0.0, 0.5, f,
+                        BeamRecord(f, 1.0), BeamRecord(ConstantFunction(0.0), 1.0))
+    nd = scenario.nondimensionalized()
+    assert nd.frame_profile.breakpoints == g.breakpoints
+    assert nd.beam_a.trajectory.breakpoints == g.breakpoints
+    assert nd.beam_b.trajectory.breakpoints == ()
 
 
 def test_polynomial_coefficients_required():
