@@ -34,11 +34,6 @@ from .interference import (
     intensity,
     phase_difference,
     reduced_interference,
-    term_i1,
-    term_i2,
-    term_i3,
-    term_i4,
-    term_i5,
 )
 from .lattice import (
     ExtrapolationResult,
@@ -91,6 +86,5 @@ __all__ = [
     "gaussian_reduce", "intensity", "mean_square", "oracle_propagator",
     "parse_config", "phase_difference", "reduced_interference",
     "restricted_propagator", "richardson_extrapolate", "run_sweep",
-    "scenario_from_dict", "stationary_action", "term_i1", "term_i2",
-    "term_i3", "term_i4", "term_i5", "validate_scenario",
+    "scenario_from_dict", "stationary_action", "validate_scenario",
 ]

@@ -89,8 +89,12 @@ class PropagatorValue:
 
 
 def _ensure_finite(value, what: str):
-    arr = np.asarray(value)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if isinstance(value, (int, float, complex)):  # numpy scalars included
+        finite = cmath.isfinite(value)
+    else:
+        arr = np.asarray(value)
+        finite = bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
+    if not finite:
         raise RpifError(f"{what}: non-finite value {value!r}")
     return value
 
@@ -113,12 +117,13 @@ def ensure_stable(params: PhysicalParams, delta_c: float) -> complex:
     return w
 
 
-def force_callable(beam: BeamRecord, frame_profile: TimeFunction,
-                   params: PhysicalParams) -> Callable:
+def _force_rows(beam: BeamRecord, frame_profile: TimeFunction,
+               params: PhysicalParams) -> Callable:
+    """The force split by its dependence on g, F = g*F_f + F_c: returns
+    t -> (F_f(t), F_c(t)), shape (2, len(t)).  params.g is not read."""
     coef = 4.0 * params.hbar / (params.duration * beam.resolution ** 2)
-    m, g = params.m, params.g
-    c, f = beam.trajectory, frame_profile
-    return lambda t: -m * g * np.asarray(f(t)) - 1j * coef * np.asarray(c(t))
+    m, c, f = params.m, beam.trajectory, frame_profile
+    return lambda t: np.stack((-m * np.asarray(f(t)), -1j * coef * np.asarray(c(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -231,48 +236,93 @@ class ActionBlocks:
                 + z2 * self.q2 + z1 * self.q1 - self.q12 / m)
 
 
-def _integrate_blocks(kernels: ActionKernels, force: Callable,
-                      t0: float, t1: float, breaks=()) -> ActionBlocks:
+@dataclass(frozen=True)
+class ActionRows:
+    """One beam's action blocks as polynomials in g, for the force
+    F = g*F_f + F_c with F_f = -m*f(t) and F_c = -i*(4*hbar/(T*delta^2))*c(t):
+
+        q1 = g*q1_f + q1_c,  q2 = g*q2_f + q2_c,
+        q12 = g^2*q12_ff + g*q12_fc + q12_cc  (q12_fc holds both cross terms)
+
+    None of the rows depends on g, so a g sweep integrates them once.
+    """
+
+    b1: complex
+    b2: complex
+    q1_f: complex
+    q1_c: complex
+    q2_f: complex
+    q2_c: complex
+    q12_ff: complex
+    q12_fc: complex
+    q12_cc: complex
+
+    def at(self, g: float) -> ActionBlocks:
+        return ActionBlocks(self.b1, self.b2, g * self.q1_f + self.q1_c,
+                            g * self.q2_f + self.q2_c,
+                            (g * self.q12_ff + self.q12_fc) * g + self.q12_cc)
+
+
+def _integrate_rows(kernels: ActionKernels, forces: Callable,
+                    t0: float, t1: float, breaks=()) -> ActionRows:
+    """The action quadratures of the force rows ``forces(t)`` = (F_f, F_c),
+    shape (2, len(t)): one line call and one triangle call."""
     single = kernels.single
-    q2 = quadrature.integrate(lambda t: force(t) * single(t - t0), t0, t1,
-                              breaks=breaks)
-    q1 = quadrature.integrate(lambda t: force(t) * single(t1 - t), t0, t1,
-                              breaks=breaks)
+
+    def line(t):
+        both = forces(t)
+        return np.concatenate((both * single(t - t0), both * single(t1 - t)))
+
+    q2_f, q2_c, q1_f, q1_c = quadrature.integrate(line, t0, t1, breaks=breaks)
 
     def factors(t, s):
         n = t.size
-        f = force(np.concatenate((t, s)))
-        return f[:n] * kernels.outer(t1 - t), f[n:] * kernels.inner(s - t0)
+        both = forces(np.concatenate((t, s)))[:, None, :]
+        f_t, c_t = both[..., :n] * kernels.outer(t1 - t)
+        zero = np.zeros_like(f_t)
+        # leading rows g^2, g^1, g^0 against the inner rows (F_f, F_c) * inner
+        outer = np.stack((np.concatenate((f_t, zero)),
+                          np.concatenate((c_t, f_t)),
+                          np.concatenate((zero, c_t))))
+        inner = both[..., n:] * kernels.inner(s - t0)
+        return outer, inner.reshape(-1, s.size)
 
-    q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks)
-    return ActionBlocks(kernels.b1, kernels.b2, q1, q2, q12)
+    q12_ff, q12_fc, q12_cc = quadrature.integrate_triangle(factors, t0, t1,
+                                                           breaks=breaks)
+    return ActionRows(kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c,
+                      q12_ff, q12_fc, q12_cc)
 
 
-def _evaluate_action(kernels: ActionKernels, force: Callable, m: float,
-                     t0: float, t1: float, z1: float, z2: float) -> complex:
-    return _integrate_blocks(kernels, force, t0, t1).action(m, z1, z2)
-
-
-#: Entries per block cache.  A sweep reuses a block only between the mode
-#: rows of one point and between consecutive points, and one point needs at
-#: most four entries of a cache (the literal i3/i4 blocks: two beams times
-#: two anchors), so eight catch all the reuse there is.
+#: Entries per block cache.  The cached rows do not depend on g or on the
+#: endpoints, so a sweep reuses them between the mode rows of one point and
+#: across every point that leaves the beam, the frame and the units alone;
+#: one point needs two entries of a cache (one per beam), so eight catch
+#: all the reuse there is.
 BLOCK_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _action_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
+                 hbar: float, tau_start: float, tau_end: float) -> ActionRows:
+    """The g-free action rows of one beam; none depends on z1, z2 or g.
+
+    The arguments are frozen dataclasses and floats compared by value, so a
+    cache hit returns exactly the bits a recomputation would.
+    """
+    params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
+    w = ensure_stable(params, beam.resolution)
+    kernels = action_kernels(w, m, params.duration)
+    return _integrate_rows(kernels, _force_rows(beam, frame_profile, params),
+                           tau_start, tau_end,
+                           frame_profile.breakpoints + beam.trajectory.breakpoints)
+
+
 def _action_blocks(beam: BeamRecord, frame_profile: TimeFunction,
                    params: PhysicalParams) -> ActionBlocks:
-    """The three action quadratures of one beam; none depends on z1, z2.
-
-    The arguments are frozen dataclasses compared by value, so a cache hit
-    returns exactly the bits a recomputation would.
-    """
-    w = ensure_stable(params, beam.resolution)
-    kernels = action_kernels(w, params.m, params.duration)
-    force = force_callable(beam, frame_profile, params)
-    return _integrate_blocks(kernels, force, params.tau_start, params.tau_end,
-                             frame_profile.breakpoints + beam.trajectory.breakpoints)
+    """The three action quadratures of one beam at the params' g."""
+    rows = _action_rows(beam, frame_profile, params.m, params.hbar,
+                        params.tau_start, params.tau_end)
+    return rows.at(params.g)
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)

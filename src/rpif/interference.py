@@ -49,7 +49,7 @@ from .actions import (
     propagator_from_action,
 )
 from .errors import RpifError
-from .scenario import BeamRecord, PhysicalParams, Scenario, validate_scenario
+from .scenario import BeamRecord, PhysicalParams, Scenario, nondimensional
 from .timefunctions import TimeFunction
 
 MODE_LITERAL = "paper-literal"
@@ -62,41 +62,15 @@ class AuxiliaryAngles:
     """Dimensionless angles entering the closed-form contributions.
 
     theta and rho are the per-beam angles (mode dependent, see module
-    docstring); the per-time maps gamma/Gamma (anchored at the final
-    time), mu/nu (anchored at the start), epsilon/beta and sigma/alpha
-    are shared by both modes and scale with sqrt(4*hbar/(m*T*delta^2)).
+    docstring); omega_a and omega_b are the per-beam rates
+    sqrt(4*hbar/(m*T*delta^2)), shared by both modes, at which the
+    printed kernels' angles grow with time.
     """
 
     theta: float
     rho: float
     omega_a: float
     omega_b: float
-    tau_start: float
-    tau_end: float
-
-    def gamma(self, t):
-        return self.omega_a * (np.asarray(t) - self.tau_end)
-
-    def Gamma(self, t):
-        return self.omega_b * (np.asarray(t) - self.tau_end)
-
-    def mu(self, t):
-        return self.omega_a * (np.asarray(t) - self.tau_start)
-
-    def nu(self, t):
-        return self.omega_b * (np.asarray(t) - self.tau_start)
-
-    def epsilon(self, t):
-        return self.omega_a * (self.tau_end - np.asarray(t))
-
-    def sigma(self, s):
-        return self.omega_a * (np.asarray(s) - self.tau_start)
-
-    def alpha(self, s):
-        return self.omega_b * (np.asarray(s) - self.tau_start)
-
-    def beta(self, t):
-        return self.omega_b * (self.tau_end - np.asarray(t))
 
 
 @dataclass(frozen=True)
@@ -124,7 +98,7 @@ def _check_mode(mode: str) -> str:
 
 
 def _nd(scenario: Scenario) -> Scenario:
-    return validate_scenario(scenario).nondimensionalized()
+    return nondimensional(scenario)
 
 
 def _omega(params, delta: float) -> float:
@@ -144,8 +118,7 @@ def auxiliary_angles(scenario: Scenario, mode: str = MODE_LITERAL) -> AuxiliaryA
         theta = abs((ensure_stable(p, da) * p.duration).real)
         rho = abs((ensure_stable(p, db) * p.duration).real)
     return AuxiliaryAngles(theta=theta, rho=rho,
-                           omega_a=_omega(p, da), omega_b=_omega(p, db),
-                           tau_start=p.tau_start, tau_end=p.tau_end)
+                           omega_a=_omega(p, da), omega_b=_omega(p, db))
 
 
 # ---------------------------------------------------------------------------
@@ -168,69 +141,56 @@ def _bracket_i2(th: float) -> float:
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _literal_linear_block(beam: BeamRecord, frame_profile: TimeFunction,
-                          p: PhysicalParams, th: float, anchor: str) -> float:
-    """One beam's contribution to i3 (anchor='end') or i4 (anchor='start').
+def _literal_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
+                  hbar: float, tau_start: float, tau_end: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The g-free rows of one beam's printed i3/i4 and i5 integrals: one
+    line call and one triangle call.  Independent of the endpoints and of
+    g, so z2 and g sweeps compute them once per beam.
 
-    Evaluates the printed pair of single integrals over the record and the
-    frame profile, weighted by the hyperbolic theta prefactors.  Independent
-    of the endpoints, so a z2 sweep computes it once per beam.
-    """
-    om = _omega(p, beam.resolution)
-    q = om / math.sqrt(2.0)
-    coef = 4.0 * p.hbar / (p.m * p.duration * beam.resolution ** 2)  # = om^2
-    anchor_t = p.tau_end if anchor == "end" else p.tau_start
-    g, f, c = p.g, frame_profile, beam.trajectory
+    i3 and i4: with x = q*(t - anchor), q = omega/sqrt(2), the printed pair
+    of single integrals is
 
-    def x_of(t):
-        return q * (np.asarray(t) - anchor_t)
+        j_sin = Int e^x [omega^2 c sin x (1 + e^{-2x}) - g f cos x (1 - e^{-2x})]
+        j_cos = Int e^x [omega^2 c cos x (1 - e^{-2x}) + g f sin x (1 + e^{-2x})],
 
-    def integrand_sin(t):
-        x = x_of(t)
-        return np.exp(x) * (coef * np.asarray(c(t)) * np.sin(x) * (1.0 + np.exp(-2.0 * x))
-                            - g * np.asarray(f(t)) * np.cos(x) * (1.0 - np.exp(-2.0 * x)))
+    affine in g.  The eight line rows are indexed [anchor (end, start),
+    integral (sin, cos), part (f, c)], with the g and the sign of each f
+    part left to the caller.
 
-    def integrand_cos(t):
-        x = x_of(t)
-        return np.exp(x) * (coef * np.asarray(c(t)) * np.cos(x) * (1.0 - np.exp(-2.0 * x))
-                            + g * np.asarray(f(t)) * np.sin(x) * (1.0 + np.exp(-2.0 * x)))
-
-    breaks = f.breakpoints + c.breakpoints
-    j_sin = quadrature.integrate(lambda t: integrand_sin(t) + 0j,
-                                 p.tau_start, p.tau_end, breaks=breaks).real
-    j_cos = quadrature.integrate(lambda t: integrand_cos(t) + 0j,
-                                 p.tau_start, p.tau_end, breaks=breaks).real
-    e2 = math.exp(-2.0 * th)
-    return (math.exp(-th) / _denom(th)) * ((1.0 - e2) * math.cos(th) * j_sin
-                                           - (1.0 + e2) * math.sin(th) * j_cos)
-
-
-@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _literal_double_block(beam: BeamRecord, frame_profile: TimeFunction,
-                          p: PhysicalParams, th: float) -> float:
-    """One beam's contribution to i5, exactly as printed.
-
-    The printed kernels combine g^2*(f(t)+f(s)), the record sum, and the
-    mixed g*[f(t)c(s)+f(s)c(t)] term under exp((sigma+epsilon)/2), with
+    i5: the printed kernels combine g^2*(f(t)+f(s)), the record sum, and
+    the mixed g*[f(t)c(s)+f(s)c(t)] term under exp((sigma+epsilon)/2), with
     sigma = omega*(s-t0) and epsilon = omega*(t1-t).  By angle addition the
     second kernel plus i times the first is
 
         -(i/2) e^{epsilon/2} hs(epsilon) e^{sigma/2} hs(sigma) (G + iH),
         hs(x) = e^{ix/sqrt2} - e^{-sqrt2 x} e^{-ix/sqrt2},
         G + iH = A(t) + A(s) + i*omega^2*g*(f(t)c(s) + c(t)f(s)),
-        A = g^2 f - omega^4 c,
+        A = g^2 f - omega^4 c.
 
-    four products of a complex outer and a complex inner factor.  Splitting
-    each inner factor into its real and imaginary parts gives eight real
-    inner rows, which both j1 (imaginary part) and j2 (real part) read.
+    G + iH is a quadratic in g whose coefficients pair an outer factor in t
+    with one of the inner factors [1, f(s), c(s)] times e^{sigma/2} hs(sigma).
+    Splitting each inner factor into its real and imaginary parts gives six
+    real inner rows, and the triangle rows are indexed
+    [j1 (imaginary part), j2 (real part)] x [g^0, g^1, g^2].
     """
-    om = _omega(p, beam.resolution)
-    coef = om * om
-    g, f, c = p.g, frame_profile, beam.trajectory
-    t0, t1 = p.tau_start, p.tau_end
+    t0, t1 = tau_start, tau_end
+    coef = 4.0 * hbar / (m * (t1 - t0) * beam.resolution ** 2)  # = om^2
+    om = math.sqrt(coef)
+    q = om / math.sqrt(2.0)
+    f, c = frame_profile, beam.trajectory
     rt2 = math.sqrt(2.0)
-
     grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
+
+    def line(t):
+        x = q * (t[None, :] - np.array([[t1], [t0]]))
+        # e^x (1 + e^{-2x}) sin x and e^x (1 - e^{-2x}) cos x, through
+        # cosh and sinh: accurate near x = 0, where a coarse measurement's
+        # theta prefactors cancel to O(theta^2)
+        plus, minus = 2.0 * np.cosh(x) * np.sin(x), 2.0 * np.sinh(x) * np.cos(x)
+        fv, cv = np.asarray(f(t)), coef * np.asarray(c(t))
+        return np.stack((np.stack((fv * minus, cv * plus), axis=1),
+                         np.stack((fv * plus, cv * minus), axis=1)), axis=1)
 
     def side(x):
         # e^{x/2} hs(x) for x = epsilon or sigma
@@ -240,17 +200,44 @@ def _literal_double_block(beam: BeamRecord, frame_profile: TimeFunction,
         n = t.size
         both = np.concatenate((t, s))
         fv, cv = np.asarray(f(both)), np.asarray(c(both))
-        a_v = g * g * fv - coef * coef * cv
         base = -0.5j * side(om * (t1 - t))
-        outer = base * np.stack((a_v[:n], np.ones(n), 1j * coef * g * fv[:n],
-                                 1j * coef * g * cv[:n]))
-        inner = side(om * (s - t0)) * np.stack((np.ones(s.size), a_v[n:], cv[n:], fv[n:]))
-        outer = np.concatenate((outer, 1j * outer))
+        zero, one = np.zeros(n), np.ones(n)
+        # against the inner factors [1, f(s), c(s)]: A(t) + A(s) + the mixed term
+        outer = base * np.array((
+            (-coef * coef * cv[:n], zero, -coef * coef * one),  # g^0
+            (zero, 1j * coef * cv[:n], 1j * coef * fv[:n]),     # g^1
+            (fv[:n], one, zero)))                               # g^2
+        inner = side(om * (s - t0)) * np.stack((np.ones(s.size), fv[n:], cv[n:]))
+        outer = np.concatenate((outer, 1j * outer), axis=1)
         return (np.stack((outer.imag, outer.real)),
                 np.concatenate((inner.real, inner.imag)))
 
-    j1, j2 = quadrature.integrate_triangle(
-        factors, t0, t1, breaks=f.breakpoints + c.breakpoints).real
+    breaks = f.breakpoints + c.breakpoints
+    return (quadrature.integrate(line, t0, t1, breaks=breaks).real,
+            quadrature.integrate_triangle(factors, t0, t1, breaks=breaks).real)
+
+
+def _literal_linear_block(beam: BeamRecord, frame_profile: TimeFunction,
+                          p: PhysicalParams, th: float, anchor: str) -> float:
+    """One beam's contribution to i3 (anchor='end') or i4 (anchor='start'):
+    the printed pair of single integrals over the record and the frame
+    profile at the params' g, weighted by the hyperbolic theta prefactors.
+    """
+    rows = _literal_rows(beam, frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)[0]
+    (sin_f, sin_c), (cos_f, cos_c) = rows[0 if anchor == "end" else 1]
+    j_sin = sin_c - p.g * sin_f
+    j_cos = cos_c + p.g * cos_f
+    e2 = math.exp(-2.0 * th)
+    return (math.exp(-th) / _denom(th)) * ((1.0 - e2) * math.cos(th) * j_sin
+                                           - (1.0 + e2) * math.sin(th) * j_cos)
+
+
+def _literal_double_block(beam: BeamRecord, frame_profile: TimeFunction,
+                          p: PhysicalParams, th: float) -> float:
+    """One beam's contribution to i5, exactly as printed, at the params' g."""
+    rows = _literal_rows(beam, frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)[1]
+    g = p.g
+    j1, j2 = rows[:, 0] + g * (rows[:, 1] + g * rows[:, 2])
     e2 = math.exp(-2.0 * th)
     w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
     w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
@@ -308,26 +295,6 @@ def _terms(nd: Scenario, mode: str) -> tuple[float, ...]:
     theta = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * nd.beam_a.resolution ** 2))
     rho = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * nd.beam_b.resolution ** 2))
     return _literal_terms(nd, theta, rho)
-
-
-def term_i1(scenario: Scenario, mode: str = MODE_LITERAL) -> float:
-    return _terms(_nd(scenario), _check_mode(mode))[0]
-
-
-def term_i2(scenario: Scenario, mode: str = MODE_LITERAL) -> float:
-    return _terms(_nd(scenario), _check_mode(mode))[1]
-
-
-def term_i3(scenario: Scenario, mode: str = MODE_LITERAL) -> float:
-    return _terms(_nd(scenario), _check_mode(mode))[2]
-
-
-def term_i4(scenario: Scenario, mode: str = MODE_LITERAL) -> float:
-    return _terms(_nd(scenario), _check_mode(mode))[3]
-
-
-def term_i5(scenario: Scenario, mode: str = MODE_LITERAL) -> float:
-    return _terms(_nd(scenario), _check_mode(mode))[4]
 
 
 def _beam_actions(nd: Scenario) -> tuple[ComplexAction, ComplexAction]:

@@ -15,8 +15,8 @@ refused up front.
 Double integrals over the triangle s <= t have separable kernels (a
 finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
 factors rather than the kernel and integrates the inner factor
-cumulatively: a level with n nodes per axis costs O(order*n) evaluations
-and memory, not n^2.
+cumulatively: a level with n nodes per axis costs O(order*n) evaluations,
+not n^2, and evaluates them in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ DEFAULT_ATOL = 1e-15
 GAUSS_ORDER = 8
 LINE_NODE_BUDGET = 2 ** 16   # single integrals
 AXIS_NODE_BUDGET = 2 ** 12   # per axis of nested double integrals
+CHUNK_NODES = 2 ** 9         # outer nodes per evaluation of a double integral's factors
 
 
 @lru_cache(maxsize=64)
@@ -84,9 +85,12 @@ def integrate(fn, a: float, b: float, *, breaks: tuple = (),
               order: int = GAUSS_ORDER) -> complex:
     """Integrate a vectorized callable over [a, b].
 
-    ``fn`` receives a 1-D ndarray of nodes and must return values of the
-    same shape (real or complex).  ``breaks`` is a tuple of the times where
-    ``fn`` may have a kink; those strictly inside (a, b) become panel edges.
+    ``fn`` receives a 1-D ndarray of n nodes and returns values of shape
+    (n,) or, for several integrands over the same nodes, rows of shape
+    (..., n) (real or complex).  The result is a complex scalar, or a
+    complex array of shape (...) whose entries each converge on their
+    own.  ``breaks`` is a tuple of the times where ``fn`` may have a kink;
+    those strictly inside (a, b) become panel edges.
     Raises QuadratureError if the doubling loop exhausts ``node_budget``
     nodes without two successive estimates agreeing to ``rtol``/``atol``.
     """
@@ -99,13 +103,14 @@ def integrate(fn, a: float, b: float, *, breaks: tuple = (),
     panels = 1
     while segments * panels * order <= node_budget:
         u, wu = _reference_rule(panels, order, edges)
-        est = complex(width * np.sum(wu * np.asarray(fn(a + width * u))))
-        if not (np.isfinite(est.real) and np.isfinite(est.imag)):
+        est = width * np.sum(wu * np.asarray(fn(a + width * u)), axis=-1)
+        if not np.all(np.isfinite(est)):
             raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
         if prev is not None:
-            delta = abs(est - prev)
-            if delta <= rtol * abs(est) + atol:
-                return est
+            delta = np.abs(est - prev)
+            if np.all(delta <= rtol * np.abs(est) + atol):
+                return complex(est) if est.ndim == 0 else est.astype(complex)
+            delta = float(np.max(delta))
         prev = est
         panels *= 2
     raise QuadratureError(
@@ -146,9 +151,9 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
                        order: int = GAUSS_ORDER):
     """Integrate a separable kernel over the triangle a <= s <= t <= b.
 
-    ``factors(t, s)`` receives the n outer nodes ``t`` and the m inner
-    points ``s`` (1-D arrays) and returns a pair: the outer rows at ``t``,
-    shape (..., k, n), and the inner rows at ``s``, shape (k, m).  The
+    ``factors(t, s)`` receives outer nodes ``t`` and inner points ``s``
+    (1-D arrays) and returns a pair: the outer rows at ``t``, shape
+    (..., k, len(t)), and the inner rows at ``s``, shape (k, len(s)).  The
     result is the sum over k of
     Int_a^b outer_k(t) Int_a^t inner_k(s) ds dt,
     a complex scalar, or an array of shape (...) when the outer rows carry
@@ -163,33 +168,49 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     so the inner integral carries the totals of the earlier segments and
     no partial panel reaches across a breakpoint.  A level
     therefore evaluates n outer and (order+1)*n inner points and costs
-    O(k*order*n); no n x n array is built.  Panels double until
-    successive estimates agree, at most ``axis_budget`` outer nodes.
+    O(k*order*n); no n x n array is built.  ``factors`` is called on
+    consecutive chunks of at most ``CHUNK_NODES`` outer nodes and their
+    inner points, with the running sum carried across chunks, so the
+    memory of a level stays bounded however far the panels double.
+    Panels double until successive estimates agree, at most
+    ``axis_budget`` outer nodes.
     """
     width = b - a
     edges = _segments(a, b, breaks, "triangle integral", axis_budget, order)
     segments = len(edges) - 1
+    chunk = max(1, CHUNK_NODES // order)  # panels per call of ``factors``
     prev, delta = None, math.nan
     panels = 1
     while segments * panels * order <= axis_budget:
         u, wu, points, w, half, half_panel, ratio = _nested_rule(panels, order, edges)
-        outer, inner = factors(a + width * u, a + width * points)
-        outer, inner = np.asarray(outer), np.asarray(inner)
-        k = inner.shape[0]
-        # Gauss sums over the whole panels, then over the n partial panels
-        sums = inner.reshape(k, -1, order) @ w
         m = segments * panels
-        # the whole panels before each panel, each weighted by its
-        # half-width relative to the widest segment's: one running sum
-        # carries the totals of the earlier segments into each segment
-        whole = sums[:, :m] * ratio
-        before = np.zeros((k, m), dtype=whole.dtype)
-        np.cumsum(whole[:, :m - 1], axis=1, out=before[:, 1:])
-        cumulative = (np.repeat(before, order, axis=1) * half_panel
-                      + sums[:, m:] * half)
-        est = width * width * (outer.reshape(outer.shape[:-2] + (-1,))
-                               @ (cumulative * wu).ravel())
-        est = np.asarray(est, dtype=complex)
+        n = m * order
+        total, carry = None, 0.0
+        for lo in range(0, m, chunk):
+            hi = min(lo + chunk, m)
+            nodes = slice(lo * order, hi * order)
+            partial = points[n + lo * order * order:n + hi * order * order]
+            outer, inner = factors(a + width * u[nodes],
+                                   a + width * np.concatenate((u[nodes], partial)))
+            outer, inner = np.asarray(outer), np.asarray(inner)
+            k = inner.shape[0]
+            # Gauss sums over the chunk's whole panels, then over its
+            # partial panels
+            sums = inner.reshape(k, -1, order) @ w
+            # the whole panels before each panel, each weighted by its
+            # half-width relative to the widest segment's: one running sum,
+            # carried from chunk to chunk, carries the totals of the earlier
+            # segments into each segment
+            whole = sums[:, :hi - lo] * ratio[lo:hi]
+            run = np.cumsum(np.concatenate((np.broadcast_to(carry, (k, 1)), whole),
+                                           axis=1), axis=1)
+            before, carry = run[:, :-1], run[:, -1:]
+            cumulative = (np.repeat(before, order, axis=1) * half_panel
+                          + sums[:, hi - lo:] * half[nodes])
+            part = (outer.reshape(outer.shape[:-2] + (-1,))
+                    @ (cumulative * wu[nodes]).ravel())
+            total = part if total is None else total + part
+        est = np.asarray(width * width * total, dtype=complex)
         if not np.all(np.isfinite(est)):
             raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
         if prev is not None:

@@ -10,6 +10,7 @@ rescaling keeps double precision away from extremes like hbar ~ 1e-34.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -182,6 +183,17 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     if out:
         raise ValidationError(out)
     return fixed
+
+
+@functools.lru_cache(maxsize=2)
+def nondimensional(scenario: Scenario) -> Scenario:
+    """``validate_scenario(scenario).nondimensionalized()``, memoized.
+
+    The mode rows of one sweep point and its oracle deviation all ask for
+    the same point in internal units, one after another, so the
+    validation and the rescaling of its time functions run once per point.
+    """
+    return validate_scenario(scenario).nondimensionalized()
 
 
 def scenario_from_dict(raw: Mapping, where: str = "") -> Scenario:

@@ -23,7 +23,7 @@ from .errors import ConfigError, RpifError, ValidationError
 from .interference import MODE_DERIVED, MODE_LITERAL, decompose
 from .lattice import oracle_propagator
 from .actions import restricted_propagator
-from .scenario import Scenario, scenario_from_dict
+from .scenario import Scenario, nondimensional, scenario_from_dict
 
 SWEEP_PARAMETERS = ("z2", "delta_a", "delta_b", "g", "m_over_hbar_scale")
 MODE_CHOICES = ("literal", "derived", "both")
@@ -210,12 +210,14 @@ _ORACLE_CACHE_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
-def _oracle_deviation(scenario: Scenario, schedule: Sequence[int]) -> float:
-    """Max over beams of |closed - extrapolated| / |extrapolated|.
+def _oracle_deviation(nd: Scenario, schedule: Sequence[int]) -> float:
+    """Max over beams of |closed - extrapolated| / |extrapolated| for a
+    scenario in internal units.
 
-    Depends on the point, not on the mode, so it runs once per point.
+    Depends on the point in internal units, not on the mode or the units,
+    so it runs once per point, and once for a run of points that differ
+    only in units (an ``m_over_hbar_scale`` sweep whose rescaling is exact).
     """
-    nd = scenario.nondimensionalized()
     worst = 0.0
     for label in ("a", "b"):
         extr = oracle_propagator(nd, label, schedule)
@@ -232,7 +234,7 @@ def _evaluate_point(scenario: Scenario, spec: SweepSpec,
         br = decompose(point, mode)
         dev = None
         if spec.oracle_schedule:
-            dev = _oracle_deviation(point, spec.oracle_schedule)
+            dev = _oracle_deviation(nondimensional(point), spec.oracle_schedule)
         return ResultRow(swept_value=value, mode=mode, intensity=br.intensity,
                          reduced_i=br.reduced_i, i1=br.i1, i2=br.i2, i3=br.i3,
                          i4=br.i4, i5=br.i5, phase_difference=br.phase_difference,

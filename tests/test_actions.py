@@ -14,15 +14,17 @@ from rpif import (
 from rpif.actions import (
     SMALL_WT_CROSSOVER,
     ComplexAction,
+    _force_rows,
+    _integrate_rows,
     _kernels_closed,
     _kernels_series,
-    force_callable,
 )
 from rpif.interference import _amplitudes
 from rpif.sampling import random_scenario
 from rpif.scenario import BeamRecord, PhysicalParams
 from rpif.timefunctions import ConstantFunction
-from util import NBASE, bvp_on_path_action, linear_potential_action, make_scenario
+from util import (NBASE, bvp_on_path_action, force_callable, linear_potential_action,
+                  make_scenario, unsplit_action)
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +65,28 @@ def test_frequency_requires_positive_resolution():
 # driving force
 # ---------------------------------------------------------------------------
 
+def _force(beam, frame_profile, params, t):
+    """F(t) = g*F_f(t) + F_c(t) from the package's g-split force rows."""
+    f_part, c_part = _force_rows(beam, frame_profile, params)(np.array([t]))[:, 0]
+    return params.g * f_part + c_part
+
+
 def test_force_vanishes_without_sources():
     beam = BeamRecord(ConstantFunction(0.0), 1.0)
-    val = force_callable(beam, ConstantFunction(0.0), NBASE)(0.5)
+    val = _force(beam, ConstantFunction(0.0), NBASE, 0.5)
     assert val == 0.0 + 0.0j
 
 
 def test_force_gravity_only():
     beam = BeamRecord(ConstantFunction(0.0), 1.0)
-    val = force_callable(beam, ConstantFunction(1.0), NBASE)(0.5)
+    val = _force(beam, ConstantFunction(1.0), NBASE, 0.5)
     assert val == pytest.approx(-1.0 + 0.0j, abs=1e-15)
 
 
 def test_force_record_only():
     beam = BeamRecord(ConstantFunction(1.0), 2.0)
     params = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
-    val = force_callable(beam, ConstantFunction(0.0), params)(0.5)
+    val = _force(beam, ConstantFunction(0.0), params, 0.5)
     assert val == pytest.approx(0.0 - 1.0j, abs=1e-15)
 
 
@@ -148,31 +156,28 @@ def test_series_at_zero_frequency_free():
     kernels = _kernels_series(0.0 + 0.0j, 1.0, 1.0)
     # with w = 0 and no force the action is the free one
     assert kernels.b1 == pytest.approx(0.5, rel=1e-15)
-    from rpif.actions import _evaluate_action
-    val = _evaluate_action(kernels, lambda t: np.zeros_like(t, dtype=complex),
-                           1.0, 0.0, 1.0, 0.0, 1.0)
+    val = unsplit_action(kernels, lambda t: np.zeros_like(t, dtype=complex),
+                         1.0, 0.0, 1.0, 0.0, 1.0)
     assert val == pytest.approx(0.5 + 0.0j, rel=1e-15)
 
 
 def test_series_at_zero_frequency_linear_potential():
-    from rpif.actions import _evaluate_action
     kernels = _kernels_series(0.0 + 0.0j, 1.0, 1.0)
-    val = _evaluate_action(kernels, lambda t: -np.ones_like(t, dtype=complex),
-                           1.0, 0.0, 1.0, 0.0, 1.0)
+    val = unsplit_action(kernels, lambda t: -np.ones_like(t, dtype=complex),
+                         1.0, 0.0, 1.0, 0.0, 1.0)
     oracle = linear_potential_action(m=1.0, g=1.0, T=1.0, z1=0.0, z2=1.0)
     assert val.real == pytest.approx(oracle, rel=1e-10)
     assert val.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_series_matches_closed_form_at_crossover():
-    from rpif.actions import _evaluate_action
     # |wT| just below the switch point
     delta = 2.0 / (SMALL_WT_CROSSOVER * 0.999)
     scenario = make_scenario(delta_a=delta)
     w = complex_frequency(scenario.params, delta)
     force = force_callable(scenario.beam_a, scenario.frame_profile, scenario.params)
-    closed = _evaluate_action(_kernels_closed(w, 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
-    series = _evaluate_action(_kernels_series(w, 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
+    closed = unsplit_action(_kernels_closed(w, 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
+    series = unsplit_action(_kernels_series(w, 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
     assert abs(closed - series) <= 1e-9 * abs(closed)
 
 
@@ -194,12 +199,12 @@ def test_series_kernels_match_closed_kernels_at_same_frequency():
 
 
 def test_dispatch_uses_series_kernels_below_crossover():
-    from rpif.actions import _evaluate_action
     scenario = make_scenario(delta_a=1e4, a=ConstantFunction(0.1))
-    w = complex_frequency(scenario.params, 1e4)
-    force = force_callable(scenario.beam_a, scenario.frame_profile, scenario.params)
-    series = _evaluate_action(_kernels_series(w, 1.0, 1.0), force, 1.0,
-                              0.0, 1.0, 0.0, 0.5)
+    p = scenario.params
+    w = complex_frequency(p, 1e4)
+    forces = _force_rows(scenario.beam_a, scenario.frame_profile, p)
+    rows = _integrate_rows(_kernels_series(w, 1.0, 1.0), forces, 0.0, 1.0)
+    series = rows.at(p.g).action(1.0, 0.0, 0.5)
     dispatched = classical_action(scenario.beam_a, scenario.frame_profile,
                                   scenario.params, 0.0, 0.5)
     assert dispatched == ComplexAction.from_complex(series)
@@ -239,6 +244,20 @@ def test_non_finite_record_is_rejected():
     beam = BeamRecord(ConstantFunction(float("nan")), 1.0)
     with pytest.raises(RpifError, match="non-finite"):
         classical_action(beam, ConstantFunction(1.0), NBASE, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("value", [complex(float("inf"), 0.0), complex(0.0, float("nan")),
+                                   float("nan"), np.complex128(complex(1.0, float("inf")))])
+def test_finiteness_check_names_the_value_on_both_paths(value):
+    from rpif.actions import _ensure_finite
+    message = f"x: non-finite value {value!r}"
+    with pytest.raises(RpifError) as scalar:
+        _ensure_finite(value, "x")
+    with pytest.raises(RpifError) as array:
+        _ensure_finite(np.array([1.0, value]), "x")
+    assert str(scalar.value) == message
+    assert "x: non-finite value" in str(array.value)
+    assert _ensure_finite(complex(1.0, -2.0), "x") == complex(1.0, -2.0)
 
 
 # ---------------------------------------------------------------------------

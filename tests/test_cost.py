@@ -24,9 +24,8 @@ from util import make_scenario
 
 
 def _clear_block_caches():
-    for cached in (actions._action_blocks, actions._record_mean_square,
-                   interference._literal_linear_block,
-                   interference._literal_double_block):
+    for cached in (actions._action_rows, actions._record_mean_square,
+                   interference._literal_rows):
         cached.cache_clear()
 
 

@@ -12,11 +12,6 @@ from rpif import (
     intensity,
     phase_difference,
     reduced_interference,
-    term_i1,
-    term_i2,
-    term_i3,
-    term_i4,
-    term_i5,
 )
 from rpif.interference import _literal_terms, _nd
 from rpif.sampling import random_scenario
@@ -60,16 +55,6 @@ def test_derived_theta_is_re_wt():
     assert lit.theta / ang.theta == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
-def test_per_time_angles_vanish_at_their_anchors():
-    ang = auxiliary_angles(make_scenario(), MODE_LITERAL)
-    t0, t1 = ang.tau_start, ang.tau_end
-    assert ang.gamma(t1) == 0.0 and ang.Gamma(t1) == 0.0
-    assert ang.mu(t0) == 0.0 and ang.nu(t0) == 0.0
-    assert ang.epsilon(t1) == 0.0 and ang.beta(t1) == 0.0
-    assert ang.sigma(t0) == 0.0 and ang.alpha(t0) == 0.0
-    assert ang.theta > 0.0 and ang.rho > 0.0
-
-
 def test_unknown_mode_rejected():
     with pytest.raises(RpifError, match="mode"):
         decompose(make_scenario(), "approximate")
@@ -80,7 +65,7 @@ def test_terms_respect_stability_guard(mode):
     from rpif import StabilityError
     scenario = make_scenario(delta_a=0.03)
     with pytest.raises(StabilityError):
-        term_i1(scenario, mode)
+        decompose(scenario, mode).i1
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +76,13 @@ def test_terms_respect_stability_guard(mode):
 def test_i1_zero_for_equal_resolutions(mode):
     scenario = make_scenario(delta_a=1.3, delta_b=1.3,
                              a=ConstantFunction(0.1), b=ConstantFunction(0.1))
-    assert abs(term_i1(scenario, mode)) <= 1e-15
+    assert abs(decompose(scenario, mode).i1) <= 1e-15
 
 
 @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
 def test_i1_zero_for_zero_endpoints(mode):
     scenario = make_scenario(z1=0.0, z2=0.0)
-    assert term_i1(scenario, mode) == 0.0
+    assert decompose(scenario, mode).i1 == 0.0
 
 
 def _i1_highprec(theta_of_delta, z1, z2, da, db):
@@ -122,8 +107,8 @@ def test_i1_frozen_values():
     der = _i1_highprec(lambda d: mp.sqrt(mp.mpf(2) / d ** 2), 0.0, 1.0, 1.0, 2.0)
     assert lit == pytest.approx(0.36214293480420017176, rel=1e-15)
     assert der == pytest.approx(0.14348893638461450825, rel=1e-15)
-    assert term_i1(scenario, MODE_LITERAL) == pytest.approx(lit, rel=1e-12)
-    assert term_i1(scenario, MODE_DERIVED) == pytest.approx(der, rel=1e-11)
+    assert decompose(scenario, MODE_LITERAL).i1 == pytest.approx(lit, rel=1e-12)
+    assert decompose(scenario, MODE_DERIVED).i1 == pytest.approx(der, rel=1e-11)
 
 
 def test_i1_derived_matches_closed_bracket_form():
@@ -137,24 +122,24 @@ def test_i1_derived_matches_closed_bracket_form():
 
     expect = (0.2 ** 2 + 0.9 ** 2) * math.sqrt(0.5) * (
         bracket(_theta_derived(0.8)) / 0.8 - bracket(_theta_derived(2.5)) / 2.5)
-    assert term_i1(scenario, MODE_DERIVED) == pytest.approx(expect, rel=1e-10)
+    assert decompose(scenario, MODE_DERIVED).i1 == pytest.approx(expect, rel=1e-10)
 
 
 @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
 def test_i2_zero_when_z1_zero(mode):
-    assert term_i2(make_scenario(z1=0.0), mode) == 0.0
+    assert decompose(make_scenario(z1=0.0), mode).i2 == 0.0
 
 
 @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
 def test_i2_zero_for_equal_resolutions(mode):
     scenario = make_scenario(z1=0.3, z2=0.7, delta_a=1.1, delta_b=1.1)
-    assert abs(term_i2(scenario, mode)) <= 1e-15
+    assert abs(decompose(scenario, mode).i2) <= 1e-15
 
 
 def test_i2_frozen_literal_value():
     scenario = make_scenario(z1=0.3, z2=0.5, a=ConstantFunction(0.0),
                              b=ConstantFunction(0.0))
-    assert term_i2(scenario, MODE_LITERAL) == pytest.approx(
+    assert decompose(scenario, MODE_LITERAL).i2 == pytest.approx(
         0.076996830170677466526, rel=1e-12)
 
 
@@ -168,7 +153,7 @@ def test_i2_derived_matches_closed_bracket_form():
 
     expect = -math.sqrt(8.0) * 0.3 * 0.5 * (
         bracket(_theta_derived(1.0)) / 1.0 - bracket(_theta_derived(2.0)) / 2.0)
-    assert term_i2(scenario, MODE_DERIVED) == pytest.approx(expect, rel=1e-10)
+    assert decompose(scenario, MODE_DERIVED).i2 == pytest.approx(expect, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -196,33 +181,33 @@ def _linear_coefficient(scenario, which: str, delta=0.25):
 
 @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
 def test_i3_zero_when_z1_zero(mode):
-    assert term_i3(make_scenario(z1=0.0), mode) == 0.0
+    assert decompose(make_scenario(z1=0.0), mode).i3 == 0.0
 
 
 @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
 def test_i3_i4_zero_without_sources(mode):
     scenario = make_scenario(f=ConstantFunction(0.0), a=ConstantFunction(0.0),
                              b=ConstantFunction(0.0), z1=0.4, z2=0.9)
-    assert abs(term_i3(scenario, mode)) <= 1e-15
-    assert abs(term_i4(scenario, mode)) <= 1e-15
+    assert abs(decompose(scenario, mode).i3) <= 1e-15
+    assert abs(decompose(scenario, mode).i4) <= 1e-15
 
 
 def test_i3_derived_is_z1_linear_part_of_phase_difference():
     scenario = make_scenario(z1=0.3, z2=0.5)
     coeff = _linear_coefficient(scenario, "z1")
-    assert term_i3(scenario, MODE_DERIVED) == pytest.approx(
+    assert decompose(scenario, MODE_DERIVED).i3 == pytest.approx(
         scenario.z1 * coeff, rel=1e-8)
 
 
 @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
 def test_i4_zero_when_z2_zero(mode):
-    assert term_i4(make_scenario(z2=0.0), mode) == 0.0
+    assert decompose(make_scenario(z2=0.0), mode).i4 == 0.0
 
 
 def test_i4_derived_is_z2_linear_part_of_phase_difference():
     scenario = make_scenario(z1=0.3, z2=0.5)
     coeff = _linear_coefficient(scenario, "z2")
-    assert term_i4(scenario, MODE_DERIVED) == pytest.approx(
+    assert decompose(scenario, MODE_DERIVED).i4 == pytest.approx(
         scenario.z2 * coeff, rel=1e-8)
 
 
@@ -234,7 +219,7 @@ def test_i4_derived_is_z2_linear_part_of_phase_difference():
 def test_i5_zero_without_sources(mode):
     scenario = make_scenario(f=ConstantFunction(0.0), a=ConstantFunction(0.0),
                              b=ConstantFunction(0.0))
-    assert abs(term_i5(scenario, mode)) <= 1e-15
+    assert abs(decompose(scenario, mode).i5) <= 1e-15
 
 
 @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
@@ -242,14 +227,14 @@ def test_i5_cancels_for_identical_beams(mode):
     scenario = make_scenario(delta_a=1.5, delta_b=1.5,
                              a=PolynomialFunction((0.1, 0.3)),
                              b=PolynomialFunction((0.1, 0.3)))
-    assert term_i5(scenario, mode) == 0.0
+    assert decompose(scenario, mode).i5 == 0.0
 
 
 def test_i5_derived_is_endpoint_free_part():
     import dataclasses
     scenario = make_scenario(z1=0.3, z2=0.5)
     at_origin = dataclasses.replace(scenario, z1=0.0, z2=0.0)
-    assert term_i5(scenario, MODE_DERIVED) == pytest.approx(
+    assert decompose(scenario, MODE_DERIVED).i5 == pytest.approx(
         phase_difference(at_origin), rel=1e-8)
 
 
@@ -267,8 +252,8 @@ def test_literal_forms_at_derived_angle_match_action_grouping():
     theta_d = _theta_derived(nd.beam_a.resolution)
     rho_d = _theta_derived(nd.beam_b.resolution)
     lit = _literal_terms(nd, theta_d, rho_d)
-    der = (term_i1(scenario, MODE_DERIVED), term_i2(scenario, MODE_DERIVED),
-           term_i3(scenario, MODE_DERIVED), term_i4(scenario, MODE_DERIVED))
+    br = decompose(scenario, MODE_DERIVED)
+    der = (br.i1, br.i2, br.i3, br.i4)
     for k in range(4):
         assert lit[k] == pytest.approx(der[k], rel=1e-9, abs=1e-12)
 

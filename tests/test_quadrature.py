@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpif import QuadratureError
+from rpif import QuadratureError, quadrature
 from rpif.quadrature import GAUSS_ORDER, integrate, integrate_triangle
 
 
@@ -78,6 +78,37 @@ def test_triangle_level_sees_n_outer_and_at_most_order_plus_one_n_inner_points()
     integrate_triangle(factors, 0.0, 1.0)
     assert [n for n, _ in seen] == [GAUSS_ORDER * 2 ** i for i in range(len(seen))]
     assert all(m <= (GAUSS_ORDER + 1) * n for n, m in seen)
+
+
+def test_line_rows_keep_leading_axes_and_each_converge():
+    # a polynomial row converges at the second level, the oscillatory row
+    # later; each entry must still match its own integral
+    def fn(t):
+        rows = np.stack((t * t, np.cos(40.0 * t)))
+        return np.stack((rows, 3.0 * rows))
+    val = integrate(fn, 0.0, 1.0)
+    assert val.shape == (2, 2)
+    for scale, row in zip((1.0, 3.0), val):
+        assert row[0] == pytest.approx(scale / 3.0, rel=1e-12)
+        assert row[1] == pytest.approx(scale * np.sin(40.0) / 40.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("breaks", [(), (0.37, 0.61)])
+def test_triangle_chunks_bound_each_call_and_keep_the_sum(monkeypatch, breaks):
+    # chunks of two panels carry the running inner sum across chunk and
+    # segment edges; the result matches one call per level to rounding
+    def factors(t, s):
+        seen.append(t.size)
+        rows = np.stack((np.exp(1j * 30.0 * t), t * t + 0j))
+        return rows, np.stack((np.cos(30.0 * s), s))
+    seen = []
+    whole = integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
+    assert max(seen) > 2 * GAUSS_ORDER
+    seen = []
+    monkeypatch.setattr(quadrature, "CHUNK_NODES", 2 * GAUSS_ORDER)
+    chunked = integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
+    assert max(seen) == 2 * GAUSS_ORDER
+    assert abs(chunked - whole) <= 1e-14 * abs(whole)
 
 
 def test_determinism():

@@ -193,9 +193,8 @@ def test_oracle_deviation_small_on_baseline():
 def _count_calls(monkeypatch, module, name: str) -> list:
     """Empty every block cache, then log each call of module.name."""
     from rpif import actions, interference, sweep
-    for cached in (actions._action_blocks, actions._record_mean_square,
-                   interference._literal_linear_block,
-                   interference._literal_double_block, sweep._oracle_deviation):
+    for cached in (actions._action_rows, actions._record_mean_square,
+                   interference._literal_rows, sweep._oracle_deviation):
         cached.cache_clear()
     calls = []
     original = getattr(module, name)
@@ -223,6 +222,16 @@ def test_z2_sweep_integrates_each_beam_once(triangle_calls):
     assert len(triangle_calls) == 4
 
 
+def test_g_sweep_integrates_each_beam_once(triangle_calls):
+    # the blocks are g-free rows combined with g at read time, so a g sweep
+    # integrates as often as a z2 sweep
+    scenario, _ = parse_config(_config())
+    spec = SweepSpec(parameter="g", start=0.0, stop=2.0, steps=16, mode="both")
+    rows = run_sweep(scenario, spec)
+    assert len(rows) == 32 and all(row.error is None for row in rows)
+    assert len(triangle_calls) == 4
+
+
 def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
     scenario, _ = parse_config(_config())
     steps = 5
@@ -243,6 +252,20 @@ def test_oracle_runs_once_per_point(monkeypatch):
     rows = run_sweep(scenario, spec)
     assert [row.oracle_dev for row in rows[::2]] == [row.oracle_dev for row in rows[1::2]]
     assert len(calls) == 3 * 2  # points x beams, not x modes
+
+
+def test_oracle_runs_once_for_points_equal_in_internal_units(monkeypatch):
+    # with m = hbar = 1, scaling both by the same factor leaves hbar*T/m
+    # exactly 1, so every point is bit-identical in internal units and the
+    # oracle runs for the first point only
+    from rpif import sweep
+    calls = _count_calls(monkeypatch, sweep, "oracle_propagator")
+    scenario, _ = parse_config(_config())
+    spec = SweepSpec(parameter="m_over_hbar_scale", start=1.0, stop=4.0, steps=4,
+                     mode="both", oracle_schedule=(64, 128, 256))
+    rows = run_sweep(scenario, spec)
+    assert len({row.oracle_dev for row in rows}) == 1
+    assert len(calls) == 2  # beams, not points x beams
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,19 @@ import pytest
 
 from rpif import actions, interference
 from rpif.actions import (
-    _integrate_blocks,
     _kernels_closed,
     _kernels_series,
     complex_frequency,
-    force_callable,
 )
 from rpif.timefunctions import LinearFunction, SinusoidFunction
 from util import (
     closed_triangle_kernel,
+    force_callable,
     make_scenario,
     printed_i5_block,
     reference_triangle,
     series_triangle_kernel,
+    unsplit_blocks,
 )
 
 RECORD = SinusoidFunction(amplitude=0.3, omega=3.0, phase=0.2)
@@ -37,7 +37,7 @@ def _q12_pair(wt: float, kernels_of, kernel_of):
     scenario = make_scenario(a=RECORD, f=FRAME, delta_a=delta)
     w = complex_frequency(scenario.params, delta)
     force = force_callable(scenario.beam_a, scenario.frame_profile, scenario.params)
-    nested = _integrate_blocks(kernels_of(w, 1.0, 1.0), force, 0.0, 1.0).q12
+    nested = unsplit_blocks(kernels_of(w, 1.0, 1.0), force, 0.0, 1.0).q12
     kernel = kernel_of(w, 1.0)
     reference = reference_triangle(
         lambda t, s: force(t) * force(s) * kernel(1.0 - t, s), 0.0, 1.0)
@@ -62,6 +62,6 @@ def test_literal_i5_block_matches_printed_kernel(delta):
     p = scenario.params
     th = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * delta ** 2))
     args = (scenario.beam_a, scenario.frame_profile, p, th)
-    nested = interference._literal_double_block.__wrapped__(*args)
+    nested = interference._literal_double_block(*args)
     reference = printed_i5_block(*args)
     assert abs(nested - reference) <= 1e-12 * abs(reference)

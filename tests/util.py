@@ -7,6 +7,8 @@ complex oscillator equation of motion by RK4 shooting and integrates the
 Lagrangian along the numerical path.  The lattice reference reduces any
 tridiagonal form with the continuant recurrence and a banded solve, with
 no use of the constant-coefficient structure ``rpif.lattice`` exploits.
+The unsplit block references integrate the whole force, g included, as
+one function, against which the package's g-free rows are recombined.
 """
 
 import cmath
@@ -15,8 +17,8 @@ import math
 import numpy as np
 
 import rpif
-from rpif import (BeamRecord, LatticeError, PhysicalParams, Scenario, quadrature,
-                  validate_scenario)
+from rpif import (BeamRecord, LatticeError, PhysicalParams, Scenario, actions,
+                  quadrature, validate_scenario)
 from rpif.timefunctions import ConstantFunction
 
 NBASE = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
@@ -197,6 +199,126 @@ def printed_i5_block(beam, frame_profile, p, th) -> float:
     j2 = reference_triangle(kern_second, t0, t1).real
     e2 = math.exp(-2.0 * th)
     denom = 1.0 + math.exp(-4.0 * th) - 2.0 * math.exp(-2.0 * th) * math.cos(2.0 * th)
+    w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
+    w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
+    return (p.duration * math.exp(-th) / (th * denom)) * (-w1 * j1 + w2 * j2)
+
+
+# ---------------------------------------------------------------------------
+# unsplit references of the per-beam blocks: the force, g included, is
+# integrated as one function, as the package did before it split the blocks
+# into g-free rows
+# ---------------------------------------------------------------------------
+
+def force_callable(beam, frame_profile, params):
+    """The whole driving force F(t) = -m g f(t) - i (4 hbar/(T delta^2)) c(t)."""
+    coef = 4.0 * params.hbar / (params.duration * beam.resolution ** 2)
+    m, g = params.m, params.g
+    c, f = beam.trajectory, frame_profile
+    return lambda t: -m * g * np.asarray(f(t)) - 1j * coef * np.asarray(c(t))
+
+
+def unsplit_blocks(kernels, force, t0, t1, breaks=()):
+    """``ActionBlocks`` of one force callable: two line calls, one triangle."""
+    single = kernels.single
+    q2 = quadrature.integrate(lambda t: force(t) * single(t - t0), t0, t1,
+                              breaks=breaks)
+    q1 = quadrature.integrate(lambda t: force(t) * single(t1 - t), t0, t1,
+                              breaks=breaks)
+
+    def factors(t, s):
+        n = t.size
+        f = force(np.concatenate((t, s)))
+        return f[:n] * kernels.outer(t1 - t), f[n:] * kernels.inner(s - t0)
+
+    q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks)
+    return actions.ActionBlocks(kernels.b1, kernels.b2, q1, q2, q12)
+
+
+def unsplit_action(kernels, force, m, t0, t1, z1, z2) -> complex:
+    return unsplit_blocks(kernels, force, t0, t1).action(m, z1, z2)
+
+
+def unsplit_action_blocks(beam, frame_profile, params):
+    """One beam's ``ActionBlocks`` at the params' g, from the whole force."""
+    w = actions.ensure_stable(params, beam.resolution)
+    kernels = actions.action_kernels(w, params.m, params.duration)
+    force = force_callable(beam, frame_profile, params)
+    return unsplit_blocks(kernels, force, params.tau_start, params.tau_end,
+                          frame_profile.breakpoints + beam.trajectory.breakpoints)
+
+
+def _omega(p, delta):
+    return math.sqrt(4.0 * p.hbar / (p.m * p.duration * delta ** 2))
+
+
+def _literal_weights(th):
+    e2 = math.exp(-2.0 * th)
+    denom = 1.0 + math.exp(-4.0 * th) - 2.0 * e2 * math.cos(2.0 * th)
+    return e2, denom
+
+
+def unsplit_literal_linear_block(beam, frame_profile, p, th, anchor) -> float:
+    """One beam's printed i3 (anchor 'end') or i4 ('start') contribution,
+    each of its two single integrals in a call of its own."""
+    om = _omega(p, beam.resolution)
+    q = om / math.sqrt(2.0)
+    coef = 4.0 * p.hbar / (p.m * p.duration * beam.resolution ** 2)
+    anchor_t = p.tau_end if anchor == "end" else p.tau_start
+    g, f, c = p.g, frame_profile, beam.trajectory
+
+    # e^x (1 + e^{-2x}) = 2 cosh x and e^x (1 - e^{-2x}) = 2 sinh x: the
+    # printed prefactors cancel to O(theta^2) for a coarse measurement, so
+    # the integrals need the accuracy of the hyperbolic forms near x = 0
+    def integrand_sin(t):
+        x = q * (t - anchor_t)
+        return 2.0 * (coef * c(t) * np.sin(x) * np.cosh(x)
+                      - g * f(t) * np.cos(x) * np.sinh(x))
+
+    def integrand_cos(t):
+        x = q * (t - anchor_t)
+        return 2.0 * (coef * c(t) * np.cos(x) * np.sinh(x)
+                      + g * f(t) * np.sin(x) * np.cosh(x))
+
+    breaks = f.breakpoints + c.breakpoints
+    j_sin = quadrature.integrate(integrand_sin, p.tau_start, p.tau_end,
+                                 breaks=breaks).real
+    j_cos = quadrature.integrate(integrand_cos, p.tau_start, p.tau_end,
+                                 breaks=breaks).real
+    e2, denom = _literal_weights(th)
+    return (math.exp(-th) / denom) * ((1.0 - e2) * math.cos(th) * j_sin
+                                      - (1.0 + e2) * math.sin(th) * j_cos)
+
+
+def unsplit_literal_double_block(beam, frame_profile, p, th) -> float:
+    """One beam's printed i5 contribution with A = g^2 f - omega^4 c and
+    the mixed term formed at the params' g inside the integrand."""
+    om = _omega(p, beam.resolution)
+    coef = om * om
+    g, f, c = p.g, frame_profile, beam.trajectory
+    t0, t1 = p.tau_start, p.tau_end
+    rt2 = math.sqrt(2.0)
+    grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
+
+    def side(x):
+        return np.exp(grow * x) - np.exp(decay * x)
+
+    def factors(t, s):
+        n = t.size
+        both = np.concatenate((t, s))
+        fv, cv = f(both), c(both)
+        a_v = g * g * fv - coef * coef * cv
+        base = -0.5j * side(om * (t1 - t))
+        outer = base * np.stack((a_v[:n], np.ones(n), 1j * coef * g * fv[:n],
+                                 1j * coef * g * cv[:n]))
+        inner = side(om * (s - t0)) * np.stack((np.ones(s.size), a_v[n:], cv[n:], fv[n:]))
+        outer = np.concatenate((outer, 1j * outer))
+        return (np.stack((outer.imag, outer.real)),
+                np.concatenate((inner.real, inner.imag)))
+
+    j1, j2 = quadrature.integrate_triangle(
+        factors, t0, t1, breaks=f.breakpoints + c.breakpoints).real
+    e2, denom = _literal_weights(th)
     w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
     w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
     return (p.duration * math.exp(-th) / (th * denom)) * (-w1 * j1 + w2 * j2)
