@@ -38,9 +38,6 @@ from .interference import (
 from .lattice import (
     ExtrapolationResult,
     LatticeSpec,
-    QuadraticForm,
-    assemble_quadratic_form,
-    gaussian_reduce,
     oracle_propagator,
     richardson_extrapolate,
     stationary_action,
@@ -78,13 +75,12 @@ __all__ = [
     "ConstantFunction", "ExtrapolationResult", "InterferenceBreakdown",
     "LatticeError", "LatticeSpec", "LinearFunction", "MODE_DERIVED",
     "MODE_LITERAL", "PhysicalParams", "PolynomialFunction", "PropagatorValue",
-    "QuadraticForm", "QuadratureError", "ResultRow", "RpifError", "Scenario",
+    "QuadratureError", "ResultRow", "RpifError", "Scenario",
     "SinusoidFunction", "StabilityError", "SweepSpec", "TabulatedFunction",
-    "TimeFunction", "ValidationError", "assemble_quadratic_form",
-    "auxiliary_angles", "build_time_function", "classical_action",
-    "compare_modes", "complex_frequency", "decompose", "emit_results",
-    "gaussian_reduce", "intensity", "mean_square", "oracle_propagator",
-    "parse_config", "phase_difference", "reduced_interference",
-    "restricted_propagator", "richardson_extrapolate", "run_sweep",
-    "scenario_from_dict", "stationary_action", "validate_scenario",
+    "TimeFunction", "ValidationError", "auxiliary_angles",
+    "build_time_function", "classical_action", "compare_modes",
+    "complex_frequency", "decompose", "emit_results", "intensity",
+    "mean_square", "oracle_propagator", "parse_config", "phase_difference",
+    "reduced_interference", "restricted_propagator", "richardson_extrapolate",
+    "run_sweep", "scenario_from_dict", "stationary_action", "validate_scenario",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .errors import ConfigError, ValidationError
@@ -33,7 +34,10 @@ EXIT_GUARD = 2
 EXIT_MODES = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="rpif",
         description="Gravity-induced interference of continuously monitored beams.")

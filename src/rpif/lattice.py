@@ -6,10 +6,8 @@ multivariate Gaussian over the N-1 interior points,
 
     exp(-1/2 z^T A z + r^T z + s0),   A complex symmetric tridiagonal,
 
-and the integral is done exactly: A is constant-coefficient tridiagonal,
-so its determinant and the solve have closed forms, each one numpy pass.
-The only approximation is the discretization of the exponent itself, and
-it converges at O(h^2):
+and the integral is done exactly.  The only approximation is the
+discretization of the exponent itself, and it converges at O(h^2):
 
   * kinetic term from nearest-neighbour differences (exact for the
     piecewise-linear paths the measure lives on);
@@ -18,6 +16,21 @@ it converges at O(h^2):
     splitting per slice.  Averaging the path variable onto midpoints
     instead would leak an O(h) error into the fluctuation determinant.
 
+A = 2*lam*I + kap*tridiag(1, -2, 1) depends only on (N, delta, m, hbar, T),
+and the rest of the exponent is affine or quadratic in g and the
+endpoints: r = u_c + g*u_f - kap*z1*e_0 - kap*z2*e_(N-2) and s0 is a
+quadratic in (g, z1, z2).  So each beam is reduced once per level to rows
+free of g and the endpoints (``LatticeRows``): the log of the propagator
+at level N is a constant plus a quadratic form in x = (1, g, z1, z2).
+Both pieces of the reduction have closed forms for this A, each one
+numpy pass: log det A as a sum over its eigenvalues, and 1/2 r^T A^(-1) r
+by polarizing its Green's-function form over the four vectors of r.  A
+sweep of z2, g or the units then costs an O(1) read per level per point.
+
+``QuadraticForm``, ``assemble_quadratic_form`` and ``gaussian_reduce``
+keep the per-form path, one beam at one (N, g, z1, z2), as the reference
+the rows are tested against; the oracle does not call them.
+
 This module never calls the closed-form code paths; separate quadrature,
 separate algebra.  That independence is the point.
 """
@@ -25,6 +38,7 @@ separate algebra.  That independence is the point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,11 +46,17 @@ import numpy as np
 
 from .actions import ComplexAction
 from .errors import LatticeError, ValidationError
-from .scenario import PhysicalParams, Scenario
+from .scenario import BeamRecord, PhysicalParams, Scenario
+from .timefunctions import TimeFunction
 
-#: relative size of Re(kap) and Im(d + 2*kap) up to which a form still
-#: counts as the lattice's shape; assembly makes both exactly 0
-_BRANCH_TOL = 1e-12
+#: Entries of the rows cache.  Rows do not depend on g or the endpoints, so
+#: a sweep reuses them across points; one point needs one entry per beam.
+ROWS_CACHE_SIZE = 8
+
+#: Entries of the midpoint-sample and sine tables: a point samples the
+#: frame profile and two records at every level, so twelve entries keep a
+#: whole point of a four-level schedule without holding on to more.
+SAMPLE_CACHE_SIZE = 12
 
 
 @dataclass(frozen=True)
@@ -62,6 +82,185 @@ class LatticeSpec:
                    n_steps: int) -> "LatticeSpec":
         return cls(n_steps=n_steps, z1=z1, z2=z2,
                    step=params.duration / n_steps)
+
+
+@dataclass(frozen=True)
+class LatticeRows:
+    """One beam's lattice exponents on a schedule, free of g and the endpoints.
+
+    At level ``n_steps[i]`` the log of the propagator is
+
+        const[i] + x^T quad[i] x,   x = (1, g, z1, z2),
+
+    with ``quad[i]`` symmetric.  ``const`` holds the measure normalization
+    (N/2)*log(m/(2*pi*i*hbar*h)), ((N-1)/2)*log(2*pi), -1/2*log det A and
+    the record-only weight constant -lam*sum(c_k^2); x^T quad x alone is
+    the exponent at the stationary path, which the discrete action reads.
+    """
+
+    n_steps: tuple[int, ...]
+    const: np.ndarray
+    quad: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.const, self.quad):
+            arr.setflags(write=False)
+
+    def stationary(self, g: float, z1: float, z2: float) -> np.ndarray:
+        """x^T quad x at every level."""
+        x = np.array((1.0, g, z1, z2))
+        return self.quad @ x @ x
+
+    def log_values(self, g: float, z1: float, z2: float) -> np.ndarray:
+        """Log of the propagator at every level."""
+        return self.const + self.stationary(g, z1, z2)
+
+
+@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def _midpoint_samples(fn: TimeFunction, tau_start: float, tau_end: float,
+                      n: int) -> np.ndarray:
+    """fn at the midpoints of the N slices of [tau_start, tau_end].
+
+    Cached per (function, window, N), so the two beams share the frame
+    profile's samples and a sweep samples each function once per level.
+    """
+    h = (tau_end - tau_start) / n
+    values = np.asarray(fn(tau_start + h * (np.arange(n) + 0.5)), dtype=float)
+    values.setflags(write=False)
+    return values
+
+
+@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def _sin_sq(n: int) -> np.ndarray:
+    """sin^2(j*pi/(2N)) for j = 1..N-1."""
+    out = np.sin(np.arange(1, n) * (math.pi / (2 * n))) ** 2
+    out.setflags(write=False)
+    return out
+
+
+def _log_det(n: int, lam: float, kap_im: float) -> complex:
+    """log det A for A = 2*lam*I + kap*tridiag(1, -2, 1) of size N-1, kap = i*kap_im.
+
+    The eigenvalues are 2*lam - 4*kap*s_j^2 with s_j = sin(j*pi/(2N)),
+    j = 1..N-1; their real parts are all 2*lam >= 0, so the principal logs
+    sum to the continuous phase of det A.  The sum is taken factored as
+    (N-1)*log(-kap) + log N + sum log1p(2*lam/(-4*kap*s_j^2)), using
+    prod 4*s_j^2 = N, which keeps the O(N) size of each log out of the
+    rounding of the sum.  The log1p argument is purely imaginary, i*y with
+    y = lam/(2*kap_im*s_j^2), so log1p(i*y) = 1/2*log1p(y^2) + i*atan(y) is
+    done in real arithmetic.
+    """
+    y = lam / (2.0 * kap_im) / _sin_sq(n)
+    return complex((n - 1) * math.log(kap_im) + math.log(n)
+                   + 0.5 * float(np.sum(np.log1p(y * y))),
+                   -(n - 1) * (math.pi / 2.0) + float(np.sum(np.arctan(y))))
+
+
+def _green_form(n: int, lam: float, kap: complex, u_c: np.ndarray,
+                u_f: np.ndarray) -> np.ndarray:
+    """The symmetric bilinear form B(v, w) = 1/2 v^T A^(-1) w over the
+    vectors (u_c, u_f, -kap*e_0, -kap*e_(N-2)), as a 4x4 matrix.
+
+    From the LDL^T factorization in Green's-function form: with
+    cosh(psi) = 1 - lam/kap and sh_k = sinh(k*psi), the pivots are
+    -kap*sh_(k+1)/sh_k, and
+
+        B(v, w) = -1/(2*kap) * sum_k C_k(v)*C_k(w) / (sh_k*sh_(k+1)),
+        C_k(v) = sum_(j<=k) sh_j*v_j,
+
+    so u_c and u_f take one cumulative sum each; C(e_0) is the constant
+    sh_1 and C(e_(N-2)) is nonzero only at the last k.  Under the
+    stability guard |Re(N*psi)| stays below about 43, so no sinh overflows.
+    """
+    psi = 2.0 * cmath.asinh(cmath.sqrt(2.0 * lam / (-4.0 * kap)))
+    shs = np.sinh(psi * np.arange(1, n + 1)) if psi != 0 else np.arange(1.0, n + 1)
+    weights = 1.0 / (shs[:-1] * shs[1:])
+    cum_c = np.cumsum(shs[:-1] * u_c)
+    cum_f = np.cumsum(shs[:-1] * u_f)
+    cum_cw = cum_c * weights
+    cum_fw = cum_f * weights
+    first, last, w_last = complex(shs[0]), complex(shs[-2]), complex(weights[-1])
+    scale = -0.5 / kap
+    cc = scale * complex(np.dot(cum_cw, cum_c))
+    cf = scale * complex(np.dot(cum_cw, cum_f))
+    ff = scale * complex(np.dot(cum_fw, cum_f))
+    c0, f0 = 0.5 * first * complex(cum_cw.sum()), 0.5 * first * complex(cum_fw.sum())
+    c1, f1 = 0.5 * last * complex(cum_cw[-1]), 0.5 * last * complex(cum_fw[-1])
+    e00 = -0.5 * kap * first * first * complex(weights.sum())
+    e01 = -0.5 * kap * first * last * w_last
+    e11 = -0.5 * kap * last * last * w_last
+    return np.array(((cc, cf, c0, c1), (cf, ff, f0, f1), (c0, f0, e00, e01),
+                     (c1, f1, e01, e11)))
+
+
+def _reduce_level(n: int, m: float, hbar: float, duration: float,
+                  resolution: float, c_mid: np.ndarray,
+                  f_mid: np.ndarray) -> tuple[complex, np.ndarray]:
+    """(const, quad) of one beam at N slices, as in ``LatticeRows``."""
+    h = duration / n
+    lam = 2.0 * h / (duration * resolution ** 2)
+    kap_im = m / (hbar * h)
+    kap = 1j * kap_im
+    gam = 0.5j * m * h / hbar  # the force term of a slice is -g*gam*f*(z_k + z_(k+1))
+    weight_const = -lam * float(np.sum(c_mid * c_mid))
+    log_norm = (n / 2.0) * cmath.log(m / (2j * math.pi * hbar * h))
+
+    # s0 - weight_const = (kap/2 - lam/2)*(z1^2 + z2^2) + lam*(c_0*z1 + c_(N-1)*z2)
+    #                     - g*gam*(f_0*z1 + f_(N-1)*z2); one slice alone (N = 1)
+    #                     also couples the endpoints directly, -kap*z1*z2
+    d = 0.5 * (kap - lam)
+    c0, c1 = 0.5 * lam * float(c_mid[0]), 0.5 * lam * float(c_mid[-1])
+    f0, f1 = -0.5 * gam * float(f_mid[0]), -0.5 * gam * float(f_mid[-1])
+    e01 = -0.5 * kap if n == 1 else 0.0
+    quad = np.array(((0.0, 0.0, c0, c1), (0.0, 0.0, f0, f1), (c0, f0, d, e01),
+                     (c1, f1, e01, d)), dtype=complex)
+    if n == 1:
+        return log_norm + weight_const, quad
+
+    logdet = _log_det(n, lam, kap_im)
+    quad += _green_form(n, lam, kap, lam * (c_mid[:-1] + c_mid[1:]),
+                        -gam * (f_mid[:-1] + f_mid[1:]))
+    const = log_norm + ((n - 1) / 2.0) * math.log(2.0 * math.pi) - 0.5 * logdet \
+        + weight_const
+    if not (cmath.isfinite(const) and np.all(np.isfinite(quad))):
+        raise LatticeError(f"singular or overflowing lattice form of size {n - 1}")
+    return const, quad
+
+
+@functools.lru_cache(maxsize=ROWS_CACHE_SIZE)
+def _lattice_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
+                  hbar: float, tau_start: float, tau_end: float,
+                  schedule: tuple[int, ...]) -> LatticeRows:
+    """One beam reduced at every level of the schedule; none of it depends
+    on g, z1 or z2.
+
+    The arguments are frozen dataclasses and numbers compared by value, so
+    a cache hit returns exactly the bits a recomputation would.
+    """
+    duration = tau_end - tau_start
+    consts, quads = [], []
+    for n in schedule:
+        const, quad = _reduce_level(
+            n, m, hbar, duration, beam.resolution,
+            _midpoint_samples(beam.trajectory, tau_start, tau_end, n),
+            _midpoint_samples(frame_profile, tau_start, tau_end, n))
+        consts.append(const)
+        quads.append(quad)
+    return LatticeRows(tuple(schedule), np.array(consts, dtype=complex),
+                       np.array(quads))
+
+
+# ---------------------------------------------------------------------------
+# Per-form reference: one beam at one (N, g, z1, z2), assembled as explicit
+# arrays and reduced on its own, sharing nothing with the rows.  The oracle
+# and the stationary action read the rows; the tests check every level of
+# the rows against this, and the benchmark's tracer (perfbench/trace.py)
+# still looks these functions up by name.
+# ---------------------------------------------------------------------------
+
+#: relative size of Re(kap) and Im(d + 2*kap) up to which a form still
+#: counts as the lattice's shape; assembly makes both exactly 0
+_BRANCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -217,20 +416,29 @@ def gaussian_reduce(form: QuadraticForm) -> complex:
     return cmath.exp(log_value)
 
 
+def _rows(scenario: Scenario, beam_label: str, schedule) -> LatticeRows:
+    p = scenario.params
+    return _lattice_rows(scenario.beam(beam_label), scenario.frame_profile, p.m,
+                         p.hbar, p.tau_start, p.tau_end,
+                         tuple(int(n) for n in schedule))
+
+
 def stationary_action(scenario: Scenario, beam_label: str,
                       lattice: LatticeSpec) -> ComplexAction:
     """Discrete action at the stationary path (solves A z = r).
 
     The record-only weight constant is excluded, so the value converges at
     O(h^2) to the continuum driven-oscillator action between the lattice
-    endpoints.
+    endpoints.  The lattice's step must be the scenario's duration / N.
     """
-    form = assemble_quadratic_form(scenario, beam_label, lattice)
-    exponent = form.offset - form.weight_const
-    if form.n_steps > 1:
-        exponent += _toeplitz_reduce(form.diag, form.off, form.linear)[1]
-    value = -1j * form.hbar * exponent
-    return ComplexAction.from_complex(complex(value))
+    p = scenario.params
+    n = lattice.n_steps
+    if not math.isclose(lattice.step * n, p.duration, rel_tol=1e-12):
+        raise LatticeError(f"lattice step {lattice.step!r} times {n} steps is not "
+                           f"the duration {p.duration!r}")
+    exponent = _rows(scenario, beam_label, (n,)).stationary(p.g, lattice.z1,
+                                                            lattice.z2)[0]
+    return ComplexAction.from_complex(complex(-1j * p.hbar * exponent))
 
 
 @dataclass(frozen=True)
@@ -287,12 +495,11 @@ def oracle_propagator(scenario: Scenario, beam_label: str,
                       schedule, z1: float | None = None,
                       z2: float | None = None) -> ExtrapolationResult:
     """Propagator estimates over an N schedule, Richardson extrapolated."""
-    p = scenario.params
     z1 = scenario.z1 if z1 is None else z1
     z2 = scenario.z2 if z2 is None else z2
-    pairs = []
-    for n in schedule:
-        lattice = LatticeSpec.for_params(p, z1, z2, int(n))
-        form = assemble_quadratic_form(scenario, beam_label, lattice)
-        pairs.append((int(n), gaussian_reduce(form)))
-    return richardson_extrapolate(pairs)
+    rows = _rows(scenario, beam_label, schedule)
+    log_values = rows.log_values(scenario.params.g, z1, z2)
+    if not np.all(np.isfinite(log_values)):
+        bad = rows.n_steps[int(np.argmin(np.isfinite(log_values)))]
+        raise LatticeError(f"lattice reduction produced a non-finite exponent at N={bad}")
+    return richardson_extrapolate(zip(rows.n_steps, np.exp(log_values)))

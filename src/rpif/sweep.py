@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, RpifError, ValidationError
+from .errors import ConfigError, LatticeError, RpifError, ValidationError
 from .interference import MODE_DERIVED, MODE_LITERAL, decompose
 from .lattice import oracle_propagator
 from .actions import restricted_propagator
@@ -212,7 +212,8 @@ _ORACLE_CACHE_SIZE = 1
 @functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
 def _oracle_deviation(nd: Scenario, schedule: Sequence[int]) -> float:
     """Max over beams of |closed - extrapolated| / |extrapolated| for a
-    scenario in internal units.
+    scenario in internal units.  A beam whose lattice amplitude underflows
+    to 0 raises LatticeError, which fails that row only.
 
     Depends on the point in internal units, not on the mode or the units,
     so it runs once per point, and once for a run of points that differ
@@ -221,6 +222,11 @@ def _oracle_deviation(nd: Scenario, schedule: Sequence[int]) -> float:
     worst = 0.0
     for label in ("a", "b"):
         extr = oracle_propagator(nd, label, schedule)
+        if extr.value == 0:
+            raise LatticeError(
+                f"beam_{label}: the lattice amplitude underflows to 0 on the "
+                f"schedule {','.join(map(str, schedule))}, so the oracle "
+                f"deviation is undefined")
         closed = restricted_propagator(nd.beam(label), nd.frame_profile,
                                        nd.params, nd.z1, nd.z2)
         worst = max(worst, abs(closed.amplitude - extr.value) / abs(extr.value))

@@ -15,11 +15,8 @@ import numpy as np
 from rpif import (
     MODE_DERIVED,
     MODE_LITERAL,
-    LatticeSpec,
-    assemble_quadratic_form,
     classical_action,
     decompose,
-    gaussian_reduce,
     oracle_propagator,
     reduced_interference,
     restricted_propagator,
@@ -27,7 +24,7 @@ from rpif import (
 from rpif.cli import EXIT_OK, main
 from rpif.sampling import random_scenario
 from rpif.timefunctions import ConstantFunction
-from util import linear_potential_action, make_scenario
+from util import lattice_values, linear_potential_action, make_scenario
 
 
 def _check(number: int, label: str, ok: bool, detail: str = ""):
@@ -159,11 +156,7 @@ def test_criterion_09_beam_swap_antisymmetry():
 
 def test_criterion_10_lattice_convergence_order():
     scenario = make_scenario()
-    vals = {}
-    for n in (128, 256, 512, 1024):
-        lattice = LatticeSpec.for_params(scenario.params, scenario.z1,
-                                         scenario.z2, n)
-        vals[n] = gaussian_reduce(assemble_quadratic_form(scenario, "a", lattice))
+    vals = lattice_values(scenario, "a", (128, 256, 512, 1024))
     r1 = abs(vals[128] - vals[256]) / abs(vals[256] - vals[512])
     r2 = abs(vals[256] - vals[512]) / abs(vals[512] - vals[1024])
     ok = 3.6 <= r1 <= 4.4 and 3.6 <= r2 <= 4.4

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import rpif
-
+from rpif import cli
 from rpif.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_MODES, EXIT_OK, main
 
 BASE = {
@@ -178,6 +178,45 @@ def test_simulate_record_far_from_the_path_matches_the_lattice(tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert float(row.split(",")[-1]) <= 1e-6
+
+
+def test_simulate_lattice_underflow_fails_the_row_not_the_run(tmp_path, capsys):
+    # a record 200 resolutions out: the lattice amplitude underflows to 0.0
+    # at every level, so the oracle deviation has nothing to divide by; the
+    # rows fail with a LatticeError naming the beam, and the output is written
+    delta = 2.0 / 55.0
+    doc = dict(BASE)
+    doc["beam_a"] = {"trajectory": {"kind": "constant", "value": 200.0 * delta},
+                     "resolution": delta}
+    doc["sweep"] = {"parameter": "z2", "start": 0.0, "stop": 0.5, "steps": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--output", str(out),
+                 "--oracle", "256,512,1024"]) == EXIT_GUARD
+    assert len(out.read_text().strip().split("\n")) == 3
+    err = capsys.readouterr().err
+    assert err.count("LatticeError: beam_a: the lattice amplitude underflows") == 2
+
+
+def test_main_calls_in_one_process_are_independent(config_path, tmp_path):
+    # the parser is built once per process; options of one call must not
+    # leak into the next
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["simulate", "--config", config_path, "--output", str(first),
+                 "--mode", "both", "--oracle", "64,128,256"]) == EXIT_OK
+    assert main(["simulate", "--config", config_path, "--output", str(second)]) == EXIT_OK
+    first_rows = first.read_text().strip().split("\n")[1:]
+    second_rows = second.read_text().strip().split("\n")[1:]
+    assert len(first_rows) == 6 and len(second_rows) == 3
+    assert all(row.split(",")[-1] != "" for row in first_rows)
+    assert all(row.split(",")[1] == "derived" and row.endswith(",")
+               for row in second_rows)
+    # the same call on a newly built parser writes the same bytes
+    cli._build_parser.cache_clear()
+    fresh = tmp_path / "fresh.csv"
+    assert main(["simulate", "--config", config_path, "--output", str(fresh)]) == EXIT_OK
+    assert fresh.read_bytes() == second.read_bytes()
 
 
 def test_simulate_off_dyadic_tabulated_records_gives_finite_rows(tmp_path):

@@ -6,20 +6,26 @@ import pytest
 from rpif import (
     LatticeError,
     LatticeSpec,
-    QuadraticForm,
     ValidationError,
-    assemble_quadratic_form,
     classical_action,
-    gaussian_reduce,
     oracle_propagator,
     restricted_propagator,
     richardson_extrapolate,
     scenario_from_dict,
     stationary_action,
 )
-from rpif.lattice import _toeplitz_reduce
+from rpif.lattice import (
+    QuadraticForm,
+    _lattice_rows,
+    _log_det,
+    _toeplitz_reduce,
+    assemble_quadratic_form,
+    gaussian_reduce,
+)
 from rpif.timefunctions import ConstantFunction, SinusoidFunction
 from util import (
+    gaussian_exponent_terms,
+    lattice_values,
     make_scenario,
     reference_gaussian_reduce,
     reference_tridiag_logdet,
@@ -36,6 +42,30 @@ def _lattice(scenario, n, z1=None, z2=None):
     return LatticeSpec.for_params(scenario.params,
                                   scenario.z1 if z1 is None else z1,
                                   scenario.z2 if z2 is None else z2, n)
+
+
+def _rows(scenario, label, schedule):
+    p = scenario.params
+    return _lattice_rows(scenario.beam(label), scenario.frame_profile, p.m, p.hbar,
+                         p.tau_start, p.tau_end, tuple(schedule))
+
+
+def _level_logdet(scenario, label, n):
+    """The package's log det A at N slices, from the beam's parameters."""
+    p = scenario.params
+    h = p.duration / n
+    lam = 2.0 * h / (p.duration * scenario.beam(label).resolution ** 2)
+    return _log_det(n, lam, p.m / (p.hbar * h))
+
+
+def _level_quad(scenario, label, n):
+    """The package's 1/2 r^T A^(-1) r at N slices: the stationary exponent
+    less the assembled s0 - weight_const."""
+    form = assemble_quadratic_form(scenario, label, _lattice(scenario, n))
+    p = scenario.params
+    stationary = _rows(scenario, label, (n,)).stationary(p.g, scenario.z1,
+                                                         scenario.z2)[0]
+    return stationary - (form.offset - form.weight_const), form
 
 
 def _free_exact(m, hbar, T, z1, z2):
@@ -107,9 +137,9 @@ def test_assembled_exponent_matches_direct_sum(rng):
 def test_free_particle_exact_at_any_resolution(n):
     scenario = _free_scenario(z1=0.0, z2=1.0)
     form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
-    value = gaussian_reduce(form)
     exact = _free_exact(1.0, 1.0, 1.0, 0.0, 1.0)
-    assert abs(value - exact) <= 1e-12 * abs(exact)
+    for value in (lattice_values(scenario, "a", (n,))[n], gaussian_reduce(form)):
+        assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 def test_determinant_against_dense_matrix():
@@ -119,8 +149,9 @@ def test_determinant_against_dense_matrix():
     sign, logabs = np.linalg.slogdet(dense)
     dense_logdet = logabs + 1j * np.angle(sign)
     reference = reference_tridiag_logdet(form.diag, form.off)
-    ours = _toeplitz_reduce(form.diag, form.off, form.linear)[0]
-    for logdet in (reference, ours):
+    closed = _toeplitz_reduce(form.diag, form.off, form.linear)[0]
+    ours = _level_logdet(scenario, "a", 8)
+    for logdet in (reference, closed, ours):
         assert logdet.real == pytest.approx(dense_logdet.real, rel=1e-12)
         # phases agree modulo 2*pi (both keep the continuous value)
         assert cmath.exp(1j * logdet.imag) == pytest.approx(
@@ -135,6 +166,8 @@ def test_reduction_orders_agree():
         backward = reference_gaussian_reduce(form, order="backward")
         assert abs(forward - backward) <= 1e-12 * abs(forward)
         assert abs(gaussian_reduce(form) - forward) <= 1e-12 * abs(forward)
+        ours = lattice_values(scenario, "a", (n,))[n]
+        assert abs(ours - forward) <= 1e-12 * abs(forward)
 
 
 #: |wT| = 2/delta in internal units: the series branch (|wT| < 1e-2, with
@@ -148,8 +181,8 @@ def test_closed_reduction_matches_reference(wt):
     scenario = make_scenario(delta_a=2.0 / wt, z1=0.1, z2=0.6,
                              a=SinusoidFunction(0.3, 7.0, 0.2))
     for n in (2, 3, 16, 256, 1024, 4096):
-        form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
-        logdet, quad = _toeplitz_reduce(form.diag, form.off, form.linear)
+        logdet = _level_logdet(scenario, "a", n)
+        quad, form = _level_quad(scenario, "a", n)
         # the unwrapped phase itself, not only modulo 2*pi
         expect_logdet = reference_tridiag_logdet(form.diag, form.off)
         expect_quad = 0.5 * np.dot(form.linear, reference_tridiag_solve(
@@ -158,12 +191,67 @@ def test_closed_reduction_matches_reference(wt):
         assert abs(quad - expect_quad) <= 1e-12 * abs(expect_quad)
 
 
+#: endpoint pairs for the rows: off the origin, at it, and one beyond z2 = 1
+_ENDPOINTS = ((0.1, 0.6), (0.0, 0.0), (-0.4, 1.3))
+
+
+@pytest.mark.parametrize("wt", _WT_GRID)
+def test_rows_match_the_per_form_reference_at_every_level(wt):
+    # one reduction per level, free of g and the endpoints, against the
+    # per-form reference assembled and reduced at each (g, z1, z2) on its
+    # own; the bound is the rounding scale of the exponent's terms, and
+    # N = 1 has no interior points
+    schedule = (1, 2, 3, 16, 256, 1024, 4096)
+    record = SinusoidFunction(0.3, 7.0, 0.2)
+    frame = SinusoidFunction(0.5, 3.0, 1.1)
+    rows = _rows(make_scenario(delta_a=2.0 / wt, a=record, f=frame), "a", schedule)
+    for g in (0.0, 0.37, 2.0):
+        for z1, z2 in _ENDPOINTS:
+            scenario = make_scenario(g=g, z1=z1, z2=z2, delta_a=2.0 / wt,
+                                     a=record, f=frame)
+            assert _rows(scenario, "a", schedule) is rows
+            for n, value in zip(schedule, rows.log_values(g, z1, z2)):
+                form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
+                terms = gaussian_exponent_terms(form)
+                assert abs(value - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("wt", [5e-3, 2.0, 59.9])
+def test_log_det_against_mpmath(wt):
+    # the eigenvalue sum at 40 digits; the real-arithmetic log1p keeps the
+    # error within two units in the last place of log det A
+    mpmath = pytest.importorskip("mpmath")
+    n = 4096
+    h = 1.0 / n
+    lam = 2.0 * h * (wt / 2.0) ** 2
+    with mpmath.workdps(40):
+        expect = complex(mpmath.fsum(
+            mpmath.log(mpmath.mpc(2 * lam, -4 * mpmath.sin(j * mpmath.pi / (2 * n)) ** 2 / h))
+            for j in range(1, n)))
+    got = _log_det(n, lam, 1.0 / h)
+    assert abs(got - expect) <= 2.0 * np.spacing(abs(expect))
+
+
+def test_overflowing_level_reported():
+    # far past the stability guard, |wT| = 2e4, sinh(k*psi) overflows
+    scenario = make_scenario(delta_a=1e-4)
+    with pytest.raises(LatticeError, match="overflowing"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        oracle_propagator(scenario, "a", (1024, 2048, 4096))
+
+
+def test_stationary_action_refuses_a_step_off_the_window():
+    scenario = make_scenario()
+    with pytest.raises(LatticeError, match="duration"):
+        stationary_action(scenario, "a", LatticeSpec(n_steps=4, z1=0.0, z2=0.5,
+                                                     step=0.1))
+
+
 def test_single_level_reduction_within_discretization_error():
     scenario = make_scenario()
     closed = restricted_propagator(scenario.beam_a, scenario.frame_profile,
                                    scenario.params, scenario.z1, scenario.z2)
-    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, 64))
-    value = gaussian_reduce(form)
+    value = lattice_values(scenario, "a", (64,))[64]
     # O(h^2) discretization error at N=64, no extrapolation
     assert abs(value - closed.amplitude) <= 1e-3 * abs(closed.amplitude)
 
@@ -210,10 +298,9 @@ def test_tridiag_solve_matches_dense():
     assert np.allclose(got, expect, rtol=1e-11, atol=1e-12)
 
     scenario = make_scenario()
-    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n + 1))
+    quad, form = _level_quad(scenario, "a", n + 1)
     dense = np.diag(form.diag) + np.diag(form.off, 1) + np.diag(form.off, -1)
     expect = 0.5 * np.dot(form.linear, np.linalg.solve(dense, form.linear))
-    quad = _toeplitz_reduce(form.diag, form.off, form.linear)[1]
     assert abs(quad - expect) <= 1e-12 * abs(expect)
 
 
@@ -311,10 +398,7 @@ def test_oracle_matches_closed_propagator_randomized(rng):
 
 def test_convergence_order_is_h2():
     scenario = make_scenario()
-    vals = {}
-    for n in (128, 256, 512, 1024):
-        form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
-        vals[n] = gaussian_reduce(form)
+    vals = lattice_values(scenario, "a", (128, 256, 512, 1024))
     r1 = abs(vals[128] - vals[256]) / abs(vals[256] - vals[512])
     r2 = abs(vals[256] - vals[512]) / abs(vals[512] - vals[1024])
     assert 3.6 <= r1 <= 4.4

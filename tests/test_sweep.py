@@ -192,9 +192,10 @@ def test_oracle_deviation_small_on_baseline():
 
 def _count_calls(monkeypatch, module, name: str) -> list:
     """Empty every block cache, then log each call of module.name."""
-    from rpif import actions, interference, sweep
+    from rpif import actions, interference, lattice, sweep
     for cached in (actions._action_rows, actions._record_mean_square,
-                   interference._literal_rows, sweep._oracle_deviation):
+                   interference._literal_rows, sweep._oracle_deviation,
+                   lattice._lattice_rows, lattice._midpoint_samples):
         cached.cache_clear()
     calls = []
     original = getattr(module, name)
@@ -266,6 +267,37 @@ def test_oracle_runs_once_for_points_equal_in_internal_units(monkeypatch):
     rows = run_sweep(scenario, spec)
     assert len({row.oracle_dev for row in rows}) == 1
     assert len(calls) == 2  # beams, not points x beams
+
+
+@pytest.mark.parametrize("parameter", ["z2", "g"])
+def test_oracle_sweep_reduces_each_beam_once_per_level(monkeypatch, parameter):
+    # the lattice rows are free of g and the endpoints: the frame profile and
+    # both records are sampled once per level, and each beam is reduced once
+    from rpif import lattice, sweep
+    calls = _count_calls(monkeypatch, sweep, "oracle_propagator")
+    scenario, _ = parse_config(_config())
+    schedule = (64, 128, 256)
+    spec = SweepSpec(parameter=parameter, start=0.0, stop=1.0, steps=16,
+                     mode="both", oracle_schedule=schedule)
+    rows = run_sweep(scenario, spec)
+    assert all(row.error is None and row.oracle_dev <= 1e-6 for row in rows)
+    assert len(calls) == 16 * 2
+    assert lattice._midpoint_samples.cache_info().misses == 3 * len(schedule)
+    assert lattice._lattice_rows.cache_info().misses == 2
+
+
+def test_oracle_delta_a_sweep_reduces_beam_b_once(monkeypatch):
+    from rpif import lattice, sweep
+    _count_calls(monkeypatch, sweep, "oracle_propagator")
+    scenario, _ = parse_config(_config())
+    steps = 5
+    spec = SweepSpec(parameter="delta_a", start=0.5, stop=2.5, steps=steps,
+                     mode="both", oracle_schedule=(64, 128, 256))
+    rows = run_sweep(scenario, spec)
+    assert all(row.error is None for row in rows)
+    # beam a at every point, beam b once; no record changes, so no resampling
+    assert lattice._lattice_rows.cache_info().misses == steps + 1
+    assert lattice._midpoint_samples.cache_info().misses == 3 * 3
 
 
 # ---------------------------------------------------------------------------

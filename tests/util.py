@@ -19,6 +19,7 @@ import numpy as np
 import rpif
 from rpif import (BeamRecord, LatticeError, PhysicalParams, Scenario, actions,
                   quadrature, validate_scenario)
+from rpif.lattice import _lattice_rows, _toeplitz_reduce
 from rpif.timefunctions import ConstantFunction
 
 NBASE = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
@@ -401,3 +402,25 @@ def reference_gaussian_reduce(form, order: str = "forward") -> complex:
     quad = 0.5 * np.dot(rhs, reference_tridiag_solve(diag, off, rhs))
     return cmath.exp(log_norm + (n_int / 2.0) * math.log(2.0 * math.pi)
                      - 0.5 * logdet + quad + form.offset)
+
+
+def gaussian_exponent_terms(form) -> tuple[complex, ...]:
+    """The terms whose sum is the log of ``lattice.gaussian_reduce(form)``:
+    (N/2)*log(slice_norm), ((N-1)/2)*log(2*pi), -1/2*log det A,
+    1/2 r^T A^(-1) r and s0 (the last alone when N = 1)."""
+    n = form.n_steps
+    log_norm = (n / 2.0) * cmath.log(form.slice_norm)
+    if n == 1:
+        return log_norm, form.offset
+    logdet, quad = _toeplitz_reduce(form.diag, form.off, form.linear)
+    return (log_norm, ((n - 1) / 2.0) * math.log(2.0 * math.pi), -0.5 * logdet,
+            quad, form.offset)
+
+
+def lattice_values(scenario: Scenario, beam_label: str, schedule) -> dict:
+    """The package's lattice propagator at each N of the schedule, by N."""
+    p = scenario.params
+    rows = _lattice_rows(scenario.beam(beam_label), scenario.frame_profile, p.m,
+                         p.hbar, p.tau_start, p.tau_end, tuple(schedule))
+    return dict(zip(rows.n_steps, np.exp(rows.log_values(p.g, scenario.z1,
+                                                         scenario.z2))))
