@@ -117,13 +117,39 @@ def ensure_stable(params: PhysicalParams, delta_c: float) -> complex:
     return w
 
 
-def _force_rows(beam: BeamRecord, frame_profile: TimeFunction,
-               params: PhysicalParams) -> Callable:
-    """The force split by its dependence on g, F = g*F_f + F_c: returns
-    t -> (F_f(t), F_c(t)), shape (2, len(t)).  params.g is not read."""
-    coef = 4.0 * params.hbar / (params.duration * beam.resolution ** 2)
-    m, c, f = params.m, beam.trajectory, frame_profile
-    return lambda t: np.stack((-m * np.asarray(f(t)), -1j * coef * np.asarray(c(t))))
+def _force_rows(trajectory: TimeFunction, resolution, frame_profile: TimeFunction,
+                params: PhysicalParams) -> Callable:
+    """The force split by its dependence on g, F = g*F_f + F_c, at one
+    resolution or a sequence of them: returns (t, sets) -> (F_f(t), F_c(t)),
+    shape (..., 2, len(t)) with the sets (``quadrature.Coefficients``) in
+    front.  params.g is not read."""
+    coefs = quadrature.Coefficients(
+        [(4.0 * params.hbar / (params.duration * r ** 2),)
+         for r in np.ravel(resolution).tolist()], np.shape(resolution))
+    m, c, f = params.m, trajectory, frame_profile
+
+    def forces(t, sets=None):
+        k, = coefs.take(sets)
+        c_part = -1j * k * np.asarray(c(t))
+        rows = np.empty(c_part.shape[:-1] + (2, c_part.shape[-1]), complex)
+        rows[..., 0, :] = -m * np.asarray(f(t))
+        rows[..., 1, :] = c_part
+        return rows
+    return forces
+
+
+def _per_frequency(w, blocks: Callable) -> tuple:
+    """``blocks(w)`` for each frequency of ``w`` (a number or a sequence):
+    the first two numbers it returns, b1 and b2, as complex arrays of w's
+    shape, and the rest as the per-set coefficients of the kernels' rows.
+
+    The per-frequency numbers are few, so they keep the scalar arithmetic
+    of a single frequency; only the node rows are vectorized.
+    """
+    shape = np.shape(w)
+    values = [blocks(complex(x)) for x in np.ravel(w).tolist()]
+    b1, b2 = (np.array([v[i] for v in values], complex).reshape(shape) for i in (0, 1))
+    return b1, b2, quadrature.Coefficients([v[2:] for v in values], shape)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +159,12 @@ def _force_rows(beam: BeamRecord, frame_profile: TimeFunction,
 #   sin(w*u) = exp(q*u)/(2i) * hsin(u),  hsin(u) = e^{i q u} - E(u) e^{-i q u}
 #   cos(w*u) = exp(q*u)/2    * hcos(u),  hcos(u) = e^{i q u} + E(u) e^{-i q u}
 # so ratios of sines carry only decaying exponentials.
+#
+# Every kernel is built over a frequency or a sequence of them (the
+# resolutions of one beam that a sweep visits): the blocks have the
+# frequencies' shape, and each row gets that shape in front, or, when its
+# ``sets`` argument picks some of the frequencies (``quadrature.Coefficients``),
+# theirs.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -147,52 +179,55 @@ class ActionKernels:
     its factors: K(e, p) = sum_k outer(e)[k] * inner(p)[k].
     """
 
-    b1: complex
-    b2: complex
-    single: Callable        # u >= 0 -> sin(w u)/sin(w T)
-    outer: Callable         # e >= 0 -> rows of shape (k, len(e))
-    inner: Callable         # p >= 0 -> rows of shape (k, len(p))
+    b1: np.ndarray          # the frequencies' shape
+    b2: np.ndarray
+    single: Callable        # (u >= 0, sets) -> sin(w u)/sin(w T), shape (..., len(u))
+    outer: Callable         # (e >= 0, sets) -> rows of shape (..., k, len(e))
+    inner: Callable         # (p >= 0, sets) -> rows of shape (..., k, len(p))
 
 
-def _kernels_closed(w: complex, m: float, T: float) -> ActionKernels:
+def _closed_blocks(w: complex, m: float, T: float) -> tuple:
+    """b1 and b2, then the numbers the rows read: q, iq and -2q for
+    hsin(u) = e^{iqu} - e^{-2qu - iqu}; hsin(T); conj(w), -conj(w) and qT/2
+    for exp(q*(u-T/2))*hsin(u) = exp(conj(w)*u - qT/2) - exp(-conj(w)*u - qT/2),
+    which splits exp(q*(e+p-T)) evenly, so each side stays within
+    exp(+-qT/2); and 1/(2i w hsin(T))."""
     q = w.real
-
-    def hsin(u):
-        return np.exp(1j * q * u) - np.exp(-2.0 * q * u - 1j * q * u)
-
-    def hcos(u):
-        return np.exp(1j * q * u) + np.exp(-2.0 * q * u - 1j * q * u)
-
-    hs_T = hsin(T)
-    b1 = 1j * (m * w / 2.0) * hcos(T) / hs_T
-    b2 = 1j * m * w * cmath.exp(-q * T) / hs_T
-
-    def single(u):
-        return np.exp(q * (u - T)) * hsin(u) / hs_T
-
-    # exp(q*(u-T/2))*hsin(u) = exp(conj(w)*u - q*T/2) - exp(-conj(w)*u - q*T/2):
-    # exp(q*(e+p-T)) split evenly, so each side stays within exp(+-q*T/2)
-    wc, shift = w.conjugate(), 0.5 * q * T
-
-    def side(u):
-        return (np.exp(wc * u - shift) - np.exp(-wc * u - shift))[None, :]
-
-    scale = 1.0 / (2j * w * hs_T)
-    return ActionKernels(b1, b2, single, lambda e: scale * side(e), side)
+    rising, falling = np.exp(1j * q * T), np.exp(-2.0 * q * T - 1j * q * T)
+    hs_T = rising - falling
+    wc = w.conjugate()
+    return (1j * (m * w / 2.0) * (rising + falling) / hs_T,
+            1j * m * w * cmath.exp(-q * T) / hs_T,
+            q, 1j * q, -2.0 * q, hs_T, wc, -wc, 0.5 * q * T, 1.0 / (2j * w * hs_T))
 
 
-def _kernels_series(w: complex, m: float, T: float) -> ActionKernels:
+def _kernels_closed(w, m: float, T: float) -> ActionKernels:
+    b1, b2, coefs = _per_frequency(w, lambda x: _closed_blocks(x, m, T))
+
+    def single(u, sets=None):
+        q_, iq_, m2q_, hs_, *_ = coefs.take(sets)
+        iqu = iq_ * u
+        return np.exp(q_ * (u - T)) * (np.exp(iqu) - np.exp(m2q_ * u - iqu)) / hs_
+
+    def side(u, sets):
+        *_, wc_, mwc_, shift_, _ = coefs.take(sets)
+        return np.exp(wc_ * u - shift_) - np.exp(mwc_ * u - shift_)
+
+    def outer(e, sets=None):
+        return (coefs.take(sets)[-1] * side(e, sets))[..., None, :]
+
+    def inner(p, sets=None):
+        return side(p, sets)[..., None, :]
+
+    return ActionKernels(b1, b2, single, outer, inner)
+
+
+def _series_blocks(w: complex, m: float, T: float) -> tuple:
     # Taylor in (wT) through fourth order; truncation error O((wT)^6).
     w2 = w * w
     w4 = w2 * w2
     b1 = (m / 2.0) * (1.0 / T - w2 * T / 3.0 - w4 * T ** 3 / 45.0)
     b2 = (m / 2.0) * (1.0 / T + w2 * T / 6.0 + 7.0 * w4 * T ** 3 / 360.0)
-
-    def single(u):
-        return (u / T) * (1.0 + w2 * (T * T - u * u) / 6.0
-                          + w4 * (u ** 4 / 120.0 + 7.0 * T ** 4 / 360.0
-                                  - u * u * T * T / 36.0))
-
     # (e*p/T) * (1 + w2*(T^2-e^2-p^2)/6 + w4*(e^4/120 + p^4/120 + e^2 p^2/36
     #            - T^2 e^2/36 - T^2 p^2/36 + 7 T^4/360)),
     # grouped by the power of p: p, p^3 and p^5
@@ -200,20 +235,36 @@ def _kernels_series(w: complex, m: float, T: float) -> ActionKernels:
     c1 = -(w2 / 6.0 + w4 * T * T / 36.0) / T
     c2 = w4 / (120.0 * T)
     c3 = w4 / (36.0 * T)
+    return b1, b2, w2, w4, c0, c1, c2, c3
 
-    def outer(e):
+
+def _kernels_series(w, m: float, T: float) -> ActionKernels:
+    b1, b2, coefs = _per_frequency(w, lambda x: _series_blocks(x, m, T))  # w^2, w^4, c0..c3
+
+    def single(u, sets=None):
+        w2_, w4_, *_ = coefs.take(sets)
+        return (u / T) * (1.0 + w2_ * (T * T - u * u) / 6.0
+                          + w4_ * (u ** 4 / 120.0 + 7.0 * T ** 4 / 360.0
+                                   - u * u * T * T / 36.0))
+
+    def outer(e, sets=None):
         e2 = e * e
-        return np.stack((e * (c0 + e2 * (c1 + e2 * c2)), e * (c1 + e2 * c3), c2 * e))
+        *_, a0, a1, a2, a3 = coefs.take(sets)
+        return np.stack((e * (a0 + e2 * (a1 + e2 * a2)), e * (a1 + e2 * a3), a2 * e),
+                        axis=-2)
 
-    def inner(p):
+    def inner(p, sets=None):
+        # the same for every frequency
         p2 = p * p
         return np.stack((p, p * p2, p * p2 * p2))
 
     return ActionKernels(b1, b2, single, outer, inner)
 
 
-def action_kernels(w: complex, m: float, T: float) -> ActionKernels:
-    if abs(w) * T < SMALL_WT_CROSSOVER:
+def action_kernels(w, m: float, T: float) -> ActionKernels:
+    """The kernels at one frequency, or at a sequence of frequencies that
+    all lie on the side of the |wT| crossover where the first does."""
+    if abs(np.ravel(w)[0]) * T < SMALL_WT_CROSSOVER:
         return _kernels_series(w, m, T)
     return _kernels_closed(w, m, T)
 
@@ -244,7 +295,8 @@ class ActionRows:
         q1 = g*q1_f + q1_c,  q2 = g*q2_f + q2_c,
         q12 = g^2*q12_ff + g*q12_fc + q12_cc  (q12_fc holds both cross terms)
 
-    None of the rows depends on g, so a g sweep integrates them once.
+    None of the rows depends on g, so a g sweep integrates them once.  Rows
+    integrated over several frequencies at once hold arrays of their shape.
     """
 
     b1: complex
@@ -265,56 +317,135 @@ class ActionRows:
 
 def _integrate_rows(kernels: ActionKernels, forces: Callable,
                     t0: float, t1: float, breaks=()) -> ActionRows:
-    """The action quadratures of the force rows ``forces(t)`` = (F_f, F_c),
-    shape (2, len(t)): one line call and one triangle call."""
-    single = kernels.single
+    """The action quadratures of the force rows ``forces(t, sets)`` =
+    (F_f, F_c), over a 1-D sequence of the kernels' frequencies: one line
+    call and one triangle call for all of them.  The rows hold arrays over
+    the frequencies."""
+    single, batch = kernels.single, quadrature.Batch(len(kernels.b1))
 
     def line(t):
-        both = forces(t)
-        return np.concatenate((both * single(t - t0), both * single(t1 - t)))
+        n, sets = t.size, batch.index
+        both = forces(t, sets)
+        ratio = single(np.concatenate((t - t0, t1 - t)), sets)[..., None, :]
+        return np.concatenate((both * ratio[..., :n], both * ratio[..., n:]), axis=-2)
 
-    q2_f, q2_c, q1_f, q1_c = quadrature.integrate(line, t0, t1, breaks=breaks)
+    q2_f, q2_c, q1_f, q1_c = quadrature.integrate(line, t0, t1, breaks=breaks,
+                                                  batch=batch).T
 
     def factors(t, s):
-        n = t.size
-        both = forces(np.concatenate((t, s)))[:, None, :]
-        f_t, c_t = both[..., :n] * kernels.outer(t1 - t)
+        n, sets = t.size, batch.index
+        both = forces(np.concatenate((t, s)), sets)[..., None, :]
+        split = both[..., :n] * kernels.outer(t1 - t, sets)[..., None, :, :]
+        f_t, c_t = split[..., 0, :, :], split[..., 1, :, :]
         zero = np.zeros_like(f_t)
         # leading rows g^2, g^1, g^0 against the inner rows (F_f, F_c) * inner
-        outer = np.stack((np.concatenate((f_t, zero)),
-                          np.concatenate((c_t, f_t)),
-                          np.concatenate((zero, c_t))))
-        inner = both[..., n:] * kernels.inner(s - t0)
-        return outer, inner.reshape(-1, s.size)
+        outer = np.stack((np.concatenate((f_t, zero), axis=-2),
+                          np.concatenate((c_t, f_t), axis=-2),
+                          np.concatenate((zero, c_t), axis=-2)), axis=-3)
+        inner = both[..., n:] * kernels.inner(s - t0, sets)[..., None, :, :]
+        return outer, inner.reshape(inner.shape[:-3] + (-1, s.size))
 
-    q12_ff, q12_fc, q12_cc = quadrature.integrate_triangle(factors, t0, t1,
-                                                           breaks=breaks)
+    q12_ff, q12_fc, q12_cc = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks,
+                                                           batch=batch).T
     return ActionRows(kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c,
                       q12_ff, q12_fc, q12_cc)
 
 
-#: Entries per block cache.  The cached rows do not depend on g or on the
-#: endpoints, so a sweep reuses them between the mode rows of one point and
-#: across every point that leaves the beam, the frame and the units alone;
-#: one point needs two entries of a cache (one per beam), so eight catch
-#: all the reuse there is.
+#: Entries per block cache, besides a sweep's batch.  The cached rows do not
+#: depend on g or on the endpoints, so a sweep reuses them between the mode
+#: rows of one point and across every point that leaves the beam, the frame
+#: and the units alone; one point needs two entries of a cache (one per
+#: beam), so eight catch all the reuse there is.
 BLOCK_CACHE_SIZE = 8
 
 
-@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _action_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
-                 hbar: float, tau_start: float, tau_end: float) -> ActionRows:
-    """The g-free action rows of one beam; none depends on z1, z2 or g.
+class RowCache:
+    """Per-beam rows keyed by (beam, frame profile, m, hbar, tau_start,
+    tau_end), computed in batches.
 
-    The arguments are frozen dataclasses and floats compared by value, so a
-    cache hit returns exactly the bits a recomputation would.
+    ``compute(beams, frame_profile, m, hbar, tau_start, tau_end)`` returns
+    the rows of each beam of a batch, whose beams differ only in their
+    resolution.  Reads go through an lru cache of ``BLOCK_CACHE_SIZE``
+    entries.  ``fill`` computes the rows of a whole sweep, one batch per
+    trajectory, and keeps the batch until a read needs rows from outside
+    it, so every point of the sweep finds its rows there and the memory
+    held is that of the sweep being run.  A read that finds nothing
+    computes a batch of one.  The keys are frozen dataclasses and floats
+    compared by value, so a hit returns exactly the bits a recomputation
+    would; the lru cache and the batch, replaced whole, let threads share
+    the cache.
     """
+
+    def __init__(self, compute: Callable):
+        self._compute = compute
+        self._batch: dict = {}
+        self._read = functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)(self._find)
+
+    def __call__(self, beam: BeamRecord, frame_profile: TimeFunction, m: float,
+                 hbar: float, tau_start: float, tau_end: float):
+        return self._read(beam, frame_profile, m, hbar, tau_start, tau_end)
+
+    def _find(self, *key):
+        rows = self._batch.get(key)
+        if rows is None:
+            self._batch = {}
+            rows, = self._compute((key[0],), *key[1:])
+        return rows
+
+    def fill(self, keys) -> None:
+        """Compute the rows of every key, one batch per trajectory, and keep
+        them as the batch; rows of the previous batch are kept, not
+        recomputed.  A batch that fails is left out: its keys are computed
+        one by one when they are read, and each raises its own error there.
+        """
+        keys = list(dict.fromkeys(keys))
+        kept = self._batch
+        batch = {key: kept[key] for key in keys if key in kept}
+        groups: dict = {}
+        for key in keys:
+            if key not in batch:
+                groups.setdefault((key[0].trajectory, *key[1:]), []).append(key)
+        for group in groups.values():
+            try:
+                rows = self._compute(tuple(key[0] for key in group), *group[0][1:])
+            except RpifError:
+                continue
+            batch.update(zip(group, rows))
+        self._batch = batch
+
+    def cache_info(self):
+        return self._read.cache_info()
+
+    def cache_clear(self) -> None:
+        self._batch = {}
+        self._read.cache_clear()
+
+
+def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
+                       m: float, hbar: float, tau_start: float,
+                       tau_end: float) -> list[ActionRows]:
+    """The g-free action rows of beams that differ only in resolution: one
+    line pass and one triangle pass per kernel branch.  None of the rows
+    depends on z1, z2 or g."""
     params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
-    w = ensure_stable(params, beam.resolution)
-    kernels = action_kernels(w, m, params.duration)
-    return _integrate_rows(kernels, _force_rows(beam, frame_profile, params),
-                           tau_start, tau_end,
-                           frame_profile.breakpoints + beam.trajectory.breakpoints)
+    T = params.duration
+    ws = [ensure_stable(params, beam.resolution) for beam in beams]
+    branches: dict[bool, list[int]] = {}
+    for i, w in enumerate(ws):
+        branches.setdefault(abs(w) * T < SMALL_WT_CROSSOVER, []).append(i)
+    out: list = [None] * len(beams)
+    for index in branches.values():
+        kernels = action_kernels([ws[i] for i in index], m, T)
+        forces = _force_rows(beams[0].trajectory, [beams[i].resolution for i in index],
+                             frame_profile, params)
+        rows = _integrate_rows(kernels, forces, tau_start, tau_end,
+                               frame_profile.breakpoints + beams[0].trajectory.breakpoints)
+        for i, values in zip(index, zip(*vars(rows).values())):
+            out[i] = ActionRows(*values)
+    return out
+
+
+_action_rows = RowCache(_batch_action_rows)
 
 
 def _action_blocks(beam: BeamRecord, frame_profile: TimeFunction,
@@ -337,13 +468,18 @@ def _record_mean_square(trajectory: TimeFunction, tau_start: float,
 
 
 def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
-                     params: PhysicalParams, z1: float, z2: float) -> ComplexAction:
+                     params: PhysicalParams, z1: float, z2: float, *,
+                     blocks: ActionBlocks | None = None) -> ComplexAction:
     """Classical action of the driven complex oscillator between z1 and z2.
 
     Uses the closed form for |wT| >= 1e-2 and the series expansion below;
-    the two agree to better than 1e-9 relative at the crossover.
+    the two agree to better than 1e-9 relative at the crossover.  A caller
+    that already holds the beam's blocks at the params' g passes them as
+    ``blocks``.
     """
-    value = _action_blocks(beam, frame_profile, params).action(params.m, z1, z2)
+    if blocks is None:
+        blocks = _action_blocks(beam, frame_profile, params)
+    value = blocks.action(params.m, z1, z2)
     _ensure_finite(value, "classical_action")
     return ComplexAction.from_complex(value)
 

@@ -33,17 +33,19 @@ residual are invariant under that rescaling.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import quadrature
 from .actions import (
-    BLOCK_CACHE_SIZE,
+    ActionBlocks,
     ComplexAction,
+    RowCache,
     _action_blocks,
+    _action_rows,
     classical_action,
     ensure_stable,
     propagator_from_action,
@@ -140,13 +142,13 @@ def _bracket_i2(th: float) -> float:
     return num / (math.exp(th) * _denom(th))
 
 
-@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _literal_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
-                  hbar: float, tau_start: float, tau_end: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The g-free rows of one beam's printed i3/i4 and i5 integrals: one
-    line call and one triangle call.  Independent of the endpoints and of
-    g, so z2 and g sweeps compute them once per beam.
+def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
+                        m: float, hbar: float, tau_start: float, tau_end: float
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The g-free rows of the printed i3/i4 and i5 integrals of beams that
+    differ only in resolution: one line pass and one triangle pass for all
+    of them.  Independent of the endpoints and of g, so z2 and g sweeps
+    compute them once per beam, and a resolution sweep once per sweep.
 
     i3 and i4: with x = q*(t - anchor), q = omega/sqrt(2), the printed pair
     of single integrals is
@@ -154,9 +156,9 @@ def _literal_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
         j_sin = Int e^x [omega^2 c sin x (1 + e^{-2x}) - g f cos x (1 - e^{-2x})]
         j_cos = Int e^x [omega^2 c cos x (1 - e^{-2x}) + g f sin x (1 + e^{-2x})],
 
-    affine in g.  The eight line rows are indexed [anchor (end, start),
-    integral (sin, cos), part (f, c)], with the g and the sign of each f
-    part left to the caller.
+    affine in g.  The eight line rows of a beam are indexed [anchor (end,
+    start), integral (sin, cos), part (f, c)], with the g and the sign of
+    each f part left to the caller.
 
     i5: the printed kernels combine g^2*(f(t)+f(s)), the record sum, and
     the mixed g*[f(t)c(s)+f(s)c(t)] term under exp((sigma+epsilon)/2), with
@@ -171,26 +173,31 @@ def _literal_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
     G + iH is a quadratic in g whose coefficients pair an outer factor in t
     with one of the inner factors [1, f(s), c(s)] times e^{sigma/2} hs(sigma).
     Splitting each inner factor into its real and imaginary parts gives six
-    real inner rows, and the triangle rows are indexed
+    real inner rows, and the triangle rows of a beam are indexed
     [j1 (imaginary part), j2 (real part)] x [g^0, g^1, g^2].
     """
     t0, t1 = tau_start, tau_end
-    coef = 4.0 * hbar / (m * (t1 - t0) * beam.resolution ** 2)  # = om^2
-    om = math.sqrt(coef)
-    q = om / math.sqrt(2.0)
-    f, c = frame_profile, beam.trajectory
+    f, c = frame_profile, beams[0].trajectory
     rt2 = math.sqrt(2.0)
     grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
+    per_beam = []  # (omega^2, q, omega)
+    for beam in beams:
+        coef = 4.0 * hbar / (m * (t1 - t0) * beam.resolution ** 2)
+        om = math.sqrt(coef)
+        per_beam.append((coef, om / rt2, om))
+    rates = quadrature.Coefficients(per_beam)
+    batch = quadrature.Batch(len(beams))
 
     def line(t):
-        x = q * (t[None, :] - np.array([[t1], [t0]]))
+        k, q_, _ = rates.take(batch.index)
+        x = np.stack((q_ * (t - t1), q_ * (t - t0)), axis=-2)
         # e^x (1 + e^{-2x}) sin x and e^x (1 - e^{-2x}) cos x, through
         # cosh and sinh: accurate near x = 0, where a coarse measurement's
         # theta prefactors cancel to O(theta^2)
         plus, minus = 2.0 * np.cosh(x) * np.sin(x), 2.0 * np.sinh(x) * np.cos(x)
-        fv, cv = np.asarray(f(t)), coef * np.asarray(c(t))
-        return np.stack((np.stack((fv * minus, cv * plus), axis=1),
-                         np.stack((fv * plus, cv * minus), axis=1)), axis=1)
+        fv, cv = np.asarray(f(t)), (k * np.asarray(c(t)))[..., None, :]
+        return np.stack((np.stack((fv * minus, cv * plus), axis=-2),
+                         np.stack((fv * plus, cv * minus), axis=-2)), axis=-3)
 
     def side(x):
         # e^{x/2} hs(x) for x = epsilon or sigma
@@ -200,31 +207,39 @@ def _literal_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
         n = t.size
         both = np.concatenate((t, s))
         fv, cv = np.asarray(f(both)), np.asarray(c(both))
-        base = -0.5j * side(om * (t1 - t))
-        zero, one = np.zeros(n), np.ones(n)
-        # against the inner factors [1, f(s), c(s)]: A(t) + A(s) + the mixed term
-        outer = base * np.array((
-            (-coef * coef * cv[:n], zero, -coef * coef * one),  # g^0
-            (zero, 1j * coef * cv[:n], 1j * coef * fv[:n]),     # g^1
-            (fv[:n], one, zero)))                               # g^2
-        inner = side(om * (s - t0)) * np.stack((np.ones(s.size), fv[n:], cv[n:]))
-        outer = np.concatenate((outer, 1j * outer), axis=1)
-        return (np.stack((outer.imag, outer.real)),
-                np.concatenate((inner.real, inner.imag)))
+        k, _, w = rates.take(batch.index)
+        base = -0.5j * side(w * (t1 - t))
+        one = np.ones(n)
+        # rows g^0, g^1, g^2 against the inner factors [1, f(s), c(s)]:
+        # A(t) + A(s) + the mixed term
+        table = np.zeros(base.shape[:-1] + (3, 3, n), complex)
+        table[..., 0, 0, :], table[..., 0, 2, :] = -k * k * cv[:n], -k * k * one
+        table[..., 1, 1, :], table[..., 1, 2, :] = 1j * k * cv[:n], 1j * k * fv[:n]
+        table[..., 2, 0, :], table[..., 2, 1, :] = fv[:n], one
+        outer = base[..., None, None, :] * table
+        inner = (side(w * (s - t0))[..., None, :]
+                 * np.stack((np.ones(s.size), fv[n:], cv[n:])))
+        outer = np.concatenate((outer, 1j * outer), axis=-2)
+        return (np.stack((outer.imag, outer.real), axis=-4),
+                np.concatenate((inner.real, inner.imag), axis=-2))
 
     breaks = f.breakpoints + c.breakpoints
-    return (quadrature.integrate(line, t0, t1, breaks=breaks).real,
-            quadrature.integrate_triangle(factors, t0, t1, breaks=breaks).real)
+    return list(zip(
+        quadrature.integrate(line, t0, t1, breaks=breaks, batch=batch).real,
+        quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch).real))
 
 
-def _literal_linear_block(beam: BeamRecord, frame_profile: TimeFunction,
-                          p: PhysicalParams, th: float, anchor: str) -> float:
+_literal_rows = RowCache(_batch_literal_rows)
+
+
+def _literal_linear_block(rows: tuple[np.ndarray, np.ndarray], p: PhysicalParams,
+                          th: float, anchor: str) -> float:
     """One beam's contribution to i3 (anchor='end') or i4 (anchor='start'):
     the printed pair of single integrals over the record and the frame
-    profile at the params' g, weighted by the hyperbolic theta prefactors.
+    profile at the params' g, read off the beam's literal rows and weighted
+    by the hyperbolic theta prefactors.
     """
-    rows = _literal_rows(beam, frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)[0]
-    (sin_f, sin_c), (cos_f, cos_c) = rows[0 if anchor == "end" else 1]
+    (sin_f, sin_c), (cos_f, cos_c) = rows[0][0 if anchor == "end" else 1]
     j_sin = sin_c - p.g * sin_f
     j_cos = cos_c + p.g * cos_f
     e2 = math.exp(-2.0 * th)
@@ -232,17 +247,22 @@ def _literal_linear_block(beam: BeamRecord, frame_profile: TimeFunction,
                                            - (1.0 + e2) * math.sin(th) * j_cos)
 
 
-def _literal_double_block(beam: BeamRecord, frame_profile: TimeFunction,
-                          p: PhysicalParams, th: float) -> float:
+def _literal_double_block(rows: tuple[np.ndarray, np.ndarray], p: PhysicalParams,
+                          th: float) -> float:
     """One beam's contribution to i5, exactly as printed, at the params' g."""
-    rows = _literal_rows(beam, frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)[1]
     g = p.g
-    j1, j2 = rows[:, 0] + g * (rows[:, 1] + g * rows[:, 2])
+    j1, j2 = rows[1][:, 0] + g * (rows[1][:, 1] + g * rows[1][:, 2])
     e2 = math.exp(-2.0 * th)
     w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
     w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
     T = p.duration
     return (T * math.exp(-th) / (th * _denom(th))) * (-w1 * j1 + w2 * j2)
+
+
+def _beam_literal_rows(nd: Scenario, label: str) -> tuple[np.ndarray, np.ndarray]:
+    p = nd.params
+    return _literal_rows(nd.beam(label), nd.frame_profile, p.m, p.hbar,
+                         p.tau_start, p.tau_end)
 
 
 def _literal_terms(nd: Scenario, theta: float, rho: float) -> tuple[float, ...]:
@@ -254,13 +274,13 @@ def _literal_terms(nd: Scenario, theta: float, rho: float) -> tuple[float, ...]:
     i2 = (-math.sqrt(8.0 * p.m / (p.hbar * p.duration)) * z1 * z2
           * (_bracket_i2(theta) / da - _bracket_i2(rho) / db))
     mh = p.m / p.hbar
-    a, b, f = nd.beam_a, nd.beam_b, nd.frame_profile
-    i3 = mh * z1 * (-_literal_linear_block(a, f, p, theta, "end")
-                    + _literal_linear_block(b, f, p, rho, "end"))
-    i4 = mh * z2 * (_literal_linear_block(a, f, p, theta, "start")
-                    - _literal_linear_block(b, f, p, rho, "start"))
-    i5 = mh * (_literal_double_block(a, f, p, theta)
-               - _literal_double_block(b, f, p, rho))
+    a, b = _beam_literal_rows(nd, "a"), _beam_literal_rows(nd, "b")
+    i3 = mh * z1 * (-_literal_linear_block(a, p, theta, "end")
+                    + _literal_linear_block(b, p, rho, "end"))
+    i4 = mh * z2 * (_literal_linear_block(a, p, theta, "start")
+                    - _literal_linear_block(b, p, rho, "start"))
+    i5 = mh * (_literal_double_block(a, p, theta)
+               - _literal_double_block(b, p, rho))
     return i1, i2, i3, i4, i5
 
 
@@ -268,10 +288,8 @@ def _literal_terms(nd: Scenario, theta: float, rho: float) -> tuple[float, ...]:
 # derived mode: the same grouping read off the oscillator action itself
 # ---------------------------------------------------------------------------
 
-def _derived_terms(nd: Scenario) -> tuple[float, ...]:
+def _derived_terms(nd: Scenario, a: ActionBlocks, b: ActionBlocks) -> tuple[float, ...]:
     p = nd.params
-    a = _action_blocks(nd.beam_a, nd.frame_profile, p)
-    b = _action_blocks(nd.beam_b, nd.frame_profile, p)
     z1, z2 = nd.z1, nd.z2
     i1 = (z1 * z1 + z2 * z2) * (a.b1 - b.b1).real
     i2 = -2.0 * z1 * z2 * (a.b2 - b.b2).real
@@ -286,15 +304,27 @@ def _derived_terms(nd: Scenario) -> tuple[float, ...]:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _terms(nd: Scenario, mode: str) -> tuple[float, ...]:
-    ensure_stable(nd.params, nd.beam_a.resolution)
-    ensure_stable(nd.params, nd.beam_b.resolution)
-    if mode == MODE_DERIVED:
-        return _derived_terms(nd)
-    p = nd.params
-    theta = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * nd.beam_a.resolution ** 2))
-    rho = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * nd.beam_b.resolution ** 2))
-    return _literal_terms(nd, theta, rho)
+def fill_row_caches(points: Sequence[Scenario], modes: Sequence[str]) -> None:
+    """Compute the per-beam rows that ``decompose`` reads at every point, in
+    batches: each beam's rows at all the resolutions the points visit in
+    one line pass and one triangle pass per kind of row.
+
+    ``points`` are scenarios in internal units.  A resolution past the
+    stability guard is left out, as is a batch that fails; ``decompose``
+    then raises that point's own error.
+    """
+    keys = []
+    for nd in points:
+        p = nd.params
+        for beam in (nd.beam_a, nd.beam_b):
+            try:
+                ensure_stable(p, beam.resolution)
+            except RpifError:
+                continue
+            keys.append((beam, nd.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end))
+    _action_rows.fill(keys)
+    if MODE_LITERAL in modes:
+        _literal_rows.fill(keys)
 
 
 def _beam_actions(nd: Scenario) -> tuple[ComplexAction, ComplexAction]:
@@ -345,8 +375,20 @@ def decompose(scenario: Scenario, mode: str = MODE_DERIVED) -> InterferenceBreak
     """
     _check_mode(mode)
     nd = _nd(scenario)
-    i1, i2, i3, i4, i5 = _terms(nd, mode)
-    sa, sb = _beam_actions(nd)
+    p, f = nd.params, nd.frame_profile
+    ensure_stable(p, nd.beam_a.resolution)
+    ensure_stable(p, nd.beam_b.resolution)
+    if mode == MODE_LITERAL:
+        theta = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * nd.beam_a.resolution ** 2))
+        rho = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * nd.beam_b.resolution ** 2))
+        terms = _literal_terms(nd, theta, rho)
+    # each beam's action rows, looked up once for the terms and the action
+    a, b = _action_blocks(nd.beam_a, f, p), _action_blocks(nd.beam_b, f, p)
+    if mode == MODE_DERIVED:
+        terms = _derived_terms(nd, a, b)
+    i1, i2, i3, i4, i5 = terms
+    sa = classical_action(nd.beam_a, f, p, nd.z1, nd.z2, blocks=a)
+    sb = classical_action(nd.beam_b, f, p, nd.z1, nd.z2, blocks=b)
     pd = sa.s1 - sb.s1
     ua, ub = _amplitudes(nd, sa, sb)
     return InterferenceBreakdown(

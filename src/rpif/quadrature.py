@@ -9,8 +9,16 @@ breakpoints strictly inside it and every segment gets the same number of
 panels, doubled together (the QUADPACK QAGP idea, Piessens et al. 1983).
 No panel straddles a kink, so convergence is as fast as on a smooth
 integrand, and fully deterministic.  The budgets count nodes over all
-segments; a split that cannot run two levels within its budget is
-refused up front.
+segments and grow with the segment count, so a split of any length can
+run at least three levels.
+
+Both rules also integrate a ``Batch``: independent sets of integrands
+over the same interval (one beam's rows at each of the resolutions a
+sweep visits), evaluated together.  Each set stops at the first level
+where all of its own entries pass, and later levels no longer evaluate
+it, so a set gets the level and the bits it would get on its own.  An
+evaluation covers as many sets as fit in ``BATCH_POINTS`` points (at
+least one), so the memory of a batch does not grow with its size.
 
 Double integrals over the triangle s <= t have separable kernels (a
 finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
@@ -34,28 +42,122 @@ GAUSS_ORDER = 8
 LINE_NODE_BUDGET = 2 ** 16   # single integrals
 AXIS_NODE_BUDGET = 2 ** 12   # per axis of nested double integrals
 CHUNK_NODES = 2 ** 9         # outer nodes per evaluation of a double integral's factors
+BATCH_POINTS = 2 ** 11        # points per evaluation of a batch, summed over its sets
 
 
 @lru_cache(maxsize=64)
-def _segments(a: float, b: float, breaks: tuple, what: str, budget: int,
-              order: int) -> tuple[float, ...]:
+def _segments(a: float, b: float, breaks: tuple) -> tuple[float, ...]:
     """Segment edges on [0, 1]: the breakpoints strictly inside (a, b),
     mapped by t -> (t - a)/(b - a), between 0 and 1.
 
-    Raises QuadratureError when the budget cannot hold the two levels that
-    a convergence test needs.  Cached: every integral of a scenario asks
-    with the same breakpoints.
+    Cached: every integral of a scenario asks with the same breakpoints.
     """
     width = b - a
     inside = sorted({float(x) for x in breaks if a < x < b})
-    edges = (0.0, *((x - a) / width for x in inside), 1.0)
-    segments = len(edges) - 1
-    if 2 * segments * order > budget:
-        raise QuadratureError(
-            f"{what} over [{a:g}, {b:g}] has {segments} segments between "
-            f"breakpoints; two levels need {2 * segments * order} nodes, over "
-            f"the budget of {budget}")
-    return edges
+    return (0.0, *((x - a) / width for x in inside), 1.0)
+
+
+def _budget(budget: int, segments: int, order: int) -> int:
+    """The node budget, grown where needed so that a split into
+    ``segments`` can run three levels (1, 2 and 4 panels per segment)."""
+    return max(budget, 4 * segments * order)
+
+
+class Batch:
+    """The sets of a batched integral, and those a rule evaluates now.
+
+    The rule sets ``index`` before each call of the integrand, which
+    returns the rows of those sets only: an integer names one set, whose
+    rows come without a set axis, and a slice or an integer array names
+    several, whose rows carry one in front.  The integrand keeps its plain
+    signature, so a wrapper around it sees an ordinary integrand.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.index = slice(None)
+
+
+class Coefficients:
+    """Per-set coefficients of a batched integrand: one tuple of numbers
+    per set, for sets of the given shape (() for a lone set)."""
+
+    def __init__(self, sets: list, shape: tuple = None):
+        self.sets = sets
+        self.shape = (len(sets),) if shape is None else shape
+        self.columns = None
+
+    def take(self, index) -> tuple:
+        """The coefficients of the sets ``index`` (a ``Batch`` index),
+        shaped to meet a row of nodes: one set's numbers for an integer, so
+        that a call evaluating one set costs what the scalar arithmetic of
+        one set costs; a column per set for a slice or an index array; and
+        every set, in the given shape, for None."""
+        if isinstance(index, int):
+            return self.sets[index]
+        if index is None and self.shape == ():
+            return self.sets[0]
+        if self.columns is None:
+            self.columns = [np.array(column) for column in zip(*self.sets)]
+        if index is None:
+            return tuple(column.reshape(self.shape + (1,)) for column in self.columns)
+        return tuple(column[index, None] for column in self.columns)
+
+
+class _Doubling:
+    """Doubling state of the sets of a batch: each set stops at the first
+    level where all of its entries pass, and keeps that level's value."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.running = np.arange(count)  # the sets still running
+        self.value = self.prev = None    # prev: the running sets' last level
+        self.delta = math.nan
+
+    def groups(self, size: int) -> list:
+        """The running sets in groups of at most ``size``: an integer for a
+        group of one, else a slice while every set runs and an index array
+        once some have stopped."""
+        count = len(self.running)
+        if size == 1 or count == 1:
+            return self.running.tolist()
+        if count == self.count:
+            return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+        return [self.running[i:i + size] for i in range(0, count, size)]
+
+    def settle(self, est: np.ndarray, rtol: float, atol: float) -> bool:
+        """Take this level's estimates of the running sets; True once every
+        set has passed.  ``delta`` becomes the largest difference between
+        levels among the sets still running."""
+        prev, self.prev = self.prev, est
+        if prev is None:
+            return False
+        delta = np.abs(est - prev)
+        passed = delta <= rtol * np.abs(est) + atol
+        if passed.all():
+            self._keep(self.running, est)
+            return True
+        if len(est) > 1:
+            ok = passed.reshape(len(est), -1).all(axis=1)
+            if ok.any():
+                self._keep(self.running[ok], est[ok])
+                self.running, self.prev, delta = self.running[~ok], est[~ok], delta[~ok]
+        self.delta = float(delta.max())
+        return False
+
+    def _keep(self, sets: np.ndarray, est: np.ndarray) -> None:
+        if self.value is None:
+            if len(sets) == self.count:  # every set at once
+                self.value = np.asarray(est, complex)
+                return
+            self.value = np.empty((self.count,) + est.shape[1:], complex)
+        self.value[sets] = est
+
+    def result(self, batch: Batch | None):
+        if batch is not None:
+            return self.value
+        value = self.value[0]
+        return complex(value) if value.ndim == 0 else value
 
 
 def _panel_edges(panels: int, edges: tuple[float, ...]) -> np.ndarray:
@@ -82,41 +184,52 @@ def _reference_rule(panels: int, order: int, edges: tuple[float, ...] = (0.0, 1.
 def integrate(fn, a: float, b: float, *, breaks: tuple = (),
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
               node_budget: int = LINE_NODE_BUDGET,
-              order: int = GAUSS_ORDER) -> complex:
+              order: int = GAUSS_ORDER, batch: Batch | None = None) -> complex:
     """Integrate a vectorized callable over [a, b].
 
     ``fn`` receives a 1-D ndarray of n nodes and returns values of shape
     (n,) or, for several integrands over the same nodes, rows of shape
     (..., n) (real or complex).  The result is a complex scalar, or a
-    complex array of shape (...) whose entries each converge on their
-    own.  ``breaks`` is a tuple of the times where ``fn`` may have a kink;
-    those strictly inside (a, b) become panel edges.
-    Raises QuadratureError if the doubling loop exhausts ``node_budget``
-    nodes without two successive estimates agreeing to ``rtol``/``atol``.
+    complex array of shape (...) whose entries converge together.
+    ``breaks`` is a tuple of the times where ``fn`` may have a kink; those
+    strictly inside (a, b) become panel edges.
+
+    With a ``batch``, ``fn(t)`` returns the rows of the sets that
+    ``batch.index`` names, shape (..., n) with a set axis in front unless
+    the index is an integer, and the result has shape (batch.size, ...);
+    each set converges on its own.
+
+    Raises QuadratureError if the doubling loop exhausts the node budget
+    (``node_budget``, or the three levels of a longer split) without two
+    successive estimates of every set agreeing to ``rtol``/``atol``.
     """
     width = b - a
-    if width == 0.0:
-        return 0.0 + 0.0j
-    edges = _segments(a, b, breaks, "integral", node_budget, order)
+    edges = _segments(a, b, breaks)
     segments = len(edges) - 1
-    prev, delta = None, math.nan
+    budget = _budget(node_budget, segments, order)
+    state = _Doubling(1 if batch is None else batch.size)
     panels = 1
-    while segments * panels * order <= node_budget:
+    while segments * panels * order <= budget:
         u, wu = _reference_rule(panels, order, edges)
-        est = width * np.sum(wu * np.asarray(fn(a + width * u)), axis=-1)
-        if not np.all(np.isfinite(est)):
+        nodes = a + width * u
+        est = []
+        for group in state.groups(max(1, BATCH_POINTS // nodes.size)):
+            if batch is not None:
+                batch.index = group
+            values = np.asarray(fn(nodes))
+            if isinstance(group, int):
+                values = values[None]
+            est.append(width * np.sum(wu * values, axis=-1))
+        est = est[0] if len(est) == 1 else np.concatenate(est)
+        if not np.isfinite(est).all():
             raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
-        if prev is not None:
-            delta = np.abs(est - prev)
-            if np.all(delta <= rtol * np.abs(est) + atol):
-                return complex(est) if est.ndim == 0 else est.astype(complex)
-            delta = float(np.max(delta))
-        prev = est
+        if state.settle(est, rtol, atol):
+            return state.result(batch)
         panels *= 2
     raise QuadratureError(
-        f"integral over [{a:g}, {b:g}] did not converge within {node_budget} nodes "
-        f"(last delta {delta:.3e})",
-        last_delta=delta,
+        f"integral over [{a:g}, {b:g}] did not converge within {budget} nodes "
+        f"(last delta {state.delta:.3e})",
+        last_delta=state.delta,
     )
 
 
@@ -145,10 +258,24 @@ def _nested_rule(panels: int, order: int, edges: tuple[float, ...]):
     return u, wu, points, w, half, widest * (0.5 / panels), ratio
 
 
+def _products(outer: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """Each set's outer rows, shape (G, ..., k, n), against its weighted
+    inner integrals, shape (k, n) or (G, k, n): one matrix-vector product
+    per matrix of the result's last axis, as for a set on its own, so that
+    no set's bits depend on the others of its batch."""
+    sets = outer.shape[:-2]
+    matrices = sets if len(sets) > 1 else sets + (1,)
+    if weighted.ndim == 2:
+        return (outer.reshape(matrices + (-1,)) @ weighted.ravel()).reshape(sets)
+    span = weighted.shape[-2] * weighted.shape[-1]
+    vector = weighted.shape[:1] + (1,) * (len(matrices) - 2) + (span, 1)
+    return (outer.reshape(matrices + (span,)) @ weighted.reshape(vector)).reshape(sets)
+
+
 def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                        axis_budget: int = AXIS_NODE_BUDGET,
-                       order: int = GAUSS_ORDER):
+                       order: int = GAUSS_ORDER, batch: Batch | None = None):
     """Integrate a separable kernel over the triangle a <= s <= t <= b.
 
     ``factors(t, s)`` receives outer nodes ``t`` and inner points ``s``
@@ -157,8 +284,14 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     result is the sum over k of
     Int_a^b outer_k(t) Int_a^t inner_k(s) ds dt,
     a complex scalar, or an array of shape (...) when the outer rows carry
-    leading axes; each entry must converge on its own.  ``breaks`` are
-    the times where the factors may have kinks, as for ``integrate``.
+    leading axes; its entries converge together.  ``breaks`` are the
+    times where the factors may have kinks, as for ``integrate``.
+
+    With a ``batch``, ``factors(t, s)`` returns the rows of the sets that
+    ``batch.index`` names, with a set axis in front unless the index is an
+    integer: outer rows of shape (..., k, len(t)), and inner rows of shape
+    (k, len(s)), shared by the sets, or with a set axis of their own.  The
+    result has shape (batch.size, ...), and each set converges on its own.
 
     Nested rule: the outer integral uses the composite rule of
     ``integrate``; the inner integral up to outer node t_i is the sum of
@@ -171,57 +304,62 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     O(k*order*n); no n x n array is built.  ``factors`` is called on
     consecutive chunks of at most ``CHUNK_NODES`` outer nodes and their
     inner points, with the running sum carried across chunks, so the
-    memory of a level stays bounded however far the panels double.
-    Panels double until successive estimates agree, at most
-    ``axis_budget`` outer nodes.
+    memory of a level stays bounded however far the panels double.  Panels
+    double until successive estimates agree, at most ``axis_budget`` outer
+    nodes, or the three levels of a longer split.
     """
     width = b - a
-    edges = _segments(a, b, breaks, "triangle integral", axis_budget, order)
+    edges = _segments(a, b, breaks)
     segments = len(edges) - 1
+    budget = _budget(axis_budget, segments, order)
     chunk = max(1, CHUNK_NODES // order)  # panels per call of ``factors``
-    prev, delta = None, math.nan
+    state = _Doubling(1 if batch is None else batch.size)
     panels = 1
-    while segments * panels * order <= axis_budget:
+    while segments * panels * order <= budget:
         u, wu, points, w, half, half_panel, ratio = _nested_rule(panels, order, edges)
         m = segments * panels
         n = m * order
-        total, carry = None, 0.0
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            nodes = slice(lo * order, hi * order)
-            partial = points[n + lo * order * order:n + hi * order * order]
-            outer, inner = factors(a + width * u[nodes],
-                                   a + width * np.concatenate((u[nodes], partial)))
-            outer, inner = np.asarray(outer), np.asarray(inner)
-            k = inner.shape[0]
-            # Gauss sums over the chunk's whole panels, then over its
-            # partial panels
-            sums = inner.reshape(k, -1, order) @ w
-            # the whole panels before each panel, each weighted by its
-            # half-width relative to the widest segment's: one running sum,
-            # carried from chunk to chunk, carries the totals of the earlier
-            # segments into each segment
-            whole = sums[:, :hi - lo] * ratio[lo:hi]
-            run = np.cumsum(np.concatenate((np.broadcast_to(carry, (k, 1)), whole),
-                                           axis=1), axis=1)
-            before, carry = run[:, :-1], run[:, -1:]
-            cumulative = (np.repeat(before, order, axis=1) * half_panel
-                          + sums[:, hi - lo:] * half[nodes])
-            part = (outer.reshape(outer.shape[:-2] + (-1,))
-                    @ (cumulative * wu[nodes]).ravel())
-            total = part if total is None else total + part
-        est = np.asarray(width * width * total, dtype=complex)
-        if not np.all(np.isfinite(est)):
+        est = []
+        per_set = min(chunk, m) * order * (order + 1)  # points of a call
+        for group in state.groups(max(1, BATCH_POINTS // per_set)):
+            if batch is not None:
+                batch.index = group
+            total, carry = None, 0.0
+            for lo in range(0, m, chunk):
+                hi = min(lo + chunk, m)
+                nodes = slice(lo * order, hi * order)
+                partial = points[n + lo * order * order:n + hi * order * order]
+                outer, inner = factors(a + width * u[nodes],
+                                       a + width * np.concatenate((u[nodes], partial)))
+                outer, inner = np.asarray(outer), np.asarray(inner)
+                if isinstance(group, int):
+                    outer = outer[None]  # one set: its inner rows stay shared
+                k = inner.shape[:-1]  # (k,), or (sets, k) for rows that differ
+                # Gauss sums over the chunk's whole panels, then over its
+                # partial panels
+                sums = inner.reshape(k + (-1, order)) @ w
+                # the whole panels before each panel, each weighted by its
+                # half-width relative to the widest segment's: one running
+                # sum, carried from chunk to chunk, carries the totals of the
+                # earlier segments into each segment
+                whole = sums[..., :hi - lo] * ratio[lo:hi]
+                run = np.cumsum(np.concatenate((np.broadcast_to(carry, k + (1,)), whole),
+                                               axis=-1), axis=-1)
+                before, carry = run[..., :-1], run[..., -1:]
+                cumulative = (np.repeat(before, order, axis=-1) * half_panel
+                              + sums[..., hi - lo:] * half[nodes])
+                part = _products(outer, cumulative * wu[nodes])
+                total = part if total is None else total + part
+            est.append(total)
+        est = np.asarray(width * width * (est[0] if len(est) == 1 else np.concatenate(est)),
+                         dtype=complex)
+        if not np.isfinite(est).all():
             raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
-        if prev is not None:
-            delta = np.abs(est - prev)
-            if np.all(delta <= rtol * np.abs(est) + atol):
-                return complex(est) if est.ndim == 0 else est
-            delta = float(np.max(delta))
-        prev = est
+        if state.settle(est, rtol, atol):
+            return state.result(batch)
         panels *= 2
     raise QuadratureError(
         f"triangle integral over [{a:g}, {b:g}] did not converge within "
-        f"{axis_budget} nodes per axis (last delta {delta:.3e})",
-        last_delta=delta,
+        f"{budget} nodes per axis (last delta {state.delta:.3e})",
+        last_delta=state.delta,
     )

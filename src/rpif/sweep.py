@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, LatticeError, RpifError, ValidationError
-from .interference import MODE_DERIVED, MODE_LITERAL, decompose
+from .interference import MODE_DERIVED, MODE_LITERAL, decompose, fill_row_caches
 from .lattice import oracle_propagator
 from .actions import restricted_propagator
 from .scenario import Scenario, nondimensional, scenario_from_dict
@@ -263,8 +263,26 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, jobs: int = 1) -> list[Result
     work holds the interpreter lock and interleaved points defeat the
     per-beam caches).
     """
-    return [_evaluate_point(scenario, spec, float(value), mode)
-            for value in spec.points() for mode in spec.modes()]
+    values = [float(value) for value in spec.points()]
+    if spec.parameter in ("delta_a", "delta_b"):
+        _fill_resolution_sweep(scenario, spec, values)
+    return [_evaluate_point(scenario, spec, value, mode)
+            for value in values for mode in spec.modes()]
+
+
+def _fill_resolution_sweep(scenario: Scenario, spec: SweepSpec,
+                           values: Sequence[float]) -> None:
+    """Put every point of a resolution sweep into internal units and fill
+    the per-beam row caches for all of them in one call, so the swept beam
+    is integrated once for the whole sweep, not once per point.  A point
+    that fails here is left out; its own rows report the error."""
+    points = []
+    for value in values:
+        try:
+            points.append(nondimensional(apply_sweep_value(scenario, spec.parameter, value)))
+        except RpifError:
+            continue
+    fill_row_caches(points, spec.modes())
 
 
 def _fmt(value: float | None) -> str:

@@ -135,10 +135,15 @@ class PolynomialFunction(TimeFunction):
         return np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients))
 
     def rescaled(self, origin, time_scale, value_scale, domain):
-        base = np.polynomial.Polynomial(np.asarray(self.coefficients))
-        composed = base(np.polynomial.Polynomial([origin, time_scale]))
-        coefs = tuple(float(c) * value_scale for c in composed.coef)
-        return PolynomialFunction(coefs, domain)
+        coefs = np.asarray(self.coefficients)
+        if origin == 0.0 and time_scale == 1.0:
+            # composing with the identity map only drops trailing zeros and
+            # turns -0.0 into 0.0; this gives the same bits without it
+            composed = np.polynomial.polynomial.polytrim(coefs) + 0.0
+        else:
+            base = np.polynomial.Polynomial(coefs)
+            composed = base(np.polynomial.Polynomial([origin, time_scale])).coef
+        return PolynomialFunction(tuple(float(c) * value_scale for c in composed), domain)
 
 
 @dataclass(frozen=True)

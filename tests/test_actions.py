@@ -67,7 +67,8 @@ def test_frequency_requires_positive_resolution():
 
 def _force(beam, frame_profile, params, t):
     """F(t) = g*F_f(t) + F_c(t) from the package's g-split force rows."""
-    f_part, c_part = _force_rows(beam, frame_profile, params)(np.array([t]))[:, 0]
+    forces = _force_rows(beam.trajectory, beam.resolution, frame_profile, params)
+    f_part, c_part = forces(np.array([t]))[:, 0]
     return params.g * f_part + c_part
 
 
@@ -202,9 +203,10 @@ def test_dispatch_uses_series_kernels_below_crossover():
     scenario = make_scenario(delta_a=1e4, a=ConstantFunction(0.1))
     p = scenario.params
     w = complex_frequency(p, 1e4)
-    forces = _force_rows(scenario.beam_a, scenario.frame_profile, p)
-    rows = _integrate_rows(_kernels_series(w, 1.0, 1.0), forces, 0.0, 1.0)
-    series = rows.at(p.g).action(1.0, 0.0, 0.5)
+    # a batch of one frequency, as the package integrates a single point
+    forces = _force_rows(scenario.beam_a.trajectory, (1e4,), scenario.frame_profile, p)
+    rows = _integrate_rows(_kernels_series((w,), 1.0, 1.0), forces, 0.0, 1.0)
+    series = rows.at(p.g).action(1.0, 0.0, 0.5)[0]
     dispatched = classical_action(scenario.beam_a, scenario.frame_profile,
                                   scenario.params, 0.0, 0.5)
     assert dispatched == ComplexAction.from_complex(series)

@@ -7,6 +7,9 @@ An n x n rule there peaks at about 430 MiB and evaluates its kernels at
 tens of millions of points; the nested rule stays at a few MiB and about
 a hundred thousand points.
 
+A 16-point resolution sweep of the same scenario integrates beam a at
+all 16 resolutions in one batch, and stays as small.
+
 A zig-zag tabulated record (the benchmark's kind: eight interior samples,
 four of them off the dyadic grid) converges in a couple of thousand line
 nodes once panels end at its samples; without that, composite Gauss
@@ -19,6 +22,7 @@ import tracemalloc
 import numpy as np
 
 from rpif import actions, decompose, interference, quadrature
+from rpif.sweep import SweepSpec, run_sweep
 from rpif.timefunctions import SinusoidFunction, TabulatedFunction
 from util import make_scenario
 
@@ -52,6 +56,24 @@ def test_omega_400_decompose_stays_small(monkeypatch):
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert sum(points) < 200_000
+
+
+def test_omega_400_resolution_sweep_stays_small():
+    # the swept beam's rows at all 16 resolutions come from one batch; an
+    # evaluation covers only as many resolutions as fit in BATCH_POINTS
+    # points, so the batch needs no more memory than one point
+    scenario = make_scenario(a=SinusoidFunction(amplitude=0.3, omega=400.0, phase=0.0),
+                             delta_a=1.0, z2=0.5)
+    spec = SweepSpec(parameter="delta_a", start=0.5, stop=2.0, steps=16, mode="both")
+    _clear_block_caches()
+    tracemalloc.start()
+    try:
+        rows = run_sweep(scenario, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.error is None for row in rows)
+    assert peak < 64 * 2 ** 20
 
 
 def test_zig_zag_tabulated_record_takes_few_line_nodes(monkeypatch):

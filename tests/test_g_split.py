@@ -60,10 +60,11 @@ def _recombined(beam, scenario):
     p, f = scenario.params, scenario.frame_profile
     th = _theta(beam, p)
     action = actions._action_blocks(beam, f, p)
+    rows = interference._literal_rows(beam, f, p.m, p.hbar, p.tau_start, p.tau_end)
     return {**{name: getattr(action, name) for name in ("b1", "b2", "q1", "q2", "q12")},
-            "i3": interference._literal_linear_block(beam, f, p, th, "end"),
-            "i4": interference._literal_linear_block(beam, f, p, th, "start"),
-            "i5": interference._literal_double_block(beam, f, p, th)}
+            "i3": interference._literal_linear_block(rows, p, th, "end"),
+            "i4": interference._literal_linear_block(rows, p, th, "start"),
+            "i5": interference._literal_double_block(rows, p, th)}
 
 
 def _unsplit(beam, scenario):

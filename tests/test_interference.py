@@ -347,6 +347,16 @@ def test_tabulated_samples_of_a_line_match_the_line(mode):
 
 
 @pytest.mark.parametrize("mode", [MODE_DERIVED, MODE_LITERAL])
+def test_a_densely_sampled_line_matches_the_line(mode):
+    # 998 interior samples: more segments than two levels of the triangle
+    # rule's axis budget hold, so the budget grows to fit three
+    line, samples = _sampled_line(np.linspace(0.0, 1.0, 1000))
+    tabulated = decompose(make_scenario(a=samples, delta_a=0.8, z1=0.2), mode)
+    exact = decompose(make_scenario(a=line, delta_a=0.8, z1=0.2), mode)
+    _assert_same_breakdown(tabulated, exact, 1e-12)
+
+
+@pytest.mark.parametrize("mode", [MODE_DERIVED, MODE_LITERAL])
 def test_tabulated_records_in_physical_units_match_internal_units(mode):
     # internal units: tau on [0, 1], m = hbar = 1, a tabulated frame profile
     # and record with off-dyadic samples; the physical scenario puts the

@@ -197,24 +197,6 @@ def test_every_segment_doubles_together_and_no_panel_straddles_a_breakpoint():
         assert np.all(segment_s == segment_t[:, None])
 
 
-def test_too_many_segments_for_two_levels_are_refused_up_front():
-    # 299 interior breakpoints: 300 segments need 4800 nodes per axis for
-    # two levels, over the budget of 4096; no level may run
-    breaks = tuple(np.linspace(0.0, 1.0, 301)[1:-1])
-    calls = []
-
-    def factors(t, s):
-        calls.append(t.size)
-        return [np.ones_like(t)], [np.ones_like(s)]
-    with pytest.raises(QuadratureError, match="300 segments") as info:
-        integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
-    assert "4096" in str(info.value)
-    assert "nan" not in str(info.value)
-    assert calls == []
-    with pytest.raises(QuadratureError, match="300 segments"):
-        integrate(lambda t: t + 0j, 0.0, 1.0, breaks=breaks, node_budget=4096)
-
-
 def test_the_largest_split_that_fits_converges():
     # 256 segments run two levels in exactly 4096 nodes per axis; the kink
     # at 0.5 is one of the 255 breakpoints
@@ -224,3 +206,70 @@ def test_the_largest_split_that_fits_converges():
         return [np.abs(t - 0.5) + 0j], [np.abs(s - 0.5)]
     val = integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
     assert abs(val - 0.25 ** 2 / 2.0) <= 1e-14
+
+
+def test_a_long_split_grows_the_budget_to_three_levels():
+    # 299 interior breakpoints: 300 segments take 2400 nodes per axis at one
+    # panel each, so two levels would overrun the budget of 4096; the budget
+    # grows to the three levels of 1, 2 and 4 panels per segment, and the
+    # kink at 0.5 is one of the breakpoints
+    breaks = tuple(np.linspace(0.0, 1.0, 301)[1:-1])
+
+    def factors(t, s):
+        return [np.abs(t - 0.5) + 0j], [np.abs(s - 0.5)]
+    val = integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
+    assert abs(val - 0.25 ** 2 / 2.0) <= 1e-14
+    val = integrate(lambda t: np.abs(t - 0.5) + 0j, 0.0, 1.0, breaks=breaks,
+                    node_budget=4096)
+    assert abs(val - 0.25) <= 1e-14
+
+
+def test_a_stalled_long_split_names_the_grown_budget():
+    # 40 radians per panel at the last level: the rule cannot resolve the
+    # oscillation within the grown budget of 4 * 300 segments * 8 nodes
+    breaks = tuple(np.linspace(0.0, 1.0, 301)[1:-1])
+    seen = []
+
+    def factors(t, s):
+        seen.append(t.size)
+        return [np.exp(5e4j * t)], [np.ones_like(s)]
+    with pytest.raises(QuadratureError, match="within 9600 nodes per axis") as info:
+        integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
+    assert "nan" not in str(info.value)
+    assert sum(seen) == 300 * GAUSS_ORDER * (1 + 2 + 4)
+
+
+@pytest.mark.parametrize("rule", ["line", "triangle"])
+def test_each_set_of_a_batch_converges_on_its_own(rule):
+    # sets of increasing difficulty: each stops at the level it reaches
+    # alone, with the same bits, and later levels no longer evaluate it
+    rates = np.array([1.0, 30.0, 90.0])
+    batch = quadrature.Batch(len(rates))
+    evaluated = []
+
+    def rows(t, rate):
+        # two entries per set: an oscillation at the set's rate, and t
+        return np.stack(np.broadcast_arrays(np.exp(1j * np.multiply.outer(rate, t)), t),
+                        axis=-2)
+
+    def line(t):
+        evaluated.append(np.atleast_1d(np.arange(len(rates))[batch.index]))
+        return rows(t, rates[batch.index])
+
+    def factors(t, s):
+        evaluated.append(np.atleast_1d(np.arange(len(rates))[batch.index]))
+        return rows(t, rates[batch.index])[..., None, :], np.cos(s)[None, :]
+
+    if rule == "line":
+        together = integrate(line, 0.0, 1.0, batch=batch)
+        alone = [integrate(lambda t, r=r: rows(t, r), 0.0, 1.0) for r in rates]
+    else:
+        together = integrate_triangle(factors, 0.0, 1.0, batch=batch)
+        alone = [integrate_triangle(lambda t, s, r=r: (rows(t, r)[..., None, :],
+                                                       np.cos(s)[None, :]), 0.0, 1.0)
+                 for r in rates]
+    assert together.shape == (3, 2)
+    for got, want in zip(together, alone):
+        assert got.tobytes() == np.asarray(want, complex).tobytes()
+    levels = [sum(i in sets for sets in evaluated) for i in range(len(rates))]
+    assert levels[0] < levels[1] < levels[2]

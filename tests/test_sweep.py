@@ -240,8 +240,9 @@ def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
                      mode="both")
     rows = run_sweep(scenario, spec)
     assert all(row.error is None for row in rows)
-    # beam a: 2 triangles at every point; beam b: 2 triangles once
-    assert len(triangle_calls) == 2 * steps + 2
+    # beam a: its action and literal rows at all five resolutions in one
+    # triangle call each; beam b: 2 triangles once
+    assert len(triangle_calls) == 4
 
 
 def test_oracle_runs_once_per_point(monkeypatch):

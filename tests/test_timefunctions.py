@@ -111,6 +111,21 @@ def test_rescaled_matches_composition(spec):
                                      rel=1e-12, abs=1e-12)
 
 
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+                min_size=1, max_size=6),
+       st.floats(0.1, 10.0))
+@settings(max_examples=80, deadline=None)
+def test_polynomial_rescaled_by_the_identity_map_keeps_the_composed_bits(coefs, scale):
+    # an m_over_hbar_scale sweep rescales values only (origin 0, scale 1);
+    # skipping the composition must keep its bits, trailing zeros and -0.0
+    # included
+    composed = np.polynomial.Polynomial(np.asarray(coefs))(
+        np.polynomial.Polynomial([0.0, 1.0]))
+    want = tuple(float(c) * scale for c in composed.coef)
+    got = PolynomialFunction(tuple(coefs)).rescaled(0.0, 1.0, scale, (0.0, 1.0))
+    assert np.array(got.coefficients).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "constant", "value": 0.7},
     {"kind": "linear", "slope": -1.3, "intercept": 0.4},

@@ -61,7 +61,8 @@ def test_literal_i5_block_matches_printed_kernel(delta):
     scenario = make_scenario(a=RECORD, f=FRAME, delta_a=delta)
     p = scenario.params
     th = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * delta ** 2))
-    args = (scenario.beam_a, scenario.frame_profile, p, th)
-    nested = interference._literal_double_block(*args)
-    reference = printed_i5_block(*args)
+    rows = interference._literal_rows(scenario.beam_a, scenario.frame_profile, p.m,
+                                      p.hbar, p.tau_start, p.tau_end)
+    nested = interference._literal_double_block(rows, p, th)
+    reference = printed_i5_block(scenario.beam_a, scenario.frame_profile, p, th)
     assert abs(nested - reference) <= 1e-12 * abs(reference)
