@@ -31,9 +31,6 @@ from .interference import (
     InterferenceBreakdown,
     auxiliary_angles,
     decompose,
-    intensity,
-    phase_difference,
-    reduced_interference,
 )
 from .lattice import (
     ExtrapolationResult,
@@ -79,8 +76,8 @@ __all__ = [
     "SinusoidFunction", "StabilityError", "SweepSpec", "TabulatedFunction",
     "TimeFunction", "ValidationError", "auxiliary_angles",
     "build_time_function", "classical_action", "compare_modes",
-    "complex_frequency", "decompose", "emit_results", "intensity",
-    "mean_square", "oracle_propagator", "parse_config", "phase_difference",
-    "reduced_interference", "restricted_propagator", "richardson_extrapolate",
-    "run_sweep", "scenario_from_dict", "stationary_action", "validate_scenario",
+    "complex_frequency", "decompose", "emit_results", "mean_square",
+    "oracle_propagator", "parse_config", "restricted_propagator",
+    "richardson_extrapolate", "run_sweep", "scenario_from_dict",
+    "stationary_action", "validate_scenario",
 ]

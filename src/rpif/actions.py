@@ -295,8 +295,9 @@ class ActionRows:
         q1 = g*q1_f + q1_c,  q2 = g*q2_f + q2_c,
         q12 = g^2*q12_ff + g*q12_fc + q12_cc  (q12_fc holds both cross terms)
 
-    None of the rows depends on g, so a g sweep integrates them once.  Rows
-    integrated over several frequencies at once hold arrays of their shape.
+    None of the rows depends on g, so a g sweep integrates them once.
+    ``mean_square`` is the record's <c^2> over the window, which the
+    propagator's weight factor reads.
     """
 
     b1: complex
@@ -308,6 +309,7 @@ class ActionRows:
     q12_ff: complex
     q12_fc: complex
     q12_cc: complex
+    mean_square: float
 
     def at(self, g: float) -> ActionBlocks:
         return ActionBlocks(self.b1, self.b2, g * self.q1_f + self.q1_c,
@@ -316,11 +318,12 @@ class ActionRows:
 
 
 def _integrate_rows(kernels: ActionKernels, forces: Callable,
-                    t0: float, t1: float, breaks=()) -> ActionRows:
+                    t0: float, t1: float, breaks=()) -> tuple[np.ndarray, ...]:
     """The action quadratures of the force rows ``forces(t, sets)`` =
     (F_f, F_c), over a 1-D sequence of the kernels' frequencies: one line
-    call and one triangle call for all of them.  The rows hold arrays over
-    the frequencies."""
+    call and one triangle call for all of them.  Returns the fields of
+    ``ActionRows`` before ``mean_square``, each an array over the
+    frequencies."""
     single, batch = kernels.single, quadrature.Batch(len(kernels.b1))
 
     def line(t):
@@ -347,15 +350,14 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable,
 
     q12_ff, q12_fc, q12_cc = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks,
                                                            batch=batch).T
-    return ActionRows(kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c,
-                      q12_ff, q12_fc, q12_cc)
+    return (kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c, q12_ff, q12_fc, q12_cc)
 
 
 #: Entries per block cache, besides a sweep's batch.  The cached rows do not
-#: depend on g or on the endpoints, so a sweep reuses them between the mode
-#: rows of one point and across every point that leaves the beam, the frame
-#: and the units alone; one point needs two entries of a cache (one per
-#: beam), so eight catch all the reuse there is.
+#: depend on g or on the endpoints, so a sweep reuses them across every
+#: point that leaves the beam, the frame and the units alone; one point
+#: needs two entries of a cache (one per beam), so eight catch all the
+#: reuse there is.
 BLOCK_CACHE_SIZE = 8
 
 
@@ -426,7 +428,8 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
                        tau_end: float) -> list[ActionRows]:
     """The g-free action rows of beams that differ only in resolution: one
     line pass and one triangle pass per kernel branch.  None of the rows
-    depends on z1, z2 or g."""
+    depends on z1, z2 or g, and the beams share one record and window, so
+    one <c^2> serves them all."""
     params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
     T = params.duration
     ws = [ensure_stable(params, beam.resolution) for beam in beams]
@@ -440,31 +443,26 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
                              frame_profile, params)
         rows = _integrate_rows(kernels, forces, tau_start, tau_end,
                                frame_profile.breakpoints + beams[0].trajectory.breakpoints)
-        for i, values in zip(index, zip(*vars(rows).values())):
-            out[i] = ActionRows(*values)
-    return out
+        for i, values in zip(index, zip(*rows)):
+            out[i] = values
+    msq = mean_square(beams[0].trajectory, params)
+    return [ActionRows(*values, msq) for values in out]
 
 
 _action_rows = RowCache(_batch_action_rows)
 
 
+def _beam_rows(beam: BeamRecord, frame_profile: TimeFunction,
+               params: PhysicalParams) -> ActionRows:
+    """One beam's g-free action rows and <c^2>, through the row cache."""
+    return _action_rows(beam, frame_profile, params.m, params.hbar,
+                        params.tau_start, params.tau_end)
+
+
 def _action_blocks(beam: BeamRecord, frame_profile: TimeFunction,
                    params: PhysicalParams) -> ActionBlocks:
     """The three action quadratures of one beam at the params' g."""
-    rows = _action_rows(beam, frame_profile, params.m, params.hbar,
-                        params.tau_start, params.tau_end)
-    return rows.at(params.g)
-
-
-@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _record_mean_square(trajectory: TimeFunction, tau_start: float,
-                        tau_end: float) -> float:
-    """<c^2> over [tau_start, tau_end].
-
-    ``mean_square`` reads only the window from its params, so the cache is
-    keyed on the window alone and a g sweep computes <c^2> once per beam.
-    """
-    return mean_square(trajectory, PhysicalParams(1.0, 0.0, 1.0, tau_start, tau_end))
+    return _beam_rows(beam, frame_profile, params).at(params.g)
 
 
 def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
@@ -512,10 +510,10 @@ def _prefactor(w: complex, params: PhysicalParams) -> complex:
 
 
 def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
-                           action: ComplexAction) -> PropagatorValue:
-    """Assemble the three propagator factors around a precomputed action."""
+                           action: ComplexAction, msq: float) -> PropagatorValue:
+    """Assemble the three propagator factors around a precomputed action
+    and the record's mean square <c^2> (``ActionRows.mean_square``)."""
     w = ensure_stable(params, beam.resolution)
-    msq = _record_mean_square(beam.trajectory, params.tau_start, params.tau_end)
     weight_exponent = -2.0 * msq / beam.resolution ** 2
     phase_exponent = 1j * action.as_complex / params.hbar
     prefactor = _prefactor(w, params)
@@ -542,5 +540,6 @@ def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
 def restricted_propagator(beam: BeamRecord, frame_profile: TimeFunction,
                           params: PhysicalParams, z1: float, z2: float) -> PropagatorValue:
     """Full restricted propagator U(z2, z1) for one measured beam."""
-    action = classical_action(beam, frame_profile, params, z1, z2)
-    return propagator_from_action(beam, params, action)
+    rows = _beam_rows(beam, frame_profile, params)
+    action = classical_action(beam, frame_profile, params, z1, z2, blocks=rows.at(params.g))
+    return propagator_from_action(beam, params, action, rows.mean_square)

@@ -97,7 +97,7 @@ def _cmd_simulate(args) -> int:
         _report_violations(exc)
         return EXIT_CONFIG
 
-    rows = run_sweep(scenario, spec, jobs=args.jobs)
+    rows = run_sweep(scenario, spec)
     try:
         emit_results(rows, args.format, args.output if args.output else sys.stdout)
     except OSError as exc:

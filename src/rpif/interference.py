@@ -44,8 +44,8 @@ from .actions import (
     ActionBlocks,
     ComplexAction,
     RowCache,
-    _action_blocks,
     _action_rows,
+    _beam_rows,
     classical_action,
     ensure_stable,
     propagator_from_action,
@@ -99,22 +99,22 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _nd(scenario: Scenario) -> Scenario:
-    return nondimensional(scenario)
-
-
 def _omega(params, delta: float) -> float:
     return math.sqrt(4.0 * params.hbar / (params.m * params.duration * delta ** 2))
 
 
+def _paper_angle(params: PhysicalParams, delta: float) -> float:
+    """The printed angle theta = sqrt(2*pi*hbar*T/(m*delta^2))."""
+    return math.sqrt(2.0 * math.pi * params.hbar * params.duration / (params.m * delta ** 2))
+
+
 def auxiliary_angles(scenario: Scenario, mode: str = MODE_LITERAL) -> AuxiliaryAngles:
     _check_mode(mode)
-    nd = _nd(scenario)
+    nd = nondimensional(scenario)
     p = nd.params
     da, db = nd.beam_a.resolution, nd.beam_b.resolution
     if mode == MODE_LITERAL:
-        theta = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * da ** 2))
-        rho = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * db ** 2))
+        theta, rho = _paper_angle(p, da), _paper_angle(p, db)
     else:
         # |Re(wT)|, the angle the complex frequency actually implies
         theta = abs((ensure_stable(p, da) * p.duration).real)
@@ -305,13 +305,13 @@ def _derived_terms(nd: Scenario, a: ActionBlocks, b: ActionBlocks) -> tuple[floa
 # ---------------------------------------------------------------------------
 
 def fill_row_caches(points: Sequence[Scenario], modes: Sequence[str]) -> None:
-    """Compute the per-beam rows that ``decompose`` reads at every point, in
+    """Compute the per-beam rows that ``_evaluate`` reads at every point, in
     batches: each beam's rows at all the resolutions the points visit in
     one line pass and one triangle pass per kind of row.
 
     ``points`` are scenarios in internal units.  A resolution past the
-    stability guard is left out, as is a batch that fails; ``decompose``
-    then raises that point's own error.
+    stability guard is left out, as is a batch that fails; ``_evaluate``
+    then reports that point's own error.
     """
     keys = []
     for nd in points:
@@ -327,40 +327,67 @@ def fill_row_caches(points: Sequence[Scenario], modes: Sequence[str]) -> None:
         _literal_rows.fill(keys)
 
 
-def _beam_actions(nd: Scenario) -> tuple[ComplexAction, ComplexAction]:
-    sa = classical_action(nd.beam_a, nd.frame_profile, nd.params, nd.z1, nd.z2)
-    sb = classical_action(nd.beam_b, nd.frame_profile, nd.params, nd.z1, nd.z2)
-    return sa, sb
-
-
-def _amplitudes(nd: Scenario, sa: ComplexAction, sb: ComplexAction) -> tuple[complex, complex]:
-    """U_a and U_b; a failure names the beam it came from."""
+def _amplitudes(nd: Scenario, actions: Sequence[ComplexAction],
+                mean_squares: Sequence[float]) -> tuple[complex, complex]:
+    """U_a and U_b from the beams' actions and records' <c^2>; a failure
+    names the beam it came from."""
     out = []
-    for label, action in (("a", sa), ("b", sb)):
+    for label, action, msq in zip("ab", actions, mean_squares):
         try:
-            out.append(propagator_from_action(nd.beam(label), nd.params, action).amplitude)
+            out.append(propagator_from_action(nd.beam(label), nd.params, action,
+                                              msq).amplitude)
         except RpifError as exc:
             raise RpifError(f"beam_{label}: {exc}") from None
     return tuple(out)
 
 
-def phase_difference(scenario: Scenario) -> float:
-    """Re(S_a) - Re(S_b), computed from the actions, not the term formulas."""
-    sa, sb = _beam_actions(_nd(scenario))
-    return sa.s1 - sb.s1
+def _evaluate(nd: Scenario, modes: Sequence[str]
+              ) -> tuple[list[InterferenceBreakdown | RpifError], tuple[complex, complex] | None]:
+    """One point in internal units, in every mode of ``modes`` at once.
 
-
-def reduced_interference(scenario: Scenario) -> float:
-    nd = _nd(scenario)
-    sa, sb = _beam_actions(nd)
-    return math.cos((sa.s1 - sb.s1) / nd.params.hbar)
-
-
-def intensity(scenario: Scenario) -> float:
-    """|U_a + U_b|^2 with nothing dropped (weights, prefactors, damping)."""
-    nd = _nd(scenario)
-    ua, ub = _amplitudes(nd, *_beam_actions(nd))
-    return abs(ua + ub) ** 2
+    Returns each mode's breakdown, or the RpifError that failed it, and
+    the amplitudes (U_a, U_b), or None when every mode failed.  The
+    stability check, each beam's rows, the two actions and the two
+    amplitudes are computed once and shared by the modes; only the printed
+    i3..i5 rows are the literal mode's own, so their failure fails that
+    mode alone, and it is reported ahead of a failure of the shared part.
+    """
+    p, f = nd.params, nd.frame_profile
+    failed: dict[str, RpifError] = {}
+    try:
+        ensure_stable(p, nd.beam_a.resolution)
+        ensure_stable(p, nd.beam_b.resolution)
+        if MODE_LITERAL in modes:
+            try:
+                literal = _literal_terms(nd, _paper_angle(p, nd.beam_a.resolution),
+                                         _paper_angle(p, nd.beam_b.resolution))
+            except RpifError as exc:
+                failed[MODE_LITERAL] = exc
+                if len(modes) == 1:
+                    return [exc], None
+        rows = (_beam_rows(nd.beam_a, f, p), _beam_rows(nd.beam_b, f, p))
+        a, b = (beam_rows.at(p.g) for beam_rows in rows)
+        actions = (classical_action(nd.beam_a, f, p, nd.z1, nd.z2, blocks=a),
+                   classical_action(nd.beam_b, f, p, nd.z1, nd.z2, blocks=b))
+        ua, ub = _amplitudes(nd, actions, [beam_rows.mean_square for beam_rows in rows])
+    except RpifError as exc:
+        return [failed.get(mode, exc) for mode in modes], None
+    pd = actions[0].s1 - actions[1].s1
+    out: list[InterferenceBreakdown | RpifError] = []
+    for mode in modes:
+        if mode in failed:
+            out.append(failed[mode])
+            continue
+        i1, i2, i3, i4, i5 = literal if mode == MODE_LITERAL else _derived_terms(nd, a, b)
+        out.append(InterferenceBreakdown(
+            i1=i1, i2=i2, i3=i3, i4=i4, i5=i5,
+            phase_difference=pd,
+            reduced_i=math.cos(pd / p.hbar),
+            intensity=abs(ua + ub) ** 2,
+            mode=mode,
+            residual=abs(i1 + i2 + i3 + i4 + i5 - pd),
+        ))
+    return out, (ua, ub)
 
 
 def decompose(scenario: Scenario, mode: str = MODE_DERIVED) -> InterferenceBreakdown:
@@ -374,28 +401,7 @@ def decompose(scenario: Scenario, mode: str = MODE_DERIVED) -> InterferenceBreak
     reported as-is.
     """
     _check_mode(mode)
-    nd = _nd(scenario)
-    p, f = nd.params, nd.frame_profile
-    ensure_stable(p, nd.beam_a.resolution)
-    ensure_stable(p, nd.beam_b.resolution)
-    if mode == MODE_LITERAL:
-        theta = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * nd.beam_a.resolution ** 2))
-        rho = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * nd.beam_b.resolution ** 2))
-        terms = _literal_terms(nd, theta, rho)
-    # each beam's action rows, looked up once for the terms and the action
-    a, b = _action_blocks(nd.beam_a, f, p), _action_blocks(nd.beam_b, f, p)
-    if mode == MODE_DERIVED:
-        terms = _derived_terms(nd, a, b)
-    i1, i2, i3, i4, i5 = terms
-    sa = classical_action(nd.beam_a, f, p, nd.z1, nd.z2, blocks=a)
-    sb = classical_action(nd.beam_b, f, p, nd.z1, nd.z2, blocks=b)
-    pd = sa.s1 - sb.s1
-    ua, ub = _amplitudes(nd, sa, sb)
-    return InterferenceBreakdown(
-        i1=i1, i2=i2, i3=i3, i4=i4, i5=i5,
-        phase_difference=pd,
-        reduced_i=math.cos(pd / nd.params.hbar),
-        intensity=abs(ua + ub) ** 2,
-        mode=mode,
-        residual=abs(i1 + i2 + i3 + i4 + i5 - pd),
-    )
+    (result,), _ = _evaluate(nondimensional(scenario), (mode,))
+    if isinstance(result, RpifError):
+        raise result
+    return result

@@ -10,7 +10,6 @@ rescaling keeps double precision away from extremes like hbar ~ 1e-34.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -185,14 +184,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     return fixed
 
 
-@functools.lru_cache(maxsize=2)
 def nondimensional(scenario: Scenario) -> Scenario:
-    """``validate_scenario(scenario).nondimensionalized()``, memoized.
-
-    The mode rows of one sweep point and its oracle deviation all ask for
-    the same point in internal units, one after another, so the
-    validation and the rescaling of its time functions run once per point.
-    """
+    """The validated scenario in internal units."""
     return validate_scenario(scenario).nondimensionalized()
 
 

@@ -10,7 +10,6 @@ JSON-pointer paths and every violation is collected before reporting.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import io
 import json
 import os
@@ -20,9 +19,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, LatticeError, RpifError, ValidationError
-from .interference import MODE_DERIVED, MODE_LITERAL, decompose, fill_row_caches
+# decompose is not called here; perfbench/test_perfbench.py looks it up on
+# this module
+from .interference import (MODE_DERIVED, MODE_LITERAL, _evaluate, decompose,  # noqa: F401
+                           fill_row_caches)
 from .lattice import oracle_propagator
-from .actions import restricted_propagator
 from .scenario import Scenario, nondimensional, scenario_from_dict
 
 SWEEP_PARAMETERS = ("z2", "delta_a", "delta_b", "g", "m_over_hbar_scale")
@@ -203,86 +204,70 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scena
     raise RpifError(f"unknown sweep parameter {parameter!r}")
 
 
-#: the mode rows of one sweep point share its oracle deviation; sweeps run
-#: serially (``--jobs`` is accepted and ignored), so those rows are adjacent
-#: and one entry catches them
-_ORACLE_CACHE_SIZE = 1
-
-
-@functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
-def _oracle_deviation(nd: Scenario, schedule: Sequence[int]) -> float:
+def _oracle_deviation(nd: Scenario, amplitudes: tuple[complex, complex],
+                      schedule: Sequence[int]) -> float:
     """Max over beams of |closed - extrapolated| / |extrapolated| for a
-    scenario in internal units.  A beam whose lattice amplitude underflows
-    to 0 raises LatticeError, which fails that row only.
-
-    Depends on the point in internal units, not on the mode or the units,
-    so it runs once per point, and once for a run of points that differ
-    only in units (an ``m_over_hbar_scale`` sweep whose rescaling is exact).
+    scenario in internal units and its closed-form amplitudes (U_a, U_b).
+    A beam whose lattice amplitude underflows to 0 raises LatticeError.
     """
     worst = 0.0
-    for label in ("a", "b"):
+    for label, closed in zip("ab", amplitudes):
         extr = oracle_propagator(nd, label, schedule)
         if extr.value == 0:
             raise LatticeError(
                 f"beam_{label}: the lattice amplitude underflows to 0 on the "
                 f"schedule {','.join(map(str, schedule))}, so the oracle "
                 f"deviation is undefined")
-        closed = restricted_propagator(nd.beam(label), nd.frame_profile,
-                                       nd.params, nd.z1, nd.z2)
-        worst = max(worst, abs(closed.amplitude - extr.value) / abs(extr.value))
+        worst = max(worst, abs(closed - extr.value) / abs(extr.value))
     return worst
 
 
-def _evaluate_point(scenario: Scenario, spec: SweepSpec,
-                    value: float, mode: str) -> ResultRow:
-    try:
-        point = apply_sweep_value(scenario, spec.parameter, value)
-        br = decompose(point, mode)
-        dev = None
-        if spec.oracle_schedule:
-            dev = _oracle_deviation(nondimensional(point), spec.oracle_schedule)
-        return ResultRow(swept_value=value, mode=mode, intensity=br.intensity,
-                         reduced_i=br.reduced_i, i1=br.i1, i2=br.i2, i3=br.i3,
-                         i4=br.i4, i5=br.i5, phase_difference=br.phase_difference,
-                         residual=br.residual, oracle_dev=dev)
-    except RpifError as exc:
-        nan = float("nan")
-        return ResultRow(swept_value=value, mode=mode, intensity=nan, reduced_i=nan,
-                         i1=nan, i2=nan, i3=nan, i4=nan, i5=nan,
-                         phase_difference=nan, residual=nan, oracle_dev=None,
-                         error=f"{type(exc).__name__}: {exc}")
+def _point_rows(nd: Scenario | RpifError, spec: SweepSpec, value: float) -> list[ResultRow]:
+    """The rows of one point, one per mode, from one evaluation of the
+    point and at most one oracle deviation, which every mode row shares.
+    ``nd`` is the point in internal units, or the error that building it
+    raised; an error fails every row that has not failed on its own."""
+    modes = spec.modes()
+    if isinstance(nd, RpifError):
+        results, amplitudes = [nd] * len(modes), None
+    else:
+        results, amplitudes = _evaluate(nd, modes)
+    dev = None
+    if spec.oracle_schedule and amplitudes is not None:
+        try:
+            dev = _oracle_deviation(nd, amplitudes, spec.oracle_schedule)
+        except RpifError as exc:
+            results = [r if isinstance(r, RpifError) else exc for r in results]
+    rows = []
+    for mode, br in zip(modes, results):
+        if isinstance(br, RpifError):
+            rows.append(ResultRow(value, mode, *[float("nan")] * 9,
+                                  error=f"{type(br).__name__}: {br}"))
+        else:
+            rows.append(ResultRow(value, mode, br.intensity, br.reduced_i, br.i1, br.i2,
+                                  br.i3, br.i4, br.i5, br.phase_difference, br.residual, dev))
+    return rows
 
 
-def run_sweep(scenario: Scenario, spec: SweepSpec, jobs: int = 1) -> list[ResultRow]:
+def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[ResultRow]:
     """One row per sweep point per mode, in deterministic order.
 
-    Per-point failures (guard trips, quadrature stalls, invalid swept
-    values) are captured in the row's ``error`` field instead of aborting
-    the sweep.  Points run serially: ``jobs`` is accepted for callers that
-    pass it and has no effect, since threads only slowed sweeps down (the
-    work holds the interpreter lock and interleaved points defeat the
-    per-beam caches).
+    Every point is put into internal units once, the per-beam row caches
+    are filled for all the points at once (a swept resolution is
+    integrated once for the whole sweep), and each point is evaluated once
+    for all its modes.  Per-point failures (guard trips, quadrature stalls,
+    invalid swept values) are captured in the row's ``error`` field instead
+    of aborting the sweep.
     """
     values = [float(value) for value in spec.points()]
-    if spec.parameter in ("delta_a", "delta_b"):
-        _fill_resolution_sweep(scenario, spec, values)
-    return [_evaluate_point(scenario, spec, value, mode)
-            for value in values for mode in spec.modes()]
-
-
-def _fill_resolution_sweep(scenario: Scenario, spec: SweepSpec,
-                           values: Sequence[float]) -> None:
-    """Put every point of a resolution sweep into internal units and fill
-    the per-beam row caches for all of them in one call, so the swept beam
-    is integrated once for the whole sweep, not once per point.  A point
-    that fails here is left out; its own rows report the error."""
-    points = []
+    points: list[Scenario | RpifError] = []
     for value in values:
         try:
             points.append(nondimensional(apply_sweep_value(scenario, spec.parameter, value)))
-        except RpifError:
-            continue
-    fill_row_caches(points, spec.modes())
+        except RpifError as exc:
+            points.append(exc)
+    fill_row_caches([nd for nd in points if isinstance(nd, Scenario)], spec.modes())
+    return [row for nd, value in zip(points, values) for row in _point_rows(nd, spec, value)]
 
 
 def _fmt(value: float | None) -> str:
@@ -361,9 +346,13 @@ class ModeComparison:
 
 
 def compare_modes(scenario: Scenario) -> ModeComparison:
-    """Side-by-side breakdown in both modes for one scenario."""
-    return ModeComparison(literal=decompose(scenario, MODE_LITERAL),
-                          derived=decompose(scenario, MODE_DERIVED))
+    """Side-by-side breakdown in both modes for one scenario, from one
+    evaluation; a failure of either mode raises, the literal one first."""
+    results, _ = _evaluate(nondimensional(scenario), (MODE_LITERAL, MODE_DERIVED))
+    for result in results:
+        if isinstance(result, RpifError):
+            raise result
+    return ModeComparison(*results)
 
 
 def render_comparison(cmp: ModeComparison, stream=None) -> str:

@@ -42,12 +42,13 @@ class TimeFunction:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if self.domain is not None:
+        if self.domain is not None and arr.size:
             lo, hi = self.domain
             slack = _DOMAIN_SLACK * max(hi - lo, 1.0)
-            if np.any(arr < lo - slack) or np.any(arr > hi + slack):
+            t_min, t_max = arr.min(), arr.max()
+            if t_min < lo - slack or t_max > hi + slack:
                 raise ValidationError(
-                    [f"time {np.min(arr):g}..{np.max(arr):g} outside domain "
+                    [f"time {t_min:g}..{t_max:g} outside domain "
                      f"[{lo:g}, {hi:g}] for {self.kind} function"]
                 )
         out = self._values(arr)

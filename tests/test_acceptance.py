@@ -18,7 +18,6 @@ from rpif import (
     classical_action,
     decompose,
     oracle_propagator,
-    reduced_interference,
     restricted_propagator,
 )
 from rpif.cli import EXIT_OK, main
@@ -102,8 +101,8 @@ def test_criterion_05_symmetric_beam_null():
 
 
 def test_criterion_06_mass_hbar_scaling():
-    base = reduced_interference(make_scenario())
-    worst = max(abs(reduced_interference(make_scenario(m=lam, hbar=lam)) - base)
+    base = decompose(make_scenario()).reduced_i
+    worst = max(abs(decompose(make_scenario(m=lam, hbar=lam)).reduced_i - base)
                 for lam in (0.5, 2.0, 10.0))
     ok = worst <= 1e-9
     _check(6, "reduced interference invariant under (m, hbar) -> (lam*m, lam*hbar)",

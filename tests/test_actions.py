@@ -13,6 +13,7 @@ from rpif import (
 )
 from rpif.actions import (
     SMALL_WT_CROSSOVER,
+    ActionRows,
     ComplexAction,
     _force_rows,
     _integrate_rows,
@@ -205,7 +206,8 @@ def test_dispatch_uses_series_kernels_below_crossover():
     w = complex_frequency(p, 1e4)
     # a batch of one frequency, as the package integrates a single point
     forces = _force_rows(scenario.beam_a.trajectory, (1e4,), scenario.frame_profile, p)
-    rows = _integrate_rows(_kernels_series((w,), 1.0, 1.0), forces, 0.0, 1.0)
+    rows = ActionRows(*_integrate_rows(_kernels_series((w,), 1.0, 1.0), forces, 0.0, 1.0),
+                      0.0)
     series = rows.at(p.g).action(1.0, 0.0, 0.5)[0]
     dispatched = classical_action(scenario.beam_a, scenario.frame_profile,
                                   scenario.params, 0.0, 0.5)
@@ -295,7 +297,7 @@ def test_far_record_amplitude_from_the_combined_exponent():
 def test_non_finite_combined_exponent_names_the_beam(action):
     scenario = make_scenario()
     with pytest.raises(RpifError, match="restricted_propagator") as info:
-        _amplitudes(scenario, action, ComplexAction(0.0, 0.0))
+        _amplitudes(scenario, (action, ComplexAction(0.0, 0.0)), (0.01, 0.01))
     assert str(info.value).startswith("beam_a: ")
     assert "not finite" in str(info.value)
 

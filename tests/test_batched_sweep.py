@@ -36,8 +36,7 @@ RANGES = {"closed": (0.4, 3.0), "series": (250.0, 900.0), "crossing": (120.0, 32
 
 
 def _clear_row_caches():
-    for cached in (actions._action_rows, actions._record_mean_square,
-                   interference._literal_rows):
+    for cached in (actions._action_rows, interference._literal_rows):
         cached.cache_clear()
 
 

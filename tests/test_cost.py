@@ -28,8 +28,7 @@ from util import make_scenario
 
 
 def _clear_block_caches():
-    for cached in (actions._action_rows, actions._record_mean_square,
-                   interference._literal_rows):
+    for cached in (actions._action_rows, interference._literal_rows):
         cached.cache_clear()
 
 

@@ -9,11 +9,9 @@ from rpif import (
     RpifError,
     auxiliary_angles,
     decompose,
-    intensity,
-    phase_difference,
-    reduced_interference,
 )
-from rpif.interference import _literal_terms, _nd
+from rpif.interference import _literal_terms
+from rpif.scenario import nondimensional
 from rpif.sampling import random_scenario
 from rpif.timefunctions import (ConstantFunction, LinearFunction, PolynomialFunction,
                                TabulatedFunction)
@@ -176,7 +174,7 @@ def _linear_coefficient(scenario, which: str, delta=0.25):
     else:
         hi = dataclasses.replace(scenario, z1=0.0, z2=+delta)
         lo = dataclasses.replace(scenario, z1=0.0, z2=-delta)
-    return (phase_difference(hi) - phase_difference(lo)) / (2.0 * delta)
+    return (decompose(hi).phase_difference - decompose(lo).phase_difference) / (2.0 * delta)
 
 
 @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
@@ -235,7 +233,7 @@ def test_i5_derived_is_endpoint_free_part():
     scenario = make_scenario(z1=0.3, z2=0.5)
     at_origin = dataclasses.replace(scenario, z1=0.0, z2=0.0)
     assert decompose(scenario, MODE_DERIVED).i5 == pytest.approx(
-        phase_difference(at_origin), rel=1e-8)
+        decompose(at_origin).phase_difference, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +246,7 @@ def test_literal_forms_at_derived_angle_match_action_grouping():
     scenario = make_scenario(z1=0.3, z2=0.5,
                              a=PolynomialFunction((0.1, -0.2, 0.05)),
                              b=PolynomialFunction((-0.1, 0.15)))
-    nd = _nd(scenario)
+    nd = nondimensional(scenario)
     theta_d = _theta_derived(nd.beam_a.resolution)
     rho_d = _theta_derived(nd.beam_b.resolution)
     lit = _literal_terms(nd, theta_d, rho_d)
@@ -265,16 +263,17 @@ def test_literal_forms_at_derived_angle_match_action_grouping():
 def test_phase_difference_zero_for_identical_beams():
     scenario = make_scenario(delta_a=1.0, delta_b=1.0,
                              a=ConstantFunction(0.1), b=ConstantFunction(0.1))
-    assert phase_difference(scenario) == 0.0
+    assert decompose(scenario).phase_difference == 0.0
 
 
 def test_phase_difference_swap_antisymmetry():
     scenario = make_scenario()
-    assert abs(phase_difference(scenario) + phase_difference(scenario.swapped())) <= 1e-12
+    assert abs(decompose(scenario).phase_difference
+               + decompose(scenario.swapped()).phase_difference) <= 1e-12
 
 
 def test_phase_difference_baseline_frozen():
-    assert phase_difference(make_scenario()) == pytest.approx(
+    assert decompose(make_scenario()).phase_difference == pytest.approx(
         0.030111441588577398, rel=1e-9)
 
 
@@ -289,7 +288,7 @@ def test_phase_difference_baseline_against_lattice_oracle():
         ).as_complex) for n in (256, 512, 1024)]
         stationary[label] = richardson_extrapolate(seq).value
     oracle = (stationary["a"] - stationary["b"]).real
-    assert phase_difference(scenario) == pytest.approx(oracle, rel=1e-6)
+    assert decompose(scenario).phase_difference == pytest.approx(oracle, rel=1e-6)
 
 
 def test_dyadic_tabulated_record_decomposes_and_matches_the_lattice():
@@ -383,20 +382,20 @@ def test_tabulated_records_in_physical_units_match_internal_units(mode):
 def test_reduced_interference_identical_beams():
     scenario = make_scenario(delta_a=2.0, delta_b=2.0,
                              a=ConstantFunction(-0.1), b=ConstantFunction(-0.1))
-    assert reduced_interference(scenario) == 1.0
+    assert decompose(scenario).reduced_i == 1.0
 
 
 def test_reduced_interference_is_cosine_of_phase():
     scenario = make_scenario(z2=0.9)
-    assert reduced_interference(scenario) == pytest.approx(
-        math.cos(phase_difference(scenario)), rel=1e-14)
+    assert decompose(scenario).reduced_i == pytest.approx(
+        math.cos(decompose(scenario).phase_difference), rel=1e-14)
 
 
 def test_reduced_interference_in_bounds(rng):
     for _ in range(10):
         scenario = random_scenario(rng)
-        assert -1.0 <= reduced_interference(scenario) <= 1.0
-        assert intensity(scenario) >= 0.0
+        assert -1.0 <= decompose(scenario).reduced_i <= 1.0
+        assert decompose(scenario).intensity >= 0.0
 
 
 def test_intensity_coherent_doubling():
@@ -405,8 +404,8 @@ def test_intensity_coherent_doubling():
                              a=ConstantFunction(0.1), b=ConstantFunction(0.1))
     single = restricted_propagator(scenario.beam_a, scenario.frame_profile,
                                    scenario.params, scenario.z1, scenario.z2)
-    assert intensity(scenario) == pytest.approx(4.0 * abs(single.amplitude) ** 2,
-                                                rel=1e-12)
+    assert decompose(scenario).intensity == pytest.approx(4.0 * abs(single.amplitude) ** 2,
+                                                          rel=1e-12)
 
 
 def test_intensity_single_beam_limit():
@@ -416,11 +415,11 @@ def test_intensity_single_beam_limit():
     scenario = make_scenario(a=ConstantFunction(6.0), delta_a=0.5)
     other = restricted_propagator(scenario.beam_b, scenario.frame_profile,
                                   scenario.params, scenario.z1, scenario.z2)
-    assert intensity(scenario) == pytest.approx(abs(other.amplitude) ** 2, rel=1e-10)
+    assert decompose(scenario).intensity == pytest.approx(abs(other.amplitude) ** 2, rel=1e-10)
 
 
 def test_intensity_baseline_frozen():
-    assert intensity(make_scenario()) == pytest.approx(0.47322879385856004, rel=1e-9)
+    assert decompose(make_scenario()).intensity == pytest.approx(0.47322879385856004, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +499,6 @@ def test_resolution_difference_is_interference_source():
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
 def test_m_over_hbar_invariance(lam):
-    base = reduced_interference(make_scenario())
-    scaled = reduced_interference(make_scenario(m=lam, hbar=lam))
+    base = decompose(make_scenario()).reduced_i
+    scaled = decompose(make_scenario(m=lam, hbar=lam)).reduced_i
     assert scaled == pytest.approx(base, abs=1e-9)

@@ -142,14 +142,6 @@ def test_both_modes_two_rows_per_point():
     assert [row.mode for row in rows] == ["paper-literal", "derived"] * 2
 
 
-def test_jobs_do_not_change_rows():
-    scenario, _ = parse_config(_config())
-    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode="both")
-    serial = run_sweep(scenario, spec, jobs=1)
-    threaded = run_sweep(scenario, spec, jobs=3)
-    assert serial == threaded
-
-
 def test_guard_trips_recorded_per_row():
     scenario, _ = parse_config(_config())
     spec = SweepSpec(parameter="delta_a", start=0.02, stop=1.0, steps=3,
@@ -190,13 +182,16 @@ def test_oracle_deviation_small_on_baseline():
 # reuse of per-beam blocks across rows and points
 # ---------------------------------------------------------------------------
 
-def _count_calls(monkeypatch, module, name: str) -> list:
-    """Empty every block cache, then log each call of module.name."""
-    from rpif import actions, interference, lattice, sweep
-    for cached in (actions._action_rows, actions._record_mean_square,
-                   interference._literal_rows, sweep._oracle_deviation,
+def _clear_caches():
+    from rpif import actions, interference, lattice
+    for cached in (actions._action_rows, interference._literal_rows,
                    lattice._lattice_rows, lattice._midpoint_samples):
         cached.cache_clear()
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Empty every block cache, then log each call of module.name."""
+    _clear_caches()
     calls = []
     original = getattr(module, name)
 
@@ -256,18 +251,22 @@ def test_oracle_runs_once_per_point(monkeypatch):
     assert len(calls) == 3 * 2  # points x beams, not x modes
 
 
-def test_oracle_runs_once_for_points_equal_in_internal_units(monkeypatch):
+def test_oracle_reduces_once_for_points_equal_in_internal_units(monkeypatch):
     # with m = hbar = 1, scaling both by the same factor leaves hbar*T/m
-    # exactly 1, so every point is bit-identical in internal units and the
-    # oracle runs for the first point only
-    from rpif import sweep
+    # exactly 1, so every point is bit-identical in internal units: the
+    # oracle reads each point's lattice rows, but reduces each beam and
+    # samples each function only for the first point
+    from rpif import lattice, sweep
     calls = _count_calls(monkeypatch, sweep, "oracle_propagator")
     scenario, _ = parse_config(_config())
+    schedule = (64, 128, 256)
     spec = SweepSpec(parameter="m_over_hbar_scale", start=1.0, stop=4.0, steps=4,
-                     mode="both", oracle_schedule=(64, 128, 256))
+                     mode="both", oracle_schedule=schedule)
     rows = run_sweep(scenario, spec)
     assert len({row.oracle_dev for row in rows}) == 1
-    assert len(calls) == 2  # beams, not points x beams
+    assert len(calls) == 4 * 2  # points x beams, not x modes
+    assert lattice._lattice_rows.cache_info().misses == 2
+    assert lattice._midpoint_samples.cache_info().misses == 3 * len(schedule)
 
 
 @pytest.mark.parametrize("parameter", ["z2", "g"])
@@ -299,6 +298,62 @@ def test_oracle_delta_a_sweep_reduces_beam_b_once(monkeypatch):
     # beam a at every point, beam b once; no record changes, so no resampling
     assert lattice._lattice_rows.cache_info().misses == steps + 1
     assert lattice._midpoint_samples.cache_info().misses == 3 * 3
+
+
+def _count_everywhere(monkeypatch, functions) -> dict:
+    """Empty every block cache, then count the calls of each function at
+    every name of the package it is looked up by."""
+    import sys
+    _clear_caches()
+    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    modules = [m for k, m in sys.modules.items() if k == "rpif" or k.startswith("rpif.")]
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("sweep, oracle", [
+    ({"parameter": "delta_a", "start": 0.5, "stop": 2.5}, (512, 1024, 2048)),
+    ({"parameter": "z2", "start": 0.0, "stop": 1.0}, None),
+])
+def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, oracle):
+    # both modes and the oracle of a point share one action and one
+    # propagator per beam, and one validation
+    from rpif import actions, scenario as scenario_module
+    scenario, spec = parse_config(json.dumps({"sweep": {**sweep, "steps": 32,
+                                                        "mode": "both"}}))
+    spec = SweepSpec(spec.parameter, spec.start, spec.stop, spec.steps, spec.mode, oracle)
+    counts = _count_everywhere(monkeypatch, (actions.classical_action,
+                                             actions.propagator_from_action,
+                                             scenario_module.validate_scenario))
+    rows = run_sweep(scenario, spec)
+    assert len(rows) == 64 and all(row.error is None for row in rows)
+    assert counts == {"classical_action": 64, "propagator_from_action": 64,
+                      "validate_scenario": 32}
+
+
+def test_a_literal_failure_fails_only_the_literal_row(monkeypatch):
+    from rpif import QuadratureError, interference
+
+    def stall(*args):
+        raise QuadratureError("printed rows stalled")
+    _clear_caches()
+    monkeypatch.setattr(interference._literal_rows, "_compute", stall)
+    scenario, _ = parse_config(_config())
+    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode="both",
+                     oracle_schedule=(64, 128, 256))
+    rows = run_sweep(scenario, spec)
+    assert [row.mode for row in rows] == ["paper-literal", "derived"] * 3
+    for literal, derived in zip(rows[::2], rows[1::2]):
+        assert literal.error == "QuadratureError: printed rows stalled"
+        assert np.isnan(literal.intensity) and literal.oracle_dev is None
+        assert derived.error is None and derived.oracle_dev <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,18 @@ def test_domain_violation_raises():
         f(1.5)
 
 
+def test_domain_check_slack_edges_and_empty_input():
+    from rpif.timefunctions import _DOMAIN_SLACK
+    f = LinearFunction(2.0, 1.0, domain=(0.0, 1.0))
+    with pytest.raises(ValidationError,
+                       match=r"time 0\.5\.\.1 outside domain \[0, 1\] for linear function"):
+        f(np.array([0.5, 1.0 + 2.0 * _DOMAIN_SLACK]))
+    inside = np.array([-0.5 * _DOMAIN_SLACK, 0.5, 1.0 + 0.5 * _DOMAIN_SLACK])
+    assert np.array_equal(f(inside), 2.0 * inside + 1.0)
+    empty = f(np.empty(0))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
 def test_array_evaluation_shape():
     f = LinearFunction(1.0, 0.0)
     t = np.linspace(0.0, 1.0, 11).reshape(11, 1)
