@@ -31,7 +31,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -269,8 +269,7 @@ def action_kernels(w, m: float, T: float) -> ActionKernels:
     return _kernels_closed(w, m, T)
 
 
-@dataclass(frozen=True)
-class ActionBlocks:
+class ActionBlocks(NamedTuple):
     """One beam's action, grouped by endpoint dependence:
 
     S = (z1^2+z2^2)*b1 - 2*z1*z2*b2 + z1*q1 + z2*q2 - q12/m
@@ -361,6 +360,21 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable,
 BLOCK_CACHE_SIZE = 8
 
 
+class RowKey(tuple):
+    """A row-cache key (beam, frame profile, m, hbar, tau_start, tau_end)
+    that is hashed once: the beam and the frame profile are dataclasses,
+    hashed field by field every time.  It equals, and hashes like, the
+    plain tuple."""
+
+    def __new__(cls, fields):
+        key = super().__new__(cls, fields)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+
 class RowCache:
     """Per-beam rows keyed by (beam, frame profile, m, hbar, tau_start,
     tau_end), computed in batches.
@@ -371,11 +385,11 @@ class RowCache:
     entries.  ``fill`` computes the rows of a whole sweep, one batch per
     trajectory, and keeps the batch until a read needs rows from outside
     it, so every point of the sweep finds its rows there and the memory
-    held is that of the sweep being run.  A read that finds nothing
-    computes a batch of one.  The keys are frozen dataclasses and floats
-    compared by value, so a hit returns exactly the bits a recomputation
-    would; the lru cache and the batch, replaced whole, let threads share
-    the cache.
+    held is that of the sweep being run.  ``fill`` also returns each key's
+    rows, so a sweep needs no read.  A read that finds nothing computes a
+    batch of one.  The keys are frozen dataclasses and floats compared by
+    value, so a hit returns exactly the bits a recomputation would; the lru
+    cache and the batch, replaced whole, let threads share the cache.
     """
 
     def __init__(self, compute: Callable):
@@ -392,28 +406,38 @@ class RowCache:
         if rows is None:
             self._batch = {}
             rows, = self._compute((key[0],), *key[1:])
+        elif isinstance(rows, RpifError):
+            raise rows.with_traceback(None)
         return rows
 
-    def fill(self, keys) -> None:
+    def fill(self, keys: list) -> list:
         """Compute the rows of every key, one batch per trajectory, and keep
-        them as the batch; rows of the previous batch are kept, not
-        recomputed.  A batch that fails is left out: its keys are computed
-        one by one when they are read, and each raises its own error there.
+        them as the batch; entries of the previous batch are kept, not
+        recomputed.  A batch of one key that fails keeps its error, which
+        every read of that key raises.  A batch of several keys that fails
+        is left out: its keys are computed one by one when they are read,
+        and each raises its own error there.
+
+        Returns each key's entry: its rows, the error of its failed batch of
+        one, or None when it was left out.
         """
-        keys = list(dict.fromkeys(keys))
-        kept = self._batch
-        batch = {key: kept[key] for key in keys if key in kept}
-        groups: dict = {}
-        for key in keys:
-            if key not in batch:
+        kept, batch, groups = self._batch, {}, {}
+        for key in dict.fromkeys(keys):
+            rows = kept.get(key)
+            if rows is None:
                 groups.setdefault((key[0].trajectory, *key[1:]), []).append(key)
+            else:
+                batch[key] = rows
         for group in groups.values():
             try:
                 rows = self._compute(tuple(key[0] for key in group), *group[0][1:])
-            except RpifError:
+            except RpifError as exc:
+                if len(group) == 1:
+                    batch[group[0]] = exc.with_traceback(None)
                 continue
             batch.update(zip(group, rows))
         self._batch = batch
+        return [batch.get(key) for key in keys]
 
     def cache_info(self):
         return self._read.cache_info()
@@ -509,14 +533,11 @@ def _prefactor(w: complex, params: PhysicalParams) -> complex:
     return -root if math.cos(0.5 * arg - cmath.phase(root)) < 0.0 else root
 
 
-def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
-                           action: ComplexAction, msq: float) -> PropagatorValue:
-    """Assemble the three propagator factors around a precomputed action
-    and the record's mean square <c^2> (``ActionRows.mean_square``)."""
-    w = ensure_stable(params, beam.resolution)
-    weight_exponent = -2.0 * msq / beam.resolution ** 2
-    phase_exponent = 1j * action.as_complex / params.hbar
-    prefactor = _prefactor(w, params)
+def _amplitude(beam: BeamRecord, prefactor: complex, weight_exponent: float,
+               phase_exponent: complex) -> complex:
+    """prefactor * exp(weight_exponent + phase_exponent), one exp of the
+    combined exponent, or an RpifError naming the record when that is not
+    finite."""
     exponent = weight_exponent + phase_exponent
     try:
         amplitude = prefactor * cmath.exp(exponent)
@@ -527,6 +548,18 @@ def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
             f"restricted_propagator: exp(-2<c^2>/delta^2 + i*S/hbar) is not "
             f"finite for the {beam.trajectory.kind} record at resolution "
             f"{beam.resolution:g} (exponent {exponent:.6g})")
+    return amplitude
+
+
+def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
+                           action: ComplexAction, msq: float) -> PropagatorValue:
+    """Assemble the three propagator factors around a precomputed action
+    and the record's mean square <c^2> (``ActionRows.mean_square``)."""
+    w = ensure_stable(params, beam.resolution)
+    weight_exponent = -2.0 * msq / beam.resolution ** 2
+    phase_exponent = 1j * action.as_complex / params.hbar
+    prefactor = _prefactor(w, params)
+    amplitude = _amplitude(beam, prefactor, weight_exponent, phase_exponent)
     weight_norm = math.exp(weight_exponent)
     try:
         phase_factor = cmath.exp(phase_exponent)

@@ -33,22 +33,25 @@ residual are invariant under that rescaling.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import quadrature
 from .actions import (
     ActionBlocks,
-    ComplexAction,
+    ActionRows,
     RowCache,
+    RowKey,
     _action_rows,
-    _beam_rows,
+    _amplitude,
+    _ensure_finite,
+    _prefactor,
     classical_action,
     ensure_stable,
-    propagator_from_action,
 )
 from .errors import RpifError
 from .scenario import BeamRecord, PhysicalParams, Scenario, nondimensional
@@ -126,21 +129,6 @@ def auxiliary_angles(scenario: Scenario, mode: str = MODE_LITERAL) -> AuxiliaryA
 # ---------------------------------------------------------------------------
 # paper-literal closed forms
 # ---------------------------------------------------------------------------
-
-def _denom(th: float) -> float:
-    return 1.0 + math.exp(-4.0 * th) - 2.0 * math.exp(-2.0 * th) * math.cos(2.0 * th)
-
-
-def _bracket_i1(th: float) -> float:
-    return (1.0 - math.exp(-4.0 * th)
-            + 2.0 * math.exp(-2.0 * th) * math.sin(2.0 * th)) / _denom(th)
-
-
-def _bracket_i2(th: float) -> float:
-    e2 = math.exp(-2.0 * th)
-    num = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
-    return num / (math.exp(th) * _denom(th))
-
 
 def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
                         m: float, hbar: float, tau_start: float, tau_end: float
@@ -232,55 +220,92 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
 _literal_rows = RowCache(_batch_literal_rows)
 
 
-def _literal_linear_block(rows: tuple[np.ndarray, np.ndarray], p: PhysicalParams,
-                          th: float, anchor: str) -> float:
-    """One beam's contribution to i3 (anchor='end') or i4 (anchor='start'):
-    the printed pair of single integrals over the record and the frame
-    profile at the params' g, read off the beam's literal rows and weighted
-    by the hyperbolic theta prefactors.
+class _Printed(NamedTuple):
+    """One beam's printed-form numbers at the angle theta that depend on
+    neither g nor the endpoints: its i1 and i2 brackets over delta, the
+    hyperbolic weights of its i3/i4 and i5 blocks, its literal rows, and
+    the params' factors ``c1``, ``c2`` and ``mh`` of i1, i2 and i3..i5.
+    Each field is a number, or an array with one entry per point of a
+    group.
     """
-    (sin_f, sin_c), (cos_f, cos_c) = rows[0][0 if anchor == "end" else 1]
-    j_sin = sin_c - p.g * sin_f
-    j_cos = cos_c + p.g * cos_f
-    e2 = math.exp(-2.0 * th)
-    return (math.exp(-th) / _denom(th)) * ((1.0 - e2) * math.cos(th) * j_sin
-                                           - (1.0 + e2) * math.sin(th) * j_cos)
+
+    i1: float
+    i2: float
+    linear: float           # exp(-theta) / denom(theta)
+    w_cos: float            # (1 - e^{-2 theta}) cos theta
+    w_sin: float            # (1 + e^{-2 theta}) sin theta
+    double: float           # T exp(-theta) / (theta denom(theta))
+    w1: float
+    w2: float
+    # the line rows, anchored at the end (i3) and at the start (i4): the
+    # sin and cos integrals, each split into its f and c parts
+    end_sin_f: float
+    end_sin_c: float
+    end_cos_f: float
+    end_cos_c: float
+    start_sin_f: float
+    start_sin_c: float
+    start_cos_f: float
+    start_cos_c: float
+    # the triangle rows j1 and j2, at g^0, g^1 and g^2
+    j1_0: float
+    j1_1: float
+    j1_2: float
+    j2_0: float
+    j2_1: float
+    j2_2: float
+    c1: float
+    c2: float
+    mh: float
 
 
-def _literal_double_block(rows: tuple[np.ndarray, np.ndarray], p: PhysicalParams,
-                          th: float) -> float:
-    """One beam's contribution to i5, exactly as printed, at the params' g."""
-    g = p.g
-    j1, j2 = rows[1][:, 0] + g * (rows[1][:, 1] + g * rows[1][:, 2])
-    e2 = math.exp(-2.0 * th)
-    w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
-    w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
-    T = p.duration
-    return (T * math.exp(-th) / (th * _denom(th))) * (-w1 * j1 + w2 * j2)
+def _printed(rows: tuple[np.ndarray, np.ndarray], p: PhysicalParams, delta: float,
+             th: float) -> _Printed:
+    """The printed-form numbers of a beam at resolution ``delta`` with
+    literal rows ``rows``, at the angle ``th``, with
+
+        denom = 1 + e^{-4 theta} - 2 e^{-2 theta} cos(2 theta).
+    """
+    e2, e4 = math.exp(-2.0 * th), math.exp(-4.0 * th)
+    denom = 1.0 + e4 - 2.0 * e2 * math.cos(2.0 * th)
+    w_cos, w_sin = (1.0 - e2) * math.cos(th), (1.0 + e2) * math.sin(th)
+    return _Printed(
+        (1.0 - e4 + 2.0 * e2 * math.sin(2.0 * th)) / denom / delta,
+        (w_cos + w_sin) / (math.exp(th) * denom) / delta,
+        math.exp(-th) / denom, w_cos, w_sin,
+        p.duration * math.exp(-th) / (th * denom),
+        w_cos - w_sin, w_cos + w_sin,
+        *rows[0].ravel().tolist(), *rows[1].ravel().tolist(),
+        math.sqrt(p.m / (2.0 * p.hbar * p.duration)),
+        -math.sqrt(8.0 * p.m / (p.hbar * p.duration)), p.m / p.hbar)
 
 
-def _beam_literal_rows(nd: Scenario, label: str) -> tuple[np.ndarray, np.ndarray]:
-    p = nd.params
-    return _literal_rows(nd.beam(label), nd.frame_profile, p.m, p.hbar,
-                         p.tau_start, p.tau_end)
+def _printed_blocks(b: _Printed, g: float) -> tuple[float, float, float]:
+    """One beam's printed contributions at g: the pair of single integrals
+    anchored at the end (for i3) and at the start (for i4), and the double
+    integral (for i5), each weighted by its hyperbolic theta prefactors."""
+    def linear(sin_f, sin_c, cos_f, cos_c):
+        j_sin = sin_c - g * sin_f
+        j_cos = cos_c + g * cos_f
+        return b.linear * (b.w_cos * j_sin - b.w_sin * j_cos)
+
+    j1 = b.j1_0 + g * (b.j1_1 + g * b.j1_2)
+    j2 = b.j2_0 + g * (b.j2_1 + g * b.j2_2)
+    return (linear(b.end_sin_f, b.end_sin_c, b.end_cos_f, b.end_cos_c),
+            linear(b.start_sin_f, b.start_sin_c, b.start_cos_f, b.start_cos_c),
+            b.double * (-b.w1 * j1 + b.w2 * j2))
 
 
-def _literal_terms(nd: Scenario, theta: float, rho: float) -> tuple[float, ...]:
-    p = nd.params
-    da, db = nd.beam_a.resolution, nd.beam_b.resolution
-    z1, z2 = nd.z1, nd.z2
-    i1 = ((z1 * z1 + z2 * z2) * math.sqrt(p.m / (2.0 * p.hbar * p.duration))
-          * (_bracket_i1(theta) / da - _bracket_i1(rho) / db))
-    i2 = (-math.sqrt(8.0 * p.m / (p.hbar * p.duration)) * z1 * z2
-          * (_bracket_i2(theta) / da - _bracket_i2(rho) / db))
-    mh = p.m / p.hbar
-    a, b = _beam_literal_rows(nd, "a"), _beam_literal_rows(nd, "b")
-    i3 = mh * z1 * (-_literal_linear_block(a, p, theta, "end")
-                    + _literal_linear_block(b, p, rho, "end"))
-    i4 = mh * z2 * (_literal_linear_block(a, p, theta, "start")
-                    - _literal_linear_block(b, p, rho, "start"))
-    i5 = mh * (_literal_double_block(a, p, theta)
-               - _literal_double_block(b, p, rho))
+def _printed_terms(z1: float, z2: float, g: float, a: _Printed,
+                   b: _Printed) -> tuple[float, ...]:
+    """i1..i5 exactly as printed, from the two beams' printed-form numbers."""
+    end_a, start_a, double_a = _printed_blocks(a, g)
+    end_b, start_b, double_b = _printed_blocks(b, g)
+    i1 = (z1 * z1 + z2 * z2) * a.c1 * (a.i1 - b.i1)
+    i2 = a.c2 * z1 * z2 * (a.i2 - b.i2)
+    i3 = a.mh * z1 * (-end_a + end_b)
+    i4 = a.mh * z2 * (start_a - start_b)
+    i5 = a.mh * (double_a - double_b)
     return i1, i2, i3, i4, i5
 
 
@@ -288,106 +313,358 @@ def _literal_terms(nd: Scenario, theta: float, rho: float) -> tuple[float, ...]:
 # derived mode: the same grouping read off the oscillator action itself
 # ---------------------------------------------------------------------------
 
-def _derived_terms(nd: Scenario, a: ActionBlocks, b: ActionBlocks) -> tuple[float, ...]:
-    p = nd.params
-    z1, z2 = nd.z1, nd.z2
+def _derived_terms(z1: float, z2: float, m: float, a: ActionBlocks,
+                   b: ActionBlocks) -> tuple[float, ...]:
     i1 = (z1 * z1 + z2 * z2) * (a.b1 - b.b1).real
     i2 = -2.0 * z1 * z2 * (a.b2 - b.b2).real
     i3 = z1 * (a.q1 - b.q1).real
     i4 = z2 * (a.q2 - b.q2).real
-    free_a, free_b = -a.q12 / p.m, -b.q12 / p.m
+    free_a, free_b = -a.q12 / m, -b.q12 / m
     i5 = (free_a - free_b).real
     return i1, i2, i3, i4, i5
 
 
 # ---------------------------------------------------------------------------
-# public operations
+# evaluation of points
 # ---------------------------------------------------------------------------
 
-def fill_row_caches(points: Sequence[Scenario], modes: Sequence[str]) -> None:
-    """Compute the per-beam rows that ``_evaluate`` reads at every point, in
-    batches: each beam's rows at all the resolutions the points visit in
-    one line pass and one triangle pass per kind of row.
-
-    ``points`` are scenarios in internal units.  A resolution past the
-    stability guard is left out, as is a batch that fails; ``_evaluate``
-    then reports that point's own error.
-    """
-    keys = []
-    for nd in points:
-        p = nd.params
-        for beam in (nd.beam_a, nd.beam_b):
-            try:
-                ensure_stable(p, beam.resolution)
-            except RpifError:
-                continue
-            keys.append((beam, nd.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end))
-    _action_rows.fill(keys)
-    if MODE_LITERAL in modes:
-        _literal_rows.fill(keys)
+#: the fewest points that ``_evaluate`` computes as arrays rather than one
+#: by one
+VECTOR_POINTS = 8
 
 
-def _amplitudes(nd: Scenario, actions: Sequence[ComplexAction],
-                mean_squares: Sequence[float]) -> tuple[complex, complex]:
-    """U_a and U_b from the beams' actions and records' <c^2>; a failure
-    names the beam it came from."""
-    out = []
-    for label, action, msq in zip("ab", actions, mean_squares):
+class _Complex:
+    """Complex numbers held as a real and an imaginary part, each an array
+    over the points of a group, with the arithmetic of a numpy or Python
+    complex scalar: a real operand x counts as x + 0j, so a product keeps
+    its 0*im terms, and a quotient by x (nonzero: a mass) is multiplied by
+    1/(x + 0*(0/x)).  Every operation is real arithmetic, which arrays do
+    with the bits of scalars, so each point of a group gets the bits it
+    gets alone.  Only the operations the action blocks use are defined."""
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # so that ndarray * _Complex calls __rmul__
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other: "_Complex") -> "_Complex":
+        return _Complex(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other: "_Complex") -> "_Complex":
+        return _Complex(self.real - other.real, self.imag - other.imag)
+
+    def __neg__(self) -> "_Complex":
+        return _Complex(-self.real, -self.imag)
+
+    def __mul__(self, x) -> "_Complex":
+        return _Complex(x * self.real - 0.0 * self.imag, x * self.imag + 0.0 * self.real)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, x) -> "_Complex":
+        ratio = 0.0 / x
+        scale = 1.0 / (x + 0.0 * ratio)
+        return _Complex((self.real + self.imag * ratio) * scale,
+                        (self.imag - self.real * ratio) * scale)
+
+
+class _Beam:
+    """What every point that has this beam, frame profile and units reads,
+    computed once: the frequency (or the stability error), and on first
+    use the action rows with the prefactor and the weight exponent
+    -2<c^2>/delta^2, and the printed-form numbers.  A part whose rows fail
+    holds the RpifError instead."""
+
+    __slots__ = ("key", "params", "w", "error", "action_rows", "literal_rows",
+                 "_action", "_printed")
+
+    def __init__(self, key: RowKey, params: PhysicalParams):
+        self.key, self.params = key, params
+        self.w, self.error = None, None
+        # the row-cache entries the sweep's fill returned, if any
+        self.action_rows = self.literal_rows = None
+        self._action = self._printed = None
         try:
-            out.append(propagator_from_action(nd.beam(label), nd.params, action,
-                                              msq).amplitude)
+            self.w = ensure_stable(params, key[0].resolution)
         except RpifError as exc:
-            raise RpifError(f"beam_{label}: {exc}") from None
-    return tuple(out)
+            self.error = exc
 
-
-def _evaluate(nd: Scenario, modes: Sequence[str]
-              ) -> tuple[list[InterferenceBreakdown | RpifError], tuple[complex, complex] | None]:
-    """One point in internal units, in every mode of ``modes`` at once.
-
-    Returns each mode's breakdown, or the RpifError that failed it, and
-    the amplitudes (U_a, U_b), or None when every mode failed.  The
-    stability check, each beam's rows, the two actions and the two
-    amplitudes are computed once and shared by the modes; only the printed
-    i3..i5 rows are the literal mode's own, so their failure fails that
-    mode alone, and it is reported ahead of a failure of the shared part.
-    """
-    p, f = nd.params, nd.frame_profile
-    failed: dict[str, RpifError] = {}
-    try:
-        ensure_stable(p, nd.beam_a.resolution)
-        ensure_stable(p, nd.beam_b.resolution)
-        if MODE_LITERAL in modes:
+    @staticmethod
+    def _read(entry, cache: RowCache, key: RowKey):
+        if entry is None:
             try:
-                literal = _literal_terms(nd, _paper_angle(p, nd.beam_a.resolution),
-                                         _paper_angle(p, nd.beam_b.resolution))
+                return cache(*key)
             except RpifError as exc:
-                failed[MODE_LITERAL] = exc
-                if len(modes) == 1:
-                    return [exc], None
-        rows = (_beam_rows(nd.beam_a, f, p), _beam_rows(nd.beam_b, f, p))
-        a, b = (beam_rows.at(p.g) for beam_rows in rows)
-        actions = (classical_action(nd.beam_a, f, p, nd.z1, nd.z2, blocks=a),
-                   classical_action(nd.beam_b, f, p, nd.z1, nd.z2, blocks=b))
-        ua, ub = _amplitudes(nd, actions, [beam_rows.mean_square for beam_rows in rows])
+                return exc
+        return entry
+
+    def action(self) -> tuple[ActionRows, complex, float] | RpifError:
+        if self._action is None:
+            rows = self._read(self.action_rows, _action_rows, self.key)
+            if isinstance(rows, RpifError):
+                self._action = rows
+            else:
+                delta = self.key[0].resolution
+                self._action = (rows, _prefactor(self.w, self.params),
+                                -2.0 * rows.mean_square / delta ** 2)
+        return self._action
+
+    def printed(self) -> _Printed | RpifError:
+        if self._printed is None:
+            rows = self._read(self.literal_rows, _literal_rows, self.key)
+            if isinstance(rows, RpifError):
+                self._printed = rows
+            else:
+                delta = self.key[0].resolution
+                self._printed = _printed(rows, self.params, delta,
+                                         _paper_angle(self.params, delta))
+        return self._printed
+
+
+def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam, _Beam]]:
+    """Each point's two beams, one ``_Beam`` per distinct (beam, frame
+    profile, units), after filling the row caches for every stable one: each
+    beam's rows at all the resolutions the points visit in one line pass and
+    one triangle pass per kind of row."""
+    by_key: dict = {}
+    seen: dict = {}   # by object identity first, so a shared beam is hashed once
+    pairs = []
+    for nd in points:
+        p, f = nd.params, nd.frame_profile
+        units = (p.m, p.hbar, p.tau_start, p.tau_end)
+        pair = []
+        for beam in (nd.beam_a, nd.beam_b):
+            ident = (id(beam), id(f), *units)
+            found = seen.get(ident)
+            if found is None:
+                key = RowKey((beam, f, *units))
+                found = by_key.get(key)
+                if found is None:
+                    found = by_key[key] = _Beam(key, p)
+                seen[ident] = found
+            pair.append(found)
+        pairs.append(tuple(pair))
+    stable = [beam for beam in by_key.values() if beam.error is None]
+    keys = [beam.key for beam in stable]
+    for beam, entry in zip(stable, _action_rows.fill(keys)):
+        beam.action_rows = entry
+    if MODE_LITERAL in modes:
+        for beam, entry in zip(stable, _literal_rows.fill(keys)):
+            beam.literal_rows = entry
+    return pairs
+
+
+def _pair(first, second):
+    """The parts ``first()`` and ``second()`` of a point's two beams, or the
+    RpifError of the first that failed; ``second`` is not called when
+    ``first`` failed."""
+    part = first()
+    if isinstance(part, RpifError):
+        return part
+    other = second()
+    return other if isinstance(other, RpifError) else (part, other)
+
+
+def _named_amplitude(label: str, beam: BeamRecord, prefactor: complex,
+                     weight_exponent: float, action: complex, hbar: float) -> complex:
+    """The amplitude of beam ``label`` from its action; a failure names the
+    beam."""
+    try:
+        return _amplitude(beam, prefactor, weight_exponent, 1j * action / hbar)
     except RpifError as exc:
-        return [failed.get(mode, exc) for mode in modes], None
-    pd = actions[0].s1 - actions[1].s1
-    out: list[InterferenceBreakdown | RpifError] = []
-    for mode in modes:
-        if mode in failed:
-            out.append(failed[mode])
+        raise RpifError(f"beam_{label}: {exc}") from None
+
+
+class _Group:
+    """Points evaluated together: g, z1, z2 and m, and each beam's action
+    rows and printed-form numbers, as numbers for a group of one point and
+    as arrays over the points otherwise."""
+
+    def __init__(self, points: Sequence[Scenario], pairs: Sequence[tuple[_Beam, _Beam]]):
+        self.points, self.pairs = points, pairs
+        self.g, self.z1, self.z2, self.m = (
+            _grouped(column) for column in
+            zip(*[(nd.params.g, nd.z1, nd.z2, nd.params.m) for nd in points]))
+
+    def _rows(self, side: int) -> ActionRows:
+        rows = [pair[side].action()[0] for pair in self.pairs]
+        if len(rows) == 1:
+            return rows[0]
+        table = np.array([[r.b1, r.b2, r.q1_f, r.q1_c, r.q2_f, r.q2_c, r.q12_ff, r.q12_fc,
+                           r.q12_cc] for r in rows])
+        return ActionRows(*(_Complex(column.real, column.imag) for column in table.T),
+                          mean_square=None)
+
+    def _printed(self, side: int) -> _Printed:
+        printed = [pair[side].printed() for pair in self.pairs]
+        return printed[0] if len(printed) == 1 else _Printed(*np.array(printed).T)
+
+    def blocks(self) -> tuple[ActionBlocks, ActionBlocks]:
+        """Each beam's action blocks at the points' g."""
+        return self._rows(0).at(self.g), self._rows(1).at(self.g)
+
+    def actions(self, blocks: tuple[ActionBlocks, ActionBlocks]
+                ) -> list[tuple[complex, complex] | RpifError]:
+        """Each point's two actions, as Python complex numbers, or the
+        RpifError of the first that is not finite.  A point alone gets them
+        from ``classical_action``."""
+        if len(self.points) == 1:
+            (nd,), (pair,) = self.points, self.pairs
+            try:
+                return [tuple(classical_action(beam.key[0], nd.frame_profile, nd.params,
+                                               nd.z1, nd.z2, blocks=block).as_complex
+                              for beam, block in zip(pair, blocks))]
+            except RpifError as exc:
+                return [exc]
+        values = [block.action(self.m, self.z1, self.z2) for block in blocks]
+        out: list = []
+        for point in zip(*(map(complex, value.real.tolist(), value.imag.tolist())
+                           for value in values)):
+            try:
+                for value in point:
+                    if not cmath.isfinite(value):
+                        _ensure_finite(np.complex128(value), "classical_action")
+            except RpifError as exc:
+                point = exc
+            out.append(point)
+        return out
+
+    def derived(self, blocks: tuple[ActionBlocks, ActionBlocks]) -> tuple:
+        return _derived_terms(self.z1, self.z2, self.m, *blocks)
+
+    def literal(self) -> tuple:
+        return _printed_terms(self.z1, self.z2, self.g, self._printed(0), self._printed(1))
+
+
+def _grouped(values: Sequence[float]):
+    """Numbers of the points of a group: the number of a group of one, else
+    an array."""
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+def _listed(value) -> list[float]:
+    """A group's numbers, one per point."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value]
+
+
+def _failure(modes: Sequence[str], error: RpifError,
+             literal_error: RpifError | None) -> list[RpifError]:
+    """Every mode's result of a point that failed with ``error``: the
+    literal mode keeps its own earlier failure, if it had one."""
+    return [literal_error or error if mode == MODE_LITERAL else error for mode in modes]
+
+
+def _amplitudes(nd: Scenario, a: _Beam, b: _Beam, actions: Sequence[complex]
+                ) -> tuple[complex, complex]:
+    """U_a and U_b of a point from its two actions."""
+    (_, prefactor_a, weight_a), (_, prefactor_b, weight_b) = a.action(), b.action()
+    return (_named_amplitude("a", a.key[0], prefactor_a, weight_a, actions[0], nd.params.hbar),
+            _named_amplitude("b", b.key[0], prefactor_b, weight_b, actions[1], nd.params.hbar))
+
+
+def _evaluate(points: Sequence[Scenario], modes: Sequence[str]
+              ) -> list[tuple[list[tuple | RpifError], tuple[complex, complex] | None]]:
+    """Points in internal units, each in every mode of ``modes``.
+
+    For each point returns each mode's numbers (``_ROW_NUMBERS``), or the
+    RpifError that failed it, and the amplitudes (U_a, U_b), or None when
+    every mode failed.  Everything that depends on neither g nor the
+    endpoints is computed once per distinct beam (``_Beam``).  The points
+    are then evaluated together: their rows at g, actions and terms as
+    array arithmetic that gives each point the bits it gets alone
+    (``_Complex``), and per point only the two amplitudes, the intensity and
+    reduced_i.  The modes share the stability check, the actions and the
+    amplitudes; only the printed i3..i5 rows are the literal mode's own, so
+    their failure fails that mode alone, and it is reported ahead of a
+    failure of the shared part.
+    """
+    pairs = _beams(points, modes)
+    out: list = [None] * len(points)
+    failed: dict[int, RpifError] = {}   # a point's literal-mode failure
+    live = []                           # the points that reach their actions
+    for i, (a, b) in enumerate(pairs):
+        error = a.error or b.error
+        if error is None and MODE_LITERAL in modes:
+            printed = _pair(a.printed, b.printed)
+            if isinstance(printed, RpifError):
+                failed[i] = printed
+                if len(modes) == 1:
+                    error = printed
+        if error is None:
+            actions = _pair(a.action, b.action)
+            if isinstance(actions, RpifError):
+                error = actions
+        if error is None:
+            live.append(i)
+        else:
+            out[i] = (_failure(modes, error, failed.get(i)), None)
+    # a few points cost less one by one than as arrays
+    groups = [live] if len(live) >= VECTOR_POINTS else [[i] for i in live]
+    for indices in groups:
+        _evaluate_group(points, pairs, indices, modes, failed, out)
+    return out
+
+
+def _evaluate_group(points: Sequence[Scenario], pairs: Sequence[tuple[_Beam, _Beam]],
+                    members: list[int], modes: Sequence[str], failed: dict[int, RpifError],
+                    out: list) -> None:
+    """The points ``members`` of ``_evaluate`` as one group: their actions,
+    amplitudes and terms, written into ``out``."""
+    def group(indices):
+        return _Group([points[i] for i in indices], [pairs[i] for i in indices])
+
+    whole = group(members)
+    blocks = whole.blocks()
+    shared = {}   # pd, intensity, reduced_i and the amplitudes of each point
+    for i, actions in zip(members, whole.actions(blocks)):
+        nd = points[i]
+        if not isinstance(actions, RpifError):
+            try:
+                ua, ub = _amplitudes(nd, *pairs[i], actions)
+            except RpifError as exc:
+                actions = exc
+        if isinstance(actions, RpifError):
+            out[i] = (_failure(modes, actions, failed.get(i)), None)
             continue
-        i1, i2, i3, i4, i5 = literal if mode == MODE_LITERAL else _derived_terms(nd, a, b)
-        out.append(InterferenceBreakdown(
-            i1=i1, i2=i2, i3=i3, i4=i4, i5=i5,
-            phase_difference=pd,
-            reduced_i=math.cos(pd / p.hbar),
-            intensity=abs(ua + ub) ** 2,
-            mode=mode,
-            residual=abs(i1 + i2 + i3 + i4 + i5 - pd),
-        ))
-    return out, (ua, ub)
+        pd = actions[0].real - actions[1].real
+        shared[i] = (pd, abs(ua + ub) ** 2, math.cos(pd / nd.params.hbar), (ua, ub))
+
+    # each mode's terms and residual, over the points it has
+    terms = {}
+    for mode in modes:
+        indices = [i for i in shared if mode != MODE_LITERAL or i not in failed]
+        if not indices:
+            continue
+        if mode == MODE_LITERAL:
+            i1, i2, i3, i4, i5 = group(indices).literal()
+        elif indices == members:
+            i1, i2, i3, i4, i5 = whole.derived(blocks)
+        else:
+            subgroup = group(indices)
+            i1, i2, i3, i4, i5 = subgroup.derived(subgroup.blocks())
+        residual = abs(i1 + i2 + i3 + i4 + i5 - _grouped([shared[i][0] for i in indices]))
+        terms[mode] = dict(zip(indices, zip(*map(_listed, (i1, i2, i3, i4, i5, residual)))))
+    for i, (pd, intensity, reduced_i, amplitudes) in shared.items():
+        results = []
+        for mode in modes:
+            if mode in terms and i in terms[mode]:
+                i1, i2, i3, i4, i5, residual = terms[mode][i]
+                results.append((intensity, reduced_i, i1, i2, i3, i4, i5, pd, residual))
+            else:
+                results.append(failed[i])
+        out[i] = (results, amplitudes)
+
+
+#: what ``_evaluate`` gives for each mode of a point, in the order of the
+#: CSV columns
+_ROW_NUMBERS = ("intensity", "reduced_i", "i1", "i2", "i3", "i4", "i5",
+                "phase_difference", "residual")
+
+
+def _breakdown(mode: str, numbers: Sequence[float]) -> InterferenceBreakdown:
+    """The breakdown of one mode from its ``_ROW_NUMBERS``."""
+    return InterferenceBreakdown(mode=mode, **dict(zip(_ROW_NUMBERS, numbers)))
 
 
 def decompose(scenario: Scenario, mode: str = MODE_DERIVED) -> InterferenceBreakdown:
@@ -401,7 +678,7 @@ def decompose(scenario: Scenario, mode: str = MODE_DERIVED) -> InterferenceBreak
     reported as-is.
     """
     _check_mode(mode)
-    (result,), _ = _evaluate(nondimensional(scenario), (mode,))
+    [((result,), _)] = _evaluate([nondimensional(scenario)], (mode,))
     if isinstance(result, RpifError):
         raise result
-    return result
+    return _breakdown(mode, result)

@@ -73,6 +73,12 @@ class Scenario:
         p = self.params
         return math.sqrt(p.hbar * p.duration / p.m)
 
+    @property
+    def gravity_scale(self) -> float:
+        """Factor sqrt(m*T^3/hbar) that puts g into internal units."""
+        p = self.params
+        return math.sqrt(p.m * p.duration ** 3 / p.hbar)
+
     def is_nondimensional(self) -> bool:
         p = self.params
         return (p.m == 1.0 and p.hbar == 1.0
@@ -91,7 +97,7 @@ class Scenario:
         p = self.params
         T = p.duration
         L = self.length_scale
-        g_hat = p.g * math.sqrt(p.m * T ** 3 / p.hbar)
+        g_hat = p.g * self.gravity_scale
         dom = (0.0, 1.0)
 
         def beam_hat(beam: BeamRecord) -> BeamRecord:
@@ -122,12 +128,26 @@ def mean_square(c: TimeFunction, params: PhysicalParams) -> float:
     return float(val.real) / T
 
 
+def _check_gravity(g: float, out: list[str]) -> None:
+    if not np.isfinite(g) or g < 0:
+        out.append(f"params.g: must be >= 0 and finite, got {g!r}")
+
+
+def _check_endpoint(name: str, value: float, out: list[str]) -> None:
+    if not np.isfinite(value):
+        out.append(f"{name}: must be finite, got {value!r}")
+
+
+def _check_resolution(name: str, value: float, out: list[str]) -> None:
+    if not (np.isfinite(value) and value > 0):
+        out.append(f"{name}.resolution: must be a positive finite number, got {value!r}")
+
+
 def _check_params(p: PhysicalParams, out: list[str]) -> None:
     for name, value in (("params.m", p.m), ("params.hbar", p.hbar)):
         if not (np.isfinite(value) and value > 0):
             out.append(f"{name}: must be a positive finite number, got {value!r}")
-    if not np.isfinite(p.g) or p.g < 0:
-        out.append(f"params.g: must be >= 0 and finite, got {p.g!r}")
+    _check_gravity(p.g, out)
     if not (np.isfinite(p.tau_start) and np.isfinite(p.tau_end)):
         out.append("params.tau_start/tau_end: must be finite")
     elif p.tau_end <= p.tau_start:
@@ -146,15 +166,10 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     out: list[str] = []
     p = scenario.params
     _check_params(p, out)
-
-    for name, value in (("z1", scenario.z1), ("z2", scenario.z2)):
-        if not np.isfinite(value):
-            out.append(f"{name}: must be finite, got {value!r}")
-
-    for name, beam in (("beam_a", scenario.beam_a), ("beam_b", scenario.beam_b)):
-        if not (np.isfinite(beam.resolution) and beam.resolution > 0):
-            out.append(f"{name}.resolution: must be a positive finite number, "
-                       f"got {beam.resolution!r}")
+    _check_endpoint("z1", scenario.z1, out)
+    _check_endpoint("z2", scenario.z2, out)
+    _check_resolution("beam_a", scenario.beam_a.resolution, out)
+    _check_resolution("beam_b", scenario.beam_b.resolution, out)
 
     domain_ok = p.tau_end > p.tau_start and np.isfinite(p.tau_start) and np.isfinite(p.tau_end)
     fixed = scenario

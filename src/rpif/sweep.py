@@ -14,17 +14,27 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, LatticeError, RpifError, ValidationError
 # decompose is not called here; perfbench/test_perfbench.py looks it up on
 # this module
-from .interference import (MODE_DERIVED, MODE_LITERAL, _evaluate, decompose,  # noqa: F401
-                           fill_row_caches)
+from .interference import MODE_DERIVED, MODE_LITERAL, _breakdown, _evaluate, decompose  # noqa: F401
 from .lattice import oracle_propagator
-from .scenario import Scenario, nondimensional, scenario_from_dict
+from .scenario import (
+    BeamRecord,
+    PhysicalParams,
+    Scenario,
+    _check_endpoint,
+    _check_gravity,
+    _check_params,
+    _check_resolution,
+    nondimensional,
+    scenario_from_dict,
+    validate_scenario,
+)
 
 SWEEP_PARAMETERS = ("z2", "delta_a", "delta_b", "g", "m_over_hbar_scale")
 MODE_CHOICES = ("literal", "derived", "both")
@@ -54,8 +64,10 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One row of a sweep: a point in one mode, with the CSV columns as
+    fields and ``error`` set (and the numbers NaN) when the row failed."""
+
     swept_value: float
     mode: str
     intensity: float
@@ -222,16 +234,78 @@ def _oracle_deviation(nd: Scenario, amplitudes: tuple[complex, complex],
     return worst
 
 
-def _point_rows(nd: Scenario | RpifError, spec: SweepSpec, value: float) -> list[ResultRow]:
-    """The rows of one point, one per mode, from one evaluation of the
-    point and at most one oracle deviation, which every mode row shares.
-    ``nd`` is the point in internal units, or the error that building it
-    raised; an error fails every row that has not failed on its own."""
-    modes = spec.modes()
-    if isinstance(nd, RpifError):
-        results, amplitudes = [nd] * len(modes), None
+#: a value of each sweep parameter that any scenario takes, for validating
+#: the rest of the scenario once per sweep
+_NEUTRAL = {"z2": 0.0, "delta_a": 1.0, "delta_b": 1.0, "g": 0.0, "m_over_hbar_scale": 1.0}
+
+
+def _internal_point(base: Scenario, nd: Scenario, parameter: str, value: float) -> Scenario:
+    """The sweep point at ``value`` in internal units, from the validated
+    scenario ``base`` and ``nd``, the same in internal units.  Only the swept
+    value is checked, with the message validation gives it, and only its
+    part of ``Scenario.nondimensionalized`` is redone: z2/L, delta/L or
+    g*sqrt(m*T^3/hbar)."""
+    problems: list[str] = []
+    if parameter == "m_over_hbar_scale":
+        # L and g in internal units may move in the last bit: rescale in full
+        scaled = apply_sweep_value(base, parameter, value)
+        _check_params(scaled.params, problems)
+        if problems:
+            raise ValidationError(problems)
+        return scaled.nondimensionalized()
+    p, z2, beam_a, beam_b = nd.params, nd.z2, nd.beam_a, nd.beam_b
+    if parameter == "z2":
+        _check_endpoint("z2", value, problems)
+        z2 = value / base.length_scale
+    elif parameter == "delta_a":
+        _check_resolution("beam_a", value, problems)
+        beam_a = BeamRecord(beam_a.trajectory, value / base.length_scale)
+    elif parameter == "delta_b":
+        _check_resolution("beam_b", value, problems)
+        beam_b = BeamRecord(beam_b.trajectory, value / base.length_scale)
     else:
-        results, amplitudes = _evaluate(nd, modes)
+        _check_gravity(value, problems)
+        p = PhysicalParams(p.m, value * base.gravity_scale, p.hbar, p.tau_start, p.tau_end)
+    if problems:
+        raise ValidationError(problems)
+    return Scenario(p, nd.z1, z2, nd.frame_profile, beam_a, beam_b)
+
+
+def _internal_points(scenario: Scenario, parameter: str,
+                     values: Sequence[float]) -> list[Scenario | RpifError]:
+    """Every point of a sweep in internal units, or the error that building
+    it raised.  The scenario is validated and put into internal units once,
+    with the swept field at a neutral value.  A scenario whose other fields
+    are invalid (or an unknown parameter) is instead validated at every
+    point, so that each point reports all its own violations."""
+    base = None
+    if parameter in _NEUTRAL:
+        try:
+            base = validate_scenario(apply_sweep_value(scenario, parameter, _NEUTRAL[parameter]))
+        except ValidationError:
+            pass
+        else:
+            nd = base.nondimensionalized()
+    points: list[Scenario | RpifError] = []
+    for value in values:
+        try:
+            if base is None:
+                points.append(nondimensional(apply_sweep_value(scenario, parameter, value)))
+            else:
+                points.append(_internal_point(base, nd, parameter, value))
+        except RpifError as exc:
+            points.append(exc)
+    return points
+
+
+def _point_rows(nd: Scenario | RpifError, spec: SweepSpec, value: float,
+                results: list, amplitudes: tuple[complex, complex] | None) -> list[ResultRow]:
+    """The rows of one point, one per mode, from each mode's numbers or
+    error and at most one oracle deviation, which every mode row shares.
+    ``nd`` is the point in internal units, or the error that building it
+    raised; an oracle error fails every row that has not failed on its
+    own."""
+    modes = spec.modes()
     dev = None
     if spec.oracle_schedule and amplitudes is not None:
         try:
@@ -244,47 +318,49 @@ def _point_rows(nd: Scenario | RpifError, spec: SweepSpec, value: float) -> list
             rows.append(ResultRow(value, mode, *[float("nan")] * 9,
                                   error=f"{type(br).__name__}: {br}"))
         else:
-            rows.append(ResultRow(value, mode, br.intensity, br.reduced_i, br.i1, br.i2,
-                                  br.i3, br.i4, br.i5, br.phase_difference, br.residual, dev))
+            rows.append(ResultRow(value, mode, *br, dev))
     return rows
 
 
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[ResultRow]:
     """One row per sweep point per mode, in deterministic order.
 
-    Every point is put into internal units once, the per-beam row caches
-    are filled for all the points at once (a swept resolution is
-    integrated once for the whole sweep), and each point is evaluated once
+    The scenario is validated once and every point is put into internal
+    units with only its swept value's arithmetic.  The points are then
+    evaluated together (``interference._evaluate``): what depends on
+    neither g nor the endpoints is computed once per distinct beam (a swept
+    resolution is integrated once for the whole sweep), and each point once
     for all its modes.  Per-point failures (guard trips, quadrature stalls,
     invalid swept values) are captured in the row's ``error`` field instead
     of aborting the sweep.
     """
     values = [float(value) for value in spec.points()]
-    points: list[Scenario | RpifError] = []
-    for value in values:
-        try:
-            points.append(nondimensional(apply_sweep_value(scenario, spec.parameter, value)))
-        except RpifError as exc:
-            points.append(exc)
-    fill_row_caches([nd for nd in points if isinstance(nd, Scenario)], spec.modes())
-    return [row for nd, value in zip(points, values) for row in _point_rows(nd, spec, value)]
+    points = _internal_points(scenario, spec.parameter, values)
+    modes = spec.modes()
+    evaluated = iter(_evaluate([nd for nd in points if isinstance(nd, Scenario)], modes))
+    rows = []
+    for nd, value in zip(points, values):
+        results, amplitudes = (([nd] * len(modes), None) if isinstance(nd, RpifError)
+                               else next(evaluated))
+        rows.extend(_point_rows(nd, spec, value, results, amplitudes))
+    return rows
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
+#: one CSV line: every number at 17 significant digits, oracle_dev last
+#: and empty when there is none
+_CSV_ROW = "%.17g,%s" + ",%.17g" * 9 + ","
+_CSV_ROW_ORACLE = _CSV_ROW + "%.17g"
 
 
 def render_csv(rows: Sequence[ResultRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join([
-            _fmt(row.swept_value), row.mode, _fmt(row.intensity),
-            _fmt(row.reduced_i), _fmt(row.i1), _fmt(row.i2), _fmt(row.i3),
-            _fmt(row.i4), _fmt(row.i5), _fmt(row.phase_difference),
-            _fmt(row.residual), _fmt(row.oracle_dev),
-        ]))
+        cells = (row.swept_value, row.mode, row.intensity, row.reduced_i, row.i1, row.i2,
+                 row.i3, row.i4, row.i5, row.phase_difference, row.residual)
+        if row.oracle_dev is None:
+            lines.append(_CSV_ROW % cells)
+        else:
+            lines.append(_CSV_ROW_ORACLE % (*cells, row.oracle_dev))
     return "\n".join(lines) + "\n"
 
 
@@ -348,11 +424,12 @@ class ModeComparison:
 def compare_modes(scenario: Scenario) -> ModeComparison:
     """Side-by-side breakdown in both modes for one scenario, from one
     evaluation; a failure of either mode raises, the literal one first."""
-    results, _ = _evaluate(nondimensional(scenario), (MODE_LITERAL, MODE_DERIVED))
+    modes = (MODE_LITERAL, MODE_DERIVED)
+    [(results, _)] = _evaluate([nondimensional(scenario)], modes)
     for result in results:
         if isinstance(result, RpifError):
             raise result
-    return ModeComparison(*results)
+    return ModeComparison(*map(_breakdown, modes, results))
 
 
 def render_comparison(cmp: ModeComparison, stream=None) -> str:

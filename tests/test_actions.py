@@ -19,8 +19,10 @@ from rpif.actions import (
     _integrate_rows,
     _kernels_closed,
     _kernels_series,
+    _prefactor,
+    ensure_stable,
 )
-from rpif.interference import _amplitudes
+from rpif.interference import _named_amplitude
 from rpif.sampling import random_scenario
 from rpif.scenario import BeamRecord, PhysicalParams
 from rpif.timefunctions import ConstantFunction
@@ -296,8 +298,11 @@ def test_far_record_amplitude_from_the_combined_exponent():
                                     ComplexAction(math.inf, 0.0)])
 def test_non_finite_combined_exponent_names_the_beam(action):
     scenario = make_scenario()
+    beam, p = scenario.beam_a, scenario.params
+    prefactor = _prefactor(ensure_stable(p, beam.resolution), p)
     with pytest.raises(RpifError, match="restricted_propagator") as info:
-        _amplitudes(scenario, (action, ComplexAction(0.0, 0.0)), (0.01, 0.01))
+        _named_amplitude("a", beam, prefactor, -2.0 * 0.01 / beam.resolution ** 2,
+                         action.as_complex, p.hbar)
     assert str(info.value).startswith("beam_a: ")
     assert "not finite" in str(info.value)
 

@@ -61,10 +61,10 @@ def _recombined(beam, scenario):
     th = _theta(beam, p)
     action = actions._action_blocks(beam, f, p)
     rows = interference._literal_rows(beam, f, p.m, p.hbar, p.tau_start, p.tau_end)
+    end, start, double = interference._printed_blocks(
+        interference._printed(rows, p, beam.resolution, th), p.g)
     return {**{name: getattr(action, name) for name in ("b1", "b2", "q1", "q2", "q12")},
-            "i3": interference._literal_linear_block(rows, p, th, "end"),
-            "i4": interference._literal_linear_block(rows, p, th, "start"),
-            "i5": interference._literal_double_block(rows, p, th)}
+            "i3": end, "i4": start, "i5": double}
 
 
 def _unsplit(beam, scenario):
@@ -87,15 +87,21 @@ def test_blocks_match_the_unsplit_reference(name, g):
             assert _close(got[block], value), block
 
 
-def test_rows_are_shared_across_g_and_modes():
+def test_rows_are_shared_across_g_and_modes(monkeypatch):
     # the cached rows are keyed without g: after the first point a g sweep
     # integrates nothing
     scenario = SCENARIOS["random-0"]
     caches = (actions._action_rows, interference._literal_rows)
+    computed = {cached: [] for cached in caches}
     for cached in caches:
         cached.cache_clear()
+
+        def counted(beams, *rest, _cached=cached, _compute=cached._compute):
+            computed[_cached].extend(beams)
+            return _compute(beams, *rest)
+        monkeypatch.setattr(cached, "_compute", counted)
     for g in G_VALUES:
         for mode in (interference.MODE_LITERAL, interference.MODE_DERIVED):
             interference.decompose(_at_g(scenario, g), mode)
     for cached in caches:
-        assert cached.cache_info().misses == 2  # one per beam
+        assert computed[cached] == [scenario.beam_a, scenario.beam_b]  # once per beam

@@ -10,7 +10,7 @@ from rpif import (
     auxiliary_angles,
     decompose,
 )
-from rpif.interference import _literal_terms
+from rpif.interference import _literal_rows, _printed, _printed_terms
 from rpif.scenario import nondimensional
 from rpif.sampling import random_scenario
 from rpif.timefunctions import (ConstantFunction, LinearFunction, PolynomialFunction,
@@ -249,7 +249,13 @@ def test_literal_forms_at_derived_angle_match_action_grouping():
     nd = nondimensional(scenario)
     theta_d = _theta_derived(nd.beam_a.resolution)
     rho_d = _theta_derived(nd.beam_b.resolution)
-    lit = _literal_terms(nd, theta_d, rho_d)
+    p = nd.params
+
+    def printed(beam, th):
+        rows = _literal_rows(beam, nd.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)
+        return _printed(rows, p, beam.resolution, th)
+    lit = _printed_terms(nd.z1, nd.z2, p.g, printed(nd.beam_a, theta_d),
+                         printed(nd.beam_b, rho_d))
     br = decompose(scenario, MODE_DERIVED)
     der = (br.i1, br.i2, br.i3, br.i4)
     for k in range(4):

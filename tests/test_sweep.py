@@ -323,19 +323,48 @@ def _count_everywhere(monkeypatch, functions) -> dict:
     ({"parameter": "z2", "start": 0.0, "stop": 1.0}, None),
 ])
 def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, oracle):
-    # both modes and the oracle of a point share one action and one
-    # propagator per beam, and one validation
+    # both modes and the oracle of a point share one amplitude per beam; the
+    # stability check runs twice per distinct beam (the swept one at every
+    # resolution, the other once): once when the sweep reads the beam and
+    # once when its rows are integrated; the scenario is validated once
     from rpif import actions, scenario as scenario_module
     scenario, spec = parse_config(json.dumps({"sweep": {**sweep, "steps": 32,
                                                         "mode": "both"}}))
     spec = SweepSpec(spec.parameter, spec.start, spec.stop, spec.steps, spec.mode, oracle)
-    counts = _count_everywhere(monkeypatch, (actions.classical_action,
-                                             actions.propagator_from_action,
+    counts = _count_everywhere(monkeypatch, (actions._amplitude, actions.ensure_stable,
+                                             actions.classical_action,
                                              scenario_module.validate_scenario))
     rows = run_sweep(scenario, spec)
     assert len(rows) == 64 and all(row.error is None for row in rows)
-    assert counts == {"classical_action": 64, "propagator_from_action": 64,
-                      "validate_scenario": 32}
+    beams = 32 + 1 if spec.parameter == "delta_a" else 2
+    assert counts == {"_amplitude": 64, "ensure_stable": 2 * beams, "classical_action": 0,
+                      "validate_scenario": 1}
+
+
+@pytest.mark.parametrize("mode, line, triangle", [("derived", 3, 1), ("literal", 5, 2),
+                                                  ("both", 5, 2)])
+def test_a_failed_row_batch_is_attempted_once(monkeypatch, mode, line, triangle):
+    # beam a's quadratures cannot converge at omega = 30 000: its batch of one
+    # fails once and keeps its error, which every point then reports; beam b
+    # is integrated once (its action rows, <c^2>, and its printed rows)
+    from rpif import QuadratureError, actions, interference, quadrature
+    line_calls = _count_calls(monkeypatch, quadrature, "integrate")
+    triangle_calls = _count_calls(monkeypatch, quadrature, "integrate_triangle")
+    record = {"kind": "sinusoid", "amplitude": 0.3, "omega": 30000.0, "phase": 0.0}
+    scenario, spec = parse_config(_config(
+        beam_a={"trajectory": record, "resolution": 1.0},
+        sweep={"parameter": "z2", "start": 0.0, "stop": 1.0, "steps": 4, "mode": mode}))
+    rows = run_sweep(scenario, spec)
+    assert (len(line_calls), len(triangle_calls)) == (line, triangle)
+    # the text of each row's error is the one a lone attempt raises
+    beam, f = scenario.beam_a, scenario.frame_profile
+    for rows_of, mode_name in ((actions._batch_action_rows, "derived"),
+                               (interference._batch_literal_rows, "paper-literal")):
+        want = [row.error for row in rows if row.mode == mode_name]
+        if want:
+            with pytest.raises(QuadratureError) as info:
+                rows_of((beam,), f, 1.0, 1.0, 0.0, 1.0)
+            assert want == [f"QuadratureError: {info.value}"] * 4
 
 
 def test_a_literal_failure_fails_only_the_literal_row(monkeypatch):
@@ -348,7 +377,10 @@ def test_a_literal_failure_fails_only_the_literal_row(monkeypatch):
     scenario, _ = parse_config(_config())
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode="both",
                      oracle_schedule=(64, 128, 256))
-    rows = run_sweep(scenario, spec)
+    try:
+        rows = run_sweep(scenario, spec)
+    finally:
+        _clear_caches()  # the row cache remembers the stalled batches
     assert [row.mode for row in rows] == ["paper-literal", "derived"] * 3
     for literal, derived in zip(rows[::2], rows[1::2]):
         assert literal.error == "QuadratureError: printed rows stalled"

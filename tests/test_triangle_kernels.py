@@ -63,6 +63,6 @@ def test_literal_i5_block_matches_printed_kernel(delta):
     th = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * delta ** 2))
     rows = interference._literal_rows(scenario.beam_a, scenario.frame_profile, p.m,
                                       p.hbar, p.tau_start, p.tau_end)
-    nested = interference._literal_double_block(rows, p, th)
+    nested = interference._printed_blocks(interference._printed(rows, p, delta, th), p.g)[2]
     reference = printed_i5_block(scenario.beam_a, scenario.frame_profile, p, th)
     assert abs(nested - reference) <= 1e-12 * abs(reference)
