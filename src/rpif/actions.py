@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import quadrature
-from .errors import RpifError, StabilityError
+from .errors import QuadratureError, RpifError, StabilityError
 from .scenario import BeamRecord, PhysicalParams, mean_square
 from .timefunctions import TimeFunction
 
@@ -117,20 +117,21 @@ def ensure_stable(params: PhysicalParams, delta_c: float) -> complex:
     return w
 
 
-def _force_rows(trajectory: TimeFunction, resolution, frame_profile: TimeFunction,
+def _force_rows(records: quadrature.Samples, resolution, frame_profile: Callable,
                 params: PhysicalParams) -> Callable:
     """The force split by its dependence on g, F = g*F_f + F_c, at one
     resolution or a sequence of them: returns (t, sets) -> (F_f(t), F_c(t)),
     shape (..., 2, len(t)) with the sets (``quadrature.Coefficients``) in
-    front.  params.g is not read."""
+    front.  ``records`` holds each set's record c, and ``frame_profile`` is
+    f.  params.g is not read."""
     coefs = quadrature.Coefficients(
         [(4.0 * params.hbar / (params.duration * r ** 2),)
          for r in np.ravel(resolution).tolist()], np.shape(resolution))
-    m, c, f = params.m, trajectory, frame_profile
+    m, f = params.m, frame_profile
 
     def forces(t, sets=None):
         k, = coefs.take(sets)
-        c_part = -1j * k * np.asarray(c(t))
+        c_part = -1j * k * np.asarray(records.take(sets, t))
         rows = np.empty(c_part.shape[:-1] + (2, c_part.shape[-1]), complex)
         rows[..., 0, :] = -m * np.asarray(f(t))
         rows[..., 1, :] = c_part
@@ -316,14 +317,27 @@ class ActionRows:
                             (g * self.q12_ff + self.q12_fc) * g + self.q12_cc)
 
 
-def _integrate_rows(kernels: ActionKernels, forces: Callable,
-                    t0: float, t1: float, breaks=()) -> tuple[np.ndarray, ...]:
+def _settled(rule: Callable, *args, batch: quadrature.Batch, **kwargs) -> np.ndarray:
+    """``rule`` (``quadrature.integrate`` or ``integrate_triangle``) over
+    the sets of ``batch`` that have not failed.  The sets that fail now are
+    left in ``batch.failed``, and their values are NaN."""
+    try:
+        return rule(*args, batch=batch, **kwargs)
+    except QuadratureError as exc:
+        if exc.failed is None:
+            raise
+        return exc.value
+
+
+def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: float,
+                    breaks=(), *, batch: quadrature.Batch) -> tuple[np.ndarray, ...]:
     """The action quadratures of the force rows ``forces(t, sets)`` =
-    (F_f, F_c), over a 1-D sequence of the kernels' frequencies: one line
-    call and one triangle call for all of them.  Returns the fields of
-    ``ActionRows`` before ``mean_square``, each an array over the
-    frequencies."""
-    single, batch = kernels.single, quadrature.Batch(len(kernels.b1))
+    (F_f, F_c), over a 1-D sequence of the kernels' frequencies, the sets
+    of ``batch``: one line call and one triangle call for all of them.
+    Returns the fields of ``ActionRows`` before ``mean_square``, each an
+    array over the frequencies.  The sets that fail are left in
+    ``batch.failed``, with NaN rows."""
+    single = kernels.single
 
     def line(t):
         n, sets = t.size, batch.index
@@ -331,8 +345,8 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable,
         ratio = single(np.concatenate((t - t0, t1 - t)), sets)[..., None, :]
         return np.concatenate((both * ratio[..., :n], both * ratio[..., n:]), axis=-2)
 
-    q2_f, q2_c, q1_f, q1_c = quadrature.integrate(line, t0, t1, breaks=breaks,
-                                                  batch=batch).T
+    q2_f, q2_c, q1_f, q1_c = _settled(quadrature.integrate, line, t0, t1, breaks=breaks,
+                                      batch=batch).T
 
     def factors(t, s):
         n, sets = t.size, batch.index
@@ -347,8 +361,12 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable,
         inner = both[..., n:] * kernels.inner(s - t0, sets)[..., None, :, :]
         return outer, inner.reshape(inner.shape[:-3] + (-1, s.size))
 
-    q12_ff, q12_fc, q12_cc = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks,
-                                                           batch=batch).T
+    if len(batch.failed) < batch.size:
+        q12 = _settled(quadrature.integrate_triangle, factors, t0, t1, breaks=breaks,
+                       batch=batch)
+    else:
+        q12 = np.full((batch.size, 3), math.nan, complex)
+    q12_ff, q12_fc, q12_cc = q12.T
     return (kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c, q12_ff, q12_fc, q12_cc)
 
 
@@ -380,16 +398,19 @@ class RowCache:
     tau_end), computed in batches.
 
     ``compute(beams, frame_profile, m, hbar, tau_start, tau_end)`` returns
-    the rows of each beam of a batch, whose beams differ only in their
-    resolution.  Reads go through an lru cache of ``BLOCK_CACHE_SIZE``
-    entries.  ``fill`` computes the rows of a whole sweep, one batch per
-    trajectory, and keeps the batch until a read needs rows from outside
-    it, so every point of the sweep finds its rows there and the memory
-    held is that of the sweep being run.  ``fill`` also returns each key's
-    rows, so a sweep needs no read.  A read that finds nothing computes a
-    batch of one.  The keys are frozen dataclasses and floats compared by
-    value, so a hit returns exactly the bits a recomputation would; the lru
-    cache and the batch, replaced whole, let threads share the cache.
+    the entry of each beam of a batch, whose beams share the frame profile,
+    the units and the panel layout (``quadrature._segments`` of their
+    breakpoints): its rows, or the RpifError that the beam raises on its
+    own.  A compute that raises fails every beam of its batch with that
+    error.  Reads go through an lru cache of ``BLOCK_CACHE_SIZE`` entries.
+    ``fill`` computes the rows of a whole sweep, one batch per panel
+    layout, and keeps the batch until a read needs rows from outside it, so
+    every point of the sweep finds its rows there and the memory held is
+    that of the sweep being run.  ``fill`` also returns each key's entry,
+    so a sweep needs no read.  A read that finds nothing computes a batch
+    of one.  The keys are frozen dataclasses and floats compared by value,
+    so a hit returns exactly the bits a recomputation would; the lru cache
+    and the batch, replaced whole, let threads share the cache.
     """
 
     def __init__(self, compute: Callable):
@@ -406,38 +427,34 @@ class RowCache:
         if rows is None:
             self._batch = {}
             rows, = self._compute((key[0],), *key[1:])
-        elif isinstance(rows, RpifError):
+        if isinstance(rows, RpifError):
             raise rows.with_traceback(None)
         return rows
 
     def fill(self, keys: list) -> list:
-        """Compute the rows of every key, one batch per trajectory, and keep
-        them as the batch; entries of the previous batch are kept, not
-        recomputed.  A batch of one key that fails keeps its error, which
-        every read of that key raises.  A batch of several keys that fails
-        is left out: its keys are computed one by one when they are read,
-        and each raises its own error there.
-
-        Returns each key's entry: its rows, the error of its failed batch of
-        one, or None when it was left out.
-        """
+        """Compute the entry of every key, one batch per panel layout, and
+        keep them as the batch; entries of the previous batch are kept, not
+        recomputed.  A failed key keeps its error, which every read of that
+        key raises.  Returns each key's entry."""
         kept, batch, groups = self._batch, {}, {}
         for key in dict.fromkeys(keys):
             rows = kept.get(key)
             if rows is None:
-                groups.setdefault((key[0].trajectory, *key[1:]), []).append(key)
+                beam, frame_profile, *units = key
+                layout = quadrature._segments(units[2], units[3], frame_profile.breakpoints
+                                              + beam.trajectory.breakpoints)
+                groups.setdefault((frame_profile, *units, layout), []).append(key)
             else:
                 batch[key] = rows
         for group in groups.values():
             try:
-                rows = self._compute(tuple(key[0] for key in group), *group[0][1:])
+                entries = self._compute(tuple(key[0] for key in group), *group[0][1:])
             except RpifError as exc:
-                if len(group) == 1:
-                    batch[group[0]] = exc.with_traceback(None)
-                continue
-            batch.update(zip(group, rows))
+                entries = [exc] * len(group)
+            batch.update((key, entry.with_traceback(None) if isinstance(entry, RpifError)
+                          else entry) for key, entry in zip(group, entries))
         self._batch = batch
-        return [batch.get(key) for key in keys]
+        return [batch[key] for key in keys]
 
     def cache_info(self):
         return self._read.cache_info()
@@ -447,30 +464,78 @@ class RowCache:
         self._read.cache_clear()
 
 
+def _samplers(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
+              tau_start: float, tau_end: float, out: list):
+    """The frame profile's sampler over the window and one per distinct
+    record of the beams whose entry in ``out`` is still None (``sampler``:
+    each domain is checked once).  A beam whose record fails the check gets
+    its ValidationError in ``out``, and every such beam gets the frame
+    profile's; the frame sampler is then None."""
+    records: dict = {}
+    for i, beam in enumerate(beams):
+        if out[i] is None:
+            sample = records.get(beam.trajectory)
+            if sample is None:
+                try:
+                    sample = beam.trajectory.sampler(tau_start, tau_end)
+                except RpifError as exc:
+                    sample = exc
+                records[beam.trajectory] = sample
+            if isinstance(sample, RpifError):
+                out[i] = sample
+    try:
+        return frame_profile.sampler(tau_start, tau_end), records
+    except RpifError as exc:
+        for i, entry in enumerate(out):
+            if entry is None:
+                out[i] = exc
+        return None, records
+
+
 def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
                        m: float, hbar: float, tau_start: float,
-                       tau_end: float) -> list[ActionRows]:
-    """The g-free action rows of beams that differ only in resolution: one
-    line pass and one triangle pass per kernel branch.  None of the rows
-    depends on z1, z2 or g, and the beams share one record and window, so
-    one <c^2> serves them all."""
+                       tau_end: float) -> list[ActionRows | RpifError]:
+    """The g-free action rows of beams that share a panel layout: one line
+    pass and one triangle pass per kernel branch, which sample each distinct
+    record once per call, and <c^2> once per distinct record.  None of the
+    rows depends on z1, z2 or g.  Returns each beam's rows, or the RpifError
+    that it raises on its own, with the error of the first step that fails
+    alone: the stability guard, the domains, the integrals, <c^2>."""
     params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
     T = params.duration
-    ws = [ensure_stable(params, beam.resolution) for beam in beams]
-    branches: dict[bool, list[int]] = {}
-    for i, w in enumerate(ws):
-        branches.setdefault(abs(w) * T < SMALL_WT_CROSSOVER, []).append(i)
     out: list = [None] * len(beams)
+    ws = {}
+    for i, beam in enumerate(beams):
+        try:
+            ws[i] = ensure_stable(params, beam.resolution)
+        except RpifError as exc:
+            out[i] = exc
+    frame, records = _samplers(beams, frame_profile, tau_start, tau_end, out)
+    branches: dict[bool, list[int]] = {}
+    for i, w in ws.items():
+        if out[i] is None:
+            branches.setdefault(abs(w) * T < SMALL_WT_CROSSOVER, []).append(i)
+    breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
     for index in branches.values():
         kernels = action_kernels([ws[i] for i in index], m, T)
-        forces = _force_rows(beams[0].trajectory, [beams[i].resolution for i in index],
-                             frame_profile, params)
-        rows = _integrate_rows(kernels, forces, tau_start, tau_end,
-                               frame_profile.breakpoints + beams[0].trajectory.breakpoints)
-        for i, values in zip(index, zip(*rows)):
-            out[i] = values
-    msq = mean_square(beams[0].trajectory, params)
-    return [ActionRows(*values, msq) for values in out]
+        forces = _force_rows(quadrature.Samples([records[beams[i].trajectory] for i in index]),
+                             [beams[i].resolution for i in index], frame, params)
+        batch = quadrature.Batch(len(index))
+        rows = _integrate_rows(kernels, forces, tau_start, tau_end, breaks, batch=batch)
+        for j, (i, values) in enumerate(zip(index, zip(*rows))):
+            out[i] = batch.failed.get(j, values)
+    msq: dict = {}
+    for i, beam in enumerate(beams):
+        if isinstance(out[i], tuple):
+            record = beam.trajectory
+            if record not in msq:
+                try:
+                    msq[record] = mean_square(record, params)
+                except RpifError as exc:
+                    msq[record] = exc
+            out[i] = msq[record] if isinstance(msq[record], RpifError) else ActionRows(
+                *out[i], msq[record])
+    return out
 
 
 _action_rows = RowCache(_batch_action_rows)

@@ -16,7 +16,7 @@ import dataclasses
 import functools
 import sys
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, RpifError, ValidationError
 from .interference import MODE_LITERAL
 from .sweep import (
     MODE_TOLERANCE,
@@ -126,7 +126,11 @@ def _cmd_compare(args) -> int:
     except ValidationError as exc:
         _report_violations(exc)
         return EXIT_CONFIG
-    comparison = compare_modes(scenario)
+    try:
+        comparison = compare_modes(scenario)
+    except RpifError as exc:
+        print(f"compare failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     render_comparison(comparison, stream=sys.stdout)
     return EXIT_MODES if comparison.exceeds_tolerance() else EXIT_OK
 

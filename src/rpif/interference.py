@@ -50,6 +50,8 @@ from .actions import (
     _amplitude,
     _ensure_finite,
     _prefactor,
+    _samplers,
+    _settled,
     classical_action,
     ensure_stable,
 )
@@ -132,11 +134,13 @@ def auxiliary_angles(scenario: Scenario, mode: str = MODE_LITERAL) -> AuxiliaryA
 
 def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
                         m: float, hbar: float, tau_start: float, tau_end: float
-                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+                        ) -> list[tuple[np.ndarray, np.ndarray] | RpifError]:
     """The g-free rows of the printed i3/i4 and i5 integrals of beams that
-    differ only in resolution: one line pass and one triangle pass for all
-    of them.  Independent of the endpoints and of g, so z2 and g sweeps
-    compute them once per beam, and a resolution sweep once per sweep.
+    share a panel layout: one line pass and one triangle pass for all of
+    them, which sample each distinct record once per call.  Independent of
+    the endpoints and of g, so z2 and g sweeps compute them once per beam,
+    and a resolution sweep once per sweep.  Returns each beam's rows, or
+    the RpifError that it raises on its own.
 
     i3 and i4: with x = q*(t - anchor), q = omega/sqrt(2), the printed pair
     of single integrals is
@@ -165,16 +169,21 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     [j1 (imaginary part), j2 (real part)] x [g^0, g^1, g^2].
     """
     t0, t1 = tau_start, tau_end
-    f, c = frame_profile, beams[0].trajectory
+    out: list = [None] * len(beams)
+    f, records = _samplers(beams, frame_profile, t0, t1, out)
+    live = [i for i, entry in enumerate(out) if entry is None]
+    if not live:
+        return out
+    samples = quadrature.Samples([records[beams[i].trajectory] for i in live])
     rt2 = math.sqrt(2.0)
     grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
     per_beam = []  # (omega^2, q, omega)
-    for beam in beams:
-        coef = 4.0 * hbar / (m * (t1 - t0) * beam.resolution ** 2)
+    for i in live:
+        coef = 4.0 * hbar / (m * (t1 - t0) * beams[i].resolution ** 2)
         om = math.sqrt(coef)
         per_beam.append((coef, om / rt2, om))
     rates = quadrature.Coefficients(per_beam)
-    batch = quadrature.Batch(len(beams))
+    batch = quadrature.Batch(len(live))
 
     def line(t):
         k, q_, _ = rates.take(batch.index)
@@ -183,7 +192,7 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
         # cosh and sinh: accurate near x = 0, where a coarse measurement's
         # theta prefactors cancel to O(theta^2)
         plus, minus = 2.0 * np.cosh(x) * np.sin(x), 2.0 * np.sinh(x) * np.cos(x)
-        fv, cv = np.asarray(f(t)), (k * np.asarray(c(t)))[..., None, :]
+        fv, cv = f(t), (k * samples.take(batch.index, t))[..., None, :]
         return np.stack((np.stack((fv * minus, cv * plus), axis=-2),
                          np.stack((fv * plus, cv * minus), axis=-2)), axis=-3)
 
@@ -194,27 +203,30 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     def factors(t, s):
         n = t.size
         both = np.concatenate((t, s))
-        fv, cv = np.asarray(f(both)), np.asarray(c(both))
+        fv, cv = f(both), samples.take(batch.index, both)
         k, _, w = rates.take(batch.index)
         base = -0.5j * side(w * (t1 - t))
         one = np.ones(n)
         # rows g^0, g^1, g^2 against the inner factors [1, f(s), c(s)]:
         # A(t) + A(s) + the mixed term
         table = np.zeros(base.shape[:-1] + (3, 3, n), complex)
-        table[..., 0, 0, :], table[..., 0, 2, :] = -k * k * cv[:n], -k * k * one
-        table[..., 1, 1, :], table[..., 1, 2, :] = 1j * k * cv[:n], 1j * k * fv[:n]
+        table[..., 0, 0, :], table[..., 0, 2, :] = -k * k * cv[..., :n], -k * k * one
+        table[..., 1, 1, :], table[..., 1, 2, :] = 1j * k * cv[..., :n], 1j * k * fv[:n]
         table[..., 2, 0, :], table[..., 2, 1, :] = fv[:n], one
         outer = base[..., None, None, :] * table
         inner = (side(w * (s - t0))[..., None, :]
-                 * np.stack((np.ones(s.size), fv[n:], cv[n:])))
+                 * np.stack(np.broadcast_arrays(one[:1], fv[n:], cv[..., n:]), axis=-2))
         outer = np.concatenate((outer, 1j * outer), axis=-2)
         return (np.stack((outer.imag, outer.real), axis=-4),
                 np.concatenate((inner.real, inner.imag), axis=-2))
 
-    breaks = f.breakpoints + c.breakpoints
-    return list(zip(
-        quadrature.integrate(line, t0, t1, breaks=breaks, batch=batch).real,
-        quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch).real))
+    breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
+    lines = _settled(quadrature.integrate, line, t0, t1, breaks=breaks, batch=batch)
+    triangles = (_settled(quadrature.integrate_triangle, factors, t0, t1, breaks=breaks,
+                          batch=batch) if len(batch.failed) < batch.size else None)
+    for j, i in enumerate(live):
+        out[i] = batch.failed[j] if j in batch.failed else (lines[j].real, triangles[j].real)
+    return out
 
 
 _literal_rows = RowCache(_batch_literal_rows)
@@ -382,7 +394,7 @@ class _Beam:
     def __init__(self, key: RowKey, params: PhysicalParams):
         self.key, self.params = key, params
         self.w, self.error = None, None
-        # the row-cache entries the sweep's fill returned, if any
+        # the row-cache entries of a stable beam, which ``_beams`` fills in
         self.action_rows = self.literal_rows = None
         self._action = self._printed = None
         try:
@@ -390,18 +402,9 @@ class _Beam:
         except RpifError as exc:
             self.error = exc
 
-    @staticmethod
-    def _read(entry, cache: RowCache, key: RowKey):
-        if entry is None:
-            try:
-                return cache(*key)
-            except RpifError as exc:
-                return exc
-        return entry
-
     def action(self) -> tuple[ActionRows, complex, float] | RpifError:
         if self._action is None:
-            rows = self._read(self.action_rows, _action_rows, self.key)
+            rows = self.action_rows
             if isinstance(rows, RpifError):
                 self._action = rows
             else:
@@ -412,7 +415,7 @@ class _Beam:
 
     def printed(self) -> _Printed | RpifError:
         if self._printed is None:
-            rows = self._read(self.literal_rows, _literal_rows, self.key)
+            rows = self.literal_rows
             if isinstance(rows, RpifError):
                 self._printed = rows
             else:
@@ -424,9 +427,10 @@ class _Beam:
 
 def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam, _Beam]]:
     """Each point's two beams, one ``_Beam`` per distinct (beam, frame
-    profile, units), after filling the row caches for every stable one: each
-    beam's rows at all the resolutions the points visit in one line pass and
-    one triangle pass per kind of row."""
+    profile, units), after filling the row caches for every stable one: the
+    rows of every beam that shares a panel layout, at all the resolutions
+    the points visit, in one line pass and one triangle pass per kind of
+    row (and kernel branch)."""
     by_key: dict = {}
     seen: dict = {}   # by object identity first, so a shared beam is hashed once
     pairs = []

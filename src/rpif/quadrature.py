@@ -13,12 +13,14 @@ segments and grow with the segment count, so a split of any length can
 run at least three levels.
 
 Both rules also integrate a ``Batch``: independent sets of integrands
-over the same interval (one beam's rows at each of the resolutions a
-sweep visits), evaluated together.  Each set stops at the first level
-where all of its own entries pass, and later levels no longer evaluate
-it, so a set gets the level and the bits it would get on its own.  An
-evaluation covers as many sets as fit in ``BATCH_POINTS`` points (at
-least one), so the memory of a batch does not grow with its size.
+over the same interval and panel layout (the rows of every beam of a
+sweep whose breakpoints split the window alike), evaluated together.
+Each set stops at the first level where all of its own entries pass, and
+later levels no longer evaluate it, so a set gets the level and the bits
+it would get on its own.  A set that does not converge fails alone, with
+the error it would raise alone, and the others go on.  An evaluation
+covers as many sets as fit in ``BATCH_POINTS`` points (at least one), so
+the memory of a batch does not grow with its size.
 
 Double integrals over the triangle s <= t have separable kernels (a
 finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
@@ -64,18 +66,24 @@ def _budget(budget: int, segments: int, order: int) -> int:
 
 
 class Batch:
-    """The sets of a batched integral, and those a rule evaluates now.
+    """The sets of a batched integral, those a rule evaluates now, and
+    those that have failed.
 
     The rule sets ``index`` before each call of the integrand, which
     returns the rows of those sets only: an integer names one set, whose
     rows come without a set axis, and a slice or an integer array names
     several, whose rows carry one in front.  The integrand keeps its plain
     signature, so a wrapper around it sees an ordinary integrand.
+
+    A set that fails an integral goes into ``failed``, with the
+    QuadratureError it raises on its own, and later integrals over the
+    batch leave it out.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.index = slice(None)
+        self.failed: dict[int, QuadratureError] = {}
 
 
 class Coefficients:
@@ -104,15 +112,48 @@ class Coefficients:
         return tuple(column[index, None] for column in self.columns)
 
 
+class Samples:
+    """Per-set real functions of time of a batched integrand, one callable
+    per set; sets that share a function pass the same callable object, and
+    each distinct one is sampled once per call."""
+
+    def __init__(self, functions: list):
+        slot: dict[int, int] = {}
+        self.which = np.array([slot.setdefault(id(fn), len(slot)) for fn in functions])
+        self.functions = list({id(fn): fn for fn in functions}.values())
+
+    def take(self, index, t: np.ndarray) -> np.ndarray:
+        """The values at ``t`` of the sets ``index`` (a ``Batch`` index, or
+        None for every set): shape (len(t),) where those sets share one
+        function, else one row per set in front."""
+        if len(self.functions) == 1:
+            return self.functions[0](t)
+        if isinstance(index, int):
+            return self.functions[self.which[index]](t)
+        which = self.which if index is None else self.which[index]
+        if (which == which[0]).all():
+            return self.functions[which[0]](t)
+        rows = np.empty((len(self.functions), t.size))
+        for j in set(which.tolist()):
+            rows[j] = self.functions[j](t)
+        return rows[which]
+
+
 class _Doubling:
     """Doubling state of the sets of a batch: each set stops at the first
-    level where all of its entries pass, and keeps that level's value."""
+    level where all of its entries pass, and keeps that level's value, or
+    fails with the error it would raise on its own."""
 
-    def __init__(self, count: int):
-        self.count = count
-        self.running = np.arange(count)  # the sets still running
+    def __init__(self, batch: Batch | None):
+        self.count = 1 if batch is None else batch.size
+        self.running = np.arange(self.count)  # the sets still running
+        if batch is not None and batch.failed:
+            self.running = np.array([i for i in range(self.count) if i not in batch.failed],
+                                    dtype=int)
         self.value = self.prev = None    # prev: the running sets' last level
-        self.delta = math.nan
+        self.shape = None                # the shape of one set's value
+        self.deltas = None               # the running sets' last differences
+        self.failed: dict[int, QuadratureError] = {}
 
     def groups(self, size: int) -> list:
         """The running sets in groups of at most ``size``: an integer for a
@@ -125,10 +166,21 @@ class _Doubling:
             return [slice(i, min(i + size, count)) for i in range(0, count, size)]
         return [self.running[i:i + size] for i in range(0, count, size)]
 
-    def settle(self, est: np.ndarray, rtol: float, atol: float) -> bool:
-        """Take this level's estimates of the running sets; True once every
-        set has passed.  ``delta`` becomes the largest difference between
-        levels among the sets still running."""
+    def settle(self, est: np.ndarray, rtol: float, atol: float, nonfinite) -> bool:
+        """Take this level's estimates of the running sets; True once no set
+        runs.  A set with a non-finite estimate fails with ``nonfinite()``.
+        ``deltas`` becomes each running set's largest difference between
+        levels."""
+        self.shape = est.shape[1:]
+        if not np.isfinite(est).all():
+            finite = np.isfinite(est).reshape(len(est), -1).all(axis=1)
+            for i in self.running[~finite].tolist():
+                self.failed[i] = nonfinite()
+            self.running, est = self.running[finite], est[finite]
+            if self.prev is not None:
+                self.prev = self.prev[finite]
+            if not len(est):
+                return True
         prev, self.prev = self.prev, est
         if prev is None:
             return False
@@ -142,35 +194,76 @@ class _Doubling:
             if ok.any():
                 self._keep(self.running[ok], est[ok])
                 self.running, self.prev, delta = self.running[~ok], est[~ok], delta[~ok]
-        self.delta = float(delta.max())
+        self.deltas = delta.reshape(len(delta), -1).max(axis=1)
         return False
+
+    def stall(self, error) -> None:
+        """The budget is spent: each running set fails with ``error(its
+        last delta)``."""
+        deltas = [math.nan] * len(self.running) if self.deltas is None else self.deltas
+        for i, delta in zip(self.running.tolist(), deltas):
+            self.failed[i] = error(float(delta))
 
     def _keep(self, sets: np.ndarray, est: np.ndarray) -> None:
         if self.value is None:
             if len(sets) == self.count:  # every set at once
                 self.value = np.asarray(est, complex)
                 return
-            self.value = np.empty((self.count,) + est.shape[1:], complex)
+            self.value = np.full((self.count,) + est.shape[1:], math.nan, complex)
         self.value[sets] = est
 
     def result(self, batch: Batch | None):
-        if batch is not None:
-            return self.value
-        value = self.value[0]
-        return complex(value) if value.ndim == 0 else value
+        """The value: a lone integral's, which raises its error if it
+        failed, or every set's, NaN for the sets that failed.  A batch with
+        sets that failed now raises a QuadratureError that names them, gives
+        each one's own error in ``failed`` and the values in ``value``; the
+        sets also go into ``batch.failed``."""
+        value = self.value
+        if value is None and self.shape is not None:
+            value = np.full((self.count,) + self.shape, math.nan, complex)
+        if batch is None:
+            if self.failed:
+                raise self.failed[0]
+            value = value[0]
+            return complex(value) if value.ndim == 0 else value
+        if self.failed:
+            batch.failed.update(self.failed)
+            raise QuadratureError(
+                f"{len(self.failed)} of {self.count} sets failed: "
+                + "; ".join(f"set {i}: {exc}" for i, exc in sorted(self.failed.items())),
+                failed=dict(self.failed), value=value)
+        return value
+
+
+@lru_cache(maxsize=None)
+def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``order``-point Gauss-Legendre nodes and weights on [-1, 1],
+    derived once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _panel_edges(panels: int, edges: tuple[float, ...]) -> np.ndarray:
-    """``panels`` equal panels in each segment between ``edges``."""
-    cuts = [np.linspace(lo, hi, panels + 1)[:-1] for lo, hi in zip(edges, edges[1:])]
-    return np.concatenate(cuts + [np.array(edges[-1:])])
+    """``panels`` equal panels in each segment between ``edges``: one
+    ``np.linspace`` over the arrays of segment ends, which gives each
+    segment the bits of its own ``np.linspace``."""
+    ends = np.array(edges)
+    if ((ends[1:] - ends[:-1]) / panels == 0.0).any():
+        # a step that underflows to 0 sends np.linspace down another path,
+        # which one call would take for every segment
+        cuts = [np.linspace(lo, hi, panels + 1)[:-1] for lo, hi in zip(edges, edges[1:])]
+        return np.concatenate(cuts + [ends[-1:]])
+    cuts = np.linspace(ends[:-1], ends[1:], panels + 1, axis=-1)[:, :-1]
+    return np.append(cuts.ravel(), ends[-1])
 
 
 @lru_cache(maxsize=64)
 def _reference_rule(panels: int, order: int, edges: tuple[float, ...] = (0.0, 1.0)):
     """Composite Gauss-Legendre nodes and weights on [0, 1], ``panels``
     panels per segment."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss(order)
     cuts = _panel_edges(panels, edges)
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     half = 0.5 * np.diff(cuts)
@@ -197,19 +290,22 @@ def integrate(fn, a: float, b: float, *, breaks: tuple = (),
     With a ``batch``, ``fn(t)`` returns the rows of the sets that
     ``batch.index`` names, shape (..., n) with a set axis in front unless
     the index is an integer, and the result has shape (batch.size, ...);
-    each set converges on its own.
+    each set converges on its own, and the sets in ``batch.failed`` are
+    left out.
 
     Raises QuadratureError if the doubling loop exhausts the node budget
     (``node_budget``, or the three levels of a longer split) without two
-    successive estimates of every set agreeing to ``rtol``/``atol``.
+    successive estimates agreeing to ``rtol``/``atol``, or if an estimate
+    is not finite; for a batch, once the other sets have settled, naming
+    the sets that failed (``_Doubling.result``).
     """
     width = b - a
     edges = _segments(a, b, breaks)
     segments = len(edges) - 1
     budget = _budget(node_budget, segments, order)
-    state = _Doubling(1 if batch is None else batch.size)
+    state = _Doubling(batch)
     panels = 1
-    while segments * panels * order <= budget:
+    while len(state.running) and segments * panels * order <= budget:
         u, wu = _reference_rule(panels, order, edges)
         nodes = a + width * u
         est = []
@@ -221,16 +317,15 @@ def integrate(fn, a: float, b: float, *, breaks: tuple = (),
                 values = values[None]
             est.append(width * np.sum(wu * values, axis=-1))
         est = est[0] if len(est) == 1 else np.concatenate(est)
-        if not np.isfinite(est).all():
-            raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
-        if state.settle(est, rtol, atol):
-            return state.result(batch)
+        if state.settle(est, rtol, atol, lambda: QuadratureError(
+                f"non-finite integrand values over [{a:g}, {b:g}]")):
+            break
         panels *= 2
-    raise QuadratureError(
-        f"integral over [{a:g}, {b:g}] did not converge within {budget} nodes "
-        f"(last delta {state.delta:.3e})",
-        last_delta=state.delta,
-    )
+    else:
+        state.stall(lambda delta: QuadratureError(
+            f"integral over [{a:g}, {b:g}] did not converge within {budget} nodes "
+            f"(last delta {delta:.3e})", last_delta=delta))
+    return state.result(batch)
 
 
 @lru_cache(maxsize=64)
@@ -245,7 +340,7 @@ def _nested_rule(panels: int, order: int, edges: tuple[float, ...]):
     it (all ones for a single segment).
     """
     u, wu = _reference_rule(panels, order, edges)
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss(order)
     edge = np.repeat(_panel_edges(panels, edges)[:-1], order)
     half = 0.5 * (u - edge)
     partial = (edge[:, None] + half[:, None] * (x + 1.0)[None, :]).ravel()
@@ -253,7 +348,7 @@ def _nested_rule(panels: int, order: int, edges: tuple[float, ...]):
     widths = np.diff(edges)
     widest = widths.max()
     ratio = np.repeat(widths / widest, panels)
-    for arr in (points, w, half, ratio):
+    for arr in (points, half, ratio):
         arr.setflags(write=False)
     return u, wu, points, w, half, widest * (0.5 / panels), ratio
 
@@ -291,7 +386,8 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     ``batch.index`` names, with a set axis in front unless the index is an
     integer: outer rows of shape (..., k, len(t)), and inner rows of shape
     (k, len(s)), shared by the sets, or with a set axis of their own.  The
-    result has shape (batch.size, ...), and each set converges on its own.
+    result has shape (batch.size, ...), each set converges on its own, and
+    failures are reported as by ``integrate``.
 
     Nested rule: the outer integral uses the composite rule of
     ``integrate``; the inner integral up to outer node t_i is the sum of
@@ -313,9 +409,9 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     segments = len(edges) - 1
     budget = _budget(axis_budget, segments, order)
     chunk = max(1, CHUNK_NODES // order)  # panels per call of ``factors``
-    state = _Doubling(1 if batch is None else batch.size)
+    state = _Doubling(batch)
     panels = 1
-    while segments * panels * order <= budget:
+    while len(state.running) and segments * panels * order <= budget:
         u, wu, points, w, half, half_panel, ratio = _nested_rule(panels, order, edges)
         m = segments * panels
         n = m * order
@@ -353,13 +449,12 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
             est.append(total)
         est = np.asarray(width * width * (est[0] if len(est) == 1 else np.concatenate(est)),
                          dtype=complex)
-        if not np.isfinite(est).all():
-            raise QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
-        if state.settle(est, rtol, atol):
-            return state.result(batch)
+        if state.settle(est, rtol, atol, lambda: QuadratureError(
+                f"non-finite integrand values over [{a:g}, {b:g}]")):
+            break
         panels *= 2
-    raise QuadratureError(
-        f"triangle integral over [{a:g}, {b:g}] did not converge within "
-        f"{budget} nodes per axis (last delta {state.delta:.3e})",
-        last_delta=state.delta,
-    )
+    else:
+        state.stall(lambda delta: QuadratureError(
+            f"triangle integral over [{a:g}, {b:g}] did not converge within "
+            f"{budget} nodes per axis (last delta {delta:.3e})", last_delta=delta))
+    return state.result(batch)

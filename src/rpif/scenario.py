@@ -123,7 +123,8 @@ def mean_square(c: TimeFunction, params: PhysicalParams) -> float:
     piecewise quadratic, is integrated exactly at the first level.
     """
     T = params.duration
-    val = quadrature.integrate(lambda t: np.asarray(c(t)) ** 2 + 0j,
+    sample = c.sampler(params.tau_start, params.tau_end)
+    val = quadrature.integrate(lambda t: sample(t) ** 2 + 0j,
                                params.tau_start, params.tau_end, breaks=c.breakpoints)
     return float(val.real) / T
 

@@ -40,21 +40,31 @@ class TimeFunction:
     def _values(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        if self.domain is not None and arr.size:
+    def _check(self, t_min: float, t_max: float) -> None:
+        if self.domain is not None:
             lo, hi = self.domain
             slack = _DOMAIN_SLACK * max(hi - lo, 1.0)
-            t_min, t_max = arr.min(), arr.max()
             if t_min < lo - slack or t_max > hi + slack:
                 raise ValidationError(
                     [f"time {t_min:g}..{t_max:g} outside domain "
                      f"[{lo:g}, {hi:g}] for {self.kind} function"]
                 )
+
+    def __call__(self, t):
+        arr = np.asarray(t, dtype=float)
+        if arr.size:
+            self._check(arr.min(), arr.max())
         out = self._values(arr)
         if np.ndim(t) == 0:
             return float(out)
         return out
+
+    def sampler(self, t_min: float, t_max: float):
+        """The function's values at float arrays of times in [t_min, t_max],
+        with the bits of a call: the window is checked against the domain
+        once, here, rather than the times on every call."""
+        self._check(t_min, t_max)
+        return self._values
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -164,6 +174,11 @@ class TabulatedFunction(TimeFunction):
 
     def _values(self, t):
         return np.interp(t, np.asarray(self.times), np.asarray(self.values))
+
+    def sampler(self, t_min, t_max):
+        self._check(t_min, t_max)
+        times, values = np.asarray(self.times), np.asarray(self.values)
+        return lambda t: np.interp(t, times, values)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:

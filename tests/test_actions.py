@@ -9,6 +9,7 @@ from rpif import (
     StabilityError,
     classical_action,
     complex_frequency,
+    quadrature,
     restricted_propagator,
 )
 from rpif.actions import (
@@ -70,7 +71,8 @@ def test_frequency_requires_positive_resolution():
 
 def _force(beam, frame_profile, params, t):
     """F(t) = g*F_f(t) + F_c(t) from the package's g-split force rows."""
-    forces = _force_rows(beam.trajectory, beam.resolution, frame_profile, params)
+    forces = _force_rows(quadrature.Samples([beam.trajectory]), beam.resolution,
+                         frame_profile, params)
     f_part, c_part = forces(np.array([t]))[:, 0]
     return params.g * f_part + c_part
 
@@ -207,9 +209,10 @@ def test_dispatch_uses_series_kernels_below_crossover():
     p = scenario.params
     w = complex_frequency(p, 1e4)
     # a batch of one frequency, as the package integrates a single point
-    forces = _force_rows(scenario.beam_a.trajectory, (1e4,), scenario.frame_profile, p)
-    rows = ActionRows(*_integrate_rows(_kernels_series((w,), 1.0, 1.0), forces, 0.0, 1.0),
-                      0.0)
+    forces = _force_rows(quadrature.Samples([scenario.beam_a.trajectory]), (1e4,),
+                         scenario.frame_profile, p)
+    rows = ActionRows(*_integrate_rows(_kernels_series((w,), 1.0, 1.0), forces, 0.0, 1.0,
+                                       batch=quadrature.Batch(1)), 0.0)
     series = rows.at(p.g).action(1.0, 0.0, 0.5)[0]
     dispatched = classical_action(scenario.beam_a, scenario.frame_profile,
                                   scenario.params, 0.0, 0.5)

@@ -161,6 +161,25 @@ def test_compare_symmetric_exit_ok(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("beam_a, error", [
+    # past the stability guard
+    ({"trajectory": {"kind": "constant", "value": 0.1}, "resolution": 0.01},
+     "StabilityError: stability guard tripped"),
+    # a record whose quadratures cannot converge
+    ({"trajectory": {"kind": "sinusoid", "amplitude": 0.3, "omega": 30000.0},
+      "resolution": 1.0}, "QuadratureError: "),
+])
+def test_compare_reports_a_failed_scenario_and_exits_2(tmp_path, capsys, beam_a, error):
+    doc = dict(BASE, beam_a=beam_a)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compare", "--config", str(path)]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"compare failed: {error}")
+
+
 def test_simulate_record_far_from_the_path_matches_the_lattice(tmp_path):
     # a record 25 resolutions from the origin: |exp(i S/hbar)| alone is past
     # the double range and the measurement weight alone underflows, but

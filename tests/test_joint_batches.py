@@ -1,0 +1,215 @@
+"""Every beam that shares a panel layout is integrated in one batch, and
+each beam gets the bits it gets alone.
+
+``RowCache.fill`` groups a sweep's beams by frame profile, units and the
+segment edges of their breakpoints, and integrates each group in one line
+and one triangle pass per kernel branch, sampling each distinct record once
+per call.  Each set of a batch stops at its own level with its own
+arithmetic, so every beam's rows, and every row a sweep prints, must equal
+those of the beam integrated alone, bit for bit; a beam that stalls must
+fail with the error a lone attempt raises, and leave the others alone.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rpif import RpifError, actions, interference, quadrature
+from rpif.actions import RowKey
+from rpif.scenario import BeamRecord
+from rpif.sweep import SweepSpec, run_sweep
+from rpif.timefunctions import (
+    ConstantFunction,
+    LinearFunction,
+    PolynomialFunction,
+    SinusoidFunction,
+    TabulatedFunction,
+)
+from util import make_scenario
+
+RECORDS = {
+    "constant": ConstantFunction(0.1),
+    "linear": LinearFunction(0.3, -0.1),
+    "sinusoid": SinusoidFunction(0.3, 3.0, 0.2),
+    "polynomial": PolynomialFunction((0.1, -0.2, 0.3)),
+    # two records with the same interior samples share a layout; a third
+    # splits the window at 0.5 only, as the tabulated frame profile does
+    "tabulated": TabulatedFunction((0.0, 0.37, 0.61, 1.0), (0.1, 0.3, -0.2, 0.05)),
+    "tabulated_alike": TabulatedFunction((0.0, 0.37, 0.61, 1.0), (-0.2, 0.1, 0.4, 0.0)),
+    "tabulated_half": TabulatedFunction((0.0, 0.5, 1.0), (0.2, -0.1, 0.3)),
+    # its quadratures cannot converge
+    "stalled": SinusoidFunction(0.3, 30000.0, 0.0),
+}
+
+FRAMES = {
+    "constant": ConstantFunction(1.0),
+    "linear": LinearFunction(0.5, 1.0),
+    "tabulated": TabulatedFunction((0.0, 0.5, 1.0), (1.0, 0.5, 1.2)),
+}
+
+# in internal units |wT| = 2/delta: closed-form kernels below delta = 200,
+# series kernels above
+RESOLUTIONS = (0.4, 1.0, 2.5, 150.0, 199.0, 201.0, 250.0, 900.0)
+
+ROWS = ((actions._action_rows, actions._batch_action_rows),
+        (interference._literal_rows, interference._batch_literal_rows))
+
+
+def _bits(entry):
+    """An entry of a row cache as comparable bits: an error's type and
+    text, or the bytes of every number of the rows."""
+    if isinstance(entry, RpifError):
+        return type(entry).__name__, str(entry)
+    if isinstance(entry, actions.ActionRows):
+        *rows, mean_square = dataclasses.astuple(entry)
+        return tuple(complex(value).real.hex() + complex(value).imag.hex()
+                     for value in rows) + (mean_square.hex(),)
+    return tuple(part.tobytes() for part in entry)
+
+
+def _keys(beams, frame):
+    return [RowKey((BeamRecord(RECORDS[record], delta), FRAMES[frame], 1.0, 1.0, 0.0, 1.0))
+            for record, delta in beams]
+
+
+@given(beams=st.lists(st.tuples(st.sampled_from(sorted(RECORDS)),
+                                st.sampled_from(RESOLUTIONS)),
+                      min_size=2, max_size=5, unique=True),
+       frame=st.sampled_from(sorted(FRAMES)))
+@settings(max_examples=25, deadline=None)
+def test_each_beam_of_a_joint_batch_gets_its_rows_alone(beams, frame):
+    keys = _keys(beams, frame)
+    for cache, compute in ROWS:
+        cache.cache_clear()
+        joint = cache.fill(keys)
+        for key, entry in zip(keys, joint):
+            alone, = compute((key[0],), *key[1:])
+            assert _bits(entry) == _bits(alone), key[0]
+        cache.cache_clear()
+
+
+def test_a_joint_batch_has_one_pass_per_layout_and_branch(monkeypatch):
+    calls = []
+    triangle = quadrature.integrate_triangle
+
+    def counted(factors, a, b, *, batch, **kwargs):
+        calls.append(batch.size)
+        return triangle(factors, a, b, batch=batch, **kwargs)
+    monkeypatch.setattr(quadrature, "integrate_triangle", counted)
+    # smooth records, closed and series kernels, one of which stalls; two
+    # tabulated records with one layout, closed and series; a record with a
+    # layout of its own
+    beams = [("sinusoid", 1.0), ("linear", 2.5), ("stalled", 1.0), ("polynomial", 250.0),
+             ("tabulated", 0.4), ("tabulated_alike", 900.0), ("tabulated_half", 1.0)]
+    keys = _keys(beams, "constant")
+    for cache, compute in ROWS:
+        cache.cache_clear()
+        calls.clear()
+        joint = cache.fill(keys)
+        # the action rows split each layout by kernel branch, the printed
+        # rows do not; the stalled beam fails in the line pass, and the
+        # triangle pass of its batch leaves it out
+        want = [3, 1, 1, 1, 1] if cache is actions._action_rows else [4, 2, 1]
+        assert sorted(calls, reverse=True) == want
+        assert isinstance(joint[2], quadrature.QuadratureError)
+        assert "did not converge" in str(joint[2])
+        for key, entry in zip(keys, joint):
+            assert _bits(entry) == _bits(compute((key[0],), *key[1:])[0])
+        cache.cache_clear()
+
+
+def _sweep_alone(scenario, spec):
+    """The sweep's rows with every beam's rows integrated on their own."""
+    def fill(cache, keys):
+        return [cache._compute((key[0],), *key[1:])[0] for key in keys]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actions.RowCache, "fill", fill)
+        return run_sweep(scenario, spec)
+
+
+COLUMNS = ("intensity", "reduced_i", "i1", "i2", "i3", "i4", "i5",
+           "phase_difference", "residual")
+
+
+def _row_bits(row):
+    return (row.error,) + tuple(float(getattr(row, name)).hex()
+                                if not math.isnan(getattr(row, name)) else "nan"
+                                for name in COLUMNS)
+
+
+@given(parameter=st.sampled_from(["delta_a", "delta_b", "z2", "g"]),
+       records=st.tuples(st.sampled_from(sorted(RECORDS)), st.sampled_from(sorted(RECORDS))),
+       resolutions=st.tuples(st.sampled_from(RESOLUTIONS), st.sampled_from(RESOLUTIONS)),
+       frame=st.sampled_from(sorted(FRAMES)))
+@settings(max_examples=15, deadline=None)
+def test_a_sweep_of_joint_batches_prints_the_rows_of_beams_alone(
+        parameter, records, resolutions, frame):
+    # a resolution sweep batches the swept beam at every resolution with the
+    # fixed beam where their layouts agree
+    scenario = make_scenario(f=FRAMES[frame], a=RECORDS[records[0]], b=RECORDS[records[1]],
+                             delta_a=resolutions[0], delta_b=resolutions[1], z1=0.3)
+    start, stop = {"delta_a": (0.5, 260.0), "delta_b": (0.5, 260.0),
+                   "z2": (-1.0, 1.0), "g": (0.0, 2.0)}[parameter]
+    spec = SweepSpec(parameter=parameter, start=start, stop=stop, steps=8, mode="both")
+    for cache, _ in ROWS:
+        cache.cache_clear()
+    joint = run_sweep(scenario, spec)
+    alone = _sweep_alone(scenario, spec)
+    for cache, _ in ROWS:
+        cache.cache_clear()
+    assert [_row_bits(row) for row in joint] == [_row_bits(row) for row in alone]
+
+
+# ---------------------------------------------------------------------------
+# the domains are checked once per pass
+# ---------------------------------------------------------------------------
+
+def test_a_pass_samples_without_calling_the_time_functions(monkeypatch):
+    # the domains are checked against the window once, and the nodes are
+    # sampled directly: no call goes through TimeFunction.__call__
+    from rpif import decompose
+    from rpif.timefunctions import TimeFunction
+
+    def called(self, t):
+        raise AssertionError("TimeFunction.__call__ on the quadrature path")
+    scenario = make_scenario(f=FRAMES["tabulated"], a=RECORDS["tabulated"],
+                             b=RECORDS["sinusoid"])
+    for cache, _ in ROWS:
+        cache.cache_clear()
+    monkeypatch.setattr(TimeFunction, "__call__", called)
+    try:
+        for mode in ("derived", "paper-literal"):
+            decompose(scenario, mode)
+    finally:
+        for cache, _ in ROWS:
+            cache.cache_clear()
+
+
+@pytest.mark.parametrize("which", ["record", "frame profile"])
+def test_a_domain_short_of_the_window_fails_its_beams(which):
+    from rpif import ValidationError
+    from rpif.actions import restricted_propagator
+    from rpif.scenario import PhysicalParams
+
+    short = LinearFunction(0.3, -0.1, domain=(0.0, 0.5))
+    good = BeamRecord(RECORDS["sinusoid"], 1.0)
+    beam = BeamRecord(short, 1.0) if which == "record" else good
+    frame = short if which == "frame profile" else FRAMES["constant"]
+    message = r"time 0\.\.1 outside domain \[0, 0\.5\] for linear function"
+    params = PhysicalParams(1.0, 1.0, 1.0, 0.0, 1.0)
+    for cache, compute in ROWS:
+        cache.cache_clear()
+        # alone, through a read of the cache
+        with pytest.raises(ValidationError, match=message):
+            cache(beam, frame, 1.0, 1.0, 0.0, 1.0)
+        # beside a beam whose domains cover the window: a short record fails
+        # its own beam only, a short frame profile fails both
+        entries = compute((beam, good), frame, 1.0, 1.0, 0.0, 1.0)
+        assert isinstance(entries[0], ValidationError)
+        assert isinstance(entries[1], ValidationError) == (which == "frame profile")
+        cache.cache_clear()
+    with pytest.raises(ValidationError, match=message):
+        restricted_propagator(beam, frame, params, 0.0, 0.5)

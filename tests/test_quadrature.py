@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpif import QuadratureError, quadrature
 from rpif.quadrature import GAUSS_ORDER, integrate, integrate_triangle
@@ -273,3 +275,104 @@ def test_each_set_of_a_batch_converges_on_its_own(rule):
         assert got.tobytes() == np.asarray(want, complex).tobytes()
     levels = [sum(i in sets for sets in evaluated) for i in range(len(rates))]
     assert levels[0] < levels[1] < levels[2]
+
+
+# ---------------------------------------------------------------------------
+# failed sets of a batch
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rule", ["line", "triangle"])
+@pytest.mark.parametrize("failure", ["stall", "nonfinite"])
+def test_a_failed_set_fails_alone_with_its_lone_error(rule, failure):
+    # set 1 has a kink off every panel edge (it stalls) or NaN values (not
+    # finite); sets 0 and 2 converge with their lone bits, and a later
+    # integral over the batch no longer evaluates set 1
+    def one(t, i):
+        if i != 1:
+            return np.exp(1j * (i + 1.0) * t)
+        return (np.abs(t - 0.37) if failure == "stall" else np.full_like(t, np.nan)) + 0j
+
+    def rows(t):
+        sets = np.arange(3)[batch.index]
+        seen.append(np.atleast_1d(sets).tolist())
+        if np.ndim(sets) == 0:
+            return one(t, int(sets))
+        return np.stack([one(t, i) for i in sets.tolist()])
+
+    batch = quadrature.Batch(3)
+    seen = []
+
+    def line(t):
+        return rows(t)
+
+    def factors(t, s):
+        return rows(t)[..., None, :], np.cos(s)[None, :]
+
+    def alone(i):
+        if rule == "line":
+            return integrate(lambda t: one(t, i), 0.0, 1.0, node_budget=256)
+        return integrate_triangle(lambda t, s: (one(t, i)[None, :], np.cos(s)[None, :]),
+                                  0.0, 1.0, axis_budget=256)
+
+    run = ((lambda: integrate(line, 0.0, 1.0, batch=batch, node_budget=256))
+           if rule == "line" else
+           (lambda: integrate_triangle(factors, 0.0, 1.0, batch=batch, axis_budget=256)))
+    with pytest.raises(QuadratureError) as info:
+        run()
+    exc = info.value
+    with pytest.raises(QuadratureError) as lone:
+        alone(1)
+    assert list(exc.failed) == [1] and list(batch.failed) == [1]
+    assert str(exc.failed[1]) == str(lone.value)
+    assert exc.failed[1].last_delta == lone.value.last_delta
+    assert f"set 1: {lone.value}" in str(exc)
+    for i in (0, 2):
+        assert exc.value[i].tobytes() == np.complex128(alone(i)).tobytes()
+    assert np.isnan(exc.value[1])
+    # set 1 is left out of the next integral over the batch
+    seen.clear()
+    again = run()
+    assert all(1 not in sets for sets in seen)
+    assert again[0] == exc.value[0] and np.isnan(again[1])
+
+
+# ---------------------------------------------------------------------------
+# the rule of a level
+# ---------------------------------------------------------------------------
+
+@given(inside=st.lists(st.floats(-50.0, 50.0), max_size=12, unique=True),
+       ends=st.tuples(st.floats(-100.0, -60.0), st.floats(60.0, 100.0)),
+       panels=st.sampled_from([1, 2, 3, 4, 8, 64, 512]))
+@example(inside=[0.0, 5e-324], ends=(-100.0, 60.0), panels=3)  # a step underflows
+@example(inside=[1e-300, 1e-300 + 1e-316], ends=(0.0, 1.0), panels=4096)
+@settings(max_examples=200, deadline=None)
+def test_panel_edges_are_each_segments_linspace_bit_for_bit(inside, ends, panels):
+    edges = (ends[0], *sorted(inside), ends[1])
+    want = np.concatenate([np.linspace(lo, hi, panels + 1)[:-1]
+                           for lo, hi in zip(edges, edges[1:])] + [np.array(edges[-1:])])
+    got = quadrature._panel_edges(panels, edges)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_leggauss_runs_once_per_order(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(order):
+        calls.append(order)
+        return leggauss(order)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    cached = (quadrature._gauss, quadrature._reference_rule, quadrature._nested_rule)
+    for cache in cached:
+        cache.cache_clear()
+    try:
+        for order in (8, 5):
+            for k in range(1, 6):  # new panel edges, so new rules, every time
+                breaks = tuple(np.linspace(0.0, 1.0, k + 2)[1:-1] + 0.01)
+                integrate(lambda t: np.exp(t), 0.0, 1.0, breaks=breaks, order=order)
+                integrate_triangle(lambda t, s: ([np.exp(t)], [np.exp(-s)]), 0.0, 1.0,
+                                   breaks=breaks, order=order)
+    finally:
+        for cache in cached:
+            cache.cache_clear()
+    assert calls == [8, 5]

@@ -213,9 +213,10 @@ def test_z2_sweep_integrates_each_beam_once(triangle_calls):
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=16, mode="both")
     rows = run_sweep(scenario, spec)
     assert len(rows) == 32 and all(row.error is None for row in rows)
-    # 2 beams x (1 action block + 1 literal endpoint-free block, j1 and j2
-    # in one call)
-    assert len(triangle_calls) == 4
+    # both beams share a panel layout and a kernel branch: 1 action block
+    # call + 1 literal endpoint-free block call (j1 and j2 together), each
+    # for both beams
+    assert len(triangle_calls) == 2
 
 
 def test_g_sweep_integrates_each_beam_once(triangle_calls):
@@ -225,7 +226,7 @@ def test_g_sweep_integrates_each_beam_once(triangle_calls):
     spec = SweepSpec(parameter="g", start=0.0, stop=2.0, steps=16, mode="both")
     rows = run_sweep(scenario, spec)
     assert len(rows) == 32 and all(row.error is None for row in rows)
-    assert len(triangle_calls) == 4
+    assert len(triangle_calls) == 2
 
 
 def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
@@ -235,9 +236,9 @@ def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
                      mode="both")
     rows = run_sweep(scenario, spec)
     assert all(row.error is None for row in rows)
-    # beam a: its action and literal rows at all five resolutions in one
-    # triangle call each; beam b: 2 triangles once
-    assert len(triangle_calls) == 4
+    # beam a at all five resolutions and beam b share a panel layout: their
+    # action rows in one triangle call, and their literal rows in another
+    assert len(triangle_calls) == 2
 
 
 def test_oracle_runs_once_per_point(monkeypatch):
@@ -341,12 +342,16 @@ def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, orac
                       "validate_scenario": 1}
 
 
-@pytest.mark.parametrize("mode, line, triangle", [("derived", 3, 1), ("literal", 5, 2),
-                                                  ("both", 5, 2)])
+@pytest.mark.parametrize("mode, line, triangle", [
+    pytest.param("derived", 2, 1, id="derived"),
+    pytest.param("literal", 3, 2, id="literal"),
+    pytest.param("both", 3, 2, id="both")])
 def test_a_failed_row_batch_is_attempted_once(monkeypatch, mode, line, triangle):
-    # beam a's quadratures cannot converge at omega = 30 000: its batch of one
-    # fails once and keeps its error, which every point then reports; beam b
-    # is integrated once (its action rows, <c^2>, and its printed rows)
+    # beam a's quadratures cannot converge at omega = 30 000.  It shares a
+    # batch with beam b: the line call fails beam a alone, which keeps its
+    # error, and every point then reports it; beam b goes on, and is
+    # integrated once (the line call it shares, its triangle and <c^2>; and
+    # the same for its printed rows)
     from rpif import QuadratureError, actions, interference, quadrature
     line_calls = _count_calls(monkeypatch, quadrature, "integrate")
     triangle_calls = _count_calls(monkeypatch, quadrature, "integrate_triangle")
@@ -358,12 +363,13 @@ def test_a_failed_row_batch_is_attempted_once(monkeypatch, mode, line, triangle)
     assert (len(line_calls), len(triangle_calls)) == (line, triangle)
     # the text of each row's error is the one a lone attempt raises
     beam, f = scenario.beam_a, scenario.frame_profile
-    for rows_of, mode_name in ((actions._batch_action_rows, "derived"),
-                               (interference._batch_literal_rows, "paper-literal")):
+    for cache, mode_name in ((actions._action_rows, "derived"),
+                             (interference._literal_rows, "paper-literal")):
         want = [row.error for row in rows if row.mode == mode_name]
         if want:
+            cache.cache_clear()
             with pytest.raises(QuadratureError) as info:
-                rows_of((beam,), f, 1.0, 1.0, 0.0, 1.0)
+                cache(beam, f, 1.0, 1.0, 0.0, 1.0)  # a lone attempt
             assert want == [f"QuadratureError: {info.value}"] * 4
 
 

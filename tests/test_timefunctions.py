@@ -174,3 +174,16 @@ def test_tabulated_length_mismatch():
     with pytest.raises(ValidationError, match="length"):
         build_time_function({"kind": "tabulated", "times": [0, 1, 2],
                              "values": [0, 1]})
+
+
+@pytest.mark.parametrize("fn", [
+    LinearFunction(2.0, 1.0, domain=(0.0, 1.0)),
+    TabulatedFunction((0.0, 0.4, 1.0), (1.0, -1.0, 0.5), domain=(0.0, 1.0)),
+])
+def test_a_sampler_checks_its_window_once_and_keeps_the_bits_of_a_call(fn):
+    with pytest.raises(ValidationError,
+                       match=rf"time 0\.5\.\.1\.5 outside domain \[0, 1\] for {fn.kind} function"):
+        fn.sampler(0.5, 1.5)
+    sample = fn.sampler(0.0, 1.0)
+    t = np.linspace(0.0, 1.0, 37)
+    assert sample(t).tobytes() == fn(t).tobytes()
