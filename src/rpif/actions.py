@@ -28,7 +28,6 @@ Numerical posture:
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -117,19 +116,18 @@ def ensure_stable(params: PhysicalParams, delta_c: float) -> complex:
     return w
 
 
-def _force_rows(records: quadrature.Samples, resolution, frame_profile: Callable,
+def _force_rows(records: quadrature.Samples, resolutions, frame_profile: Callable,
                 params: PhysicalParams) -> Callable:
-    """The force split by its dependence on g, F = g*F_f + F_c, at one
-    resolution or a sequence of them: returns (t, sets) -> (F_f(t), F_c(t)),
-    shape (..., 2, len(t)) with the sets (``quadrature.Coefficients``) in
-    front.  ``records`` holds each set's record c, and ``frame_profile`` is
-    f.  params.g is not read."""
+    """The force split by its dependence on g, F = g*F_f + F_c, at a
+    sequence of resolutions: returns (t, sets) -> (F_f(t), F_c(t)), shape
+    (..., 2, len(t)) with the sets (a ``quadrature.Batch`` index) in front.
+    ``records`` holds each set's record c, and ``frame_profile`` is f.
+    params.g is not read."""
     coefs = quadrature.Coefficients(
-        [(4.0 * params.hbar / (params.duration * r ** 2),)
-         for r in np.ravel(resolution).tolist()], np.shape(resolution))
+        [(4.0 * params.hbar / (params.duration * r ** 2),) for r in resolutions])
     m, f = params.m, frame_profile
 
-    def forces(t, sets=None):
+    def forces(t, sets):
         k, = coefs.take(sets)
         c_part = -1j * k * np.asarray(records.take(sets, t))
         rows = np.empty(c_part.shape[:-1] + (2, c_part.shape[-1]), complex)
@@ -139,18 +137,18 @@ def _force_rows(records: quadrature.Samples, resolution, frame_profile: Callable
     return forces
 
 
-def _per_frequency(w, blocks: Callable) -> tuple:
-    """``blocks(w)`` for each frequency of ``w`` (a number or a sequence):
-    the first two numbers it returns, b1 and b2, as complex arrays of w's
-    shape, and the rest as the per-set coefficients of the kernels' rows.
+def _per_frequency(ws, blocks: Callable) -> tuple:
+    """``blocks(w)`` for each frequency of the sequence ``ws``: the first
+    two numbers it returns, b1 and b2, as complex arrays over the
+    frequencies, and the rest as the per-set coefficients of the kernels'
+    rows.
 
     The per-frequency numbers are few, so they keep the scalar arithmetic
     of a single frequency; only the node rows are vectorized.
     """
-    shape = np.shape(w)
-    values = [blocks(complex(x)) for x in np.ravel(w).tolist()]
-    b1, b2 = (np.array([v[i] for v in values], complex).reshape(shape) for i in (0, 1))
-    return b1, b2, quadrature.Coefficients([v[2:] for v in values], shape)
+    values = [blocks(complex(w)) for w in ws]
+    b1, b2 = (np.array([v[i] for v in values], complex) for i in (0, 1))
+    return b1, b2, quadrature.Coefficients([v[2:] for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +159,11 @@ def _per_frequency(w, blocks: Callable) -> tuple:
 #   cos(w*u) = exp(q*u)/2    * hcos(u),  hcos(u) = e^{i q u} + E(u) e^{-i q u}
 # so ratios of sines carry only decaying exponentials.
 #
-# Every kernel is built over a frequency or a sequence of them (the
-# resolutions of one beam that a sweep visits): the blocks have the
-# frequencies' shape, and each row gets that shape in front, or, when its
-# ``sets`` argument picks some of the frequencies (``quadrature.Coefficients``),
-# theirs.
+# Every kernel is built over a sequence of frequencies (the beams of a
+# batch): the blocks are arrays over the frequencies, and each row takes a
+# ``sets`` argument, a ``quadrature.Batch`` index that picks the
+# frequencies it is evaluated at: an integer for one, whose rows come
+# without a set axis, and a slice or an index array for several.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ class ActionKernels:
     its factors: K(e, p) = sum_k outer(e)[k] * inner(p)[k].
     """
 
-    b1: np.ndarray          # the frequencies' shape
+    b1: np.ndarray          # one entry per frequency
     b2: np.ndarray
     single: Callable        # (u >= 0, sets) -> sin(w u)/sin(w T), shape (..., len(u))
     outer: Callable         # (e >= 0, sets) -> rows of shape (..., k, len(e))
@@ -202,10 +200,10 @@ def _closed_blocks(w: complex, m: float, T: float) -> tuple:
             q, 1j * q, -2.0 * q, hs_T, wc, -wc, 0.5 * q * T, 1.0 / (2j * w * hs_T))
 
 
-def _kernels_closed(w, m: float, T: float) -> ActionKernels:
-    b1, b2, coefs = _per_frequency(w, lambda x: _closed_blocks(x, m, T))
+def _kernels_closed(ws, m: float, T: float) -> ActionKernels:
+    b1, b2, coefs = _per_frequency(ws, lambda x: _closed_blocks(x, m, T))
 
-    def single(u, sets=None):
+    def single(u, sets):
         q_, iq_, m2q_, hs_, *_ = coefs.take(sets)
         iqu = iq_ * u
         return np.exp(q_ * (u - T)) * (np.exp(iqu) - np.exp(m2q_ * u - iqu)) / hs_
@@ -214,10 +212,10 @@ def _kernels_closed(w, m: float, T: float) -> ActionKernels:
         *_, wc_, mwc_, shift_, _ = coefs.take(sets)
         return np.exp(wc_ * u - shift_) - np.exp(mwc_ * u - shift_)
 
-    def outer(e, sets=None):
+    def outer(e, sets):
         return (coefs.take(sets)[-1] * side(e, sets))[..., None, :]
 
-    def inner(p, sets=None):
+    def inner(p, sets):
         return side(p, sets)[..., None, :]
 
     return ActionKernels(b1, b2, single, outer, inner)
@@ -239,22 +237,22 @@ def _series_blocks(w: complex, m: float, T: float) -> tuple:
     return b1, b2, w2, w4, c0, c1, c2, c3
 
 
-def _kernels_series(w, m: float, T: float) -> ActionKernels:
-    b1, b2, coefs = _per_frequency(w, lambda x: _series_blocks(x, m, T))  # w^2, w^4, c0..c3
+def _kernels_series(ws, m: float, T: float) -> ActionKernels:
+    b1, b2, coefs = _per_frequency(ws, lambda x: _series_blocks(x, m, T))  # w^2, w^4, c0..c3
 
-    def single(u, sets=None):
+    def single(u, sets):
         w2_, w4_, *_ = coefs.take(sets)
         return (u / T) * (1.0 + w2_ * (T * T - u * u) / 6.0
                           + w4_ * (u ** 4 / 120.0 + 7.0 * T ** 4 / 360.0
                                    - u * u * T * T / 36.0))
 
-    def outer(e, sets=None):
+    def outer(e, sets):
         e2 = e * e
         *_, a0, a1, a2, a3 = coefs.take(sets)
         return np.stack((e * (a0 + e2 * (a1 + e2 * a2)), e * (a1 + e2 * a3), a2 * e),
                         axis=-2)
 
-    def inner(p, sets=None):
+    def inner(p, sets):
         # the same for every frequency
         p2 = p * p
         return np.stack((p, p * p2, p * p2 * p2))
@@ -262,12 +260,12 @@ def _kernels_series(w, m: float, T: float) -> ActionKernels:
     return ActionKernels(b1, b2, single, outer, inner)
 
 
-def action_kernels(w, m: float, T: float) -> ActionKernels:
-    """The kernels at one frequency, or at a sequence of frequencies that
-    all lie on the side of the |wT| crossover where the first does."""
-    if abs(np.ravel(w)[0]) * T < SMALL_WT_CROSSOVER:
-        return _kernels_series(w, m, T)
-    return _kernels_closed(w, m, T)
+def action_kernels(ws, m: float, T: float) -> ActionKernels:
+    """The kernels at a sequence of frequencies that all lie on the side of
+    the |wT| crossover where the first does."""
+    if abs(ws[0]) * T < SMALL_WT_CROSSOVER:
+        return _kernels_series(ws, m, T)
+    return _kernels_closed(ws, m, T)
 
 
 class ActionBlocks(NamedTuple):
@@ -370,100 +368,6 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: flo
     return (kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c, q12_ff, q12_fc, q12_cc)
 
 
-#: Entries per block cache, besides a sweep's batch.  The cached rows do not
-#: depend on g or on the endpoints, so a sweep reuses them across every
-#: point that leaves the beam, the frame and the units alone; one point
-#: needs two entries of a cache (one per beam), so eight catch all the
-#: reuse there is.
-BLOCK_CACHE_SIZE = 8
-
-
-class RowKey(tuple):
-    """A row-cache key (beam, frame profile, m, hbar, tau_start, tau_end)
-    that is hashed once: the beam and the frame profile are dataclasses,
-    hashed field by field every time.  It equals, and hashes like, the
-    plain tuple."""
-
-    def __new__(cls, fields):
-        key = super().__new__(cls, fields)
-        key._hash = tuple.__hash__(key)
-        return key
-
-    def __hash__(self):
-        return self._hash
-
-
-class RowCache:
-    """Per-beam rows keyed by (beam, frame profile, m, hbar, tau_start,
-    tau_end), computed in batches.
-
-    ``compute(beams, frame_profile, m, hbar, tau_start, tau_end)`` returns
-    the entry of each beam of a batch, whose beams share the frame profile,
-    the units and the panel layout (``quadrature._segments`` of their
-    breakpoints): its rows, or the RpifError that the beam raises on its
-    own.  A compute that raises fails every beam of its batch with that
-    error.  Reads go through an lru cache of ``BLOCK_CACHE_SIZE`` entries.
-    ``fill`` computes the rows of a whole sweep, one batch per panel
-    layout, and keeps the batch until a read needs rows from outside it, so
-    every point of the sweep finds its rows there and the memory held is
-    that of the sweep being run.  ``fill`` also returns each key's entry,
-    so a sweep needs no read.  A read that finds nothing computes a batch
-    of one.  The keys are frozen dataclasses and floats compared by value,
-    so a hit returns exactly the bits a recomputation would; the lru cache
-    and the batch, replaced whole, let threads share the cache.
-    """
-
-    def __init__(self, compute: Callable):
-        self._compute = compute
-        self._batch: dict = {}
-        self._read = functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)(self._find)
-
-    def __call__(self, beam: BeamRecord, frame_profile: TimeFunction, m: float,
-                 hbar: float, tau_start: float, tau_end: float):
-        return self._read(beam, frame_profile, m, hbar, tau_start, tau_end)
-
-    def _find(self, *key):
-        rows = self._batch.get(key)
-        if rows is None:
-            self._batch = {}
-            rows, = self._compute((key[0],), *key[1:])
-        if isinstance(rows, RpifError):
-            raise rows.with_traceback(None)
-        return rows
-
-    def fill(self, keys: list) -> list:
-        """Compute the entry of every key, one batch per panel layout, and
-        keep them as the batch; entries of the previous batch are kept, not
-        recomputed.  A failed key keeps its error, which every read of that
-        key raises.  Returns each key's entry."""
-        kept, batch, groups = self._batch, {}, {}
-        for key in dict.fromkeys(keys):
-            rows = kept.get(key)
-            if rows is None:
-                beam, frame_profile, *units = key
-                layout = quadrature._segments(units[2], units[3], frame_profile.breakpoints
-                                              + beam.trajectory.breakpoints)
-                groups.setdefault((frame_profile, *units, layout), []).append(key)
-            else:
-                batch[key] = rows
-        for group in groups.values():
-            try:
-                entries = self._compute(tuple(key[0] for key in group), *group[0][1:])
-            except RpifError as exc:
-                entries = [exc] * len(group)
-            batch.update((key, entry.with_traceback(None) if isinstance(entry, RpifError)
-                          else entry) for key, entry in zip(group, entries))
-        self._batch = batch
-        return [batch[key] for key in keys]
-
-    def cache_info(self):
-        return self._read.cache_info()
-
-    def cache_clear(self) -> None:
-        self._batch = {}
-        self._read.cache_clear()
-
-
 def _samplers(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
               tau_start: float, tau_end: float, out: list):
     """The frame profile's sampler over the window and one per distinct
@@ -538,20 +442,15 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
     return out
 
 
-_action_rows = RowCache(_batch_action_rows)
-
-
 def _beam_rows(beam: BeamRecord, frame_profile: TimeFunction,
                params: PhysicalParams) -> ActionRows:
-    """One beam's g-free action rows and <c^2>, through the row cache."""
-    return _action_rows(beam, frame_profile, params.m, params.hbar,
-                        params.tau_start, params.tau_end)
-
-
-def _action_blocks(beam: BeamRecord, frame_profile: TimeFunction,
-                   params: PhysicalParams) -> ActionBlocks:
-    """The three action quadratures of one beam at the params' g."""
-    return _beam_rows(beam, frame_profile, params).at(params.g)
+    """One beam's g-free action rows and <c^2>, integrated as a batch of
+    one."""
+    rows, = _batch_action_rows((beam,), frame_profile, params.m, params.hbar,
+                               params.tau_start, params.tau_end)
+    if isinstance(rows, RpifError):
+        raise rows
+    return rows
 
 
 def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
@@ -565,7 +464,7 @@ def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
     ``blocks``.
     """
     if blocks is None:
-        blocks = _action_blocks(beam, frame_profile, params)
+        blocks = _beam_rows(beam, frame_profile, params).at(params.g)
     value = blocks.action(params.m, z1, z2)
     _ensure_finite(value, "classical_action")
     return ComplexAction.from_complex(value)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,10 +44,8 @@ from . import quadrature
 from .actions import (
     ActionBlocks,
     ActionRows,
-    RowCache,
-    RowKey,
-    _action_rows,
     _amplitude,
+    _batch_action_rows,
     _ensure_finite,
     _prefactor,
     _samplers,
@@ -55,7 +53,8 @@ from .actions import (
     classical_action,
     ensure_stable,
 )
-from .errors import RpifError
+from .errors import LatticeError, RpifError
+from .lattice import _batch_lattice_rows, oracle_propagator
 from .scenario import BeamRecord, PhysicalParams, Scenario, nondimensional
 from .timefunctions import TimeFunction
 
@@ -138,9 +137,9 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     """The g-free rows of the printed i3/i4 and i5 integrals of beams that
     share a panel layout: one line pass and one triangle pass for all of
     them, which sample each distinct record once per call.  Independent of
-    the endpoints and of g, so z2 and g sweeps compute them once per beam,
-    and a resolution sweep once per sweep.  Returns each beam's rows, or
-    the RpifError that it raises on its own.
+    the endpoints and of g, so an evaluation computes them once per beam,
+    and a resolution sweep once for all its resolutions.  Returns each
+    beam's rows, or the RpifError that it raises on its own.
 
     i3 and i4: with x = q*(t - anchor), q = omega/sqrt(2), the printed pair
     of single integrals is
@@ -227,9 +226,6 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     for j, i in enumerate(live):
         out[i] = batch.failed[j] if j in batch.failed else (lines[j].real, triangles[j].real)
     return out
-
-
-_literal_rows = RowCache(_batch_literal_rows)
 
 
 class _Printed(NamedTuple):
@@ -382,23 +378,24 @@ class _Complex:
 
 
 class _Beam:
-    """What every point that has this beam, frame profile and units reads,
-    computed once: the frequency (or the stability error), and on first
-    use the action rows with the prefactor and the weight exponent
-    -2<c^2>/delta^2, and the printed-form numbers.  A part whose rows fail
-    holds the RpifError instead."""
+    """What every point of an evaluation that has this beam, frame profile
+    and units reads, computed once: the frequency (or the stability
+    error); the action rows, the printed rows and the lattice rows, which
+    the evaluation fills in; and on first use the prefactor with the
+    weight exponent -2<c^2>/delta^2, and the printed-form numbers.  A part
+    whose rows fail holds the RpifError instead."""
 
-    __slots__ = ("key", "params", "w", "error", "action_rows", "literal_rows",
-                 "_action", "_printed")
+    __slots__ = ("beam", "frame_profile", "params", "w", "error", "action_rows",
+                 "literal_rows", "lattice_rows", "_action", "_printed")
 
-    def __init__(self, key: RowKey, params: PhysicalParams):
-        self.key, self.params = key, params
+    def __init__(self, beam: BeamRecord, frame_profile: TimeFunction,
+                 params: PhysicalParams):
+        self.beam, self.frame_profile, self.params = beam, frame_profile, params
         self.w, self.error = None, None
-        # the row-cache entries of a stable beam, which ``_beams`` fills in
-        self.action_rows = self.literal_rows = None
+        self.action_rows = self.literal_rows = self.lattice_rows = None
         self._action = self._printed = None
         try:
-            self.w = ensure_stable(params, key[0].resolution)
+            self.w = ensure_stable(params, beam.resolution)
         except RpifError as exc:
             self.error = exc
 
@@ -408,7 +405,7 @@ class _Beam:
             if isinstance(rows, RpifError):
                 self._action = rows
             else:
-                delta = self.key[0].resolution
+                delta = self.beam.resolution
                 self._action = (rows, _prefactor(self.w, self.params),
                                 -2.0 * rows.mean_square / delta ** 2)
         return self._action
@@ -419,18 +416,43 @@ class _Beam:
             if isinstance(rows, RpifError):
                 self._printed = rows
             else:
-                delta = self.key[0].resolution
+                delta = self.beam.resolution
                 self._printed = _printed(rows, self.params, delta,
                                          _paper_angle(self.params, delta))
         return self._printed
 
 
+def _fill(beams: Sequence[_Beam], compute: Callable, *extra, by_layout: bool = True) -> list:
+    """Each beam's entry of ``compute(records, frame_profile, m, hbar,
+    tau_start, tau_end, *extra)``: its rows, or the RpifError that it
+    raises.  ``compute`` runs once per group of beams that share the frame
+    profile, the units and, with ``by_layout``, the panel layout
+    (``quadrature._segments`` of their breakpoints); a call that raises
+    fails every beam of its group with that error."""
+    groups: dict = {}
+    for i, beam in enumerate(beams):
+        p, f = beam.params, beam.frame_profile
+        layout = (quadrature._segments(p.tau_start, p.tau_end,
+                                       f.breakpoints + beam.beam.trajectory.breakpoints)
+                  if by_layout else None)
+        groups.setdefault(((f, p.m, p.hbar, p.tau_start, p.tau_end), layout), []).append(i)
+    out: list = [None] * len(beams)
+    for (args, _), index in groups.items():
+        try:
+            entries = compute(tuple(beams[i].beam for i in index), *args, *extra)
+        except RpifError as exc:
+            entries = [exc] * len(index)
+        for i, entry in zip(index, entries):
+            out[i] = entry.with_traceback(None) if isinstance(entry, RpifError) else entry
+    return out
+
+
 def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam, _Beam]]:
     """Each point's two beams, one ``_Beam`` per distinct (beam, frame
-    profile, units), after filling the row caches for every stable one: the
-    rows of every beam that shares a panel layout, at all the resolutions
-    the points visit, in one line pass and one triangle pass per kind of
-    row (and kernel branch)."""
+    profile, units), with the rows of every stable one filled in: the rows
+    of every beam that shares a panel layout, at all the resolutions the
+    points visit, in one line pass and one triangle pass per kind of row
+    (and kernel branch)."""
     by_key: dict = {}
     seen: dict = {}   # by object identity first, so a shared beam is hashed once
     pairs = []
@@ -442,19 +464,18 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam
             ident = (id(beam), id(f), *units)
             found = seen.get(ident)
             if found is None:
-                key = RowKey((beam, f, *units))
+                key = (beam, f, *units)
                 found = by_key.get(key)
                 if found is None:
-                    found = by_key[key] = _Beam(key, p)
+                    found = by_key[key] = _Beam(beam, f, p)
                 seen[ident] = found
             pair.append(found)
         pairs.append(tuple(pair))
     stable = [beam for beam in by_key.values() if beam.error is None]
-    keys = [beam.key for beam in stable]
-    for beam, entry in zip(stable, _action_rows.fill(keys)):
+    for beam, entry in zip(stable, _fill(stable, _batch_action_rows)):
         beam.action_rows = entry
     if MODE_LITERAL in modes:
-        for beam, entry in zip(stable, _literal_rows.fill(keys)):
+        for beam, entry in zip(stable, _fill(stable, _batch_literal_rows)):
             beam.literal_rows = entry
     return pairs
 
@@ -516,7 +537,7 @@ class _Group:
         if len(self.points) == 1:
             (nd,), (pair,) = self.points, self.pairs
             try:
-                return [tuple(classical_action(beam.key[0], nd.frame_profile, nd.params,
+                return [tuple(classical_action(beam.beam, nd.frame_profile, nd.params,
                                                nd.z1, nd.z2, blocks=block).as_complex
                               for beam, block in zip(pair, blocks))]
             except RpifError as exc:
@@ -563,25 +584,54 @@ def _amplitudes(nd: Scenario, a: _Beam, b: _Beam, actions: Sequence[complex]
                 ) -> tuple[complex, complex]:
     """U_a and U_b of a point from its two actions."""
     (_, prefactor_a, weight_a), (_, prefactor_b, weight_b) = a.action(), b.action()
-    return (_named_amplitude("a", a.key[0], prefactor_a, weight_a, actions[0], nd.params.hbar),
-            _named_amplitude("b", b.key[0], prefactor_b, weight_b, actions[1], nd.params.hbar))
+    return (_named_amplitude("a", a.beam, prefactor_a, weight_a, actions[0], nd.params.hbar),
+            _named_amplitude("b", b.beam, prefactor_b, weight_b, actions[1], nd.params.hbar))
 
 
-def _evaluate(points: Sequence[Scenario], modes: Sequence[str]
-              ) -> list[tuple[list[tuple | RpifError], tuple[complex, complex] | None]]:
-    """Points in internal units, each in every mode of ``modes``.
+def _oracle_deviation(nd: Scenario, pair: tuple[_Beam, _Beam],
+                      amplitudes: tuple[complex, complex], schedule: Sequence[int]) -> float:
+    """Max over beams of |closed - extrapolated| / |extrapolated| for a
+    point in internal units, from its beams' lattice rows and its
+    closed-form amplitudes (U_a, U_b).  A beam whose lattice amplitude
+    underflows to 0 raises LatticeError.
+    """
+    worst = 0.0
+    for label, beam, closed in zip("ab", pair, amplitudes):
+        if isinstance(beam.lattice_rows, RpifError):
+            raise beam.lattice_rows.with_traceback(None)
+        extr = oracle_propagator(nd, label, schedule, rows=beam.lattice_rows)
+        if extr.value == 0:
+            raise LatticeError(
+                f"beam_{label}: the lattice amplitude underflows to 0 on the "
+                f"schedule {','.join(map(str, schedule))}, so the oracle "
+                f"deviation is undefined")
+        worst = max(worst, abs(closed - extr.value) / abs(extr.value))
+    return worst
+
+
+def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
+              schedule: Sequence[int] | None = None
+              ) -> list[tuple[list[tuple | RpifError], float | None]]:
+    """Points in internal units, each in every mode of ``modes``, with the
+    lattice oracle on ``schedule`` when one is given.
 
     For each point returns each mode's numbers (``_ROW_NUMBERS``), or the
-    RpifError that failed it, and the amplitudes (U_a, U_b), or None when
-    every mode failed.  Everything that depends on neither g nor the
-    endpoints is computed once per distinct beam (``_Beam``).  The points
-    are then evaluated together: their rows at g, actions and terms as
-    array arithmetic that gives each point the bits it gets alone
-    (``_Complex``), and per point only the two amplitudes, the intensity and
-    reduced_i.  The modes share the stability check, the actions and the
-    amplitudes; only the printed i3..i5 rows are the literal mode's own, so
-    their failure fails that mode alone, and it is reported ahead of a
-    failure of the shared part.
+    RpifError that failed it, and the oracle deviation, or None without a
+    schedule or when every mode failed.  Everything that depends on neither
+    g nor the endpoints is computed once per distinct beam (``_Beam``), and
+    held only until the evaluation returns.  The points are then evaluated
+    together: their rows at g, actions and terms as array arithmetic that
+    gives each point the bits it gets alone (``_Complex``), and per point
+    only the two amplitudes, the intensity and reduced_i.  The modes share
+    the stability check, the actions and the amplitudes; only the printed
+    i3..i5 rows are the literal mode's own, so their failure fails that
+    mode alone, and it is reported ahead of a failure of the shared part.
+
+    The oracle reduces the beams of every point that reached its
+    amplitudes, each distinct beam once per level, one batch per frame
+    profile and units (``lattice._batch_lattice_rows``); its deviation is
+    shared by every mode of a point, and an oracle error fails each mode
+    that had not failed on its own.
     """
     pairs = _beams(points, modes)
     out: list = [None] * len(points)
@@ -607,7 +657,20 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str]
     groups = [live] if len(live) >= VECTOR_POINTS else [[i] for i in live]
     for indices in groups:
         _evaluate_group(points, pairs, indices, modes, failed, out)
-    return out
+    devs: dict[int, float] = {}
+    if schedule:
+        reached = [i for i, (_, amplitudes) in enumerate(out) if amplitudes is not None]
+        beams = list(dict.fromkeys(beam for i in reached for beam in pairs[i]))
+        for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, tuple(schedule),
+                                           by_layout=False)):
+            beam.lattice_rows = rows
+        for i in reached:
+            results, amplitudes = out[i]
+            try:
+                devs[i] = _oracle_deviation(points[i], pairs[i], amplitudes, schedule)
+            except RpifError as exc:
+                out[i] = ([r if isinstance(r, RpifError) else exc for r in results], None)
+    return [(results, devs.get(i)) for i, (results, _) in enumerate(out)]
 
 
 def _evaluate_group(points: Sequence[Scenario], pairs: Sequence[tuple[_Beam, _Beam]],

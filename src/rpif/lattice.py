@@ -24,8 +24,10 @@ free of g and the endpoints (``LatticeRows``): the log of the propagator
 at level N is a constant plus a quadratic form in x = (1, g, z1, z2).
 Both pieces of the reduction have closed forms for this A, each one
 numpy pass: log det A as a sum over its eigenvalues, and 1/2 r^T A^(-1) r
-by polarizing its Green's-function form over the four vectors of r.  A
-sweep of z2, g or the units then costs an O(1) read per level per point.
+by polarizing its Green's-function form over the four vectors of r.  The
+beams of an evaluation are reduced together (``_batch_lattice_rows``),
+each distinct function sampled once per level, so a sweep of z2, g or the
+units costs an O(1) read per level per point.
 
 ``QuadraticForm``, ``assemble_quadratic_form`` and ``gaussian_reduce``
 keep the per-form path, one beam at one (N, g, z1, z2), as the reference
@@ -45,18 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import ComplexAction
-from .errors import LatticeError, ValidationError
+from .errors import LatticeError, RpifError, ValidationError
 from .scenario import BeamRecord, PhysicalParams, Scenario
 from .timefunctions import TimeFunction
 
-#: Entries of the rows cache.  Rows do not depend on g or the endpoints, so
-#: a sweep reuses them across points; one point needs one entry per beam.
-ROWS_CACHE_SIZE = 8
-
-#: Entries of the midpoint-sample and sine tables: a point samples the
-#: frame profile and two records at every level, so twelve entries keep a
-#: whole point of a four-level schedule without holding on to more.
-SAMPLE_CACHE_SIZE = 12
+#: the spacing of doubles at 1, which bounds the relative rounding of each
+#: term of a lattice exponent
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -96,14 +93,16 @@ class LatticeRows:
     (N/2)*log(m/(2*pi*i*hbar*h)), ((N-1)/2)*log(2*pi), -1/2*log det A and
     the record-only weight constant -lam*sum(c_k^2); x^T quad x alone is
     the exponent at the stationary path, which the discrete action reads.
+    ``scale[i]`` is the sum of the magnitudes of the terms of ``const[i]``.
     """
 
     n_steps: tuple[int, ...]
     const: np.ndarray
     quad: np.ndarray
+    scale: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.const, self.quad):
+        for arr in (self.const, self.quad, self.scale):
             arr.setflags(write=False)
 
     def stationary(self, g: float, z1: float, z2: float) -> np.ndarray:
@@ -115,24 +114,28 @@ class LatticeRows:
         """Log of the propagator at every level."""
         return self.const + self.stationary(g, z1, z2)
 
+    def rounding(self, g: float, z1: float, z2: float) -> np.ndarray:
+        """A bound on the rounding error of ``log_values`` at every level:
+        eps times the sum of the magnitudes of the terms the exponent adds
+        up, each of which is rounded to within eps of its size."""
+        x = np.abs(np.array((1.0, g, z1, z2)))
+        return _EPS * (self.scale + np.abs(self.quad) @ x @ x)
 
-@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+
 def _midpoint_samples(fn: TimeFunction, tau_start: float, tau_end: float,
                       n: int) -> np.ndarray:
-    """fn at the midpoints of the N slices of [tau_start, tau_end].
-
-    Cached per (function, window, N), so the two beams share the frame
-    profile's samples and a sweep samples each function once per level.
-    """
+    """fn at the midpoints of the N slices of [tau_start, tau_end]."""
     h = (tau_end - tau_start) / n
-    values = np.asarray(fn(tau_start + h * (np.arange(n) + 0.5)), dtype=float)
-    values.setflags(write=False)
-    return values
+    return np.asarray(fn(tau_start + h * (np.arange(n) + 0.5)), dtype=float)
 
 
-@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+@functools.lru_cache(maxsize=12)
 def _sin_sq(n: int) -> np.ndarray:
-    """sin^2(j*pi/(2N)) for j = 1..N-1."""
+    """sin^2(j*pi/(2N)) for j = 1..N-1.
+
+    A table of N alone, kept for the levels of a few schedules, which
+    recur from one evaluation to the next.
+    """
     out = np.sin(np.arange(1, n) * (math.pi / (2 * n))) ** 2
     out.setflags(write=False)
     return out
@@ -195,8 +198,8 @@ def _green_form(n: int, lam: float, kap: complex, u_c: np.ndarray,
 
 def _reduce_level(n: int, m: float, hbar: float, duration: float,
                   resolution: float, c_mid: np.ndarray,
-                  f_mid: np.ndarray) -> tuple[complex, np.ndarray]:
-    """(const, quad) of one beam at N slices, as in ``LatticeRows``."""
+                  f_mid: np.ndarray) -> tuple[complex, np.ndarray, float]:
+    """(const, quad, scale) of one beam at N slices, as in ``LatticeRows``."""
     h = duration / n
     lam = 2.0 * h / (duration * resolution ** 2)
     kap_im = m / (hbar * h)
@@ -215,39 +218,51 @@ def _reduce_level(n: int, m: float, hbar: float, duration: float,
     quad = np.array(((0.0, 0.0, c0, c1), (0.0, 0.0, f0, f1), (c0, f0, d, e01),
                      (c1, f1, e01, d)), dtype=complex)
     if n == 1:
-        return log_norm + weight_const, quad
+        return log_norm + weight_const, quad, abs(log_norm) + abs(weight_const)
 
     logdet = _log_det(n, lam, kap_im)
     quad += _green_form(n, lam, kap, lam * (c_mid[:-1] + c_mid[1:]),
                         -gam * (f_mid[:-1] + f_mid[1:]))
-    const = log_norm + ((n - 1) / 2.0) * math.log(2.0 * math.pi) - 0.5 * logdet \
-        + weight_const
+    log_two_pi = ((n - 1) / 2.0) * math.log(2.0 * math.pi)
+    const = log_norm + log_two_pi - 0.5 * logdet + weight_const
     if not (cmath.isfinite(const) and np.all(np.isfinite(quad))):
         raise LatticeError(f"singular or overflowing lattice form of size {n - 1}")
-    return const, quad
+    return const, quad, abs(log_norm) + log_two_pi + 0.5 * abs(logdet) + abs(weight_const)
 
 
-@functools.lru_cache(maxsize=ROWS_CACHE_SIZE)
-def _lattice_rows(beam: BeamRecord, frame_profile: TimeFunction, m: float,
-                  hbar: float, tau_start: float, tau_end: float,
-                  schedule: tuple[int, ...]) -> LatticeRows:
-    """One beam reduced at every level of the schedule; none of it depends
-    on g, z1 or z2.
-
-    The arguments are frozen dataclasses and numbers compared by value, so
-    a cache hit returns exactly the bits a recomputation would.
-    """
+def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
+                        m: float, hbar: float, tau_start: float, tau_end: float,
+                        schedule: tuple[int, ...]) -> list[LatticeRows | RpifError]:
+    """Beams that share the frame profile and the units, each reduced at
+    every level of the schedule; none of it depends on g, z1 or z2.  Each
+    distinct function (the frame profile and the records, compared by
+    value) is sampled once per level.  Returns each beam's rows, or the
+    RpifError that it raises on its own."""
     duration = tau_end - tau_start
-    consts, quads = [], []
+    out: list = [None] * len(beams)
+    levels: list = [[] for _ in beams]
     for n in schedule:
-        const, quad = _reduce_level(
-            n, m, hbar, duration, beam.resolution,
-            _midpoint_samples(beam.trajectory, tau_start, tau_end, n),
-            _midpoint_samples(frame_profile, tau_start, tau_end, n))
-        consts.append(const)
-        quads.append(quad)
-    return LatticeRows(tuple(schedule), np.array(consts, dtype=complex),
-                       np.array(quads))
+        samples: dict = {}
+
+        def sample(fn):
+            if fn not in samples:
+                samples[fn] = _midpoint_samples(fn, tau_start, tau_end, n)
+            return samples[fn]
+
+        for i, beam in enumerate(beams):
+            if out[i] is None:
+                try:
+                    levels[i].append(_reduce_level(
+                        n, m, hbar, duration, beam.resolution,
+                        sample(beam.trajectory), sample(frame_profile)))
+                except RpifError as exc:
+                    out[i] = exc
+    for i, reduced in enumerate(levels):
+        if out[i] is None:
+            consts, quads, scales = zip(*reduced)
+            out[i] = LatticeRows(tuple(schedule), np.array(consts, dtype=complex),
+                                 np.array(quads), np.array(scales))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +432,14 @@ def gaussian_reduce(form: QuadraticForm) -> complex:
 
 
 def _rows(scenario: Scenario, beam_label: str, schedule) -> LatticeRows:
+    """One beam's lattice rows, reduced as a batch of one."""
     p = scenario.params
-    return _lattice_rows(scenario.beam(beam_label), scenario.frame_profile, p.m,
-                         p.hbar, p.tau_start, p.tau_end,
-                         tuple(int(n) for n in schedule))
+    rows, = _batch_lattice_rows((scenario.beam(beam_label),), scenario.frame_profile,
+                                p.m, p.hbar, p.tau_start, p.tau_end,
+                                tuple(int(n) for n in schedule))
+    if isinstance(rows, RpifError):
+        raise rows
+    return rows
 
 
 def stationary_action(scenario: Scenario, beam_label: str,
@@ -448,13 +467,16 @@ class ExtrapolationResult:
     levels: int
 
 
-def richardson_extrapolate(estimates) -> ExtrapolationResult:
+def richardson_extrapolate(estimates, floor: float = 0.0) -> ExtrapolationResult:
     """h^2-Richardson limit of a doubling sequence [(N, value), ...].
 
     Requires at least 3 estimates with N doubling.  Monotone shrinking of
     successive differences is checked first; if convergence is not
     monotone the extrapolation is refused rather than returning a number
-    that the h^2 error model does not support.
+    that the h^2 error model does not support.  ``floor`` is the size up
+    to which a difference may be rounding alone: a difference at or below
+    it does not count against monotonicity, and the error estimate is at
+    least ``floor``.
     """
     pts = list(estimates)
     if len(pts) < 3:
@@ -467,10 +489,10 @@ def richardson_extrapolate(estimates) -> ExtrapolationResult:
 
     diffs = [abs(v2 - v1) for v1, v2 in zip(vals, vals[1:])]
     if all(d == 0.0 for d in diffs):
-        return ExtrapolationResult(value=vals[-1], error_estimate=0.0,
+        return ExtrapolationResult(value=vals[-1], error_estimate=floor,
                                    levels=len(vals))
     for d1, d2 in zip(diffs, diffs[1:]):
-        if d2 >= d1:
+        if d2 >= d1 and d2 > floor:
             raise LatticeError(
                 "non-monotone convergence, extrapolation refused "
                 f"(successive differences {d1:.3e} then {d2:.3e})")
@@ -487,19 +509,33 @@ def richardson_extrapolate(estimates) -> ExtrapolationResult:
     value = table[-1][0]
     runner_up = table[-2][-1]
     return ExtrapolationResult(value=value,
-                               error_estimate=abs(value - runner_up),
+                               error_estimate=max(abs(value - runner_up), floor),
                                levels=len(vals))
 
 
 def oracle_propagator(scenario: Scenario, beam_label: str,
                       schedule, z1: float | None = None,
-                      z2: float | None = None) -> ExtrapolationResult:
-    """Propagator estimates over an N schedule, Richardson extrapolated."""
+                      z2: float | None = None, *,
+                      rows: LatticeRows | None = None) -> ExtrapolationResult:
+    """Propagator estimates over an N schedule, Richardson extrapolated.
+
+    A caller that already holds the beam's lattice rows on the schedule
+    passes them as ``rows``.  The extrapolation's rounding floor is twice
+    the largest rounding bound of a level's value (``LatticeRows.rounding``
+    times its magnitude): two levels can differ by that much from rounding
+    alone.  At N = 4096 the exponent adds up terms of order 1e4 (the
+    measure normalization and -1/2*log det A), which puts the floor near
+    1.5e-11 of the value.
+    """
     z1 = scenario.z1 if z1 is None else z1
     z2 = scenario.z2 if z2 is None else z2
-    rows = _rows(scenario, beam_label, schedule)
-    log_values = rows.log_values(scenario.params.g, z1, z2)
+    if rows is None:
+        rows = _rows(scenario, beam_label, schedule)
+    g = scenario.params.g
+    log_values = rows.log_values(g, z1, z2)
     if not np.all(np.isfinite(log_values)):
         bad = rows.n_steps[int(np.argmin(np.isfinite(log_values)))]
         raise LatticeError(f"lattice reduction produced a non-finite exponent at N={bad}")
-    return richardson_extrapolate(zip(rows.n_steps, np.exp(log_values)))
+    values = np.exp(log_values)
+    floor = 2.0 * float(np.max(rows.rounding(g, z1, z2) * np.abs(values)))
+    return richardson_extrapolate(zip(rows.n_steps, values), floor)

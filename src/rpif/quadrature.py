@@ -88,27 +88,22 @@ class Batch:
 
 class Coefficients:
     """Per-set coefficients of a batched integrand: one tuple of numbers
-    per set, for sets of the given shape (() for a lone set)."""
+    per set."""
 
-    def __init__(self, sets: list, shape: tuple = None):
+    def __init__(self, sets: list):
         self.sets = sets
-        self.shape = (len(sets),) if shape is None else shape
         self.columns = None
 
     def take(self, index) -> tuple:
         """The coefficients of the sets ``index`` (a ``Batch`` index),
         shaped to meet a row of nodes: one set's numbers for an integer, so
         that a call evaluating one set costs what the scalar arithmetic of
-        one set costs; a column per set for a slice or an index array; and
-        every set, in the given shape, for None."""
+        one set costs, and a column per set for a slice or an index
+        array."""
         if isinstance(index, int):
             return self.sets[index]
-        if index is None and self.shape == ():
-            return self.sets[0]
         if self.columns is None:
             self.columns = [np.array(column) for column in zip(*self.sets)]
-        if index is None:
-            return tuple(column.reshape(self.shape + (1,)) for column in self.columns)
         return tuple(column[index, None] for column in self.columns)
 
 
@@ -123,14 +118,14 @@ class Samples:
         self.functions = list({id(fn): fn for fn in functions}.values())
 
     def take(self, index, t: np.ndarray) -> np.ndarray:
-        """The values at ``t`` of the sets ``index`` (a ``Batch`` index, or
-        None for every set): shape (len(t),) where those sets share one
-        function, else one row per set in front."""
+        """The values at ``t`` of the sets ``index`` (a ``Batch`` index):
+        shape (len(t),) where those sets share one function, else one row
+        per set in front."""
         if len(self.functions) == 1:
             return self.functions[0](t)
         if isinstance(index, int):
             return self.functions[self.which[index]](t)
-        which = self.which if index is None else self.which[index]
+        which = self.which[index]
         if (which == which[0]).all():
             return self.functions[which[0]](t)
         rows = np.empty((len(self.functions), t.size))

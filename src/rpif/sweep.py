@@ -18,11 +18,10 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LatticeError, RpifError, ValidationError
+from .errors import ConfigError, RpifError, ValidationError
 # decompose is not called here; perfbench/test_perfbench.py looks it up on
 # this module
 from .interference import MODE_DERIVED, MODE_LITERAL, _breakdown, _evaluate, decompose  # noqa: F401
-from .lattice import oracle_propagator
 from .scenario import (
     BeamRecord,
     PhysicalParams,
@@ -216,24 +215,6 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scena
     raise RpifError(f"unknown sweep parameter {parameter!r}")
 
 
-def _oracle_deviation(nd: Scenario, amplitudes: tuple[complex, complex],
-                      schedule: Sequence[int]) -> float:
-    """Max over beams of |closed - extrapolated| / |extrapolated| for a
-    scenario in internal units and its closed-form amplitudes (U_a, U_b).
-    A beam whose lattice amplitude underflows to 0 raises LatticeError.
-    """
-    worst = 0.0
-    for label, closed in zip("ab", amplitudes):
-        extr = oracle_propagator(nd, label, schedule)
-        if extr.value == 0:
-            raise LatticeError(
-                f"beam_{label}: the lattice amplitude underflows to 0 on the "
-                f"schedule {','.join(map(str, schedule))}, so the oracle "
-                f"deviation is undefined")
-        worst = max(worst, abs(closed - extr.value) / abs(extr.value))
-    return worst
-
-
 #: a value of each sweep parameter that any scenario takes, for validating
 #: the rest of the scenario once per sweep
 _NEUTRAL = {"z2": 0.0, "delta_a": 1.0, "delta_b": 1.0, "g": 0.0, "m_over_hbar_scale": 1.0}
@@ -298,20 +279,10 @@ def _internal_points(scenario: Scenario, parameter: str,
     return points
 
 
-def _point_rows(nd: Scenario | RpifError, spec: SweepSpec, value: float,
-                results: list, amplitudes: tuple[complex, complex] | None) -> list[ResultRow]:
+def _point_rows(modes: Sequence[str], value: float, results: list,
+                dev: float | None) -> list[ResultRow]:
     """The rows of one point, one per mode, from each mode's numbers or
-    error and at most one oracle deviation, which every mode row shares.
-    ``nd`` is the point in internal units, or the error that building it
-    raised; an oracle error fails every row that has not failed on its
-    own."""
-    modes = spec.modes()
-    dev = None
-    if spec.oracle_schedule and amplitudes is not None:
-        try:
-            dev = _oracle_deviation(nd, amplitudes, spec.oracle_schedule)
-        except RpifError as exc:
-            results = [r if isinstance(r, RpifError) else exc for r in results]
+    error and the oracle deviation, which every mode row shares."""
     rows = []
     for mode, br in zip(modes, results):
         if isinstance(br, RpifError):
@@ -329,20 +300,22 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[ResultRow]:
     units with only its swept value's arithmetic.  The points are then
     evaluated together (``interference._evaluate``): what depends on
     neither g nor the endpoints is computed once per distinct beam (a swept
-    resolution is integrated once for the whole sweep), and each point once
-    for all its modes.  Per-point failures (guard trips, quadrature stalls,
-    invalid swept values) are captured in the row's ``error`` field instead
-    of aborting the sweep.
+    resolution is integrated once for the whole sweep, and reduced once
+    per oracle level), and each point once for all its modes and its
+    oracle.  Per-point failures (guard trips, quadrature stalls, invalid
+    swept values) are captured in the row's ``error`` field instead of
+    aborting the sweep.
     """
     values = [float(value) for value in spec.points()]
     points = _internal_points(scenario, spec.parameter, values)
     modes = spec.modes()
-    evaluated = iter(_evaluate([nd for nd in points if isinstance(nd, Scenario)], modes))
+    evaluated = iter(_evaluate([nd for nd in points if isinstance(nd, Scenario)], modes,
+                               spec.oracle_schedule))
     rows = []
     for nd, value in zip(points, values):
-        results, amplitudes = (([nd] * len(modes), None) if isinstance(nd, RpifError)
-                               else next(evaluated))
-        rows.extend(_point_rows(nd, spec, value, results, amplitudes))
+        results, dev = (([nd] * len(modes), None) if isinstance(nd, RpifError)
+                        else next(evaluated))
+        rows.extend(_point_rows(modes, value, results, dev))
     return rows
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpif.sampling import resolve_seed
+from sampling import resolve_seed
 
 
 @pytest.fixture(scope="session")

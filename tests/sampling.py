@@ -13,8 +13,8 @@ import os
 
 import numpy as np
 
-from .scenario import BeamRecord, PhysicalParams, Scenario, validate_scenario
-from .timefunctions import PolynomialFunction
+from rpif.scenario import BeamRecord, PhysicalParams, Scenario, validate_scenario
+from rpif.timefunctions import PolynomialFunction
 
 DEFAULT_SEED = 721803
 

@@ -21,7 +21,7 @@ from rpif import (
     restricted_propagator,
 )
 from rpif.cli import EXIT_OK, main
-from rpif.sampling import random_scenario
+from sampling import random_scenario
 from rpif.timefunctions import ConstantFunction
 from util import lattice_values, linear_potential_action, make_scenario
 

@@ -24,7 +24,7 @@ from rpif.actions import (
     ensure_stable,
 )
 from rpif.interference import _named_amplitude
-from rpif.sampling import random_scenario
+from sampling import random_scenario
 from rpif.scenario import BeamRecord, PhysicalParams
 from rpif.timefunctions import ConstantFunction
 from util import (NBASE, bvp_on_path_action, force_callable, linear_potential_action,
@@ -71,9 +71,9 @@ def test_frequency_requires_positive_resolution():
 
 def _force(beam, frame_profile, params, t):
     """F(t) = g*F_f(t) + F_c(t) from the package's g-split force rows."""
-    forces = _force_rows(quadrature.Samples([beam.trajectory]), beam.resolution,
+    forces = _force_rows(quadrature.Samples([beam.trajectory]), (beam.resolution,),
                          frame_profile, params)
-    f_part, c_part = forces(np.array([t]))[:, 0]
+    f_part, c_part = forces(np.array([t]), 0)[:, 0]
     return params.g * f_part + c_part
 
 
@@ -159,16 +159,16 @@ def test_on_path_action_oracle_random(rng):
 # ---------------------------------------------------------------------------
 
 def test_series_at_zero_frequency_free():
-    kernels = _kernels_series(0.0 + 0.0j, 1.0, 1.0)
+    kernels = _kernels_series((0.0 + 0.0j,), 1.0, 1.0)
     # with w = 0 and no force the action is the free one
-    assert kernels.b1 == pytest.approx(0.5, rel=1e-15)
+    assert kernels.b1[0] == pytest.approx(0.5, rel=1e-15)
     val = unsplit_action(kernels, lambda t: np.zeros_like(t, dtype=complex),
                          1.0, 0.0, 1.0, 0.0, 1.0)
     assert val == pytest.approx(0.5 + 0.0j, rel=1e-15)
 
 
 def test_series_at_zero_frequency_linear_potential():
-    kernels = _kernels_series(0.0 + 0.0j, 1.0, 1.0)
+    kernels = _kernels_series((0.0 + 0.0j,), 1.0, 1.0)
     val = unsplit_action(kernels, lambda t: -np.ones_like(t, dtype=complex),
                          1.0, 0.0, 1.0, 0.0, 1.0)
     oracle = linear_potential_action(m=1.0, g=1.0, T=1.0, z1=0.0, z2=1.0)
@@ -182,25 +182,25 @@ def test_series_matches_closed_form_at_crossover():
     scenario = make_scenario(delta_a=delta)
     w = complex_frequency(scenario.params, delta)
     force = force_callable(scenario.beam_a, scenario.frame_profile, scenario.params)
-    closed = unsplit_action(_kernels_closed(w, 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
-    series = unsplit_action(_kernels_series(w, 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
+    closed = unsplit_action(_kernels_closed((w,), 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
+    series = unsplit_action(_kernels_series((w,), 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
     assert abs(closed - series) <= 1e-9 * abs(closed)
 
 
 def test_series_kernels_match_closed_kernels_at_same_frequency():
     # just below the switch point; both kernel sets at the same w
     w = complex_frequency(NBASE, 2.0 / 0.00999)
-    closed, series = _kernels_closed(w, 1.0, 1.0), _kernels_series(w, 1.0, 1.0)
+    closed, series = _kernels_closed((w,), 1.0, 1.0), _kernels_series((w,), 1.0, 1.0)
     for name in ("b1", "b2"):
-        exact, approx = getattr(closed, name), getattr(series, name)
+        exact, approx = getattr(closed, name)[0], getattr(series, name)[0]
         assert abs(exact - approx) <= 1e-9 * abs(exact)
     u = np.linspace(0.05, 1.0, 20)
-    exact, approx = closed.single(u), series.single(u)
+    exact, approx = closed.single(u, 0), series.single(u, 0)
     assert np.all(np.abs(exact - approx) <= 1e-9 * np.abs(exact))
     e, p = np.meshgrid(u, u)
     e, p = e.ravel(), p.ravel()
-    exact = np.sum(closed.outer(e) * closed.inner(p), axis=0)
-    approx = np.sum(series.outer(e) * series.inner(p), axis=0)
+    exact = np.sum(closed.outer(e, 0) * closed.inner(p, 0), axis=0)
+    approx = np.sum(series.outer(e, 0) * series.inner(p, 0), axis=0)
     assert np.all(np.abs(exact - approx) <= 1e-9 * np.abs(exact))
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -218,7 +219,7 @@ def test_simulate_lattice_underflow_fails_the_row_not_the_run(tmp_path, capsys):
     assert err.count("LatticeError: beam_a: the lattice amplitude underflows") == 2
 
 
-def test_main_calls_in_one_process_are_independent(config_path, tmp_path):
+def test_main_calls_in_one_process_are_independent(config_path, tmp_path, monkeypatch):
     # the parser is built once per process; options of one call must not
     # leak into the next
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
@@ -232,7 +233,7 @@ def test_main_calls_in_one_process_are_independent(config_path, tmp_path):
     assert all(row.split(",")[1] == "derived" and row.endswith(",")
                for row in second_rows)
     # the same call on a newly built parser writes the same bytes
-    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
     fresh = tmp_path / "fresh.csv"
     assert main(["simulate", "--config", config_path, "--output", str(fresh)]) == EXIT_OK
     assert fresh.read_bytes() == second.read_bytes()

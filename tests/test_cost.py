@@ -21,21 +21,15 @@ import tracemalloc
 
 import numpy as np
 
-from rpif import actions, decompose, interference, quadrature
+from rpif import compare_modes, decompose, quadrature
 from rpif.sweep import SweepSpec, run_sweep
 from rpif.timefunctions import SinusoidFunction, TabulatedFunction
 from util import make_scenario
 
 
-def _clear_block_caches():
-    for cached in (actions._action_rows, interference._literal_rows):
-        cached.cache_clear()
-
-
 def test_omega_400_decompose_stays_small(monkeypatch):
     scenario = make_scenario(a=SinusoidFunction(amplitude=0.3, omega=400.0, phase=0.0),
                              delta_a=1.0, z2=0.5)
-    _clear_block_caches()
     points = []
     original = quadrature.integrate_triangle
 
@@ -46,10 +40,12 @@ def test_omega_400_decompose_stays_small(monkeypatch):
         return original(inner, *args, **kwargs)
     monkeypatch.setattr(quadrature, "integrate_triangle", counted)
 
+    # both modes from one evaluation, which integrates each beam's action
+    # rows and printed rows once; two decompose calls would integrate the
+    # action rows twice
     tracemalloc.start()
     try:
-        for mode in ("derived", "paper-literal"):
-            decompose(scenario, mode)
+        compare_modes(scenario)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -64,7 +60,6 @@ def test_omega_400_resolution_sweep_stays_small():
     scenario = make_scenario(a=SinusoidFunction(amplitude=0.3, omega=400.0, phase=0.0),
                              delta_a=1.0, z2=0.5)
     spec = SweepSpec(parameter="delta_a", start=0.5, stop=2.0, steps=16, mode="both")
-    _clear_block_caches()
     tracemalloc.start()
     try:
         rows = run_sweep(scenario, spec)
@@ -79,7 +74,6 @@ def test_zig_zag_tabulated_record_takes_few_line_nodes(monkeypatch):
     times = (0.0, 0.0625, 0.1437, 0.25, 0.3719, 0.5, 0.6183, 0.8125, 0.9071, 1.0)
     values = tuple((-1) ** k * (0.5 + 0.05 * k) for k in range(len(times)))
     scenario = make_scenario(a=TabulatedFunction(times, values), delta_a=0.8, z2=0.5)
-    _clear_block_caches()
     nodes = []
     original = quadrature.integrate
 

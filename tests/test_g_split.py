@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from rpif import actions, interference
-from rpif.sampling import random_scenario
+from sampling import random_scenario
 from rpif.timefunctions import LinearFunction, TabulatedFunction
 from util import (
+    literal_rows,
     make_scenario,
     unsplit_action_blocks,
     unsplit_literal_double_block,
@@ -59,8 +60,8 @@ def _theta(beam, p):
 def _recombined(beam, scenario):
     p, f = scenario.params, scenario.frame_profile
     th = _theta(beam, p)
-    action = actions._action_blocks(beam, f, p)
-    rows = interference._literal_rows(beam, f, p.m, p.hbar, p.tau_start, p.tau_end)
+    action = actions._beam_rows(beam, f, p).at(p.g)
+    rows = literal_rows(beam, f, p)
     end, start, double = interference._printed_blocks(
         interference._printed(rows, p, beam.resolution, th), p.g)
     return {**{name: getattr(action, name) for name in ("b1", "b2", "q1", "q2", "q12")},
@@ -86,22 +87,3 @@ def test_blocks_match_the_unsplit_reference(name, g):
         for block, value in _unsplit(beam, scenario).items():
             assert _close(got[block], value), block
 
-
-def test_rows_are_shared_across_g_and_modes(monkeypatch):
-    # the cached rows are keyed without g: after the first point a g sweep
-    # integrates nothing
-    scenario = SCENARIOS["random-0"]
-    caches = (actions._action_rows, interference._literal_rows)
-    computed = {cached: [] for cached in caches}
-    for cached in caches:
-        cached.cache_clear()
-
-        def counted(beams, *rest, _cached=cached, _compute=cached._compute):
-            computed[_cached].extend(beams)
-            return _compute(beams, *rest)
-        monkeypatch.setattr(cached, "_compute", counted)
-    for g in G_VALUES:
-        for mode in (interference.MODE_LITERAL, interference.MODE_DERIVED):
-            interference.decompose(_at_g(scenario, g), mode)
-    for cached in caches:
-        assert computed[cached] == [scenario.beam_a, scenario.beam_b]  # once per beam

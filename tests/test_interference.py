@@ -10,12 +10,12 @@ from rpif import (
     auxiliary_angles,
     decompose,
 )
-from rpif.interference import _literal_rows, _printed, _printed_terms
+from rpif.interference import _printed, _printed_terms
 from rpif.scenario import nondimensional
-from rpif.sampling import random_scenario
+from sampling import random_scenario
 from rpif.timefunctions import (ConstantFunction, LinearFunction, PolynomialFunction,
                                TabulatedFunction)
-from util import lattice_values, make_scenario
+from util import lattice_values, literal_rows, make_scenario
 
 
 def _theta_derived(delta, m=1.0, hbar=1.0, T=1.0):
@@ -252,7 +252,7 @@ def test_literal_forms_at_derived_angle_match_action_grouping():
     p = nd.params
 
     def printed(beam, th):
-        rows = _literal_rows(beam, nd.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)
+        rows = literal_rows(beam, nd.frame_profile, p)
         return _printed(rows, p, beam.resolution, th)
     lit = _printed_terms(nd.z1, nd.z2, p.g, printed(nd.beam_a, theta_d),
                          printed(nd.beam_b, rho_d))

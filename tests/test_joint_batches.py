@@ -1,8 +1,8 @@
 """Every beam that shares a panel layout is integrated in one batch, and
 each beam gets the bits it gets alone.
 
-``RowCache.fill`` groups a sweep's beams by frame profile, units and the
-segment edges of their breakpoints, and integrates each group in one line
+``interference._fill`` groups an evaluation's beams by frame profile, units
+and the segment edges of their breakpoints, and integrates each group in one line
 and one triangle pass per kernel branch, sampling each distinct record once
 per call.  Each set of a batch stops at its own level with its own
 arithmetic, so every beam's rows, and every row a sweep prints, must equal
@@ -12,14 +12,14 @@ fail with the error a lone attempt raises, and leave the others alone.
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpif import RpifError, actions, interference, quadrature
-from rpif.actions import RowKey
-from rpif.scenario import BeamRecord
+from rpif.scenario import BeamRecord, PhysicalParams
 from rpif.sweep import SweepSpec, run_sweep
 from rpif.timefunctions import (
     ConstantFunction,
@@ -54,12 +54,13 @@ FRAMES = {
 # series kernels above
 RESOLUTIONS = (0.4, 1.0, 2.5, 150.0, 199.0, 201.0, 250.0, 900.0)
 
-ROWS = ((actions._action_rows, actions._batch_action_rows),
-        (interference._literal_rows, interference._batch_literal_rows))
+ROWS = (actions._batch_action_rows, interference._batch_literal_rows)
+
+PARAMS = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
 
 
 def _bits(entry):
-    """An entry of a row cache as comparable bits: an error's type and
+    """A beam's entry of a batch as comparable bits: an error's type and
     text, or the bytes of every number of the rows."""
     if isinstance(entry, RpifError):
         return type(entry).__name__, str(entry)
@@ -70,9 +71,16 @@ def _bits(entry):
     return tuple(part.tobytes() for part in entry)
 
 
-def _keys(beams, frame):
-    return [RowKey((BeamRecord(RECORDS[record], delta), FRAMES[frame], 1.0, 1.0, 0.0, 1.0))
+def _beams(beams, frame):
+    return [interference._Beam(BeamRecord(RECORDS[record], delta), FRAMES[frame], PARAMS)
             for record, delta in beams]
+
+
+def _alone(compute, beam):
+    """The entry of ``beam`` (an ``interference._Beam``) in a batch of one."""
+    p = beam.params
+    entry, = compute((beam.beam,), beam.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)
+    return entry
 
 
 @given(beams=st.lists(st.tuples(st.sampled_from(sorted(RECORDS)),
@@ -81,14 +89,11 @@ def _keys(beams, frame):
        frame=st.sampled_from(sorted(FRAMES)))
 @settings(max_examples=25, deadline=None)
 def test_each_beam_of_a_joint_batch_gets_its_rows_alone(beams, frame):
-    keys = _keys(beams, frame)
-    for cache, compute in ROWS:
-        cache.cache_clear()
-        joint = cache.fill(keys)
-        for key, entry in zip(keys, joint):
-            alone, = compute((key[0],), *key[1:])
-            assert _bits(entry) == _bits(alone), key[0]
-        cache.cache_clear()
+    beams = _beams(beams, frame)
+    for compute in ROWS:
+        joint = interference._fill(beams, compute)
+        for beam, entry in zip(beams, joint):
+            assert _bits(entry) == _bits(_alone(compute, beam)), beam.beam
 
 
 def test_a_joint_batch_has_one_pass_per_layout_and_branch(monkeypatch):
@@ -104,29 +109,27 @@ def test_a_joint_batch_has_one_pass_per_layout_and_branch(monkeypatch):
     # layout of its own
     beams = [("sinusoid", 1.0), ("linear", 2.5), ("stalled", 1.0), ("polynomial", 250.0),
              ("tabulated", 0.4), ("tabulated_alike", 900.0), ("tabulated_half", 1.0)]
-    keys = _keys(beams, "constant")
-    for cache, compute in ROWS:
-        cache.cache_clear()
+    beams = _beams(beams, "constant")
+    for compute in ROWS:
         calls.clear()
-        joint = cache.fill(keys)
+        joint = interference._fill(beams, compute)
         # the action rows split each layout by kernel branch, the printed
         # rows do not; the stalled beam fails in the line pass, and the
         # triangle pass of its batch leaves it out
-        want = [3, 1, 1, 1, 1] if cache is actions._action_rows else [4, 2, 1]
+        want = [3, 1, 1, 1, 1] if compute is actions._batch_action_rows else [4, 2, 1]
         assert sorted(calls, reverse=True) == want
         assert isinstance(joint[2], quadrature.QuadratureError)
         assert "did not converge" in str(joint[2])
-        for key, entry in zip(keys, joint):
-            assert _bits(entry) == _bits(compute((key[0],), *key[1:])[0])
-        cache.cache_clear()
+        for beam, entry in zip(beams, joint):
+            assert _bits(entry) == _bits(_alone(compute, beam))
 
 
 def _sweep_alone(scenario, spec):
     """The sweep's rows with every beam's rows integrated on their own."""
-    def fill(cache, keys):
-        return [cache._compute((key[0],), *key[1:])[0] for key in keys]
+    def fill(beams, compute):
+        return [_alone(compute, beam) for beam in beams]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(actions.RowCache, "fill", fill)
+        patch.setattr(interference, "_fill", fill)
         return run_sweep(scenario, spec)
 
 
@@ -154,12 +157,8 @@ def test_a_sweep_of_joint_batches_prints_the_rows_of_beams_alone(
     start, stop = {"delta_a": (0.5, 260.0), "delta_b": (0.5, 260.0),
                    "z2": (-1.0, 1.0), "g": (0.0, 2.0)}[parameter]
     spec = SweepSpec(parameter=parameter, start=start, stop=stop, steps=8, mode="both")
-    for cache, _ in ROWS:
-        cache.cache_clear()
     joint = run_sweep(scenario, spec)
     alone = _sweep_alone(scenario, spec)
-    for cache, _ in ROWS:
-        cache.cache_clear()
     assert [_row_bits(row) for row in joint] == [_row_bits(row) for row in alone]
 
 
@@ -177,39 +176,29 @@ def test_a_pass_samples_without_calling_the_time_functions(monkeypatch):
         raise AssertionError("TimeFunction.__call__ on the quadrature path")
     scenario = make_scenario(f=FRAMES["tabulated"], a=RECORDS["tabulated"],
                              b=RECORDS["sinusoid"])
-    for cache, _ in ROWS:
-        cache.cache_clear()
     monkeypatch.setattr(TimeFunction, "__call__", called)
-    try:
-        for mode in ("derived", "paper-literal"):
-            decompose(scenario, mode)
-    finally:
-        for cache, _ in ROWS:
-            cache.cache_clear()
+    for mode in ("derived", "paper-literal"):
+        decompose(scenario, mode)
 
 
 @pytest.mark.parametrize("which", ["record", "frame profile"])
 def test_a_domain_short_of_the_window_fails_its_beams(which):
     from rpif import ValidationError
     from rpif.actions import restricted_propagator
-    from rpif.scenario import PhysicalParams
 
     short = LinearFunction(0.3, -0.1, domain=(0.0, 0.5))
     good = BeamRecord(RECORDS["sinusoid"], 1.0)
     beam = BeamRecord(short, 1.0) if which == "record" else good
     frame = short if which == "frame profile" else FRAMES["constant"]
     message = r"time 0\.\.1 outside domain \[0, 0\.5\] for linear function"
-    params = PhysicalParams(1.0, 1.0, 1.0, 0.0, 1.0)
-    for cache, compute in ROWS:
-        cache.cache_clear()
-        # alone, through a read of the cache
-        with pytest.raises(ValidationError, match=message):
-            cache(beam, frame, 1.0, 1.0, 0.0, 1.0)
+    for compute in ROWS:
+        # alone
+        alone, = compute((beam,), frame, 1.0, 1.0, 0.0, 1.0)
+        assert isinstance(alone, ValidationError) and re.search(message, str(alone))
         # beside a beam whose domains cover the window: a short record fails
         # its own beam only, a short frame profile fails both
         entries = compute((beam, good), frame, 1.0, 1.0, 0.0, 1.0)
         assert isinstance(entries[0], ValidationError)
         assert isinstance(entries[1], ValidationError) == (which == "frame profile")
-        cache.cache_clear()
     with pytest.raises(ValidationError, match=message):
-        restricted_propagator(beam, frame, params, 0.0, 0.5)
+        restricted_propagator(beam, frame, PARAMS, 0.0, 0.5)

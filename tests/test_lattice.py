@@ -16,8 +16,8 @@ from rpif import (
 )
 from rpif.lattice import (
     QuadraticForm,
-    _lattice_rows,
     _log_det,
+    _rows,
     _toeplitz_reduce,
     assemble_quadratic_form,
     gaussian_reduce,
@@ -42,12 +42,6 @@ def _lattice(scenario, n, z1=None, z2=None):
     return LatticeSpec.for_params(scenario.params,
                                   scenario.z1 if z1 is None else z1,
                                   scenario.z2 if z2 is None else z2, n)
-
-
-def _rows(scenario, label, schedule):
-    p = scenario.params
-    return _lattice_rows(scenario.beam(label), scenario.frame_profile, p.m, p.hbar,
-                         p.tau_start, p.tau_end, tuple(schedule))
 
 
 def _level_logdet(scenario, label, n):
@@ -209,7 +203,9 @@ def test_rows_match_the_per_form_reference_at_every_level(wt):
         for z1, z2 in _ENDPOINTS:
             scenario = make_scenario(g=g, z1=z1, z2=z2, delta_a=2.0 / wt,
                                      a=record, f=frame)
-            assert _rows(scenario, "a", schedule) is rows
+            again = _rows(scenario, "a", schedule)
+            assert (again.const.tobytes(), again.quad.tobytes()) == (
+                rows.const.tobytes(), rows.quad.tobytes())
             for n, value in zip(schedule, rows.log_values(g, z1, z2)):
                 form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
                 terms = gaussian_exponent_terms(form)
@@ -335,6 +331,23 @@ def test_richardson_refuses_non_monotone():
         richardson_extrapolate(seq)
 
 
+def test_richardson_floor_forgives_only_differences_below_it():
+    # differences 1e-13 then 2e-13: non-monotone, and rounding-sized
+    seq = [(64, 1.0 + 0j), (128, 1.0 + 1e-13 + 0j), (256, 1.0 - 1e-13 + 0j)]
+    with pytest.raises(LatticeError, match="non-monotone"):
+        richardson_extrapolate(seq)
+    with pytest.raises(LatticeError, match="non-monotone"):
+        richardson_extrapolate(seq, floor=1.5e-13)
+    res = richardson_extrapolate(seq, floor=2e-13)
+    assert res.levels == 3 and res.error_estimate >= 2e-13
+    assert abs(res.value - 1.0) <= 1e-12
+    # the floor is reported for a sequence that converges above it too
+    target, coeff = 0.8 - 0.3j, 2.0 + 1.0j
+    res = richardson_extrapolate([(n, target + coeff / n ** 2) for n in (64, 128, 256)],
+                                 floor=1e-9)
+    assert res.error_estimate == 1e-9
+
+
 # ---------------------------------------------------------------------------
 # stationary action
 # ---------------------------------------------------------------------------
@@ -387,7 +400,7 @@ def test_oracle_matches_closed_propagator_on_baseline():
 
 
 def test_oracle_matches_closed_propagator_randomized(rng):
-    from rpif.sampling import random_scenario
+    from sampling import random_scenario
     for _ in range(10):
         scenario = random_scenario(rng)
         closed = restricted_propagator(scenario.beam_a, scenario.frame_profile,
@@ -438,3 +451,39 @@ def test_series_beam_extrapolates_at_fine_levels():
                                        scenario.params, scenario.z1, scenario.z2)
         ext = oracle_propagator(scenario, label, (1024, 2048, 4096))
         assert abs(closed.amplitude - ext.value) <= 1e-6 * abs(ext.value)
+
+
+R0259 = {
+    "params": {"m": 1.0, "g": 0.910498, "hbar": 1.0, "tau_start": 0.0, "tau_end": 1.0},
+    "z1": -0.887964, "z2": -0.313759,
+    "frame_profile": {"kind": "constant", "value": 0.009149},
+    "beam_a": {"trajectory": {"kind": "linear", "intercept": -0.085623, "slope": -0.71735},
+               "resolution": 751.485637},
+    "beam_b": {"trajectory": {"kind": "constant", "value": 0.162203},
+               "resolution": 1.987839},
+    "sweep": {"parameter": "g", "start": 0.634918, "stop": 1.543278, "steps": 2,
+              "mode": "both"}}
+
+
+def test_level_differences_at_the_rounding_floor_extrapolate():
+    # a perfbench oracle_points request (seed 1301, r0259): beam a is a
+    # series beam, |U| = 0.399, and at g = 0.634918 its level differences at
+    # N = 1024..4096 are 6.35e-13 then 6.81e-13, about 1.7e-12 relative:
+    # rounding in an exponent whose terms add up to about 3.5e4 at N = 4096,
+    # below the floor of about 6e-12
+    import dataclasses
+    import json
+
+    from rpif import parse_config, run_sweep
+    scenario, spec = parse_config(json.dumps(R0259))
+    schedule = (1024, 2048, 4096)
+    rows = run_sweep(scenario, dataclasses.replace(spec, oracle_schedule=schedule))
+    assert len(rows) == 4
+    assert all(row.error is None and row.oracle_dev <= 1e-6 for row in rows)
+    nd = dataclasses.replace(scenario, params=dataclasses.replace(
+        scenario.params, g=0.634918)).nondimensionalized()
+    ext = oracle_propagator(nd, "a", schedule)
+    values = lattice_values(nd, "a", schedule)
+    diffs = [abs(values[2048] - values[1024]), abs(values[4096] - values[2048])]
+    assert diffs[1] > diffs[0]  # non-monotone, as the request found
+    assert 5e-12 <= ext.error_estimate <= 1e-11 and ext.levels == 3

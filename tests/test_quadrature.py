@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -362,17 +364,16 @@ def test_leggauss_runs_once_per_order(monkeypatch):
         calls.append(order)
         return leggauss(order)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    cached = (quadrature._gauss, quadrature._reference_rule, quadrature._nested_rule)
-    for cache in cached:
-        cache.cache_clear()
-    try:
-        for order in (8, 5):
-            for k in range(1, 6):  # new panel edges, so new rules, every time
-                breaks = tuple(np.linspace(0.0, 1.0, k + 2)[1:-1] + 0.01)
-                integrate(lambda t: np.exp(t), 0.0, 1.0, breaks=breaks, order=order)
-                integrate_triangle(lambda t, s: ([np.exp(t)], [np.exp(-s)]), 0.0, 1.0,
-                                   breaks=breaks, order=order)
-    finally:
-        for cache in cached:
-            cache.cache_clear()
+    # empty rule tables of their own, which the test leaves behind
+    for name in ("_gauss", "_reference_rule", "_nested_rule"):
+        table = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            functools.lru_cache(table.cache_parameters()["maxsize"])(
+                                table.__wrapped__))
+    for order in (8, 5):
+        for k in range(1, 6):  # new panel edges, so new rules, every time
+            breaks = tuple(np.linspace(0.0, 1.0, k + 2)[1:-1] + 0.01)
+            integrate(lambda t: np.exp(t), 0.0, 1.0, breaks=breaks, order=order)
+            integrate_triangle(lambda t, s: ([np.exp(t)], [np.exp(-s)]), 0.0, 1.0,
+                               breaks=breaks, order=order)
     assert calls == [8, 5]

@@ -182,16 +182,8 @@ def test_oracle_deviation_small_on_baseline():
 # reuse of per-beam blocks across rows and points
 # ---------------------------------------------------------------------------
 
-def _clear_caches():
-    from rpif import actions, interference, lattice
-    for cached in (actions._action_rows, interference._literal_rows,
-                   lattice._lattice_rows, lattice._midpoint_samples):
-        cached.cache_clear()
-
-
 def _count_calls(monkeypatch, module, name: str) -> list:
-    """Empty every block cache, then log each call of module.name."""
-    _clear_caches()
+    """Log each call of module.name."""
     calls = []
     original = getattr(module, name)
 
@@ -241,9 +233,28 @@ def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
     assert len(triangle_calls) == 2
 
 
+def test_a_second_decompose_integrates_again(monkeypatch):
+    # no row outlives the call that computed it: a second decompose of the
+    # same config integrates its beams again, to the same bits
+    from rpif import decompose, quadrature
+    scenario, _ = parse_config("{}")
+    first = decompose(scenario)
+    nodes = []
+    integrate = quadrature.integrate
+
+    def counted(fn, *args, **kwargs):
+        def inner(t):
+            nodes.append(np.size(t))
+            return fn(t)
+        return integrate(inner, *args, **kwargs)
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    assert decompose(scenario) == first
+    assert sum(nodes) > 0
+
+
 def test_oracle_runs_once_per_point(monkeypatch):
-    from rpif import sweep
-    calls = _count_calls(monkeypatch, sweep, "oracle_propagator")
+    from rpif import interference
+    calls = _count_calls(monkeypatch, interference, "oracle_propagator")
     scenario, _ = parse_config(_config())
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode="both",
                      oracle_schedule=(64, 128, 256))
@@ -256,9 +267,11 @@ def test_oracle_reduces_once_for_points_equal_in_internal_units(monkeypatch):
     # with m = hbar = 1, scaling both by the same factor leaves hbar*T/m
     # exactly 1, so every point is bit-identical in internal units: the
     # oracle reads each point's lattice rows, but reduces each beam and
-    # samples each function only for the first point
-    from rpif import lattice, sweep
-    calls = _count_calls(monkeypatch, sweep, "oracle_propagator")
+    # samples each function only once per level
+    from rpif import interference, lattice
+    calls = _count_calls(monkeypatch, interference, "oracle_propagator")
+    reduced = _count_calls(monkeypatch, lattice, "_reduce_level")
+    sampled = _count_calls(monkeypatch, lattice, "_midpoint_samples")
     scenario, _ = parse_config(_config())
     schedule = (64, 128, 256)
     spec = SweepSpec(parameter="m_over_hbar_scale", start=1.0, stop=4.0, steps=4,
@@ -266,16 +279,19 @@ def test_oracle_reduces_once_for_points_equal_in_internal_units(monkeypatch):
     rows = run_sweep(scenario, spec)
     assert len({row.oracle_dev for row in rows}) == 1
     assert len(calls) == 4 * 2  # points x beams, not x modes
-    assert lattice._lattice_rows.cache_info().misses == 2
-    assert lattice._midpoint_samples.cache_info().misses == 3 * len(schedule)
+    assert len(reduced) == 2 * len(schedule)
+    assert len(sampled) == 3 * len(schedule)
 
 
 @pytest.mark.parametrize("parameter", ["z2", "g"])
 def test_oracle_sweep_reduces_each_beam_once_per_level(monkeypatch, parameter):
     # the lattice rows are free of g and the endpoints: the frame profile and
     # both records are sampled once per level, and each beam is reduced once
-    from rpif import lattice, sweep
-    calls = _count_calls(monkeypatch, sweep, "oracle_propagator")
+    # per level
+    from rpif import interference, lattice
+    calls = _count_calls(monkeypatch, interference, "oracle_propagator")
+    reduced = _count_calls(monkeypatch, lattice, "_reduce_level")
+    sampled = _count_calls(monkeypatch, lattice, "_midpoint_samples")
     scenario, _ = parse_config(_config())
     schedule = (64, 128, 256)
     spec = SweepSpec(parameter=parameter, start=0.0, stop=1.0, steps=16,
@@ -283,29 +299,31 @@ def test_oracle_sweep_reduces_each_beam_once_per_level(monkeypatch, parameter):
     rows = run_sweep(scenario, spec)
     assert all(row.error is None and row.oracle_dev <= 1e-6 for row in rows)
     assert len(calls) == 16 * 2
-    assert lattice._midpoint_samples.cache_info().misses == 3 * len(schedule)
-    assert lattice._lattice_rows.cache_info().misses == 2
+    assert len(sampled) == 3 * len(schedule)
+    assert len(reduced) == 2 * len(schedule)
 
 
 def test_oracle_delta_a_sweep_reduces_beam_b_once(monkeypatch):
-    from rpif import lattice, sweep
-    _count_calls(monkeypatch, sweep, "oracle_propagator")
+    from rpif import lattice
+    reduced = _count_calls(monkeypatch, lattice, "_reduce_level")
+    sampled = _count_calls(monkeypatch, lattice, "_midpoint_samples")
     scenario, _ = parse_config(_config())
     steps = 5
+    schedule = (64, 128, 256)
     spec = SweepSpec(parameter="delta_a", start=0.5, stop=2.5, steps=steps,
-                     mode="both", oracle_schedule=(64, 128, 256))
+                     mode="both", oracle_schedule=schedule)
     rows = run_sweep(scenario, spec)
     assert all(row.error is None for row in rows)
-    # beam a at every point, beam b once; no record changes, so no resampling
-    assert lattice._lattice_rows.cache_info().misses == steps + 1
-    assert lattice._midpoint_samples.cache_info().misses == 3 * 3
+    # beam a at every point, beam b once, each once per level; no record
+    # changes, so no resampling
+    assert len(reduced) == (steps + 1) * len(schedule)
+    assert len(sampled) == 3 * 3
 
 
 def _count_everywhere(monkeypatch, functions) -> dict:
-    """Empty every block cache, then count the calls of each function at
-    every name of the package it is looked up by."""
+    """Count the calls of each function at every name of the package it is
+    looked up by."""
     import sys
-    _clear_caches()
     counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
     modules = [m for k, m in sys.modules.items() if k == "rpif" or k.startswith("rpif.")]
     for fn in functions:
@@ -363,14 +381,13 @@ def test_a_failed_row_batch_is_attempted_once(monkeypatch, mode, line, triangle)
     assert (len(line_calls), len(triangle_calls)) == (line, triangle)
     # the text of each row's error is the one a lone attempt raises
     beam, f = scenario.beam_a, scenario.frame_profile
-    for cache, mode_name in ((actions._action_rows, "derived"),
-                             (interference._literal_rows, "paper-literal")):
+    for compute, mode_name in ((actions._batch_action_rows, "derived"),
+                               (interference._batch_literal_rows, "paper-literal")):
         want = [row.error for row in rows if row.mode == mode_name]
         if want:
-            cache.cache_clear()
-            with pytest.raises(QuadratureError) as info:
-                cache(beam, f, 1.0, 1.0, 0.0, 1.0)  # a lone attempt
-            assert want == [f"QuadratureError: {info.value}"] * 4
+            alone, = compute((beam,), f, 1.0, 1.0, 0.0, 1.0)
+            assert isinstance(alone, QuadratureError)
+            assert want == [f"QuadratureError: {alone}"] * 4
 
 
 def test_a_literal_failure_fails_only_the_literal_row(monkeypatch):
@@ -378,15 +395,11 @@ def test_a_literal_failure_fails_only_the_literal_row(monkeypatch):
 
     def stall(*args):
         raise QuadratureError("printed rows stalled")
-    _clear_caches()
-    monkeypatch.setattr(interference._literal_rows, "_compute", stall)
+    monkeypatch.setattr(interference, "_batch_literal_rows", stall)
     scenario, _ = parse_config(_config())
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode="both",
                      oracle_schedule=(64, 128, 256))
-    try:
-        rows = run_sweep(scenario, spec)
-    finally:
-        _clear_caches()  # the row cache remembers the stalled batches
+    rows = run_sweep(scenario, spec)
     assert [row.mode for row in rows] == ["paper-literal", "derived"] * 3
     for literal, derived in zip(rows[::2], rows[1::2]):
         assert literal.error == "QuadratureError: printed rows stalled"

@@ -20,6 +20,7 @@ from rpif.timefunctions import LinearFunction, SinusoidFunction
 from util import (
     closed_triangle_kernel,
     force_callable,
+    literal_rows,
     make_scenario,
     printed_i5_block,
     reference_triangle,
@@ -37,7 +38,7 @@ def _q12_pair(wt: float, kernels_of, kernel_of):
     scenario = make_scenario(a=RECORD, f=FRAME, delta_a=delta)
     w = complex_frequency(scenario.params, delta)
     force = force_callable(scenario.beam_a, scenario.frame_profile, scenario.params)
-    nested = unsplit_blocks(kernels_of(w, 1.0, 1.0), force, 0.0, 1.0).q12
+    nested = unsplit_blocks(kernels_of((w,), 1.0, 1.0), force, 0.0, 1.0).q12
     kernel = kernel_of(w, 1.0)
     reference = reference_triangle(
         lambda t, s: force(t) * force(s) * kernel(1.0 - t, s), 0.0, 1.0)
@@ -61,8 +62,7 @@ def test_literal_i5_block_matches_printed_kernel(delta):
     scenario = make_scenario(a=RECORD, f=FRAME, delta_a=delta)
     p = scenario.params
     th = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * delta ** 2))
-    rows = interference._literal_rows(scenario.beam_a, scenario.frame_profile, p.m,
-                                      p.hbar, p.tau_start, p.tau_end)
+    rows = literal_rows(scenario.beam_a, scenario.frame_profile, p)
     nested = interference._printed_blocks(interference._printed(rows, p, delta, th), p.g)[2]
     reference = printed_i5_block(scenario.beam_a, scenario.frame_profile, p, th)
     assert abs(nested - reference) <= 1e-12 * abs(reference)

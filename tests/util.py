@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 import rpif
-from rpif import (BeamRecord, LatticeError, PhysicalParams, Scenario, actions,
-                  quadrature, validate_scenario)
-from rpif.lattice import _lattice_rows, _toeplitz_reduce
+from rpif import (BeamRecord, LatticeError, PhysicalParams, RpifError, Scenario, actions,
+                  interference, quadrature, validate_scenario)
+from rpif.lattice import _rows, _toeplitz_reduce
 from rpif.timefunctions import ConstantFunction
 
 NBASE = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
@@ -220,8 +220,11 @@ def force_callable(beam, frame_profile, params):
 
 
 def unsplit_blocks(kernels, force, t0, t1, breaks=()):
-    """``ActionBlocks`` of one force callable: two line calls, one triangle."""
-    single = kernels.single
+    """``ActionBlocks`` of one force callable, with kernels built at one
+    frequency (a sequence of one, read through the set index 0): two line
+    calls, one triangle."""
+    def single(u):
+        return kernels.single(u, 0)
     q2 = quadrature.integrate(lambda t: force(t) * single(t - t0), t0, t1,
                               breaks=breaks)
     q1 = quadrature.integrate(lambda t: force(t) * single(t1 - t), t0, t1,
@@ -230,10 +233,10 @@ def unsplit_blocks(kernels, force, t0, t1, breaks=()):
     def factors(t, s):
         n = t.size
         f = force(np.concatenate((t, s)))
-        return f[:n] * kernels.outer(t1 - t), f[n:] * kernels.inner(s - t0)
+        return f[:n] * kernels.outer(t1 - t, 0), f[n:] * kernels.inner(s - t0, 0)
 
     q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks)
-    return actions.ActionBlocks(kernels.b1, kernels.b2, q1, q2, q12)
+    return actions.ActionBlocks(kernels.b1[0], kernels.b2[0], q1, q2, q12)
 
 
 def unsplit_action(kernels, force, m, t0, t1, z1, z2) -> complex:
@@ -243,10 +246,19 @@ def unsplit_action(kernels, force, m, t0, t1, z1, z2) -> complex:
 def unsplit_action_blocks(beam, frame_profile, params):
     """One beam's ``ActionBlocks`` at the params' g, from the whole force."""
     w = actions.ensure_stable(params, beam.resolution)
-    kernels = actions.action_kernels(w, params.m, params.duration)
+    kernels = actions.action_kernels((w,), params.m, params.duration)
     force = force_callable(beam, frame_profile, params)
     return unsplit_blocks(kernels, force, params.tau_start, params.tau_end,
                           frame_profile.breakpoints + beam.trajectory.breakpoints)
+
+
+def literal_rows(beam, frame_profile, p):
+    """One beam's printed-form rows, integrated as a batch of one."""
+    rows, = interference._batch_literal_rows((beam,), frame_profile, p.m, p.hbar,
+                                             p.tau_start, p.tau_end)
+    if isinstance(rows, RpifError):
+        raise rows
+    return rows
 
 
 def _omega(p, delta):
@@ -420,7 +432,6 @@ def gaussian_exponent_terms(form) -> tuple[complex, ...]:
 def lattice_values(scenario: Scenario, beam_label: str, schedule) -> dict:
     """The package's lattice propagator at each N of the schedule, by N."""
     p = scenario.params
-    rows = _lattice_rows(scenario.beam(beam_label), scenario.frame_profile, p.m,
-                         p.hbar, p.tau_start, p.tau_end, tuple(schedule))
+    rows = _rows(scenario, beam_label, schedule)
     return dict(zip(rows.n_steps, np.exp(rows.log_values(p.g, scenario.z1,
                                                          scenario.z2))))
