@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import quadrature
-from .errors import QuadratureError, RpifError, StabilityError
+from .errors import RpifError, StabilityError
 from .scenario import BeamRecord, PhysicalParams, mean_square
 from .timefunctions import TimeFunction
 
@@ -88,12 +88,9 @@ class PropagatorValue:
 
 
 def _ensure_finite(value, what: str):
-    if isinstance(value, (int, float, complex)):  # numpy scalars included
-        finite = cmath.isfinite(value)
-    else:
-        arr = np.asarray(value)
-        finite = bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
-    if not finite:
+    """``value``, a Python or numpy complex scalar, after checking that it is
+    finite."""
+    if not cmath.isfinite(value):
         raise RpifError(f"{what}: non-finite value {value!r}")
     return value
 
@@ -315,18 +312,6 @@ class ActionRows:
                             (g * self.q12_ff + self.q12_fc) * g + self.q12_cc)
 
 
-def _settled(rule: Callable, *args, batch: quadrature.Batch, **kwargs) -> np.ndarray:
-    """``rule`` (``quadrature.integrate`` or ``integrate_triangle``) over
-    the sets of ``batch`` that have not failed.  The sets that fail now are
-    left in ``batch.failed``, and their values are NaN."""
-    try:
-        return rule(*args, batch=batch, **kwargs)
-    except QuadratureError as exc:
-        if exc.failed is None:
-            raise
-        return exc.value
-
-
 def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: float,
                     breaks=(), *, batch: quadrature.Batch) -> tuple[np.ndarray, ...]:
     """The action quadratures of the force rows ``forces(t, sets)`` =
@@ -343,8 +328,7 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: flo
         ratio = single(np.concatenate((t - t0, t1 - t)), sets)[..., None, :]
         return np.concatenate((both * ratio[..., :n], both * ratio[..., n:]), axis=-2)
 
-    q2_f, q2_c, q1_f, q1_c = _settled(quadrature.integrate, line, t0, t1, breaks=breaks,
-                                      batch=batch).T
+    q2_f, q2_c, q1_f, q1_c = quadrature.integrate(line, t0, t1, breaks=breaks, batch=batch).T
 
     def factors(t, s):
         n, sets = t.size, batch.index
@@ -360,8 +344,7 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: flo
         return outer, inner.reshape(inner.shape[:-3] + (-1, s.size))
 
     if len(batch.failed) < batch.size:
-        q12 = _settled(quadrature.integrate_triangle, factors, t0, t1, breaks=breaks,
-                       batch=batch)
+        q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
     else:
         q12 = np.full((batch.size, 3), math.nan, complex)
     q12_ff, q12_fc, q12_cc = q12.T

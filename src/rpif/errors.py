@@ -41,18 +41,10 @@ class StabilityError(RpifError):
 
 
 class QuadratureError(RpifError):
-    """Panel-doubling quadrature failed to converge within its node budget.
+    """Panel-doubling quadrature failed to converge within its node budget."""
 
-    A batched integral whose sets fail raises one that names them: ``failed``
-    maps each to the QuadratureError it raises on its own, and ``value``
-    holds every set's value, NaN for those that failed.
-    """
-
-    def __init__(self, message: str, last_delta: float | None = None,
-                 failed: dict | None = None, value=None):
+    def __init__(self, message: str, last_delta: float | None = None):
         self.last_delta = last_delta
-        self.failed = failed
-        self.value = value
         super().__init__(message)
 
 

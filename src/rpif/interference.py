@@ -49,7 +49,6 @@ from .actions import (
     _ensure_finite,
     _prefactor,
     _samplers,
-    _settled,
     classical_action,
     ensure_stable,
 )
@@ -220,9 +219,9 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
                 np.concatenate((inner.real, inner.imag), axis=-2))
 
     breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
-    lines = _settled(quadrature.integrate, line, t0, t1, breaks=breaks, batch=batch)
-    triangles = (_settled(quadrature.integrate_triangle, factors, t0, t1, breaks=breaks,
-                          batch=batch) if len(batch.failed) < batch.size else None)
+    lines = quadrature.integrate(line, t0, t1, breaks=breaks, batch=batch)
+    triangles = (quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
+                 if len(batch.failed) < batch.size else None)
     for j, i in enumerate(live):
         out[i] = batch.failed[j] if j in batch.failed else (lines[j].real, triangles[j].real)
     return out
@@ -380,46 +379,24 @@ class _Complex:
 class _Beam:
     """What every point of an evaluation that has this beam, frame profile
     and units reads, computed once: the frequency (or the stability
-    error); the action rows, the printed rows and the lattice rows, which
-    the evaluation fills in; and on first use the prefactor with the
-    weight exponent -2<c^2>/delta^2, and the printed-form numbers.  A part
-    whose rows fail holds the RpifError instead."""
+    error), and what the evaluation fills in for a stable beam: ``action``,
+    its action rows with the prefactor and the weight exponent
+    -2<c^2>/delta^2; ``printed``, its printed-form numbers (in the literal
+    mode); and its lattice rows (with the oracle).  A part whose rows fail
+    holds the RpifError instead."""
 
-    __slots__ = ("beam", "frame_profile", "params", "w", "error", "action_rows",
-                 "literal_rows", "lattice_rows", "_action", "_printed")
+    __slots__ = ("beam", "frame_profile", "params", "w", "error", "action", "printed",
+                 "lattice_rows")
 
     def __init__(self, beam: BeamRecord, frame_profile: TimeFunction,
                  params: PhysicalParams):
         self.beam, self.frame_profile, self.params = beam, frame_profile, params
         self.w, self.error = None, None
-        self.action_rows = self.literal_rows = self.lattice_rows = None
-        self._action = self._printed = None
+        self.action = self.printed = self.lattice_rows = None
         try:
             self.w = ensure_stable(params, beam.resolution)
         except RpifError as exc:
             self.error = exc
-
-    def action(self) -> tuple[ActionRows, complex, float] | RpifError:
-        if self._action is None:
-            rows = self.action_rows
-            if isinstance(rows, RpifError):
-                self._action = rows
-            else:
-                delta = self.beam.resolution
-                self._action = (rows, _prefactor(self.w, self.params),
-                                -2.0 * rows.mean_square / delta ** 2)
-        return self._action
-
-    def printed(self) -> _Printed | RpifError:
-        if self._printed is None:
-            rows = self.literal_rows
-            if isinstance(rows, RpifError):
-                self._printed = rows
-            else:
-                delta = self.beam.resolution
-                self._printed = _printed(rows, self.params, delta,
-                                         _paper_angle(self.params, delta))
-        return self._printed
 
 
 def _fill(beams: Sequence[_Beam], compute: Callable, *extra, by_layout: bool = True) -> list:
@@ -449,10 +426,11 @@ def _fill(beams: Sequence[_Beam], compute: Callable, *extra, by_layout: bool = T
 
 def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam, _Beam]]:
     """Each point's two beams, one ``_Beam`` per distinct (beam, frame
-    profile, units), with the rows of every stable one filled in: the rows
-    of every beam that shares a panel layout, at all the resolutions the
-    points visit, in one line pass and one triangle pass per kind of row
-    (and kernel branch)."""
+    profile, units), with the ``action`` and, in the literal mode, the
+    ``printed`` part of every stable one filled in: the rows of every beam
+    that shares a panel layout, at all the resolutions the points visit,
+    come from one line pass and one triangle pass per kind of row (and
+    kernel branch)."""
     by_key: dict = {}
     seen: dict = {}   # by object identity first, so a shared beam is hashed once
     pairs = []
@@ -472,23 +450,25 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam
             pair.append(found)
         pairs.append(tuple(pair))
     stable = [beam for beam in by_key.values() if beam.error is None]
-    for beam, entry in zip(stable, _fill(stable, _batch_action_rows)):
-        beam.action_rows = entry
+    for beam, rows in zip(stable, _fill(stable, _batch_action_rows)):
+        delta = beam.beam.resolution
+        beam.action = rows if isinstance(rows, RpifError) else (
+            rows, _prefactor(beam.w, beam.params), -2.0 * rows.mean_square / delta ** 2)
     if MODE_LITERAL in modes:
-        for beam, entry in zip(stable, _fill(stable, _batch_literal_rows)):
-            beam.literal_rows = entry
+        for beam, rows in zip(stable, _fill(stable, _batch_literal_rows)):
+            delta = beam.beam.resolution
+            beam.printed = rows if isinstance(rows, RpifError) else _printed(
+                rows, beam.params, delta, _paper_angle(beam.params, delta))
     return pairs
 
 
 def _pair(first, second):
-    """The parts ``first()`` and ``second()`` of a point's two beams, or the
-    RpifError of the first that failed; ``second`` is not called when
-    ``first`` failed."""
-    part = first()
-    if isinstance(part, RpifError):
-        return part
-    other = second()
-    return other if isinstance(other, RpifError) else (part, other)
+    """The same part of a point's two beams, ``first`` of beam a and
+    ``second`` of beam b, or the first of them that is an RpifError."""
+    for part in (first, second):
+        if isinstance(part, RpifError):
+            return part
+    return first, second
 
 
 def _named_amplitude(label: str, beam: BeamRecord, prefactor: complex,
@@ -513,7 +493,7 @@ class _Group:
             zip(*[(nd.params.g, nd.z1, nd.z2, nd.params.m) for nd in points]))
 
     def _rows(self, side: int) -> ActionRows:
-        rows = [pair[side].action()[0] for pair in self.pairs]
+        rows = [pair[side].action[0] for pair in self.pairs]
         if len(rows) == 1:
             return rows[0]
         table = np.array([[r.b1, r.b2, r.q1_f, r.q1_c, r.q2_f, r.q2_c, r.q12_ff, r.q12_fc,
@@ -522,7 +502,7 @@ class _Group:
                           mean_square=None)
 
     def _printed(self, side: int) -> _Printed:
-        printed = [pair[side].printed() for pair in self.pairs]
+        printed = [pair[side].printed for pair in self.pairs]
         return printed[0] if len(printed) == 1 else _Printed(*np.array(printed).T)
 
     def blocks(self) -> tuple[ActionBlocks, ActionBlocks]:
@@ -583,7 +563,7 @@ def _failure(modes: Sequence[str], error: RpifError,
 def _amplitudes(nd: Scenario, a: _Beam, b: _Beam, actions: Sequence[complex]
                 ) -> tuple[complex, complex]:
     """U_a and U_b of a point from its two actions."""
-    (_, prefactor_a, weight_a), (_, prefactor_b, weight_b) = a.action(), b.action()
+    (_, prefactor_a, weight_a), (_, prefactor_b, weight_b) = a.action, b.action
     return (_named_amplitude("a", a.beam, prefactor_a, weight_a, actions[0], nd.params.hbar),
             _named_amplitude("b", b.beam, prefactor_b, weight_b, actions[1], nd.params.hbar))
 

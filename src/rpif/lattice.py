@@ -513,9 +513,7 @@ def richardson_extrapolate(estimates, floor: float = 0.0) -> ExtrapolationResult
                                levels=len(vals))
 
 
-def oracle_propagator(scenario: Scenario, beam_label: str,
-                      schedule, z1: float | None = None,
-                      z2: float | None = None, *,
+def oracle_propagator(scenario: Scenario, beam_label: str, schedule, *,
                       rows: LatticeRows | None = None) -> ExtrapolationResult:
     """Propagator estimates over an N schedule, Richardson extrapolated.
 
@@ -527,8 +525,7 @@ def oracle_propagator(scenario: Scenario, beam_label: str,
     measure normalization and -1/2*log det A), which puts the floor near
     1.5e-11 of the value.
     """
-    z1 = scenario.z1 if z1 is None else z1
-    z2 = scenario.z2 if z2 is None else z2
+    z1, z2 = scenario.z1, scenario.z2
     if rows is None:
         rows = _rows(scenario, beam_label, schedule)
     g = scenario.params.g

@@ -75,9 +75,9 @@ class Batch:
     several, whose rows carry one in front.  The integrand keeps its plain
     signature, so a wrapper around it sees an ordinary integrand.
 
-    A set that fails an integral goes into ``failed``, with the
-    QuadratureError it raises on its own, and later integrals over the
-    batch leave it out.
+    A set that fails an integral gets NaN values and goes into ``failed``,
+    with the QuadratureError it raises on its own, and later integrals over
+    the batch leave it out.
     """
 
     def __init__(self, size: int):
@@ -161,11 +161,12 @@ class _Doubling:
             return [slice(i, min(i + size, count)) for i in range(0, count, size)]
         return [self.running[i:i + size] for i in range(0, count, size)]
 
-    def settle(self, est: np.ndarray, rtol: float, atol: float, nonfinite) -> bool:
+    def settle(self, est: np.ndarray, nonfinite) -> bool:
         """Take this level's estimates of the running sets; True once no set
-        runs.  A set with a non-finite estimate fails with ``nonfinite()``.
-        ``deltas`` becomes each running set's largest difference between
-        levels."""
+        runs.  An entry passes when it agrees with the last level's to
+        ``DEFAULT_RTOL``/``DEFAULT_ATOL``.  A set with a non-finite estimate
+        fails with ``nonfinite()``.  ``deltas`` becomes each running set's
+        largest difference between levels."""
         self.shape = est.shape[1:]
         if not np.isfinite(est).all():
             finite = np.isfinite(est).reshape(len(est), -1).all(axis=1)
@@ -180,7 +181,7 @@ class _Doubling:
         if prev is None:
             return False
         delta = np.abs(est - prev)
-        passed = delta <= rtol * np.abs(est) + atol
+        passed = delta <= DEFAULT_RTOL * np.abs(est) + DEFAULT_ATOL
         if passed.all():
             self._keep(self.running, est)
             return True
@@ -209,10 +210,8 @@ class _Doubling:
 
     def result(self, batch: Batch | None):
         """The value: a lone integral's, which raises its error if it
-        failed, or every set's, NaN for the sets that failed.  A batch with
-        sets that failed now raises a QuadratureError that names them, gives
-        each one's own error in ``failed`` and the values in ``value``; the
-        sets also go into ``batch.failed``."""
+        failed, or every set's, NaN for the sets that failed, which go into
+        ``batch.failed`` with their own errors."""
         value = self.value
         if value is None and self.shape is not None:
             value = np.full((self.count,) + self.shape, math.nan, complex)
@@ -221,12 +220,7 @@ class _Doubling:
                 raise self.failed[0]
             value = value[0]
             return complex(value) if value.ndim == 0 else value
-        if self.failed:
-            batch.failed.update(self.failed)
-            raise QuadratureError(
-                f"{len(self.failed)} of {self.count} sets failed: "
-                + "; ".join(f"set {i}: {exc}" for i, exc in sorted(self.failed.items())),
-                failed=dict(self.failed), value=value)
+        batch.failed.update(self.failed)
         return value
 
 
@@ -270,9 +264,7 @@ def _reference_rule(panels: int, order: int, edges: tuple[float, ...] = (0.0, 1.
 
 
 def integrate(fn, a: float, b: float, *, breaks: tuple = (),
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              node_budget: int = LINE_NODE_BUDGET,
-              order: int = GAUSS_ORDER, batch: Batch | None = None) -> complex:
+              batch: Batch | None = None) -> complex:
     """Integrate a vectorized callable over [a, b].
 
     ``fn`` receives a 1-D ndarray of n nodes and returns values of shape
@@ -288,16 +280,18 @@ def integrate(fn, a: float, b: float, *, breaks: tuple = (),
     each set converges on its own, and the sets in ``batch.failed`` are
     left out.
 
-    Raises QuadratureError if the doubling loop exhausts the node budget
-    (``node_budget``, or the three levels of a longer split) without two
-    successive estimates agreeing to ``rtol``/``atol``, or if an estimate
-    is not finite; for a batch, once the other sets have settled, naming
-    the sets that failed (``_Doubling.result``).
+    A lone integral raises QuadratureError if the doubling loop exhausts
+    the node budget (``LINE_NODE_BUDGET``, or the three levels of a longer
+    split) without two successive estimates agreeing to
+    ``DEFAULT_RTOL``/``DEFAULT_ATOL``, or if an estimate is not finite.  A
+    set of a batch that fails so gets NaN values, and the error in
+    ``batch.failed``.
     """
+    order = GAUSS_ORDER
     width = b - a
     edges = _segments(a, b, breaks)
     segments = len(edges) - 1
-    budget = _budget(node_budget, segments, order)
+    budget = _budget(LINE_NODE_BUDGET, segments, order)
     state = _Doubling(batch)
     panels = 1
     while len(state.running) and segments * panels * order <= budget:
@@ -312,7 +306,7 @@ def integrate(fn, a: float, b: float, *, breaks: tuple = (),
                 values = values[None]
             est.append(width * np.sum(wu * values, axis=-1))
         est = est[0] if len(est) == 1 else np.concatenate(est)
-        if state.settle(est, rtol, atol, lambda: QuadratureError(
+        if state.settle(est, lambda: QuadratureError(
                 f"non-finite integrand values over [{a:g}, {b:g}]")):
             break
         panels *= 2
@@ -363,9 +357,7 @@ def _products(outer: np.ndarray, weighted: np.ndarray) -> np.ndarray:
 
 
 def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
-                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                       axis_budget: int = AXIS_NODE_BUDGET,
-                       order: int = GAUSS_ORDER, batch: Batch | None = None):
+                       batch: Batch | None = None):
     """Integrate a separable kernel over the triangle a <= s <= t <= b.
 
     ``factors(t, s)`` receives outer nodes ``t`` and inner points ``s``
@@ -396,13 +388,14 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     consecutive chunks of at most ``CHUNK_NODES`` outer nodes and their
     inner points, with the running sum carried across chunks, so the
     memory of a level stays bounded however far the panels double.  Panels
-    double until successive estimates agree, at most ``axis_budget`` outer
-    nodes, or the three levels of a longer split.
+    double until successive estimates agree, at most ``AXIS_NODE_BUDGET``
+    outer nodes, or the three levels of a longer split.
     """
+    order = GAUSS_ORDER
     width = b - a
     edges = _segments(a, b, breaks)
     segments = len(edges) - 1
-    budget = _budget(axis_budget, segments, order)
+    budget = _budget(AXIS_NODE_BUDGET, segments, order)
     chunk = max(1, CHUNK_NODES // order)  # panels per call of ``factors``
     state = _Doubling(batch)
     panels = 1
@@ -444,7 +437,7 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
             est.append(total)
         est = np.asarray(width * width * (est[0] if len(est) == 1 else np.concatenate(est)),
                          dtype=complex)
-        if state.settle(est, rtol, atol, lambda: QuadratureError(
+        if state.settle(est, lambda: QuadratureError(
                 f"non-finite integrand values over [{a:g}, {b:g}]")):
             break
         panels *= 2

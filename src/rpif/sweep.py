@@ -390,8 +390,8 @@ class ModeComparison:
         return max(abs(getattr(self.literal, k) - getattr(self.derived, k))
                    for k in ("i1", "i2", "i3", "i4", "i5"))
 
-    def exceeds_tolerance(self, tolerance: float = MODE_TOLERANCE) -> bool:
-        return self.literal_residual > tolerance
+    def exceeds_tolerance(self) -> bool:
+        return self.literal_residual > MODE_TOLERANCE
 
 
 def compare_modes(scenario: Scenario) -> ModeComparison:

@@ -9,7 +9,7 @@ scalars or numpy arrays of any shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -189,11 +189,6 @@ class TabulatedFunction(TimeFunction):
         new_values = tuple(v * value_scale for v in self.values)
         return TabulatedFunction(new_times, new_values, domain)
 
-
-AnyTimeFunction = Union[
-    ConstantFunction, LinearFunction, SinusoidFunction,
-    PolynomialFunction, TabulatedFunction,
-]
 
 _KINDS = ("constant", "linear", "sinusoid", "polynomial", "tabulated")
 

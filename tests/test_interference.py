@@ -10,6 +10,7 @@ from rpif import (
     auxiliary_angles,
     decompose,
 )
+from rpif import quadrature
 from rpif.interference import _printed, _printed_terms
 from rpif.scenario import nondimensional
 from sampling import random_scenario
@@ -260,6 +261,31 @@ def test_literal_forms_at_derived_angle_match_action_grouping():
     der = (br.i1, br.i2, br.i3, br.i4)
     for k in range(4):
         assert lit[k] == pytest.approx(der[k], rel=1e-9, abs=1e-12)
+
+
+def test_printed_i1_to_i4_are_the_derived_terms_at_re_wt():
+    # on 50 random scenarios the printed i1..i4 with theta = |Re(wT)| equal
+    # the derived terms to quadrature accuracy (each side's quadratures run
+    # to DEFAULT_RTOL, over different integrands), and with the printed
+    # angle, sqrt(pi) larger, differ from them by over a tenth of the row's
+    # largest term
+    for seed in range(50):
+        scenario = random_scenario(np.random.default_rng(seed))
+        nd = nondimensional(scenario)
+        p, beams = nd.params, (nd.beam_a, nd.beam_b)
+        rows = [literal_rows(beam, nd.frame_profile, p) for beam in beams]
+        br = decompose(scenario, MODE_DERIVED)
+        derived = (br.i1, br.i2, br.i3, br.i4)
+        largest = max(map(abs, derived + (br.i5,)))
+
+        def gap(mode):
+            angles = auxiliary_angles(scenario, mode)
+            a, b = (_printed(r, p, beam.resolution, th)
+                    for r, beam, th in zip(rows, beams, (angles.theta, angles.rho)))
+            printed = _printed_terms(nd.z1, nd.z2, p.g, a, b)[:4]
+            return max(abs(x - y) for x, y in zip(printed, derived))
+        assert gap(MODE_DERIVED) <= 10 * quadrature.DEFAULT_RTOL * largest, seed
+        assert gap(MODE_LITERAL) > 0.1 * largest, seed
 
 
 # ---------------------------------------------------------------------------

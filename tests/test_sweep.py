@@ -407,6 +407,61 @@ def test_a_literal_failure_fails_only_the_literal_row(monkeypatch):
         assert derived.error is None and derived.oracle_dev <= 1e-6
 
 
+# a beam that fails a point at one stage: the stability guard (in internal
+# units |wT| = 2/delta > 60), its printed rows (omega = 30 000, which stalls
+# its action rows too), or its action rows alone (the linear record, whose
+# action rows the test fails)
+FAILING_BEAMS = {
+    "stability": {"trajectory": {"kind": "constant", "value": 0.1}, "resolution": 0.01},
+    "stability_too": {"trajectory": {"kind": "constant", "value": 0.1}, "resolution": 0.02},
+    "literal": {"trajectory": {"kind": "sinusoid", "amplitude": 0.3, "omega": 30000.0,
+                               "phase": 0.0}, "resolution": 1.0},
+    "action": {"trajectory": {"kind": "linear", "slope": 0.3, "intercept": -0.1},
+               "resolution": 2.0},
+}
+
+STABILITY_TEXT = ("StabilityError: stability guard tripped: resolution delta_c=0.01 gives "
+                  "|Im(wT)|*sqrt(2)=200.000 > 60")
+STABILITY_TOO_TEXT = ("StabilityError: stability guard tripped: resolution delta_c=0.02 gives "
+                      "|Im(wT)|*sqrt(2)=100.000 > 60")
+LITERAL_TEXT = ("QuadratureError: integral over [0, 1] did not converge within 65536 nodes "
+                "(last delta 1.224e-12)")
+LITERAL_ACTION_TEXT = ("QuadratureError: integral over [0, 1] did not converge within 65536 "
+                       "nodes (last delta 2.845e-13)")
+ACTION_TEXT = "QuadratureError: action rows stalled"
+
+
+@pytest.mark.parametrize("stage_a, stage_b, literal, derived", [
+    # the stability guard comes first, whichever beam trips it, beam a first
+    ("stability", "literal", STABILITY_TEXT, STABILITY_TEXT),
+    ("literal", "stability", STABILITY_TEXT, STABILITY_TEXT),
+    ("stability", "action", STABILITY_TEXT, STABILITY_TEXT),
+    ("action", "stability", STABILITY_TEXT, STABILITY_TEXT),
+    ("stability", "stability_too", STABILITY_TEXT, STABILITY_TEXT),
+    ("stability_too", "stability", STABILITY_TOO_TEXT, STABILITY_TOO_TEXT),
+    # then the literal mode's printed rows, and the actions, beam a first
+    ("literal", "action", LITERAL_TEXT, LITERAL_ACTION_TEXT),
+    ("action", "literal", LITERAL_TEXT, ACTION_TEXT),
+])
+@pytest.mark.parametrize("mode", ["literal", "derived", "both"])
+def test_a_point_reports_the_first_failure_of_its_beams(monkeypatch, stage_a, stage_b,
+                                                        literal, derived, mode):
+    from rpif import QuadratureError, interference
+    rows = interference._batch_action_rows
+
+    def stall(beams, *args):
+        return [QuadratureError("action rows stalled") if beam.trajectory.kind == "linear"
+                else entry for beam, entry in zip(beams, rows(beams, *args))]
+    monkeypatch.setattr(interference, "_batch_action_rows", stall)
+    scenario, spec = parse_config(_config(
+        beam_a=FAILING_BEAMS[stage_a], beam_b=FAILING_BEAMS[stage_b],
+        sweep={"parameter": "z2", "start": 0.0, "stop": 1.0, "steps": 2, "mode": mode}))
+    want = {"paper-literal": literal, "derived": derived}
+    got = run_sweep(scenario, spec)
+    assert len(got) == 2 * (2 if mode == "both" else 1)
+    assert [row.error for row in got] == [want[row.mode] for row in got]
+
+
 # ---------------------------------------------------------------------------
 # output formats
 # ---------------------------------------------------------------------------
