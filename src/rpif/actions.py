@@ -16,12 +16,12 @@ endpoints and the resulting restricted propagator
 
 Numerical posture:
   * w sits in the fourth quadrant, so sin(wT) grows like exp(|Im wT|) and
-    never vanishes; every 1/sin is folded into bounded, exp-factored
-    integrand ratios.
-  * below |wT| = 1e-2 the closed form cancels catastrophically and a
-    Taylor expansion through (wT)^4 takes over; at the crossover the two
-    agree to ~1e-12 relative.
-  * scenarios whose resolution would push exp factors past ~1e26 are
+    vanishes only at w = 0; the kernels are the complex sines themselves,
+    sin(wu)/sin(wT) and sin(wp)/w, which keep their relative accuracy at
+    every |wT|, small or large.
+  * w = 0, where 4*hbar/(m*T*delta_c^2) underflows, is the free particle,
+    the w -> 0 limit of every kernel.
+  * scenarios whose resolution would push the sines past ~1e18 are
     rejected up front by the stability guard.
 """
 
@@ -41,9 +41,6 @@ from .timefunctions import TimeFunction
 
 #: guard threshold on |Im(wT)|*sqrt(2) (= |wT| on the principal branch)
 STABILITY_LIMIT = 60.0
-
-#: |wT| below which the series expansion replaces the closed form
-SMALL_WT_CROSSOVER = 1e-2
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,11 @@ def complex_frequency(params: PhysicalParams, delta_c: float) -> complex:
     """Principal root sqrt(-i*4*hbar/(m*T*delta_c^2)); arg is exactly -pi/4."""
     if delta_c <= 0:
         raise RpifError(f"delta_c must be positive, got {delta_c!r}")
-    mag = math.sqrt(4.0 * params.hbar / (params.m * params.duration * delta_c ** 2))
+    try:
+        mag = math.sqrt(4.0 * params.hbar / (params.m * params.duration * delta_c ** 2))
+    except OverflowError:
+        raise RpifError(f"resolution {delta_c:g}: 4*hbar/(m*T*delta^2) cannot be "
+                        f"formed, delta^2 overflows") from None
     part = mag / math.sqrt(2.0)
     return _ensure_finite(complex(part, -part), "complex_frequency")
 
@@ -134,27 +135,8 @@ def _force_rows(records: quadrature.Samples, resolutions, frame_profile: Callabl
     return forces
 
 
-def _per_frequency(ws, blocks: Callable) -> tuple:
-    """``blocks(w)`` for each frequency of the sequence ``ws``: the first
-    two numbers it returns, b1 and b2, as complex arrays over the
-    frequencies, and the rest as the per-set coefficients of the kernels'
-    rows.
-
-    The per-frequency numbers are few, so they keep the scalar arithmetic
-    of a single frequency; only the node rows are vectorized.
-    """
-    values = [blocks(complex(w)) for w in ws]
-    b1, b2 = (np.array([v[i] for v in values], complex) for i in (0, 1))
-    return b1, b2, quadrature.Coefficients([v[2:] for v in values])
-
-
 # ---------------------------------------------------------------------------
 # Kernels shared by the action and the term-by-term interference module.
-#
-# With w = q*(1-i) (q = Re w > 0) and E(u) = exp(-2*q*u):
-#   sin(w*u) = exp(q*u)/(2i) * hsin(u),  hsin(u) = e^{i q u} - E(u) e^{-i q u}
-#   cos(w*u) = exp(q*u)/2    * hcos(u),  hcos(u) = e^{i q u} + E(u) e^{-i q u}
-# so ratios of sines carry only decaying exponentials.
 #
 # Every kernel is built over a sequence of frequencies (the beams of a
 # batch): the blocks are arrays over the frequencies, and each row takes a
@@ -171,98 +153,55 @@ class ActionKernels:
         + z2*Int[F(t)*single(t-t0)] + z1*Int[F(t)*single(t1-t)]
         - (1/m)*DoubleInt[F(t)*F(s)*K(t1-t, s-t0)]
 
-    The triangle kernel K(e, p) = sin(w e) sin(w p)/(w sin(w T)) is kept as
-    its factors: K(e, p) = sum_k outer(e)[k] * inner(p)[k].
+    with b1 = (m*w/2)*cot(wT) and b2 = (m*w/2)/sin(wT).  The triangle
+    kernel K(e, p) = sin(w e) sin(w p)/(w sin(w T)) is kept as its factors:
+    K(e, p) = single(e) * inner(p), with the 1/w on the inner one, so that
+    neither factor leaves the double range where w*sin(wT) ~ w^2*T would.
     """
 
     b1: np.ndarray          # one entry per frequency
     b2: np.ndarray
     single: Callable        # (u >= 0, sets) -> sin(w u)/sin(w T), shape (..., len(u))
-    outer: Callable         # (e >= 0, sets) -> rows of shape (..., k, len(e))
-    inner: Callable         # (p >= 0, sets) -> rows of shape (..., k, len(p))
+    inner: Callable         # (p >= 0, sets) -> sin(w p)/w, shape (..., len(p))
 
 
-def _closed_blocks(w: complex, m: float, T: float) -> tuple:
-    """b1 and b2, then the numbers the rows read: q, iq and -2q for
-    hsin(u) = e^{iqu} - e^{-2qu - iqu}; hsin(T); conj(w), -conj(w) and qT/2
-    for exp(q*(u-T/2))*hsin(u) = exp(conj(w)*u - qT/2) - exp(-conj(w)*u - qT/2),
-    which splits exp(q*(e+p-T)) evenly, so each side stays within
-    exp(+-qT/2); and 1/(2i w hsin(T))."""
-    q = w.real
-    rising, falling = np.exp(1j * q * T), np.exp(-2.0 * q * T - 1j * q * T)
-    hs_T = rising - falling
-    wc = w.conjugate()
-    return (1j * (m * w / 2.0) * (rising + falling) / hs_T,
-            1j * m * w * cmath.exp(-q * T) / hs_T,
-            q, 1j * q, -2.0 * q, hs_T, wc, -wc, 0.5 * q * T, 1.0 / (2j * w * hs_T))
+def _sines(w: complex, T: float) -> tuple[complex, complex]:
+    """w and sin(wT).  w = 0, where 4*hbar/(m*T*delta^2) underflows, is the
+    free particle, the w -> 0 limit of every kernel.  A power of two with
+    |wT| < 2^-30 stands in for it: its sines are exact, sin(wu) = w*u, so
+    the kernels come out as u/T and e*p/T in the same arithmetic."""
+    if w == 0:
+        w = complex(math.ldexp(1.0, -30 - math.frexp(T)[1]))
+    return w, cmath.sin(w * T)
 
 
-def _kernels_closed(ws, m: float, T: float) -> ActionKernels:
-    b1, b2, coefs = _per_frequency(ws, lambda x: _closed_blocks(x, m, T))
-
-    def single(u, sets):
-        q_, iq_, m2q_, hs_, *_ = coefs.take(sets)
-        iqu = iq_ * u
-        return np.exp(q_ * (u - T)) * (np.exp(iqu) - np.exp(m2q_ * u - iqu)) / hs_
-
-    def side(u, sets):
-        *_, wc_, mwc_, shift_, _ = coefs.take(sets)
-        return np.exp(wc_ * u - shift_) - np.exp(mwc_ * u - shift_)
-
-    def outer(e, sets):
-        return (coefs.take(sets)[-1] * side(e, sets))[..., None, :]
-
-    def inner(p, sets):
-        return side(p, sets)[..., None, :]
-
-    return ActionKernels(b1, b2, single, outer, inner)
-
-
-def _series_blocks(w: complex, m: float, T: float) -> tuple:
-    # Taylor in (wT) through fourth order; truncation error O((wT)^6).
-    w2 = w * w
-    w4 = w2 * w2
-    b1 = (m / 2.0) * (1.0 / T - w2 * T / 3.0 - w4 * T ** 3 / 45.0)
-    b2 = (m / 2.0) * (1.0 / T + w2 * T / 6.0 + 7.0 * w4 * T ** 3 / 360.0)
-    # (e*p/T) * (1 + w2*(T^2-e^2-p^2)/6 + w4*(e^4/120 + p^4/120 + e^2 p^2/36
-    #            - T^2 e^2/36 - T^2 p^2/36 + 7 T^4/360)),
-    # grouped by the power of p: p, p^3 and p^5
-    c0 = (1.0 + w2 * T * T / 6.0 + 7.0 * w4 * T ** 4 / 360.0) / T
-    c1 = -(w2 / 6.0 + w4 * T * T / 36.0) / T
-    c2 = w4 / (120.0 * T)
-    c3 = w4 / (36.0 * T)
-    return b1, b2, w2, w4, c0, c1, c2, c3
-
-
-def _kernels_series(ws, m: float, T: float) -> ActionKernels:
-    b1, b2, coefs = _per_frequency(ws, lambda x: _series_blocks(x, m, T))  # w^2, w^4, c0..c3
-
-    def single(u, sets):
-        w2_, w4_, *_ = coefs.take(sets)
-        return (u / T) * (1.0 + w2_ * (T * T - u * u) / 6.0
-                          + w4_ * (u ** 4 / 120.0 + 7.0 * T ** 4 / 360.0
-                                   - u * u * T * T / 36.0))
-
-    def outer(e, sets):
-        e2 = e * e
-        *_, a0, a1, a2, a3 = coefs.take(sets)
-        return np.stack((e * (a0 + e2 * (a1 + e2 * a2)), e * (a1 + e2 * a3), a2 * e),
-                        axis=-2)
-
-    def inner(p, sets):
-        # the same for every frequency
-        p2 = p * p
-        return np.stack((p, p * p2, p * p2 * p2))
-
-    return ActionKernels(b1, b2, single, outer, inner)
+def _frequency_blocks(w: complex, m: float, T: float) -> tuple:
+    """b1 and b2, then the numbers the rows read: w, 1/sin(wT) and 1/w."""
+    w, sin_wt = _sines(w, T)
+    b2 = (m / 2.0) * (w / sin_wt)
+    return b2 * cmath.cos(w * T), b2, w, 1.0 / sin_wt, 1.0 / w
 
 
 def action_kernels(ws, m: float, T: float) -> ActionKernels:
-    """The kernels at a sequence of frequencies that all lie on the side of
-    the |wT| crossover where the first does."""
-    if abs(ws[0]) * T < SMALL_WT_CROSSOVER:
-        return _kernels_series(ws, m, T)
-    return _kernels_closed(ws, m, T)
+    """The kernels at a sequence of frequencies.
+
+    The per-frequency numbers are few, so they keep the scalar arithmetic
+    of a single frequency, and a beam gets the same bits in any batch; only
+    the node rows are vectorized.
+    """
+    values = [_frequency_blocks(complex(w), m, T) for w in ws]
+    b1, b2 = (np.array([v[i] for v in values], complex) for i in (0, 1))
+    coefs = quadrature.Coefficients([v[2:] for v in values])
+
+    def single(u, sets):
+        w_, inv_sin, _ = coefs.take(sets)
+        return np.sin(w_ * u) * inv_sin
+
+    def inner(p, sets):
+        w_, _, inv_w = coefs.take(sets)
+        return np.sin(w_ * p) * inv_w
+
+    return ActionKernels(b1, b2, single, inner)
 
 
 class ActionBlocks(NamedTuple):
@@ -332,16 +271,14 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: flo
 
     def factors(t, s):
         n, sets = t.size, batch.index
-        both = forces(np.concatenate((t, s)), sets)[..., None, :]
-        split = both[..., :n] * kernels.outer(t1 - t, sets)[..., None, :, :]
-        f_t, c_t = split[..., 0, :, :], split[..., 1, :, :]
-        zero = np.zeros_like(f_t)
-        # leading rows g^2, g^1, g^0 against the inner rows (F_f, F_c) * inner
-        outer = np.stack((np.concatenate((f_t, zero), axis=-2),
-                          np.concatenate((c_t, f_t), axis=-2),
-                          np.concatenate((zero, c_t), axis=-2)), axis=-3)
-        inner = both[..., n:] * kernels.inner(s - t0, sets)[..., None, :, :]
-        return outer, inner.reshape(inner.shape[:-3] + (-1, s.size))
+        both = forces(np.concatenate((t, s)), sets)
+        split = both[..., :n] * single(t1 - t, sets)[..., None, :]  # (F_f, F_c) * single
+        # rows g^2, g^1, g^0 against the inner rows (F_f, F_c) * inner:
+        # (F_f, 0), (F_c, F_f) and (0, F_c)
+        outer = np.zeros(split.shape[:-2] + (3, 2, n), complex)
+        outer[..., :2, 0, :] = split
+        outer[..., 1:, 1, :] = split
+        return outer, both[..., n:] * kernels.inner(s - t0, sets)[..., None, :]
 
     if len(batch.failed) < batch.size:
         q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
@@ -383,13 +320,12 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
                        m: float, hbar: float, tau_start: float,
                        tau_end: float) -> list[ActionRows | RpifError]:
     """The g-free action rows of beams that share a panel layout: one line
-    pass and one triangle pass per kernel branch, which sample each distinct
-    record once per call, and <c^2> once per distinct record.  None of the
-    rows depends on z1, z2 or g.  Returns each beam's rows, or the RpifError
-    that it raises on its own, with the error of the first step that fails
-    alone: the stability guard, the domains, the integrals, <c^2>."""
+    pass and one triangle pass, which sample each distinct record once per
+    call, and <c^2> once per distinct record.  None of the rows depends on
+    z1, z2 or g.  Returns each beam's rows, or the RpifError that it raises
+    on its own, with the error of the first step that fails alone: the
+    stability guard, the domains, the integrals, <c^2>."""
     params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
-    T = params.duration
     out: list = [None] * len(beams)
     ws = {}
     for i, beam in enumerate(beams):
@@ -398,13 +334,10 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
         except RpifError as exc:
             out[i] = exc
     frame, records = _samplers(beams, frame_profile, tau_start, tau_end, out)
-    branches: dict[bool, list[int]] = {}
-    for i, w in ws.items():
-        if out[i] is None:
-            branches.setdefault(abs(w) * T < SMALL_WT_CROSSOVER, []).append(i)
-    breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
-    for index in branches.values():
-        kernels = action_kernels([ws[i] for i in index], m, T)
+    index = [i for i in ws if out[i] is None]
+    if index:
+        breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
+        kernels = action_kernels([ws[i] for i in index], m, params.duration)
         forces = _force_rows(quadrature.Samples([records[beams[i].trajectory] for i in index]),
                              [beams[i].resolution for i in index], frame, params)
         batch = quadrature.Batch(len(index))
@@ -441,24 +374,14 @@ def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
                      blocks: ActionBlocks | None = None) -> ComplexAction:
     """Classical action of the driven complex oscillator between z1 and z2.
 
-    Uses the closed form for |wT| >= 1e-2 and the series expansion below;
-    the two agree to better than 1e-9 relative at the crossover.  A caller
-    that already holds the beam's blocks at the params' g passes them as
-    ``blocks``.
+    A caller that already holds the beam's blocks at the params' g passes
+    them as ``blocks``.
     """
     if blocks is None:
         blocks = _beam_rows(beam, frame_profile, params).at(params.g)
     value = blocks.action(params.m, z1, z2)
     _ensure_finite(value, "classical_action")
     return ComplexAction.from_complex(value)
-
-
-def _sine_ratio(w: complex, T: float) -> complex:
-    """w / sin(wT), series-protected near zero."""
-    x = w * T
-    if abs(x) < SMALL_WT_CROSSOVER:
-        return (1.0 / T) * (1.0 + x * x / 6.0 + 7.0 * x ** 4 / 360.0)
-    return w / cmath.sin(x)
 
 
 def _prefactor(w: complex, params: PhysicalParams) -> complex:
@@ -472,8 +395,8 @@ def _prefactor(w: complex, params: PhysicalParams) -> complex:
     or its negative, whichever lies at half that argument.  Where the
     principal root is right its bits are unchanged.
     """
-    root = cmath.sqrt(
-        params.m * _sine_ratio(w, params.duration) / (2j * math.pi * params.hbar))
+    w_, sin_wt = _sines(w, params.duration)
+    root = cmath.sqrt(params.m * (w_ / sin_wt) / (2j * math.pi * params.hbar))
     q_t = w.real * params.duration
     tail = 1.0 - cmath.exp(complex(-2.0 * q_t, -2.0 * q_t))
     arg = -0.25 * math.pi - q_t - cmath.phase(tail)

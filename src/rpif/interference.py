@@ -429,8 +429,7 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam
     profile, units), with the ``action`` and, in the literal mode, the
     ``printed`` part of every stable one filled in: the rows of every beam
     that shares a panel layout, at all the resolutions the points visit,
-    come from one line pass and one triangle pass per kind of row (and
-    kernel branch)."""
+    come from one line pass and one triangle pass per kind of row."""
     by_key: dict = {}
     seen: dict = {}   # by object identity first, so a shared beam is hashed once
     pairs = []

@@ -13,14 +13,10 @@ from rpif import (
     restricted_propagator,
 )
 from rpif.actions import (
-    SMALL_WT_CROSSOVER,
-    ActionRows,
     ComplexAction,
     _force_rows,
-    _integrate_rows,
-    _kernels_closed,
-    _kernels_series,
     _prefactor,
+    action_kernels,
     ensure_stable,
 )
 from rpif.interference import _named_amplitude
@@ -155,11 +151,11 @@ def test_on_path_action_oracle_random(rng):
 
 
 # ---------------------------------------------------------------------------
-# series expansion and crossover
+# the free-particle limit w = 0
 # ---------------------------------------------------------------------------
 
 def test_series_at_zero_frequency_free():
-    kernels = _kernels_series((0.0 + 0.0j,), 1.0, 1.0)
+    kernels = action_kernels((0j,), 1, 1)
     # with w = 0 and no force the action is the free one
     assert kernels.b1[0] == pytest.approx(0.5, rel=1e-15)
     val = unsplit_action(kernels, lambda t: np.zeros_like(t, dtype=complex),
@@ -168,55 +164,12 @@ def test_series_at_zero_frequency_free():
 
 
 def test_series_at_zero_frequency_linear_potential():
-    kernels = _kernels_series((0.0 + 0.0j,), 1.0, 1.0)
+    kernels = action_kernels((0j,), 1, 1)
     val = unsplit_action(kernels, lambda t: -np.ones_like(t, dtype=complex),
                          1.0, 0.0, 1.0, 0.0, 1.0)
     oracle = linear_potential_action(m=1.0, g=1.0, T=1.0, z1=0.0, z2=1.0)
     assert val.real == pytest.approx(oracle, rel=1e-10)
     assert val.imag == pytest.approx(0.0, abs=1e-12)
-
-
-def test_series_matches_closed_form_at_crossover():
-    # |wT| just below the switch point
-    delta = 2.0 / (SMALL_WT_CROSSOVER * 0.999)
-    scenario = make_scenario(delta_a=delta)
-    w = complex_frequency(scenario.params, delta)
-    force = force_callable(scenario.beam_a, scenario.frame_profile, scenario.params)
-    closed = unsplit_action(_kernels_closed((w,), 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
-    series = unsplit_action(_kernels_series((w,), 1.0, 1.0), force, 1.0, 0.0, 1.0, 0.0, 0.5)
-    assert abs(closed - series) <= 1e-9 * abs(closed)
-
-
-def test_series_kernels_match_closed_kernels_at_same_frequency():
-    # just below the switch point; both kernel sets at the same w
-    w = complex_frequency(NBASE, 2.0 / 0.00999)
-    closed, series = _kernels_closed((w,), 1.0, 1.0), _kernels_series((w,), 1.0, 1.0)
-    for name in ("b1", "b2"):
-        exact, approx = getattr(closed, name)[0], getattr(series, name)[0]
-        assert abs(exact - approx) <= 1e-9 * abs(exact)
-    u = np.linspace(0.05, 1.0, 20)
-    exact, approx = closed.single(u, 0), series.single(u, 0)
-    assert np.all(np.abs(exact - approx) <= 1e-9 * np.abs(exact))
-    e, p = np.meshgrid(u, u)
-    e, p = e.ravel(), p.ravel()
-    exact = np.sum(closed.outer(e, 0) * closed.inner(p, 0), axis=0)
-    approx = np.sum(series.outer(e, 0) * series.inner(p, 0), axis=0)
-    assert np.all(np.abs(exact - approx) <= 1e-9 * np.abs(exact))
-
-
-def test_dispatch_uses_series_kernels_below_crossover():
-    scenario = make_scenario(delta_a=1e4, a=ConstantFunction(0.1))
-    p = scenario.params
-    w = complex_frequency(p, 1e4)
-    # a batch of one frequency, as the package integrates a single point
-    forces = _force_rows(quadrature.Samples([scenario.beam_a.trajectory]), (1e4,),
-                         scenario.frame_profile, p)
-    rows = ActionRows(*_integrate_rows(_kernels_series((w,), 1.0, 1.0), forces, 0.0, 1.0,
-                                       batch=quadrature.Batch(1)), 0.0)
-    series = rows.at(p.g).action(1.0, 0.0, 0.5)[0]
-    dispatched = classical_action(scenario.beam_a, scenario.frame_profile,
-                                  scenario.params, 0.0, 0.5)
-    assert dispatched == ComplexAction.from_complex(series)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,8 @@ RECORDS = {
     "tabulated": TabulatedFunction((0.0, 0.37, 0.61, 1.0), (0.1, 0.3, -0.2, 0.05)),
 }
 
-# resolutions in internal units, where |wT| = 2/delta: the closed-form
-# kernels, the series kernels (delta > 200, |wT| < 1e-2), and a range that
-# crosses delta = 200, so the batch splits by branch
+# resolutions in internal units, where |wT| = 2/delta: |wT| from 5 down to
+# 2.2e-3, and a range that crosses delta = 200 (|wT| = 1e-2)
 RANGES = {"closed": (0.4, 3.0), "series": (250.0, 900.0), "crossing": (120.0, 320.0)}
 
 

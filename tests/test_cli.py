@@ -181,6 +181,36 @@ def test_compare_reports_a_failed_scenario_and_exits_2(tmp_path, capsys, beam_a,
     assert len(lines) == 1 and lines[0].startswith(f"compare failed: {error}")
 
 
+def _coarse_config(tmp_path):
+    """BASE with beam a at a resolution whose square overflows."""
+    doc = dict(BASE, beam_a=dict(BASE["beam_a"], resolution=1e200))
+    doc["sweep"] = dict(BASE["sweep"], mode="both")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+COARSE_ERROR = "RpifError: resolution 1e+200: 4*hbar/(m*T*delta^2) cannot be formed"
+
+
+def test_simulate_reports_a_resolution_too_coarse_to_square(tmp_path, capsys):
+    path = _coarse_config(tmp_path)
+    assert main(["validate", "--config", path]) == EXIT_OK
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", path, "--output", str(out)]) == EXIT_GUARD
+    assert len(out.read_text().strip().split("\n")) == 7
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 6 and all(COARSE_ERROR in line for line in lines)
+
+
+def test_compare_reports_a_resolution_too_coarse_to_square(tmp_path, capsys):
+    assert main(["compare", "--config", _coarse_config(tmp_path)]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"compare failed: {COARSE_ERROR}")
+
+
 def test_simulate_record_far_from_the_path_matches_the_lattice(tmp_path):
     # a record 25 resolutions from the origin: |exp(i S/hbar)| alone is past
     # the double range and the measurement weight alone underflows, but

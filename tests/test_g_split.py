@@ -32,7 +32,7 @@ OFF_DYADIC = TabulatedFunction((0.0, 0.37, 0.61, 1.0), (0.1, 0.3, -0.2, 0.05))
 SCENARIOS = {
     **{f"random-{seed}": random_scenario(np.random.default_rng(seed))
        for seed in range(5)},
-    # |wT| = 2/300 < 1e-2: beam a takes the series kernels
+    # |wT| = 2/300 < 1e-2, where the kernels once switched to a series
     "series-branch": make_scenario(delta_a=300.0, a=LinearFunction(0.3, -0.1),
                                    f=LinearFunction(0.5, 1.0), z1=0.2),
     "off-dyadic-tabulated": make_scenario(a=OFF_DYADIC, delta_a=0.8, z1=0.2,

@@ -1,7 +1,7 @@
 """Byte-for-byte regression of ``rpif simulate`` output.
 
 One config per sweep parameter, each in ``both`` mode; ``golden_delta_a``
-carries a series-branch beam (resolution 300, |wT| < 1e-2) and the z2 run
+carries a beam at resolution 300 (|wT| < 1e-2) and the z2 run
 adds the lattice oracle column.  The expected CSVs were written by
 
     python -m rpif simulate --config tests/data/golden_<name>.json \\

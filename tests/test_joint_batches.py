@@ -3,11 +3,11 @@ each beam gets the bits it gets alone.
 
 ``interference._fill`` groups an evaluation's beams by frame profile, units
 and the segment edges of their breakpoints, and integrates each group in one line
-and one triangle pass per kernel branch, sampling each distinct record once
-per call.  Each set of a batch stops at its own level with its own
-arithmetic, so every beam's rows, and every row a sweep prints, must equal
-those of the beam integrated alone, bit for bit; a beam that stalls must
-fail with the error a lone attempt raises, and leave the others alone.
+and one triangle pass, sampling each distinct record once per call.  Each
+set of a batch stops at its own level with its own arithmetic, so every
+beam's rows, and every row a sweep prints, must equal those of the beam
+integrated alone, bit for bit; a beam that stalls must fail with the error
+a lone attempt raises, and leave the others alone.
 """
 
 import dataclasses
@@ -50,8 +50,8 @@ FRAMES = {
     "tabulated": TabulatedFunction((0.0, 0.5, 1.0), (1.0, 0.5, 1.2)),
 }
 
-# in internal units |wT| = 2/delta: closed-form kernels below delta = 200,
-# series kernels above
+# in internal units |wT| = 2/delta: from 5 down to 2.2e-3, on both sides of
+# delta = 200 (|wT| = 1e-2)
 RESOLUTIONS = (0.4, 1.0, 2.5, 150.0, 199.0, 201.0, 250.0, 900.0)
 
 ROWS = (actions._batch_action_rows, interference._batch_literal_rows)
@@ -96,7 +96,7 @@ def test_each_beam_of_a_joint_batch_gets_its_rows_alone(beams, frame):
             assert _bits(entry) == _bits(_alone(compute, beam)), beam.beam
 
 
-def test_a_joint_batch_has_one_pass_per_layout_and_branch(monkeypatch):
+def test_a_joint_batch_has_one_pass_per_layout(monkeypatch):
     calls = []
     triangle = quadrature.integrate_triangle
 
@@ -104,20 +104,18 @@ def test_a_joint_batch_has_one_pass_per_layout_and_branch(monkeypatch):
         calls.append(batch.size)
         return triangle(factors, a, b, batch=batch, **kwargs)
     monkeypatch.setattr(quadrature, "integrate_triangle", counted)
-    # smooth records, closed and series kernels, one of which stalls; two
-    # tabulated records with one layout, closed and series; a record with a
-    # layout of its own
+    # smooth records at |wT| from 2 down to 8e-3, one of which stalls; two
+    # tabulated records with one layout, at |wT| 5 and 2.2e-3; a record with
+    # a layout of its own
     beams = [("sinusoid", 1.0), ("linear", 2.5), ("stalled", 1.0), ("polynomial", 250.0),
              ("tabulated", 0.4), ("tabulated_alike", 900.0), ("tabulated_half", 1.0)]
     beams = _beams(beams, "constant")
     for compute in ROWS:
         calls.clear()
         joint = interference._fill(beams, compute)
-        # the action rows split each layout by kernel branch, the printed
-        # rows do not; the stalled beam fails in the line pass, and the
-        # triangle pass of its batch leaves it out
-        want = [3, 1, 1, 1, 1] if compute is actions._batch_action_rows else [4, 2, 1]
-        assert sorted(calls, reverse=True) == want
+        # one pass per layout, whatever |wT|; the stalled beam fails in the
+        # line pass, and the triangle pass of its batch leaves it out
+        assert sorted(calls, reverse=True) == [4, 2, 1]
         assert isinstance(joint[2], quadrature.QuadratureError)
         assert "did not converge" in str(joint[2])
         for beam, entry in zip(beams, joint):

@@ -164,9 +164,9 @@ def test_reduction_orders_agree():
         assert abs(ours - forward) <= 1e-12 * abs(forward)
 
 
-#: |wT| = 2/delta in internal units: the series branch (|wT| < 1e-2, with
-#: the delta = 684 beam of a perfbench oracle_points scenario), the closed
-#: branch inside and outside the prefactor's bands, and the guard's edge
+#: |wT| = 2/delta in internal units: |wT| < 1e-2 (with the delta = 684 beam
+#: of a perfbench oracle_points scenario), |wT| inside and outside the
+#: prefactor's bands, and the guard's edge
 _WT_GRID = (1e-6, 2.0 / 684.046242, 5e-3, 0.5, 2.0, 5.0, 17.0, 33.0, 59.9)
 
 
@@ -432,8 +432,8 @@ def test_oracle_matches_closed_propagator_across_the_guarded_range(wt):
 
 
 def test_series_beam_extrapolates_at_fine_levels():
-    # a perfbench oracle_points request (seed 601, r0062): beam b is on the
-    # series branch, and its level differences at N = 1024..4096 are about
+    # a perfbench oracle_points request (seed 601, r0062): beam b has
+    # |wT| < 1e-2, and its level differences at N = 1024..4096 are about
     # 1e-12, so rounding in the reduction alone can make them non-monotone
     scenario = scenario_from_dict({
         "params": {"m": 1.0, "g": 0.036477, "hbar": 1.0,
@@ -466,8 +466,8 @@ R0259 = {
 
 
 def test_level_differences_at_the_rounding_floor_extrapolate():
-    # a perfbench oracle_points request (seed 1301, r0259): beam a is a
-    # series beam, |U| = 0.399, and at g = 0.634918 its level differences at
+    # a perfbench oracle_points request (seed 1301, r0259): beam a has
+    # |wT| < 1e-2, |U| = 0.399, and at g = 0.634918 its level differences at
     # N = 1024..4096 are 6.35e-13 then 6.81e-13, about 1.7e-12 relative:
     # rounding in an exponent whose terms add up to about 3.5e4 at N = 4096,
     # below the floor of about 6e-12

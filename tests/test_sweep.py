@@ -205,7 +205,7 @@ def test_z2_sweep_integrates_each_beam_once(triangle_calls):
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=16, mode="both")
     rows = run_sweep(scenario, spec)
     assert len(rows) == 32 and all(row.error is None for row in rows)
-    # both beams share a panel layout and a kernel branch: 1 action block
+    # both beams share a panel layout: 1 action block
     # call + 1 literal endpoint-free block call (j1 and j2 together), each
     # for both beams
     assert len(triangle_calls) == 2

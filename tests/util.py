@@ -137,7 +137,7 @@ def reference_triangle(fn, a, b, *, rtol=quadrature.DEFAULT_RTOL,
 
 
 def closed_triangle_kernel(w: complex, T: float):
-    """sin(w e) sin(w p)/(w sin(w T)) in the exp-factored closed form."""
+    """sin(w e) sin(w p)/(w sin(w T)) in an exp-factored closed form."""
     q = w.real
 
     def hsin(u):
@@ -233,7 +233,7 @@ def unsplit_blocks(kernels, force, t0, t1, breaks=()):
     def factors(t, s):
         n = t.size
         f = force(np.concatenate((t, s)))
-        return f[:n] * kernels.outer(t1 - t, 0), f[n:] * kernels.inner(s - t0, 0)
+        return (f[:n] * kernels.single(t1 - t, 0))[None], (f[n:] * kernels.inner(s - t0, 0))[None]
 
     q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks)
     return actions.ActionBlocks(kernels.b1[0], kernels.b2[0], q1, q2, q12)
