@@ -208,6 +208,9 @@ class ActionBlocks(NamedTuple):
     """One beam's action, grouped by endpoint dependence:
 
     S = (z1^2+z2^2)*b1 - 2*z1*z2*b2 + z1*q1 + z2*q2 - q12/m
+
+    An action that overflows comes out non-finite, without a numpy
+    warning: every caller checks that it is finite.
     """
 
     b1: complex
@@ -217,8 +220,9 @@ class ActionBlocks(NamedTuple):
     q12: complex
 
     def action(self, m: float, z1: float, z2: float) -> complex:
-        return ((z1 * z1 + z2 * z2) * self.b1 - 2.0 * z1 * z2 * self.b2
-                + z2 * self.q2 + z1 * self.q1 - self.q12 / m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ((z1 * z1 + z2 * z2) * self.b1 - 2.0 * z1 * z2 * self.b2
+                    + z2 * self.q2 + z1 * self.q1 - self.q12 / m)
 
 
 @dataclass(frozen=True)
@@ -231,7 +235,8 @@ class ActionRows:
 
     None of the rows depends on g, so a g sweep integrates them once.
     ``mean_square`` is the record's <c^2> over the window, which the
-    propagator's weight factor reads.
+    propagator's weight factor reads.  A block that overflows at a large g
+    comes out non-finite, without a numpy warning, and so does the action.
     """
 
     b1: complex
@@ -246,9 +251,10 @@ class ActionRows:
     mean_square: float
 
     def at(self, g: float) -> ActionBlocks:
-        return ActionBlocks(self.b1, self.b2, g * self.q1_f + self.q1_c,
-                            g * self.q2_f + self.q2_c,
-                            (g * self.q12_ff + self.q12_fc) * g + self.q12_cc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ActionBlocks(self.b1, self.b2, g * self.q1_f + self.q1_c,
+                                g * self.q2_f + self.q2_c,
+                                (g * self.q12_ff + self.q12_fc) * g + self.q12_cc)
 
 
 def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: float,
@@ -375,7 +381,7 @@ def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
     """Classical action of the driven complex oscillator between z1 and z2.
 
     A caller that already holds the beam's blocks at the params' g passes
-    them as ``blocks``.
+    them as ``blocks``.  An action that overflows raises an RpifError.
     """
     if blocks is None:
         blocks = _beam_rows(beam, frame_profile, params).at(params.g)

@@ -14,7 +14,8 @@ Two evaluation modes are provided and reported side by side:
 ``paper-literal``
     The published closed-form expressions evaluated exactly as printed,
     including theta = sqrt(2*pi*hbar*T/(m*delta^2)) in the hyperbolic
-    prefactors.
+    prefactors.  The printed i3/i4 integrals are the action's q1 and q2
+    times sin(wT) (``_printed``); only the printed i5 is integrated apart.
 
 ``derived``
     The same five groups recomputed directly from the driven-oscillator
@@ -49,6 +50,7 @@ from .actions import (
     _ensure_finite,
     _prefactor,
     _samplers,
+    _sines,
     classical_action,
     ensure_stable,
 )
@@ -132,26 +134,16 @@ def auxiliary_angles(scenario: Scenario, mode: str = MODE_LITERAL) -> AuxiliaryA
 
 def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
                         m: float, hbar: float, tau_start: float, tau_end: float
-                        ) -> list[tuple[np.ndarray, np.ndarray] | RpifError]:
-    """The g-free rows of the printed i3/i4 and i5 integrals of beams that
-    share a panel layout: one line pass and one triangle pass for all of
-    them, which sample each distinct record once per call.  Independent of
-    the endpoints and of g, so an evaluation computes them once per beam,
-    and a resolution sweep once for all its resolutions.  Returns each
-    beam's rows, or the RpifError that it raises on its own.
+                        ) -> list[np.ndarray | RpifError]:
+    """The g-free rows of the printed i5 integral of beams that share a
+    panel layout: one triangle pass for all of them, which samples each
+    distinct record once per call.  Independent of the endpoints and of g,
+    so an evaluation computes them once per beam, and a resolution sweep
+    once for all its resolutions.  Returns each beam's rows, or the
+    RpifError that it raises on its own.
 
-    i3 and i4: with x = q*(t - anchor), q = omega/sqrt(2), the printed pair
-    of single integrals is
-
-        j_sin = Int e^x [omega^2 c sin x (1 + e^{-2x}) - g f cos x (1 - e^{-2x})]
-        j_cos = Int e^x [omega^2 c cos x (1 - e^{-2x}) + g f sin x (1 + e^{-2x})],
-
-    affine in g.  The eight line rows of a beam are indexed [anchor (end,
-    start), integral (sin, cos), part (f, c)], with the g and the sign of
-    each f part left to the caller.
-
-    i5: the printed kernels combine g^2*(f(t)+f(s)), the record sum, and
-    the mixed g*[f(t)c(s)+f(s)c(t)] term under exp((sigma+epsilon)/2), with
+    The printed kernels combine g^2*(f(t)+f(s)), the record sum, and the
+    mixed g*[f(t)c(s)+f(s)c(t)] term under exp((sigma+epsilon)/2), with
     sigma = omega*(s-t0) and epsilon = omega*(t1-t).  By angle addition the
     second kernel plus i times the first is
 
@@ -163,7 +155,7 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     G + iH is a quadratic in g whose coefficients pair an outer factor in t
     with one of the inner factors [1, f(s), c(s)] times e^{sigma/2} hs(sigma).
     Splitting each inner factor into its real and imaginary parts gives six
-    real inner rows, and the triangle rows of a beam are indexed
+    real inner rows, and the rows of a beam are indexed
     [j1 (imaginary part), j2 (real part)] x [g^0, g^1, g^2].
     """
     t0, t1 = tau_start, tau_end
@@ -175,24 +167,9 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     samples = quadrature.Samples([records[beams[i].trajectory] for i in live])
     rt2 = math.sqrt(2.0)
     grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
-    per_beam = []  # (omega^2, q, omega)
-    for i in live:
-        coef = 4.0 * hbar / (m * (t1 - t0) * beams[i].resolution ** 2)
-        om = math.sqrt(coef)
-        per_beam.append((coef, om / rt2, om))
-    rates = quadrature.Coefficients(per_beam)
+    coefs = [4.0 * hbar / (m * (t1 - t0) * beams[i].resolution ** 2) for i in live]
+    rates = quadrature.Coefficients([(k, math.sqrt(k)) for k in coefs])  # omega^2, omega
     batch = quadrature.Batch(len(live))
-
-    def line(t):
-        k, q_, _ = rates.take(batch.index)
-        x = np.stack((q_ * (t - t1), q_ * (t - t0)), axis=-2)
-        # e^x (1 + e^{-2x}) sin x and e^x (1 - e^{-2x}) cos x, through
-        # cosh and sinh: accurate near x = 0, where a coarse measurement's
-        # theta prefactors cancel to O(theta^2)
-        plus, minus = 2.0 * np.cosh(x) * np.sin(x), 2.0 * np.sinh(x) * np.cos(x)
-        fv, cv = f(t), (k * samples.take(batch.index, t))[..., None, :]
-        return np.stack((np.stack((fv * minus, cv * plus), axis=-2),
-                         np.stack((fv * plus, cv * minus), axis=-2)), axis=-3)
 
     def side(x):
         # e^{x/2} hs(x) for x = epsilon or sigma
@@ -202,7 +179,7 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
         n = t.size
         both = np.concatenate((t, s))
         fv, cv = f(both), samples.take(batch.index, both)
-        k, _, w = rates.take(batch.index)
+        k, w = rates.take(batch.index)
         base = -0.5j * side(w * (t1 - t))
         one = np.ones(n)
         # rows g^0, g^1, g^2 against the inner factors [1, f(s), c(s)]:
@@ -219,41 +196,28 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
                 np.concatenate((inner.real, inner.imag), axis=-2))
 
     breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
-    lines = quadrature.integrate(line, t0, t1, breaks=breaks, batch=batch)
-    triangles = (quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
-                 if len(batch.failed) < batch.size else None)
+    triangles = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
     for j, i in enumerate(live):
-        out[i] = batch.failed[j] if j in batch.failed else (lines[j].real, triangles[j].real)
+        out[i] = batch.failed.get(j, triangles[j].real)
     return out
 
 
 class _Printed(NamedTuple):
     """One beam's printed-form numbers at the angle theta that depend on
     neither g nor the endpoints: its i1 and i2 brackets over delta, the
-    hyperbolic weights of its i3/i4 and i5 blocks, its literal rows, and
-    the params' factors ``c1``, ``c2`` and ``mh`` of i1, i2 and i3..i5.
-    Each field is a number, or an array with one entry per point of a
-    group.
+    weight W of its i3/i4 blocks (``_printed``), the hyperbolic weights of
+    its i5 block and its i5 rows, and the params' factors ``c1``, ``c2``
+    and ``mh`` of i1, i2 and i5.  Each field is a number, or an array with
+    one entry per point of a group.
     """
 
     i1: float
     i2: float
-    linear: float           # exp(-theta) / denom(theta)
-    w_cos: float            # (1 - e^{-2 theta}) cos theta
-    w_sin: float            # (1 + e^{-2 theta}) sin theta
+    weight_re: float        # W = weight_re + i*weight_im
+    weight_im: float
     double: float           # T exp(-theta) / (theta denom(theta))
     w1: float
     w2: float
-    # the line rows, anchored at the end (i3) and at the start (i4): the
-    # sin and cos integrals, each split into its f and c parts
-    end_sin_f: float
-    end_sin_c: float
-    end_cos_f: float
-    end_cos_c: float
-    start_sin_f: float
-    start_sin_c: float
-    start_cos_f: float
-    start_cos_c: float
     # the triangle rows j1 and j2, at g^0, g^1 and g^2
     j1_0: float
     j1_1: float
@@ -266,53 +230,58 @@ class _Printed(NamedTuple):
     mh: float
 
 
-def _printed(rows: tuple[np.ndarray, np.ndarray], p: PhysicalParams, delta: float,
+def _printed(rows: np.ndarray, w: complex, p: PhysicalParams, delta: float,
              th: float) -> _Printed:
-    """The printed-form numbers of a beam at resolution ``delta`` with
-    literal rows ``rows``, at the angle ``th``, with
+    """The printed-form numbers of a beam at resolution ``delta`` and
+    complex frequency ``w`` with literal rows ``rows``, at the angle
+    ``th``, with
 
         denom = 1 + e^{-4 theta} - 2 e^{-2 theta} cos(2 theta).
+
+    The printed i3/i4 integrands of a beam are e^x (1 + e^{-2x}) sin x and
+    e^x (1 - e^{-2x}) cos x at x = q*u, with w = q*(1 - i): that is
+    2 Re sin(wu) and -2 Im sin(wu).  So its printed pair of single integrals
+    is sin(wT) times its action's q1 (anchored at the end) or q2 (at the
+    start), and in internal units its printed i3/i4 blocks are Re(W*q1) and
+    Re(W*q2), with
+
+        W = 2 e^{-theta} [(1 + e^{-2 theta}) sin theta
+                          + i (1 - e^{-2 theta}) cos theta] sin(wT) / denom,
+
+    which is 1 at theta = |Re(wT)|.
     """
     e2, e4 = math.exp(-2.0 * th), math.exp(-4.0 * th)
     denom = 1.0 + e4 - 2.0 * e2 * math.cos(2.0 * th)
     w_cos, w_sin = (1.0 - e2) * math.cos(th), (1.0 + e2) * math.sin(th)
+    weight = 2.0 * math.exp(-th) * complex(w_sin, w_cos) * _sines(w, p.duration)[1] / denom
     return _Printed(
         (1.0 - e4 + 2.0 * e2 * math.sin(2.0 * th)) / denom / delta,
         (w_cos + w_sin) / (math.exp(th) * denom) / delta,
-        math.exp(-th) / denom, w_cos, w_sin,
+        weight.real, weight.imag,
         p.duration * math.exp(-th) / (th * denom),
         w_cos - w_sin, w_cos + w_sin,
-        *rows[0].ravel().tolist(), *rows[1].ravel().tolist(),
+        *rows.ravel().tolist(),
         math.sqrt(p.m / (2.0 * p.hbar * p.duration)),
         -math.sqrt(8.0 * p.m / (p.hbar * p.duration)), p.m / p.hbar)
 
 
-def _printed_blocks(b: _Printed, g: float) -> tuple[float, float, float]:
-    """One beam's printed contributions at g: the pair of single integrals
-    anchored at the end (for i3) and at the start (for i4), and the double
-    integral (for i5), each weighted by its hyperbolic theta prefactors."""
-    def linear(sin_f, sin_c, cos_f, cos_c):
-        j_sin = sin_c - g * sin_f
-        j_cos = cos_c + g * cos_f
-        return b.linear * (b.w_cos * j_sin - b.w_sin * j_cos)
+def _printed_terms(z1: float, z2: float, g: float, a: _Printed, b: _Printed,
+                   action_a: ActionBlocks, action_b: ActionBlocks) -> tuple[float, ...]:
+    """i1..i5 exactly as printed, from the two beams' printed-form numbers
+    and, for i3 and i4, their action blocks at g."""
+    def weighted(printed, q):  # Re(W*q), in real arithmetic, as ``_Complex``
+        return printed.weight_re * q.real - printed.weight_im * q.imag
 
-    j1 = b.j1_0 + g * (b.j1_1 + g * b.j1_2)
-    j2 = b.j2_0 + g * (b.j2_1 + g * b.j2_2)
-    return (linear(b.end_sin_f, b.end_sin_c, b.end_cos_f, b.end_cos_c),
-            linear(b.start_sin_f, b.start_sin_c, b.start_cos_f, b.start_cos_c),
-            b.double * (-b.w1 * j1 + b.w2 * j2))
+    def double(printed):
+        j1 = printed.j1_0 + g * (printed.j1_1 + g * printed.j1_2)
+        j2 = printed.j2_0 + g * (printed.j2_1 + g * printed.j2_2)
+        return printed.double * (-printed.w1 * j1 + printed.w2 * j2)
 
-
-def _printed_terms(z1: float, z2: float, g: float, a: _Printed,
-                   b: _Printed) -> tuple[float, ...]:
-    """i1..i5 exactly as printed, from the two beams' printed-form numbers."""
-    end_a, start_a, double_a = _printed_blocks(a, g)
-    end_b, start_b, double_b = _printed_blocks(b, g)
     i1 = (z1 * z1 + z2 * z2) * a.c1 * (a.i1 - b.i1)
     i2 = a.c2 * z1 * z2 * (a.i2 - b.i2)
-    i3 = a.mh * z1 * (-end_a + end_b)
-    i4 = a.mh * z2 * (start_a - start_b)
-    i5 = a.mh * (double_a - double_b)
+    i3 = z1 * (weighted(a, action_a.q1) - weighted(b, action_b.q1))
+    i4 = z2 * (weighted(a, action_a.q2) - weighted(b, action_b.q2))
+    i5 = a.mh * (double(a) - double(b))
     return i1, i2, i3, i4, i5
 
 
@@ -427,9 +396,10 @@ def _fill(beams: Sequence[_Beam], compute: Callable, *extra, by_layout: bool = T
 def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam, _Beam]]:
     """Each point's two beams, one ``_Beam`` per distinct (beam, frame
     profile, units), with the ``action`` and, in the literal mode, the
-    ``printed`` part of every stable one filled in: the rows of every beam
-    that shares a panel layout, at all the resolutions the points visit,
-    come from one line pass and one triangle pass per kind of row."""
+    ``printed`` part of every stable one filled in: for every beam that
+    shares a panel layout, at all the resolutions the points visit, the
+    action rows come from one line pass and one triangle pass, and the
+    printed rows from one triangle pass."""
     by_key: dict = {}
     seen: dict = {}   # by object identity first, so a shared beam is hashed once
     pairs = []
@@ -457,7 +427,7 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam
         for beam, rows in zip(stable, _fill(stable, _batch_literal_rows)):
             delta = beam.beam.resolution
             beam.printed = rows if isinstance(rows, RpifError) else _printed(
-                rows, beam.params, delta, _paper_angle(beam.params, delta))
+                rows, beam.w, beam.params, delta, _paper_angle(beam.params, delta))
     return pairs
 
 
@@ -534,11 +504,12 @@ class _Group:
             out.append(point)
         return out
 
-    def derived(self, blocks: tuple[ActionBlocks, ActionBlocks]) -> tuple:
+    def terms(self, mode: str, blocks: tuple[ActionBlocks, ActionBlocks]) -> tuple:
+        """i1..i5 of ``mode`` from each beam's action blocks at g."""
+        if mode == MODE_LITERAL:
+            return _printed_terms(self.z1, self.z2, self.g, self._printed(0),
+                                  self._printed(1), *blocks)
         return _derived_terms(self.z1, self.z2, self.m, *blocks)
-
-    def literal(self) -> tuple:
-        return _printed_terms(self.z1, self.z2, self.g, self._printed(0), self._printed(1))
 
 
 def _grouped(values: Sequence[float]):
@@ -603,8 +574,8 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     gives each point the bits it gets alone (``_Complex``), and per point
     only the two amplitudes, the intensity and reduced_i.  The modes share
     the stability check, the actions and the amplitudes; only the printed
-    i3..i5 rows are the literal mode's own, so their failure fails that
-    mode alone, and it is reported ahead of a failure of the shared part.
+    i5 rows are the literal mode's own, so their failure fails that mode
+    alone, and it is reported ahead of a failure of the shared part.
 
     The oracle reduces the beams of every point that reached its
     amplitudes, each distinct beam once per level, one batch per frame
@@ -676,20 +647,19 @@ def _evaluate_group(points: Sequence[Scenario], pairs: Sequence[tuple[_Beam, _Be
         pd = actions[0].real - actions[1].real
         shared[i] = (pd, abs(ua + ub) ** 2, math.cos(pd / nd.params.hbar), (ua, ub))
 
-    # each mode's terms and residual, over the points it has
+    # each mode's terms and residual, over the points it has; a term that
+    # overflows where the actions do not is reported as it comes out, with
+    # no numpy warning, as Python floats do
     terms = {}
     for mode in modes:
         indices = [i for i in shared if mode != MODE_LITERAL or i not in failed]
         if not indices:
             continue
-        if mode == MODE_LITERAL:
-            i1, i2, i3, i4, i5 = group(indices).literal()
-        elif indices == members:
-            i1, i2, i3, i4, i5 = whole.derived(blocks)
-        else:
-            subgroup = group(indices)
-            i1, i2, i3, i4, i5 = subgroup.derived(subgroup.blocks())
-        residual = abs(i1 + i2 + i3 + i4 + i5 - _grouped([shared[i][0] for i in indices]))
+        subgroup = whole if indices == members else group(indices)
+        at_g = blocks if subgroup is whole else subgroup.blocks()
+        with np.errstate(over="ignore", invalid="ignore"):
+            i1, i2, i3, i4, i5 = subgroup.terms(mode, at_g)
+            residual = abs(i1 + i2 + i3 + i4 + i5 - _grouped([shared[i][0] for i in indices]))
         terms[mode] = dict(zip(indices, zip(*map(_listed, (i1, i2, i3, i4, i5, residual)))))
     for i, (pd, intensity, reduced_i, amplitudes) in shared.items():
         results = []

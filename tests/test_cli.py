@@ -211,6 +211,32 @@ def test_compare_reports_a_resolution_too_coarse_to_square(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"compare failed: {COARSE_ERROR}")
 
 
+def test_simulate_rejects_zero_jobs(config_path, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", config_path, "--output", str(out),
+                 "--jobs", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["config invalid:", "  --jobs: must be >= 1"]
+    assert not out.exists()
+
+
+def test_simulate_reports_an_output_it_cannot_write(config_path, tmp_path, capsys):
+    out = tmp_path / "missing" / "rows.csv"
+    assert main(["simulate", "--config", config_path, "--output", str(out)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write output: ")
+    assert str(out) in lines[0]
+
+
+def test_compare_reports_an_invalid_config(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"params": {"m": -1}}))
+    assert main(["compare", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config invalid:", "  /params/m: must be a positive finite number, got -1.0"]
+
+
 def test_simulate_record_far_from_the_path_matches_the_lattice(tmp_path):
     # a record 25 resolutions from the origin: |exp(i S/hbar)| alone is past
     # the double range and the measurement weight alone underflows, but

@@ -1,9 +1,10 @@
 """The per-beam blocks, split into g-free rows and recombined at g.
 
 Each block the package integrates once per beam (the action's q1, q2 and
-q12, and the paper-literal i3/i4 and i5 blocks) is computed from g-free
-rows and combined with g at read time.  Recombined, every block must
-match the unsplit reference in ``util``, which integrates the whole force
+q12, and the paper-literal i5 block) is computed from g-free rows and
+combined with g at read time; the paper-literal i3/i4 blocks are read off
+q1 and q2.  Recombined, every block must match the unsplit reference in
+``util``, which integrates the whole force, or the printed integrands,
 with g inside the integrand, to 1e-10 relative.
 """
 
@@ -13,12 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from rpif import actions, interference
+from rpif import actions
 from sampling import random_scenario
 from rpif.timefunctions import LinearFunction, TabulatedFunction
 from util import (
-    literal_rows,
     make_scenario,
+    printed_blocks,
     unsplit_action_blocks,
     unsplit_literal_double_block,
     unsplit_literal_linear_block,
@@ -61,9 +62,7 @@ def _recombined(beam, scenario):
     p, f = scenario.params, scenario.frame_profile
     th = _theta(beam, p)
     action = actions._beam_rows(beam, f, p).at(p.g)
-    rows = literal_rows(beam, f, p)
-    end, start, double = interference._printed_blocks(
-        interference._printed(rows, p, beam.resolution, th), p.g)
+    end, start, double = printed_blocks(beam, f, p, th)
     return {**{name: getattr(action, name) for name in ("b1", "b2", "q1", "q2", "q12")},
             "i3": end, "i4": start, "i5": double}
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,13 +11,13 @@ from rpif import (
     auxiliary_angles,
     decompose,
 )
-from rpif import quadrature
-from rpif.interference import _printed, _printed_terms
+from rpif import actions, quadrature
+from rpif.interference import _printed
 from rpif.scenario import nondimensional
 from sampling import random_scenario
 from rpif.timefunctions import (ConstantFunction, LinearFunction, PolynomialFunction,
-                               TabulatedFunction)
-from util import lattice_values, literal_rows, make_scenario
+                               SinusoidFunction, TabulatedFunction)
+from util import lattice_values, make_scenario, printed_terms
 
 
 def _theta_derived(delta, m=1.0, hbar=1.0, T=1.0):
@@ -250,13 +251,7 @@ def test_literal_forms_at_derived_angle_match_action_grouping():
     nd = nondimensional(scenario)
     theta_d = _theta_derived(nd.beam_a.resolution)
     rho_d = _theta_derived(nd.beam_b.resolution)
-    p = nd.params
-
-    def printed(beam, th):
-        rows = literal_rows(beam, nd.frame_profile, p)
-        return _printed(rows, p, beam.resolution, th)
-    lit = _printed_terms(nd.z1, nd.z2, p.g, printed(nd.beam_a, theta_d),
-                         printed(nd.beam_b, rho_d))
+    lit = printed_terms(nd, theta_d, rho_d)
     br = decompose(scenario, MODE_DERIVED)
     der = (br.i1, br.i2, br.i3, br.i4)
     for k in range(4):
@@ -265,27 +260,104 @@ def test_literal_forms_at_derived_angle_match_action_grouping():
 
 def test_printed_i1_to_i4_are_the_derived_terms_at_re_wt():
     # on 50 random scenarios the printed i1..i4 with theta = |Re(wT)| equal
-    # the derived terms to quadrature accuracy (each side's quadratures run
-    # to DEFAULT_RTOL, over different integrands), and with the printed
-    # angle, sqrt(pi) larger, differ from them by over a tenth of the row's
-    # largest term
+    # the derived terms to quadrature accuracy (i1 and i2 are closed forms;
+    # i3 and i4 are read off the same action rows, with a weight that is 1
+    # at that angle up to rounding), and with the printed angle, sqrt(pi)
+    # larger, differ from them by over a tenth of the row's largest term
     for seed in range(50):
         scenario = random_scenario(np.random.default_rng(seed))
         nd = nondimensional(scenario)
-        p, beams = nd.params, (nd.beam_a, nd.beam_b)
-        rows = [literal_rows(beam, nd.frame_profile, p) for beam in beams]
         br = decompose(scenario, MODE_DERIVED)
         derived = (br.i1, br.i2, br.i3, br.i4)
         largest = max(map(abs, derived + (br.i5,)))
 
         def gap(mode):
             angles = auxiliary_angles(scenario, mode)
-            a, b = (_printed(r, p, beam.resolution, th)
-                    for r, beam, th in zip(rows, beams, (angles.theta, angles.rho)))
-            printed = _printed_terms(nd.z1, nd.z2, p.g, a, b)[:4]
+            printed = printed_terms(nd, angles.theta, angles.rho)[:4]
             return max(abs(x - y) for x, y in zip(printed, derived))
         assert gap(MODE_DERIVED) <= 10 * quadrature.DEFAULT_RTOL * largest, seed
         assert gap(MODE_LITERAL) > 0.1 * largest, seed
+
+
+# the printed i3/i4 integrands are e^x (1 + e^{-2x}) sin x = 2 Re sin(wu)
+# and e^x (1 - e^{-2x}) cos x = -2 Im sin(wu) at x = q*u, w = q*(1 - i): so
+# their single integrals are the action's q1 and q2 rows times sin(wT), and
+# the package reads the printed i3/i4 off those rows
+
+
+def _printed_line_rows(beam, f, p):
+    """One beam's printed i3/i4 single integrals, integrated as printed,
+    indexed [anchor (end, start), integral (sin, cos), part (f, c)]: with
+    x = q*(t - anchor), q = omega/sqrt(2), the printed pair is
+
+        j_sin = Int e^x [omega^2 c sin x (1 + e^{-2x}) - g f cos x (1 - e^{-2x})]
+        j_cos = Int e^x [omega^2 c cos x (1 - e^{-2x}) + g f sin x (1 + e^{-2x})],
+
+    each split into its f and c parts, without the g and the sign of the
+    f part."""
+    t0, t1 = p.tau_start, p.tau_end
+    coef = 4.0 * p.hbar / (p.m * p.duration * beam.resolution ** 2)
+    q = math.sqrt(coef) / math.sqrt(2.0)
+
+    def line(t):
+        x = q * np.stack((t - t1, t - t0))
+        # e^x (1 + e^{-2x}) sin x and e^x (1 - e^{-2x}) cos x, through
+        # cosh and sinh: accurate near x = 0, where a coarse measurement's
+        # theta prefactors cancel to O(theta^2)
+        plus, minus = 2.0 * np.cosh(x) * np.sin(x), 2.0 * np.sinh(x) * np.cos(x)
+        fv, cv = f(t), coef * beam.trajectory(t)
+        return np.stack((np.stack((fv * minus, cv * plus), axis=-2),
+                         np.stack((fv * plus, cv * minus), axis=-2)), axis=-3)
+
+    breaks = f.breakpoints + beam.trajectory.breakpoints
+    return quadrature.integrate(line, t0, t1, breaks=breaks).real
+
+
+def _scaled_action_rows(beam, f, p):
+    """The same rows from the action's q1 (end) and q2 (start) rows, with
+    F_f = -m f and F_c = -i m omega^2 c: sin(wT)*q1_f = (m/2)(cos_f - i sin_f),
+    sin(wT)*q1_c = (m/2)(cos_c + i sin_c), and q2 the same with the sign
+    flipped."""
+    rows = actions._beam_rows(beam, f, p)
+    sin_wt = cmath.sin(actions.complex_frequency(p, beam.resolution) * p.duration)
+
+    def anchored(q_f, q_c, sign):
+        z_f, z_c = (sign * 2.0 / p.m * sin_wt * q for q in (q_f, q_c))
+        return [[-z_f.imag, z_c.imag], [z_f.real, z_c.real]]
+    return np.array([anchored(rows.q1_f, rows.q1_c, 1.0),
+                     anchored(rows.q2_f, rows.q2_c, -1.0)])
+
+
+def test_printed_line_integrals_are_the_scaled_action_rows():
+    # 20 random beams (|wT| from 0.5 to 4), and a tabulated record and an
+    # omega = 40 sinusoid at |wT| = 2/delta from 59.9 down to 0.05
+    beams = []
+    for seed in range(10):
+        nd = nondimensional(random_scenario(np.random.default_rng(seed)))
+        beams += [(beam, nd.frame_profile, nd.params) for beam in (nd.beam_a, nd.beam_b)]
+    records = (TabulatedFunction((0.0, 0.37, 0.61, 1.0), (0.1, 0.3, -0.2, 0.05)),
+               SinusoidFunction(amplitude=0.3, omega=40.0, phase=0.2))
+    for record in records:
+        for delta in (2.0 / 59.9, 0.1, 1.0, 10.0, 40.0):
+            nd = nondimensional(make_scenario(a=record, f=LinearFunction(0.5, 1.0),
+                                              delta_a=delta))
+            beams.append((nd.beam_a, nd.frame_profile, nd.params))
+    for beam, f, p in beams:
+        printed = _printed_line_rows(beam, f, p)
+        scaled = _scaled_action_rows(beam, f, p)
+        assert np.max(np.abs(printed - scaled)) <= 1e-12 * np.max(np.abs(printed)), beam
+
+
+def test_the_printed_weight_is_one_at_re_wt():
+    # W = 2 e^{-theta} [(1 + e^{-2 theta}) sin theta
+    #     + i (1 - e^{-2 theta}) cos theta] sin(wT) / denom(theta) is 1 at
+    # theta = |Re(wT)|, where the printed i3/i4 are the derived ones
+    p = make_scenario().params
+    for wt in np.geomspace(0.05, 60.0, 40):
+        delta = 2.0 / wt
+        w = actions.complex_frequency(p, delta)
+        printed = _printed(np.zeros((2, 3)), w, p, delta, abs((w * p.duration).real))
+        assert abs(complex(printed.weight_re, printed.weight_im) - 1.0) <= 1e-13, wt
 
 
 # ---------------------------------------------------------------------------

@@ -362,14 +362,14 @@ def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, orac
 
 @pytest.mark.parametrize("mode, line, triangle", [
     pytest.param("derived", 2, 1, id="derived"),
-    pytest.param("literal", 3, 2, id="literal"),
-    pytest.param("both", 3, 2, id="both")])
+    pytest.param("literal", 2, 2, id="literal"),
+    pytest.param("both", 2, 2, id="both")])
 def test_a_failed_row_batch_is_attempted_once(monkeypatch, mode, line, triangle):
     # beam a's quadratures cannot converge at omega = 30 000.  It shares a
     # batch with beam b: the line call fails beam a alone, which keeps its
     # error, and every point then reports it; beam b goes on, and is
     # integrated once (the line call it shares, its triangle and <c^2>; and
-    # the same for its printed rows)
+    # the triangle call of the printed rows, which fails beam a alone)
     from rpif import QuadratureError, actions, interference, quadrature
     line_calls = _count_calls(monkeypatch, quadrature, "integrate")
     triangle_calls = _count_calls(monkeypatch, quadrature, "integrate_triangle")
@@ -408,9 +408,9 @@ def test_a_literal_failure_fails_only_the_literal_row(monkeypatch):
 
 
 # a beam that fails a point at one stage: the stability guard (in internal
-# units |wT| = 2/delta > 60), its printed rows (omega = 30 000, which stalls
-# its action rows too), or its action rows alone (the linear record, whose
-# action rows the test fails)
+# units |wT| = 2/delta > 60), its printed rows (omega = 30 000, whose printed
+# i5 triangle stalls, and its action rows' line integral too), or its
+# action rows alone (the linear record, whose action rows the test fails)
 FAILING_BEAMS = {
     "stability": {"trajectory": {"kind": "constant", "value": 0.1}, "resolution": 0.01},
     "stability_too": {"trajectory": {"kind": "constant", "value": 0.1}, "resolution": 0.02},
@@ -424,8 +424,8 @@ STABILITY_TEXT = ("StabilityError: stability guard tripped: resolution delta_c=0
                   "|Im(wT)|*sqrt(2)=200.000 > 60")
 STABILITY_TOO_TEXT = ("StabilityError: stability guard tripped: resolution delta_c=0.02 gives "
                       "|Im(wT)|*sqrt(2)=100.000 > 60")
-LITERAL_TEXT = ("QuadratureError: integral over [0, 1] did not converge within 65536 nodes "
-                "(last delta 1.224e-12)")
+LITERAL_TEXT = ("QuadratureError: triangle integral over [0, 1] did not converge within "
+                "4096 nodes per axis (last delta 1.065e-05)")
 LITERAL_ACTION_TEXT = ("QuadratureError: integral over [0, 1] did not converge within 65536 "
                        "nodes (last delta 2.845e-13)")
 ACTION_TEXT = "QuadratureError: action rows stalled"
@@ -460,6 +460,51 @@ def test_a_point_reports_the_first_failure_of_its_beams(monkeypatch, stage_a, st
     got = run_sweep(scenario, spec)
     assert len(got) == 2 * (2 if mode == "both" else 1)
     assert [row.error for row in got] == [want[row.mode] for row in got]
+
+
+def _as_lone_points(scenario, spec, rows):
+    """Check that each row is what a lone ``decompose`` of its point gives:
+    the same error text, or the same numbers (NaN equal to NaN)."""
+    from rpif import RpifError, decompose
+    for row in rows:
+        point = apply_sweep_value(scenario, spec.parameter, row.swept_value)
+        try:
+            alone = decompose(point, row.mode)
+        except RpifError as exc:
+            assert row.error == f"{type(exc).__name__}: {exc}", row
+            continue
+        assert row.error is None, row
+        for name in ("intensity", "reduced_i", "i1", "i2", "i3", "i4", "i5",
+                     "phase_difference", "residual"):
+            got, want = getattr(row, name), getattr(alone, name)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (row, name)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 8])
+@pytest.mark.parametrize("parameter", ["z2", "g"])
+def test_an_overflowing_action_fails_its_rows_without_a_warning(parameter, steps):
+    # up to 1e200 the action of every point but 0 overflows; each such row
+    # fails with the error of a lone point, and no numpy RuntimeWarning
+    # reaches the caller (the suite makes one an error), alone or in a
+    # group of 8 points computed as arrays
+    start = 1e200 if steps == 1 else 0.0
+    scenario, spec = parse_config(json.dumps({"sweep": {
+        "parameter": parameter, "start": start, "stop": 1e200, "steps": steps,
+        "mode": "both"}}))
+    rows = run_sweep(scenario, spec)
+    assert sum(row.error is not None for row in rows) == 2 * (steps - 1 if steps > 1 else 1)
+    _as_lone_points(scenario, spec, rows)
+
+
+def test_a_printed_term_that_overflows_is_reported_as_alone():
+    # g from 1e154 to 1e155: the printed i5 overflows at points whose
+    # actions do not; such a row reports the inf or NaN it gets alone
+    scenario, spec = parse_config(json.dumps({"sweep": {
+        "parameter": "g", "start": 1e154, "stop": 1e155, "steps": 8, "mode": "both"}}))
+    rows = run_sweep(scenario, spec)
+    literal = [row for row in rows if row.mode == "paper-literal" and row.error is None]
+    assert any(not np.isfinite(row.i5) for row in literal)
+    _as_lone_points(scenario, spec, rows)
 
 
 # ---------------------------------------------------------------------------

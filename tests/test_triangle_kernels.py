@@ -11,14 +11,13 @@ import math
 
 import pytest
 
-from rpif import interference
 from rpif.actions import action_kernels, complex_frequency
 from rpif.timefunctions import LinearFunction, SinusoidFunction
 from util import (
     closed_triangle_kernel,
     force_callable,
-    literal_rows,
     make_scenario,
+    printed_blocks,
     printed_i5_block,
     reference_triangle,
     series_triangle_kernel,
@@ -59,7 +58,6 @@ def test_literal_i5_block_matches_printed_kernel(delta):
     scenario = make_scenario(a=RECORD, f=FRAME, delta_a=delta)
     p = scenario.params
     th = math.sqrt(2.0 * math.pi * p.hbar * p.duration / (p.m * delta ** 2))
-    rows = literal_rows(scenario.beam_a, scenario.frame_profile, p)
-    nested = interference._printed_blocks(interference._printed(rows, p, delta, th), p.g)[2]
+    nested = printed_blocks(scenario.beam_a, scenario.frame_profile, p, th)[2]
     reference = printed_i5_block(scenario.beam_a, scenario.frame_profile, p, th)
     assert abs(nested - reference) <= 1e-12 * abs(reference)

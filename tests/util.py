@@ -253,12 +253,44 @@ def unsplit_action_blocks(beam, frame_profile, params):
 
 
 def literal_rows(beam, frame_profile, p):
-    """One beam's printed-form rows, integrated as a batch of one."""
+    """One beam's printed i5 triangle rows, integrated as a batch of one."""
     rows, = interference._batch_literal_rows((beam,), frame_profile, p.m, p.hbar,
                                              p.tau_start, p.tau_end)
     if isinstance(rows, RpifError):
         raise rows
     return rows
+
+
+def printed_numbers(beam, frame_profile, p, th):
+    """One beam's ``interference._Printed`` at the angle ``th`` and its
+    ``ActionBlocks`` at the params' g."""
+    printed = interference._printed(literal_rows(beam, frame_profile, p),
+                                    actions.complex_frequency(p, beam.resolution), p,
+                                    beam.resolution, th)
+    return printed, actions._beam_rows(beam, frame_profile, p).at(p.g)
+
+
+def printed_terms(scenario, theta, rho):
+    """i1..i5 as printed for a scenario in internal units, at the angle
+    ``theta`` of beam a and ``rho`` of beam b."""
+    p, f = scenario.params, scenario.frame_profile
+    (a, action_a), (b, action_b) = (printed_numbers(beam, f, p, th) for beam, th in
+                                    ((scenario.beam_a, theta), (scenario.beam_b, rho)))
+    return interference._printed_terms(scenario.z1, scenario.z2, p.g, a, b, action_a, action_b)
+
+
+def printed_blocks(beam, frame_profile, p, th):
+    """One beam's printed blocks in the form of ``unsplit_literal_*``: the
+    pair of single integrals anchored at the end (for i3) and at the start
+    (for i4), and the double integral (for i5), each with its theta
+    prefactors.  They are read off ``interference._printed_terms`` at
+    z1 = z2 = 1 against a beam b whose numbers are all zero, which gives
+    i3 = -m*end, i4 = m*start and i5 = (m/hbar)*double."""
+    printed, blocks = printed_numbers(beam, frame_profile, p, th)
+    zero = interference._Printed(*[0.0] * len(printed))
+    _, _, i3, i4, i5 = interference._printed_terms(1.0, 1.0, p.g, printed, zero, blocks,
+                                                   blocks)
+    return -i3 / p.m, i4 / p.m, i5 / printed.mh
 
 
 def _omega(p, delta):
