@@ -10,7 +10,6 @@ ground truth for the closed forms.
 """
 
 from .actions import (
-    ComplexAction,
     PropagatorValue,
     classical_action,
     complex_frequency,
@@ -34,7 +33,6 @@ from .interference import (
 )
 from .lattice import (
     ExtrapolationResult,
-    LatticeSpec,
     oracle_propagator,
     richardson_extrapolate,
     stationary_action,
@@ -68,9 +66,9 @@ from .timefunctions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryAngles", "BeamRecord", "ComplexAction", "ConfigError",
+    "AuxiliaryAngles", "BeamRecord", "ConfigError",
     "ConstantFunction", "ExtrapolationResult", "InterferenceBreakdown",
-    "LatticeError", "LatticeSpec", "LinearFunction", "MODE_DERIVED",
+    "LatticeError", "LinearFunction", "MODE_DERIVED",
     "MODE_LITERAL", "PhysicalParams", "PolynomialFunction", "PropagatorValue",
     "QuadratureError", "ResultRow", "RpifError", "Scenario",
     "SinusoidFunction", "StabilityError", "SweepSpec", "TabulatedFunction",

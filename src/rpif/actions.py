@@ -44,22 +44,6 @@ STABILITY_LIMIT = 60.0
 
 
 @dataclass(frozen=True)
-class ComplexAction:
-    """Driven-oscillator action split as S = s1 + i*s2 (action units)."""
-
-    s1: float
-    s2: float
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.s1, self.s2)
-
-    @staticmethod
-    def from_complex(value: complex) -> "ComplexAction":
-        return ComplexAction(float(value.real), float(value.imag))
-
-
-@dataclass(frozen=True)
 class PropagatorValue:
     """Restricted propagator with its three factors kept for diagnostics.
 
@@ -77,7 +61,7 @@ class PropagatorValue:
     weight_norm_factor: float
     prefactor: complex
     phase_factor: complex
-    action: ComplexAction
+    action: complex         # S = s1 + i*s2, in action units
 
     @property
     def phase_magnitude(self) -> float:
@@ -377,8 +361,9 @@ def _beam_rows(beam: BeamRecord, frame_profile: TimeFunction,
 
 def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
                      params: PhysicalParams, z1: float, z2: float, *,
-                     blocks: ActionBlocks | None = None) -> ComplexAction:
-    """Classical action of the driven complex oscillator between z1 and z2.
+                     blocks: ActionBlocks | None = None) -> complex:
+    """Classical action S = s1 + i*s2 of the driven complex oscillator
+    between z1 and z2, as a Python complex.
 
     A caller that already holds the beam's blocks at the params' g passes
     them as ``blocks``.  An action that overflows raises an RpifError.
@@ -387,7 +372,7 @@ def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
         blocks = _beam_rows(beam, frame_profile, params).at(params.g)
     value = blocks.action(params.m, z1, z2)
     _ensure_finite(value, "classical_action")
-    return ComplexAction.from_complex(value)
+    return complex(value)
 
 
 def _prefactor(w: complex, params: PhysicalParams) -> complex:
@@ -428,12 +413,12 @@ def _amplitude(beam: BeamRecord, prefactor: complex, weight_exponent: float,
 
 
 def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
-                           action: ComplexAction, msq: float) -> PropagatorValue:
+                           action: complex, msq: float) -> PropagatorValue:
     """Assemble the three propagator factors around a precomputed action
     and the record's mean square <c^2> (``ActionRows.mean_square``)."""
     w = ensure_stable(params, beam.resolution)
     weight_exponent = -2.0 * msq / beam.resolution ** 2
-    phase_exponent = 1j * action.as_complex / params.hbar
+    phase_exponent = 1j * action / params.hbar
     prefactor = _prefactor(w, params)
     amplitude = _amplitude(beam, prefactor, weight_exponent, phase_exponent)
     weight_norm = math.exp(weight_exponent)

@@ -66,18 +66,12 @@ _MODES = (MODE_LITERAL, MODE_DERIVED)
 
 @dataclass(frozen=True)
 class AuxiliaryAngles:
-    """Dimensionless angles entering the closed-form contributions.
-
-    theta and rho are the per-beam angles (mode dependent, see module
-    docstring); omega_a and omega_b are the per-beam rates
-    sqrt(4*hbar/(m*T*delta^2)), shared by both modes, at which the
-    printed kernels' angles grow with time.
+    """Dimensionless angles entering the closed-form contributions: theta
+    and rho are the per-beam angles (mode dependent, see module docstring).
     """
 
     theta: float
     rho: float
-    omega_a: float
-    omega_b: float
 
 
 @dataclass(frozen=True)
@@ -104,10 +98,6 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _omega(params, delta: float) -> float:
-    return math.sqrt(4.0 * params.hbar / (params.m * params.duration * delta ** 2))
-
-
 def _paper_angle(params: PhysicalParams, delta: float) -> float:
     """The printed angle theta = sqrt(2*pi*hbar*T/(m*delta^2))."""
     return math.sqrt(2.0 * math.pi * params.hbar * params.duration / (params.m * delta ** 2))
@@ -124,8 +114,7 @@ def auxiliary_angles(scenario: Scenario, mode: str = MODE_LITERAL) -> AuxiliaryA
         # |Re(wT)|, the angle the complex frequency actually implies
         theta = abs((ensure_stable(p, da) * p.duration).real)
         rho = abs((ensure_stable(p, db) * p.duration).real)
-    return AuxiliaryAngles(theta=theta, rho=rho,
-                           omega_a=_omega(p, da), omega_b=_omega(p, db))
+    return AuxiliaryAngles(theta=theta, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +237,17 @@ def _printed(rows: np.ndarray, w: complex, p: PhysicalParams, delta: float,
         W = 2 e^{-theta} [(1 + e^{-2 theta}) sin theta
                           + i (1 - e^{-2 theta}) cos theta] sin(wT) / denom,
 
-    which is 1 at theta = |Re(wT)|.
+    which is 1 at theta = |Re(wT)|.  denom is about 8 theta^2 at small
+    theta, and as printed it rounds to 0 once theta is near 1e-9 or below
+    (resolution 1e10 in internal units); the printed forms are then
+    undefined, and that raises an RpifError.
     """
     e2, e4 = math.exp(-2.0 * th), math.exp(-4.0 * th)
     denom = 1.0 + e4 - 2.0 * e2 * math.cos(2.0 * th)
+    if not denom > 0.0:
+        raise RpifError(f"paper-literal: the printed denominator "
+                        f"1 + e^(-4 theta) - 2 e^(-2 theta) cos(2 theta) is {denom:g} "
+                        f"at resolution {delta:g} (theta {th:.6g})")
     w_cos, w_sin = (1.0 - e2) * math.cos(th), (1.0 + e2) * math.sin(th)
     weight = 2.0 * math.exp(-th) * complex(w_sin, w_cos) * _sines(w, p.duration)[1] / denom
     return _Printed(
@@ -426,8 +422,11 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam
     if MODE_LITERAL in modes:
         for beam, rows in zip(stable, _fill(stable, _batch_literal_rows)):
             delta = beam.beam.resolution
-            beam.printed = rows if isinstance(rows, RpifError) else _printed(
-                rows, beam.w, beam.params, delta, _paper_angle(beam.params, delta))
+            try:
+                beam.printed = rows if isinstance(rows, RpifError) else _printed(
+                    rows, beam.w, beam.params, delta, _paper_angle(beam.params, delta))
+            except RpifError as exc:
+                beam.printed = exc
     return pairs
 
 
@@ -487,7 +486,7 @@ class _Group:
             (nd,), (pair,) = self.points, self.pairs
             try:
                 return [tuple(classical_action(beam.beam, nd.frame_profile, nd.params,
-                                               nd.z1, nd.z2, blocks=block).as_complex
+                                               nd.z1, nd.z2, blocks=block)
                               for beam, block in zip(pair, blocks))]
             except RpifError as exc:
                 return [exc]
@@ -648,8 +647,8 @@ def _evaluate_group(points: Sequence[Scenario], pairs: Sequence[tuple[_Beam, _Be
         shared[i] = (pd, abs(ua + ub) ** 2, math.cos(pd / nd.params.hbar), (ua, ub))
 
     # each mode's terms and residual, over the points it has; a term that
-    # overflows where the actions do not is reported as it comes out, with
-    # no numpy warning, as Python floats do
+    # overflows where the actions do not fails its mode (``_finite_terms``),
+    # with no numpy warning
     terms = {}
     for mode in modes:
         indices = [i for i in shared if mode != MODE_LITERAL or i not in failed]
@@ -660,16 +659,25 @@ def _evaluate_group(points: Sequence[Scenario], pairs: Sequence[tuple[_Beam, _Be
         with np.errstate(over="ignore", invalid="ignore"):
             i1, i2, i3, i4, i5 = subgroup.terms(mode, at_g)
             residual = abs(i1 + i2 + i3 + i4 + i5 - _grouped([shared[i][0] for i in indices]))
-        terms[mode] = dict(zip(indices, zip(*map(_listed, (i1, i2, i3, i4, i5, residual)))))
+        terms[mode] = {i: _finite_terms(mode, row) for i, row in
+                       zip(indices, zip(*map(_listed, (i1, i2, i3, i4, i5, residual))))}
     for i, (pd, intensity, reduced_i, amplitudes) in shared.items():
         results = []
         for mode in modes:
-            if mode in terms and i in terms[mode]:
-                i1, i2, i3, i4, i5, residual = terms[mode][i]
-                results.append((intensity, reduced_i, i1, i2, i3, i4, i5, pd, residual))
-            else:
-                results.append(failed[i])
-        out[i] = (results, amplitudes)
+            row = terms[mode][i] if mode in terms and i in terms[mode] else failed[i]
+            results.append(row if isinstance(row, RpifError)
+                           else (intensity, reduced_i, *row[:5], pd, row[5]))
+        failed_all = all(isinstance(result, RpifError) for result in results)
+        out[i] = (results, None if failed_all else amplitudes)
+
+
+def _finite_terms(mode: str, row: tuple[float, ...]) -> tuple[float, ...] | RpifError:
+    """A mode's i1..i5 and residual at a point, or an RpifError naming the
+    first of them that is not finite."""
+    for name, value in zip(("i1", "i2", "i3", "i4", "i5", "residual"), row):
+        if not math.isfinite(value):
+            return RpifError(f"{mode}: {name} is not finite ({float(value)})")
+    return row
 
 
 #: what ``_evaluate`` gives for each mode of a point, in the order of the

@@ -30,11 +30,15 @@ each distinct function sampled once per level, so a sweep of z2, g or the
 units costs an O(1) read per level per point.
 
 ``QuadraticForm``, ``assemble_quadratic_form`` and ``gaussian_reduce``
-keep the per-form path, one beam at one (N, g, z1, z2), as the reference
-the rows are tested against; the oracle does not call them.
+keep the per-form path, one beam at one level N with the scenario's g and
+endpoints, as the reference the rows are tested against; the oracle does
+not call them.  A level is a plain int N >= 1: the step T/N and the
+endpoints are always read off the scenario.
 
-This module never calls the closed-form code paths; separate quadrature,
-separate algebra.  That independence is the point.
+This module imports nothing from the closed-form modules (``actions``,
+``interference``, ``quadrature``): separate quadrature, separate algebra,
+and the discrete action comes back as a Python complex.  That
+independence is the point.
 """
 
 from __future__ import annotations
@@ -46,9 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ComplexAction
 from .errors import LatticeError, RpifError, ValidationError
-from .scenario import BeamRecord, PhysicalParams, Scenario
+from .scenario import BeamRecord, Scenario
 from .timefunctions import TimeFunction
 
 #: the spacing of doubles at 1, which bounds the relative rounding of each
@@ -56,29 +59,10 @@ from .timefunctions import TimeFunction
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Time lattice with fixed endpoints: N steps of size h = T/N."""
-
-    n_steps: int
-    z1: float
-    z2: float
-    step: float
-
-    def __post_init__(self):
-        problems = []
-        if self.n_steps < 1:
-            problems.append(f"lattice.n_steps: must be >= 1, got {self.n_steps}")
-        if not (np.isfinite(self.step) and self.step > 0):
-            problems.append(f"lattice.step: must be positive, got {self.step!r}")
-        if problems:
-            raise ValidationError(problems)
-
-    @classmethod
-    def for_params(cls, params: PhysicalParams, z1: float, z2: float,
-                   n_steps: int) -> "LatticeSpec":
-        return cls(n_steps=n_steps, z1=z1, z2=z2,
-                   step=params.duration / n_steps)
+def _check_level(n: int) -> None:
+    """Refuse a lattice level N below one slice."""
+    if n < 1:
+        raise ValidationError([f"lattice.n_steps: must be >= 1, got {n}"])
 
 
 @dataclass(frozen=True)
@@ -266,8 +250,9 @@ def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
 
 
 # ---------------------------------------------------------------------------
-# Per-form reference: one beam at one (N, g, z1, z2), assembled as explicit
-# arrays and reduced on its own, sharing nothing with the rows.  The oracle
+# Per-form reference: one beam at one level N, with the scenario's g and
+# endpoints, assembled as explicit arrays and reduced on its own, sharing
+# nothing with the rows.  The oracle
 # and the stationary action read the rows; the tests check every level of
 # the rows against this, and the benchmark's tracer (perfbench/trace.py)
 # still looks these functions up by name.
@@ -297,7 +282,6 @@ class QuadraticForm:
     slice_norm: complex
     n_steps: int
     step: float
-    hbar: float
 
     def __post_init__(self):
         for arr in (self.diag, self.off, self.linear):
@@ -309,17 +293,19 @@ class QuadraticForm:
 
 
 def assemble_quadratic_form(scenario: Scenario, beam_label: str,
-                            lattice: LatticeSpec) -> QuadraticForm:
-    """Discretize one beam's weighted path-integral exponent.
+                            n_steps: int) -> QuadraticForm:
+    """Discretize one beam's weighted path-integral exponent on N = n_steps
+    slices of the scenario's window, between its endpoints.
 
     Works in the units of the scenario as given; callers comparing against
     the closed form pass the nondimensionalized scenario on both sides.
     """
+    _check_level(n_steps)
     p = scenario.params
     beam = scenario.beam(beam_label)
-    n = lattice.n_steps
-    h = lattice.step
-    z1, z2 = lattice.z1, lattice.z2
+    n = n_steps
+    h = p.duration / n
+    z1, z2 = scenario.z1, scenario.z2
 
     lam = 2.0 * h / (p.duration * beam.resolution ** 2)
     kap = 1j * p.m / (p.hbar * h)
@@ -351,7 +337,7 @@ def assemble_quadratic_form(scenario: Scenario, beam_label: str,
     slice_norm = p.m / (2j * math.pi * p.hbar * h)
     return QuadraticForm(diag=diag, off=off, linear=linear,
                          offset=complex(offset), weight_const=weight_const,
-                         slice_norm=slice_norm, n_steps=n, step=h, hbar=p.hbar)
+                         slice_norm=slice_norm, n_steps=n, step=h)
 
 
 def _toeplitz_reduce(diag: np.ndarray, off: np.ndarray,
@@ -434,30 +420,28 @@ def gaussian_reduce(form: QuadraticForm) -> complex:
 def _rows(scenario: Scenario, beam_label: str, schedule) -> LatticeRows:
     """One beam's lattice rows, reduced as a batch of one."""
     p = scenario.params
+    schedule = tuple(int(n) for n in schedule)
+    for n in schedule:
+        _check_level(n)
     rows, = _batch_lattice_rows((scenario.beam(beam_label),), scenario.frame_profile,
-                                p.m, p.hbar, p.tau_start, p.tau_end,
-                                tuple(int(n) for n in schedule))
+                                p.m, p.hbar, p.tau_start, p.tau_end, schedule)
     if isinstance(rows, RpifError):
         raise rows
     return rows
 
 
-def stationary_action(scenario: Scenario, beam_label: str,
-                      lattice: LatticeSpec) -> ComplexAction:
-    """Discrete action at the stationary path (solves A z = r).
+def stationary_action(scenario: Scenario, beam_label: str, n_steps: int) -> complex:
+    """Discrete action at the stationary path (solves A z = r) on N = n_steps
+    slices of the scenario's window.
 
     The record-only weight constant is excluded, so the value converges at
-    O(h^2) to the continuum driven-oscillator action between the lattice
-    endpoints.  The lattice's step must be the scenario's duration / N.
+    O(h^2) to the continuum driven-oscillator action between the scenario's
+    endpoints.
     """
     p = scenario.params
-    n = lattice.n_steps
-    if not math.isclose(lattice.step * n, p.duration, rel_tol=1e-12):
-        raise LatticeError(f"lattice step {lattice.step!r} times {n} steps is not "
-                           f"the duration {p.duration!r}")
-    exponent = _rows(scenario, beam_label, (n,)).stationary(p.g, lattice.z1,
-                                                            lattice.z2)[0]
-    return ComplexAction.from_complex(complex(-1j * p.hbar * exponent))
+    exponent = _rows(scenario, beam_label, (n_steps,)).stationary(p.g, scenario.z1,
+                                                                  scenario.z2)[0]
+    return complex(-1j * p.hbar * exponent)
 
 
 @dataclass(frozen=True)

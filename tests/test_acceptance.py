@@ -55,9 +55,9 @@ def test_criterion_02_free_particle_limit():
     s = classical_action(scenario.beam_a, scenario.frame_profile,
                          scenario.params, 0.0, 1.0)
     expect = 0.5
-    ok = abs(s.s1 - expect) <= 1e-6 * expect and abs(s.s2) <= 1e-6
+    ok = abs(s.real - expect) <= 1e-6 * expect and abs(s.imag) <= 1e-6
     _check(2, "free-particle limit of the action",
-           ok, f"S = {s.s1:.9f} + {s.s2:.2e}i, expected {expect}")
+           ok, f"S = {s.real:.9f} + {s.imag:.2e}i, expected {expect}")
 
 
 def test_criterion_03_linear_potential_limit():
@@ -66,9 +66,9 @@ def test_criterion_03_linear_potential_limit():
     s = classical_action(scenario.beam_a, scenario.frame_profile,
                          scenario.params, 0.0, 1.0)
     oracle = linear_potential_action(m=1.0, g=1.0, T=1.0, z1=0.0, z2=1.0)
-    ok = abs(s.s1 - oracle) <= 1e-6 * abs(oracle)
+    ok = abs(s.real - oracle) <= 1e-6 * abs(oracle)
     _check(3, "uniform-force limit vs classical-trajectory oracle",
-           ok, f"S1 = {s.s1:.12f}, oracle {oracle:.12f}")
+           ok, f"S1 = {s.real:.12f}, oracle {oracle:.12f}")
 
 
 def test_criterion_04_decomposition_identity(property_seed):

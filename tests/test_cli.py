@@ -169,6 +169,9 @@ def test_compare_symmetric_exit_ok(tmp_path, capsys):
     # a record whose quadratures cannot converge
     ({"trajectory": {"kind": "sinusoid", "amplitude": 0.3, "omega": 30000.0},
       "resolution": 1.0}, "QuadratureError: "),
+    # so coarse that the printed denominator rounds to 0
+    ({"trajectory": {"kind": "constant", "value": 0.1}, "resolution": 1e10},
+     "RpifError: paper-literal: the printed denominator"),
 ])
 def test_compare_reports_a_failed_scenario_and_exits_2(tmp_path, capsys, beam_a, error):
     doc = dict(BASE, beam_a=beam_a)
@@ -209,6 +212,41 @@ def test_compare_reports_a_resolution_too_coarse_to_square(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"compare failed: {COARSE_ERROR}")
+
+
+PRINTED_ERROR = "mode=paper-literal: RpifError: paper-literal: the printed denominator"
+
+
+@pytest.mark.parametrize("resolution", [1e10, 1e15])
+@pytest.mark.parametrize("mode", ["literal", "both"])
+def test_simulate_fails_the_literal_rows_where_the_printed_denominator_is_zero(
+        tmp_path, capsys, mode, resolution):
+    doc = dict(BASE, beam_a=dict(BASE["beam_a"], resolution=resolution))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out, derived = tmp_path / "rows.csv", tmp_path / "derived.csv"
+    assert main(["simulate", "--config", str(path), "--mode", mode,
+                 "--output", str(out)]) == EXIT_GUARD
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3 and all(PRINTED_ERROR in line for line in lines)
+    # the derived rows beside them are those of a derived run
+    assert main(["simulate", "--config", str(path), "--mode", "derived",
+                 "--output", str(derived)]) == EXIT_OK
+    rows = out.read_text().splitlines()
+    assert [line for line in rows if ",derived," in line] == (
+        derived.read_text().splitlines()[1:] if mode == "both" else [])
+
+
+def test_simulate_fails_a_literal_row_whose_printed_term_is_not_finite(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"g": 5e154}, "sweep": {
+        "parameter": "z2", "start": 0.5, "stop": 0.5, "steps": 1, "mode": "literal"}}))
+    assert main(["simulate", "--config", str(path)]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "row swept_value=0.5 mode=paper-literal: RpifError: paper-literal: "
+        "i5 is not finite (nan)"]
+    assert captured.out.splitlines()[1].startswith("0.5,paper-literal,nan,")
 
 
 def test_simulate_rejects_zero_jobs(config_path, tmp_path, capsys):

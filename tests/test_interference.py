@@ -46,6 +46,15 @@ def test_theta_vanishes_for_coarse_measurement():
     assert ang.theta < 1e-7
 
 
+def test_literal_decompose_refuses_a_printed_denominator_of_zero():
+    # at delta = 1e10 theta is 2.5e-10 and the printed denom rounds to 0;
+    # the derived mode has no such denominator
+    scenario = make_scenario(delta_a=1e10)
+    with pytest.raises(RpifError, match="printed denominator .* resolution 1e\\+10"):
+        decompose(scenario, MODE_LITERAL)
+    assert math.isfinite(decompose(scenario, MODE_DERIVED).i5)
+
+
 def test_derived_theta_is_re_wt():
     scenario = make_scenario(delta_a=1.0, delta_b=2.0)
     ang = auxiliary_angles(scenario, MODE_DERIVED)
@@ -382,14 +391,11 @@ def test_phase_difference_baseline_frozen():
 
 
 def test_phase_difference_baseline_against_lattice_oracle():
-    from rpif import LatticeSpec, richardson_extrapolate, stationary_action
+    from rpif import richardson_extrapolate, stationary_action
     scenario = make_scenario()
     stationary = {}
     for label in ("a", "b"):
-        seq = [(n, stationary_action(
-            scenario, label,
-            LatticeSpec.for_params(scenario.params, scenario.z1, scenario.z2, n)
-        ).as_complex) for n in (256, 512, 1024)]
+        seq = [(n, stationary_action(scenario, label, n)) for n in (256, 512, 1024)]
         stationary[label] = richardson_extrapolate(seq).value
     oracle = (stationary["a"] - stationary["b"]).real
     assert decompose(scenario).phase_difference == pytest.approx(oracle, rel=1e-6)

@@ -1,11 +1,12 @@
+import ast
 import cmath
+import pathlib
 
 import numpy as np
 import pytest
 
 from rpif import (
     LatticeError,
-    LatticeSpec,
     ValidationError,
     classical_action,
     oracle_propagator,
@@ -38,12 +39,6 @@ def _free_scenario(**kw):
                          delta_a=1e8, delta_b=1e8, **kw)
 
 
-def _lattice(scenario, n, z1=None, z2=None):
-    return LatticeSpec.for_params(scenario.params,
-                                  scenario.z1 if z1 is None else z1,
-                                  scenario.z2 if z2 is None else z2, n)
-
-
 def _level_logdet(scenario, label, n):
     """The package's log det A at N slices, from the beam's parameters."""
     p = scenario.params
@@ -55,7 +50,7 @@ def _level_logdet(scenario, label, n):
 def _level_quad(scenario, label, n):
     """The package's 1/2 r^T A^(-1) r at N slices: the stationary exponent
     less the assembled s0 - weight_const."""
-    form = assemble_quadratic_form(scenario, label, _lattice(scenario, n))
+    form = assemble_quadratic_form(scenario, label, n)
     p = scenario.params
     stationary = _rows(scenario, label, (n,)).stationary(p.g, scenario.z1,
                                                          scenario.z2)[0]
@@ -72,15 +67,37 @@ def _free_exact(m, hbar, T, z1, z2):
 # ---------------------------------------------------------------------------
 
 def test_lattice_spec_validation():
-    with pytest.raises(ValidationError):
-        LatticeSpec(n_steps=0, z1=0.0, z2=1.0, step=0.1)
-    with pytest.raises(ValidationError):
-        LatticeSpec(n_steps=4, z1=0.0, z2=1.0, step=0.0)
+    # a level is N >= 1 slices; every entry point refuses the rest
+    scenario = make_scenario()
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="n_steps"):
+            assemble_quadratic_form(scenario, "a", n)
+        with pytest.raises(ValidationError, match="n_steps"):
+            stationary_action(scenario, "a", n)
+        with pytest.raises(ValidationError, match="n_steps"):
+            oracle_propagator(scenario, "a", (n, 2 * n, 4 * n))
+
+
+def test_the_lattice_imports_nothing_from_the_closed_form():
+    import rpif.lattice
+    tree = ast.parse(pathlib.Path(rpif.lattice.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module
+                            else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rpif."):
+            imported.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1] for alias in node.names
+                            if alias.name.startswith("rpif."))
+    assert "scenario" in imported
+    assert not imported & {"actions", "interference", "quadrature"}, imported
 
 
 def test_single_step_free_exponent():
     scenario = _free_scenario(z1=0.0, z2=1.0)
-    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, 1))
+    form = assemble_quadratic_form(scenario, "a", 1)
     # one slice, no interior points: whole exponent is the free action phase
     assert form.diag.shape == (0,)
     assert form.offset == pytest.approx(0.5j, abs=1e-10)
@@ -88,7 +105,7 @@ def test_single_step_free_exponent():
 
 def test_interior_dimension_and_tridiagonality():
     scenario = make_scenario()
-    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, 4))
+    form = assemble_quadratic_form(scenario, "a", 4)
     assert form.diag.shape == (3,)
     assert form.off.shape == (2,)
     assert form.linear.shape == (3,)
@@ -98,7 +115,7 @@ def test_assembled_exponent_matches_direct_sum(rng):
     """-1/2 z^T A z + r^T z + s0 must equal the slice-by-slice exponent."""
     scenario = make_scenario(f=None, a=None)
     n = 7
-    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
+    form = assemble_quadratic_form(scenario, "a", n)
     p = scenario.params
     beam = scenario.beam_a
     h = form.step
@@ -130,7 +147,7 @@ def test_assembled_exponent_matches_direct_sum(rng):
 @pytest.mark.parametrize("n", [1, 2, 8, 33])
 def test_free_particle_exact_at_any_resolution(n):
     scenario = _free_scenario(z1=0.0, z2=1.0)
-    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
+    form = assemble_quadratic_form(scenario, "a", n)
     exact = _free_exact(1.0, 1.0, 1.0, 0.0, 1.0)
     for value in (lattice_values(scenario, "a", (n,))[n], gaussian_reduce(form)):
         assert abs(value - exact) <= 1e-12 * abs(exact)
@@ -138,7 +155,7 @@ def test_free_particle_exact_at_any_resolution(n):
 
 def test_determinant_against_dense_matrix():
     scenario = make_scenario()
-    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, 8))
+    form = assemble_quadratic_form(scenario, "a", 8)
     dense = np.diag(form.diag) + np.diag(form.off, 1) + np.diag(form.off, -1)
     sign, logabs = np.linalg.slogdet(dense)
     dense_logdet = logabs + 1j * np.angle(sign)
@@ -155,7 +172,7 @@ def test_determinant_against_dense_matrix():
 def test_reduction_orders_agree():
     scenario = make_scenario()
     for n in (16, 64, 256):
-        form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
+        form = assemble_quadratic_form(scenario, "a", n)
         forward = reference_gaussian_reduce(form, order="forward")
         backward = reference_gaussian_reduce(form, order="backward")
         assert abs(forward - backward) <= 1e-12 * abs(forward)
@@ -207,7 +224,7 @@ def test_rows_match_the_per_form_reference_at_every_level(wt):
             assert (again.const.tobytes(), again.quad.tobytes()) == (
                 rows.const.tobytes(), rows.quad.tobytes())
             for n, value in zip(schedule, rows.log_values(g, z1, z2)):
-                form = assemble_quadratic_form(scenario, "a", _lattice(scenario, n))
+                form = assemble_quadratic_form(scenario, "a", n)
                 terms = gaussian_exponent_terms(form)
                 assert abs(value - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
@@ -236,13 +253,6 @@ def test_overflowing_level_reported():
         oracle_propagator(scenario, "a", (1024, 2048, 4096))
 
 
-def test_stationary_action_refuses_a_step_off_the_window():
-    scenario = make_scenario()
-    with pytest.raises(LatticeError, match="duration"):
-        stationary_action(scenario, "a", LatticeSpec(n_steps=4, z1=0.0, z2=0.5,
-                                                     step=0.1))
-
-
 def test_single_level_reduction_within_discretization_error():
     scenario = make_scenario()
     closed = restricted_propagator(scenario.beam_a, scenario.frame_profile,
@@ -265,14 +275,14 @@ def test_near_singular_form_reported():
                         off=np.zeros(2, dtype=complex),
                         linear=np.zeros(3, dtype=complex),
                         offset=0j, weight_const=0j, slice_norm=1.0 + 0j,
-                        n_steps=4, step=0.25, hbar=1.0)
+                        n_steps=4, step=0.25)
     with pytest.raises(LatticeError):
         gaussian_reduce(bad)
 
 
 def test_form_outside_the_closed_form_reported():
     scenario = make_scenario()
-    form = assemble_quadratic_form(scenario, "a", _lattice(scenario, 8))
+    form = assemble_quadratic_form(scenario, "a", 8)
     uneven = form.diag.copy()
     uneven[3] += 1.0
     with pytest.raises(LatticeError, match="constant-coefficient"):
@@ -355,9 +365,9 @@ def test_richardson_floor_forgives_only_differences_below_it():
 @pytest.mark.parametrize("n", [1, 2, 8, 64])
 def test_stationary_action_free_case_exact(n):
     scenario = _free_scenario(z1=0.0, z2=1.0)
-    s = stationary_action(scenario, "a", _lattice(scenario, n))
-    assert s.s1 == pytest.approx(0.5, rel=1e-12)
-    assert s.s2 == pytest.approx(0.0, abs=1e-12)
+    s = stationary_action(scenario, "a", n)
+    assert s.real == pytest.approx(0.5, rel=1e-12)
+    assert s.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stationary_action_linear_potential_h2():
@@ -366,12 +376,11 @@ def test_stationary_action_linear_potential_h2():
     expect = 0.5 - 0.5 - 1.0 / 24.0
     errors = []
     for n in (64, 128, 256):
-        s = stationary_action(scenario, "a", _lattice(scenario, n))
-        errors.append(abs(s.s1 - expect))
+        s = stationary_action(scenario, "a", n)
+        errors.append(abs(s.real - expect))
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.1)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.1)
-    seq = [(n, stationary_action(scenario, "a", _lattice(scenario, n)).as_complex)
-           for n in (256, 512, 1024)]
+    seq = [(n, stationary_action(scenario, "a", n)) for n in (256, 512, 1024)]
     res = richardson_extrapolate(seq)
     assert res.value.real == pytest.approx(expect, rel=1e-9)
 
@@ -380,10 +389,9 @@ def test_stationary_action_baseline_matches_closed_form():
     scenario = make_scenario()
     closed = classical_action(scenario.beam_a, scenario.frame_profile,
                               scenario.params, scenario.z1, scenario.z2)
-    seq = [(n, stationary_action(scenario, "a", _lattice(scenario, n)).as_complex)
-           for n in (256, 512, 1024)]
+    seq = [(n, stationary_action(scenario, "a", n)) for n in (256, 512, 1024)]
     res = richardson_extrapolate(seq)
-    assert abs(res.value - closed.as_complex) <= 1e-6 * abs(closed.as_complex)
+    assert abs(res.value - closed) <= 1e-6 * abs(closed)
 
 
 # ---------------------------------------------------------------------------

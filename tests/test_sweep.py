@@ -497,14 +497,21 @@ def test_an_overflowing_action_fails_its_rows_without_a_warning(parameter, steps
 
 
 def test_a_printed_term_that_overflows_is_reported_as_alone():
-    # g from 1e154 to 1e155: the printed i5 overflows at points whose
-    # actions do not; such a row reports the inf or NaN it gets alone
-    scenario, spec = parse_config(json.dumps({"sweep": {
-        "parameter": "g", "start": 1e154, "stop": 1e155, "steps": 8, "mode": "both"}}))
-    rows = run_sweep(scenario, spec)
-    literal = [row for row in rows if row.mode == "paper-literal" and row.error is None]
-    assert any(not np.isfinite(row.i5) for row in literal)
-    _as_lone_points(scenario, spec, rows)
+    # the printed i5 overflows at points whose actions do not; such a
+    # literal row fails with the error of a lone point, and no row reports
+    # a term that is not finite.  The g sweep's live points are evaluated
+    # one by one, the z2 sweep's as a group of 8.
+    for config in ({"sweep": {"parameter": "g", "start": 1e154, "stop": 1e155,
+                              "steps": 8, "mode": "both"}},
+                   {"params": {"g": 5e154}, "sweep": {"parameter": "z2", "start": 0.0,
+                                                      "stop": 1.0, "steps": 8,
+                                                      "mode": "both"}}):
+        scenario, spec = parse_config(json.dumps(config))
+        rows = run_sweep(scenario, spec)
+        assert any(row.mode == "paper-literal" and row.error is not None
+                   and "i5 is not finite" in row.error for row in rows)
+        assert all(np.isfinite(row.i5) for row in rows if row.error is None)
+        _as_lone_points(scenario, spec, rows)
 
 
 # ---------------------------------------------------------------------------
