@@ -26,9 +26,7 @@ from .errors import (
 from .interference import (
     MODE_DERIVED,
     MODE_LITERAL,
-    AuxiliaryAngles,
     InterferenceBreakdown,
-    auxiliary_angles,
     decompose,
 )
 from .lattice import (
@@ -66,13 +64,13 @@ from .timefunctions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryAngles", "BeamRecord", "ConfigError",
+    "BeamRecord", "ConfigError",
     "ConstantFunction", "ExtrapolationResult", "InterferenceBreakdown",
     "LatticeError", "LinearFunction", "MODE_DERIVED",
     "MODE_LITERAL", "PhysicalParams", "PolynomialFunction", "PropagatorValue",
     "QuadratureError", "ResultRow", "RpifError", "Scenario",
     "SinusoidFunction", "StabilityError", "SweepSpec", "TabulatedFunction",
-    "TimeFunction", "ValidationError", "auxiliary_angles",
+    "TimeFunction", "ValidationError",
     "build_time_function", "classical_action", "compare_modes",
     "complex_frequency", "decompose", "emit_results", "mean_square",
     "oracle_propagator", "parse_config", "restricted_propagator",

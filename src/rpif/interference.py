@@ -65,16 +65,6 @@ _MODES = (MODE_LITERAL, MODE_DERIVED)
 
 
 @dataclass(frozen=True)
-class AuxiliaryAngles:
-    """Dimensionless angles entering the closed-form contributions: theta
-    and rho are the per-beam angles (mode dependent, see module docstring).
-    """
-
-    theta: float
-    rho: float
-
-
-@dataclass(frozen=True)
 class InterferenceBreakdown:
     i1: float
     i2: float
@@ -101,20 +91,6 @@ def _check_mode(mode: str) -> str:
 def _paper_angle(params: PhysicalParams, delta: float) -> float:
     """The printed angle theta = sqrt(2*pi*hbar*T/(m*delta^2))."""
     return math.sqrt(2.0 * math.pi * params.hbar * params.duration / (params.m * delta ** 2))
-
-
-def auxiliary_angles(scenario: Scenario, mode: str = MODE_LITERAL) -> AuxiliaryAngles:
-    _check_mode(mode)
-    nd = nondimensional(scenario)
-    p = nd.params
-    da, db = nd.beam_a.resolution, nd.beam_b.resolution
-    if mode == MODE_LITERAL:
-        theta, rho = _paper_angle(p, da), _paper_angle(p, db)
-    else:
-        # |Re(wT)|, the angle the complex frequency actually implies
-        theta = abs((ensure_stable(p, da) * p.duration).real)
-        rho = abs((ensure_stable(p, db) * p.duration).real)
-    return AuxiliaryAngles(theta=theta, rho=rho)
 
 
 # ---------------------------------------------------------------------------

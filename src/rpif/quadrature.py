@@ -25,8 +25,9 @@ the memory of a batch does not grow with its size.
 Double integrals over the triangle s <= t have separable kernels (a
 finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
 factors rather than the kernel and integrates the inner factor
-cumulatively: a level with n nodes per axis costs O(order*n) evaluations,
-not n^2, and evaluates them in chunks of bounded size.
+cumulatively from its values at each panel's ``2*order`` Gauss nodes: a
+level with n nodes per axis evaluates the factors at 3n points, not n^2,
+in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -317,29 +318,50 @@ def integrate(fn, a: float, b: float, *, breaks: tuple = (),
     return state.result(batch)
 
 
+@lru_cache(maxsize=None)
+def _partial_weights(order: int) -> np.ndarray:
+    """The weights of a panel's inner integrals from its ``2*order`` Gauss
+    values, derived once per order: the first ``order`` rows are
+    C[i, j] = Int_{-1}^{x_i} l_j, from -1 to each ``order``-point node
+    x_i, and the last row is the whole panel's Gauss weights.
+
+    l_j is the Lagrange basis of the ``2*order`` nodes y_j, so row i
+    integrates every polynomial of degree below ``2*order`` exactly, as a
+    Gauss rule of ``order`` points on [-1, x_i] does.  Built without a
+    linear solve: l_j(y) = v_j * sum_k (k + 1/2) P_k(y_j) P_k(y) over
+    k < 2*order, and Int_{-1}^x P_k = (P_{k+1}(x) - P_{k-1}(x))/(2k + 1)
+    (x + 1 for k = 0).
+    """
+    x, _ = _gauss(order)
+    y, v = _gauss(2 * order)
+    size = 2 * order
+    legvander = np.polynomial.legendre.legvander
+    px = legvander(x, size).T  # P_0 .. P_size at the nodes x_i
+    k = np.arange(1, size)[:, None]
+    antiderivative = np.vstack((x + 1.0, (px[2:] - px[:-2]) / (2 * k + 1)))
+    basis = (np.arange(size) + 0.5)[:, None] * legvander(y, size - 1).T * v
+    weights = np.vstack((antiderivative.T @ basis, v))
+    weights.setflags(write=False)
+    return weights
+
+
 @lru_cache(maxsize=64)
 def _nested_rule(panels: int, order: int, edges: tuple[float, ...]):
     """The points and weights of one level of the nested rule on [0, 1].
 
-    Returns the composite nodes and weights (n of each); the inner points,
-    which are the n nodes followed by, for each node u_i, the ``order``
-    Gauss nodes of the partial panel [edge, u_i]; the Gauss weights on
-    [-1, 1]; the half-length of each partial panel; the half-panel width
-    of the widest segment; and each whole panel's half-width relative to
-    it (all ones for a single segment).
+    Returns the composite nodes and weights (n of each), the inner points,
+    which are the ``2*order`` Gauss nodes of each panel in turn (2n), and
+    each panel's half-width.
     """
     u, wu = _reference_rule(panels, order, edges)
-    x, w = _gauss(order)
-    edge = np.repeat(_panel_edges(panels, edges)[:-1], order)
-    half = 0.5 * (u - edge)
-    partial = (edge[:, None] + half[:, None] * (x + 1.0)[None, :]).ravel()
-    points = np.concatenate((u, partial))
-    widths = np.diff(edges)
-    widest = widths.max()
-    ratio = np.repeat(widths / widest, panels)
-    for arr in (points, half, ratio):
+    y, _ = _gauss(2 * order)
+    cuts = _panel_edges(panels, edges)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    half = 0.5 * np.diff(cuts)
+    points = (mid[:, None] + half[:, None] * y[None, :]).ravel()
+    for arr in (points, half):
         arr.setflags(write=False)
-    return u, wu, points, w, half, widest * (0.5 / panels), ratio
+    return u, wu, points, half
 
 
 def _products(outer: np.ndarray, weighted: np.ndarray) -> np.ndarray:
@@ -377,19 +399,23 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     failures are reported as by ``integrate``.
 
     Nested rule: the outer integral uses the composite rule of
-    ``integrate``; the inner integral up to outer node t_i is the sum of
-    the whole panels before t_i plus an ``order``-point Gauss rule on the
-    partial panel [edge, t_i].  The whole panels are summed in one running
-    sum across segments, each weighted by its segment's half-panel width,
-    so the inner integral carries the totals of the earlier segments and
-    no partial panel reaches across a breakpoint.  A level
-    therefore evaluates n outer and (order+1)*n inner points and costs
-    O(k*order*n); no n x n array is built.  ``factors`` is called on
-    consecutive chunks of at most ``CHUNK_NODES`` outer nodes and their
-    inner points, with the running sum carried across chunks, so the
-    memory of a level stays bounded however far the panels double.  Panels
-    double until successive estimates agree, at most ``AXIS_NODE_BUDGET``
-    outer nodes, or the three levels of a longer split.
+    ``integrate``; the inner rows are evaluated at the ``2*order`` Gauss
+    nodes of each panel.  The inner integral up to outer node t_i is the
+    sum of the whole panels before t_i, each by its ``2*order``-point
+    Gauss rule, plus the integral from t_i's panel start to t_i of the
+    polynomial through that panel's inner values (``_partial_weights``),
+    which is exact to degree ``2*order - 1`` as an ``order``-point Gauss
+    rule on [edge, t_i] is.  Each panel's sums are scaled by its own
+    half-width, and the whole panels are summed in one running sum across
+    segments, so the inner integral carries the totals of the earlier
+    segments and no panel reaches across a breakpoint.  A level therefore
+    evaluates n outer and 2n inner points and costs O(k*order*n); no
+    n x n array is built.  ``factors`` is called on consecutive chunks of
+    at most ``CHUNK_NODES`` outer nodes and their panels' inner points,
+    with the running sum carried across chunks, so the memory of a level
+    stays bounded however far the panels double.  Panels double until
+    successive estimates agree, at most ``AXIS_NODE_BUDGET`` outer nodes,
+    or the three levels of a longer split.
     """
     order = GAUSS_ORDER
     width = b - a
@@ -397,14 +423,14 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     segments = len(edges) - 1
     budget = _budget(AXIS_NODE_BUDGET, segments, order)
     chunk = max(1, CHUNK_NODES // order)  # panels per call of ``factors``
+    weights = _partial_weights(order).T
     state = _Doubling(batch)
     panels = 1
     while len(state.running) and segments * panels * order <= budget:
-        u, wu, points, w, half, half_panel, ratio = _nested_rule(panels, order, edges)
+        u, wu, points, half = _nested_rule(panels, order, edges)
         m = segments * panels
-        n = m * order
         est = []
-        per_set = min(chunk, m) * order * (order + 1)  # points of a call
+        per_set = min(chunk, m) * 3 * order  # points of a call
         for group in state.groups(max(1, BATCH_POINTS // per_set)):
             if batch is not None:
                 batch.index = group
@@ -412,26 +438,22 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
             for lo in range(0, m, chunk):
                 hi = min(lo + chunk, m)
                 nodes = slice(lo * order, hi * order)
-                partial = points[n + lo * order * order:n + hi * order * order]
                 outer, inner = factors(a + width * u[nodes],
-                                       a + width * np.concatenate((u[nodes], partial)))
+                                       a + width * points[2 * lo * order:2 * hi * order])
                 outer, inner = np.asarray(outer), np.asarray(inner)
                 if isinstance(group, int):
                     outer = outer[None]  # one set: its inner rows stay shared
                 k = inner.shape[:-1]  # (k,), or (sets, k) for rows that differ
-                # Gauss sums over the chunk's whole panels, then over its
-                # partial panels
-                sums = inner.reshape(k + (-1, order)) @ w
-                # the whole panels before each panel, each weighted by its
-                # half-width relative to the widest segment's: one running
-                # sum, carried from chunk to chunk, carries the totals of the
+                # each panel's integrals from its start to its outer nodes,
+                # then over the whole panel, scaled by its half-width
+                sums = (inner.reshape(k + (hi - lo, 2 * order)) @ weights) * half[lo:hi, None]
+                # the whole panels before each panel: one running sum,
+                # carried from chunk to chunk, carries the totals of the
                 # earlier segments into each segment
-                whole = sums[..., :hi - lo] * ratio[lo:hi]
-                run = np.cumsum(np.concatenate((np.broadcast_to(carry, k + (1,)), whole),
-                                               axis=-1), axis=-1)
+                run = np.cumsum(np.concatenate((np.broadcast_to(carry, k + (1,)),
+                                                sums[..., -1]), axis=-1), axis=-1)
                 before, carry = run[..., :-1], run[..., -1:]
-                cumulative = (np.repeat(before, order, axis=-1) * half_panel
-                              + sums[..., hi - lo:] * half[nodes])
+                cumulative = (before[..., None] + sums[..., :-1]).reshape(k + (-1,))
                 part = _products(outer, cumulative * wu[nodes])
                 total = part if total is None else total + part
             est.append(total)

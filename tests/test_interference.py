@@ -8,11 +8,11 @@ from rpif import (
     MODE_DERIVED,
     MODE_LITERAL,
     RpifError,
-    auxiliary_angles,
     decompose,
 )
 from rpif import actions, quadrature
-from rpif.interference import _printed
+from rpif.actions import ensure_stable
+from rpif.interference import _paper_angle, _printed
 from rpif.scenario import nondimensional
 from sampling import random_scenario
 from rpif.timefunctions import (ConstantFunction, LinearFunction, PolynomialFunction,
@@ -25,25 +25,36 @@ def _theta_derived(delta, m=1.0, hbar=1.0, T=1.0):
 
 
 # ---------------------------------------------------------------------------
-# auxiliary angles
+# the angles of the two modes
 # ---------------------------------------------------------------------------
+
+def _angles(scenario, mode):
+    """theta and rho, the angles of beams a and b in internal units: the
+    printed angle in the literal mode, |Re(wT)| in the derived mode."""
+    nd = nondimensional(scenario)
+    p = nd.params
+    deltas = (nd.beam_a.resolution, nd.beam_b.resolution)
+    if mode == MODE_LITERAL:
+        return tuple(_paper_angle(p, delta) for delta in deltas)
+    return tuple(abs((ensure_stable(p, delta) * p.duration).real) for delta in deltas)
+
 
 def test_theta_unit_value():
     scenario = make_scenario(delta_a=math.sqrt(2.0 * math.pi))
-    ang = auxiliary_angles(scenario, MODE_LITERAL)
-    assert ang.theta == pytest.approx(1.0, rel=1e-12)
+    theta, _ = _angles(scenario, MODE_LITERAL)
+    assert theta == pytest.approx(1.0, rel=1e-12)
 
 
 def test_theta_at_unit_resolution():
     scenario = make_scenario(delta_a=1.0)
-    ang = auxiliary_angles(scenario, MODE_LITERAL)
-    assert ang.theta == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
+    theta, _ = _angles(scenario, MODE_LITERAL)
+    assert theta == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
 
 
 def test_theta_vanishes_for_coarse_measurement():
     scenario = make_scenario(delta_a=1e8)
-    ang = auxiliary_angles(scenario, MODE_LITERAL)
-    assert ang.theta < 1e-7
+    theta, _ = _angles(scenario, MODE_LITERAL)
+    assert theta < 1e-7
 
 
 def test_literal_decompose_refuses_a_printed_denominator_of_zero():
@@ -57,11 +68,11 @@ def test_literal_decompose_refuses_a_printed_denominator_of_zero():
 
 def test_derived_theta_is_re_wt():
     scenario = make_scenario(delta_a=1.0, delta_b=2.0)
-    ang = auxiliary_angles(scenario, MODE_DERIVED)
-    assert ang.theta == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert ang.rho == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    lit = auxiliary_angles(scenario, MODE_LITERAL)
-    assert lit.theta / ang.theta == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    theta, rho = _angles(scenario, MODE_DERIVED)
+    assert theta == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert rho == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    lit_theta, _ = _angles(scenario, MODE_LITERAL)
+    assert lit_theta / theta == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def test_unknown_mode_rejected():
@@ -281,8 +292,7 @@ def test_printed_i1_to_i4_are_the_derived_terms_at_re_wt():
         largest = max(map(abs, derived + (br.i5,)))
 
         def gap(mode):
-            angles = auxiliary_angles(scenario, mode)
-            printed = printed_terms(nd, angles.theta, angles.rho)[:4]
+            printed = printed_terms(nd, *_angles(scenario, mode))[:4]
             return max(abs(x - y) for x, y in zip(printed, derived))
         assert gap(MODE_DERIVED) <= 10 * quadrature.DEFAULT_RTOL * largest, seed
         assert gap(MODE_LITERAL) > 0.1 * largest, seed

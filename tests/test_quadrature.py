@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_triangle_sums_rows_and_keeps_leading_axes():
     assert val == pytest.approx([0.375, 0.75], rel=1e-12)
 
 
-def test_triangle_level_sees_n_outer_and_at_most_order_plus_one_n_inner_points():
+def test_triangle_level_sees_n_outer_and_2n_inner_points():
     seen = []
 
     def factors(t, s):
@@ -81,7 +82,33 @@ def test_triangle_level_sees_n_outer_and_at_most_order_plus_one_n_inner_points()
         return [np.exp(t)], [np.cos(s)]
     integrate_triangle(factors, 0.0, 1.0)
     assert [n for n, _ in seen] == [GAUSS_ORDER * 2 ** i for i in range(len(seen))]
-    assert all(m <= (GAUSS_ORDER + 1) * n for n, m in seen)
+    assert all(m == 2 * n for n, m in seen)
+
+
+@pytest.mark.parametrize("order", [8, 5])
+def test_partial_weights_integrate_polynomials_to_each_outer_node(order):
+    # from -1 to each order-point Gauss node, the rows integrate y^d from
+    # the 2*order inner nodes exactly up to d = 2*order - 1, to a few ulp
+    # of the reference panel [-1, 1]; the last row is the whole panel
+    weights = quadrature._partial_weights(order)
+    x, _ = quadrature._gauss(order)
+    y, v = quadrature._gauss(2 * order)
+    assert weights.shape == (order + 1, 2 * order)
+    assert weights[-1].tobytes() == v.tobytes()
+    for d in range(2 * order):
+        got = weights[:-1] @ y ** d
+        want = [float((Fraction(xi) ** (d + 1) - (-1) ** (d + 1)) / (d + 1)) for xi in x]
+        assert np.abs(got - want).max() <= 4 * np.spacing(1.0), d
+
+
+@pytest.mark.parametrize("breaks", [(), (0.37,)])
+@pytest.mark.parametrize("omega", [150.0, 400.0])
+def test_triangle_oscillator_matches_its_closed_form(omega, breaks):
+    # int_0^1 dt exp(i w t) int_0^t ds cos(w s) = int_0^1 (exp(2iwt) - 1)/(2iw) dt
+    val = integrate_triangle(lambda t, s: ([np.exp(1j * omega * t)], [np.cos(omega * s)]),
+                             0.0, 1.0, breaks=breaks)
+    expect = ((np.exp(2j * omega) - 1.0) / (2j * omega) - 1.0) / (2j * omega)
+    assert abs(val - expect) <= 1e-12 * abs(expect)
 
 
 def test_line_rows_keep_leading_axes_and_each_converge():
@@ -197,10 +224,12 @@ def test_every_segment_doubles_together_and_no_panel_straddles_a_breakpoint():
     for level, (t, s) in enumerate(seen):
         counts = np.histogram(t, edges)[0]
         assert list(counts) == [GAUSS_ORDER * 2 ** level] * 4
-        # each inner point lies in the same segment as its outer node
-        segment_t = np.searchsorted(edges, t)
-        segment_s = np.searchsorted(edges, s[t.size:].reshape(t.size, -1))
-        assert np.all(segment_s == segment_t[:, None])
+        # each panel's inner points lie in the same segment as its outer
+        # nodes
+        segment_t = np.searchsorted(edges, t.reshape(-1, GAUSS_ORDER))
+        segment_s = np.searchsorted(edges, s.reshape(len(segment_t), -1))
+        assert np.all(segment_s == segment_t[:, :1])
+        assert np.all(segment_t == segment_t[:, :1])
 
 
 def test_the_largest_split_that_fits_converges():
@@ -369,7 +398,7 @@ def test_leggauss_runs_once_per_order(monkeypatch):
         return leggauss(order)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     # empty rule tables of their own, which the test leaves behind
-    for name in ("_gauss", "_reference_rule", "_nested_rule"):
+    for name in ("_gauss", "_reference_rule", "_partial_weights", "_nested_rule"):
         table = getattr(quadrature, name)
         monkeypatch.setattr(quadrature, name,
                             functools.lru_cache(table.cache_parameters()["maxsize"])(
@@ -381,4 +410,5 @@ def test_leggauss_runs_once_per_order(monkeypatch):
             integrate(lambda t: np.exp(t), 0.0, 1.0, breaks=breaks)
             integrate_triangle(lambda t, s: ([np.exp(t)], [np.exp(-s)]), 0.0, 1.0,
                                breaks=breaks)
-    assert calls == [8, 5]
+    # the triangle's inner points are the Gauss nodes of twice the order
+    assert calls == [8, 16, 5, 10]
