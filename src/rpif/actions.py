@@ -412,12 +412,15 @@ def _amplitude(beam: BeamRecord, prefactor: complex, weight_exponent: float,
     return amplitude
 
 
-def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
-                           action: complex, msq: float) -> PropagatorValue:
-    """Assemble the three propagator factors around a precomputed action
-    and the record's mean square <c^2> (``ActionRows.mean_square``)."""
+def restricted_propagator(beam: BeamRecord, frame_profile: TimeFunction,
+                          params: PhysicalParams, z1: float, z2: float) -> PropagatorValue:
+    """Full restricted propagator U(z2, z1) for one measured beam: the
+    three factors around its action and the record's mean square <c^2>
+    (``ActionRows.mean_square``)."""
+    rows = _beam_rows(beam, frame_profile, params)
+    action = classical_action(beam, frame_profile, params, z1, z2, blocks=rows.at(params.g))
     w = ensure_stable(params, beam.resolution)
-    weight_exponent = -2.0 * msq / beam.resolution ** 2
+    weight_exponent = -2.0 * rows.mean_square / beam.resolution ** 2
     phase_exponent = 1j * action / params.hbar
     prefactor = _prefactor(w, params)
     amplitude = _amplitude(beam, prefactor, weight_exponent, phase_exponent)
@@ -429,11 +432,3 @@ def propagator_from_action(beam: BeamRecord, params: PhysicalParams,
     return PropagatorValue(amplitude=amplitude, weight_norm_factor=weight_norm,
                            prefactor=prefactor, phase_factor=phase_factor,
                            action=action)
-
-
-def restricted_propagator(beam: BeamRecord, frame_profile: TimeFunction,
-                          params: PhysicalParams, z1: float, z2: float) -> PropagatorValue:
-    """Full restricted propagator U(z2, z1) for one measured beam."""
-    rows = _beam_rows(beam, frame_profile, params)
-    action = classical_action(beam, frame_profile, params, z1, z2, blocks=rows.at(params.g))
-    return propagator_from_action(beam, params, action, rows.mean_square)

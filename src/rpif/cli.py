@@ -5,8 +5,11 @@ Subcommands:
   compare    evaluate one scenario in both modes and print the comparison
   validate   check a config document and report every violation
 
-Exit codes: 0 success, 1 config error, 2 numerical guard tripped,
-3 mode disagreement beyond tolerance when --strict-modes is set.
+Exit codes: 0 success, 1 config error, 2 at least one row (or, for
+compare, the scenario) failed with an RpifError: a tripped stability
+guard, a stalled quadrature, a refused lattice extrapolation, a non-finite
+term or a zero printed denominator; 3 mode disagreement beyond tolerance
+when --strict-modes is set.
 """
 
 from __future__ import annotations

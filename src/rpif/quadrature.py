@@ -27,7 +27,8 @@ finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
 factors rather than the kernel and integrates the inner factor
 cumulatively from its values at each panel's ``2*order`` Gauss nodes: a
 level with n nodes per axis evaluates the factors at 3n points, not n^2,
-in chunks of bounded size.
+in chunks of at most ``BATCH_POINTS`` points: at order 8 the 2048-point
+bound gives chunks of 64 panels, 512 outer nodes.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ DEFAULT_ATOL = 1e-15
 GAUSS_ORDER = 8
 LINE_NODE_BUDGET = 2 ** 16   # single integrals
 AXIS_NODE_BUDGET = 2 ** 12   # per axis of nested double integrals
-CHUNK_NODES = 2 ** 9         # outer nodes per evaluation of a double integral's factors
-BATCH_POINTS = 2 ** 11        # points per evaluation of a batch, summed over its sets
+BATCH_POINTS = 2 ** 11       # points per evaluation of an integrand, summed over its sets
 
 
 @lru_cache(maxsize=64)
@@ -58,12 +58,6 @@ def _segments(a: float, b: float, breaks: tuple) -> tuple[float, ...]:
     width = b - a
     inside = sorted({float(x) for x in breaks if a < x < b})
     return (0.0, *((x - a) / width for x in inside), 1.0)
-
-
-def _budget(budget: int, segments: int, order: int) -> int:
-    """The node budget, grown where needed so that a split into
-    ``segments`` can run three levels (1, 2 and 4 panels per segment)."""
-    return max(budget, 4 * segments * order)
 
 
 class Batch:
@@ -140,12 +134,9 @@ class _Doubling:
     level where all of its entries pass, and keeps that level's value, or
     fails with the error it would raise on its own."""
 
-    def __init__(self, batch: Batch | None):
-        self.count = 1 if batch is None else batch.size
-        self.running = np.arange(self.count)  # the sets still running
-        if batch is not None and batch.failed:
-            self.running = np.array([i for i in range(self.count) if i not in batch.failed],
-                                    dtype=int)
+    def __init__(self, batch: Batch):
+        self.count = batch.size
+        self.running = np.array([i for i in range(batch.size) if i not in batch.failed], int)
         self.value = self.prev = None    # prev: the running sets' last level
         self.shape = None                # the shape of one set's value
         self.deltas = None               # the running sets' last differences
@@ -209,18 +200,12 @@ class _Doubling:
             self.value = np.full((self.count,) + est.shape[1:], math.nan, complex)
         self.value[sets] = est
 
-    def result(self, batch: Batch | None):
-        """The value: a lone integral's, which raises its error if it
-        failed, or every set's, NaN for the sets that failed, which go into
+    def result(self, batch: Batch):
+        """Every set's value, NaN for the sets that failed, which go into
         ``batch.failed`` with their own errors."""
         value = self.value
         if value is None and self.shape is not None:
             value = np.full((self.count,) + self.shape, math.nan, complex)
-        if batch is None:
-            if self.failed:
-                raise self.failed[0]
-            value = value[0]
-            return complex(value) if value.ndim == 0 else value
         batch.failed.update(self.failed)
         return value
 
@@ -251,17 +236,69 @@ def _panel_edges(panels: int, edges: tuple[float, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _reference_rule(panels: int, order: int, edges: tuple[float, ...] = (0.0, 1.0)):
-    """Composite Gauss-Legendre nodes and weights on [0, 1], ``panels``
-    panels per segment."""
+    """One level's points on [0, 1], ``panels`` panels per segment: the
+    composite Gauss-Legendre nodes and weights (n of each), the inner
+    points of the nested rule, which are the ``2*order`` Gauss nodes of
+    each panel in turn (2n), and each panel's half-width."""
     x, w = _gauss(order)
+    y, _ = _gauss(2 * order)
     cuts = _panel_edges(panels, edges)
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     half = 0.5 * np.diff(cuts)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    points = (mid[:, None] + half[:, None] * y[None, :]).ravel()
+    for arr in (nodes, weights, points, half):
+        arr.setflags(write=False)
+    return nodes, weights, points, half
+
+
+def _doubling_loop(level, fn, a: float, b: float, breaks: tuple, batch: Batch | None,
+                   budget: int, spread: int, stalled: str):
+    """The doubling loop of both rules, over [a, b] split at ``breaks``.
+    A level takes the running sets in groups of at most ``BATCH_POINTS``
+    points, ``spread`` per node, and ``level(fn, t, a, width, rule, group)``
+    returns the estimates of the sets ``group``, a set axis in front, from
+    the level's nodes ``t`` and ``_reference_rule``.  A set that stalls
+    fails with ``stalled``, formatted with a, b, budget and its last delta.
+    A lone integral (``batch`` None) is a batch of one: its value is
+    returned, or its error raised."""
+    order, width = GAUSS_ORDER, b - a
+    edges = _segments(a, b, breaks)
+    segments = len(edges) - 1
+    budget = max(budget, 4 * segments * order)  # three levels of a longer split
+    lone = batch is None
+    batch = Batch(1) if lone else batch
+    state = _Doubling(batch)
+    nonfinite = lambda: QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
+    panels = 1
+    while len(state.running) and segments * panels * order <= budget:
+        rule = _reference_rule(panels, order, edges)
+        t = a + width * rule[0]
+        est = []
+        for group in state.groups(max(1, BATCH_POINTS // (spread * t.size))):
+            batch.index = group
+            est.append(level(fn, t, a, width, rule, group))
+        if state.settle(est[0] if len(est) == 1 else np.concatenate(est), nonfinite):
+            break
+        panels *= 2
+    else:
+        state.stall(lambda delta: QuadratureError(
+            stalled.format(a=a, b=b, budget=budget, delta=delta), last_delta=delta))
+    value = state.result(batch)
+    if not lone:
+        return value
+    if batch.failed:
+        raise batch.failed[0]
+    return complex(value[0]) if value.ndim == 1 else value[0]
+
+
+def _line_level(fn, t, a, width, rule, group):
+    """The line rule's estimates for the sets ``group``: weighted sums."""
+    values = np.asarray(fn(t))
+    if isinstance(group, int):
+        values = values[None]
+    return width * np.sum(rule[1] * values, axis=-1)
 
 
 def integrate(fn, a: float, b: float, *, breaks: tuple = (),
@@ -288,34 +325,9 @@ def integrate(fn, a: float, b: float, *, breaks: tuple = (),
     set of a batch that fails so gets NaN values, and the error in
     ``batch.failed``.
     """
-    order = GAUSS_ORDER
-    width = b - a
-    edges = _segments(a, b, breaks)
-    segments = len(edges) - 1
-    budget = _budget(LINE_NODE_BUDGET, segments, order)
-    state = _Doubling(batch)
-    panels = 1
-    while len(state.running) and segments * panels * order <= budget:
-        u, wu = _reference_rule(panels, order, edges)
-        nodes = a + width * u
-        est = []
-        for group in state.groups(max(1, BATCH_POINTS // nodes.size)):
-            if batch is not None:
-                batch.index = group
-            values = np.asarray(fn(nodes))
-            if isinstance(group, int):
-                values = values[None]
-            est.append(width * np.sum(wu * values, axis=-1))
-        est = est[0] if len(est) == 1 else np.concatenate(est)
-        if state.settle(est, lambda: QuadratureError(
-                f"non-finite integrand values over [{a:g}, {b:g}]")):
-            break
-        panels *= 2
-    else:
-        state.stall(lambda delta: QuadratureError(
-            f"integral over [{a:g}, {b:g}] did not converge within {budget} nodes "
-            f"(last delta {delta:.3e})", last_delta=delta))
-    return state.result(batch)
+    return _doubling_loop(_line_level, fn, a, b, breaks, batch, LINE_NODE_BUDGET, 1,
+                          "integral over [{a:g}, {b:g}] did not converge within {budget} nodes "
+                          "(last delta {delta:.3e})")
 
 
 @lru_cache(maxsize=None)
@@ -345,25 +357,6 @@ def _partial_weights(order: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=64)
-def _nested_rule(panels: int, order: int, edges: tuple[float, ...]):
-    """The points and weights of one level of the nested rule on [0, 1].
-
-    Returns the composite nodes and weights (n of each), the inner points,
-    which are the ``2*order`` Gauss nodes of each panel in turn (2n), and
-    each panel's half-width.
-    """
-    u, wu = _reference_rule(panels, order, edges)
-    y, _ = _gauss(2 * order)
-    cuts = _panel_edges(panels, edges)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    half = 0.5 * np.diff(cuts)
-    points = (mid[:, None] + half[:, None] * y[None, :]).ravel()
-    for arr in (points, half):
-        arr.setflags(write=False)
-    return u, wu, points, half
-
-
 def _products(outer: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     """Each set's outer rows, shape (G, ..., k, n), against its weighted
     inner integrals, shape (k, n) or (G, k, n): one matrix-vector product
@@ -376,6 +369,35 @@ def _products(outer: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     span = weighted.shape[-2] * weighted.shape[-1]
     vector = weighted.shape[:1] + (1,) * (len(matrices) - 2) + (span, 1)
     return (outer.reshape(matrices + (span,)) @ weighted.reshape(vector)).reshape(sets)
+
+
+def _triangle_level(factors, t, a, width, rule, group):
+    """The nested rule's estimates for the sets ``group``, chunk by chunk."""
+    order = GAUSS_ORDER
+    _, wu, points, half = rule
+    weights = _partial_weights(order).T
+    chunk = 1 << (max(1, BATCH_POINTS // (3 * order)).bit_length() - 1)  # panels per call
+    total, carry = None, 0.0
+    for lo in range(0, half.size, chunk):
+        hi = min(lo + chunk, half.size)
+        nodes = slice(lo * order, hi * order)
+        outer, inner = factors(t[nodes], a + width * points[2 * lo * order:2 * hi * order])
+        outer, inner = np.asarray(outer), np.asarray(inner)
+        if isinstance(group, int):
+            outer = outer[None]  # one set: its inner rows stay shared
+        k = inner.shape[:-1]  # (k,), or (sets, k) for rows that differ
+        # each panel's integrals from its start to its outer nodes,
+        # then over the whole panel, scaled by its half-width
+        sums = (inner.reshape(k + (hi - lo, 2 * order)) @ weights) * half[lo:hi, None]
+        # the whole panels before each panel: one running sum, carried from
+        # chunk to chunk, carries the totals of the earlier segments into each segment
+        run = np.cumsum(np.concatenate((np.broadcast_to(carry, k + (1,)),
+                                        sums[..., -1]), axis=-1), axis=-1)
+        before, carry = run[..., :-1], run[..., -1:]
+        cumulative = (before[..., None] + sums[..., :-1]).reshape(k + (-1,))
+        part = _products(outer, cumulative * wu[nodes])
+        total = part if total is None else total + part
+    return np.asarray(width * width * total, dtype=complex)
 
 
 def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
@@ -411,60 +433,13 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     segments and no panel reaches across a breakpoint.  A level therefore
     evaluates n outer and 2n inner points and costs O(k*order*n); no
     n x n array is built.  ``factors`` is called on consecutive chunks of
-    at most ``CHUNK_NODES`` outer nodes and their panels' inner points,
-    with the running sum carried across chunks, so the memory of a level
-    stays bounded however far the panels double.  Panels double until
+    panels, the most, a power of two, whose ``3*order`` points each fit in
+    ``BATCH_POINTS`` (64 panels, 512 outer nodes, at order 8), with the
+    running sum carried across chunks, so the memory of a level stays
+    bounded however far the panels double.  Panels double until
     successive estimates agree, at most ``AXIS_NODE_BUDGET`` outer nodes,
     or the three levels of a longer split.
     """
-    order = GAUSS_ORDER
-    width = b - a
-    edges = _segments(a, b, breaks)
-    segments = len(edges) - 1
-    budget = _budget(AXIS_NODE_BUDGET, segments, order)
-    chunk = max(1, CHUNK_NODES // order)  # panels per call of ``factors``
-    weights = _partial_weights(order).T
-    state = _Doubling(batch)
-    panels = 1
-    while len(state.running) and segments * panels * order <= budget:
-        u, wu, points, half = _nested_rule(panels, order, edges)
-        m = segments * panels
-        est = []
-        per_set = min(chunk, m) * 3 * order  # points of a call
-        for group in state.groups(max(1, BATCH_POINTS // per_set)):
-            if batch is not None:
-                batch.index = group
-            total, carry = None, 0.0
-            for lo in range(0, m, chunk):
-                hi = min(lo + chunk, m)
-                nodes = slice(lo * order, hi * order)
-                outer, inner = factors(a + width * u[nodes],
-                                       a + width * points[2 * lo * order:2 * hi * order])
-                outer, inner = np.asarray(outer), np.asarray(inner)
-                if isinstance(group, int):
-                    outer = outer[None]  # one set: its inner rows stay shared
-                k = inner.shape[:-1]  # (k,), or (sets, k) for rows that differ
-                # each panel's integrals from its start to its outer nodes,
-                # then over the whole panel, scaled by its half-width
-                sums = (inner.reshape(k + (hi - lo, 2 * order)) @ weights) * half[lo:hi, None]
-                # the whole panels before each panel: one running sum,
-                # carried from chunk to chunk, carries the totals of the
-                # earlier segments into each segment
-                run = np.cumsum(np.concatenate((np.broadcast_to(carry, k + (1,)),
-                                                sums[..., -1]), axis=-1), axis=-1)
-                before, carry = run[..., :-1], run[..., -1:]
-                cumulative = (before[..., None] + sums[..., :-1]).reshape(k + (-1,))
-                part = _products(outer, cumulative * wu[nodes])
-                total = part if total is None else total + part
-            est.append(total)
-        est = np.asarray(width * width * (est[0] if len(est) == 1 else np.concatenate(est)),
-                         dtype=complex)
-        if state.settle(est, lambda: QuadratureError(
-                f"non-finite integrand values over [{a:g}, {b:g}]")):
-            break
-        panels *= 2
-    else:
-        state.stall(lambda delta: QuadratureError(
-            f"triangle integral over [{a:g}, {b:g}] did not converge within "
-            f"{budget} nodes per axis (last delta {delta:.3e})", last_delta=delta))
-    return state.result(batch)
+    return _doubling_loop(_triangle_level, factors, a, b, breaks, batch, AXIS_NODE_BUDGET, 3,
+                          "triangle integral over [{a:g}, {b:g}] did not converge within "
+                          "{budget} nodes per axis (last delta {delta:.3e})")

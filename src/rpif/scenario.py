@@ -129,6 +129,16 @@ def mean_square(c: TimeFunction, params: PhysicalParams) -> float:
     return float(val.real) / T
 
 
+def _number(section: Mapping, key: str, default, path: str, out: list[str]) -> float:
+    """``section[key]``, or ``default``, as a float: anything else, a bool
+    too, goes into ``out`` as a violation at ``path`` and reads NaN."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        out.append(f"{path}: expected a number, got {value!r}")
+        return float("nan")
+    return float(value)
+
+
 def _check_gravity(g: float, out: list[str]) -> None:
     if not np.isfinite(g) or g < 0:
         out.append(f"params.g: must be >= 0 and finite, got {g!r}")
@@ -212,14 +222,6 @@ def scenario_from_dict(raw: Mapping, where: str = "") -> Scenario:
     Collects every structural problem before raising.
     """
     out: list[str] = []
-
-    def number(section: Mapping, key: str, default, path: str) -> float:
-        value = section.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            out.append(f"{path}: expected a number, got {value!r}")
-            return float("nan")
-        return float(value)
-
     if not isinstance(raw, Mapping):
         raise ValidationError([f"{where or '/'}: expected an object"])
 
@@ -228,14 +230,14 @@ def scenario_from_dict(raw: Mapping, where: str = "") -> Scenario:
         out.append(f"{where}/params: expected an object")
         params_raw = {}
     params = PhysicalParams(
-        m=number(params_raw, "m", 1.0, f"{where}/params/m"),
-        g=number(params_raw, "g", 1.0, f"{where}/params/g"),
-        hbar=number(params_raw, "hbar", 1.0, f"{where}/params/hbar"),
-        tau_start=number(params_raw, "tau_start", 0.0, f"{where}/params/tau_start"),
-        tau_end=number(params_raw, "tau_end", 1.0, f"{where}/params/tau_end"),
+        m=_number(params_raw, "m", 1.0, f"{where}/params/m", out),
+        g=_number(params_raw, "g", 1.0, f"{where}/params/g", out),
+        hbar=_number(params_raw, "hbar", 1.0, f"{where}/params/hbar", out),
+        tau_start=_number(params_raw, "tau_start", 0.0, f"{where}/params/tau_start", out),
+        tau_end=_number(params_raw, "tau_end", 1.0, f"{where}/params/tau_end", out),
     )
-    z1 = number(raw, "z1", 0.0, f"{where}/z1")
-    z2 = number(raw, "z2", 0.5, f"{where}/z2")
+    z1 = _number(raw, "z1", 0.0, f"{where}/z1", out)
+    z2 = _number(raw, "z2", 0.5, f"{where}/z2", out)
 
     def fn_from(section: Mapping | None, default: Mapping, path: str) -> TimeFunction:
         spec = section if section is not None else default
@@ -252,7 +254,7 @@ def scenario_from_dict(raw: Mapping, where: str = "") -> Scenario:
             section = {}
         traj = fn_from(section.get("trajectory"), default_traj, f"{where}/{key}/trajectory")
         if "resolution" in section:
-            res = number(section, "resolution", None, f"{where}/{key}/resolution")
+            res = _number(section, "resolution", None, f"{where}/{key}/resolution", out)
         elif key in raw:
             out.append(f"{where}/{key}/resolution: required property is missing")
             res = float("nan")

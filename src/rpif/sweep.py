@@ -30,6 +30,7 @@ from .scenario import (
     _check_gravity,
     _check_params,
     _check_resolution,
+    _number,
     nondimensional,
     scenario_from_dict,
     validate_scenario,
@@ -92,19 +93,12 @@ def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec 
         problems.append(f"/sweep/parameter: must be one of {', '.join(SWEEP_PARAMETERS)}, "
                         f"got {parameter!r}")
 
-    def number(key: str, default):
-        value = raw.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"/sweep/{key}: expected a number, got {value!r}")
-            return float("nan")
-        return float(value)
-
     if scenario is not None and parameter in SWEEP_PARAMETERS:
         base = _base_value(scenario, parameter)
     else:
         base = 0.0
-    start = number("start", base)
-    stop = number("stop", start)
+    start = _number(raw, "start", base, "/sweep/start", problems)
+    stop = _number(raw, "stop", start, "/sweep/stop", problems)
 
     steps_raw = raw.get("steps", 1)
     if isinstance(steps_raw, bool) or not isinstance(steps_raw, int) or steps_raw < 1:
@@ -345,19 +339,9 @@ def render_json(rows: Sequence[ResultRow]) -> str:
 
     payload = []
     for row in rows:
-        entry = {
-            "swept_value": cell(row.swept_value),
-            "mode": row.mode,
-            "intensity": cell(row.intensity),
-            "reduced_i": cell(row.reduced_i),
-            "i1": cell(row.i1), "i2": cell(row.i2), "i3": cell(row.i3),
-            "i4": cell(row.i4), "i5": cell(row.i5),
-            "phase_difference": cell(row.phase_difference),
-            "residual": cell(row.residual),
-            "oracle_dev": cell(row.oracle_dev),
-        }
-        if row.error is not None:
-            entry["error"] = row.error
+        entry = {key: cell(value) for key, value in row._asdict().items()}
+        if row.error is None:
+            del entry["error"]  # the last key, only where the row failed
         payload.append(entry)
     return json.dumps(payload, indent=2) + "\n"
 

@@ -126,8 +126,10 @@ def test_line_rows_keep_leading_axes_and_each_converge():
 
 @pytest.mark.parametrize("breaks", [(), (0.37, 0.61)])
 def test_triangle_chunks_bound_each_call_and_keep_the_sum(monkeypatch, breaks):
-    # chunks of two panels carry the running inner sum across chunk and
-    # segment edges; the result matches one call per level to rounding
+    # room for three panels' 3*order points gives chunks of two panels,
+    # the largest power of two that fits; they carry the running inner sum
+    # across chunk and segment edges, and the result matches one call per
+    # level to rounding
     def factors(t, s):
         seen.append(t.size)
         rows = np.stack((np.exp(1j * 30.0 * t), t * t + 0j))
@@ -136,10 +138,24 @@ def test_triangle_chunks_bound_each_call_and_keep_the_sum(monkeypatch, breaks):
     whole = integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
     assert max(seen) > 2 * GAUSS_ORDER
     seen = []
-    monkeypatch.setattr(quadrature, "CHUNK_NODES", 2 * GAUSS_ORDER)
+    monkeypatch.setattr(quadrature, "BATCH_POINTS", 3 * 3 * GAUSS_ORDER)
     chunked = integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
     assert max(seen) == 2 * GAUSS_ORDER
     assert abs(chunked - whole) <= 1e-14 * abs(whole)
+
+
+def test_triangle_calls_stay_within_batch_points():
+    # a kink off the breakpoints never converges, so the panels double to
+    # the budget; each call sees at most 64 panels, 512 outer nodes at
+    # order 8, and their 3*512 points fit in BATCH_POINTS
+    def factors(t, s):
+        seen.append((t.size, s.size))
+        return [np.abs(t - 0.37) + 0j], [np.ones_like(s)]
+    seen = []
+    with pytest.raises(QuadratureError):
+        integrate_triangle(factors, 0.0, 1.0)
+    assert max(n for n, _ in seen) == 64 * GAUSS_ORDER
+    assert all(n + m <= quadrature.BATCH_POINTS for n, m in seen)
 
 
 def test_determinism():
@@ -398,7 +414,7 @@ def test_leggauss_runs_once_per_order(monkeypatch):
         return leggauss(order)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     # empty rule tables of their own, which the test leaves behind
-    for name in ("_gauss", "_reference_rule", "_partial_weights", "_nested_rule"):
+    for name in ("_gauss", "_reference_rule", "_partial_weights"):
         table = getattr(quadrature, name)
         monkeypatch.setattr(quadrature, name,
                             functools.lru_cache(table.cache_parameters()["maxsize"])(

@@ -112,6 +112,17 @@ def test_oracle_schedule_must_double():
     assert any("/sweep/oracle" in v for v in err.value.violations)
 
 
+def test_non_numbers_are_reported_alike_in_the_scenario_and_the_sweep():
+    doc = dict(BASE_CONFIG, z1=True, params={"g": "9.8"},
+               sweep={"parameter": "z2", "start": False, "stop": [1], "steps": 2})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.violations == ["/params/g: expected a number, got '9.8'",
+                                    "/z1: expected a number, got True",
+                                    "/sweep/start: expected a number, got False",
+                                    "/sweep/stop: expected a number, got [1]"]
+
+
 def test_invalid_scenario_value_diagnostic():
     doc = dict(BASE_CONFIG)
     doc["params"] = {"m": -1.0}

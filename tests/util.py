@@ -122,7 +122,7 @@ def reference_triangle(fn, a, b, *, rtol=quadrature.DEFAULT_RTOL,
     prev = None
     panels = 1
     while panels * order <= axis_budget:
-        u, wu = quadrature._reference_rule(panels, order)
+        u, wu, _, _ = quadrature._reference_rule(panels, order)
         t = a + width * u
         inner_width = t - a
         s = a + inner_width[:, None] * u[None, :]
