@@ -22,12 +22,17 @@ endpoints: r = u_c + g*u_f - kap*z1*e_0 - kap*z2*e_(N-2) and s0 is a
 quadratic in (g, z1, z2).  So each beam is reduced once per level to rows
 free of g and the endpoints (``LatticeRows``): the log of the propagator
 at level N is a constant plus a quadratic form in x = (1, g, z1, z2).
-Both pieces of the reduction have closed forms for this A, each one
-numpy pass: log det A as a sum over its eigenvalues, and 1/2 r^T A^(-1) r
-by polarizing its Green's-function form over the four vectors of r.  The
-beams of an evaluation are reduced together (``_batch_lattice_rows``),
-each distinct function sampled once per level, so a sweep of z2, g or the
-units costs an O(1) read per level per point.
+Both pieces of the reduction have closed forms for this A, in psi with
+cosh(psi) = 1 - lam/kap, computed once per level: log det A in O(1), as
+(N-1)*log(-kap) + log(sinh(N*psi)/sinh(psi)) with the log sinh continued
+from 0 so that the phase stays continuous, and 1/2 r^T A^(-1) r by
+polarizing its Green's-function form over the four vectors of r, over a
+sinh(k*psi) table built by angle addition.  The record and frame vectors
+stay real; lam and the force factor scale the 4x4 form.  The beams of an
+evaluation are reduced together (``_batch_lattice_rows``), each distinct
+function sampled once per level through one ``TimeFunction.sampler`` for
+the batch, so a sweep of z2, g or the units costs an O(1) read per level
+per point.
 
 ``QuadraticForm``, ``assemble_quadratic_form`` and ``gaussian_reduce``
 keep the per-form path, one beam at one level N with the scenario's g and
@@ -44,7 +49,6 @@ independence is the point.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +61,11 @@ from .timefunctions import TimeFunction
 #: the spacing of doubles at 1, which bounds the relative rounding of each
 #: term of a lattice exponent
 _EPS = float(np.finfo(float).eps)
+
+_LOG_TWO = math.log(2.0)
+
+#: block length of the angle-addition sinh table (``_sinh_table``)
+_SINH_BLOCK = 64
 
 
 def _check_level(n: int) -> None:
@@ -106,73 +115,94 @@ class LatticeRows:
         return _EPS * (self.scale + np.abs(self.quad) @ x @ x)
 
 
-def _midpoint_samples(fn: TimeFunction, tau_start: float, tau_end: float,
-                      n: int) -> np.ndarray:
-    """fn at the midpoints of the N slices of [tau_start, tau_end]."""
+def _midpoint_samples(sample, tau_start: float, tau_end: float, n: int) -> np.ndarray:
+    """A function's values at the midpoints of the N slices of
+    [tau_start, tau_end], through its ``TimeFunction.sampler`` over the
+    window."""
     h = (tau_end - tau_start) / n
-    return np.asarray(fn(tau_start + h * (np.arange(n) + 0.5)), dtype=float)
+    return sample(tau_start + h * (np.arange(n) + 0.5))
 
 
-@functools.lru_cache(maxsize=12)
-def _sin_sq(n: int) -> np.ndarray:
-    """sin^2(j*pi/(2N)) for j = 1..N-1.
+def _psi(lam: float, kap: complex) -> complex:
+    """psi with cosh(psi) = 1 - lam/kap, Re(psi) >= 0."""
+    return 2.0 * cmath.asinh(cmath.sqrt(2.0 * lam / (-4.0 * kap)))
 
-    A table of N alone, kept for the levels of a few schedules, which
-    recur from one evaluation to the next.
+
+def _log_sinh(z: complex) -> complex:
+    """log sinh z, continued from z = 0 through Re(z) > 0.
+
+    For |z| < 1, sinh z has a positive real part, so its principal log is
+    that continuation; beyond, z - log 2 + log(1 - exp(-2z)) is, and it
+    neither overflows nor drops the multiples of 2*pi*i that Im(z) carries.
     """
-    out = np.sin(np.arange(1, n) * (math.pi / (2 * n))) ** 2
-    out.setflags(write=False)
-    return out
+    if abs(z) < 1.0:
+        return cmath.log(cmath.sinh(z))
+    return z - _LOG_TWO + cmath.log(1.0 - cmath.exp(-2.0 * z))
 
 
-def _log_det(n: int, lam: float, kap_im: float) -> complex:
-    """log det A for A = 2*lam*I + kap*tridiag(1, -2, 1) of size N-1, kap = i*kap_im.
+def _log_det(n: int, kap_im: float, psi: complex) -> complex:
+    """log det A for A = 2*lam*I + kap*tridiag(1, -2, 1) of size N-1,
+    kap = i*kap_im and psi = ``_psi(lam, kap)``.
 
-    The eigenvalues are 2*lam - 4*kap*s_j^2 with s_j = sin(j*pi/(2N)),
-    j = 1..N-1; their real parts are all 2*lam >= 0, so the principal logs
-    sum to the continuous phase of det A.  The sum is taken factored as
-    (N-1)*log(-kap) + log N + sum log1p(2*lam/(-4*kap*s_j^2)), using
-    prod 4*s_j^2 = N, which keeps the O(N) size of each log out of the
-    rounding of the sum.  The log1p argument is purely imaginary, i*y with
-    y = lam/(2*kap_im*s_j^2), so log1p(i*y) = 1/2*log1p(y^2) + i*atan(y) is
-    done in real arithmetic.
+    A = -kap*tridiag(-1, 2*cosh(psi), -1), whose determinant is the
+    continuant sinh(N*psi)/sinh(psi) (Hu and O'Connell 1996), so
+    log det A = (N-1)*(log kap_im - i*pi/2) + log sinh(N*psi) - log sinh(psi).
+    Every eigenvalue of A has real part 2*lam >= 0, so det A never
+    vanishes for lam > 0 and its continuous phase is the one reached from
+    lam = 0, where the ratio of sinhs is N: both log sinh are continued
+    from 0 (``_log_sinh``), and the value stays finite far past the
+    stability guard.
     """
-    y = lam / (2.0 * kap_im) / _sin_sq(n)
-    return complex((n - 1) * math.log(kap_im) + math.log(n)
-                   + 0.5 * float(np.sum(np.log1p(y * y))),
-                   -(n - 1) * (math.pi / 2.0) + float(np.sum(np.arctan(y))))
+    ratio = math.log(n) if psi == 0 else _log_sinh(n * psi) - _log_sinh(psi)
+    return complex((n - 1) * math.log(kap_im) + ratio.real,
+                   -(n - 1) * (math.pi / 2.0) + ratio.imag)
 
 
-def _green_form(n: int, lam: float, kap: complex, u_c: np.ndarray,
-                u_f: np.ndarray) -> np.ndarray:
+def _sinh_table(psi: complex, n: int) -> np.ndarray:
+    """sinh(k*psi) for k = 1..N by angle addition: with k = q + r, q a
+    multiple of ``_SINH_BLOCK`` and 1 <= r <= ``_SINH_BLOCK``,
+
+        sinh(k*psi) = sinh(r*psi)*cosh(q*psi) + cosh(r*psi)*sinh(q*psi),
+
+    which takes about N/64 + 64 complex sinh and cosh instead of N."""
+    r = psi * np.arange(1, _SINH_BLOCK + 1)
+    q = (psi * _SINH_BLOCK) * np.arange(-(-n // _SINH_BLOCK))
+    table = np.outer(np.cosh(q), np.sinh(r)) + np.outer(np.sinh(q), np.cosh(r))
+    return table.ravel()[:n]
+
+
+def _green_form(n: int, lam: float, kap: complex, gam: complex, psi: complex,
+                p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The symmetric bilinear form B(v, w) = 1/2 v^T A^(-1) w over the
-    vectors (u_c, u_f, -kap*e_0, -kap*e_(N-2)), as a 4x4 matrix.
+    vectors (lam*p, -gam*r, -kap*e_0, -kap*e_(N-2)), as a 4x4 matrix.
 
     From the LDL^T factorization in Green's-function form: with
-    cosh(psi) = 1 - lam/kap and sh_k = sinh(k*psi), the pivots are
-    -kap*sh_(k+1)/sh_k, and
+    cosh(psi) = 1 - lam/kap and sh_k = sinh(k*psi) (``_sinh_table``), the
+    pivots are -kap*sh_(k+1)/sh_k, and
 
         B(v, w) = -1/(2*kap) * sum_k C_k(v)*C_k(w) / (sh_k*sh_(k+1)),
         C_k(v) = sum_(j<=k) sh_j*v_j,
 
-    so u_c and u_f take one cumulative sum each; C(e_0) is the constant
-    sh_1 and C(e_(N-2)) is nonzero only at the last k.  Under the
+    so the real p and r take one cumulative sum each, and lam and -gam
+    scale the 4x4 entries rather than the O(N) vectors; C(e_0) is the
+    constant sh_1 and C(e_(N-2)) is nonzero only at the last k.  Under the
     stability guard |Re(N*psi)| stays below about 43, so no sinh overflows.
     """
-    psi = 2.0 * cmath.asinh(cmath.sqrt(2.0 * lam / (-4.0 * kap)))
-    shs = np.sinh(psi * np.arange(1, n + 1)) if psi != 0 else np.arange(1.0, n + 1)
+    shs = _sinh_table(psi, n) if psi != 0 else np.arange(1.0, n + 1)
     weights = 1.0 / (shs[:-1] * shs[1:])
-    cum_c = np.cumsum(shs[:-1] * u_c)
-    cum_f = np.cumsum(shs[:-1] * u_f)
+    cum_c = np.cumsum(shs[:-1] * p)
+    cum_f = np.cumsum(shs[:-1] * r)
     cum_cw = cum_c * weights
     cum_fw = cum_f * weights
     first, last, w_last = complex(shs[0]), complex(shs[-2]), complex(weights[-1])
     scale = -0.5 / kap
-    cc = scale * complex(np.dot(cum_cw, cum_c))
-    cf = scale * complex(np.dot(cum_cw, cum_f))
-    ff = scale * complex(np.dot(cum_fw, cum_f))
-    c0, f0 = 0.5 * first * complex(cum_cw.sum()), 0.5 * first * complex(cum_fw.sum())
-    c1, f1 = 0.5 * last * complex(cum_cw[-1]), 0.5 * last * complex(cum_fw[-1])
+    cc = scale * lam * lam * complex(np.dot(cum_cw, cum_c))
+    cf = -scale * lam * gam * complex(np.dot(cum_cw, cum_f))
+    ff = scale * gam * gam * complex(np.dot(cum_fw, cum_f))
+    c0 = 0.5 * lam * first * complex(cum_cw.sum())
+    f0 = -0.5 * gam * first * complex(cum_fw.sum())
+    c1 = 0.5 * lam * last * complex(cum_cw[-1])
+    f1 = -0.5 * gam * last * complex(cum_fw[-1])
     e00 = -0.5 * kap * first * first * complex(weights.sum())
     e01 = -0.5 * kap * first * last * w_last
     e11 = -0.5 * kap * last * last * w_last
@@ -204,9 +234,10 @@ def _reduce_level(n: int, m: float, hbar: float, duration: float,
     if n == 1:
         return log_norm + weight_const, quad, abs(log_norm) + abs(weight_const)
 
-    logdet = _log_det(n, lam, kap_im)
-    quad += _green_form(n, lam, kap, lam * (c_mid[:-1] + c_mid[1:]),
-                        -gam * (f_mid[:-1] + f_mid[1:]))
+    psi = _psi(lam, kap)
+    logdet = _log_det(n, kap_im, psi)
+    quad += _green_form(n, lam, kap, gam, psi, c_mid[:-1] + c_mid[1:],
+                        f_mid[:-1] + f_mid[1:])
     log_two_pi = ((n - 1) / 2.0) * math.log(2.0 * math.pi)
     const = log_norm + log_two_pi - 0.5 * logdet + weight_const
     if not (cmath.isfinite(const) and np.all(np.isfinite(quad))):
@@ -220,17 +251,21 @@ def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     """Beams that share the frame profile and the units, each reduced at
     every level of the schedule; none of it depends on g, z1 or z2.  Each
     distinct function (the frame profile and the records, compared by
-    value) is sampled once per level.  Returns each beam's rows, or the
-    RpifError that it raises on its own."""
+    value) gets one sampler for the batch, so its domain is checked once,
+    and is sampled once per level.  Returns each beam's rows, or the
+    RpifError that it raises on its own, a failed domain check included."""
     duration = tau_end - tau_start
     out: list = [None] * len(beams)
     levels: list = [[] for _ in beams]
+    samplers: dict = {}
     for n in schedule:
         samples: dict = {}
 
         def sample(fn):
             if fn not in samples:
-                samples[fn] = _midpoint_samples(fn, tau_start, tau_end, n)
+                if fn not in samplers:
+                    samplers[fn] = fn.sampler(tau_start, tau_end)
+                samples[fn] = _midpoint_samples(samplers[fn], tau_start, tau_end, n)
             return samples[fn]
 
         for i, beam in enumerate(beams):

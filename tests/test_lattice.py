@@ -1,5 +1,6 @@
 import ast
 import cmath
+import math
 import pathlib
 
 import numpy as np
@@ -17,13 +18,22 @@ from rpif import (
 )
 from rpif.lattice import (
     QuadraticForm,
+    _batch_lattice_rows,
     _log_det,
+    _psi,
     _rows,
+    _sinh_table,
     _toeplitz_reduce,
     assemble_quadratic_form,
     gaussian_reduce,
 )
-from rpif.timefunctions import ConstantFunction, SinusoidFunction
+from rpif.scenario import BeamRecord
+from rpif.timefunctions import (
+    ConstantFunction,
+    LinearFunction,
+    SinusoidFunction,
+    TimeFunction,
+)
 from util import (
     gaussian_exponent_terms,
     lattice_values,
@@ -44,7 +54,8 @@ def _level_logdet(scenario, label, n):
     p = scenario.params
     h = p.duration / n
     lam = 2.0 * h / (p.duration * scenario.beam(label).resolution ** 2)
-    return _log_det(n, lam, p.m / (p.hbar * h))
+    kap_im = p.m / (p.hbar * h)
+    return _log_det(n, kap_im, _psi(lam, 1j * kap_im))
 
 
 def _level_quad(scenario, label, n):
@@ -229,10 +240,40 @@ def test_rows_match_the_per_form_reference_at_every_level(wt):
                 assert abs(value - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
 
+def test_rows_sample_without_calling_the_time_functions(monkeypatch):
+    # each function's domain is checked against the window once, by its
+    # sampler; no level goes through TimeFunction.__call__
+    scenario = make_scenario(a=SinusoidFunction(0.3, 7.0, 0.2),
+                             f=SinusoidFunction(0.5, 3.0, 1.1))
+    schedule = (4, 8, 16)
+    expect = _rows(scenario, "a", schedule)
+
+    def called(self, t):
+        raise AssertionError("TimeFunction.__call__ on the lattice path")
+    monkeypatch.setattr(TimeFunction, "__call__", called)
+    got = _rows(scenario, "a", schedule)
+    assert (got.const.tobytes(), got.quad.tobytes()) == (expect.const.tobytes(),
+                                                         expect.quad.tobytes())
+
+
+@pytest.mark.parametrize("which", ["record", "frame profile"])
+def test_a_domain_short_of_the_window_fails_its_lattice_rows(which):
+    # the window, not a level's midpoints, is checked: a short record
+    # fails its own beam only, a short frame profile fails both
+    short = LinearFunction(0.3, -0.1, domain=(0.0, 0.5))
+    good = BeamRecord(SinusoidFunction(0.3, 7.0, 0.2), 1.0)
+    beam = BeamRecord(short, 1.0) if which == "record" else good
+    frame = short if which == "frame profile" else ConstantFunction(0.5)
+    entries = _batch_lattice_rows((beam, good), frame, 1.0, 1.0, 0.0, 1.0, (4, 8, 16))
+    assert isinstance(entries[0], ValidationError)
+    assert str(entries[0]).endswith("time 0..1 outside domain [0, 0.5] for linear function")
+    assert isinstance(entries[1], ValidationError) == (which == "frame profile")
+
+
 @pytest.mark.parametrize("wt", [5e-3, 2.0, 59.9])
 def test_log_det_against_mpmath(wt):
-    # the eigenvalue sum at 40 digits; the real-arithmetic log1p keeps the
-    # error within two units in the last place of log det A
+    # the eigenvalue sum at 40 digits; the closed form keeps the error
+    # within two units in the last place of log det A
     mpmath = pytest.importorskip("mpmath")
     n = 4096
     h = 1.0 / n
@@ -241,8 +282,72 @@ def test_log_det_against_mpmath(wt):
         expect = complex(mpmath.fsum(
             mpmath.log(mpmath.mpc(2 * lam, -4 * mpmath.sin(j * mpmath.pi / (2 * n)) ** 2 / h))
             for j in range(1, n)))
-    got = _log_det(n, lam, 1.0 / h)
+    got = _log_det(n, 1.0 / h, _psi(lam, 1j / h))
     assert abs(got - expect) <= 2.0 * np.spacing(abs(expect))
+
+
+def _level_psi(wt, n):
+    """(lam, kap_im, psi) of a beam with |wT| = wt at N slices, m = hbar = T = 1."""
+    h = 1.0 / n
+    lam = 2.0 * h * (wt / 2.0) ** 2
+    return lam, 1.0 / h, _psi(lam, 1j / h)
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("wt", _WT_GRID)
+def test_sinh_table_against_mpmath(wt, n):
+    # every k of the angle-addition table against 40-digit sinh(k*psi) at
+    # the same psi; np.sinh over all N points is off by up to 4.7e-15
+    mpmath = pytest.importorskip("mpmath")
+    psi = _level_psi(wt, n)[2]
+    got = _sinh_table(psi, n)
+    assert got.shape == (n,)
+    with mpmath.workdps(40):
+        step = mpmath.exp(mpmath.mpc(psi.real, psi.imag))
+        power, expect = mpmath.mpc(1), []
+        for _ in range(n):
+            power *= step
+            expect.append(complex((power - 1 / power) / 2))
+    expect = np.array(expect)
+    assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-14
+
+
+@pytest.mark.parametrize("wt", _WT_GRID + (100.0, 400.0, 2e4))
+def test_closed_log_det_against_mpmath_past_the_guard(wt):
+    # the eigenvalue sum at 40 digits, over the guarded range and far past
+    # it, where sinh(N*psi) itself overflows: the continued log sinh keeps
+    # log det A finite, with its continuous phase, within two units in the
+    # last place
+    mpmath = pytest.importorskip("mpmath")
+    n = 4096
+    lam, kap_im, psi = _level_psi(wt, n)
+    with mpmath.workdps(40):
+        expect = complex(mpmath.fsum(
+            mpmath.log(mpmath.mpc(2 * lam,
+                                  -4 * kap_im * mpmath.sin(j * mpmath.pi / (2 * n)) ** 2))
+            for j in range(1, n)))
+    got = _log_det(n, kap_im, psi)
+    assert abs(got - expect) <= 2.0 * np.spacing(abs(expect))
+
+
+@pytest.mark.parametrize("wt", _WT_GRID)
+def test_closed_log_det_matches_the_eigenvalue_sum_on_few_slices(wt):
+    # N = 2, 3 and 16, where the continued log sinh stays near the origin,
+    # against the reference's sum over the eigenvalues of the assembled A
+    scenario = make_scenario(delta_a=2.0 / wt)
+    for n in (2, 3, 16):
+        form = assemble_quadratic_form(scenario, "a", n)
+        expect = _toeplitz_reduce(form.diag, form.off, form.linear)[0]
+        assert abs(_level_logdet(scenario, "a", n) - expect) <= 1e-14 * abs(expect)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 4096])
+def test_log_det_without_measurement_is_exact(n):
+    # lam = 0: psi = 0 and sinh(N*psi)/sinh(psi) is N, exactly
+    kap_im = 1.0 * n
+    got = _log_det(n, kap_im, _psi(0.0, 1j * kap_im))
+    assert got == complex((n - 1) * math.log(kap_im) + math.log(n),
+                          -(n - 1) * math.pi / 2.0)
 
 
 def test_overflowing_level_reported():
