@@ -406,25 +406,6 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam
     return pairs
 
 
-def _pair(first, second):
-    """The same part of a point's two beams, ``first`` of beam a and
-    ``second`` of beam b, or the first of them that is an RpifError."""
-    for part in (first, second):
-        if isinstance(part, RpifError):
-            return part
-    return first, second
-
-
-def _named_amplitude(label: str, beam: BeamRecord, prefactor: complex,
-                     weight_exponent: float, action: complex, hbar: float) -> complex:
-    """The amplitude of beam ``label`` from its action; a failure names the
-    beam."""
-    try:
-        return _amplitude(beam, prefactor, weight_exponent, 1j * action / hbar)
-    except RpifError as exc:
-        raise RpifError(f"beam_{label}: {exc}") from None
-
-
 class _Group:
     """Points evaluated together: g, z1, z2 and m, and each beam's action
     rows and printed-form numbers, as numbers for a group of one point and
@@ -498,19 +479,18 @@ def _listed(value) -> list[float]:
     return value.tolist() if isinstance(value, np.ndarray) else [value]
 
 
-def _failure(modes: Sequence[str], error: RpifError,
-             literal_error: RpifError | None) -> list[RpifError]:
-    """Every mode's result of a point that failed with ``error``: the
-    literal mode keeps its own earlier failure, if it had one."""
-    return [literal_error or error if mode == MODE_LITERAL else error for mode in modes]
-
-
-def _amplitudes(nd: Scenario, a: _Beam, b: _Beam, actions: Sequence[complex]
-                ) -> tuple[complex, complex]:
-    """U_a and U_b of a point from its two actions."""
-    (_, prefactor_a, weight_a), (_, prefactor_b, weight_b) = a.action, b.action
-    return (_named_amplitude("a", a.beam, prefactor_a, weight_a, actions[0], nd.params.hbar),
-            _named_amplitude("b", b.beam, prefactor_b, weight_b, actions[1], nd.params.hbar))
+def _amplitudes(pair: tuple[_Beam, _Beam], actions: Sequence[complex], hbar: float
+                ) -> tuple[complex, complex] | RpifError:
+    """U_a and U_b of a point from its two actions, or the RpifError of the
+    first that fails, naming its beam."""
+    out = []
+    for label, beam, action in zip("ab", pair, actions):
+        _, prefactor, weight_exponent = beam.action
+        try:
+            out.append(_amplitude(beam.beam, prefactor, weight_exponent, 1j * action / hbar))
+        except RpifError as exc:
+            return RpifError(f"beam_{label}: {exc}")
+    return tuple(out)
 
 
 def _oracle_deviation(nd: Scenario, pair: tuple[_Beam, _Beam],
@@ -534,6 +514,22 @@ def _oracle_deviation(nd: Scenario, pair: tuple[_Beam, _Beam],
     return worst
 
 
+def _fail(row: dict, part, modes: Sequence[str] | None = None) -> None:
+    """Fail a point's ``row`` with ``part`` if it is an RpifError: it fills
+    each of ``modes`` (all of the row's by default) that is still open,
+    that is, holds no RpifError yet, so each mode keeps its first failure.
+    Anything else is no failure and leaves the row as it is."""
+    if isinstance(part, RpifError):
+        for mode in row if modes is None else modes:
+            if not isinstance(row[mode], RpifError):
+                row[mode] = part
+
+
+def _open(row: dict) -> bool:
+    """Whether any mode of a point's row is still open."""
+    return not all(isinstance(entry, RpifError) for entry in row.values())
+
+
 def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
               schedule: Sequence[int] | None = None
               ) -> list[tuple[list[tuple | RpifError], float | None]]:
@@ -542,118 +538,91 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
 
     For each point returns each mode's numbers (``_ROW_NUMBERS``), or the
     RpifError that failed it, and the oracle deviation, or None without a
-    schedule or when every mode failed.  Everything that depends on neither
+    schedule or once every mode failed.  Everything that depends on neither
     g nor the endpoints is computed once per distinct beam (``_Beam``), and
     held only until the evaluation returns.  The points are then evaluated
     together: their rows at g, actions and terms as array arithmetic that
     gives each point the bits it gets alone (``_Complex``), and per point
-    only the two amplitudes, the intensity and reduced_i.  The modes share
-    the stability check, the actions and the amplitudes; only the printed
-    i5 rows are the literal mode's own, so their failure fails that mode
-    alone, and it is reported ahead of a failure of the shared part.
+    only the two amplitudes, the intensity and reduced_i.
 
-    The oracle reduces the beams of every point that reached its
-    amplitudes, each distinct beam once per level, one batch per frame
+    A table holds each point's entry in each mode, and every stage fails
+    points by one rule (``_fail``): its error fills the modes of the point
+    that are still open, beam a's error before beam b's.  The stages run in
+    the order stability guard, printed i5 rows (the literal mode's alone),
+    action rows, actions and amplitudes, each mode's terms, and oracle.  A
+    stage runs only for the points with an open mode, and a mode's terms
+    over exactly the points where it is open.  The oracle reduces the beams
+    of those points, each distinct beam once per level, one batch per frame
     profile and units (``lattice._batch_lattice_rows``); its deviation is
-    shared by every mode of a point, and an oracle error fails each mode
-    that had not failed on its own.
+    shared by the open modes of a point, and its error replaces their
+    numbers.
     """
     pairs = _beams(points, modes)
-    out: list = [None] * len(points)
-    failed: dict[int, RpifError] = {}   # a point's literal-mode failure
-    live = []                           # the points that reach their actions
-    for i, (a, b) in enumerate(pairs):
-        error = a.error or b.error
-        if error is None and MODE_LITERAL in modes:
-            printed = _pair(a.printed, b.printed)
-            if isinstance(printed, RpifError):
-                failed[i] = printed
-                if len(modes) == 1:
-                    error = printed
-        if error is None:
-            actions = _pair(a.action, b.action)
-            if isinstance(actions, RpifError):
-                error = actions
-        if error is None:
-            live.append(i)
-        else:
-            out[i] = (_failure(modes, error, failed.get(i)), None)
+    table = [dict.fromkeys(modes) for _ in points]   # per mode: None, numbers or RpifError
+    literal = [MODE_LITERAL] if MODE_LITERAL in modes else []
+    for row, (a, b) in zip(table, pairs):
+        for part, among in ((a.error, None), (b.error, None), (a.printed, literal),
+                            (b.printed, literal), (a.action, None), (b.action, None)):
+            _fail(row, part, among)
+
+    def group(indices):
+        return _Group([points[i] for i in indices], [pairs[i] for i in indices])
+
+    live = [i for i, row in enumerate(table) if _open(row)]
+    amplitudes = {}
     # a few points cost less one by one than as arrays
-    groups = [live] if len(live) >= VECTOR_POINTS else [[i] for i in live]
-    for indices in groups:
-        _evaluate_group(points, pairs, indices, modes, failed, out)
+    for members in [live] if len(live) >= VECTOR_POINTS else [[i] for i in live]:
+        whole = group(members)
+        blocks = whole.blocks()
+        shared = {}   # pd, intensity and reduced_i of each point that has its amplitudes
+        for i, actions in zip(members, whole.actions(blocks)):
+            hbar = points[i].params.hbar
+            found = actions if isinstance(actions, RpifError) else _amplitudes(
+                pairs[i], actions, hbar)
+            _fail(table[i], found)
+            if not isinstance(found, RpifError):
+                ua, ub = amplitudes[i] = found
+                pd = actions[0].real - actions[1].real
+                shared[i] = (pd, abs(ua + ub) ** 2, math.cos(pd / hbar))
+        # each mode's terms and residual, over the points where it is open; a
+        # term that overflows where the actions do not fails its mode
+        # (``_numbers``), with no numpy warning
+        for mode in modes:
+            indices = [i for i in shared if not isinstance(table[i][mode], RpifError)]
+            if not indices:
+                continue
+            subgroup = whole if indices == members else group(indices)
+            at_g = blocks if subgroup is whole else subgroup.blocks()
+            differences = _grouped([shared[i][0] for i in indices])
+            with np.errstate(over="ignore", invalid="ignore"):
+                i1, i2, i3, i4, i5 = subgroup.terms(mode, at_g)
+                residual = abs(i1 + i2 + i3 + i4 + i5 - differences)
+            for i, terms in zip(indices, zip(*map(_listed, (i1, i2, i3, i4, i5, residual)))):
+                table[i][mode] = _numbers(mode, *shared[i], terms)
     devs: dict[int, float] = {}
     if schedule:
-        reached = [i for i, (_, amplitudes) in enumerate(out) if amplitudes is not None]
+        reached = [i for i, row in enumerate(table) if _open(row)]
         beams = list(dict.fromkeys(beam for i in reached for beam in pairs[i]))
         for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, tuple(schedule),
                                            by_layout=False)):
             beam.lattice_rows = rows
         for i in reached:
-            results, amplitudes = out[i]
             try:
-                devs[i] = _oracle_deviation(points[i], pairs[i], amplitudes, schedule)
+                devs[i] = _oracle_deviation(points[i], pairs[i], amplitudes[i], schedule)
             except RpifError as exc:
-                out[i] = ([r if isinstance(r, RpifError) else exc for r in results], None)
-    return [(results, devs.get(i)) for i, (results, _) in enumerate(out)]
+                _fail(table[i], exc)
+    return [(list(row.values()), devs.get(i)) for i, row in enumerate(table)]
 
 
-def _evaluate_group(points: Sequence[Scenario], pairs: Sequence[tuple[_Beam, _Beam]],
-                    members: list[int], modes: Sequence[str], failed: dict[int, RpifError],
-                    out: list) -> None:
-    """The points ``members`` of ``_evaluate`` as one group: their actions,
-    amplitudes and terms, written into ``out``."""
-    def group(indices):
-        return _Group([points[i] for i in indices], [pairs[i] for i in indices])
-
-    whole = group(members)
-    blocks = whole.blocks()
-    shared = {}   # pd, intensity, reduced_i and the amplitudes of each point
-    for i, actions in zip(members, whole.actions(blocks)):
-        nd = points[i]
-        if not isinstance(actions, RpifError):
-            try:
-                ua, ub = _amplitudes(nd, *pairs[i], actions)
-            except RpifError as exc:
-                actions = exc
-        if isinstance(actions, RpifError):
-            out[i] = (_failure(modes, actions, failed.get(i)), None)
-            continue
-        pd = actions[0].real - actions[1].real
-        shared[i] = (pd, abs(ua + ub) ** 2, math.cos(pd / nd.params.hbar), (ua, ub))
-
-    # each mode's terms and residual, over the points it has; a term that
-    # overflows where the actions do not fails its mode (``_finite_terms``),
-    # with no numpy warning
-    terms = {}
-    for mode in modes:
-        indices = [i for i in shared if mode != MODE_LITERAL or i not in failed]
-        if not indices:
-            continue
-        subgroup = whole if indices == members else group(indices)
-        at_g = blocks if subgroup is whole else subgroup.blocks()
-        with np.errstate(over="ignore", invalid="ignore"):
-            i1, i2, i3, i4, i5 = subgroup.terms(mode, at_g)
-            residual = abs(i1 + i2 + i3 + i4 + i5 - _grouped([shared[i][0] for i in indices]))
-        terms[mode] = {i: _finite_terms(mode, row) for i, row in
-                       zip(indices, zip(*map(_listed, (i1, i2, i3, i4, i5, residual))))}
-    for i, (pd, intensity, reduced_i, amplitudes) in shared.items():
-        results = []
-        for mode in modes:
-            row = terms[mode][i] if mode in terms and i in terms[mode] else failed[i]
-            results.append(row if isinstance(row, RpifError)
-                           else (intensity, reduced_i, *row[:5], pd, row[5]))
-        failed_all = all(isinstance(result, RpifError) for result in results)
-        out[i] = (results, None if failed_all else amplitudes)
-
-
-def _finite_terms(mode: str, row: tuple[float, ...]) -> tuple[float, ...] | RpifError:
-    """A mode's i1..i5 and residual at a point, or an RpifError naming the
-    first of them that is not finite."""
-    for name, value in zip(("i1", "i2", "i3", "i4", "i5", "residual"), row):
+def _numbers(mode: str, pd: float, intensity: float, reduced_i: float,
+             terms: tuple[float, ...]) -> tuple[float, ...] | RpifError:
+    """A mode's ``_ROW_NUMBERS`` at a point from its i1..i5 and residual
+    ``terms``, or an RpifError naming the first of these that is not
+    finite."""
+    for name, value in zip(("i1", "i2", "i3", "i4", "i5", "residual"), terms):
         if not math.isfinite(value):
             return RpifError(f"{mode}: {name} is not finite ({float(value)})")
-    return row
+    return (intensity, reduced_i, *terms[:5], pd, terms[5])
 
 
 #: what ``_evaluate`` gives for each mode of a point, in the order of the

@@ -131,12 +131,16 @@ def mean_square(c: TimeFunction, params: PhysicalParams) -> float:
 
 def _number(section: Mapping, key: str, default, path: str, out: list[str]) -> float:
     """``section[key]``, or ``default``, as a float: anything else, a bool
-    too, goes into ``out`` as a violation at ``path`` and reads NaN."""
+    too, goes into ``out`` as a violation at ``path`` and reads NaN.  An
+    integer past the float range reads as +-inf, as json reads 1e400."""
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         out.append(f"{path}: expected a number, got {value!r}")
         return float("nan")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _check_gravity(g: float, out: list[str]) -> None:

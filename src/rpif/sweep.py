@@ -99,6 +99,9 @@ def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec 
         base = 0.0
     start = _number(raw, "start", base, "/sweep/start", problems)
     stop = _number(raw, "stop", start, "/sweep/stop", problems)
+    for name, value in (("start", start), ("stop", stop)):
+        if np.isinf(value):
+            problems.append(f"/sweep/{name}: must be finite, got {value!r}")
 
     steps_raw = raw.get("steps", 1)
     if isinstance(steps_raw, bool) or not isinstance(steps_raw, int) or steps_raw < 1:
@@ -146,6 +149,16 @@ def parse_oracle_schedule(raw, where: str) -> tuple[tuple[int, ...] | None, list
     return tuple(vals), []
 
 
+def _integer(digits: str) -> int | float:
+    """A JSON integer.  One with more digits than ``int`` converts
+    (``sys.get_int_max_str_digits``) lies far past the float range, and
+    reads as +-inf, as json reads 1e400."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
 def parse_config(text: str) -> tuple[Scenario, SweepSpec]:
     """Parse and fully validate a JSON config document.
 
@@ -153,7 +166,7 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec]:
     path.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_integer)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"/: malformed JSON ({exc.msg} at line {exc.lineno})"]) from None
     if not isinstance(doc, Mapping):

@@ -24,6 +24,8 @@ _DOMAIN_SLACK = 1e-9
 def _as_float(value, what: str) -> float:
     try:
         out = float(value)
+    except OverflowError:  # an integer past the float range, not finite either
+        out = np.inf
     except (TypeError, ValueError):
         raise ValidationError([f"{what}: not a number ({value!r})"]) from None
     if not np.isfinite(out):

@@ -18,7 +18,7 @@ from rpif.actions import (
     action_kernels,
     ensure_stable,
 )
-from rpif.interference import _named_amplitude
+from rpif.interference import _amplitudes, _Beam
 from sampling import random_scenario
 from rpif.scenario import BeamRecord, PhysicalParams
 from rpif.timefunctions import ConstantFunction
@@ -251,11 +251,13 @@ def test_non_finite_combined_exponent_names_the_beam(action):
     scenario = make_scenario()
     beam, p = scenario.beam_a, scenario.params
     prefactor = _prefactor(ensure_stable(p, beam.resolution), p)
-    with pytest.raises(RpifError, match="restricted_propagator") as info:
-        _named_amplitude("a", beam, prefactor, -2.0 * 0.01 / beam.resolution ** 2,
-                         complex(*action), p.hbar)
-    assert str(info.value).startswith("beam_a: ")
-    assert "not finite" in str(info.value)
+    named = _Beam(beam, scenario.frame_profile, p)
+    named.action = (None, prefactor, -2.0 * 0.01 / beam.resolution ** 2)
+    error = _amplitudes((named, named), (complex(*action), 0j), p.hbar)
+    assert isinstance(error, RpifError)
+    assert "restricted_propagator" in str(error)
+    assert str(error).startswith("beam_a: ")
+    assert "not finite" in str(error)
 
 
 def test_free_particle_propagator_limit():

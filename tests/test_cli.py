@@ -47,6 +47,26 @@ def test_validate_reports_all_violations(tmp_path, capsys):
     assert "/sweep/steps" in err
 
 
+@pytest.mark.parametrize("text, path", [
+    # an integer too large for a float, where the scenario and the sweep read
+    # numbers and where a record is built, and one with more digits than int()
+    # converts, which json.loads cannot read as an int
+    pytest.param('{"z1": 1%s}' % ("0" * 310), "/z1", id="z1"),
+    pytest.param('{"params": {"m": -1%s}}' % ("0" * 310), "/params/m", id="m"),
+    pytest.param('{"sweep": {"start": 0, "stop": 1%s}}' % ("0" * 310), "/sweep/stop",
+                 id="stop"),
+    pytest.param('{"beam_a": {"trajectory": {"kind": "constant", "value": 1%s}, '
+                 '"resolution": 1}}' % ("0" * 310), "/beam_a/trajectory/value", id="record"),
+    pytest.param('{"z2": -1%s}' % ("0" * 5000), "/z2", id="digits"),
+])
+def test_a_number_past_the_float_range_is_a_config_error(tmp_path, capsys, text, path):
+    config = tmp_path / "big.json"
+    config.write_text(text)
+    assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config invalid:") and f"  {path}: must be " in err
+
+
 def test_missing_config_file_is_config_error(capsys):
     assert main(["validate", "--config", "/nonexistent/path.json"]) == EXIT_CONFIG
     assert "cannot read config" in capsys.readouterr().err

@@ -418,6 +418,29 @@ def test_a_literal_failure_fails_only_the_literal_row(monkeypatch):
         assert derived.error is None and derived.oracle_dev <= 1e-6
 
 
+def test_an_oracle_failure_keeps_the_earlier_failure_of_a_mode(monkeypatch):
+    # the printed rows stall, and beam a lies 200 resolutions out, where its
+    # lattice amplitude underflows: the literal rows keep their own error, the
+    # oracle's fails the derived rows, and no row has a deviation
+    from rpif import QuadratureError, interference
+
+    def stall(*args):
+        raise QuadratureError("printed rows stalled")
+    monkeypatch.setattr(interference, "_batch_literal_rows", stall)
+    delta = 2.0 / 55.0
+    scenario, _ = parse_config(_config(beam_a={
+        "trajectory": {"kind": "constant", "value": 200.0 * delta}, "resolution": delta}))
+    spec = SweepSpec(parameter="z2", start=0.0, stop=0.5, steps=2, mode="both",
+                     oracle_schedule=(256, 512, 1024))
+    rows = run_sweep(scenario, spec)
+    assert [row.mode for row in rows] == ["paper-literal", "derived"] * 2
+    for literal, derived in zip(rows[::2], rows[1::2]):
+        assert literal.error == "QuadratureError: printed rows stalled"
+        assert derived.error.startswith(
+            "LatticeError: beam_a: the lattice amplitude underflows to 0")
+        assert literal.oracle_dev is None and derived.oracle_dev is None
+
+
 # a beam that fails a point at one stage: the stability guard (in internal
 # units |wT| = 2/delta > 60), its printed rows (omega = 30 000, whose printed
 # i5 triangle stalls, and its action rows' line integral too), or its
