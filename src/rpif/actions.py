@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -278,32 +278,14 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: flo
     return (kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c, q12_ff, q12_fc, q12_cc)
 
 
-def _samplers(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
-              tau_start: float, tau_end: float, out: list):
-    """The frame profile's sampler over the window and one per distinct
-    record of the beams whose entry in ``out`` is still None (``sampler``:
-    each domain is checked once).  A beam whose record fails the check gets
-    its ValidationError in ``out``, and every such beam gets the frame
-    profile's; the frame sampler is then None."""
-    records: dict = {}
-    for i, beam in enumerate(beams):
-        if out[i] is None:
-            sample = records.get(beam.trajectory)
-            if sample is None:
-                try:
-                    sample = beam.trajectory.sampler(tau_start, tau_end)
-                except RpifError as exc:
-                    sample = exc
-                records[beam.trajectory] = sample
-            if isinstance(sample, RpifError):
-                out[i] = sample
-    try:
-        return frame_profile.sampler(tau_start, tau_end), records
-    except RpifError as exc:
-        for i, entry in enumerate(out):
-            if entry is None:
-                out[i] = exc
-        return None, records
+def _samplers(beams: Sequence[BeamRecord]) -> quadrature.Samples:
+    """The beams' records for a batched pass: one sampler per distinct
+    record, compared by value, so that each is sampled once per call."""
+    samplers: dict = {}
+    for beam in beams:
+        if beam.trajectory not in samplers:
+            samplers[beam.trajectory] = beam.trajectory.sampler()
+    return quadrature.Samples([samplers[beam.trajectory] for beam in beams])
 
 
 def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
@@ -314,7 +296,7 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
     call, and <c^2> once per distinct record.  None of the rows depends on
     z1, z2 or g.  Returns each beam's rows, or the RpifError that it raises
     on its own, with the error of the first step that fails alone: the
-    stability guard, the domains, the integrals, <c^2>."""
+    stability guard, the integrals, <c^2>."""
     params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
     out: list = [None] * len(beams)
     ws = {}
@@ -323,13 +305,13 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
             ws[i] = ensure_stable(params, beam.resolution)
         except RpifError as exc:
             out[i] = exc
-    frame, records = _samplers(beams, frame_profile, tau_start, tau_end, out)
-    index = [i for i in ws if out[i] is None]
+    index = list(ws)
     if index:
         breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
         kernels = action_kernels([ws[i] for i in index], m, params.duration)
-        forces = _force_rows(quadrature.Samples([records[beams[i].trajectory] for i in index]),
-                             [beams[i].resolution for i in index], frame, params)
+        forces = _force_rows(_samplers([beams[i] for i in index]),
+                             [beams[i].resolution for i in index], frame_profile.sampler(),
+                             params)
         batch = quadrature.Batch(len(index))
         rows = _integrate_rows(kernels, forces, tau_start, tau_end, breaks, batch=batch)
         for j, (i, values) in enumerate(zip(index, zip(*rows))):

@@ -124,17 +124,12 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     [j1 (imaginary part), j2 (real part)] x [g^0, g^1, g^2].
     """
     t0, t1 = tau_start, tau_end
-    out: list = [None] * len(beams)
-    f, records = _samplers(beams, frame_profile, t0, t1, out)
-    live = [i for i, entry in enumerate(out) if entry is None]
-    if not live:
-        return out
-    samples = quadrature.Samples([records[beams[i].trajectory] for i in live])
+    f, samples = frame_profile.sampler(), _samplers(beams)
     rt2 = math.sqrt(2.0)
     grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
-    coefs = [4.0 * hbar / (m * (t1 - t0) * beams[i].resolution ** 2) for i in live]
+    coefs = [4.0 * hbar / (m * (t1 - t0) * beam.resolution ** 2) for beam in beams]
     rates = quadrature.Coefficients([(k, math.sqrt(k)) for k in coefs])  # omega^2, omega
-    batch = quadrature.Batch(len(live))
+    batch = quadrature.Batch(len(beams))
 
     def side(x):
         # e^{x/2} hs(x) for x = epsilon or sigma
@@ -162,9 +157,7 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
 
     breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
     triangles = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
-    for j, i in enumerate(live):
-        out[i] = batch.failed.get(j, triangles[j].real)
-    return out
+    return [batch.failed.get(j, triangles[j].real) for j in range(len(beams))]
 
 
 class _Printed(NamedTuple):

@@ -30,15 +30,14 @@ polarizing its Green's-function form over the four vectors of r, over a
 sinh(k*psi) table built by angle addition.  The record and frame vectors
 stay real; lam and the force factor scale the 4x4 form.  The beams of an
 evaluation are reduced together (``_batch_lattice_rows``), each distinct
-function sampled once per level through one ``TimeFunction.sampler`` for
-the batch, so a sweep of z2, g or the units costs an O(1) read per level
-per point.
+function sampled once per level through its ``TimeFunction.sampler``, so
+a sweep of z2, g or the units costs an O(1) read per level per point.
 
 ``QuadraticForm``, ``assemble_quadratic_form`` and ``gaussian_reduce``
 keep the per-form path, one beam at one level N with the scenario's g and
 endpoints, as the reference the rows are tested against; the oracle does
-not call them.  A level is a plain int N >= 1: the step T/N and the
-endpoints are always read off the scenario.
+not call them.  A level is a plain int 1 <= N <= MAX_LEVEL: the step T/N
+and the endpoints are always read off the scenario.
 
 This module imports nothing from the closed-form modules (``actions``,
 ``interference``, ``quadrature``): separate quadrature, separate algebra,
@@ -67,11 +66,17 @@ _LOG_TWO = math.log(2.0)
 #: block length of the angle-addition sinh table (``_sinh_table``)
 _SINH_BLOCK = 64
 
+#: the largest lattice level N; a level's samples and sinh table take O(N)
+#: memory; the tests and the benchmark go up to 4096
+MAX_LEVEL = 2 ** 20
+
 
 def _check_level(n: int) -> None:
-    """Refuse a lattice level N below one slice."""
+    """Refuse a lattice level N below one slice or above ``MAX_LEVEL``."""
     if n < 1:
         raise ValidationError([f"lattice.n_steps: must be >= 1, got {n}"])
+    if n > MAX_LEVEL:
+        raise ValidationError([f"lattice.n_steps: must be <= {MAX_LEVEL}, got {n}"])
 
 
 @dataclass(frozen=True)
@@ -117,8 +122,7 @@ class LatticeRows:
 
 def _midpoint_samples(sample, tau_start: float, tau_end: float, n: int) -> np.ndarray:
     """A function's values at the midpoints of the N slices of
-    [tau_start, tau_end], through its ``TimeFunction.sampler`` over the
-    window."""
+    [tau_start, tau_end], through its ``TimeFunction.sampler``."""
     h = (tau_end - tau_start) / n
     return sample(tau_start + h * (np.arange(n) + 0.5))
 
@@ -251,21 +255,23 @@ def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     """Beams that share the frame profile and the units, each reduced at
     every level of the schedule; none of it depends on g, z1 or z2.  Each
     distinct function (the frame profile and the records, compared by
-    value) gets one sampler for the batch, so its domain is checked once,
-    and is sampled once per level.  Returns each beam's rows, or the
-    RpifError that it raises on its own, a failed domain check included."""
+    value) is sampled once per level.  Returns each beam's rows, or the
+    RpifError that it raises on its own; a level that ``_check_level``
+    refuses fails every beam."""
+    try:
+        for n in schedule:
+            _check_level(n)
+    except ValidationError as exc:
+        return [exc] * len(beams)
     duration = tau_end - tau_start
     out: list = [None] * len(beams)
     levels: list = [[] for _ in beams]
-    samplers: dict = {}
     for n in schedule:
         samples: dict = {}
 
         def sample(fn):
             if fn not in samples:
-                if fn not in samplers:
-                    samplers[fn] = fn.sampler(tau_start, tau_end)
-                samples[fn] = _midpoint_samples(samplers[fn], tau_start, tau_end, n)
+                samples[fn] = _midpoint_samples(fn.sampler(), tau_start, tau_end, n)
             return samples[fn]
 
         for i, beam in enumerate(beams):
@@ -455,11 +461,9 @@ def gaussian_reduce(form: QuadraticForm) -> complex:
 def _rows(scenario: Scenario, beam_label: str, schedule) -> LatticeRows:
     """One beam's lattice rows, reduced as a batch of one."""
     p = scenario.params
-    schedule = tuple(int(n) for n in schedule)
-    for n in schedule:
-        _check_level(n)
     rows, = _batch_lattice_rows((scenario.beam(beam_label),), scenario.frame_profile,
-                                p.m, p.hbar, p.tau_start, p.tau_end, schedule)
+                                p.m, p.hbar, p.tau_start, p.tau_end,
+                                tuple(int(n) for n in schedule))
     if isinstance(rows, RpifError):
         raise rows
     return rows

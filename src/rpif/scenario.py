@@ -11,7 +11,7 @@ rescaling keeps double precision away from extremes like hbar ~ 1e-34.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -64,9 +64,6 @@ class Scenario:
             return self.beam_b
         raise ValueError(f"beam label must be 'a' or 'b', got {label!r}")
 
-    def swapped(self) -> "Scenario":
-        return replace(self, beam_a=self.beam_b, beam_b=self.beam_a)
-
     @property
     def length_scale(self) -> float:
         """Natural quantum length sqrt(hbar*T/m) used for rescaling."""
@@ -98,11 +95,10 @@ class Scenario:
         T = p.duration
         L = self.length_scale
         g_hat = p.g * self.gravity_scale
-        dom = (0.0, 1.0)
 
         def beam_hat(beam: BeamRecord) -> BeamRecord:
             return BeamRecord(
-                trajectory=beam.trajectory.rescaled(p.tau_start, T, 1.0 / L, dom),
+                trajectory=beam.trajectory.rescaled(p.tau_start, T, 1.0 / L),
                 resolution=beam.resolution / L,
             )
 
@@ -110,7 +106,7 @@ class Scenario:
             params=PhysicalParams(1.0, g_hat, 1.0, 0.0, 1.0),
             z1=self.z1 / L,
             z2=self.z2 / L,
-            frame_profile=self.frame_profile.rescaled(p.tau_start, T, 1.0, dom),
+            frame_profile=self.frame_profile.rescaled(p.tau_start, T, 1.0),
             beam_a=beam_hat(self.beam_a),
             beam_b=beam_hat(self.beam_b),
         )
@@ -123,7 +119,7 @@ def mean_square(c: TimeFunction, params: PhysicalParams) -> float:
     piecewise quadratic, is integrated exactly at the first level.
     """
     T = params.duration
-    sample = c.sampler(params.tau_start, params.tau_end)
+    sample = c.sampler()
     val = quadrature.integrate(lambda t: sample(t) ** 2 + 0j,
                                params.tau_start, params.tau_end, breaks=c.breakpoints)
     return float(val.real) / T
@@ -173,7 +169,8 @@ def _check_params(p: PhysicalParams, out: list[str]) -> None:
 
 
 def validate_scenario(scenario: Scenario) -> Scenario:
-    """Verify every invariant; return the scenario with domains attached.
+    """Verify every invariant, a tabulated function's coverage of the time
+    window included; return the scenario itself.
 
     On failure raises ValidationError whose ``violations`` list names each
     violated invariant (all of them, not just the first).
@@ -186,32 +183,18 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     _check_resolution("beam_a", scenario.beam_a.resolution, out)
     _check_resolution("beam_b", scenario.beam_b.resolution, out)
 
-    domain_ok = p.tau_end > p.tau_start and np.isfinite(p.tau_start) and np.isfinite(p.tau_end)
-    fixed = scenario
-    if domain_ok:
-        dom = (p.tau_start, p.tau_end)
-        named = (("frame_profile", scenario.frame_profile),
-                 ("beam_a.trajectory", scenario.beam_a.trajectory),
-                 ("beam_b.trajectory", scenario.beam_b.trajectory))
-        attached = {}
-        for name, fn in named:
+    if p.tau_end > p.tau_start and np.isfinite(p.tau_start) and np.isfinite(p.tau_end):
+        for name, fn in (("frame_profile", scenario.frame_profile),
+                         ("beam_a.trajectory", scenario.beam_a.trajectory),
+                         ("beam_b.trajectory", scenario.beam_b.trajectory)):
             try:
-                check_domain_coverage(fn, dom, name)
+                check_domain_coverage(fn, (p.tau_start, p.tau_end), name)
             except ValidationError as exc:
                 out.extend(exc.violations)
-                continue
-            attached[name] = fn.with_domain(dom)
-        if not out:
-            fixed = replace(
-                scenario,
-                frame_profile=attached["frame_profile"],
-                beam_a=replace(scenario.beam_a, trajectory=attached["beam_a.trajectory"]),
-                beam_b=replace(scenario.beam_b, trajectory=attached["beam_b.trajectory"]),
-            )
 
     if out:
         raise ValidationError(out)
-    return fixed
+    return scenario
 
 
 def nondimensional(scenario: Scenario) -> Scenario:
@@ -246,7 +229,7 @@ def scenario_from_dict(raw: Mapping, where: str = "") -> Scenario:
     def fn_from(section: Mapping | None, default: Mapping, path: str) -> TimeFunction:
         spec = section if section is not None else default
         try:
-            return build_time_function(spec, domain=None, where=path)
+            return build_time_function(spec, where=path)
         except ValidationError as exc:
             out.extend(exc.violations)
             return build_time_function({"kind": "constant", "value": 0.0})

@@ -22,6 +22,7 @@ from .errors import ConfigError, RpifError, ValidationError
 # decompose is not called here; perfbench/test_perfbench.py looks it up on
 # this module
 from .interference import MODE_DERIVED, MODE_LITERAL, _breakdown, _evaluate, decompose  # noqa: F401
+from .lattice import MAX_LEVEL
 from .scenario import (
     BeamRecord,
     PhysicalParams,
@@ -44,6 +45,10 @@ CSV_HEADER = ("swept_value,mode,intensity,reduced_i,i1,i2,i3,i4,i5,"
 
 #: shared tolerance for "the two modes agree" checks (--strict-modes)
 MODE_TOLERANCE = 1e-8
+
+#: the largest step count of a sweep: its points and rows take O(steps)
+#: memory
+MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,8 @@ def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec 
     if isinstance(steps_raw, bool) or not isinstance(steps_raw, int) or steps_raw < 1:
         problems.append(f"/sweep/steps: expected an integer >= 1, got {steps_raw!r}")
         steps_raw = 1
+    elif steps_raw > MAX_STEPS:
+        problems.append(f"/sweep/steps: must be <= {MAX_STEPS}, got {steps_raw!r}")
 
     mode = raw.get("mode", "derived")
     if mode not in MODE_CHOICES:
@@ -140,6 +147,8 @@ def parse_oracle_schedule(raw, where: str) -> tuple[tuple[int, ...] | None, list
     for i, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             return None, [f"{where}/{i}: expected a positive integer, got {v!r}"]
+        if v > MAX_LEVEL:
+            return None, [f"{where}/{i}: lattice sizes must be <= {MAX_LEVEL}, got {v!r}"]
         vals.append(v)
     if len(vals) < 3:
         return None, [f"{where}: need at least 3 lattice sizes, got {len(vals)}"]

@@ -10,6 +10,8 @@ import pytest
 import rpif
 from rpif import cli
 from rpif.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_MODES, EXIT_OK, main
+from rpif.lattice import MAX_LEVEL
+from rpif.sweep import MAX_STEPS, parse_oracle_schedule
 
 BASE = {
     "params": {"m": 1.0, "g": 1.0, "hbar": 1.0, "tau_start": 0.0, "tau_end": 1.0},
@@ -65,6 +67,33 @@ def test_a_number_past_the_float_range_is_a_config_error(tmp_path, capsys, text,
     assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config invalid:") and f"  {path}: must be " in err
+
+
+@pytest.mark.parametrize("sweep, path", [
+    # validate only parses, so nothing of the size asked for is allocated
+    pytest.param({"steps": 10 ** 320}, "/sweep/steps", id="digits"),
+    pytest.param({"steps": MAX_STEPS + 1}, "/sweep/steps", id="steps"),
+    pytest.param({"oracle": [MAX_LEVEL, 2 * MAX_LEVEL, 4 * MAX_LEVEL]}, "/sweep/oracle/1",
+                 id="oracle"),
+])
+def test_a_count_past_its_bound_is_a_config_error(tmp_path, capsys, sweep, path):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"sweep": sweep}))
+    assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config invalid:") and f"  {path}: " in err
+    config.write_text(json.dumps({"sweep": {"steps": MAX_STEPS,
+                                            "oracle": [MAX_LEVEL // 4, MAX_LEVEL // 2,
+                                                       MAX_LEVEL]}}))
+    assert main(["validate", "--config", str(config)]) == EXIT_OK
+    assert f"in {MAX_STEPS} step(s)" in capsys.readouterr().out
+
+
+def test_an_oracle_flag_past_the_bound_is_refused():
+    schedule, problems = parse_oracle_schedule(
+        f"{MAX_LEVEL},{2 * MAX_LEVEL},{4 * MAX_LEVEL}", "--oracle")
+    assert schedule is None
+    assert problems == [f"--oracle/1: lattice sizes must be <= {MAX_LEVEL}, got {2 * MAX_LEVEL}"]
 
 
 def test_missing_config_file_is_config_error(capsys):

@@ -12,7 +12,6 @@ a lone attempt raises, and leave the others alone.
 
 import dataclasses
 import math
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -161,12 +160,12 @@ def test_a_sweep_of_joint_batches_prints_the_rows_of_beams_alone(
 
 
 # ---------------------------------------------------------------------------
-# the domains are checked once per pass
+# a pass samples through the time functions' samplers
 # ---------------------------------------------------------------------------
 
 def test_a_pass_samples_without_calling_the_time_functions(monkeypatch):
-    # the domains are checked against the window once, and the nodes are
-    # sampled directly: no call goes through TimeFunction.__call__
+    # the nodes are sampled directly: no call goes through
+    # TimeFunction.__call__
     from rpif import decompose
     from rpif.timefunctions import TimeFunction
 
@@ -177,26 +176,3 @@ def test_a_pass_samples_without_calling_the_time_functions(monkeypatch):
     monkeypatch.setattr(TimeFunction, "__call__", called)
     for mode in ("derived", "paper-literal"):
         decompose(scenario, mode)
-
-
-@pytest.mark.parametrize("which", ["record", "frame profile"])
-def test_a_domain_short_of_the_window_fails_its_beams(which):
-    from rpif import ValidationError
-    from rpif.actions import restricted_propagator
-
-    short = LinearFunction(0.3, -0.1, domain=(0.0, 0.5))
-    good = BeamRecord(RECORDS["sinusoid"], 1.0)
-    beam = BeamRecord(short, 1.0) if which == "record" else good
-    frame = short if which == "frame profile" else FRAMES["constant"]
-    message = r"time 0\.\.1 outside domain \[0, 0\.5\] for linear function"
-    for compute in ROWS:
-        # alone
-        alone, = compute((beam,), frame, 1.0, 1.0, 0.0, 1.0)
-        assert isinstance(alone, ValidationError) and re.search(message, str(alone))
-        # beside a beam whose domains cover the window: a short record fails
-        # its own beam only, a short frame profile fails both
-        entries = compute((beam, good), frame, 1.0, 1.0, 0.0, 1.0)
-        assert isinstance(entries[0], ValidationError)
-        assert isinstance(entries[1], ValidationError) == (which == "frame profile")
-    with pytest.raises(ValidationError, match=message):
-        restricted_propagator(beam, frame, PARAMS, 0.0, 0.5)

@@ -17,8 +17,10 @@ from rpif import (
     stationary_action,
 )
 from rpif.lattice import (
+    MAX_LEVEL,
     QuadraticForm,
     _batch_lattice_rows,
+    _check_level,
     _log_det,
     _psi,
     _rows,
@@ -28,9 +30,9 @@ from rpif.lattice import (
     gaussian_reduce,
 )
 from rpif.scenario import BeamRecord
+from rpif.sweep import SweepSpec, run_sweep
 from rpif.timefunctions import (
     ConstantFunction,
-    LinearFunction,
     SinusoidFunction,
     TimeFunction,
 )
@@ -87,6 +89,28 @@ def test_lattice_spec_validation():
             stationary_action(scenario, "a", n)
         with pytest.raises(ValidationError, match="n_steps"):
             oracle_propagator(scenario, "a", (n, 2 * n, 4 * n))
+
+
+def test_a_level_past_the_bound_is_refused():
+    # checked on its own: a level above the bound is never sampled here
+    _check_level(MAX_LEVEL)
+    with pytest.raises(ValidationError,
+                       match=rf"n_steps: must be <= {MAX_LEVEL}, got {2 * MAX_LEVEL}$"):
+        _check_level(2 * MAX_LEVEL)
+
+
+def test_a_sweep_on_a_zero_level_fails_its_rows():
+    # a SweepSpec built in code is not parsed: the lattice checks its levels
+    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode="both",
+                     oracle_schedule=(0, 0, 0))
+    rows = run_sweep(scenario_from_dict({}), spec)
+    assert len(rows) == 6
+    for row in rows:
+        assert row.error == "ValidationError: lattice.n_steps: must be >= 1, got 0"
+        assert row.oracle_dev is None
+    entries = _batch_lattice_rows((BeamRecord(ConstantFunction(0.1), 1.0),) * 2,
+                                  ConstantFunction(1.0), 1.0, 1.0, 0.0, 1.0, (4, 8, 0))
+    assert [type(entry) for entry in entries] == [ValidationError] * 2
 
 
 def test_the_lattice_imports_nothing_from_the_closed_form():
@@ -241,8 +265,8 @@ def test_rows_match_the_per_form_reference_at_every_level(wt):
 
 
 def test_rows_sample_without_calling_the_time_functions(monkeypatch):
-    # each function's domain is checked against the window once, by its
-    # sampler; no level goes through TimeFunction.__call__
+    # each level samples through the functions' samplers; none goes
+    # through TimeFunction.__call__
     scenario = make_scenario(a=SinusoidFunction(0.3, 7.0, 0.2),
                              f=SinusoidFunction(0.5, 3.0, 1.1))
     schedule = (4, 8, 16)
@@ -254,20 +278,6 @@ def test_rows_sample_without_calling_the_time_functions(monkeypatch):
     got = _rows(scenario, "a", schedule)
     assert (got.const.tobytes(), got.quad.tobytes()) == (expect.const.tobytes(),
                                                          expect.quad.tobytes())
-
-
-@pytest.mark.parametrize("which", ["record", "frame profile"])
-def test_a_domain_short_of_the_window_fails_its_lattice_rows(which):
-    # the window, not a level's midpoints, is checked: a short record
-    # fails its own beam only, a short frame profile fails both
-    short = LinearFunction(0.3, -0.1, domain=(0.0, 0.5))
-    good = BeamRecord(SinusoidFunction(0.3, 7.0, 0.2), 1.0)
-    beam = BeamRecord(short, 1.0) if which == "record" else good
-    frame = short if which == "frame profile" else ConstantFunction(0.5)
-    entries = _batch_lattice_rows((beam, good), frame, 1.0, 1.0, 0.0, 1.0, (4, 8, 16))
-    assert isinstance(entries[0], ValidationError)
-    assert str(entries[0]).endswith("time 0..1 outside domain [0, 0.5] for linear function")
-    assert isinstance(entries[1], ValidationError) == (which == "frame profile")
 
 
 @pytest.mark.parametrize("wt", [5e-3, 2.0, 59.9])

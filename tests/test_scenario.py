@@ -18,7 +18,7 @@ from rpif.timefunctions import (
     SinusoidFunction,
     TabulatedFunction,
 )
-from util import NBASE, make_scenario
+from util import NBASE, make_scenario, swapped
 
 
 def test_mean_square_zero():
@@ -55,7 +55,7 @@ def test_mean_square_nonnegative(coefs):
 
 def test_validate_accepts_baseline():
     scenario = make_scenario()
-    assert scenario.beam_a.trajectory.domain == (0.0, 1.0)
+    assert validate_scenario(scenario) is scenario
 
 
 def test_validate_rejects_zero_resolution():
@@ -129,6 +129,6 @@ def test_nondimensionalization_recomposes_time_functions():
 
 def test_swapped_exchanges_beams():
     scenario = make_scenario()
-    swapped = scenario.swapped()
-    assert swapped.beam_a is scenario.beam_b
-    assert swapped.beam_b is scenario.beam_a
+    exchanged = swapped(scenario)
+    assert exchanged.beam_a is scenario.beam_b
+    assert exchanged.beam_b is scenario.beam_a

@@ -20,14 +20,13 @@ def test_constant_everywhere():
 
 
 def test_linear_midpoint():
-    f = build_time_function({"kind": "linear", "slope": 2.0, "intercept": 0.0},
-                            domain=(0.0, 1.0))
+    f = build_time_function({"kind": "linear", "slope": 2.0, "intercept": 0.0})
     assert f(0.5) == 1.0
 
 
 def test_tabulated_midpoint_interpolation():
     f = build_time_function({"kind": "tabulated", "times": [0.0, 1.0],
-                             "values": [0.0, 2.0]}, domain=(0.0, 1.0))
+                             "values": [0.0, 2.0]})
     assert f(0.5) == 1.0
 
 
@@ -64,26 +63,12 @@ def test_tabulated_not_increasing_rejected():
                              "values": [1.0, 2.0, 3.0]})
 
 
-def test_tabulated_not_covering_domain_rejected():
-    with pytest.raises(ValidationError, match="cover"):
-        build_time_function({"kind": "tabulated", "times": [0.2, 0.8],
-                             "values": [1.0, 2.0]}, domain=(0.0, 1.0))
-
-
-def test_domain_violation_raises():
-    f = ConstantFunction(1.0, domain=(0.0, 1.0))
-    with pytest.raises(ValidationError, match="outside domain"):
-        f(1.5)
-
-
 def test_domain_check_slack_edges_and_empty_input():
-    from rpif.timefunctions import _DOMAIN_SLACK
-    f = LinearFunction(2.0, 1.0, domain=(0.0, 1.0))
-    with pytest.raises(ValidationError,
-                       match=r"time 0\.5\.\.1 outside domain \[0, 1\] for linear function"):
-        f(np.array([0.5, 1.0 + 2.0 * _DOMAIN_SLACK]))
-    inside = np.array([-0.5 * _DOMAIN_SLACK, 0.5, 1.0 + 0.5 * _DOMAIN_SLACK])
-    assert np.array_equal(f(inside), 2.0 * inside + 1.0)
+    # a time function evaluates at any time, and on an empty array returns
+    # an empty array
+    f = LinearFunction(2.0, 1.0)
+    outside = np.array([-0.5, 0.5, 1.5])
+    assert np.array_equal(f(outside), 2.0 * outside + 1.0)
     empty = f(np.empty(0))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
@@ -116,8 +101,8 @@ def test_tabulated_reproduces_samples_exactly(times, values):
 def test_rescaled_matches_composition(spec):
     # g(u) = scale * f(origin + width * u) must hold pointwise
     origin, width, scale = 1.0, 2.0, 0.25
-    f = build_time_function(spec, domain=(origin, origin + width))
-    g = f.rescaled(origin, width, scale, (0.0, 1.0))
+    f = build_time_function(spec)
+    g = f.rescaled(origin, width, scale)
     for u in np.linspace(0.0, 1.0, 17):
         assert g(u) == pytest.approx(scale * f(origin + width * u),
                                      rel=1e-12, abs=1e-12)
@@ -134,7 +119,7 @@ def test_polynomial_rescaled_by_the_identity_map_keeps_the_composed_bits(coefs, 
     composed = np.polynomial.Polynomial(np.asarray(coefs))(
         np.polynomial.Polynomial([0.0, 1.0]))
     want = tuple(float(c) * scale for c in composed.coef)
-    got = PolynomialFunction(tuple(coefs)).rescaled(0.0, 1.0, scale, (0.0, 1.0))
+    got = PolynomialFunction(tuple(coefs)).rescaled(0.0, 1.0, scale)
     assert np.array(got.coefficients).tobytes() == np.array(want).tobytes()
 
 
@@ -145,17 +130,16 @@ def test_polynomial_rescaled_by_the_identity_map_keeps_the_composed_bits(coefs, 
     {"kind": "polynomial", "coefficients": [0.1, -0.2, 0.5, 1.0]},
 ])
 def test_smooth_kinds_have_no_breakpoints(spec):
-    f = build_time_function(spec, domain=(1.0, 3.0))
+    f = build_time_function(spec)
     assert f.breakpoints == ()
-    assert f.rescaled(1.0, 2.0, 0.25, (0.0, 1.0)).breakpoints == ()
+    assert f.rescaled(1.0, 2.0, 0.25).breakpoints == ()
 
 
 def test_tabulated_breakpoints_are_the_interior_samples_through_every_rescaling():
     from rpif.scenario import BeamRecord, PhysicalParams, Scenario
     f = TabulatedFunction((1.0, 1.7, 2.4, 3.0), (0.0, 1.0, -1.0, 0.5))
     assert f.breakpoints == (1.7, 2.4)
-    assert f.with_domain((1.0, 3.0)).breakpoints == (1.7, 2.4)
-    g = f.rescaled(1.0, 2.0, 0.25, (0.0, 1.0))
+    g = f.rescaled(1.0, 2.0, 0.25)
     assert g.breakpoints == pytest.approx((0.35, 0.7), abs=1e-15)
     scenario = Scenario(PhysicalParams(2.0, 1.0, 0.5, 1.0, 3.0), 0.0, 0.5, f,
                         BeamRecord(f, 1.0), BeamRecord(ConstantFunction(0.0), 1.0))
@@ -177,13 +161,13 @@ def test_tabulated_length_mismatch():
 
 
 @pytest.mark.parametrize("fn", [
-    LinearFunction(2.0, 1.0, domain=(0.0, 1.0)),
-    TabulatedFunction((0.0, 0.4, 1.0), (1.0, -1.0, 0.5), domain=(0.0, 1.0)),
+    LinearFunction(2.0, 1.0),
+    TabulatedFunction((0.0, 0.4, 1.0), (1.0, -1.0, 0.5)),
+    ConstantFunction(0.7),
+    SinusoidFunction(0.8, 5.0, 0.3),
+    PolynomialFunction((0.1, -0.2, 0.5, 1.0)),
 ])
 def test_a_sampler_checks_its_window_once_and_keeps_the_bits_of_a_call(fn):
-    with pytest.raises(ValidationError,
-                       match=rf"time 0\.5\.\.1\.5 outside domain \[0, 1\] for {fn.kind} function"):
-        fn.sampler(0.5, 1.5)
-    sample = fn.sampler(0.0, 1.0)
+    sample = fn.sampler()
     t = np.linspace(0.0, 1.0, 37)
     assert sample(t).tobytes() == fn(t).tobytes()

@@ -12,6 +12,7 @@ one function, against which the package's g-free rows are recombined.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,11 @@ def make_scenario(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0,
         beam_a=BeamRecord(a if a is not None else ConstantFunction(0.1), delta_a),
         beam_b=BeamRecord(b if b is not None else ConstantFunction(-0.1), delta_b),
     ))
+
+
+def swapped(scenario: Scenario) -> Scenario:
+    """The scenario with its two beams exchanged."""
+    return dataclasses.replace(scenario, beam_a=scenario.beam_b, beam_b=scenario.beam_a)
 
 
 def baseline_scenario() -> Scenario:
