@@ -20,6 +20,7 @@ from . import quadrature
 from .errors import ValidationError
 from .timefunctions import (
     TimeFunction,
+    _unknown,
     build_time_function,
     check_domain_coverage,
 )
@@ -202,29 +203,31 @@ def nondimensional(scenario: Scenario) -> Scenario:
     return validate_scenario(scenario).nondimensionalized()
 
 
-def scenario_from_dict(raw: Mapping, where: str = "") -> Scenario:
+#: the fields of ``params``, in ``PhysicalParams`` order, with their defaults
+_PARAMS = {"m": 1.0, "g": 1.0, "hbar": 1.0, "tau_start": 0.0, "tau_end": 1.0}
+
+
+def scenario_from_dict(raw: Mapping) -> Scenario:
     """Build and validate a Scenario from plain nested mappings.
 
-    Used by the config parser; ``where`` prefixes diagnostic paths.
-    Collects every structural problem before raising.
+    Used by the config parser: diagnostics carry JSON-pointer paths, and
+    every structural problem is collected before raising.  The root's own
+    keys are left to the caller, which knows the sections beside the
+    scenario's.
     """
     out: list[str] = []
     if not isinstance(raw, Mapping):
-        raise ValidationError([f"{where or '/'}: expected an object"])
+        raise ValidationError(["/: expected an object"])
 
     params_raw = raw.get("params", {})
     if not isinstance(params_raw, Mapping):
-        out.append(f"{where}/params: expected an object")
+        out.append("/params: expected an object")
         params_raw = {}
-    params = PhysicalParams(
-        m=_number(params_raw, "m", 1.0, f"{where}/params/m", out),
-        g=_number(params_raw, "g", 1.0, f"{where}/params/g", out),
-        hbar=_number(params_raw, "hbar", 1.0, f"{where}/params/hbar", out),
-        tau_start=_number(params_raw, "tau_start", 0.0, f"{where}/params/tau_start", out),
-        tau_end=_number(params_raw, "tau_end", 1.0, f"{where}/params/tau_end", out),
-    )
-    z1 = _number(raw, "z1", 0.0, f"{where}/z1", out)
-    z2 = _number(raw, "z2", 0.5, f"{where}/z2", out)
+    out.extend(_unknown(params_raw, _PARAMS, "/params"))
+    params = PhysicalParams(*(_number(params_raw, name, default, f"/params/{name}", out)
+                              for name, default in _PARAMS.items()))
+    z1 = _number(raw, "z1", 0.0, "/z1", out)
+    z2 = _number(raw, "z2", 0.5, "/z2", out)
 
     def fn_from(section: Mapping | None, default: Mapping, path: str) -> TimeFunction:
         spec = section if section is not None else default
@@ -237,20 +240,21 @@ def scenario_from_dict(raw: Mapping, where: str = "") -> Scenario:
     def beam_from(key: str, default_traj: Mapping, default_res: float) -> BeamRecord:
         section = raw.get(key, {})
         if not isinstance(section, Mapping):
-            out.append(f"{where}/{key}: expected an object")
+            out.append(f"/{key}: expected an object")
             section = {}
-        traj = fn_from(section.get("trajectory"), default_traj, f"{where}/{key}/trajectory")
+        out.extend(_unknown(section, ("trajectory", "resolution"), f"/{key}"))
+        traj = fn_from(section.get("trajectory"), default_traj, f"/{key}/trajectory")
         if "resolution" in section:
-            res = _number(section, "resolution", None, f"{where}/{key}/resolution", out)
+            res = _number(section, "resolution", None, f"/{key}/resolution", out)
         elif key in raw:
-            out.append(f"{where}/{key}/resolution: required property is missing")
+            out.append(f"/{key}/resolution: required property is missing")
             res = float("nan")
         else:
             res = default_res
         return BeamRecord(trajectory=traj, resolution=res)
 
     frame = fn_from(raw.get("frame_profile"), {"kind": "constant", "value": 1.0},
-                    f"{where}/frame_profile")
+                    "/frame_profile")
     beam_a = beam_from("beam_a", {"kind": "constant", "value": 0.1}, 1.0)
     beam_b = beam_from("beam_b", {"kind": "constant", "value": -0.1}, 2.0)
 
@@ -262,8 +266,7 @@ def scenario_from_dict(raw: Mapping, where: str = "") -> Scenario:
     try:
         return validate_scenario(scenario)
     except ValidationError as exc:
-        prefix = where or ""
         raise ValidationError(
-            [f"{prefix}/{v.replace('.', '/', 1)}" if not v.startswith("/") else v
+            [f"/{v.replace('.', '/', 1)}" if not v.startswith("/") else v
              for v in exc.violations]
         ) from None

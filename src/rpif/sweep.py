@@ -9,7 +9,6 @@ JSON-pointer paths and every violation is collected before reporting.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -36,6 +35,7 @@ from .scenario import (
     scenario_from_dict,
     validate_scenario,
 )
+from .timefunctions import _unknown
 
 SWEEP_PARAMETERS = ("z2", "delta_a", "delta_b", "g", "m_over_hbar_scale")
 MODE_CHOICES = ("literal", "derived", "both")
@@ -89,19 +89,18 @@ class ResultRow(NamedTuple):
 
 
 def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec | None, list[str]]:
-    problems: list[str] = []
     if not isinstance(raw, Mapping):
         return None, ["/sweep: expected an object"]
+    problems = _unknown(raw, ("parameter", "start", "stop", "steps", "mode", "oracle"),
+                        "/sweep")
 
     parameter = raw.get("parameter", "z2")
     if parameter not in SWEEP_PARAMETERS:
         problems.append(f"/sweep/parameter: must be one of {', '.join(SWEEP_PARAMETERS)}, "
                         f"got {parameter!r}")
 
-    if scenario is not None and parameter in SWEEP_PARAMETERS:
-        base = _base_value(scenario, parameter)
-    else:
-        base = 0.0
+    known = scenario is not None and parameter in SWEEP_PARAMETERS
+    base = _base_value(scenario, parameter) if known else 0.0
     start = _number(raw, "start", base, "/sweep/start", problems)
     stop = _number(raw, "stop", start, "/sweep/stop", problems)
     for name, value in (("start", start), ("stop", stop)):
@@ -181,9 +180,8 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec]:
     if not isinstance(doc, Mapping):
         raise ConfigError(["/: expected a JSON object at the top level"])
 
-    unknown = set(doc) - {"params", "z1", "z2", "frame_profile",
-                          "beam_a", "beam_b", "sweep"}
-    problems = [f"/{key}: unknown property" for key in sorted(unknown)]
+    problems = _unknown(doc, ("params", "z1", "z2", "frame_profile", "beam_a", "beam_b",
+                              "sweep"), "")
 
     scenario = None
     try:
@@ -213,22 +211,20 @@ def _base_value(scenario: Scenario, parameter: str) -> float:
 
 def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scenario:
     """Return the scenario with one swept parameter replaced."""
+    p, z2, beam_a, beam_b = scenario.params, scenario.z2, scenario.beam_a, scenario.beam_b
     if parameter == "z2":
-        return dataclasses.replace(scenario, z2=value)
-    if parameter == "delta_a":
-        return dataclasses.replace(
-            scenario, beam_a=dataclasses.replace(scenario.beam_a, resolution=value))
-    if parameter == "delta_b":
-        return dataclasses.replace(
-            scenario, beam_b=dataclasses.replace(scenario.beam_b, resolution=value))
-    if parameter == "g":
-        return dataclasses.replace(
-            scenario, params=dataclasses.replace(scenario.params, g=value))
-    if parameter == "m_over_hbar_scale":
-        p = scenario.params
-        return dataclasses.replace(
-            scenario, params=dataclasses.replace(p, m=p.m * value, hbar=p.hbar * value))
-    raise RpifError(f"unknown sweep parameter {parameter!r}")
+        z2 = value
+    elif parameter == "delta_a":
+        beam_a = BeamRecord(beam_a.trajectory, value)
+    elif parameter == "delta_b":
+        beam_b = BeamRecord(beam_b.trajectory, value)
+    elif parameter == "g":
+        p = PhysicalParams(p.m, value, p.hbar, p.tau_start, p.tau_end)
+    elif parameter == "m_over_hbar_scale":
+        p = PhysicalParams(p.m * value, p.g, p.hbar * value, p.tau_start, p.tau_end)
+    else:
+        raise RpifError(f"unknown sweep parameter {parameter!r}")
+    return Scenario(p, scenario.z1, z2, scenario.frame_profile, beam_a, beam_b)
 
 
 #: a value of each sweep parameter that any scenario takes, for validating
@@ -244,52 +240,38 @@ def _internal_point(base: Scenario, nd: Scenario, parameter: str, value: float) 
     g*sqrt(m*T^3/hbar)."""
     problems: list[str] = []
     if parameter == "m_over_hbar_scale":
-        # L and g in internal units may move in the last bit: rescale in full
         scaled = apply_sweep_value(base, parameter, value)
         _check_params(scaled.params, problems)
-        if problems:
-            raise ValidationError(problems)
-        return scaled.nondimensionalized()
-    p, z2, beam_a, beam_b = nd.params, nd.z2, nd.beam_a, nd.beam_b
-    if parameter == "z2":
+    elif parameter == "z2":
         _check_endpoint("z2", value, problems)
-        z2 = value / base.length_scale
-    elif parameter == "delta_a":
-        _check_resolution("beam_a", value, problems)
-        beam_a = BeamRecord(beam_a.trajectory, value / base.length_scale)
-    elif parameter == "delta_b":
-        _check_resolution("beam_b", value, problems)
-        beam_b = BeamRecord(beam_b.trajectory, value / base.length_scale)
-    else:
+    elif parameter == "g":
         _check_gravity(value, problems)
-        p = PhysicalParams(p.m, value * base.gravity_scale, p.hbar, p.tau_start, p.tau_end)
+    else:
+        _check_resolution(f"beam_{parameter[-1]}", value, problems)
     if problems:
         raise ValidationError(problems)
-    return Scenario(p, nd.z1, z2, nd.frame_profile, beam_a, beam_b)
+    if parameter == "m_over_hbar_scale":
+        # L and g in internal units may move in the last bit: rescale in full
+        return scaled.nondimensionalized()
+    internal = value * base.gravity_scale if parameter == "g" else value / base.length_scale
+    return apply_sweep_value(nd, parameter, internal)
 
 
 def _internal_points(scenario: Scenario, parameter: str,
                      values: Sequence[float]) -> list[Scenario | RpifError]:
     """Every point of a sweep in internal units, or the error that building
     it raised.  The scenario is validated and put into internal units once,
-    with the swept field at a neutral value.  A scenario whose other fields
-    are invalid (or an unknown parameter) is instead validated at every
-    point, so that each point reports all its own violations."""
-    base = None
-    if parameter in _NEUTRAL:
-        try:
-            base = validate_scenario(apply_sweep_value(scenario, parameter, _NEUTRAL[parameter]))
-        except ValidationError:
-            pass
-        else:
-            nd = base.nondimensionalized()
+    with the swept field at a neutral value: if that fails, or the
+    parameter is unknown, every point fails with that one error."""
+    try:
+        base = validate_scenario(apply_sweep_value(scenario, parameter, _NEUTRAL.get(parameter)))
+    except RpifError as exc:
+        return [exc] * len(values)
+    nd = base.nondimensionalized()
     points: list[Scenario | RpifError] = []
     for value in values:
         try:
-            if base is None:
-                points.append(nondimensional(apply_sweep_value(scenario, parameter, value)))
-            else:
-                points.append(_internal_point(base, nd, parameter, value))
+            points.append(_internal_point(base, nd, parameter, value))
         except RpifError as exc:
             points.append(exc)
     return points
@@ -312,15 +294,16 @@ def _point_rows(modes: Sequence[str], value: float, results: list,
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[ResultRow]:
     """One row per sweep point per mode, in deterministic order.
 
-    The scenario is validated once and every point is put into internal
-    units with only its swept value's arithmetic.  The points are then
-    evaluated together (``interference._evaluate``): what depends on
-    neither g nor the endpoints is computed once per distinct beam (a swept
-    resolution is integrated once for the whole sweep, and reduced once
-    per oracle level), and each point once for all its modes and its
-    oracle.  Per-point failures (guard trips, quadrature stalls, invalid
-    swept values) are captured in the row's ``error`` field instead of
-    aborting the sweep.
+    The scenario is validated once, with the swept field at a neutral
+    value: if it is invalid, or the parameter unknown, every row carries
+    that one error.  Each point is put into internal units with only its
+    swept value's check and arithmetic, and the points are evaluated
+    together (``interference._evaluate``): what depends on neither g nor
+    the endpoints is computed once per distinct beam (a swept resolution
+    is integrated once for the whole sweep, and reduced once per oracle
+    level), and each point once for all its modes and its oracle.  Other
+    failures (guard trips, quadrature stalls, invalid swept values) fail
+    only their point's rows, in the ``error`` field.
     """
     values = [float(value) for value in spec.points()]
     points = _internal_points(scenario, spec.parameter, values)

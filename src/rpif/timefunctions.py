@@ -21,16 +21,25 @@ from .errors import ValidationError
 _DOMAIN_SLACK = 1e-9
 
 
-def _as_float(value, what: str) -> float:
+def _as_float(value, what: str, out: list[str]) -> float:
+    """``value`` as a finite float: anything else, a bool too, goes into
+    ``out`` as a violation at ``what`` and reads NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        out.append(f"{what}: expected a number, got {value!r}")
+        return float("nan")
     try:
-        out = float(value)
+        result = float(value)
     except OverflowError:  # an integer past the float range, not finite either
-        out = np.inf
-    except (TypeError, ValueError):
-        raise ValidationError([f"{what}: not a number ({value!r})"]) from None
-    if not np.isfinite(out):
-        raise ValidationError([f"{what}: must be finite"])
-    return out
+        result = np.inf
+    if not np.isfinite(result):
+        out.append(f"{what}: must be finite")
+        return float("nan")
+    return result
+
+
+def _unknown(section: Mapping, known, path: str) -> list[str]:
+    """A violation at ``path`` for each key of ``section`` outside ``known``."""
+    return [f"{path}/{key}: unknown property" for key in sorted(set(section) - set(known))]
 
 
 class TimeFunction:
@@ -165,50 +174,55 @@ class TabulatedFunction(TimeFunction):
         return TabulatedFunction(new_times, new_values)
 
 
-_KINDS = ("constant", "linear", "sinusoid", "polynomial", "tabulated")
+#: each kind's class and fields, with the defaults of its scalar fields
+_KINDS = {
+    "constant": (ConstantFunction, {"value": 0.0}),
+    "linear": (LinearFunction, {"slope": 0.0, "intercept": 0.0}),
+    "sinusoid": (SinusoidFunction, {"amplitude": 1.0, "omega": 1.0, "phase": 0.0}),
+    "polynomial": (PolynomialFunction, {"coefficients": None}),
+    "tabulated": (TabulatedFunction, {"times": None, "values": None}),
+}
 
 
 def build_time_function(spec: Mapping, where: str = "time function") -> TimeFunction:
-    """Build a TimeFunction from a tagged mapping like ``{"kind": ..., ...}``."""
+    """Build a TimeFunction from a tagged mapping like ``{"kind": ..., ...}``.
+
+    Raises ValidationError naming every bad field of the spec.
+    """
     if not isinstance(spec, Mapping):
         raise ValidationError([f"{where}: expected an object, got {type(spec).__name__}"])
     kind = spec.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(
             [f"{where}/kind: unknown kind {kind!r} (expected one of {', '.join(_KINDS)})"]
         )
+    cls, fields = _KINDS[kind]
+    out = _unknown(spec, ("kind", *fields), where)
 
-    if kind == "constant":
-        return ConstantFunction(_as_float(spec.get("value", 0.0), f"{where}/value"))
-    if kind == "linear":
-        return LinearFunction(
-            _as_float(spec.get("slope", 0.0), f"{where}/slope"),
-            _as_float(spec.get("intercept", 0.0), f"{where}/intercept"),
-        )
-    if kind == "sinusoid":
-        return SinusoidFunction(
-            _as_float(spec.get("amplitude", 1.0), f"{where}/amplitude"),
-            _as_float(spec.get("omega", 1.0), f"{where}/omega"),
-            _as_float(spec.get("phase", 0.0), f"{where}/phase"),
-        )
+    def array(name: str, least: int, expected: str) -> tuple[float, ...] | None:
+        raw = spec.get(name)
+        if not isinstance(raw, (list, tuple)) or len(raw) < least:
+            out.append(f"{where}/{name}: expected {expected}")
+            return None
+        return tuple(_as_float(v, f"{where}/{name}/{i}", out) for i, v in enumerate(raw))
+
     if kind == "polynomial":
-        raw = spec.get("coefficients")
-        if not isinstance(raw, (list, tuple)) or len(raw) == 0:
-            raise ValidationError([f"{where}/coefficients: expected a nonempty array"])
-        coefs = tuple(_as_float(c, f"{where}/coefficients/{i}") for i, c in enumerate(raw))
-        return PolynomialFunction(coefs)
-    times = spec.get("times")
-    values = spec.get("values")
-    for name, raw in (("times", times), ("values", values)):
-        if not isinstance(raw, (list, tuple)) or len(raw) < 2:
-            raise ValidationError([f"{where}/{name}: expected an array of at least 2 samples"])
-    if len(times) != len(values):
-        raise ValidationError([f"{where}/values: length {len(values)} does not match times ({len(times)})"])
-    ts = tuple(_as_float(v, f"{where}/times/{i}") for i, v in enumerate(times))
-    vs = tuple(_as_float(v, f"{where}/values/{i}") for i, v in enumerate(values))
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValidationError([f"{where}/times: sample times must be strictly increasing"])
-    return TabulatedFunction(ts, vs)
+        args = (array("coefficients", 1, "a nonempty array"),)
+    elif kind == "tabulated":
+        ts, vs = args = (array("times", 2, "an array of at least 2 samples"),
+                         array("values", 2, "an array of at least 2 samples"))
+        if ts is not None and vs is not None and len(ts) != len(vs):
+            out.append(f"{where}/values: length {len(vs)} does not match times ({len(ts)})")
+        # a NaN (a time that is not a number) compares false, so it is
+        # reported once, above
+        if ts is not None and any(b <= a for a, b in zip(ts, ts[1:])):
+            out.append(f"{where}/times: sample times must be strictly increasing")
+    else:
+        args = [_as_float(spec.get(name, default), f"{where}/{name}", out)
+                for name, default in fields.items()]
+    if out:
+        raise ValidationError(out)
+    return cls(*args)
 
 
 def check_domain_coverage(fn: TimeFunction, window: tuple[float, float],

@@ -11,13 +11,13 @@ from rpif import (
     decompose,
 )
 from rpif import actions, quadrature
-from rpif.actions import ensure_stable
 from rpif.interference import _paper_angle, _printed
 from rpif.scenario import nondimensional
 from sampling import random_scenario
 from rpif.timefunctions import (ConstantFunction, LinearFunction, PolynomialFunction,
                                SinusoidFunction, TabulatedFunction)
-from util import lattice_values, make_scenario, printed_terms, swapped
+from util import (action_angle, lattice_values, make_scenario, printed_i5, printed_i5_block,
+                  printed_terms, swapped)
 
 
 def _theta_derived(delta, m=1.0, hbar=1.0, T=1.0):
@@ -36,7 +36,7 @@ def _angles(scenario, mode):
     deltas = (nd.beam_a.resolution, nd.beam_b.resolution)
     if mode == MODE_LITERAL:
         return tuple(_paper_angle(p, delta) for delta in deltas)
-    return tuple(abs((ensure_stable(p, delta) * p.duration).real) for delta in deltas)
+    return tuple(action_angle(p, delta) for delta in deltas)
 
 
 def test_theta_unit_value():
@@ -296,6 +296,53 @@ def test_printed_i1_to_i4_are_the_derived_terms_at_re_wt():
             return max(abs(x - y) for x, y in zip(printed, derived))
         assert gap(MODE_DERIVED) <= 10 * quadrature.DEFAULT_RTOL * largest, seed
         assert gap(MODE_LITERAL) > 0.1 * largest, seed
+
+
+#: the three departures of the printed i5 from the action, each as
+#: printed and as the action has it: the weight's exponent, sums or
+#: products of the frame and record factors, and the angle
+_I5_AS_PRINTED = {"exponent": 0.5, "products": False, "angle": _paper_angle}
+_I5_AS_ACTION = {"exponent": 1.0 / math.sqrt(2.0), "products": True, "angle": action_angle}
+
+
+def _i5_by_beam_and_power(nd, exponent, products, angle):
+    """The printed i5 blocks of both beams, each split by power of g, and
+    the derived ones, -Re(q12)/m, the same way: arrays of 6 entries."""
+    p, f = nd.params, nd.frame_profile
+    printed, derived = [], []
+    for beam in (nd.beam_a, nd.beam_b):
+        th = angle(p, beam.resolution)
+        printed += [printed_i5_block(beam, f, p, th, exponent, products, power=k) * p.m / p.hbar
+                    for k in range(3)]
+        rows = actions._beam_rows(beam, f, p)
+        derived += [(-q12 / p.m).real for q12 in (rows.q12_cc, rows.q12_fc, rows.q12_ff)]
+    return np.array(printed), np.array(derived)
+
+
+def test_printed_i5_is_minus_twice_the_derived_i5_after_three_changes():
+    # with the weight e^{(sigma+epsilon)/sqrt2}, the products g^2 f(t) f(s)
+    # and -omega^4 c(t) c(s), and theta = |Re(wT)|, the printed i5 is -2
+    # times the derived i5: on each row within 1e-12 of its largest term
+    # (both quadratures converge far below DEFAULT_RTOL on these
+    # polynomials), and per beam and per power of g within 1e-12 of the
+    # largest derived block.  With any one change undone, some block is off
+    # by more than a tenth of the largest.  The row alone does not show
+    # that: its difference of beams and its sum over powers of g can cancel
+    # most of the gap (on seed 13, undoing the weight moves the row's i5 by
+    # 1 % of its largest term)
+    for seed in range(50):
+        scenario = random_scenario(np.random.default_rng(seed))
+        nd = nondimensional(scenario)
+        br = decompose(scenario, MODE_DERIVED)
+        largest = max(map(abs, (br.i1, br.i2, br.i3, br.i4, br.i5)))
+        assert abs(printed_i5(nd, **_I5_AS_ACTION) + 2.0 * br.i5) <= 1e-12 * largest, seed
+
+        printed, derived = _i5_by_beam_and_power(nd, **_I5_AS_ACTION)
+        scale = np.max(np.abs(derived))
+        assert np.max(np.abs(printed + 2.0 * derived)) <= 1e-12 * scale, seed
+        for undone, as_printed in _I5_AS_PRINTED.items():
+            printed, _ = _i5_by_beam_and_power(nd, **dict(_I5_AS_ACTION, **{undone: as_printed}))
+            assert np.max(np.abs(printed + 2.0 * derived)) > 0.1 * scale, (seed, undone)
 
 
 # the printed i3/i4 integrands are e^x (1 + e^{-2x}) sin x = 2 Re sin(wu)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rpif import ConfigError, compare_modes, parse_config, run_sweep
+from rpif import ConfigError, PhysicalParams, Scenario, compare_modes, parse_config, run_sweep
 from rpif.sweep import (
     CSV_HEADER,
     SweepSpec,
@@ -113,14 +113,48 @@ def test_oracle_schedule_must_double():
 
 
 def test_non_numbers_are_reported_alike_in_the_scenario_and_the_sweep():
+    # time-function fields too: a record value, a polynomial coefficient
+    # and a tabulated time
     doc = dict(BASE_CONFIG, z1=True, params={"g": "9.8"},
+               frame_profile={"kind": "polynomial", "coefficients": [1.0, "1e3"]},
+               beam_a={"trajectory": {"kind": "constant", "value": "0.25"},
+                       "resolution": 1.0},
+               beam_b={"trajectory": {"kind": "tabulated", "times": [0.0, True],
+                                      "values": [0.0, 1.0]}, "resolution": 2.0},
                sweep={"parameter": "z2", "start": False, "stop": [1], "steps": 2})
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert err.value.violations == ["/params/g: expected a number, got '9.8'",
                                     "/z1: expected a number, got True",
+                                    "/frame_profile/coefficients/1: expected a number, "
+                                    "got '1e3'",
+                                    "/beam_a/trajectory/value: expected a number, got '0.25'",
+                                    "/beam_b/trajectory/times/1: expected a number, got True",
                                     "/sweep/start: expected a number, got False",
                                     "/sweep/stop: expected a number, got [1]"]
+
+
+def test_every_bad_field_of_a_time_function_is_reported():
+    doc = dict(BASE_CONFIG, frame_profile={"kind": "sinusoid", "amplitude": None,
+                                           "omega": [1], "phase": {}})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.violations == ["/frame_profile/amplitude: expected a number, got None",
+                                    "/frame_profile/omega: expected a number, got [1]",
+                                    "/frame_profile/phase: expected a number, got {}"]
+
+
+def test_unknown_properties_are_refused_at_every_level():
+    doc = dict(BASE_CONFIG, params={"mass": 2.0},
+               frame_profile={"kind": "linear", "slope": 1.0, "value": 0.0},
+               beam_a={"trajectroy": {"kind": "constant", "value": 0.1}, "resolution": 1.0},
+               sweep={"paramter": "g", "start": 0, "stop": 2, "steps": 3})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.violations == ["/params/mass: unknown property",
+                                    "/frame_profile/value: unknown property",
+                                    "/beam_a/trajectroy: unknown property",
+                                    "/sweep/paramter: unknown property"]
 
 
 def test_invalid_scenario_value_diagnostic():
@@ -161,6 +195,41 @@ def test_guard_trips_recorded_per_row():
     assert rows[0].error is not None and "stability guard" in rows[0].error
     assert np.isnan(rows[0].intensity)
     assert rows[-1].error is None
+
+
+def _unvalidated(m=1.0, hbar=1.0):
+    """The reference scenario with its mass and hbar, not validated."""
+    scenario = make_scenario()
+    return Scenario(PhysicalParams(m, 1.0, hbar, 0.0, 1.0), scenario.z1, scenario.z2,
+                    scenario.frame_profile, scenario.beam_a, scenario.beam_b)
+
+
+def _errors(rows):
+    return {row.error for row in rows}
+
+
+def test_an_invalid_scenario_fails_every_point_with_its_one_error():
+    # swept values that are invalid themselves are not reported apart: the
+    # scenario is validated once, with the swept field at a neutral value
+    rows = run_sweep(_unvalidated(m=-1.0),
+                     SweepSpec(parameter="delta_a", start=-1.0, stop=1.0, steps=5))
+    assert len(rows) == 5
+    assert _errors(rows) == {"ValidationError: params.m: must be a positive finite "
+                             "number, got -1.0"}
+
+
+def test_an_unknown_parameter_fails_every_point_with_its_one_error():
+    rows = run_sweep(make_scenario(), SweepSpec(parameter="mass", start=0.0, stop=1.0,
+                                                steps=3, mode="both"))
+    assert len(rows) == 6
+    assert _errors(rows) == {"RpifError: unknown sweep parameter 'mass'"}
+
+
+def test_a_scale_that_makes_the_mass_positive_does_not_rescue_the_scenario():
+    rows = run_sweep(_unvalidated(m=-1.0, hbar=-1.0),
+                     SweepSpec(parameter="m_over_hbar_scale", start=-1.0, stop=1.0, steps=3))
+    assert len(_errors(rows)) == 1 and None not in _errors(rows)
+    assert all(np.isnan(row.intensity) for row in rows)
 
 
 def test_sweep_each_parameter():

@@ -57,6 +57,12 @@ def test_unknown_kind_rejected():
         build_time_function({"kind": "spline", "value": 1.0})
 
 
+@pytest.mark.parametrize("kind", [["constant"], None])
+def test_a_kind_that_is_not_a_string_is_rejected(kind):
+    with pytest.raises(ValidationError, match="unknown kind"):
+        build_time_function({"kind": kind})
+
+
 def test_tabulated_not_increasing_rejected():
     with pytest.raises(ValidationError, match="strictly increasing"):
         build_time_function({"kind": "tabulated", "times": [0.0, 0.5, 0.5],

@@ -167,23 +167,31 @@ def series_triangle_kernel(w: complex, T: float):
     return kernel
 
 
-def printed_i5_block(beam, frame_profile, p, th) -> float:
-    """One beam's i5 contribution with the kernels evaluated as printed."""
-    import math
-
+def printed_i5_block(beam, frame_profile, p, th, exponent=0.5, products=False,
+                     power=None) -> float:
+    """One beam's i5 contribution with the kernels evaluated as printed, at
+    the angle ``th``: the weight e^{(sigma + epsilon)/2}, and the sums
+    g^2 (f(t) + f(s)) and -omega^4 (c(t) + c(s)) beside the mixed term
+    omega^2 g (f(t) c(s) + f(s) c(t)).  ``exponent`` replaces the 1/2 of the
+    weight, and ``products`` the sums by g^2 f(t) f(s) and -omega^4 c(t) c(s).
+    ``power`` (0, 1 or 2) keeps only the coefficient of g^power."""
     om = math.sqrt(4.0 * p.hbar / (p.m * p.duration * beam.resolution ** 2))
     coef = om * om
-    g, f, c = p.g, frame_profile, beam.trajectory
+    f, c = frame_profile, beam.trajectory
     t0, t1 = p.tau_start, p.tau_end
     rt2 = math.sqrt(2.0)
+    scale = [p.g ** k if power is None else float(k == power) for k in range(3)]
 
     def pieces(t, s):
         eps = om * (t1 - t)
         sig = om * (np.asarray(s) - t0)
         ft, fs = np.asarray(f(t)), np.asarray(f(s))
         ct, cs = np.asarray(c(t)), np.asarray(c(s))
-        big_g = g * g * (ft + fs) - coef * coef * (ct + cs)
-        big_h = coef * g * (ft * cs + fs * ct)
+        if products:
+            big_g = scale[2] * ft * fs - scale[0] * coef * coef * ct * cs
+        else:
+            big_g = scale[2] * (ft + fs) - scale[0] * coef * coef * (ct + cs)
+        big_h = coef * scale[1] * (ft * cs + fs * ct)
         e_sig = np.exp(-rt2 * sig)
         e_eps = np.exp(-rt2 * eps)
         e_both = np.exp(-rt2 * (sig + eps))
@@ -191,7 +199,7 @@ def printed_i5_block(beam, frame_profile, p, th) -> float:
               - np.cos((eps + sig) / rt2) * (1.0 + e_both))
         k2 = (np.sin((eps + sig) / rt2) * (1.0 - e_both)
               + (-e_sig + e_eps) * np.sin((eps - sig) / rt2))
-        lead = np.exp((sig + eps) / 2.0) / 2.0
+        lead = np.exp((sig + eps) * exponent) / 2.0
         return lead, big_g, big_h, k1, k2
 
     def kern_first(t, s):
@@ -209,6 +217,21 @@ def printed_i5_block(beam, frame_profile, p, th) -> float:
     w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
     w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
     return (p.duration * math.exp(-th) / (th * denom)) * (-w1 * j1 + w2 * j2)
+
+
+def action_angle(p, delta) -> float:
+    """|Re(wT)|, the angle at which the printed i1..i4 are the derived terms."""
+    return abs((actions.ensure_stable(p, delta) * p.duration).real)
+
+
+def printed_i5(scenario, exponent=0.5, products=False,
+               angle=interference._paper_angle) -> float:
+    """i5 of a scenario in internal units from ``printed_i5_block``, with
+    each beam's angle ``angle(params, resolution)``: as printed by default."""
+    p, f = scenario.params, scenario.frame_profile
+    a, b = (printed_i5_block(beam, f, p, angle(p, beam.resolution), exponent, products)
+            for beam in (scenario.beam_a, scenario.beam_b))
+    return (p.m / p.hbar) * (a - b)
 
 
 # ---------------------------------------------------------------------------
