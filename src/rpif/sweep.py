@@ -124,7 +124,10 @@ def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec 
         schedule, sched_problems = parse_oracle_schedule(raw["oracle"], "/sweep/oracle")
         problems.extend(sched_problems)
 
-    if not problems and np.isfinite(start) and np.isfinite(stop) and start > stop:
+    # checked alongside every other problem; a start that defaults to the
+    # base value of a bad parameter or scenario is no bound of the user's
+    given = "start" in raw or known
+    if given and np.isfinite(start) and np.isfinite(stop) and start > stop:
         problems.append(f"/sweep/start: start ({start:g}) must be <= stop ({stop:g})")
 
     if problems:
@@ -142,18 +145,23 @@ def parse_oracle_schedule(raw, where: str) -> tuple[tuple[int, ...] | None, list
             return None, [f"{where}: expected comma-separated integers, got {raw!r}"]
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         return None, [f"{where}: expected an array of integers"]
-    vals = []
+    problems, vals = [], []
     for i, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            return None, [f"{where}/{i}: expected a positive integer, got {v!r}"]
-        if v > MAX_LEVEL:
-            return None, [f"{where}/{i}: lattice sizes must be <= {MAX_LEVEL}, got {v!r}"]
-        vals.append(v)
-    if len(vals) < 3:
-        return None, [f"{where}: need at least 3 lattice sizes, got {len(vals)}"]
-    for a, b in zip(vals, vals[1:]):
-        if b != 2 * a:
-            return None, [f"{where}: sizes must double, got {a} then {b}"]
+            problems.append(f"{where}/{i}: expected a positive integer, got {v!r}")
+        elif v > MAX_LEVEL:
+            problems.append(f"{where}/{i}: lattice sizes must be <= {MAX_LEVEL}, got {v!r}")
+        else:
+            vals.append(v)
+    if len(raw) < 3:
+        problems.append(f"{where}: need at least 3 lattice sizes, got {len(raw)}")
+    if len(vals) == len(raw):  # doubling is only asked of valid sizes
+        for a, b in zip(vals, vals[1:]):
+            if b != 2 * a:
+                problems.append(f"{where}: sizes must double, got {a} then {b}")
+                break
+    if problems:
+        return None, problems
     return tuple(vals), []
 
 

@@ -93,7 +93,45 @@ def test_an_oracle_flag_past_the_bound_is_refused():
     schedule, problems = parse_oracle_schedule(
         f"{MAX_LEVEL},{2 * MAX_LEVEL},{4 * MAX_LEVEL}", "--oracle")
     assert schedule is None
-    assert problems == [f"--oracle/1: lattice sizes must be <= {MAX_LEVEL}, got {2 * MAX_LEVEL}"]
+    assert problems == [f"--oracle/1: lattice sizes must be <= {MAX_LEVEL}, got {2 * MAX_LEVEL}",
+                        f"--oracle/2: lattice sizes must be <= {MAX_LEVEL}, got {4 * MAX_LEVEL}"]
+
+
+@pytest.mark.parametrize("sweep, paths", [
+    # a reversed range beside another problem of the section
+    pytest.param({"start": 2, "stop": 1, "mode": "fast"}, ["/sweep/mode", "/sweep/start"],
+                 id="mode"),
+    pytest.param({"start": 2, "stop": 1, "paramter": "g"}, ["/sweep/paramter", "/sweep/start"],
+                 id="unknown-key"),
+    # every bad lattice size at its index, and the count
+    pytest.param({"oracle": [0, 512, 2 * MAX_LEVEL]}, ["/sweep/oracle/0", "/sweep/oracle/2"],
+                 id="oracle-entries"),
+    pytest.param({"oracle": [0, 3]}, ["/sweep/oracle/0", "/sweep/oracle: need at least 3"],
+                 id="oracle-count"),
+    pytest.param({"start": 2, "stop": 1, "oracle": [3, 5]},
+                 ["/sweep/start", "/sweep/oracle: need at least 3", "/sweep/oracle: sizes must"],
+                 id="oracle-doubling"),
+])
+def test_every_sweep_problem_is_reported_at_once(tmp_path, capsys, sweep, paths):
+    with pytest.raises(rpif.ConfigError) as err:
+        rpif.parse_config(json.dumps({"sweep": sweep}))
+    assert len(err.value.violations) == len(paths)
+    for path in paths:
+        assert any(v.startswith(path) for v in err.value.violations), path
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"sweep": sweep}))
+    assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(f"  {path}" in err for path in paths)
+
+
+def test_an_oracle_flag_reports_every_bad_size(config_path, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", config_path, "--output", str(out),
+                 "--oracle", f"0,512,{2 * MAX_LEVEL}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "  --oracle/0: " in err and "  --oracle/2: " in err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_config_error(capsys):

@@ -5,7 +5,14 @@ otherwise the reference scenario; the same scenario as the benchmark's
 omega = 400 request) needs 2048 nodes per axis in its double integrals.
 An n x n rule there peaks at about 430 MiB and evaluates its kernels at
 tens of millions of points; the nested rule, which sees n outer and 2n
-inner points per level, stays under 2 MiB and about 37 000 points.
+inner points per level, stays under 2 MiB (1.6 MiB of traced allocations)
+and at 24 480 points on 16-node panels, in chunks of 32 panels (512 outer
+nodes, 48 points per panel), in about 0.008 s on a 2-core VM with one
+BLAS thread.  8-node panels took 4096 nodes per axis for the action
+rows, 36 816 points and about 0.013 s.
+
+A beam one short of the stability guard, |wT| = 59, takes 1440 triangle
+points on 16-node panels, against 3024 on 8-node ones.
 
 A 16-point resolution sweep of the same scenario integrates beam a at
 all 16 resolutions in one batch, and stays as small.
@@ -27,9 +34,9 @@ from rpif.timefunctions import SinusoidFunction, TabulatedFunction
 from util import make_scenario
 
 
-def test_omega_400_decompose_stays_small(monkeypatch):
-    scenario = make_scenario(a=SinusoidFunction(amplitude=0.3, omega=400.0, phase=0.0),
-                             delta_a=1.0, z2=0.5)
+def _counted_triangle_points(monkeypatch) -> list:
+    """The points each call of the factors of ``integrate_triangle`` sees,
+    appended to the returned list."""
     points = []
     original = quadrature.integrate_triangle
 
@@ -39,6 +46,13 @@ def test_omega_400_decompose_stays_small(monkeypatch):
             return factors(t, s)
         return original(inner, *args, **kwargs)
     monkeypatch.setattr(quadrature, "integrate_triangle", counted)
+    return points
+
+
+def test_omega_400_decompose_stays_small(monkeypatch):
+    scenario = make_scenario(a=SinusoidFunction(amplitude=0.3, omega=400.0, phase=0.0),
+                             delta_a=1.0, z2=0.5)
+    points = _counted_triangle_points(monkeypatch)
 
     # both modes from one evaluation, which integrates each beam's action
     # rows and printed rows once; two decompose calls would integrate the
@@ -50,7 +64,16 @@ def test_omega_400_decompose_stays_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
-    assert sum(points) < 40_000
+    assert sum(points) < 30_000
+
+
+def test_a_beam_near_the_guard_takes_few_triangle_points(monkeypatch):
+    # |wT| = 2/delta = 59, one short of the guard: both modes' triangle
+    # integrals converge in 1440 points, against 3024 on 8-node panels
+    scenario = make_scenario(delta_a=2.0 / 59.0)
+    points = _counted_triangle_points(monkeypatch)
+    compare_modes(scenario)
+    assert sum(points) < 2_000
 
 
 def test_omega_400_resolution_sweep_stays_small():

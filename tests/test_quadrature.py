@@ -146,15 +146,19 @@ def test_triangle_chunks_bound_each_call_and_keep_the_sum(monkeypatch, breaks):
 
 def test_triangle_calls_stay_within_batch_points():
     # a kink off the breakpoints never converges, so the panels double to
-    # the budget; each call sees at most 64 panels, 512 outer nodes at
-    # order 8, and their 3*512 points fit in BATCH_POINTS
+    # the budget; each call sees at most the largest power of two of panels
+    # whose 3*order points each fit in BATCH_POINTS (32 panels, 512 outer
+    # nodes at order 16)
     def factors(t, s):
         seen.append((t.size, s.size))
         return [np.abs(t - 0.37) + 0j], [np.ones_like(s)]
     seen = []
     with pytest.raises(QuadratureError):
         integrate_triangle(factors, 0.0, 1.0)
-    assert max(n for n, _ in seen) == 64 * GAUSS_ORDER
+    panels = 1
+    while 2 * panels * 3 * GAUSS_ORDER <= quadrature.BATCH_POINTS:
+        panels *= 2
+    assert max(n for n, _ in seen) == panels * GAUSS_ORDER
     assert all(n + m <= quadrature.BATCH_POINTS for n, m in seen)
 
 
@@ -277,14 +281,15 @@ def test_a_long_split_grows_the_budget_to_three_levels(monkeypatch):
 
 def test_a_stalled_long_split_names_the_grown_budget():
     # 40 radians per panel at the last level: the rule cannot resolve the
-    # oscillation within the grown budget of 4 * 300 segments * 8 nodes
+    # oscillation within the grown budget of 4 * 300 segments * order nodes
     breaks = tuple(np.linspace(0.0, 1.0, 301)[1:-1])
     seen = []
 
     def factors(t, s):
         seen.append(t.size)
         return [np.exp(5e4j * t)], [np.ones_like(s)]
-    with pytest.raises(QuadratureError, match="within 9600 nodes per axis") as info:
+    budget = 4 * 300 * GAUSS_ORDER
+    with pytest.raises(QuadratureError, match=f"within {budget} nodes per axis") as info:
         integrate_triangle(factors, 0.0, 1.0, breaks=breaks)
     assert "nan" not in str(info.value)
     assert sum(seen) == 300 * GAUSS_ORDER * (1 + 2 + 4)
