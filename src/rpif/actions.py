@@ -21,8 +21,12 @@ Numerical posture:
     every |wT|, small or large.
   * w = 0, where 4*hbar/(m*T*delta_c^2) underflows, is the free particle,
     the w -> 0 limit of every kernel.
-  * scenarios whose resolution would push the sines past ~1e18 are
-    rejected up front by the stability guard.
+  * the stability guard (``ensure_stable``) rejects up front a resolution
+    that would push the sines past ~1e18, and one so fine that
+    4*hbar/(m*T*delta_c^2) overflows.  It runs once where a beam enters a
+    computation: an evaluation's beams, ``classical_action`` without blocks
+    and ``restricted_propagator``.  The row batches take only beams that
+    passed it.
 """
 
 from __future__ import annotations
@@ -77,15 +81,21 @@ def _ensure_finite(value, what: str):
 
 
 def complex_frequency(params: PhysicalParams, delta_c: float) -> complex:
-    """Principal root sqrt(-i*4*hbar/(m*T*delta_c^2)); arg is exactly -pi/4."""
+    """Principal root sqrt(-i*4*hbar/(m*T*delta_c^2)); arg is exactly -pi/4.
+    A resolution so fine that 4*hbar/(m*T*delta_c^2) is not finite trips the
+    stability guard."""
     if delta_c <= 0:
         raise RpifError(f"delta_c must be positive, got {delta_c!r}")
     try:
-        mag = math.sqrt(4.0 * params.hbar / (params.m * params.duration * delta_c ** 2))
+        rate = 4.0 * params.hbar / (params.m * params.duration * delta_c ** 2)
     except OverflowError:
         raise RpifError(f"resolution {delta_c:g}: 4*hbar/(m*T*delta^2) cannot be "
                         f"formed, delta^2 overflows") from None
-    part = mag / math.sqrt(2.0)
+    except ZeroDivisionError:  # delta^2 underflows to 0
+        rate = math.inf
+    if rate == math.inf:
+        raise StabilityError(delta_c, math.inf, STABILITY_LIMIT)
+    part = math.sqrt(rate) / math.sqrt(2.0)
     return _ensure_finite(complex(part, -part), "complex_frequency")
 
 
@@ -291,31 +301,21 @@ def _samplers(beams: Sequence[BeamRecord]) -> quadrature.Samples:
 def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
                        m: float, hbar: float, tau_start: float,
                        tau_end: float) -> list[ActionRows | RpifError]:
-    """The g-free action rows of beams that share a panel layout: one line
-    pass and one triangle pass, which sample each distinct record once per
-    call, and <c^2> once per distinct record.  None of the rows depends on
-    z1, z2 or g.  Returns each beam's rows, or the RpifError that it raises
-    on its own, with the error of the first step that fails alone: the
-    stability guard, the integrals, <c^2>."""
+    """The g-free action rows of beams that share a panel layout and have
+    passed the stability guard: one line pass and one triangle pass, which
+    sample each distinct record once per call, and <c^2> once per distinct
+    record.  None of the rows depends on z1, z2 or g.  Returns each beam's
+    rows, or the RpifError that it raises on its own, with the error of the
+    first step that fails alone: the integrals, <c^2>."""
     params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
-    out: list = [None] * len(beams)
-    ws = {}
-    for i, beam in enumerate(beams):
-        try:
-            ws[i] = ensure_stable(params, beam.resolution)
-        except RpifError as exc:
-            out[i] = exc
-    index = list(ws)
-    if index:
-        breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
-        kernels = action_kernels([ws[i] for i in index], m, params.duration)
-        forces = _force_rows(_samplers([beams[i] for i in index]),
-                             [beams[i].resolution for i in index], frame_profile.sampler(),
-                             params)
-        batch = quadrature.Batch(len(index))
-        rows = _integrate_rows(kernels, forces, tau_start, tau_end, breaks, batch=batch)
-        for j, (i, values) in enumerate(zip(index, zip(*rows))):
-            out[i] = batch.failed.get(j, values)
+    breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
+    kernels = action_kernels([complex_frequency(params, beam.resolution) for beam in beams],
+                             m, params.duration)
+    forces = _force_rows(_samplers(beams), [beam.resolution for beam in beams],
+                         frame_profile.sampler(), params)
+    batch = quadrature.Batch(len(beams))
+    rows = _integrate_rows(kernels, forces, tau_start, tau_end, breaks, batch=batch)
+    out = [batch.failed.get(j, values) for j, values in enumerate(zip(*rows))]
     msq: dict = {}
     for i, beam in enumerate(beams):
         if isinstance(out[i], tuple):
@@ -332,8 +332,8 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
 
 def _beam_rows(beam: BeamRecord, frame_profile: TimeFunction,
                params: PhysicalParams) -> ActionRows:
-    """One beam's g-free action rows and <c^2>, integrated as a batch of
-    one."""
+    """The g-free action rows and <c^2> of one beam that passed the
+    stability guard, integrated as a batch of one."""
     rows, = _batch_action_rows((beam,), frame_profile, params.m, params.hbar,
                                params.tau_start, params.tau_end)
     if isinstance(rows, RpifError):
@@ -351,6 +351,7 @@ def classical_action(beam: BeamRecord, frame_profile: TimeFunction,
     them as ``blocks``.  An action that overflows raises an RpifError.
     """
     if blocks is None:
+        ensure_stable(params, beam.resolution)
         blocks = _beam_rows(beam, frame_profile, params).at(params.g)
     value = blocks.action(params.m, z1, z2)
     _ensure_finite(value, "classical_action")
@@ -399,9 +400,9 @@ def restricted_propagator(beam: BeamRecord, frame_profile: TimeFunction,
     """Full restricted propagator U(z2, z1) for one measured beam: the
     three factors around its action and the record's mean square <c^2>
     (``ActionRows.mean_square``)."""
+    w = ensure_stable(params, beam.resolution)
     rows = _beam_rows(beam, frame_profile, params)
     action = classical_action(beam, frame_profile, params, z1, z2, blocks=rows.at(params.g))
-    w = ensure_stable(params, beam.resolution)
     weight_exponent = -2.0 * rows.mean_square / beam.resolution ** 2
     phase_exponent = 1j * action / params.hbar
     prefactor = _prefactor(w, params)

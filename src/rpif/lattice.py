@@ -217,7 +217,15 @@ def _green_form(n: int, lam: float, kap: complex, gam: complex, psi: complex,
 def _reduce_level(n: int, m: float, hbar: float, duration: float,
                   resolution: float, c_mid: np.ndarray,
                   f_mid: np.ndarray) -> tuple[complex, np.ndarray, float]:
-    """(const, quad, scale) of one beam at N slices, as in ``LatticeRows``."""
+    """(const, quad, scale) of one beam at N slices, as in ``LatticeRows``.
+    A resolution so fine that 4*hbar/(m*T*delta^2) is not finite, which the
+    closed form's stability guard refuses, raises LatticeError."""
+    try:
+        rate = 4.0 * hbar / (m * duration * resolution ** 2)
+    except ZeroDivisionError:  # delta^2 underflows to 0
+        rate = math.inf
+    if rate == math.inf:
+        raise LatticeError(f"resolution {resolution:g}: 4*hbar/(m*T*delta^2) is not finite")
     h = duration / n
     lam = 2.0 * h / (duration * resolution ** 2)
     kap_im = m / (hbar * h)

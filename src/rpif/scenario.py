@@ -40,6 +40,16 @@ class PhysicalParams:
     def duration(self) -> float:
         return self.tau_end - self.tau_start
 
+    @property
+    def length_scale(self) -> float:
+        """Natural quantum length sqrt(hbar*T/m) used for rescaling."""
+        return math.sqrt(self.hbar * self.duration / self.m)
+
+    @property
+    def gravity_scale(self) -> float:
+        """Factor sqrt(m*T^3/hbar) that puts g into internal units."""
+        return math.sqrt(self.m * self.duration ** 3 / self.hbar)
+
 
 @dataclass(frozen=True)
 class BeamRecord:
@@ -68,14 +78,12 @@ class Scenario:
     @property
     def length_scale(self) -> float:
         """Natural quantum length sqrt(hbar*T/m) used for rescaling."""
-        p = self.params
-        return math.sqrt(p.hbar * p.duration / p.m)
+        return self.params.length_scale
 
     @property
     def gravity_scale(self) -> float:
         """Factor sqrt(m*T^3/hbar) that puts g into internal units."""
-        p = self.params
-        return math.sqrt(p.m * p.duration ** 3 / p.hbar)
+        return self.params.gravity_scale
 
     def is_nondimensional(self) -> bool:
         p = self.params
@@ -155,18 +163,39 @@ def _check_resolution(name: str, value: float, out: list[str]) -> None:
         out.append(f"{name}.resolution: must be a positive finite number, got {value!r}")
 
 
+def _check_scales(p: PhysicalParams, out: list[str]) -> None:
+    """The internal units of params whose m, hbar and window are valid:
+    lengths divide by sqrt(hbar*T/m) and g multiplies by sqrt(m*T^3/hbar),
+    so each must be a positive finite number."""
+    try:
+        gravity = p.gravity_scale
+    except OverflowError:  # T^3
+        gravity = math.inf
+    scales = (p.length_scale, gravity)
+    if not all(0.0 < scale < math.inf for scale in scales):
+        out.append(f"params: the internal units cannot be formed, need sqrt(hbar*T/m) "
+                   f"and sqrt(m*T^3/hbar) positive and finite (got {scales[0]!r} and "
+                   f"{scales[1]!r})")
+
+
 def _check_params(p: PhysicalParams, out: list[str]) -> None:
+    start = len(out)
     for name, value in (("params.m", p.m), ("params.hbar", p.hbar)):
         if not (np.isfinite(value) and value > 0):
             out.append(f"{name}: must be a positive finite number, got {value!r}")
+    units = len(out) == start
     _check_gravity(p.g, out)
+    _check_endpoint("params.tau_start", p.tau_start, out)
+    _check_endpoint("params.tau_end", p.tau_end, out)
     if not (np.isfinite(p.tau_start) and np.isfinite(p.tau_end)):
-        out.append("params.tau_start/tau_end: must be finite")
-    elif p.tau_end <= p.tau_start:
+        return
+    if p.tau_end <= p.tau_start:
         out.append(
             f"params: time ordering violated, need tau_end > tau_start "
             f"(got [{p.tau_start!r}, {p.tau_end!r}])"
         )
+    elif units:
+        _check_scales(p, out)
 
 
 def validate_scenario(scenario: Scenario) -> Scenario:
@@ -266,7 +295,12 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
     try:
         return validate_scenario(scenario)
     except ValidationError as exc:
-        raise ValidationError(
-            [f"/{v.replace('.', '/', 1)}" if not v.startswith("/") else v
-             for v in exc.violations]
-        ) from None
+        raise ValidationError([v if v.startswith("/") else _pointer(v)
+                               for v in exc.violations]) from None
+
+
+def _pointer(violation: str) -> str:
+    """A violation of ``validate_scenario`` with its dotted field name, the
+    text before the first ": ", as a JSON pointer."""
+    name, sep, message = violation.partition(": ")
+    return f"/{name.replace('.', '/')}{sep}{message}"

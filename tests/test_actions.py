@@ -201,6 +201,54 @@ def test_stability_guard_admits_below_limit():
     assert np.isfinite(s.real) and np.isfinite(s.imag)
 
 
+@pytest.mark.parametrize("call", ["classical_action", "restricted_propagator"])
+def test_a_library_call_runs_the_stability_guard_once(monkeypatch, call):
+    # the guard runs where the beam enters the call, and its rows are
+    # integrated without it
+    from rpif import actions
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ensure_stable(*args)
+    monkeypatch.setattr(actions, "ensure_stable", counted)
+    scenario = make_scenario()
+    getattr(actions, call)(scenario.beam_a, scenario.frame_profile, scenario.params,
+                           0.0, 0.5)
+    assert [resolution for _, resolution in calls] == [scenario.beam_a.resolution]
+
+
+@pytest.mark.parametrize("delta", [1e-200, 1e-161])
+def test_a_resolution_whose_rate_overflows_trips_the_guard(delta):
+    # delta^2 underflows to 0 (1e-200) or to a subnormal (1e-161), and
+    # 4*hbar/(m*T*delta^2) is not finite: every entry point raises the
+    # guard's StabilityError, never a ZeroDivisionError
+    from rpif import decompose
+    scenario = make_scenario(delta_a=delta)
+    text = (f"stability guard tripped: resolution delta_c={delta:g} gives "
+            f"|Im(wT)|*sqrt(2)=inf > 60")
+    beam, f, p = scenario.beam_a, scenario.frame_profile, scenario.params
+    for call in (lambda: complex_frequency(p, delta), lambda: ensure_stable(p, delta),
+                 lambda: classical_action(beam, f, p, 0.0, 0.5),
+                 lambda: restricted_propagator(beam, f, p, 0.0, 0.5),
+                 lambda: decompose(scenario, "derived"),
+                 lambda: decompose(scenario, "paper-literal")):
+        with pytest.raises(StabilityError) as err:
+            call()
+        assert str(err.value) == text
+
+
+def test_the_finest_resolution_whose_rate_is_finite_keeps_its_bits():
+    # at delta = 1.5e-154, 4/delta^2 = 1.78e308 is still finite: w keeps the
+    # bits of the root, and the guard trips on its finite size
+    delta = 1.5e-154
+    part = math.sqrt(4.0 / delta ** 2) / math.sqrt(2.0)
+    assert complex_frequency(NBASE, delta) == complex(part, -part)
+    with pytest.raises(StabilityError) as err:
+        ensure_stable(NBASE, delta)
+    assert math.isfinite(err.value.scale)
+
+
 def test_non_finite_record_is_rejected():
     beam = BeamRecord(ConstantFunction(float("nan")), 1.0)
     with pytest.raises(RpifError, match="non-finite"):

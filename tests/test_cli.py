@@ -271,6 +271,54 @@ def test_compare_reports_a_failed_scenario_and_exits_2(tmp_path, capsys, beam_a,
     assert len(lines) == 1 and lines[0].startswith(f"compare failed: {error}")
 
 
+@pytest.mark.parametrize("resolution", [1e-200, 1e-161])
+def test_a_resolution_whose_rate_overflows_trips_the_guard(tmp_path, capsys, resolution):
+    # delta^2 underflows: the config is valid, and the guard fails its row,
+    # or the compared scenario, with exit 2 rather than a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"beam_a": {"trajectory": {"kind": "constant", "value": 0.1},
+                                           "resolution": resolution}}))
+    text = (f"StabilityError: stability guard tripped: resolution delta_c={resolution:g} "
+            f"gives |Im(wT)|*sqrt(2)=inf > 60")
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--output", str(out)]) == EXIT_GUARD
+    assert capsys.readouterr().err == f"row swept_value=0.5 mode=derived: {text}\n"
+    assert main(["compare", "--config", str(path)]) == EXIT_GUARD
+    assert capsys.readouterr().err == f"compare failed: {text}\n"
+
+
+@pytest.mark.parametrize("params", [{"tau_end": 1e300}, {"m": 1e30, "tau_end": 1e-300}])
+@pytest.mark.parametrize("command", ["validate", "simulate", "compare"])
+def test_params_whose_internal_units_cannot_be_formed_are_a_config_error(
+        tmp_path, capsys, params, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": params}))
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "config invalid:" and len(lines) == 2
+    assert lines[1].startswith("  /params: the internal units cannot be formed")
+
+
+@pytest.mark.parametrize("params, violations", [
+    # a dot in a number stays a dot
+    ('{"tau_start": 2.0, "tau_end": 1.0}',
+     ["/params: time ordering violated, need tau_end > tau_start (got [2.0, 1.0])"]),
+    # each bound past the float range at its own path
+    ('{"tau_end": 1e400}', ["/params/tau_end: must be finite, got inf"]),
+    ('{"tau_start": -1e400, "tau_end": 1e400}', ["/params/tau_start: must be finite, got -inf",
+                                                 "/params/tau_end: must be finite, got inf"]),
+])
+def test_a_config_error_names_its_field_and_numbers_as_given(tmp_path, capsys, params,
+                                                             violations):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"params": %s}' % params)
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["config invalid:"] + [
+        f"  {v}" for v in violations]
+
+
 def _coarse_config(tmp_path):
     """BASE with beam a at a resolution whose square overflows."""
     doc = dict(BASE, beam_a=dict(BASE["beam_a"], resolution=1e200))

@@ -368,6 +368,21 @@ def test_overflowing_level_reported():
         oracle_propagator(scenario, "a", (1024, 2048, 4096))
 
 
+@pytest.mark.parametrize("delta", [1e-200, 1e-161])
+def test_a_resolution_whose_rate_overflows_is_a_lattice_error(delta):
+    # delta^2 underflows to 0 (1e-200) or to a subnormal (1e-161): the
+    # lattice refuses the beam, as the closed form's guard does, rather
+    # than dividing by 0 or warning
+    scenario = make_scenario(delta_a=delta)
+    text = f"resolution {delta:g}: 4*hbar/(m*T*delta^2) is not finite"
+    with pytest.raises(LatticeError) as err:
+        oracle_propagator(scenario, "a", (256, 512, 1024))
+    assert str(err.value) == text
+    with pytest.raises(LatticeError) as err:
+        stationary_action(scenario, "a", 64)
+    assert str(err.value) == text
+
+
 def test_single_level_reduction_within_discretization_error():
     scenario = make_scenario()
     closed = restricted_propagator(scenario.beam_a, scenario.frame_profile,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,32 @@ def test_validate_lists_every_violation():
     for field in ("params.m", "params.g", "z2", "beam_a.resolution"):
         assert field in text
     assert len(err.value.violations) >= 4
+
+
+UNITS_TEXT = ("params: the internal units cannot be formed, need sqrt(hbar*T/m) and "
+              "sqrt(m*T^3/hbar) positive and finite")
+
+
+@pytest.mark.parametrize("params, scales", [
+    # T^3 overflows
+    ({"tau_end": 1e300}, "(got 1e+150 and inf)"),
+    # hbar*T/m underflows to 0, and so does m*T^3/hbar
+    ({"m": 1e30, "tau_end": 1e-300}, "(got 0.0 and 0.0)"),
+])
+def test_params_whose_internal_units_cannot_be_formed_are_refused(params, scales):
+    # one violation under params, at /params in a config, and decompose
+    # raises it rather than dividing by 0 or overflowing
+    from rpif import ConfigError, decompose, parse_config
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"params": params}))
+    assert err.value.violations == [f"/{UNITS_TEXT} {scales}"]
+    defaults = {"m": 1.0, "g": 1.0, "hbar": 1.0, "tau_start": 0.0, "tau_end": 1.0}
+    scenario = make_scenario()
+    scenario = Scenario(PhysicalParams(**{**defaults, **params}), scenario.z1, scenario.z2,
+                        scenario.frame_profile, scenario.beam_a, scenario.beam_b)
+    with pytest.raises(ValidationError) as err:
+        decompose(scenario)
+    assert err.value.violations == [f"{UNITS_TEXT} {scales}"]
 
 
 def test_validate_rejects_uncovering_table():

@@ -436,9 +436,9 @@ def _count_everywhere(monkeypatch, functions) -> dict:
 ])
 def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, oracle):
     # both modes and the oracle of a point share one amplitude per beam; the
-    # stability check runs twice per distinct beam (the swept one at every
-    # resolution, the other once): once when the sweep reads the beam and
-    # once when its rows are integrated; the scenario is validated once
+    # stability check runs once per distinct beam (the swept one at every
+    # resolution, the other once), when the sweep reads the beam, and its
+    # rows are integrated without it; the scenario is validated once
     from rpif import actions, scenario as scenario_module
     scenario, spec = parse_config(json.dumps({"sweep": {**sweep, "steps": 32,
                                                         "mode": "both"}}))
@@ -449,7 +449,7 @@ def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, orac
     rows = run_sweep(scenario, spec)
     assert len(rows) == 64 and all(row.error is None for row in rows)
     beams = 32 + 1 if spec.parameter == "delta_a" else 2
-    assert counts == {"_amplitude": 64, "ensure_stable": 2 * beams, "classical_action": 0,
+    assert counts == {"_amplitude": 64, "ensure_stable": beams, "classical_action": 0,
                       "validate_scenario": 1}
 
 
@@ -645,6 +645,50 @@ def test_a_printed_term_that_overflows_is_reported_as_alone():
                    and "i5 is not finite" in row.error for row in rows)
         assert all(np.isfinite(row.i5) for row in rows if row.error is None)
         _as_lone_points(scenario, spec, rows)
+
+
+@pytest.mark.parametrize("start", [1e150, 1e154, 1e160])
+def test_a_huge_g_sweep_with_the_oracle_fails_every_row_without_a_warning(start):
+    # a tabulated beam and g from 1e150 up: every row fails, with the error
+    # of a non-finite action or the lattice's, and no numpy RuntimeWarning
+    # reaches the caller (the suite makes one an error); a row records only
+    # an RpifError, anything else would end the sweep
+    scenario, spec = parse_config(_config(beam_a={
+        "trajectory": {"kind": "tabulated", "times": [0.0, 0.3, 0.7, 1.0],
+                       "values": [0.1, 0.2, -0.1, 0.0]}, "resolution": 1.0}))
+    spec = SweepSpec(parameter="g", start=start, stop=10.0 * start, steps=4, mode="both",
+                     oracle_schedule=(256, 512, 1024))
+    rows = run_sweep(scenario, spec)
+    assert len(rows) == 8 and all(row.error is not None for row in rows)
+
+
+def test_a_resolution_sweep_fails_only_the_resolution_whose_rate_overflows():
+    # at 1e-200, delta^2 underflows to 0 and 4*hbar/(m*T*delta^2) is not
+    # finite: that point trips the stability guard, and the others are
+    # evaluated, with the oracle
+    scenario, _ = parse_config(_config())
+    spec = SweepSpec(parameter="delta_a", start=1e-200, stop=1.0, steps=3, mode="both",
+                     oracle_schedule=(256, 512, 1024))
+    rows = run_sweep(scenario, spec)
+    assert [row.swept_value for row in rows] == [1e-200] * 2 + [0.5] * 2 + [1.0] * 2
+    text = ("StabilityError: stability guard tripped: resolution delta_c=1e-200 gives "
+            "|Im(wT)|*sqrt(2)=inf > 60")
+    assert [row.error for row in rows[:2]] == [text, text]
+    assert all(row.error is None and row.oracle_dev <= 1e-6 for row in rows[2:])
+
+
+def test_a_scale_sweep_point_whose_units_cannot_be_formed_fails_its_row():
+    # on a window of 1e-20, scaling m and hbar by 1e-310 underflows
+    # hbar*T/m to 0: that point fails with the validation error, and the
+    # other is evaluated
+    scenario, _ = parse_config(_config(params={"tau_end": 1e-20}))
+    spec = SweepSpec(parameter="m_over_hbar_scale", start=1e-310, stop=1.0, steps=2,
+                     mode="derived")
+    first, last = run_sweep(scenario, spec)
+    assert first.error.startswith(
+        "ValidationError: params: the internal units cannot be formed, need "
+        "sqrt(hbar*T/m) and sqrt(m*T^3/hbar) positive and finite (got 0.0 and ")
+    assert last.error is None
 
 
 # ---------------------------------------------------------------------------
