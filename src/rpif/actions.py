@@ -203,8 +203,10 @@ class ActionBlocks(NamedTuple):
 
     S = (z1^2+z2^2)*b1 - 2*z1*z2*b2 + z1*q1 + z2*q2 - q12/m
 
-    An action that overflows comes out non-finite, without a numpy
-    warning: every caller checks that it is finite.
+    The blocks are Python complex numbers (``ActionRows.at``), and m, z1
+    and z2 are taken as Python floats, so an action that overflows comes
+    out non-finite, with no numpy warning: every caller checks that it is
+    finite.
     """
 
     b1: complex
@@ -214,9 +216,9 @@ class ActionBlocks(NamedTuple):
     q12: complex
 
     def action(self, m: float, z1: float, z2: float) -> complex:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ((z1 * z1 + z2 * z2) * self.b1 - 2.0 * z1 * z2 * self.b2
-                    + z2 * self.q2 + z1 * self.q1 - self.q12 / m)
+        m, z1, z2 = float(m), float(z1), float(z2)
+        return ((z1 * z1 + z2 * z2) * self.b1 - 2.0 * z1 * z2 * self.b2
+                + z2 * self.q2 + z1 * self.q1 - self.q12 / m)
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,10 @@ class ActionRows:
 
     None of the rows depends on g, so a g sweep integrates them once.
     ``mean_square`` is the record's <c^2> over the window, which the
-    propagator's weight factor reads.  A block that overflows at a large g
-    comes out non-finite, without a numpy warning, and so does the action.
+    propagator's weight factor reads.  The rows are Python complex numbers
+    (``_batch_action_rows``), and g is taken as a Python float, so a block
+    that overflows at a large g comes out non-finite, with no numpy
+    warning, and so does the action.
     """
 
     b1: complex
@@ -245,10 +249,10 @@ class ActionRows:
     mean_square: float
 
     def at(self, g: float) -> ActionBlocks:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ActionBlocks(self.b1, self.b2, g * self.q1_f + self.q1_c,
-                                g * self.q2_f + self.q2_c,
-                                (g * self.q12_ff + self.q12_fc) * g + self.q12_cc)
+        g = float(g)
+        return ActionBlocks(self.b1, self.b2, g * self.q1_f + self.q1_c,
+                            g * self.q2_f + self.q2_c,
+                            (g * self.q12_ff + self.q12_fc) * g + self.q12_cc)
 
 
 def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: float,
@@ -305,8 +309,9 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
     passed the stability guard: one line pass and one triangle pass, which
     sample each distinct record once per call, and <c^2> once per distinct
     record.  None of the rows depends on z1, z2 or g.  Returns each beam's
-    rows, or the RpifError that it raises on its own, with the error of the
-    first step that fails alone: the integrals, <c^2>."""
+    rows, as Python complex numbers, or the RpifError that it raises on its
+    own, with the error of the first step that fails alone: the integrals,
+    <c^2>."""
     params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
     breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
     kernels = action_kernels([complex_frequency(params, beam.resolution) for beam in beams],
@@ -315,7 +320,8 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
                          frame_profile.sampler(), params)
     batch = quadrature.Batch(len(beams))
     rows = _integrate_rows(kernels, forces, tau_start, tau_end, breaks, batch=batch)
-    out = [batch.failed.get(j, values) for j, values in enumerate(zip(*rows))]
+    out = [batch.failed.get(j, values)
+           for j, values in enumerate(zip(*(row.tolist() for row in rows)))]
     msq: dict = {}
     for i, beam in enumerate(beams):
         if isinstance(out[i], tuple):

@@ -34,7 +34,6 @@ residual are invariant under that rescaling.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -44,10 +43,8 @@ import numpy as np
 from . import quadrature
 from .actions import (
     ActionBlocks,
-    ActionRows,
     _amplitude,
     _batch_action_rows,
-    _ensure_finite,
     _prefactor,
     _samplers,
     _sines,
@@ -165,8 +162,7 @@ class _Printed(NamedTuple):
     neither g nor the endpoints: its i1 and i2 brackets over delta, the
     weight W of its i3/i4 blocks (``_printed``), the hyperbolic weights of
     its i5 block and its i5 rows, and the params' factors ``c1``, ``c2``
-    and ``mh`` of i1, i2 and i5.  Each field is a number, or an array with
-    one entry per point of a group.
+    and ``mh`` of i1, i2 and i5, each a Python float.
     """
 
     i1: float
@@ -234,7 +230,7 @@ def _printed_terms(z1: float, z2: float, g: float, a: _Printed, b: _Printed,
                    action_a: ActionBlocks, action_b: ActionBlocks) -> tuple[float, ...]:
     """i1..i5 exactly as printed, from the two beams' printed-form numbers
     and, for i3 and i4, their action blocks at g."""
-    def weighted(printed, q):  # Re(W*q), in real arithmetic, as ``_Complex``
+    def weighted(printed, q):  # Re(W*q), from the two parts of W
         return printed.weight_re * q.real - printed.weight_im * q.imag
 
     def double(printed):
@@ -268,47 +264,6 @@ def _derived_terms(z1: float, z2: float, m: float, a: ActionBlocks,
 # ---------------------------------------------------------------------------
 # evaluation of points
 # ---------------------------------------------------------------------------
-
-#: the fewest points that ``_evaluate`` computes as arrays rather than one
-#: by one
-VECTOR_POINTS = 8
-
-
-class _Complex:
-    """Complex numbers held as a real and an imaginary part, each an array
-    over the points of a group, with the arithmetic of a numpy or Python
-    complex scalar: a real operand x counts as x + 0j, so a product keeps
-    its 0*im terms, and a quotient by x (nonzero: a mass) is multiplied by
-    1/(x + 0*(0/x)).  Every operation is real arithmetic, which arrays do
-    with the bits of scalars, so each point of a group gets the bits it
-    gets alone.  Only the operations the action blocks use are defined."""
-
-    __slots__ = ("real", "imag")
-    __array_ufunc__ = None  # so that ndarray * _Complex calls __rmul__
-
-    def __init__(self, real, imag):
-        self.real, self.imag = real, imag
-
-    def __add__(self, other: "_Complex") -> "_Complex":
-        return _Complex(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other: "_Complex") -> "_Complex":
-        return _Complex(self.real - other.real, self.imag - other.imag)
-
-    def __neg__(self) -> "_Complex":
-        return _Complex(-self.real, -self.imag)
-
-    def __mul__(self, x) -> "_Complex":
-        return _Complex(x * self.real - 0.0 * self.imag, x * self.imag + 0.0 * self.real)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, x) -> "_Complex":
-        ratio = 0.0 / x
-        scale = 1.0 / (x + 0.0 * ratio)
-        return _Complex((self.real + self.imag * ratio) * scale,
-                        (self.imag - self.real * ratio) * scale)
-
 
 class _Beam:
     """What every point of an evaluation that has this beam, frame profile
@@ -399,79 +354,6 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam
     return pairs
 
 
-class _Group:
-    """Points evaluated together: g, z1, z2 and m, and each beam's action
-    rows and printed-form numbers, as numbers for a group of one point and
-    as arrays over the points otherwise."""
-
-    def __init__(self, points: Sequence[Scenario], pairs: Sequence[tuple[_Beam, _Beam]]):
-        self.points, self.pairs = points, pairs
-        self.g, self.z1, self.z2, self.m = (
-            _grouped(column) for column in
-            zip(*[(nd.params.g, nd.z1, nd.z2, nd.params.m) for nd in points]))
-
-    def _rows(self, side: int) -> ActionRows:
-        rows = [pair[side].action[0] for pair in self.pairs]
-        if len(rows) == 1:
-            return rows[0]
-        table = np.array([[r.b1, r.b2, r.q1_f, r.q1_c, r.q2_f, r.q2_c, r.q12_ff, r.q12_fc,
-                           r.q12_cc] for r in rows])
-        return ActionRows(*(_Complex(column.real, column.imag) for column in table.T),
-                          mean_square=None)
-
-    def _printed(self, side: int) -> _Printed:
-        printed = [pair[side].printed for pair in self.pairs]
-        return printed[0] if len(printed) == 1 else _Printed(*np.array(printed).T)
-
-    def blocks(self) -> tuple[ActionBlocks, ActionBlocks]:
-        """Each beam's action blocks at the points' g."""
-        return self._rows(0).at(self.g), self._rows(1).at(self.g)
-
-    def actions(self, blocks: tuple[ActionBlocks, ActionBlocks]
-                ) -> list[tuple[complex, complex] | RpifError]:
-        """Each point's two actions, as Python complex numbers, or the
-        RpifError of the first that is not finite.  A point alone gets them
-        from ``classical_action``."""
-        if len(self.points) == 1:
-            (nd,), (pair,) = self.points, self.pairs
-            try:
-                return [tuple(classical_action(beam.beam, nd.frame_profile, nd.params,
-                                               nd.z1, nd.z2, blocks=block)
-                              for beam, block in zip(pair, blocks))]
-            except RpifError as exc:
-                return [exc]
-        values = [block.action(self.m, self.z1, self.z2) for block in blocks]
-        out: list = []
-        for point in zip(*(map(complex, value.real.tolist(), value.imag.tolist())
-                           for value in values)):
-            try:
-                for value in point:
-                    if not cmath.isfinite(value):
-                        _ensure_finite(np.complex128(value), "classical_action")
-            except RpifError as exc:
-                point = exc
-            out.append(point)
-        return out
-
-    def terms(self, mode: str, blocks: tuple[ActionBlocks, ActionBlocks]) -> tuple:
-        """i1..i5 of ``mode`` from each beam's action blocks at g."""
-        if mode == MODE_LITERAL:
-            return _printed_terms(self.z1, self.z2, self.g, self._printed(0),
-                                  self._printed(1), *blocks)
-        return _derived_terms(self.z1, self.z2, self.m, *blocks)
-
-
-def _grouped(values: Sequence[float]):
-    """Numbers of the points of a group: the number of a group of one, else
-    an array."""
-    return values[0] if len(values) == 1 else np.array(values)
-
-
-def _listed(value) -> list[float]:
-    """A group's numbers, one per point."""
-    return value.tolist() if isinstance(value, np.ndarray) else [value]
-
-
 def _amplitudes(pair: tuple[_Beam, _Beam], actions: Sequence[complex], hbar: float
                 ) -> tuple[complex, complex] | RpifError:
     """U_a and U_b of a point from its two actions, or the RpifError of the
@@ -533,10 +415,12 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     RpifError that failed it, and the oracle deviation, or None without a
     schedule or once every mode failed.  Everything that depends on neither
     g nor the endpoints is computed once per distinct beam (``_Beam``), and
-    held only until the evaluation returns.  The points are then evaluated
-    together: their rows at g, actions and terms as array arithmetic that
-    gives each point the bits it gets alone (``_Complex``), and per point
-    only the two amplitudes, the intensity and reduced_i.
+    held only until the evaluation returns.  Each point with an open mode
+    is then evaluated alone, in Python complex and float arithmetic: its
+    beams' action blocks at g (``ActionRows.at``), its two actions
+    (``classical_action``), its amplitudes, intensity and reduced_i, and
+    the terms of each mode still open.  A number that overflows there
+    comes out non-finite, with no warning, and fails the point or its mode.
 
     A table holds each point's entry in each mode, and every stage fails
     points by one rule (``_fail``): its error fills the modes of the point
@@ -544,11 +428,10 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     the order stability guard, printed i5 rows (the literal mode's alone),
     action rows, actions and amplitudes, each mode's terms, and oracle.  A
     stage runs only for the points with an open mode, and a mode's terms
-    over exactly the points where it is open.  The oracle reduces the beams
-    of those points, each distinct beam once per level, one batch per frame
-    profile and units (``lattice._batch_lattice_rows``); its deviation is
-    shared by the open modes of a point, and its error replaces their
-    numbers.
+    only where it is open.  The oracle reduces the beams of those points,
+    each distinct beam once per level, one batch per frame profile and
+    units (``lattice._batch_lattice_rows``); its deviation is shared by the
+    open modes of a point, and its error replaces their numbers.
     """
     pairs = _beams(points, modes)
     table = [dict.fromkeys(modes) for _ in points]   # per mode: None, numbers or RpifError
@@ -557,41 +440,33 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
         for part, among in ((a.error, None), (b.error, None), (a.printed, literal),
                             (b.printed, literal), (a.action, None), (b.action, None)):
             _fail(row, part, among)
-
-    def group(indices):
-        return _Group([points[i] for i in indices], [pairs[i] for i in indices])
-
-    live = [i for i, row in enumerate(table) if _open(row)]
     amplitudes = {}
-    # a few points cost less one by one than as arrays
-    for members in [live] if len(live) >= VECTOR_POINTS else [[i] for i in live]:
-        whole = group(members)
-        blocks = whole.blocks()
-        shared = {}   # pd, intensity and reduced_i of each point that has its amplitudes
-        for i, actions in zip(members, whole.actions(blocks)):
-            hbar = points[i].params.hbar
-            found = actions if isinstance(actions, RpifError) else _amplitudes(
-                pairs[i], actions, hbar)
-            _fail(table[i], found)
-            if not isinstance(found, RpifError):
-                ua, ub = amplitudes[i] = found
-                pd = actions[0].real - actions[1].real
-                shared[i] = (pd, abs(ua + ub) ** 2, math.cos(pd / hbar))
-        # each mode's terms and residual, over the points where it is open; a
-        # term that overflows where the actions do not fails its mode
-        # (``_numbers``), with no numpy warning
+    for i, (nd, pair, row) in enumerate(zip(points, pairs, table)):
+        if not _open(row):
+            continue
+        p = nd.params
+        # as Python floats, which overflow without a warning where numpy
+        # scalars from a library caller would warn
+        g, z1, z2, m = float(p.g), float(nd.z1), float(nd.z2), float(p.m)
+        blocks = [beam.action[0].at(g) for beam in pair]
+        try:
+            actions = [classical_action(beam.beam, nd.frame_profile, p, z1, z2, blocks=block)
+                       for beam, block in zip(pair, blocks)]
+        except RpifError as exc:
+            _fail(row, exc)
+            continue
+        found = _amplitudes(pair, actions, p.hbar)
+        _fail(row, found)
+        if isinstance(found, RpifError):
+            continue
+        ua, ub = amplitudes[i] = found
+        pd = actions[0].real - actions[1].real
+        shared = (pd, abs(ua + ub) ** 2, math.cos(pd / p.hbar))
         for mode in modes:
-            indices = [i for i in shared if not isinstance(table[i][mode], RpifError)]
-            if not indices:
-                continue
-            subgroup = whole if indices == members else group(indices)
-            at_g = blocks if subgroup is whole else subgroup.blocks()
-            differences = _grouped([shared[i][0] for i in indices])
-            with np.errstate(over="ignore", invalid="ignore"):
-                i1, i2, i3, i4, i5 = subgroup.terms(mode, at_g)
-                residual = abs(i1 + i2 + i3 + i4 + i5 - differences)
-            for i, terms in zip(indices, zip(*map(_listed, (i1, i2, i3, i4, i5, residual)))):
-                table[i][mode] = _numbers(mode, *shared[i], terms)
+            if not isinstance(row[mode], RpifError):
+                terms = (_printed_terms(z1, z2, g, pair[0].printed, pair[1].printed, *blocks)
+                         if mode == MODE_LITERAL else _derived_terms(z1, z2, m, *blocks))
+                row[mode] = _numbers(mode, *shared, terms)
     devs: dict[int, float] = {}
     if schedule:
         reached = [i for i, row in enumerate(table) if _open(row)]
@@ -609,13 +484,19 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
 
 def _numbers(mode: str, pd: float, intensity: float, reduced_i: float,
              terms: tuple[float, ...]) -> tuple[float, ...] | RpifError:
-    """A mode's ``_ROW_NUMBERS`` at a point from its i1..i5 and residual
-    ``terms``, or an RpifError naming the first of these that is not
-    finite."""
-    for name, value in zip(("i1", "i2", "i3", "i4", "i5", "residual"), terms):
-        if not math.isfinite(value):
-            return RpifError(f"{mode}: {name} is not finite ({float(value)})")
-    return (intensity, reduced_i, *terms[:5], pd, terms[5])
+    """A mode's ``_ROW_NUMBERS`` at a point from its i1..i5 ``terms`` and
+    their residual against the phase difference ``pd``, or an RpifError
+    naming the first of these that is not finite: a term that overflows
+    where the actions do not fails its mode.  The residual is finite only
+    if every term is."""
+    i1, i2, i3, i4, i5 = terms
+    residual = abs(i1 + i2 + i3 + i4 + i5 - pd)
+    if not math.isfinite(residual):
+        for name, value in zip(("i1", "i2", "i3", "i4", "i5", "residual"),
+                               (*terms, residual)):
+            if not math.isfinite(value):
+                return RpifError(f"{mode}: {name} is not finite ({value})")
+    return (intensity, reduced_i, *terms, pd, residual)
 
 
 #: what ``_evaluate`` gives for each mode of a point, in the order of the

@@ -63,6 +63,9 @@ _EPS = float(np.finfo(float).eps)
 
 _LOG_TWO = math.log(2.0)
 
+#: log of the largest double
+_LOG_MAX = math.log(np.finfo(float).max)
+
 #: block length of the angle-addition sinh table (``_sinh_table``)
 _SINH_BLOCK = 64
 
@@ -190,7 +193,8 @@ def _green_form(n: int, lam: float, kap: complex, gam: complex, psi: complex,
     so the real p and r take one cumulative sum each, and lam and -gam
     scale the 4x4 entries rather than the O(N) vectors; C(e_0) is the
     constant sh_1 and C(e_(N-2)) is nonzero only at the last k.  Under the
-    stability guard |Re(N*psi)| stays below about 43, so no sinh overflows.
+    stability guard |Re(N*psi)| stays below about 43, so no sinh overflows;
+    ``_reduce_level`` refuses a level whose largest product would.
     """
     shs = _sinh_table(psi, n) if psi != 0 else np.arange(1.0, n + 1)
     weights = 1.0 / (shs[:-1] * shs[1:])
@@ -218,10 +222,15 @@ def _reduce_level(n: int, m: float, hbar: float, duration: float,
                   resolution: float, c_mid: np.ndarray,
                   f_mid: np.ndarray) -> tuple[complex, np.ndarray, float]:
     """(const, quad, scale) of one beam at N slices, as in ``LatticeRows``.
-    A resolution so fine that 4*hbar/(m*T*delta^2) is not finite, which the
-    closed form's stability guard refuses, raises LatticeError."""
+    A resolution whose 4*hbar/(m*T*delta^2) cannot be formed or is not
+    finite, which the closed form refuses, raises LatticeError, and so does
+    a level whose largest product sh_(N-1)*sh_N in ``_green_form``, about
+    e^((2N-1)*Re(psi))/4, would leave the double range."""
     try:
         rate = 4.0 * hbar / (m * duration * resolution ** 2)
+    except OverflowError:
+        raise LatticeError(f"resolution {resolution:g}: 4*hbar/(m*T*delta^2) cannot be "
+                           f"formed, delta^2 overflows") from None
     except ZeroDivisionError:  # delta^2 underflows to 0
         rate = math.inf
     if rate == math.inf:
@@ -247,6 +256,9 @@ def _reduce_level(n: int, m: float, hbar: float, duration: float,
         return log_norm + weight_const, quad, abs(log_norm) + abs(weight_const)
 
     psi = _psi(lam, kap)
+    if (2 * n - 1) * psi.real > _LOG_MAX:
+        raise LatticeError(f"overflowing lattice form of size {n - 1}: Re(N*psi) is "
+                           f"{n * psi.real:.6g}, so sinh(N*psi)^2 leaves the double range")
     logdet = _log_det(n, kap_im, psi)
     quad += _green_form(n, lam, kap, gam, psi, c_mid[:-1] + c_mid[1:],
                         f_mid[:-1] + f_mid[1:])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rpif.actions import (
 from rpif.interference import _amplitudes, _Beam
 from sampling import random_scenario
 from rpif.scenario import BeamRecord, PhysicalParams
-from rpif.timefunctions import ConstantFunction
+from rpif.timefunctions import ConstantFunction, TabulatedFunction
 from util import (NBASE, bvp_on_path_action, force_callable, linear_potential_action,
                   make_scenario, unsplit_action)
 
@@ -253,6 +254,22 @@ def test_non_finite_record_is_rejected():
     beam = BeamRecord(ConstantFunction(float("nan")), 1.0)
     with pytest.raises(RpifError, match="non-finite"):
         classical_action(beam, ConstantFunction(1.0), NBASE, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("g", [1e160, np.float64(1e160)], ids=["float", "numpy"])
+@pytest.mark.parametrize("call", [classical_action, restricted_propagator])
+def test_an_action_that_overflows_at_a_huge_g_fails_without_a_warning(call, g):
+    # at g = 1e160 the g^2 block of the action overflows: the blocks are
+    # Python complex numbers, also for a numpy g, so the action comes out
+    # non-finite, with no numpy RuntimeWarning, and the call raises an
+    # RpifError
+    record = TabulatedFunction((0.0, 0.3, 0.7, 1.0), (0.1, 0.2, -0.1, 0.0))
+    scenario = make_scenario(g=g, a=record, m=2.7, hbar=0.37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RpifError, match="^classical_action: non-finite value"):
+            call(scenario.beam_a, scenario.frame_profile, scenario.params,
+                 scenario.z1, scenario.z2)
 
 
 @pytest.mark.parametrize("value", [complex(float("inf"), 0.0), complex(0.0, float("nan")),

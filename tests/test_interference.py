@@ -88,6 +88,21 @@ def test_terms_respect_stability_guard(mode):
         decompose(scenario, mode).i1
 
 
+@pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_DERIVED])
+def test_a_numpy_scalar_scenario_that_overflows_fails_without_a_warning(mode):
+    # a library caller's numpy scalars are read as Python floats: at
+    # g = 1e160 the action overflows, and decompose raises an RpifError
+    # with no numpy RuntimeWarning (the suite makes one an error); at 1e150
+    # every number is finite and the same as from Python floats
+    record = TabulatedFunction((0.0, 0.3, 0.7, 1.0), (0.1, 0.2, -0.1, 0.0))
+    with pytest.raises(RpifError, match="^classical_action: non-finite value"):
+        decompose(make_scenario(g=np.float64(1e160), z1=np.float64(0.1),
+                                z2=np.float64(0.5), a=record), mode)
+    got = decompose(make_scenario(g=np.float64(1e150), z1=np.float64(0.1),
+                                  z2=np.float64(0.5), a=record), mode)
+    assert got == decompose(make_scenario(g=1e150, z1=0.1, z2=0.5, a=record), mode)
+
+
 # ---------------------------------------------------------------------------
 # i1, i2: endpoint-quadratic terms
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from rpif import (
     LatticeError,
+    RpifError,
     ValidationError,
     classical_action,
     oracle_propagator,
@@ -361,11 +362,15 @@ def test_log_det_without_measurement_is_exact(n):
 
 
 def test_overflowing_level_reported():
-    # far past the stability guard, |wT| = 2e4, sinh(k*psi) overflows
-    scenario = make_scenario(delta_a=1e-4)
-    with pytest.raises(LatticeError, match="overflowing"), \
-            np.errstate(over="ignore", invalid="ignore"):
-        oracle_propagator(scenario, "a", (1024, 2048, 4096))
+    # far past the stability guard, |wT| = 2/delta >= 2e4, sinh(k*psi) would
+    # overflow: the level is refused before it is formed, with no numpy
+    # warning (the suite makes one an error)
+    for delta in (1e-4, 1e-10, 1e-100):
+        scenario = make_scenario(delta_a=delta)
+        with pytest.raises(LatticeError, match="overflowing"):
+            oracle_propagator(scenario, "a", (1024, 2048, 4096))
+        with pytest.raises(LatticeError, match="overflowing"):
+            stationary_action(scenario, "a", 64)
 
 
 @pytest.mark.parametrize("delta", [1e-200, 1e-161])
@@ -375,6 +380,24 @@ def test_a_resolution_whose_rate_overflows_is_a_lattice_error(delta):
     # than dividing by 0 or warning
     scenario = make_scenario(delta_a=delta)
     text = f"resolution {delta:g}: 4*hbar/(m*T*delta^2) is not finite"
+    with pytest.raises(LatticeError) as err:
+        oracle_propagator(scenario, "a", (256, 512, 1024))
+    assert str(err.value) == text
+    with pytest.raises(LatticeError) as err:
+        stationary_action(scenario, "a", 64)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("delta", [1e160, 1e200])
+def test_a_resolution_whose_square_overflows_is_a_lattice_error(delta):
+    # delta^2 overflows: the lattice names the resolution with the closed
+    # form's text, rather than ending in an OverflowError
+    scenario = make_scenario(delta_a=delta)
+    text = f"resolution {delta:g}: 4*hbar/(m*T*delta^2) cannot be formed, delta^2 overflows"
+    with pytest.raises(RpifError) as err:
+        restricted_propagator(scenario.beam_a, scenario.frame_profile, scenario.params,
+                              scenario.z1, scenario.z2)
+    assert str(err.value) == text
     with pytest.raises(LatticeError) as err:
         oracle_propagator(scenario, "a", (256, 512, 1024))
     assert str(err.value) == text

@@ -435,10 +435,11 @@ def _count_everywhere(monkeypatch, functions) -> dict:
     ({"parameter": "z2", "start": 0.0, "stop": 1.0}, None),
 ])
 def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, oracle):
-    # both modes and the oracle of a point share one amplitude per beam; the
-    # stability check runs once per distinct beam (the swept one at every
-    # resolution, the other once), when the sweep reads the beam, and its
-    # rows are integrated without it; the scenario is validated once
+    # both modes and the oracle of a point share one amplitude and one
+    # action per beam; the stability check runs once per distinct beam (the
+    # swept one at every resolution, the other once), when the sweep reads
+    # the beam, and its rows are integrated without it; the scenario is
+    # validated once
     from rpif import actions, scenario as scenario_module
     scenario, spec = parse_config(json.dumps({"sweep": {**sweep, "steps": 32,
                                                         "mode": "both"}}))
@@ -449,7 +450,7 @@ def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, orac
     rows = run_sweep(scenario, spec)
     assert len(rows) == 64 and all(row.error is None for row in rows)
     beams = 32 + 1 if spec.parameter == "delta_a" else 2
-    assert counts == {"_amplitude": 64, "ensure_stable": beams, "classical_action": 0,
+    assert counts == {"_amplitude": 64, "ensure_stable": beams, "classical_action": 64,
                       "validate_scenario": 1}
 
 
@@ -618,8 +619,8 @@ def _as_lone_points(scenario, spec, rows):
 def test_an_overflowing_action_fails_its_rows_without_a_warning(parameter, steps):
     # up to 1e200 the action of every point but 0 overflows; each such row
     # fails with the error of a lone point, and no numpy RuntimeWarning
-    # reaches the caller (the suite makes one an error), alone or in a
-    # group of 8 points computed as arrays
+    # reaches the caller (the suite makes one an error), in a sweep of one
+    # point or of several
     start = 1e200 if steps == 1 else 0.0
     scenario, spec = parse_config(json.dumps({"sweep": {
         "parameter": parameter, "start": start, "stop": 1e200, "steps": steps,
@@ -632,8 +633,7 @@ def test_an_overflowing_action_fails_its_rows_without_a_warning(parameter, steps
 def test_a_printed_term_that_overflows_is_reported_as_alone():
     # the printed i5 overflows at points whose actions do not; such a
     # literal row fails with the error of a lone point, and no row reports
-    # a term that is not finite.  The g sweep's live points are evaluated
-    # one by one, the z2 sweep's as a group of 8.
+    # a term that is not finite, whether g or z2 is swept
     for config in ({"sweep": {"parameter": "g", "start": 1e154, "stop": 1e155,
                               "steps": 8, "mode": "both"}},
                    {"params": {"g": 5e154}, "sweep": {"parameter": "z2", "start": 0.0,
@@ -652,7 +652,9 @@ def test_a_huge_g_sweep_with_the_oracle_fails_every_row_without_a_warning(start)
     # a tabulated beam and g from 1e150 up: every row fails, with the error
     # of a non-finite action or the lattice's, and no numpy RuntimeWarning
     # reaches the caller (the suite makes one an error); a row records only
-    # an RpifError, anything else would end the sweep
+    # an RpifError, anything else would end the sweep.  Without the oracle,
+    # a 32-point sweep warns no more: each of its rows is its lone point's,
+    # an error or finite numbers
     scenario, spec = parse_config(_config(beam_a={
         "trajectory": {"kind": "tabulated", "times": [0.0, 0.3, 0.7, 1.0],
                        "values": [0.1, 0.2, -0.1, 0.0]}, "resolution": 1.0}))
@@ -660,6 +662,11 @@ def test_a_huge_g_sweep_with_the_oracle_fails_every_row_without_a_warning(start)
                      oracle_schedule=(256, 512, 1024))
     rows = run_sweep(scenario, spec)
     assert len(rows) == 8 and all(row.error is not None for row in rows)
+    spec = SweepSpec(parameter="g", start=start, stop=10.0 * start, steps=32, mode="both")
+    rows = run_sweep(scenario, spec)
+    assert len(rows) == 64
+    assert all(np.isfinite(row.i5) for row in rows if row.error is None)
+    _as_lone_points(scenario, spec, rows)
 
 
 def test_a_resolution_sweep_fails_only_the_resolution_whose_rate_overflows():
