@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -106,27 +106,6 @@ def ensure_stable(params: PhysicalParams, delta_c: float) -> complex:
     if scale > STABILITY_LIMIT:
         raise StabilityError(delta_c, scale, STABILITY_LIMIT)
     return w
-
-
-def _force_rows(records: quadrature.Samples, resolutions, frame_profile: Callable,
-                params: PhysicalParams) -> Callable:
-    """The force split by its dependence on g, F = g*F_f + F_c, at a
-    sequence of resolutions: returns (t, sets) -> (F_f(t), F_c(t)), shape
-    (..., 2, len(t)) with the sets (a ``quadrature.Batch`` index) in front.
-    ``records`` holds each set's record c, and ``frame_profile`` is f.
-    params.g is not read."""
-    coefs = quadrature.Coefficients(
-        [(4.0 * params.hbar / (params.duration * r ** 2),) for r in resolutions])
-    m, f = params.m, frame_profile
-
-    def forces(t, sets):
-        k, = coefs.take(sets)
-        c_part = -1j * k * np.asarray(records.take(sets, t))
-        rows = np.empty(c_part.shape[:-1] + (2, c_part.shape[-1]), complex)
-        rows[..., 0, :] = -m * np.asarray(f(t))
-        rows[..., 1, :] = c_part
-        return rows
-    return forces
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +208,11 @@ class ActionRows:
         q1 = g*q1_f + q1_c,  q2 = g*q2_f + q2_c,
         q12 = g^2*q12_ff + g*q12_fc + q12_cc  (q12_fc holds both cross terms)
 
-    None of the rows depends on g, so a g sweep integrates them once.
-    ``mean_square`` is the record's <c^2> over the window, which the
-    propagator's weight factor reads.  The rows are Python complex numbers
+    and the two factors of its amplitude that depend on neither g nor the
+    endpoints: the ``prefactor`` sqrt(m*w/(2*pi*i*hbar*sin(wT)))
+    (``_prefactor``) and the ``weight_exponent`` -2*<c^2>/delta^2, from the
+    record's mean square.  None of it depends on g, so a g sweep integrates
+    the rows once.  The rows are Python complex numbers
     (``_batch_action_rows``), and g is taken as a Python float, so a block
     that overflows at a large g comes out non-finite, with no numpy
     warning, and so does the action.
@@ -246,7 +227,8 @@ class ActionRows:
     q12_ff: complex
     q12_fc: complex
     q12_cc: complex
-    mean_square: float
+    prefactor: complex
+    weight_exponent: float
 
     def at(self, g: float) -> ActionBlocks:
         g = float(g)
@@ -255,15 +237,38 @@ class ActionRows:
                             (g * self.q12_ff + self.q12_fc) * g + self.q12_cc)
 
 
-def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: float,
-                    breaks=(), *, batch: quadrature.Batch) -> tuple[np.ndarray, ...]:
-    """The action quadratures of the force rows ``forces(t, sets)`` =
-    (F_f, F_c), over a 1-D sequence of the kernels' frequencies, the sets
-    of ``batch``: one line call and one triangle call for all of them.
-    Returns the fields of ``ActionRows`` before ``mean_square``, each an
-    array over the frequencies.  The sets that fail are left in
-    ``batch.failed``, with NaN rows."""
-    single = kernels.single
+def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
+                       m: float, hbar: float, tau_start: float,
+                       tau_end: float) -> list[ActionRows | RpifError]:
+    """The ``ActionRows`` of beams that share a panel layout and have passed
+    the stability guard, the sets of one ``quadrature.Batch``: one line
+    pass and one triangle pass, which sample each distinct record once per
+    call, then <c^2> once per distinct record.  Returns each beam's rows,
+    or the RpifError that it raises on its own, with the error of the
+    first step that fails alone: the integrals, <c^2>.
+
+    ``forces(t, sets)`` gives the rows (F_f(t), F_c(t)) of the force
+    F = g*F_f + F_c, shape (..., 2, len(t)), the sets (a ``Batch`` index)
+    in front; ``line`` and ``factors`` put them against the kernels.
+    """
+    t0, t1 = tau_start, tau_end
+    params = PhysicalParams(m, 0.0, hbar, t0, t1)
+    ws = [complex_frequency(params, beam.resolution) for beam in beams]
+    kernels = action_kernels(ws, m, params.duration)
+    single, f = kernels.single, frame_profile.sampler()
+    records = quadrature.Samples([beam.trajectory for beam in beams])
+    coefs = quadrature.Coefficients(
+        [(4.0 * hbar / (params.duration * beam.resolution ** 2),) for beam in beams])
+    breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
+    batch = quadrature.Batch(len(beams))
+
+    def forces(t, sets):
+        k, = coefs.take(sets)
+        c_part = -1j * k * np.asarray(records.take(sets, t))
+        rows = np.empty(c_part.shape[:-1] + (2, c_part.shape[-1]), complex)
+        rows[..., 0, :] = -m * np.asarray(f(t))
+        rows[..., 1, :] = c_part
+        return rows
 
     def line(t):
         n, sets = t.size, batch.index
@@ -288,42 +293,11 @@ def _integrate_rows(kernels: ActionKernels, forces: Callable, t0: float, t1: flo
         q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
     else:
         q12 = np.full((batch.size, 3), math.nan, complex)
-    q12_ff, q12_fc, q12_cc = q12.T
-    return (kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c, q12_ff, q12_fc, q12_cc)
-
-
-def _samplers(beams: Sequence[BeamRecord]) -> quadrature.Samples:
-    """The beams' records for a batched pass: one sampler per distinct
-    record, compared by value, so that each is sampled once per call."""
-    samplers: dict = {}
-    for beam in beams:
-        if beam.trajectory not in samplers:
-            samplers[beam.trajectory] = beam.trajectory.sampler()
-    return quadrature.Samples([samplers[beam.trajectory] for beam in beams])
-
-
-def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
-                       m: float, hbar: float, tau_start: float,
-                       tau_end: float) -> list[ActionRows | RpifError]:
-    """The g-free action rows of beams that share a panel layout and have
-    passed the stability guard: one line pass and one triangle pass, which
-    sample each distinct record once per call, and <c^2> once per distinct
-    record.  None of the rows depends on z1, z2 or g.  Returns each beam's
-    rows, as Python complex numbers, or the RpifError that it raises on its
-    own, with the error of the first step that fails alone: the integrals,
-    <c^2>."""
-    params = PhysicalParams(m, 0.0, hbar, tau_start, tau_end)
-    breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
-    kernels = action_kernels([complex_frequency(params, beam.resolution) for beam in beams],
-                             m, params.duration)
-    forces = _force_rows(_samplers(beams), [beam.resolution for beam in beams],
-                         frame_profile.sampler(), params)
-    batch = quadrature.Batch(len(beams))
-    rows = _integrate_rows(kernels, forces, tau_start, tau_end, breaks, batch=batch)
+    rows = (kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c, *q12.T)
     out = [batch.failed.get(j, values)
            for j, values in enumerate(zip(*(row.tolist() for row in rows)))]
     msq: dict = {}
-    for i, beam in enumerate(beams):
+    for i, (beam, w) in enumerate(zip(beams, ws)):
         if isinstance(out[i], tuple):
             record = beam.trajectory
             if record not in msq:
@@ -332,14 +306,14 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
                 except RpifError as exc:
                     msq[record] = exc
             out[i] = msq[record] if isinstance(msq[record], RpifError) else ActionRows(
-                *out[i], msq[record])
+                *out[i], _prefactor(w, params), -2.0 * msq[record] / beam.resolution ** 2)
     return out
 
 
 def _beam_rows(beam: BeamRecord, frame_profile: TimeFunction,
                params: PhysicalParams) -> ActionRows:
-    """The g-free action rows and <c^2> of one beam that passed the
-    stability guard, integrated as a batch of one."""
+    """The ``ActionRows`` of one beam that passed the stability guard,
+    integrated as a batch of one."""
     rows, = _batch_action_rows((beam,), frame_profile, params.m, params.hbar,
                                params.tau_start, params.tau_end)
     if isinstance(rows, RpifError):
@@ -403,21 +377,19 @@ def _amplitude(beam: BeamRecord, prefactor: complex, weight_exponent: float,
 
 def restricted_propagator(beam: BeamRecord, frame_profile: TimeFunction,
                           params: PhysicalParams, z1: float, z2: float) -> PropagatorValue:
-    """Full restricted propagator U(z2, z1) for one measured beam: the
-    three factors around its action and the record's mean square <c^2>
-    (``ActionRows.mean_square``)."""
-    w = ensure_stable(params, beam.resolution)
+    """Full restricted propagator U(z2, z1) for one measured beam: its
+    action and the three factors around it, the prefactor and the weight
+    exponent read off its ``ActionRows``."""
+    ensure_stable(params, beam.resolution)
     rows = _beam_rows(beam, frame_profile, params)
     action = classical_action(beam, frame_profile, params, z1, z2, blocks=rows.at(params.g))
-    weight_exponent = -2.0 * rows.mean_square / beam.resolution ** 2
     phase_exponent = 1j * action / params.hbar
-    prefactor = _prefactor(w, params)
-    amplitude = _amplitude(beam, prefactor, weight_exponent, phase_exponent)
-    weight_norm = math.exp(weight_exponent)
+    amplitude = _amplitude(beam, rows.prefactor, rows.weight_exponent, phase_exponent)
+    weight_norm = math.exp(rows.weight_exponent)
     try:
         phase_factor = cmath.exp(phase_exponent)
     except OverflowError:
         phase_factor = cmath.rect(math.inf, phase_exponent.imag)
     return PropagatorValue(amplitude=amplitude, weight_norm_factor=weight_norm,
-                           prefactor=prefactor, phase_factor=phase_factor,
+                           prefactor=rows.prefactor, phase_factor=phase_factor,
                            action=action)

@@ -24,6 +24,7 @@ import sys
 from .errors import ConfigError, RpifError, ValidationError
 from .interference import MODE_LITERAL
 from .sweep import (
+    MODE_CHOICES,
     MODE_TOLERANCE,
     compare_modes,
     emit_results,
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="path to the JSON config")
     sim.add_argument("--output", default=None, help="output path (default: stdout)")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    sim.add_argument("--mode", choices=("literal", "derived", "both"), default=None,
+    sim.add_argument("--mode", choices=MODE_CHOICES, default=None,
                      help="override the config's evaluation mode")
     sim.add_argument("--oracle", default=None, metavar="N1,N2,N3",
                      help="lattice oracle schedule (doubling sizes, at least 3)")

@@ -45,8 +45,6 @@ from .actions import (
     ActionBlocks,
     _amplitude,
     _batch_action_rows,
-    _prefactor,
-    _samplers,
     _sines,
     classical_action,
     ensure_stable,
@@ -121,7 +119,8 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     [j1 (imaginary part), j2 (real part)] x [g^0, g^1, g^2].
     """
     t0, t1 = tau_start, tau_end
-    f, samples = frame_profile.sampler(), _samplers(beams)
+    f = frame_profile.sampler()
+    samples = quadrature.Samples([beam.trajectory for beam in beams])
     rt2 = math.sqrt(2.0)
     grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
     coefs = [4.0 * hbar / (m * (t1 - t0) * beam.resolution ** 2) for beam in beams]
@@ -269,7 +268,7 @@ class _Beam:
     """What every point of an evaluation that has this beam, frame profile
     and units reads, computed once: the frequency (or the stability
     error), and what the evaluation fills in for a stable beam: ``action``,
-    its action rows with the prefactor and the weight exponent
+    its ``ActionRows``, which carry the prefactor and the weight exponent
     -2<c^2>/delta^2; ``printed``, its printed-form numbers (in the literal
     mode); and its lattice rows (with the oracle).  A part whose rows fail
     holds the RpifError instead."""
@@ -340,9 +339,7 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam
         pairs.append(tuple(pair))
     stable = [beam for beam in by_key.values() if beam.error is None]
     for beam, rows in zip(stable, _fill(stable, _batch_action_rows)):
-        delta = beam.beam.resolution
-        beam.action = rows if isinstance(rows, RpifError) else (
-            rows, _prefactor(beam.w, beam.params), -2.0 * rows.mean_square / delta ** 2)
+        beam.action = rows
     if MODE_LITERAL in modes:
         for beam, rows in zip(stable, _fill(stable, _batch_literal_rows)):
             delta = beam.beam.resolution
@@ -360,9 +357,9 @@ def _amplitudes(pair: tuple[_Beam, _Beam], actions: Sequence[complex], hbar: flo
     first that fails, naming its beam."""
     out = []
     for label, beam, action in zip("ab", pair, actions):
-        _, prefactor, weight_exponent = beam.action
         try:
-            out.append(_amplitude(beam.beam, prefactor, weight_exponent, 1j * action / hbar))
+            out.append(_amplitude(beam.beam, beam.action.prefactor,
+                                  beam.action.weight_exponent, 1j * action / hbar))
         except RpifError as exc:
             return RpifError(f"beam_{label}: {exc}")
     return tuple(out)
@@ -448,7 +445,7 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
         # as Python floats, which overflow without a warning where numpy
         # scalars from a library caller would warn
         g, z1, z2, m = float(p.g), float(nd.z1), float(nd.z2), float(p.m)
-        blocks = [beam.action[0].at(g) for beam in pair]
+        blocks = [beam.action.at(g) for beam in pair]
         try:
             actions = [classical_action(beam.beam, nd.frame_profile, p, z1, z2, blocks=block)
                        for beam, block in zip(pair, blocks)]

@@ -269,6 +269,7 @@ def _reduce_level(n: int, m: float, hbar: float, duration: float,
     return const, quad, abs(log_norm) + log_two_pi + 0.5 * abs(logdet) + abs(weight_const)
 
 
+@np.errstate(all="ignore")
 def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
                         m: float, hbar: float, tau_start: float, tau_end: float,
                         schedule: tuple[int, ...]) -> list[LatticeRows | RpifError]:
@@ -277,7 +278,9 @@ def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     distinct function (the frame profile and the records, compared by
     value) is sampled once per level.  Returns each beam's rows, or the
     RpifError that it raises on its own; a level that ``_check_level``
-    refuses fails every beam."""
+    refuses fails every beam.  numpy reports no floating-point error here:
+    a level that overflows is not finite, and ``_reduce_level`` refuses
+    it."""
     try:
         for n in schedule:
             _check_level(n)

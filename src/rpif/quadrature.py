@@ -113,14 +113,14 @@ class Coefficients:
 
 
 class Samples:
-    """Per-set real functions of time of a batched integrand, one callable
-    per set; sets that share a function pass the same callable object, and
-    each distinct one is sampled once per call."""
+    """Per-set records of a batched integrand, one ``TimeFunction`` per
+    set: equal records share one sampler, and each distinct one is sampled
+    once per call."""
 
-    def __init__(self, functions: list):
-        slot: dict[int, int] = {}
-        self.which = np.array([slot.setdefault(id(fn), len(slot)) for fn in functions])
-        self.functions = list({id(fn): fn for fn in functions}.values())
+    def __init__(self, records: list):
+        slot: dict = {}
+        self.which = np.array([slot.setdefault(record, len(slot)) for record in records])
+        self.functions = [record.sampler() for record in slot]
 
     def take(self, index, t: np.ndarray) -> np.ndarray:
         """The values at ``t`` of the sets ``index`` (a ``Batch`` index):
@@ -263,6 +263,7 @@ def _reference_rule(panels: int, order: int, edges: tuple[float, ...] = (0.0, 1.
     return nodes, weights, points, half
 
 
+@np.errstate(all="ignore")
 def _doubling_loop(level, fn, a: float, b: float, breaks: tuple, batch: Batch | None,
                    budget: int, spread: int, stalled: str):
     """The doubling loop of both rules, over [a, b] split at ``breaks``.
@@ -272,7 +273,9 @@ def _doubling_loop(level, fn, a: float, b: float, breaks: tuple, batch: Batch | 
     the level's nodes ``t`` and ``_reference_rule``.  A set that stalls
     fails with ``stalled``, formatted with a, b, budget and its last delta.
     A lone integral (``batch`` None) is a batch of one: its value is
-    returned, or its error raised."""
+    returned, or its error raised.  numpy reports no floating-point error
+    here: an integrand or a sum that overflows gives a non-finite estimate,
+    which fails its set."""
     order, width = GAUSS_ORDER, b - a
     edges = _segments(a, b, breaks)
     segments = len(edges) - 1
@@ -280,7 +283,7 @@ def _doubling_loop(level, fn, a: float, b: float, breaks: tuple, batch: Batch | 
     lone = batch is None
     batch = Batch(1) if lone else batch
     state = _Doubling(batch)
-    nonfinite = lambda: QuadratureError(f"non-finite integrand values over [{a:g}, {b:g}]")
+    nonfinite = lambda: QuadratureError(f"non-finite estimate over [{a:g}, {b:g}]")
     panels = 1
     while len(state.running) and segments * panels * order <= budget:
         rule = _reference_rule(panels, order, edges)

@@ -10,6 +10,7 @@ rescaling keeps double precision away from extremes like hbar ~ 1e-34.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -75,21 +76,6 @@ class Scenario:
             return self.beam_b
         raise ValueError(f"beam label must be 'a' or 'b', got {label!r}")
 
-    @property
-    def length_scale(self) -> float:
-        """Natural quantum length sqrt(hbar*T/m) used for rescaling."""
-        return self.params.length_scale
-
-    @property
-    def gravity_scale(self) -> float:
-        """Factor sqrt(m*T^3/hbar) that puts g into internal units."""
-        return self.params.gravity_scale
-
-    def is_nondimensional(self) -> bool:
-        p = self.params
-        return (p.m == 1.0 and p.hbar == 1.0
-                and p.tau_start == 0.0 and p.tau_end == 1.0)
-
     def nondimensionalized(self) -> "Scenario":
         """Rescale to hbar = m = T = 1 with time on [0, 1].
 
@@ -98,12 +84,12 @@ class Scenario:
         recomposed exactly (no sampling).  Identity transform when the
         scenario is already in internal units.
         """
-        if self.is_nondimensional():
-            return self
         p = self.params
+        if p.m == 1.0 and p.hbar == 1.0 and p.tau_start == 0.0 and p.tau_end == 1.0:
+            return self
         T = p.duration
-        L = self.length_scale
-        g_hat = p.g * self.gravity_scale
+        L = p.length_scale
+        g_hat = p.g * p.gravity_scale
 
         def beam_hat(beam: BeamRecord) -> BeamRecord:
             return BeamRecord(
@@ -198,9 +184,20 @@ def _check_params(p: PhysicalParams, out: list[str]) -> None:
         _check_scales(p, out)
 
 
+def _finite_fields(fn: TimeFunction) -> bool:
+    """Whether every number in the fields of ``fn`` is finite."""
+    for field in dataclasses.fields(fn):
+        value = getattr(fn, field.name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            return False
+    return True
+
+
 def validate_scenario(scenario: Scenario) -> Scenario:
     """Verify every invariant, a tabulated function's coverage of the time
-    window included; return the scenario itself.
+    window included, and, where the params are valid, that the frame
+    profile and the records keep finite fields in internal units; return
+    the scenario itself.
 
     On failure raises ValidationError whose ``violations`` list names each
     violated invariant (all of them, not just the first).
@@ -208,6 +205,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     out: list[str] = []
     p = scenario.params
     _check_params(p, out)
+    units = not out  # valid params: the internal units can be formed
     _check_endpoint("z1", scenario.z1, out)
     _check_endpoint("z2", scenario.z2, out)
     _check_resolution("beam_a", scenario.beam_a.resolution, out)
@@ -221,6 +219,16 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                 check_domain_coverage(fn, (p.tau_start, p.tau_end), name)
             except ValidationError as exc:
                 out.extend(exc.violations)
+
+    if units:
+        with np.errstate(all="ignore"):  # an overflow reads non-finite, and is refused
+            nd = scenario.nondimensionalized()
+        for name, fn in (("frame_profile", nd.frame_profile),
+                         ("beam_a.trajectory", nd.beam_a.trajectory),
+                         ("beam_b.trajectory", nd.beam_b.trajectory)):
+            if not _finite_fields(fn):
+                out.append(f"{name}: not every field is finite in internal units "
+                           f"(time in units of tau_end - tau_start, lengths in sqrt(hbar*T/m))")
 
     if out:
         raise ValidationError(out)

@@ -261,7 +261,8 @@ def _internal_point(base: Scenario, nd: Scenario, parameter: str, value: float) 
     if parameter == "m_over_hbar_scale":
         # L and g in internal units may move in the last bit: rescale in full
         return scaled.nondimensionalized()
-    internal = value * base.gravity_scale if parameter == "g" else value / base.length_scale
+    p = base.params
+    internal = value * p.gravity_scale if parameter == "g" else value / p.length_scale
     return apply_sweep_value(nd, parameter, internal)
 
 

@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from rpif import (
+    LatticeError,
+    QuadratureError,
     RpifError,
     StabilityError,
+    actions,
     classical_action,
     complex_frequency,
-    quadrature,
+    decompose,
+    mean_square,
+    oracle_propagator,
     restricted_propagator,
 )
 from rpif.actions import (
-    _force_rows,
+    ActionRows,
     _prefactor,
     action_kernels,
     ensure_stable,
@@ -59,37 +64,6 @@ def test_frequency_branch_is_fourth_quadrant(rng):
 def test_frequency_requires_positive_resolution():
     with pytest.raises(RpifError):
         complex_frequency(NBASE, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# driving force
-# ---------------------------------------------------------------------------
-
-def _force(beam, frame_profile, params, t):
-    """F(t) = g*F_f(t) + F_c(t) from the package's g-split force rows."""
-    forces = _force_rows(quadrature.Samples([beam.trajectory]), (beam.resolution,),
-                         frame_profile, params)
-    f_part, c_part = forces(np.array([t]), 0)[:, 0]
-    return params.g * f_part + c_part
-
-
-def test_force_vanishes_without_sources():
-    beam = BeamRecord(ConstantFunction(0.0), 1.0)
-    val = _force(beam, ConstantFunction(0.0), NBASE, 0.5)
-    assert val == 0.0 + 0.0j
-
-
-def test_force_gravity_only():
-    beam = BeamRecord(ConstantFunction(0.0), 1.0)
-    val = _force(beam, ConstantFunction(1.0), NBASE, 0.5)
-    assert val == pytest.approx(-1.0 + 0.0j, abs=1e-15)
-
-
-def test_force_record_only():
-    beam = BeamRecord(ConstantFunction(1.0), 2.0)
-    params = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
-    val = _force(beam, ConstantFunction(0.0), params, 0.5)
-    assert val == pytest.approx(0.0 - 1.0j, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +291,40 @@ def test_non_finite_combined_exponent_names_the_beam(action):
     beam, p = scenario.beam_a, scenario.params
     prefactor = _prefactor(ensure_stable(p, beam.resolution), p)
     named = _Beam(beam, scenario.frame_profile, p)
-    named.action = (None, prefactor, -2.0 * 0.01 / beam.resolution ** 2)
+    named.action = ActionRows(*(0j,) * 9, prefactor=prefactor,
+                              weight_exponent=-2.0 * 0.01 / beam.resolution ** 2)
     error = _amplitudes((named, named), (complex(*action), 0j), p.hbar)
     assert isinstance(error, RpifError)
     assert "restricted_propagator" in str(error)
     assert str(error).startswith("beam_a: ")
     assert "not finite" in str(error)
+
+
+@pytest.mark.parametrize("value, delta", [(1e160, 1.0), (1e155, 1000.0)])
+def test_a_record_near_the_double_range_fails_its_rows_without_a_warning(
+        monkeypatch, value, delta):
+    # 1e160 at resolution 1: every integrand value is finite, and the
+    # triangle's sums overflow; 1e155 at 1000: the integrals converge and
+    # <c^2> overflows.  The beam's rows fail with a QuadratureError, the
+    # oracle with a LatticeError, and no numpy RuntimeWarning reaches the
+    # caller (the suite makes one an error)
+    scenario = make_scenario(a=ConstantFunction(value), delta_a=delta)
+    beam, p = scenario.beam_a, scenario.params
+    args = ((beam,), scenario.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)
+    rows, = actions._batch_action_rows(*args)
+    assert isinstance(rows, QuadratureError)
+    assert str(rows) == "non-finite estimate over [0, 1]"
+    with pytest.raises(QuadratureError):
+        mean_square(beam.trajectory, p)
+    with pytest.raises(QuadratureError):
+        decompose(scenario)
+    with pytest.raises(LatticeError):
+        oracle_propagator(scenario, "a", (256, 512, 1024))
+    # with <c^2> left out, the rows at 1e160 still fail, and those at 1000
+    # do not
+    monkeypatch.setattr(actions, "mean_square", lambda record, params: 0.0)
+    rows, = actions._batch_action_rows(*args)
+    assert isinstance(rows, QuadratureError) == (delta == 1.0)
 
 
 def test_free_particle_propagator_limit():

@@ -301,6 +301,37 @@ def test_params_whose_internal_units_cannot_be_formed_are_a_config_error(
     assert lines[1].startswith("  /params: the internal units cannot be formed")
 
 
+@pytest.mark.parametrize("config, path", [
+    # omega*T and the slope times T overflow
+    ({"params": {"tau_end": 10.0},
+      "beam_a": {"trajectory": {"kind": "sinusoid", "omega": 1e308}, "resolution": 1.0}},
+     "/beam_a/trajectory"),
+    ({"params": {"tau_end": 10.0},
+      "frame_profile": {"kind": "linear", "slope": 1e308, "intercept": 0}}, "/frame_profile"),
+])
+@pytest.mark.parametrize("command", ["validate", "simulate", "compare"])
+def test_a_function_that_overflows_in_internal_units_is_a_config_error(
+        tmp_path, capsys, config, path, command):
+    file = tmp_path / "cfg.json"
+    file.write_text(json.dumps(config))
+    assert main([command, "--config", str(file)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config invalid:",
+        f"  {path}: not every field is finite in internal units (time in units of "
+        f"tau_end - tau_start, lengths in sqrt(hbar*T/m))"]
+
+
+def test_simulate_fails_the_rows_of_a_record_near_the_double_range(tmp_path, capsys):
+    # the triangle's sums overflow: each row fails, with no warning
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"beam_a": {"trajectory": {"kind": "constant", "value": 1e160},
+                                           "resolution": 1.0}}))
+    assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv")]) \
+        == EXIT_GUARD
+    assert capsys.readouterr().err == (
+        "row swept_value=0.5 mode=derived: QuadratureError: non-finite estimate over [0, 1]\n")
+
+
 @pytest.mark.parametrize("params, violations", [
     # a dot in a number stays a dot
     ('{"tau_start": 2.0, "tau_end": 1.0}',

@@ -60,13 +60,13 @@ PARAMS = PhysicalParams(m=1.0, g=1.0, hbar=1.0, tau_start=0.0, tau_end=1.0)
 
 def _bits(entry):
     """A beam's entry of a batch as comparable bits: an error's type and
-    text, or the bytes of every number of the rows."""
+    text, or the bytes of every number of the rows: the action rows' blocks,
+    prefactor and weight exponent, or the printed i5 rows."""
     if isinstance(entry, RpifError):
         return type(entry).__name__, str(entry)
     if isinstance(entry, actions.ActionRows):
-        *rows, mean_square = dataclasses.astuple(entry)
-        return tuple(complex(value).real.hex() + complex(value).imag.hex()
-                     for value in rows) + (mean_square.hex(),)
+        return tuple(complex(number).real.hex() + complex(number).imag.hex()
+                     for number in dataclasses.astuple(entry))
     return tuple(part.tobytes() for part in entry)
 
 

@@ -392,6 +392,48 @@ def test_a_failed_set_fails_alone_with_its_lone_error(monkeypatch, rule, failure
     assert again[0] == value[0] and np.isnan(again[1])
 
 
+@pytest.mark.parametrize("rule", ["line", "triangle"])
+def test_a_set_that_turns_non_finite_after_the_first_level_fails_alone(rule):
+    # set 1 is finite on the first level's nodes and infinite on every later
+    # one: it fails at the second level with its lone error; set 0, smooth,
+    # settles at that level against its own first, as it does alone, with
+    # its lone bits
+    seen = []
+
+    def one(t, i):
+        if i == 0:
+            seen.append(t.size)
+            return np.exp(1j * t)
+        return np.full_like(t, np.inf if t.size > GAUSS_ORDER else 1.0) + 0j
+
+    def rows(t):
+        sets = np.arange(2)[batch.index]
+        if np.ndim(sets) == 0:
+            return one(t, int(sets))
+        return np.stack([one(t, i) for i in sets.tolist()])
+
+    def alone(i):
+        if rule == "line":
+            return integrate(lambda t: one(t, i), 0.0, 1.0)
+        return integrate_triangle(lambda t, s: (one(t, i)[None, :], np.cos(s)[None, :]),
+                                  0.0, 1.0)
+
+    batch = quadrature.Batch(2)
+    if rule == "line":
+        value = integrate(rows, 0.0, 1.0, batch=batch)
+    else:
+        value = integrate_triangle(lambda t, s: (rows(t)[..., None, :], np.cos(s)[None, :]),
+                                   0.0, 1.0, batch=batch)
+    with pytest.raises(QuadratureError, match="^non-finite estimate over ") as lone:
+        alone(1)
+    assert list(batch.failed) == [1]
+    assert str(batch.failed[1]) == str(lone.value)
+    together, seen[:] = seen[:], []
+    assert value[0].tobytes() == np.complex128(alone(0)).tobytes()
+    assert together == seen == [GAUSS_ORDER, 2 * GAUSS_ORDER]
+    assert np.isnan(value[1])
+
+
 # ---------------------------------------------------------------------------
 # the rule of a level
 # ---------------------------------------------------------------------------

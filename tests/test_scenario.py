@@ -112,6 +112,23 @@ def test_params_whose_internal_units_cannot_be_formed_are_refused(params, scales
     assert err.value.violations == [f"{UNITS_TEXT} {scales}"]
 
 
+@pytest.mark.parametrize("field, functions", [
+    ("frame_profile", {"f": LinearFunction(1e308, 0.0)}),          # slope*T
+    ("beam_a.trajectory", {"a": SinusoidFunction(1.0, 1e308)}),    # omega*T
+    # its composition with t = 1 + T*u overflows in numpy's polynomial sums
+    ("beam_b.trajectory", {"b": PolynomialFunction((1e300, 1e308, 1e308))}),
+    ("beam_b.trajectory", {"b": ConstantFunction(1e308), "m": 1e14}),  # c/sqrt(hbar*T/m)
+])
+def test_validate_refuses_a_function_that_overflows_in_internal_units(field, functions):
+    # each field is finite as given; in internal units one is not, which
+    # is one violation at its function, with no numpy warning
+    with pytest.raises(ValidationError) as err:
+        make_scenario(tau_start=1.0, tau_end=1e10, **functions)
+    assert err.value.violations == [
+        f"{field}: not every field is finite in internal units (time in units of "
+        f"tau_end - tau_start, lengths in sqrt(hbar*T/m))"]
+
+
 def test_validate_rejects_uncovering_table():
     table = TabulatedFunction((0.2, 0.8), (0.0, 1.0))
     with pytest.raises(ValidationError) as err:
@@ -147,7 +164,7 @@ def test_nondimensionalization_recomposes_time_functions():
     a = PolynomialFunction((0.1, -0.3, 0.2))
     scenario = make_scenario(m=2.0, tau_start=tau0, tau_end=tau1, f=f, a=a)
     nd = scenario.nondimensionalized()
-    L = scenario.length_scale
+    L = scenario.params.length_scale
     T = tau1 - tau0
     for u in np.linspace(0.0, 1.0, 9):
         t = tau0 + T * u
