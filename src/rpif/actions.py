@@ -241,15 +241,20 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
                        m: float, hbar: float, tau_start: float,
                        tau_end: float) -> list[ActionRows | RpifError]:
     """The ``ActionRows`` of beams that share a panel layout and have passed
-    the stability guard, the sets of one ``quadrature.Batch``: one line
-    pass and one triangle pass, which sample each distinct record once per
+    the stability guard, the sets of one ``quadrature.Batch``: one triangle
+    pass and one line pass, which sample each distinct record once per
     call, then <c^2> once per distinct record.  Returns each beam's rows,
     or the RpifError that it raises on its own, with the error of the
-    first step that fails alone: the integrals, <c^2>.
+    first step that fails alone: the triangle, the line, <c^2>.  The
+    triangle comes first: its budget is the one a fast record exceeds, and
+    then no node of the beam is evaluated.
 
     ``forces(t, sets)`` gives the rows (F_f(t), F_c(t)) of the force
     F = g*F_f + F_c, shape (..., 2, len(t)), the sets (a ``Batch`` index)
-    in front; ``line`` and ``factors`` put them against the kernels.
+    in front; ``line`` and ``factors`` put them against the kernels.  A
+    beam's line integrand, the force against a kernel of rate |w|, has the
+    rate |w| plus the faster of f and c, and their higher degree; the
+    triangle pairs two of those.
     """
     t0, t1 = tau_start, tau_end
     params = PhysicalParams(m, 0.0, hbar, t0, t1)
@@ -260,6 +265,9 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
     coefs = quadrature.Coefficients(
         [(4.0 * hbar / (params.duration * beam.resolution ** 2),) for beam in beams])
     breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
+    rates = [abs(w) + max(frame_profile.rate, beam.trajectory.rate)
+             for w, beam in zip(ws, beams)]
+    degrees = [max(frame_profile.degree, beam.trajectory.degree) for beam in beams]
     batch = quadrature.Batch(len(beams))
 
     def forces(t, sets):
@@ -276,8 +284,6 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
         ratio = single(np.concatenate((t - t0, t1 - t)), sets)[..., None, :]
         return np.concatenate((both * ratio[..., :n], both * ratio[..., n:]), axis=-2)
 
-    q2_f, q2_c, q1_f, q1_c = quadrature.integrate(line, t0, t1, breaks=breaks, batch=batch).T
-
     def factors(t, s):
         n, sets = t.size, batch.index
         both = forces(np.concatenate((t, s)), sets)
@@ -289,10 +295,13 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
         outer[..., 1:, 1, :] = split
         return outer, both[..., n:] * kernels.inner(s - t0, sets)[..., None, :]
 
-    if len(batch.failed) < batch.size:
-        q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
-    else:
-        q12 = np.full((batch.size, 3), math.nan, complex)
+    q12 = quadrature.integrate_triangle(factors, t0, t1, rate=[2.0 * r for r in rates],
+                                        degree=[2 * d + 1 for d in degrees], breaks=breaks,
+                                        batch=batch)
+    if len(batch.failed) == batch.size:
+        return [batch.failed[j] for j in range(batch.size)]
+    q2_f, q2_c, q1_f, q1_c = quadrature.integrate(line, t0, t1, rate=rates, degree=degrees,
+                                                  breaks=breaks, batch=batch).T
     rows = (kernels.b1, kernels.b2, q1_f, q1_c, q2_f, q2_c, *q12.T)
     out = [batch.failed.get(j, values)
            for j, values in enumerate(zip(*(row.tolist() for row in rows)))]

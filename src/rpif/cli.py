@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 config error (params whose internal units
 cannot be formed included), 2 at least one row (or, for compare, the
 scenario) failed with an RpifError: a tripped stability guard (a
 resolution so fine that 4*hbar/(m*T*delta^2) is not finite included), a
-stalled quadrature, a refused lattice extrapolation, a non-finite term or
+refused quadrature, a refused lattice extrapolation, a non-finite term or
 a zero printed denominator; 3 mode disagreement beyond tolerance when
 --strict-modes is set.
 """

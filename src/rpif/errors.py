@@ -41,11 +41,8 @@ class StabilityError(RpifError):
 
 
 class QuadratureError(RpifError):
-    """Panel-doubling quadrature failed to converge within its node budget."""
-
-    def __init__(self, message: str, last_delta: float | None = None):
-        self.last_delta = last_delta
-        super().__init__(message)
+    """An integral's panels would exceed its node budget, or its estimate
+    is not finite."""
 
 
 class LatticeError(RpifError):

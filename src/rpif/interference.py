@@ -117,6 +117,11 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     Splitting each inner factor into its real and imaginary parts gives six
     real inner rows, and the rows of a beam are indexed
     [j1 (imaginary part), j2 (real part)] x [g^0, g^1, g^2].
+
+    Each factor is e^{x/2} hs(x), whose faster exponential has the rate
+    |1/2 - sqrt2 - i/sqrt2| omega, times f or c: the triangle's rate is
+    twice that plus twice the faster of f and c, and its degree twice their
+    higher degree, plus one.
     """
     t0, t1 = tau_start, tau_end
     f = frame_profile.sampler()
@@ -152,7 +157,13 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
                 np.concatenate((inner.real, inner.imag), axis=-2))
 
     breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
-    triangles = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks, batch=batch)
+    rate = [2.0 * (abs(decay) * math.sqrt(k) + max(frame_profile.rate, beam.trajectory.rate))
+            for k, beam in zip(coefs, beams)]
+    degree = [2 * max(frame_profile.degree, beam.trajectory.degree) + 1 for beam in beams]
+    triangles = quadrature.integrate_triangle(factors, t0, t1, rate=rate, degree=degree,
+                                              breaks=breaks, batch=batch)
+    if triangles is None:  # every beam refused, before any node
+        return [batch.failed[j] for j in range(len(beams))]
     return [batch.failed.get(j, triangles[j].real) for j in range(len(beams))]
 
 

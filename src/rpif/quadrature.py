@@ -1,44 +1,76 @@
-"""Panel-doubling composite Gauss-Legendre quadrature.
+"""One-level composite Gauss-Legendre quadrature, its panels sized from
+the integrand's known rates.
 
-One shared convergence policy for every integral in the package: a fixed
-Gauss order per panel, panel count doubled until two successive estimates
-agree to a relative tolerance, with a hard node budget.  The integrands
-here are smooth between known breakpoints (the sample times of tabulated
-records, where they have kinks), so [a, b] is first split at the
-breakpoints strictly inside it and every segment gets the same number of
-panels, doubled together (the QUADPACK QAGP idea, Piessens et al. 1983).
-No panel straddles a kink, so convergence is as fast as on a smooth
-integrand, and fully deterministic.  The budgets count nodes over all
-segments and grow with the segment count, so a split of any length can
-run at least three levels.
+Every integrand in the package is, on each segment between breakpoints
+(the sample times of tabulated records, where they have kinks), a sum of
+terms p(t)*e^(alpha*t): a polynomial of known degree D times an
+exponential whose rate |alpha| is known before any node is evaluated
+(the complex frequency w, a sinusoid's omega, the printed kernels'
+omega).  So each integral is evaluated at one level: [a, b] is split at
+the breakpoints strictly inside it (the QUADPACK QAGP idea, Piessens et
+al. 1983), so that no panel straddles a kink, and each segment gets the
+fewest ``GAUSS_ORDER``-node panels at which the rule's truncation bound
+is at most the unit roundoff of the integrand's scale.  The caller
+passes the total rate and degree of its integrand.
+
+The bound is the classical one for Gauss rules on analytic integrands
+(Davis & Rabinowitz, *Methods of Numerical Integration*; Trefethen,
+SIAM Review 50, 2008, whose n + 1 nodes are the N here).  If f is
+analytic inside the Bernstein ellipse E_rho of a panel of half-width r
+(foci at the panel's ends, semi-axes r*(rho +- 1/rho)/2) and |f| <= M
+there, the N-node Gauss error is at most
+r * (64/15) * M * rho^(2 - 2N)/(rho^2 - 1).  For p(t)*e^(alpha*t)
+with beta = |alpha|*r, Bernstein's inequality bounds |p| on E_rho by
+rho^D times its largest value on the panel, and |e^(alpha*z)| is at most
+e^(beta*(rho - 1/rho)/2) times its own; so relative to the product of
+those largest values the error is at most r * B(beta, D), with
+
+    B(beta, D) = min over rho > 1 of
+                 (64/15) rho^(D + 2 - 2N) e^(beta (rho - 1/rho)/2) / (rho^2 - 1).
+
+``_panel_rate(D)`` is beta*(D), the largest beta with B(beta, D) <= 2^-52.
+At 16 nodes it is 7.39 for D = 0, 5.92 for D = 3 and 4.13 for D = 7, and
+0 from D = 28 on, where one panel cannot take the polynomial at any rate.
+A polynomial of degree D in powers of (t - a)/(b - a) is also at most the
+sum S of its coefficients' magnitudes times e^(D*d/(b - a)) at distance d
+from [a, b]: relative to S, the scale at which its values round, it
+counts as degree 0 and rate D/(b - a).  A segment of width h gets the
+fewer panels of the two views: the fewest P with
+
+    rate * h/(2P) <= beta*(D),   or   (rate + D/(b - a)) * h/(2P) <= beta*(0).
+
+The budgets count nodes over all segments, and grow with the segment
+count so that four panels per segment always fit.  An integral whose
+panels would exceed its budget is refused before any node is evaluated,
+with a QuadratureError that names the nodes it needs, the budget and its
+rate.
 
 Both rules also integrate a ``Batch``: independent sets of integrands
-over the same interval and panel layout (the rows of every beam of a
-sweep whose breakpoints split the window alike), evaluated together.
-Each set stops at the first level where all of its own entries pass, and
-later levels no longer evaluate it, so a set gets the level and the bits
-it would get on its own.  A set that does not converge fails alone, with
-the error it would raise alone, and the others go on.  An evaluation
-covers as many sets as fit in ``BATCH_POINTS`` points (at least one), so
-the memory of a batch does not grow with its size.
+over the same interval and breakpoints (the rows of every beam of a sweep
+whose breakpoints split the window alike), each with its own rate and
+degree.  The sets that get the same panels are evaluated together, so a
+set gets the panels and the bits it would get on its own.  A set that its
+budget refuses, or whose estimate is not finite, fails alone, with the
+error it would raise alone, and the others go on.  An evaluation covers
+as many sets as fit in ``BATCH_POINTS`` points (at least one), so the
+memory of a batch does not grow with its size.
 
 Double integrals over the triangle s <= t have separable kernels (a
 finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
 factors rather than the kernel and integrates the inner factor
-cumulatively from its values at each panel's ``2*order`` Gauss nodes: a
-level with n nodes per axis evaluates the factors at 3n points, not n^2,
-in chunks of at most ``BATCH_POINTS`` points: at order 16 a panel has 32
+cumulatively from its values at each panel's ``2*order`` Gauss nodes:
+with n nodes per axis it evaluates the factors at 3n points, not n^2, in
+chunks of at most ``BATCH_POINTS`` points: at order 16 a panel has 32
 inner nodes and 48 points, and the 2048-point bound gives chunks of 32
-panels, 512 outer nodes.
+panels, 512 outer nodes.  Its rate is the sum of the outer and inner
+rates, and its degree D_outer + D_inner + 1: the inner integral up to t
+adds one.
 
-The order is 16 because the hard rows are analytic: the error of an
-n-point panel falls like (omega*h)^(2n), so 16 nodes per panel reach the
-tolerance in fewer doublings than 8 on oscillatory records and beams
-near the stability guard, while smooth rows still settle in two levels.
-Both modes of the omega = 400 record in ``tests/test_cost.py`` take 2048
-nodes per axis and 24 480 triangle points, about 8 ms and 1.6 MiB of
-traced allocations on a 2-core VM with one BLAS thread; 8-node panels
-took 4096 nodes per axis for its action rows, 36 816 points and 13 ms.
+The order is 16 because the hard rows are analytic: beta*(0) is 7.39 at
+16 nodes and 1.13 at 8, so 16-node panels take oscillatory records and
+beams near the stability guard in about a third of the nodes.  Both
+modes of the omega = 400 record in ``tests/test_cost.py`` take 5 376
+triangle points, 880 nodes per axis for its beam.
 """
 
 from __future__ import annotations
@@ -50,12 +82,11 @@ import numpy as np
 
 from .errors import QuadratureError
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-15
 GAUSS_ORDER = 16
 LINE_NODE_BUDGET = 2 ** 16   # single integrals
 AXIS_NODE_BUDGET = 2 ** 12   # per axis of nested double integrals
 BATCH_POINTS = 2 ** 11       # points per evaluation of an integrand, summed over its sets
+_NUMBERS = (int, float, np.number)
 
 
 @lru_cache(maxsize=64)
@@ -68,6 +99,39 @@ def _segments(a: float, b: float, breaks: tuple) -> tuple[float, ...]:
     width = b - a
     inside = sorted({float(x) for x in breaks if a < x < b})
     return (0.0, *((x - a) / width for x in inside), 1.0)
+
+
+@lru_cache(maxsize=None)
+def _panel_rate(degree: int, order: int) -> float:
+    """beta*(D): the largest rate times half-width of an ``order``-node
+    panel at which the bound B(beta, D) of the module docstring is at most
+    2^-52, or 0 if none is.  At each rho of a fine grid the bound holds for
+    every beta up to (log 2^-52 - log of the rest of B)/((rho - 1/rho)/2),
+    so beta*(D) is the largest of those."""
+    rho = np.exp(np.linspace(1e-3, 10.0, 10_000))
+    rest = (math.log(64.0 / 15.0) + (degree + 2 - 2 * order) * np.log(rho)
+            - np.log(rho * rho - 1.0))
+    beta = (math.log(np.finfo(float).eps) - rest) / (0.5 * (rho - 1.0 / rho))
+    return max(0.0, float(beta.max()))
+
+
+def _panels(edges: tuple[float, ...], width: float, rate: float, degree: int,
+            order: int) -> tuple[int, ...]:
+    """The panel count of each segment between ``edges`` (on [0, 1]) of an
+    interval of ``width``, for an integrand of total ``rate`` and
+    ``degree`` on ``order``-node panels: the fewer of the two views of the
+    module docstring."""
+    plain, flat = _panel_rate(degree, order), _panel_rate(0, order)
+    size = abs(width)
+    spread = rate + degree / size if size else rate
+    counts = []
+    for lo, hi in zip(edges, edges[1:]):
+        half = 0.5 * size * (hi - lo)
+        need = half * spread / flat
+        if plain > 0.0:
+            need = min(need, half * rate / plain)
+        counts.append(max(1, math.ceil(need)))
+    return tuple(counts)
 
 
 class Batch:
@@ -139,87 +203,6 @@ class Samples:
         return rows[which]
 
 
-class _Doubling:
-    """Doubling state of the sets of a batch: each set stops at the first
-    level where all of its entries pass, and keeps that level's value, or
-    fails with the error it would raise on its own."""
-
-    def __init__(self, batch: Batch):
-        self.count = batch.size
-        self.running = np.array([i for i in range(batch.size) if i not in batch.failed], int)
-        self.value = self.prev = None    # prev: the running sets' last level
-        self.shape = None                # the shape of one set's value
-        self.deltas = None               # the running sets' last differences
-        self.failed: dict[int, QuadratureError] = {}
-
-    def groups(self, size: int) -> list:
-        """The running sets in groups of at most ``size``: an integer for a
-        group of one, else a slice while every set runs and an index array
-        once some have stopped."""
-        count = len(self.running)
-        if size == 1 or count == 1:
-            return self.running.tolist()
-        if count == self.count:
-            return [slice(i, min(i + size, count)) for i in range(0, count, size)]
-        return [self.running[i:i + size] for i in range(0, count, size)]
-
-    def settle(self, est: np.ndarray, nonfinite) -> bool:
-        """Take this level's estimates of the running sets; True once no set
-        runs.  An entry passes when it agrees with the last level's to
-        ``DEFAULT_RTOL``/``DEFAULT_ATOL``.  A set with a non-finite estimate
-        fails with ``nonfinite()``.  ``deltas`` becomes each running set's
-        largest difference between levels."""
-        self.shape = est.shape[1:]
-        if not np.isfinite(est).all():
-            finite = np.isfinite(est).reshape(len(est), -1).all(axis=1)
-            for i in self.running[~finite].tolist():
-                self.failed[i] = nonfinite()
-            self.running, est = self.running[finite], est[finite]
-            if self.prev is not None:
-                self.prev = self.prev[finite]
-            if not len(est):
-                return True
-        prev, self.prev = self.prev, est
-        if prev is None:
-            return False
-        delta = np.abs(est - prev)
-        passed = delta <= DEFAULT_RTOL * np.abs(est) + DEFAULT_ATOL
-        if passed.all():
-            self._keep(self.running, est)
-            return True
-        if len(est) > 1:
-            ok = passed.reshape(len(est), -1).all(axis=1)
-            if ok.any():
-                self._keep(self.running[ok], est[ok])
-                self.running, self.prev, delta = self.running[~ok], est[~ok], delta[~ok]
-        self.deltas = delta.reshape(len(delta), -1).max(axis=1)
-        return False
-
-    def stall(self, error) -> None:
-        """The budget is spent: each running set fails with ``error(its
-        last delta)``."""
-        deltas = [math.nan] * len(self.running) if self.deltas is None else self.deltas
-        for i, delta in zip(self.running.tolist(), deltas):
-            self.failed[i] = error(float(delta))
-
-    def _keep(self, sets: np.ndarray, est: np.ndarray) -> None:
-        if self.value is None:
-            if len(sets) == self.count:  # every set at once
-                self.value = np.asarray(est, complex)
-                return
-            self.value = np.full((self.count,) + est.shape[1:], math.nan, complex)
-        self.value[sets] = est
-
-    def result(self, batch: Batch):
-        """Every set's value, NaN for the sets that failed, which go into
-        ``batch.failed`` with their own errors."""
-        value = self.value
-        if value is None and self.shape is not None:
-            value = np.full((self.count,) + self.shape, math.nan, complex)
-        batch.failed.update(self.failed)
-        return value
-
-
 @lru_cache(maxsize=None)
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``order``-point Gauss-Legendre nodes and weights on [-1, 1],
@@ -230,29 +213,23 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_edges(panels: int, edges: tuple[float, ...]) -> np.ndarray:
-    """``panels`` equal panels in each segment between ``edges``: one
-    ``np.linspace`` over the arrays of segment ends, which gives each
-    segment the bits of its own ``np.linspace``."""
-    ends = np.array(edges)
-    if ((ends[1:] - ends[:-1]) / panels == 0.0).any():
-        # a step that underflows to 0 sends np.linspace down another path,
-        # which one call would take for every segment
-        cuts = [np.linspace(lo, hi, panels + 1)[:-1] for lo, hi in zip(edges, edges[1:])]
-        return np.concatenate(cuts + [ends[-1:]])
-    cuts = np.linspace(ends[:-1], ends[1:], panels + 1, axis=-1)[:, :-1]
-    return np.append(cuts.ravel(), ends[-1])
+def _panel_edges(counts: tuple[int, ...], edges: tuple[float, ...]) -> np.ndarray:
+    """``counts[i]`` equal panels in the i-th segment between ``edges``,
+    each segment cut by its own ``np.linspace``."""
+    cuts = [np.linspace(lo, hi, count + 1)[:-1]
+            for count, lo, hi in zip(counts, edges, edges[1:])]
+    return np.concatenate(cuts + [np.array(edges[-1:])])
 
 
 @lru_cache(maxsize=64)
-def _reference_rule(panels: int, order: int, edges: tuple[float, ...] = (0.0, 1.0)):
-    """One level's points on [0, 1], ``panels`` panels per segment: the
-    composite Gauss-Legendre nodes and weights (n of each), the inner
+def _reference_rule(counts: tuple[int, ...], order: int, edges: tuple[float, ...] = (0.0, 1.0)):
+    """The points on [0, 1] of ``counts[i]`` panels in the i-th segment:
+    the composite Gauss-Legendre nodes and weights (n of each), the inner
     points of the nested rule, which are the ``2*order`` Gauss nodes of
     each panel in turn (2n), and each panel's half-width."""
     x, w = _gauss(order)
     y, _ = _gauss(2 * order)
-    cuts = _panel_edges(panels, edges)
+    cuts = _panel_edges(counts, edges)
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     half = 0.5 * np.diff(cuts)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -263,42 +240,72 @@ def _reference_rule(panels: int, order: int, edges: tuple[float, ...] = (0.0, 1.
     return nodes, weights, points, half
 
 
+def _groups(sets: list[int], count: int, size: int) -> list:
+    """``sets``, the sets of a batch of ``count`` that share a rule, in
+    groups of at most ``size``: an integer for a group of one, else a
+    slice while they are every set of the batch, and an index array
+    otherwise."""
+    if size == 1 or len(sets) == 1:
+        return sets
+    if len(sets) == count:
+        return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+    index = np.array(sets)
+    return [index[i:i + size] for i in range(0, len(sets), size)]
+
+
 @np.errstate(all="ignore")
-def _doubling_loop(level, fn, a: float, b: float, breaks: tuple, batch: Batch | None,
-                   budget: int, spread: int, stalled: str):
-    """The doubling loop of both rules, over [a, b] split at ``breaks``.
-    A level takes the running sets in groups of at most ``BATCH_POINTS``
-    points, ``spread`` per node, and ``level(fn, t, a, width, rule, group)``
-    returns the estimates of the sets ``group``, a set axis in front, from
-    the level's nodes ``t`` and ``_reference_rule``.  A set that stalls
-    fails with ``stalled``, formatted with a, b, budget and its last delta.
-    A lone integral (``batch`` None) is a batch of one: its value is
-    returned, or its error raised.  numpy reports no floating-point error
-    here: an integrand or a sum that overflows gives a non-finite estimate,
-    which fails its set."""
+def _one_level(level, fn, a: float, b: float, rate, degree, breaks: tuple,
+               batch: Batch | None, budget: int, spread: int, refused: str):
+    """One level of either rule over [a, b] split at ``breaks``, for each
+    set of ``batch`` on the panels its own ``rate`` and ``degree`` ask
+    (numbers, or one per set).  The sets that share panels are evaluated
+    in groups of at most ``BATCH_POINTS`` points, ``spread`` per node, and
+    ``level(fn, t, a, width, rule, group)`` returns the estimates of the
+    sets ``group``, a set axis in front, from the nodes ``t`` and
+    ``_reference_rule``.  A set whose nodes exceed ``budget`` fails with
+    ``refused``, formatted with a, b, its rate, its nodes and the budget,
+    and one whose estimate is not finite with its own error.  A lone
+    integral (``batch`` None) is a batch of one: its value is returned, or
+    its error raised.  numpy reports no floating-point error here: an
+    integrand or a sum that overflows gives a non-finite estimate, which
+    fails its set."""
     order, width = GAUSS_ORDER, b - a
     edges = _segments(a, b, breaks)
-    segments = len(edges) - 1
-    budget = max(budget, 4 * segments * order)  # three levels of a longer split
+    budget = max(budget, 4 * (len(edges) - 1) * order)  # four panels per segment
     lone = batch is None
     batch = Batch(1) if lone else batch
-    state = _Doubling(batch)
-    nonfinite = lambda: QuadratureError(f"non-finite estimate over [{a:g}, {b:g}]")
-    panels = 1
-    while len(state.running) and segments * panels * order <= budget:
-        rule = _reference_rule(panels, order, edges)
+    count = batch.size
+    rates = [rate] * count if isinstance(rate, _NUMBERS) else list(rate)
+    degrees = [degree] * count if isinstance(degree, _NUMBERS) else list(degree)
+    shared: dict[tuple, list[int]] = {}
+    for i in range(count):
+        if i in batch.failed:
+            continue
+        counts = _panels(edges, width, rates[i], degrees[i], order)
+        nodes = order * sum(counts)
+        if nodes > budget:
+            batch.failed[i] = QuadratureError(refused.format(
+                a=a, b=b, rate=rates[i], nodes=nodes, budget=budget))
+        else:
+            shared.setdefault(counts, []).append(i)
+    value = None
+    for counts, sets in shared.items():
+        rule = _reference_rule(counts, order, edges)
         t = a + width * rule[0]
-        est = []
-        for group in state.groups(max(1, BATCH_POINTS // (spread * t.size))):
+        for group in _groups(sets, count, max(1, BATCH_POINTS // (spread * t.size))):
             batch.index = group
-            est.append(level(fn, t, a, width, rule, group))
-        if state.settle(est[0] if len(est) == 1 else np.concatenate(est), nonfinite):
-            break
-        panels *= 2
-    else:
-        state.stall(lambda delta: QuadratureError(
-            stalled.format(a=a, b=b, budget=budget, delta=delta), last_delta=delta))
-    value = state.result(batch)
+            est = np.asarray(level(fn, t, a, width, rule, group), complex)
+            if value is None:
+                if len(est) == count:  # every set at once
+                    value = est
+                    continue
+                value = np.full((count,) + est.shape[1:], math.nan, complex)
+            value[group] = est[0] if isinstance(group, int) else est
+    if value is not None:
+        finite = np.isfinite(value).reshape(count, -1).all(axis=1)
+        for i in np.flatnonzero(~finite).tolist():
+            if i not in batch.failed:
+                batch.failed[i] = QuadratureError(f"non-finite estimate over [{a:g}, {b:g}]")
     if not lone:
         return value
     if batch.failed:
@@ -314,33 +321,35 @@ def _line_level(fn, t, a, width, rule, group):
     return width * np.sum(rule[1] * values, axis=-1)
 
 
-def integrate(fn, a: float, b: float, *, breaks: tuple = (),
+def integrate(fn, a: float, b: float, *, rate, degree, breaks: tuple = (),
               batch: Batch | None = None) -> complex:
-    """Integrate a vectorized callable over [a, b].
+    """Integrate a vectorized callable over [a, b] at one level.
 
     ``fn`` receives a 1-D ndarray of n nodes and returns values of shape
     (n,) or, for several integrands over the same nodes, rows of shape
     (..., n) (real or complex).  The result is a complex scalar, or a
-    complex array of shape (...) whose entries converge together.
-    ``breaks`` is a tuple of the times where ``fn`` may have a kink; those
-    strictly inside (a, b) become panel edges.
+    complex array of shape (...).  ``rate`` and ``degree`` are the total
+    exponential rate and polynomial degree of the integrand, which size
+    the panels (module docstring).  ``breaks`` is a tuple of the times
+    where ``fn`` may have a kink; those strictly inside (a, b) become
+    panel edges.
 
-    With a ``batch``, ``fn(t)`` returns the rows of the sets that
-    ``batch.index`` names, shape (..., n) with a set axis in front unless
-    the index is an integer, and the result has shape (batch.size, ...);
-    each set converges on its own, and the sets in ``batch.failed`` are
-    left out.
+    With a ``batch``, ``rate`` and ``degree`` may give one number per set,
+    ``fn(t)`` returns the rows of the sets that ``batch.index`` names,
+    shape (..., n) with a set axis in front unless the index is an
+    integer, and the result has shape (batch.size, ...), or is None if
+    every set had failed before; the sets in ``batch.failed`` are left
+    out.
 
-    A lone integral raises QuadratureError if the doubling loop exhausts
-    the node budget (``LINE_NODE_BUDGET``, or the three levels of a longer
-    split) without two successive estimates agreeing to
-    ``DEFAULT_RTOL``/``DEFAULT_ATOL``, or if an estimate is not finite.  A
-    set of a batch that fails so gets NaN values, and the error in
-    ``batch.failed``.
+    A lone integral raises QuadratureError if its panels would take more
+    than ``LINE_NODE_BUDGET`` nodes (or four panels per segment of a
+    longer split), or if its estimate is not finite.  A set of a batch
+    that fails so gets NaN values, and the error in ``batch.failed``.
     """
-    return _doubling_loop(_line_level, fn, a, b, breaks, batch, LINE_NODE_BUDGET, 1,
-                          "integral over [{a:g}, {b:g}] did not converge within {budget} nodes "
-                          "(last delta {delta:.3e})")
+    return _one_level(_line_level, fn, a, b, rate, degree, breaks, batch,
+                      LINE_NODE_BUDGET, 1,
+                      "integral over [{a:g}, {b:g}] at rate {rate:.6g} needs {nodes} nodes, "
+                      "more than its budget of {budget}")
 
 
 @lru_cache(maxsize=None)
@@ -413,9 +422,10 @@ def _triangle_level(factors, t, a, width, rule, group):
     return np.asarray(width * width * total, dtype=complex)
 
 
-def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
+def integrate_triangle(factors, a: float, b: float, *, rate, degree, breaks: tuple = (),
                        batch: Batch | None = None):
-    """Integrate a separable kernel over the triangle a <= s <= t <= b.
+    """Integrate a separable kernel over the triangle a <= s <= t <= b at
+    one level.
 
     ``factors(t, s)`` receives outer nodes ``t`` and inner points ``s``
     (1-D arrays) and returns a pair: the outer rows at ``t``, shape
@@ -423,15 +433,16 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     result is the sum over k of
     Int_a^b outer_k(t) Int_a^t inner_k(s) ds dt,
     a complex scalar, or an array of shape (...) when the outer rows carry
-    leading axes; its entries converge together.  ``breaks`` are the
-    times where the factors may have kinks, as for ``integrate``.
+    leading axes.  ``rate`` is the sum of the outer and inner rates, and
+    ``degree`` D_outer + D_inner + 1; with ``breaks``, as for
+    ``integrate``.
 
     With a ``batch``, ``factors(t, s)`` returns the rows of the sets that
     ``batch.index`` names, with a set axis in front unless the index is an
     integer: outer rows of shape (..., k, len(t)), and inner rows of shape
     (k, len(s)), shared by the sets, or with a set axis of their own.  The
-    result has shape (batch.size, ...), each set converges on its own, and
-    failures are reported as by ``integrate``.
+    result, and failures, are as for ``integrate``, with
+    ``AXIS_NODE_BUDGET`` nodes per axis.
 
     Nested rule: the outer integral uses the composite rule of
     ``integrate``; the inner rows are evaluated at the ``2*order`` Gauss
@@ -443,18 +454,15 @@ def integrate_triangle(factors, a: float, b: float, *, breaks: tuple = (),
     rule on [edge, t_i] is.  Each panel's sums are scaled by its own
     half-width, and the whole panels are summed in one running sum across
     segments, so the inner integral carries the totals of the earlier
-    segments and no panel reaches across a breakpoint.  A level therefore
-    evaluates n outer and 2n inner points and costs O(k*order*n); no
+    segments and no panel reaches across a breakpoint.  So n nodes per
+    axis take n outer and 2n inner points and cost O(k*order*n); no
     n x n array is built.  ``factors`` is called on consecutive chunks of
     panels, the most, a power of two, whose ``3*order`` points each fit in
     ``BATCH_POINTS`` (32 panels, 512 outer nodes, at order 16), with the
-    running sum carried across chunks, so the memory of a level stays
-    bounded however far the panels double (1.6 MiB of traced allocations
-    for the 24 480 points, 2048 nodes per axis, of both modes of the
-    omega = 400 record in ``tests/test_cost.py``).  Panels double until
-    successive estimates agree, at most ``AXIS_NODE_BUDGET`` outer nodes,
-    or the three levels of a longer split.
+    running sum carried across chunks, so the memory stays bounded
+    however many panels the rate asks.
     """
-    return _doubling_loop(_triangle_level, factors, a, b, breaks, batch, AXIS_NODE_BUDGET, 3,
-                          "triangle integral over [{a:g}, {b:g}] did not converge within "
-                          "{budget} nodes per axis (last delta {delta:.3e})")
+    return _one_level(_triangle_level, factors, a, b, rate, degree, breaks, batch,
+                      AXIS_NODE_BUDGET, 3,
+                      "triangle integral over [{a:g}, {b:g}] at rate {rate:.6g} needs "
+                      "{nodes} nodes per axis, more than its budget of {budget}")

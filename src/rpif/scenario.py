@@ -111,12 +111,14 @@ def mean_square(c: TimeFunction, params: PhysicalParams) -> float:
     """Time average (1/T) * integral of c(t)^2 over the window.
 
     Panels end at the record's breakpoints, so a tabulated record's square,
-    piecewise quadratic, is integrated exactly at the first level.
+    piecewise quadratic, is integrated exactly on one panel per segment.
+    c^2 has twice the rate and twice the degree of c.
     """
     T = params.duration
     sample = c.sampler()
     val = quadrature.integrate(lambda t: sample(t) ** 2 + 0j,
-                               params.tau_start, params.tau_end, breaks=c.breakpoints)
+                               params.tau_start, params.tau_end, rate=2.0 * c.rate,
+                               degree=2 * c.degree, breaks=c.breakpoints)
     return float(val.real) / T
 
 
@@ -202,6 +204,14 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     On failure raises ValidationError whose ``violations`` list names each
     violated invariant (all of them, not just the first).
     """
+    nondimensional(scenario)
+    return scenario
+
+
+def nondimensional(scenario: Scenario) -> Scenario:
+    """The validated scenario in internal units: ``validate_scenario``,
+    returning the rescaled scenario that its check of the fields builds, so
+    that no caller rescales it again."""
     out: list[str] = []
     p = scenario.params
     _check_params(p, out)
@@ -220,6 +230,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             except ValidationError as exc:
                 out.extend(exc.violations)
 
+    nd = None
     if units:
         with np.errstate(all="ignore"):  # an overflow reads non-finite, and is refused
             nd = scenario.nondimensionalized()
@@ -232,12 +243,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
     if out:
         raise ValidationError(out)
-    return scenario
-
-
-def nondimensional(scenario: Scenario) -> Scenario:
-    """The validated scenario in internal units."""
-    return validate_scenario(scenario).nondimensionalized()
+    return nd
 
 
 #: the fields of ``params``, in ``PhysicalParams`` order, with their defaults

@@ -33,7 +33,6 @@ from .scenario import (
     _number,
     nondimensional,
     scenario_from_dict,
-    validate_scenario,
 )
 from .timefunctions import _unknown
 
@@ -273,10 +272,10 @@ def _internal_points(scenario: Scenario, parameter: str,
     with the swept field at a neutral value: if that fails, or the
     parameter is unknown, every point fails with that one error."""
     try:
-        base = validate_scenario(apply_sweep_value(scenario, parameter, _NEUTRAL.get(parameter)))
+        base = apply_sweep_value(scenario, parameter, _NEUTRAL.get(parameter))
+        nd = nondimensional(base)
     except RpifError as exc:
         return [exc] * len(values)
-    nd = base.nondimensionalized()
     points: list[Scenario | RpifError] = []
     for value in values:
         try:
@@ -311,7 +310,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[ResultRow]:
     the endpoints is computed once per distinct beam (a swept resolution
     is integrated once for the whole sweep, and reduced once per oracle
     level), and each point once for all its modes and its oracle.  Other
-    failures (guard trips, quadrature stalls, invalid swept values) fail
+    failures (guard trips, refused quadratures, invalid swept values) fail
     only their point's rows, in the ``error`` field.
     """
     values = [float(value) for value in spec.points()]

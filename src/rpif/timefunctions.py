@@ -67,6 +67,19 @@ class TimeFunction:
         there.  Derived from the fields, so it survives every rescaling."""
         return ()
 
+    @property
+    def rate(self) -> float:
+        """The largest |alpha| of the exponentials e^(alpha*t) the function
+        is a sum of, between breakpoints: with ``degree``, it sizes the
+        quadrature panels.  Derived from the fields, as ``breakpoints``."""
+        return 0.0
+
+    @property
+    def degree(self) -> int:
+        """The degree of the polynomials that multiply those exponentials
+        between breakpoints."""
+        return 0
+
     def rescaled(self, origin: float, time_scale: float,
                  value_scale: float) -> "TimeFunction":
         """Return g with g(u) = value_scale * f(origin + time_scale * u)."""
@@ -90,6 +103,7 @@ class LinearFunction(TimeFunction):
     slope: float
     intercept: float
     kind = "linear"
+    degree = 1
 
     def _values(self, t):
         return self.slope * t + self.intercept
@@ -113,6 +127,10 @@ class SinusoidFunction(TimeFunction):
     def _values(self, t):
         return self.amplitude * np.sin(self.omega * t + self.phase)
 
+    @property
+    def rate(self) -> float:
+        return abs(self.omega)
+
     def rescaled(self, origin, time_scale, value_scale):
         return SinusoidFunction(
             self.amplitude * value_scale,
@@ -130,6 +148,11 @@ class PolynomialFunction(TimeFunction):
 
     def _values(self, t):
         return np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients))
+
+    @property
+    def degree(self) -> int:
+        nonzero = [k for k, c in enumerate(self.coefficients) if c != 0.0]
+        return nonzero[-1] if nonzero else 0
 
     def rescaled(self, origin, time_scale, value_scale):
         coefs = np.asarray(self.coefficients)
@@ -156,6 +179,7 @@ class TabulatedFunction(TimeFunction):
     times: tuple[float, ...]
     values: tuple[float, ...]
     kind = "tabulated"
+    degree = 1  # between breakpoints
 
     def _values(self, t):
         return np.interp(t, np.asarray(self.times), np.asarray(self.values))

@@ -113,15 +113,17 @@ def test_every_row_of_a_sweep_is_its_point_alone_bit_for_bit(
 
 @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
 def test_a_sweep_validates_its_scenario_once(monkeypatch, parameter):
+    # every validation, validate_scenario's too, goes through nondimensional,
+    # which hands back the scenario in internal units
+    scenario = make_scenario(m=2.7, hbar=0.37, tau_start=0.3, tau_end=1.9, z1=0.2)
     calls = []
-    validate = scenario_module.validate_scenario
+    validate = scenario_module.nondimensional
 
     def counted(scenario):
         calls.append(scenario)
         return validate(scenario)
     for module in (scenario_module, sys.modules["rpif.sweep"]):
-        monkeypatch.setattr(module, "validate_scenario", counted)
-    scenario = make_scenario(m=2.7, hbar=0.37, tau_start=0.3, tau_end=1.9, z1=0.2)
+        monkeypatch.setattr(module, "nondimensional", counted)
     rows = run_sweep(scenario, SweepSpec(parameter=parameter, start=0.5, stop=1.5,
                                          steps=16, mode="both"))
     assert len(rows) == 32 and all(row.error is None for row in rows)

@@ -162,6 +162,31 @@ def test_simulate_deterministic_bytes(config_path, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("sweep, calls", [
+    # the parsed scenario and the sweep's base, at the neutral value of the
+    # swept field: each put into internal units once, by its validation
+    ({"parameter": "z2", "start": 0.0, "stop": 1.0, "steps": 3}, 2),
+    ({"parameter": "delta_a", "start": 0.5, "stop": 2.0, "steps": 3}, 2),
+    ({"parameter": "g", "start": 0.5, "stop": 2.0, "steps": 3}, 2),
+    # and each m_over_hbar_scale point, rescaled in full
+    ({"parameter": "m_over_hbar_scale", "start": 1.5, "stop": 2.0, "steps": 3}, 5)])
+def test_simulate_rescales_each_scenario_once(tmp_path, monkeypatch, sweep, calls):
+    seen = []
+    rescale = rpif.Scenario.nondimensionalized
+
+    def counted(scenario):
+        seen.append(scenario)
+        return rescale(scenario)
+    monkeypatch.setattr(rpif.Scenario, "nondimensionalized", counted)
+    doc = dict(BASE, params={"m": 2.0, "g": 1.0, "hbar": 0.5, "tau_start": 1.0,
+                             "tau_end": 3.0}, sweep=dict(sweep, mode="both"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert len(seen) == calls
+    assert len(set(map(id, seen))) == calls  # no scenario twice
+
+
 def test_simulate_jobs_do_not_change_bytes(config_path, tmp_path):
     out1 = tmp_path / "serial.csv"
     out2 = tmp_path / "threaded.csv"

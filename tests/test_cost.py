@@ -2,26 +2,27 @@
 
 The omega = 400 sinusoid on beam a (amplitude 0.3, delta = 1, z2 = 0.5,
 otherwise the reference scenario; the same scenario as the benchmark's
-omega = 400 request) needs 2048 nodes per axis in its double integrals.
-An n x n rule there peaks at about 430 MiB and evaluates its kernels at
-tens of millions of points; the nested rule, which sees n outer and 2n
-inner points per level, stays under 2 MiB (1.6 MiB of traced allocations)
-and at 24 480 points on 16-node panels, in chunks of 32 panels (512 outer
-nodes, 48 points per panel), in about 0.008 s on a 2-core VM with one
-BLAS thread.  8-node panels took 4096 nodes per axis for the action
-rows, 36 816 points and about 0.013 s.
+omega = 400 request) takes 880 nodes per axis for its action rows and as
+many for its printed rows, each at one level sized from its rates.  An n x n
+rule there peaks at hundreds of MiB and evaluates its kernels at tens of
+millions of points; the nested rule, which sees n outer and 2n inner
+points, stays under 2 MiB (1.3 MiB of traced allocations) and at 5 376
+points, in chunks of 32 panels (512 outer nodes, 48 points per panel).
+The panel-doubling loop this rule replaced took 24 480 points (2048
+nodes per axis at its last level), and 36 816 on 8-node panels.
 
-A beam one short of the stability guard, |wT| = 59, takes 1440 triangle
-points on 16-node panels, against 3024 on 8-node ones.
+A beam one short of the stability guard, |wT| = 59, takes 1 008 triangle
+points, against 1 440 for the doubling loop and 3 024 for it on 8-node
+panels.
 
 A 16-point resolution sweep of the same scenario integrates beam a at
 all 16 resolutions in one batch, and stays as small.
 
 A zig-zag tabulated record (the benchmark's kind: eight interior samples,
-four of them off the dyadic grid) converges in a couple of thousand line
-nodes once panels end at its samples; without that, composite Gauss
-converges only like h^2 over the kinks and burns about 266 000 nodes
-before it fails.
+four of them off the dyadic grid) takes 640 line nodes in both modes
+once panels end at its samples, against 1 920 for the doubling loop;
+without breakpoints, composite Gauss converges only like h^2 over the
+kinks and burns about 266 000 nodes before it fails.
 """
 
 import tracemalloc
@@ -64,16 +65,16 @@ def test_omega_400_decompose_stays_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
-    assert sum(points) < 30_000
+    assert sum(points) < 5_500
 
 
 def test_a_beam_near_the_guard_takes_few_triangle_points(monkeypatch):
     # |wT| = 2/delta = 59, one short of the guard: both modes' triangle
-    # integrals converge in 1440 points, against 3024 on 8-node panels
+    # integrals take 1008 points, against 1440 for the doubling loop
     scenario = make_scenario(delta_a=2.0 / 59.0)
     points = _counted_triangle_points(monkeypatch)
     compare_modes(scenario)
-    assert sum(points) < 2_000
+    assert sum(points) < 1_100
 
 
 def test_omega_400_resolution_sweep_stays_small():
@@ -109,4 +110,4 @@ def test_zig_zag_tabulated_record_takes_few_line_nodes(monkeypatch):
 
     for mode in ("derived", "paper-literal"):
         decompose(scenario, mode)
-    assert sum(nodes) < 5_000
+    assert sum(nodes) < 700

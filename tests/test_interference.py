@@ -10,14 +10,14 @@ from rpif import (
     RpifError,
     decompose,
 )
-from rpif import actions, quadrature
+from rpif import actions
 from rpif.interference import _paper_angle, _printed
 from rpif.scenario import nondimensional
 from sampling import random_scenario
 from rpif.timefunctions import (ConstantFunction, LinearFunction, PolynomialFunction,
                                SinusoidFunction, TabulatedFunction)
-from util import (action_angle, lattice_values, make_scenario, printed_i5, printed_i5_block,
-                  printed_terms, swapped)
+from util import (DOUBLING_RTOL, action_angle, doubling_integrate, lattice_values,
+                  make_scenario, printed_i5, printed_i5_block, printed_terms, swapped)
 
 
 def _theta_derived(delta, m=1.0, hbar=1.0, T=1.0):
@@ -309,7 +309,7 @@ def test_printed_i1_to_i4_are_the_derived_terms_at_re_wt():
         def gap(mode):
             printed = printed_terms(nd, *_angles(scenario, mode))[:4]
             return max(abs(x - y) for x, y in zip(printed, derived))
-        assert gap(MODE_DERIVED) <= 10 * quadrature.DEFAULT_RTOL * largest, seed
+        assert gap(MODE_DERIVED) <= 10 * DOUBLING_RTOL * largest, seed
         assert gap(MODE_LITERAL) > 0.1 * largest, seed
 
 
@@ -338,7 +338,7 @@ def test_printed_i5_is_minus_twice_the_derived_i5_after_three_changes():
     # with the weight e^{(sigma+epsilon)/sqrt2}, the products g^2 f(t) f(s)
     # and -omega^4 c(t) c(s), and theta = |Re(wT)|, the printed i5 is -2
     # times the derived i5: on each row within 1e-12 of its largest term
-    # (both quadratures converge far below DEFAULT_RTOL on these
+    # (both quadratures converge far below DOUBLING_RTOL on these
     # polynomials), and per beam and per power of g within 1e-12 of the
     # largest derived block.  With any one change undone, some block is off
     # by more than a tenth of the largest.  The row alone does not show
@@ -391,7 +391,7 @@ def _printed_line_rows(beam, f, p):
                          np.stack((fv * plus, cv * minus), axis=-2)), axis=-3)
 
     breaks = f.breakpoints + beam.trajectory.breakpoints
-    return quadrature.integrate(line, t0, t1, breaks=breaks).real
+    return doubling_integrate(line, t0, t1, breaks=breaks).real
 
 
 def _scaled_action_rows(beam, f, p):

@@ -2,12 +2,13 @@
 each beam gets the bits it gets alone.
 
 ``interference._fill`` groups an evaluation's beams by frame profile, units
-and the segment edges of their breakpoints, and integrates each group in one line
-and one triangle pass, sampling each distinct record once per call.  Each
-set of a batch stops at its own level with its own arithmetic, so every
-beam's rows, and every row a sweep prints, must equal those of the beam
-integrated alone, bit for bit; a beam that stalls must fail with the error
-a lone attempt raises, and leave the others alone.
+and the segment edges of their breakpoints, and integrates each group in one
+triangle and one line pass, sampling each distinct record once per call.
+Each set of a batch takes the panels its own rates ask, with its own
+arithmetic, so every beam's rows, and every row a sweep prints, must equal
+those of the beam integrated alone, bit for bit; a beam whose integrals
+need more nodes than their budget (a stall) must fail with the error a lone
+attempt raises, and leave the others alone.
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ RECORDS = {
     "tabulated": TabulatedFunction((0.0, 0.37, 0.61, 1.0), (0.1, 0.3, -0.2, 0.05)),
     "tabulated_alike": TabulatedFunction((0.0, 0.37, 0.61, 1.0), (-0.2, 0.1, 0.4, 0.0)),
     "tabulated_half": TabulatedFunction((0.0, 0.5, 1.0), (0.2, -0.1, 0.3)),
-    # its quadratures cannot converge
+    # its triangle integrals need more nodes than their budget
     "stalled": SinusoidFunction(0.3, 30000.0, 0.0),
 }
 
@@ -112,11 +113,12 @@ def test_a_joint_batch_has_one_pass_per_layout(monkeypatch):
     for compute in ROWS:
         calls.clear()
         joint = interference._fill(beams, compute)
-        # one pass per layout, whatever |wT|; the stalled beam fails in the
-        # line pass, and the triangle pass of its batch leaves it out
+        # one pass per layout, whatever |wT|; the stalled beam's triangle
+        # budget refuses it before any node, and the line pass of its batch
+        # leaves it out
         assert sorted(calls, reverse=True) == [4, 2, 1]
         assert isinstance(joint[2], quadrature.QuadratureError)
-        assert "did not converge" in str(joint[2])
+        assert "more than its budget of 4096" in str(joint[2])
         for beam, entry in zip(beams, joint):
             assert _bits(entry) == _bits(_alone(compute, beam))
 

@@ -446,12 +446,12 @@ def test_each_point_is_evaluated_once_for_all_its_modes(monkeypatch, sweep, orac
     spec = SweepSpec(spec.parameter, spec.start, spec.stop, spec.steps, spec.mode, oracle)
     counts = _count_everywhere(monkeypatch, (actions._amplitude, actions.ensure_stable,
                                              actions.classical_action,
-                                             scenario_module.validate_scenario))
+                                             scenario_module.nondimensional))
     rows = run_sweep(scenario, spec)
     assert len(rows) == 64 and all(row.error is None for row in rows)
     beams = 32 + 1 if spec.parameter == "delta_a" else 2
     assert counts == {"_amplitude": 64, "ensure_stable": beams, "classical_action": 64,
-                      "validate_scenario": 1}
+                      "nondimensional": 1}
 
 
 @pytest.mark.parametrize("mode, line, triangle", [

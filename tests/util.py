@@ -9,10 +9,13 @@ tridiagonal form with the continuant recurrence and a banded solve, with
 no use of the constant-coefficient structure ``rpif.lattice`` exploits.
 The unsplit block references integrate the whole force, g included, as
 one function, against which the package's g-free rows are recombined.
+The panel-doubling loop, which integrated every row before the one-level
+rule, is kept as that rule's reference.
 """
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -110,11 +113,112 @@ def bvp_on_path_action(w, force, m, t0, t1, z1, z2, n=4000) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# the panel-doubling loop: the reference for the one-level rule
+# ---------------------------------------------------------------------------
+
+#: two successive doubling levels agree when every entry's difference is
+#: within DOUBLING_RTOL of it plus DOUBLING_ATOL of its row's scale
+#: (``RowScale``): a tolerance of 1e-15 in absolute terms, as the loop had in
+#: the package, lets a row far below 1 settle at the second level whatever
+#: its error
+DOUBLING_RTOL = 1e-10
+DOUBLING_ATOL = 1e-15
+
+
+class RowScale:
+    """The scale of each row of an integral, from the nodes its integrand
+    is evaluated at through ``fn``: the window times the row's largest
+    magnitude, or, for a triangle, half the window squared times the sum
+    over its terms of the largest outer and inner magnitudes."""
+
+    def __init__(self, fn, a, b, triangle: bool):
+        self.peaks = []
+        self.size = 0.5 * (b - a) ** 2 if triangle else b - a
+        self.fn = self._triangle(fn) if triangle else self._line(fn)
+
+    def _line(self, fn):
+        def seen(t):
+            values = np.asarray(fn(t))
+            self.peaks.append(np.abs(values).max(axis=-1))
+            return values
+        return seen
+
+    def _triangle(self, factors):
+        def seen(t, s):
+            outer, inner = map(np.asarray, factors(t, s))
+            self.peaks.append((np.abs(outer).max(axis=-1)
+                               * np.abs(inner).max(axis=-1)).sum(axis=-1))
+            return outer, inner
+        return seen
+
+    @property
+    def value(self):
+        return self.size * np.max(self.peaks, axis=0)
+
+
+def _doubling(level, fn, a, b, breaks, batch, budget, what):
+    """Each set of ``batch`` (or a lone integral) on its own: the package's
+    ``level`` on 1, 2, 4, ... panels in every segment, doubled together
+    until two successive estimates agree, within ``budget`` nodes (grown to
+    the three levels of a longer split).  It ignores the integrand's rate,
+    so it checks the panel counts the rule derives from it."""
+    order, width = quadrature.GAUSS_ORDER, b - a
+    edges = quadrature._segments(a, b, breaks)
+    segments = len(edges) - 1
+    budget = max(budget, 4 * segments * order)
+    lone = batch is None
+    batch = quadrature.Batch(1) if lone else batch
+    value = None
+    for i in range(batch.size):
+        if i in batch.failed:
+            continue
+        scale = RowScale(fn, a, b, level is quadrature._triangle_level)
+        prev, panels, est = None, 1, None
+        while segments * panels * order <= budget:
+            rule = quadrature._reference_rule((panels,) * segments, order, edges)
+            batch.index = i
+            with np.errstate(all="ignore"):
+                est = np.asarray(level(scale.fn, a + width * rule[0], a, width, rule, i)[0],
+                                 complex)
+            if not np.isfinite(est).all():
+                batch.failed[i] = rpif.QuadratureError(f"non-finite estimate over [{a:g}, {b:g}]")
+                break
+            if prev is not None and (np.abs(est - prev) <= DOUBLING_RTOL * np.abs(est)
+                                     + DOUBLING_ATOL * scale.value).all():
+                break
+            prev, panels = est, 2 * panels
+        else:
+            batch.failed[i] = rpif.QuadratureError(
+                f"{what} over [{a:g}, {b:g}] did not converge within {budget} nodes")
+        if value is None:
+            value = np.full((batch.size,) + est.shape, np.nan, complex)
+        if i not in batch.failed:
+            value[i] = est
+    if not lone:
+        return value
+    if batch.failed:
+        raise batch.failed[0]
+    return complex(value[0]) if value.ndim == 1 else value[0]
+
+
+def doubling_integrate(fn, a, b, *, breaks=(), batch=None, **rate):
+    """``quadrature.integrate`` by the doubling loop; ``rate`` and
+    ``degree`` are accepted and ignored."""
+    return _doubling(quadrature._line_level, fn, a, b, breaks, batch,
+                     quadrature.LINE_NODE_BUDGET, "integral")
+
+
+def doubling_triangle(factors, a, b, *, breaks=(), batch=None, **rate):
+    """``quadrature.integrate_triangle`` by the doubling loop."""
+    return _doubling(quadrature._triangle_level, factors, a, b, breaks, batch,
+                     quadrature.AXIS_NODE_BUDGET, "triangle integral")
+
+
+# ---------------------------------------------------------------------------
 # reference forms of the double integrals
 # ---------------------------------------------------------------------------
 
-def reference_triangle(fn, a, b, *, rtol=quadrature.DEFAULT_RTOL,
-                       atol=quadrature.DEFAULT_ATOL,
+def reference_triangle(fn, a, b, *, rtol=DOUBLING_RTOL, atol=DOUBLING_ATOL,
                        axis_budget=quadrature.AXIS_NODE_BUDGET,
                        order=quadrature.GAUSS_ORDER) -> complex:
     """Iterated n x n rule over the triangle a <= s <= t <= b.
@@ -128,7 +232,7 @@ def reference_triangle(fn, a, b, *, rtol=quadrature.DEFAULT_RTOL,
     prev = None
     panels = 1
     while panels * order <= axis_budget:
-        u, wu, _, _ = quadrature._reference_rule(panels, order)
+        u, wu, _, _ = quadrature._reference_rule((panels,), order)
         t = a + width * u
         inner_width = t - a
         s = a + inner_width[:, None] * u[None, :]
@@ -248,23 +352,43 @@ def force_callable(beam, frame_profile, params):
     return lambda t: -m * g * np.asarray(f(t)) - 1j * coef * np.asarray(c(t))
 
 
-def unsplit_blocks(kernels, force, t0, t1, breaks=()):
+def line_rate(beam, frame_profile, kernel_rate):
+    """The rate and degree of a beam's force against a kernel of
+    ``kernel_rate``, as the package's rows take them."""
+    f, c = frame_profile, beam.trajectory
+    return kernel_rate + max(f.rate, c.rate), max(f.degree, c.degree)
+
+
+def _rules(rate):
+    """The line and triangle rules: the doubling loop, or, given the
+    ``(rate, degree)`` of a line integrand, the package's, on the panels
+    the package's rows of the same beam take (the triangle pairs two line
+    integrands)."""
+    if rate is None:
+        return doubling_integrate, doubling_triangle
+    rate, degree = rate
+    return (functools.partial(quadrature.integrate, rate=rate, degree=degree),
+            functools.partial(quadrature.integrate_triangle, rate=2.0 * rate,
+                              degree=2 * degree + 1))
+
+
+def unsplit_blocks(kernels, force, t0, t1, breaks=(), rate=None):
     """``ActionBlocks`` of one force callable, with kernels built at one
     frequency (a sequence of one, read through the set index 0): two line
-    calls, one triangle."""
+    calls, one triangle, by the rules of ``_rules(rate)``."""
+    line, triangle = _rules(rate)
+
     def single(u):
         return kernels.single(u, 0)
-    q2 = quadrature.integrate(lambda t: force(t) * single(t - t0), t0, t1,
-                              breaks=breaks)
-    q1 = quadrature.integrate(lambda t: force(t) * single(t1 - t), t0, t1,
-                              breaks=breaks)
+    q2 = line(lambda t: force(t) * single(t - t0), t0, t1, breaks=breaks)
+    q1 = line(lambda t: force(t) * single(t1 - t), t0, t1, breaks=breaks)
 
     def factors(t, s):
         n = t.size
         f = force(np.concatenate((t, s)))
         return (f[:n] * kernels.single(t1 - t, 0))[None], (f[n:] * kernels.inner(s - t0, 0))[None]
 
-    q12 = quadrature.integrate_triangle(factors, t0, t1, breaks=breaks)
+    q12 = triangle(factors, t0, t1, breaks=breaks)
     return actions.ActionBlocks(kernels.b1[0], kernels.b2[0], q1, q2, q12)
 
 
@@ -273,12 +397,14 @@ def unsplit_action(kernels, force, m, t0, t1, z1, z2) -> complex:
 
 
 def unsplit_action_blocks(beam, frame_profile, params):
-    """One beam's ``ActionBlocks`` at the params' g, from the whole force."""
+    """One beam's ``ActionBlocks`` at the params' g, from the whole force,
+    on the panels of the beam's rows."""
     w = actions.ensure_stable(params, beam.resolution)
     kernels = actions.action_kernels((w,), params.m, params.duration)
     force = force_callable(beam, frame_profile, params)
     return unsplit_blocks(kernels, force, params.tau_start, params.tau_end,
-                          frame_profile.breakpoints + beam.trajectory.breakpoints)
+                          frame_profile.breakpoints + beam.trajectory.breakpoints,
+                          line_rate(beam, frame_profile, abs(w)))
 
 
 def literal_rows(beam, frame_profile, p):
@@ -334,7 +460,9 @@ def _literal_weights(th):
 
 def unsplit_literal_linear_block(beam, frame_profile, p, th, anchor) -> float:
     """One beam's printed i3 (anchor 'end') or i4 ('start') contribution,
-    each of its two single integrals in a call of its own."""
+    each of its two single integrals in a call of its own, on the panels of
+    the beam's action rows: the integrands are sines of rate
+    sqrt2*q = omega."""
     om = _omega(p, beam.resolution)
     q = om / math.sqrt(2.0)
     coef = 4.0 * p.hbar / (p.m * p.duration * beam.resolution ** 2)
@@ -355,10 +483,9 @@ def unsplit_literal_linear_block(beam, frame_profile, p, th, anchor) -> float:
                       + g * f(t) * np.sin(x) * np.cosh(x))
 
     breaks = f.breakpoints + c.breakpoints
-    j_sin = quadrature.integrate(integrand_sin, p.tau_start, p.tau_end,
-                                 breaks=breaks).real
-    j_cos = quadrature.integrate(integrand_cos, p.tau_start, p.tau_end,
-                                 breaks=breaks).real
+    line, _ = _rules(line_rate(beam, f, om))
+    j_sin = line(integrand_sin, p.tau_start, p.tau_end, breaks=breaks).real
+    j_cos = line(integrand_cos, p.tau_start, p.tau_end, breaks=breaks).real
     e2, denom = _literal_weights(th)
     return (math.exp(-th) / denom) * ((1.0 - e2) * math.cos(th) * j_sin
                                       - (1.0 + e2) * math.sin(th) * j_cos)
@@ -366,7 +493,8 @@ def unsplit_literal_linear_block(beam, frame_profile, p, th, anchor) -> float:
 
 def unsplit_literal_double_block(beam, frame_profile, p, th) -> float:
     """One beam's printed i5 contribution with A = g^2 f - omega^4 c and
-    the mixed term formed at the params' g inside the integrand."""
+    the mixed term formed at the params' g inside the integrand, on the
+    panels of the beam's printed rows."""
     om = _omega(p, beam.resolution)
     coef = om * om
     g, f, c = p.g, frame_profile, beam.trajectory
@@ -390,8 +518,8 @@ def unsplit_literal_double_block(beam, frame_profile, p, th) -> float:
         return (np.stack((outer.imag, outer.real)),
                 np.concatenate((inner.real, inner.imag)))
 
-    j1, j2 = quadrature.integrate_triangle(
-        factors, t0, t1, breaks=f.breakpoints + c.breakpoints).real
+    _, triangle = _rules(line_rate(beam, f, abs(decay) * om))
+    j1, j2 = triangle(factors, t0, t1, breaks=f.breakpoints + c.breakpoints).real
     e2, denom = _literal_weights(th)
     w1 = (1.0 - e2) * math.cos(th) - (1.0 + e2) * math.sin(th)
     w2 = (1.0 - e2) * math.cos(th) + (1.0 + e2) * math.sin(th)
