@@ -95,11 +95,11 @@ def _paper_angle(params: PhysicalParams, delta: float) -> float:
 def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
                         m: float, hbar: float, tau_start: float, tau_end: float
                         ) -> list[np.ndarray | RpifError]:
-    """The g-free rows of the printed i5 integral of beams that share a
-    panel layout: one triangle pass for all of them, which samples each
-    distinct record once per call.  Independent of the endpoints and of g,
-    so an evaluation computes them once per beam, and a resolution sweep
-    once for all its resolutions.  Returns each beam's rows, or the
+    """The g-free rows of the printed i5 integral of beams with one frame
+    profile and units: one triangle pass for all of them, which samples
+    each distinct record once per call.  Independent of the endpoints and
+    of g, so an evaluation computes them once per beam, and a resolution
+    sweep once for all its resolutions.  Returns each beam's rows, or the
     RpifError that it raises on its own.
 
     The printed kernels combine g^2*(f(t)+f(s)), the record sum, and the
@@ -120,8 +120,8 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
 
     Each factor is e^{x/2} hs(x), whose faster exponential has the rate
     |1/2 - sqrt2 - i/sqrt2| omega, times f or c: the triangle's rate is
-    twice that plus twice the faster of f and c, and its degree twice their
-    higher degree, plus one.
+    twice that plus twice the faster of f and c, its degree twice their
+    higher degree, plus one, and its breakpoints those of f and c.
     """
     t0, t1 = tau_start, tau_end
     f = frame_profile.sampler()
@@ -156,7 +156,7 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
         return (np.stack((outer.imag, outer.real), axis=-4),
                 np.concatenate((inner.real, inner.imag), axis=-2))
 
-    breaks = frame_profile.breakpoints + beams[0].trajectory.breakpoints
+    breaks = [frame_profile.breakpoints + beam.trajectory.breakpoints for beam in beams]
     rate = [2.0 * (abs(decay) * math.sqrt(k) + max(frame_profile.rate, beam.trajectory.rate))
             for k, beam in zip(coefs, beams)]
     degree = [2 * max(frame_profile.degree, beam.trajectory.degree) + 1 for beam in beams]
@@ -298,22 +298,19 @@ class _Beam:
             self.error = exc
 
 
-def _fill(beams: Sequence[_Beam], compute: Callable, *extra, by_layout: bool = True) -> list:
+def _fill(beams: Sequence[_Beam], compute: Callable, *extra) -> list:
     """Each beam's entry of ``compute(records, frame_profile, m, hbar,
     tau_start, tau_end, *extra)``: its rows, or the RpifError that it
     raises.  ``compute`` runs once per group of beams that share the frame
-    profile, the units and, with ``by_layout``, the panel layout
-    (``quadrature._segments`` of their breakpoints); a call that raises
-    fails every beam of its group with that error."""
+    profile and the units; a call that raises fails every beam of its
+    group with that error."""
     groups: dict = {}
     for i, beam in enumerate(beams):
-        p, f = beam.params, beam.frame_profile
-        layout = (quadrature._segments(p.tau_start, p.tau_end,
-                                       f.breakpoints + beam.beam.trajectory.breakpoints)
-                  if by_layout else None)
-        groups.setdefault(((f, p.m, p.hbar, p.tau_start, p.tau_end), layout), []).append(i)
+        p = beam.params
+        groups.setdefault((beam.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end),
+                          []).append(i)
     out: list = [None] * len(beams)
-    for (args, _), index in groups.items():
+    for args, index in groups.items():
         try:
             entries = compute(tuple(beams[i].beam for i in index), *args, *extra)
         except RpifError as exc:
@@ -326,9 +323,9 @@ def _fill(beams: Sequence[_Beam], compute: Callable, *extra, by_layout: bool = T
 def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam, _Beam]]:
     """Each point's two beams, one ``_Beam`` per distinct (beam, frame
     profile, units), with the ``action`` and, in the literal mode, the
-    ``printed`` part of every stable one filled in: for every beam that
-    shares a panel layout, at all the resolutions the points visit, the
-    action rows come from one line pass and one triangle pass, and the
+    ``printed`` part of every stable one filled in: for all the beams with
+    one frame profile and units, at all the resolutions the points visit,
+    the action rows come from one line pass and one triangle pass, and the
     printed rows from one triangle pass."""
     by_key: dict = {}
     seen: dict = {}   # by object identity first, so a shared beam is hashed once
@@ -479,8 +476,7 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     if schedule:
         reached = [i for i, row in enumerate(table) if _open(row)]
         beams = list(dict.fromkeys(beam for i in reached for beam in pairs[i]))
-        for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, tuple(schedule),
-                                           by_layout=False)):
+        for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, tuple(schedule))):
             beam.lattice_rows = rows
         for i in reached:
             try:

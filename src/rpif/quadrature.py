@@ -46,14 +46,14 @@ with a QuadratureError that names the nodes it needs, the budget and its
 rate.
 
 Both rules also integrate a ``Batch``: independent sets of integrands
-over the same interval and breakpoints (the rows of every beam of a sweep
-whose breakpoints split the window alike), each with its own rate and
-degree.  The sets that get the same panels are evaluated together, so a
-set gets the panels and the bits it would get on its own.  A set that its
-budget refuses, or whose estimate is not finite, fails alone, with the
-error it would raise alone, and the others go on.  An evaluation covers
-as many sets as fit in ``BATCH_POINTS`` points (at least one), so the
-memory of a batch does not grow with its size.
+over the same interval (the rows of every beam of an evaluation with one
+frame profile and units), each with its own rate, degree and breakpoints.
+The sets that get the same segment edges and panels are evaluated
+together, so a set gets the panels and the bits it would get on its own.
+A set that its budget refuses, or whose estimate is not finite, fails
+alone, with the error it would raise alone, and the others go on.  An
+evaluation covers as many sets as fit in ``BATCH_POINTS`` points (at
+least one), so the memory of a batch does not grow with its size.
 
 Double integrals over the triangle s <= t have separable kernels (a
 finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
@@ -254,42 +254,44 @@ def _groups(sets: list[int], count: int, size: int) -> list:
 
 
 @np.errstate(all="ignore")
-def _one_level(level, fn, a: float, b: float, rate, degree, breaks: tuple,
+def _one_level(level, fn, a: float, b: float, rate, degree, breaks,
                batch: Batch | None, budget: int, spread: int, refused: str):
-    """One level of either rule over [a, b] split at ``breaks``, for each
-    set of ``batch`` on the panels its own ``rate`` and ``degree`` ask
-    (numbers, or one per set).  The sets that share panels are evaluated
-    in groups of at most ``BATCH_POINTS`` points, ``spread`` per node, and
+    """One level of either rule over [a, b], for each set of ``batch`` on
+    the segments its own ``breaks`` split and the panels its own ``rate``
+    and ``degree`` ask (a tuple and numbers, or one of each per set).  The
+    sets that share edges and panels are evaluated in groups of at most
+    ``BATCH_POINTS`` points, ``spread`` per node, and
     ``level(fn, t, a, width, rule, group)`` returns the estimates of the
     sets ``group``, a set axis in front, from the nodes ``t`` and
-    ``_reference_rule``.  A set whose nodes exceed ``budget`` fails with
-    ``refused``, formatted with a, b, its rate, its nodes and the budget,
-    and one whose estimate is not finite with its own error.  A lone
-    integral (``batch`` None) is a batch of one: its value is returned, or
-    its error raised.  numpy reports no floating-point error here: an
-    integrand or a sum that overflows gives a non-finite estimate, which
-    fails its set."""
+    ``_reference_rule``.  A set whose nodes exceed ``budget`` (or four
+    panels per segment of its split) fails with ``refused``, formatted with
+    a, b, its rate, its nodes and its budget, and one whose estimate is not
+    finite with its own error.  A lone integral (``batch`` None) is a batch
+    of one: its value is returned, or its error raised.  numpy reports no
+    floating-point error here: an integrand or a sum that overflows gives a
+    non-finite estimate, which fails its set."""
     order, width = GAUSS_ORDER, b - a
-    edges = _segments(a, b, breaks)
-    budget = max(budget, 4 * (len(edges) - 1) * order)  # four panels per segment
     lone = batch is None
     batch = Batch(1) if lone else batch
     count = batch.size
     rates = [rate] * count if isinstance(rate, _NUMBERS) else list(rate)
     degrees = [degree] * count if isinstance(degree, _NUMBERS) else list(degree)
+    splits = [breaks] * count if isinstance(breaks, tuple) else list(breaks)
     shared: dict[tuple, list[int]] = {}
     for i in range(count):
         if i in batch.failed:
             continue
+        edges = _segments(a, b, splits[i])
         counts = _panels(edges, width, rates[i], degrees[i], order)
         nodes = order * sum(counts)
-        if nodes > budget:
+        cap = max(budget, 4 * (len(edges) - 1) * order)  # four panels per segment
+        if nodes > cap:
             batch.failed[i] = QuadratureError(refused.format(
-                a=a, b=b, rate=rates[i], nodes=nodes, budget=budget))
+                a=a, b=b, rate=rates[i], nodes=nodes, budget=cap))
         else:
-            shared.setdefault(counts, []).append(i)
+            shared.setdefault((edges, counts), []).append(i)
     value = None
-    for counts, sets in shared.items():
+    for (edges, counts), sets in shared.items():
         rule = _reference_rule(counts, order, edges)
         t = a + width * rule[0]
         for group in _groups(sets, count, max(1, BATCH_POINTS // (spread * t.size))):
@@ -321,7 +323,7 @@ def _line_level(fn, t, a, width, rule, group):
     return width * np.sum(rule[1] * values, axis=-1)
 
 
-def integrate(fn, a: float, b: float, *, rate, degree, breaks: tuple = (),
+def integrate(fn, a: float, b: float, *, rate, degree, breaks=(),
               batch: Batch | None = None) -> complex:
     """Integrate a vectorized callable over [a, b] at one level.
 
@@ -335,11 +337,11 @@ def integrate(fn, a: float, b: float, *, rate, degree, breaks: tuple = (),
     panel edges.
 
     With a ``batch``, ``rate`` and ``degree`` may give one number per set,
-    ``fn(t)`` returns the rows of the sets that ``batch.index`` names,
-    shape (..., n) with a set axis in front unless the index is an
-    integer, and the result has shape (batch.size, ...), or is None if
-    every set had failed before; the sets in ``batch.failed`` are left
-    out.
+    and ``breaks`` a list of one tuple per set; ``fn(t)`` returns the rows
+    of the sets that ``batch.index`` names, shape (..., n) with a set axis
+    in front unless the index is an integer, and the result has shape
+    (batch.size, ...), or is None if every set had failed before; the sets
+    in ``batch.failed`` are left out.
 
     A lone integral raises QuadratureError if its panels would take more
     than ``LINE_NODE_BUDGET`` nodes (or four panels per segment of a
@@ -422,7 +424,7 @@ def _triangle_level(factors, t, a, width, rule, group):
     return np.asarray(width * width * total, dtype=complex)
 
 
-def integrate_triangle(factors, a: float, b: float, *, rate, degree, breaks: tuple = (),
+def integrate_triangle(factors, a: float, b: float, *, rate, degree, breaks=(),
                        batch: Batch | None = None):
     """Integrate a separable kernel over the triangle a <= s <= t <= b at
     one level.
@@ -434,15 +436,15 @@ def integrate_triangle(factors, a: float, b: float, *, rate, degree, breaks: tup
     Int_a^b outer_k(t) Int_a^t inner_k(s) ds dt,
     a complex scalar, or an array of shape (...) when the outer rows carry
     leading axes.  ``rate`` is the sum of the outer and inner rates, and
-    ``degree`` D_outer + D_inner + 1; with ``breaks``, as for
-    ``integrate``.
+    ``degree`` D_outer + D_inner + 1; ``breaks`` are as for ``integrate``.
 
-    With a ``batch``, ``factors(t, s)`` returns the rows of the sets that
-    ``batch.index`` names, with a set axis in front unless the index is an
-    integer: outer rows of shape (..., k, len(t)), and inner rows of shape
-    (k, len(s)), shared by the sets, or with a set axis of their own.  The
-    result, and failures, are as for ``integrate``, with
-    ``AXIS_NODE_BUDGET`` nodes per axis.
+    With a ``batch``, each of the three may give one value per set, and
+    ``factors(t, s)`` returns the rows of the sets that ``batch.index``
+    names, with a set axis in front unless the index is an integer: outer
+    rows of shape (..., k, len(t)), and inner rows of shape (k, len(s)),
+    shared by the sets, or with a set axis of their own.  The result, and
+    failures, are as for ``integrate``, with ``AXIS_NODE_BUDGET`` nodes
+    per axis.
 
     Nested rule: the outer integral uses the composite rule of
     ``integrate``; the inner rows are evaluated at the ``2*order`` Gauss

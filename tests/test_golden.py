@@ -1,8 +1,10 @@
 """Byte-for-byte regression of ``rpif simulate`` output.
 
 One config per sweep parameter, each in ``both`` mode; ``golden_delta_a``
-carries a beam at resolution 300 (|wT| < 1e-2) and the z2 run
-adds the lattice oracle column.  The expected CSVs were written by
+carries a beam at resolution 300 (|wT| < 1e-2), the z2 run adds the
+lattice oracle column, and ``golden_tabulated`` sweeps delta_a of a
+tabulated record beside a sinusoid, under a tabulated frame profile whose
+breakpoint the record's samples miss.  The expected CSVs were written by
 
     python -m rpif simulate --config tests/data/golden_<name>.json \\
         --output tests/data/golden_<name>.csv [--oracle 256,512,1024]
@@ -25,6 +27,7 @@ CASES = {
     "delta_b": [],
     "g": [],
     "m_over_hbar_scale": [],
+    "tabulated": [],
 }
 
 

@@ -1,13 +1,14 @@
-"""Every beam that shares a panel layout is integrated in one batch, and
-each beam gets the bits it gets alone.
+"""Every beam of an evaluation with one frame profile and units is
+integrated in one batch, and each beam gets the bits it gets alone.
 
-``interference._fill`` groups an evaluation's beams by frame profile, units
-and the segment edges of their breakpoints, and integrates each group in one
-triangle and one line pass, sampling each distinct record once per call.
-Each set of a batch takes the panels its own rates ask, with its own
-arithmetic, so every beam's rows, and every row a sweep prints, must equal
-those of the beam integrated alone, bit for bit; a beam whose integrals
-need more nodes than their budget (a stall) must fail with the error a lone
+``interference._fill`` groups an evaluation's beams by frame profile and
+units only, and integrates each group in one triangle and one line call,
+sampling each distinct record once per evaluation of the integrand.  Each
+set of a batch takes the segments its own breakpoints split and the panels
+its own rates ask, with its own arithmetic, so every beam's rows, and every
+row a sweep prints, must equal those of the beam integrated alone, bit for
+bit, whatever breakpoints the other beams have; a beam whose integrals need
+more nodes than their budget (a stall) must fail with the error a lone
 attempt raises, and leave the others alone.
 """
 
@@ -35,8 +36,8 @@ RECORDS = {
     "linear": LinearFunction(0.3, -0.1),
     "sinusoid": SinusoidFunction(0.3, 3.0, 0.2),
     "polynomial": PolynomialFunction((0.1, -0.2, 0.3)),
-    # two records with the same interior samples share a layout; a third
-    # splits the window at 0.5 only, as the tabulated frame profile does
+    # two records with the same interior samples split the window alike; a
+    # third splits it at 0.5 only, as the tabulated frame profile does
     "tabulated": TabulatedFunction((0.0, 0.37, 0.61, 1.0), (0.1, 0.3, -0.2, 0.05)),
     "tabulated_alike": TabulatedFunction((0.0, 0.37, 0.61, 1.0), (-0.2, 0.1, 0.4, 0.0)),
     "tabulated_half": TabulatedFunction((0.0, 0.5, 1.0), (0.2, -0.1, 0.3)),
@@ -96,7 +97,7 @@ def test_each_beam_of_a_joint_batch_gets_its_rows_alone(beams, frame):
             assert _bits(entry) == _bits(_alone(compute, beam)), beam.beam
 
 
-def test_a_joint_batch_has_one_pass_per_layout(monkeypatch):
+def test_a_joint_batch_has_one_call_per_frame_profile_and_units(monkeypatch):
     calls = []
     triangle = quadrature.integrate_triangle
 
@@ -105,18 +106,18 @@ def test_a_joint_batch_has_one_pass_per_layout(monkeypatch):
         return triangle(factors, a, b, batch=batch, **kwargs)
     monkeypatch.setattr(quadrature, "integrate_triangle", counted)
     # smooth records at |wT| from 2 down to 8e-3, one of which stalls; two
-    # tabulated records with one layout, at |wT| 5 and 2.2e-3; a record with
-    # a layout of its own
+    # tabulated records with the same interior samples, at |wT| 5 and
+    # 2.2e-3; a record with samples of its own: three splits of the window
     beams = [("sinusoid", 1.0), ("linear", 2.5), ("stalled", 1.0), ("polynomial", 250.0),
              ("tabulated", 0.4), ("tabulated_alike", 900.0), ("tabulated_half", 1.0)]
     beams = _beams(beams, "constant")
     for compute in ROWS:
         calls.clear()
         joint = interference._fill(beams, compute)
-        # one pass per layout, whatever |wT|; the stalled beam's triangle
-        # budget refuses it before any node, and the line pass of its batch
-        # leaves it out
-        assert sorted(calls, reverse=True) == [4, 2, 1]
+        # one call of 7 sets, whatever |wT| and the breakpoints; the stalled
+        # beam's triangle budget refuses it before any node, and the line
+        # call of its batch leaves it out
+        assert calls == [7]
         assert isinstance(joint[2], quadrature.QuadratureError)
         assert "more than its budget of 4096" in str(joint[2])
         for beam, entry in zip(beams, joint):
@@ -150,7 +151,7 @@ def _row_bits(row):
 def test_a_sweep_of_joint_batches_prints_the_rows_of_beams_alone(
         parameter, records, resolutions, frame):
     # a resolution sweep batches the swept beam at every resolution with the
-    # fixed beam where their layouts agree
+    # fixed beam
     scenario = make_scenario(f=FRAMES[frame], a=RECORDS[records[0]], b=RECORDS[records[1]],
                              delta_a=resolutions[0], delta_b=resolutions[1], z1=0.3)
     start, stop = {"delta_a": (0.5, 260.0), "delta_b": (0.5, 260.0),

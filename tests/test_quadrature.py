@@ -314,41 +314,57 @@ def test_a_stalled_long_split_names_the_grown_budget():
 
 @pytest.mark.parametrize("rule", ["line", "triangle"])
 def test_each_set_of_a_batch_converges_on_its_own(rule):
-    # sets of increasing rate: each gets the panels it gets alone, with the
-    # same bits; sets that share panels are evaluated together, and those
+    # sets of increasing rate, then sets whose breakpoints differ: each gets
+    # the segments and panels it gets alone, with the same bits; sets that
+    # share edges and panels are evaluated together, in one call, and those
     # with more panels see more nodes
-    rates = np.array([1.0, 30.0, 90.0, 1.5])
-    batch = quadrature.Batch(len(rates))
-    evaluated = []
-
     def rows(t, rate):
         # two entries per set: an oscillation at the set's rate, and t
         return np.stack(np.broadcast_arrays(np.exp(1j * np.multiply.outer(rate, t)), t),
                         axis=-2)
 
-    def line(t):
-        evaluated.append((t.size, np.atleast_1d(np.arange(len(rates))[batch.index])))
-        return rows(t, rates[batch.index])
+    def calls(rates, breaks):
+        """The calls of the batched integral, each as (its sets, its nodes),
+        after checking every set against its lone integral."""
+        batch = quadrature.Batch(len(rates))
+        splits = [breaks] * len(rates) if isinstance(breaks, tuple) else breaks
+        evaluated = []
 
-    def factors(t, s):
-        evaluated.append((t.size, np.atleast_1d(np.arange(len(rates))[batch.index])))
-        return rows(t, rates[batch.index])[..., None, :], np.cos(s)[None, :]
+        def line(t):
+            evaluated.append((tuple(np.atleast_1d(np.arange(len(rates))[batch.index])), t.size))
+            return rows(t, rates[batch.index])
 
-    if rule == "line":
-        together = integrate(line, 0.0, 1.0, rate=rates, degree=1, batch=batch)
-        alone = [integrate(lambda t, r=r: rows(t, r), 0.0, 1.0, rate=r, degree=1)
-                 for r in rates]
-    else:
-        together = integrate_triangle(factors, 0.0, 1.0, rate=rates, degree=2, batch=batch)
-        alone = [integrate_triangle(lambda t, s, r=r: (rows(t, r)[..., None, :],
-                                                       np.cos(s)[None, :]), 0.0, 1.0,
-                                    rate=r, degree=2)
-                 for r in rates]
-    assert together.shape == (4, 2)
-    for got, want in zip(together, alone):
-        assert got.tobytes() == np.asarray(want, complex).tobytes()
-    nodes = {i: size for size, sets in evaluated for i in sets.tolist()}
+        def factors(t, s):
+            return line(t)[..., None, :], np.cos(s)[None, :]
+
+        if rule == "line":
+            together = integrate(line, 0.0, 1.0, rate=rates, degree=1, breaks=breaks,
+                                 batch=batch)
+            alone = [integrate(lambda t, r=r: rows(t, r), 0.0, 1.0, rate=r, degree=1,
+                               breaks=split)
+                     for r, split in zip(rates, splits)]
+        else:
+            together = integrate_triangle(factors, 0.0, 1.0, rate=rates, degree=2,
+                                          breaks=breaks, batch=batch)
+            alone = [integrate_triangle(lambda t, s, r=r: (rows(t, r)[..., None, :],
+                                                           np.cos(s)[None, :]), 0.0, 1.0,
+                                        rate=r, degree=2, breaks=split)
+                     for r, split in zip(rates, splits)]
+        assert together.shape == (len(rates), 2)
+        for got, want in zip(together, alone):
+            assert got.tobytes() == np.asarray(want, complex).tobytes()
+        return sorted(evaluated)
+
+    evaluated = calls(np.array([1.0, 30.0, 90.0, 1.5]), ())
+    nodes = {i: size for sets, size in evaluated for i in sets}
     assert len(evaluated) == 3 and nodes[0] == nodes[3] < nodes[1] < nodes[2]
+    # no, one and two interior breakpoints, and the same edges again from
+    # breakpoints in another order or outside the interval: one panel per
+    # segment at rate 1, one call per split
+    splits = [(), (0.37,), (0.37, 0.61), (0.37,), (0.61, 0.37, 1.5), (-0.2,)]
+    evaluated = calls(np.ones(len(splits)), splits)
+    assert evaluated == [((0, 5), GAUSS_ORDER), ((1, 3), 2 * GAUSS_ORDER),
+                         ((2, 4), 3 * GAUSS_ORDER)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +378,12 @@ def test_a_failed_set_fails_alone_with_its_lone_error(monkeypatch, rule, failure
     # refused before any node) or has NaN values (not finite): the batch
     # call returns, with set 1's lone error in batch.failed and NaN values;
     # sets 0 and 2 keep their lone bits, and a later integral over the
-    # batch no longer evaluates set 1
-    rates = [1.0, 1e4 if failure == "stall" else 2.0, 3.0]
+    # batch no longer evaluates set 1.  Set 2 is split at 0.37, and set 3
+    # at 20 points, which grow its budget to four panels per segment: it
+    # still refuses set 3's rate, and set 3 carries its lone refusal, with
+    # its own budget
+    rates = [1.0, 1e4 if failure == "stall" else 2.0, 3.0, 1e4]
+    splits = [(), (), (0.37,), tuple(np.linspace(0.0, 1.0, 22)[1:-1])]
 
     def one(t, i):
         if i == 1 and failure == "nonfinite":
@@ -371,13 +391,13 @@ def test_a_failed_set_fails_alone_with_its_lone_error(monkeypatch, rule, failure
         return np.exp(1j * rates[i] * t)
 
     def rows(t):
-        sets = np.arange(3)[batch.index]
+        sets = np.arange(4)[batch.index]
         seen.append(np.atleast_1d(sets).tolist())
         if np.ndim(sets) == 0:
             return one(t, int(sets))
         return np.stack([one(t, i) for i in sets.tolist()])
 
-    batch = quadrature.Batch(3)
+    batch = quadrature.Batch(4)
     seen = []
 
     def line(t):
@@ -388,31 +408,36 @@ def test_a_failed_set_fails_alone_with_its_lone_error(monkeypatch, rule, failure
 
     def alone(i):
         if rule == "line":
-            return integrate(lambda t: one(t, i), 0.0, 1.0, rate=rates[i], degree=0)
+            return integrate(lambda t: one(t, i), 0.0, 1.0, rate=rates[i], degree=0,
+                             breaks=splits[i])
         return integrate_triangle(lambda t, s: (one(t, i)[None, :], np.cos(s)[None, :]),
-                                  0.0, 1.0, rate=rates[i], degree=1)
+                                  0.0, 1.0, rate=rates[i], degree=1, breaks=splits[i])
 
     def run():
         if rule == "line":
-            return integrate(line, 0.0, 1.0, rate=rates, degree=0, batch=batch)
-        return integrate_triangle(factors, 0.0, 1.0, rate=rates, degree=1, batch=batch)
+            return integrate(line, 0.0, 1.0, rate=rates, degree=0, breaks=splits, batch=batch)
+        return integrate_triangle(factors, 0.0, 1.0, rate=rates, degree=1, breaks=splits,
+                                  batch=batch)
 
     monkeypatch.setattr(quadrature, "LINE_NODE_BUDGET", 256)
     monkeypatch.setattr(quadrature, "AXIS_NODE_BUDGET", 256)
     value = run()
+    assert all(3 not in sets for sets in seen)
     if failure == "stall":
         assert all(1 not in sets for sets in seen)
-    with pytest.raises(QuadratureError) as lone:
-        alone(1)
-    assert list(batch.failed) == [1]
-    assert str(batch.failed[1]) == str(lone.value)
+    assert sorted(batch.failed) == [1, 3]
+    for i in (1, 3):
+        with pytest.raises(QuadratureError) as lone:
+            alone(i)
+        assert str(batch.failed[i]) == str(lone.value)
+    assert str(batch.failed[3]).endswith(f"more than its budget of {4 * 21 * GAUSS_ORDER}")
     for i in (0, 2):
         assert value[i].tobytes() == np.complex128(alone(i)).tobytes()
-    assert np.isnan(value[1])
-    # set 1 is left out of the next integral over the batch
+    assert np.isnan(value[1]) and np.isnan(value[3])
+    # sets 1 and 3 are left out of the next integral over the batch
     seen.clear()
     again = run()
-    assert all(1 not in sets for sets in seen)
+    assert all(1 not in sets and 3 not in sets for sets in seen)
     assert again[0] == value[0] and np.isnan(again[1])
 
 

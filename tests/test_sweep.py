@@ -293,14 +293,30 @@ def triangle_calls(monkeypatch):
     return _count_calls(monkeypatch, quadrature, "integrate_triangle")
 
 
-def test_z2_sweep_integrates_each_beam_once(triangle_calls):
-    scenario, _ = parse_config(_config())
+#: the smooth beams of BASE_CONFIG, and a tabulated beam a whose samples
+#: miss the breakpoint of a tabulated frame profile: the two beams split
+#: the window differently, and still share a frame profile and units
+RECORDS = {
+    "smooth": {},
+    "tabulated": {
+        "frame_profile": {"kind": "tabulated", "times": [0.0, 0.5, 1.0],
+                          "values": [1.0, 0.8, 1.1]},
+        "beam_a": {"trajectory": {"kind": "tabulated", "times": [0.0, 0.23, 0.37, 0.61, 1.0],
+                                  "values": [0.1, 0.15, 0.05, -0.05, 0.1]},
+                   "resolution": 1.0},
+    },
+}
+
+
+@pytest.mark.parametrize("records", sorted(RECORDS))
+def test_z2_sweep_integrates_each_beam_once(triangle_calls, records):
+    scenario, _ = parse_config(_config(**RECORDS[records]))
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=16, mode="both")
     rows = run_sweep(scenario, spec)
     assert len(rows) == 32 and all(row.error is None for row in rows)
-    # both beams share a panel layout: 1 action block
-    # call + 1 literal endpoint-free block call (j1 and j2 together), each
-    # for both beams
+    # both beams share a frame profile and units: 1 action block call + 1
+    # literal endpoint-free block call (j1 and j2 together), each for both
+    # beams
     assert len(triangle_calls) == 2
 
 
@@ -314,15 +330,17 @@ def test_g_sweep_integrates_each_beam_once(triangle_calls):
     assert len(triangle_calls) == 2
 
 
-def test_delta_a_sweep_integrates_beam_b_once(triangle_calls):
-    scenario, _ = parse_config(_config())
+@pytest.mark.parametrize("records", sorted(RECORDS))
+def test_delta_a_sweep_integrates_beam_b_once(triangle_calls, records):
+    scenario, _ = parse_config(_config(**RECORDS[records]))
     steps = 5
     spec = SweepSpec(parameter="delta_a", start=0.5, stop=2.5, steps=steps,
                      mode="both")
     rows = run_sweep(scenario, spec)
     assert all(row.error is None for row in rows)
-    # beam a at all five resolutions and beam b share a panel layout: their
-    # action rows in one triangle call, and their literal rows in another
+    # beam a at all five resolutions and beam b share a frame profile and
+    # units: their action rows in one triangle call, and their literal rows
+    # in another
     assert len(triangle_calls) == 2
 
 

@@ -160,21 +160,24 @@ def _doubling(level, fn, a, b, breaks, batch, budget, what):
     """Each set of ``batch`` (or a lone integral) on its own: the package's
     ``level`` on 1, 2, 4, ... panels in every segment, doubled together
     until two successive estimates agree, within ``budget`` nodes (grown to
-    the three levels of a longer split).  It ignores the integrand's rate,
-    so it checks the panel counts the rule derives from it."""
+    the three levels of a longer split).  ``breaks`` is a tuple, or with a
+    batch one tuple per set, as for the package's rules.  It ignores the
+    integrand's rate, so it checks the panel counts the rule derives from
+    it."""
     order, width = quadrature.GAUSS_ORDER, b - a
-    edges = quadrature._segments(a, b, breaks)
-    segments = len(edges) - 1
-    budget = max(budget, 4 * segments * order)
     lone = batch is None
     batch = quadrature.Batch(1) if lone else batch
+    splits = [breaks] * batch.size if isinstance(breaks, tuple) else list(breaks)
     value = None
     for i in range(batch.size):
         if i in batch.failed:
             continue
+        edges = quadrature._segments(a, b, splits[i])
+        segments = len(edges) - 1
+        cap = max(budget, 4 * segments * order)
         scale = RowScale(fn, a, b, level is quadrature._triangle_level)
         prev, panels, est = None, 1, None
-        while segments * panels * order <= budget:
+        while segments * panels * order <= cap:
             rule = quadrature._reference_rule((panels,) * segments, order, edges)
             batch.index = i
             with np.errstate(all="ignore"):
@@ -189,7 +192,7 @@ def _doubling(level, fn, a, b, breaks, batch, budget, what):
             prev, panels = est, 2 * panels
         else:
             batch.failed[i] = rpif.QuadratureError(
-                f"{what} over [{a:g}, {b:g}] did not converge within {budget} nodes")
+                f"{what} over [{a:g}, {b:g}] did not converge within {cap} nodes")
         if value is None:
             value = np.full((batch.size,) + est.shape, np.nan, complex)
         if i not in batch.failed:
