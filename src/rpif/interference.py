@@ -7,24 +7,29 @@ the damping factors leaves the reduced interference
 
 and the real action difference splits into five contributions i1..i5,
 grouped by endpoint dependence: quadratic (i1), cross (i2), linear in z1
-(i3) and z2 (i4), and endpoint-free (i5).
-
-Two evaluation modes are provided and reported side by side:
+(i3) and z2 (i4), and endpoint-free (i5).  Both modes form them by one
+formula (``_terms``) from five parts a_k of beam a and b_k of beam b and
+three factors: i1 = (z1^2+z2^2) s1 Re(a_0 - b_0), i2 = s2 z1 z2
+Re(a_1 - b_1), i3 = z1 Re(a_2 - b_2), i4 = z2 Re(a_3 - b_3) and
+i5 = s5 Re(a_4 - b_4).  The two modes, reported side by side, differ
+only in the parts and the factors:
 
 ``paper-literal``
     The published closed-form expressions evaluated exactly as printed,
     including theta = sqrt(2*pi*hbar*T/(m*delta^2)) in the hyperbolic
     prefactors.  The printed i3/i4 integrals are the action's q1 and q2
     times sin(wT) (``_printed``); only the printed i5 is integrated apart.
+    The parts are the i1 and i2 brackets, W*q1, W*q2 and the i5 block at
+    g (``_Printed.parts``), and the factors ``_literal_scales``.
 
 ``derived``
     The same five groups recomputed directly from the driven-oscillator
     action, where the angle implied by the complex frequency is
     |Re(wT)| = sqrt(2*hbar*T/(m*delta^2)), a factor sqrt(pi) smaller.
-    The terms and the action difference are read off the same per-beam
-    action blocks, so i1+...+i5 reproduces the action difference to
-    rounding: the decomposition identity checks the assembly arithmetic,
-    and the lattice oracle is the independent check of the blocks.
+    The parts are the action blocks b1, b2, q1, q2 and -q12/m, and the
+    factors 1, -2 and 1; the action difference is read off the same
+    blocks, so i1+...+i5 reproduces it to rounding, which checks only the
+    assembly arithmetic: the lattice oracle checks the blocks.
 
 The discrepancy between the modes is reported, never silently resolved.
 Everything here nondimensionalizes its input first, so outputs are in
@@ -86,6 +91,23 @@ def _check_mode(mode: str) -> str:
 def _paper_angle(params: PhysicalParams, delta: float) -> float:
     """The printed angle theta = sqrt(2*pi*hbar*T/(m*delta^2))."""
     return math.sqrt(2.0 * math.pi * params.hbar * params.duration / (params.m * delta ** 2))
+
+
+def _literal_scales(p: PhysicalParams) -> tuple[float, float, float]:
+    """The printed factors of i1, i2 and i5: sqrt(m/(2*hbar*T)),
+    -sqrt(8*m/(hbar*T)) and m/hbar."""
+    return (math.sqrt(p.m / (2.0 * p.hbar * p.duration)),
+            -math.sqrt(8.0 * p.m / (p.hbar * p.duration)), p.m / p.hbar)
+
+
+def _terms(z1: float, z2: float, scales: tuple[float, float, float],
+           a: Sequence[complex], b: Sequence[complex]) -> tuple[float, ...]:
+    """i1..i5 of either mode from the beams' parts ``a`` and ``b`` and the
+    ``scales`` s1, s2 and s5 of i1, i2 and i5 (module docstring)."""
+    s1, s2, s5 = scales
+    d = [(x - y).real for x, y in zip(a, b)]
+    return ((z1 * z1 + z2 * z2) * s1 * d[0], s2 * z1 * z2 * d[1], z1 * d[2], z2 * d[3],
+            s5 * d[4])
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +192,13 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
 class _Printed(NamedTuple):
     """One beam's printed-form numbers at the angle theta that depend on
     neither g nor the endpoints: its i1 and i2 brackets over delta, the
-    weight W of its i3/i4 blocks (``_printed``), the hyperbolic weights of
-    its i5 block and its i5 rows, and the params' factors ``c1``, ``c2``
-    and ``mh`` of i1, i2 and i5, each a Python float.
+    complex weight W of its i3/i4 blocks (``_printed``), the hyperbolic
+    weights of its i5 block and its i5 rows: per-beam numbers only.
     """
 
     i1: float
     i2: float
-    weight_re: float        # W = weight_re + i*weight_im
-    weight_im: float
+    weight: complex
     double: float           # T exp(-theta) / (theta denom(theta))
     w1: float
     w2: float
@@ -189,9 +209,15 @@ class _Printed(NamedTuple):
     j2_0: float
     j2_1: float
     j2_2: float
-    c1: float
-    c2: float
-    mh: float
+
+    def parts(self, g: float, blocks: ActionBlocks) -> tuple:
+        """The beam's five parts for ``_terms`` at g, from its action
+        ``blocks`` at g: the i1 and i2 brackets, W*q1, W*q2 and the i5
+        block."""
+        j1 = self.j1_0 + g * (self.j1_1 + g * self.j1_2)
+        j2 = self.j2_0 + g * (self.j2_1 + g * self.j2_2)
+        return (self.i1, self.i2, self.weight * blocks.q1, self.weight * blocks.q2,
+                self.double * (-self.w1 * j1 + self.w2 * j2))
 
 
 def _printed(rows: np.ndarray, w: complex, p: PhysicalParams, delta: float,
@@ -224,51 +250,13 @@ def _printed(rows: np.ndarray, w: complex, p: PhysicalParams, delta: float,
                         f"1 + e^(-4 theta) - 2 e^(-2 theta) cos(2 theta) is {denom:g} "
                         f"at resolution {delta:g} (theta {th:.6g})")
     w_cos, w_sin = (1.0 - e2) * math.cos(th), (1.0 + e2) * math.sin(th)
-    weight = 2.0 * math.exp(-th) * complex(w_sin, w_cos) * _sines(w, p.duration)[1] / denom
     return _Printed(
         (1.0 - e4 + 2.0 * e2 * math.sin(2.0 * th)) / denom / delta,
         (w_cos + w_sin) / (math.exp(th) * denom) / delta,
-        weight.real, weight.imag,
+        2.0 * math.exp(-th) * complex(w_sin, w_cos) * _sines(w, p.duration)[1] / denom,
         p.duration * math.exp(-th) / (th * denom),
         w_cos - w_sin, w_cos + w_sin,
-        *rows.ravel().tolist(),
-        math.sqrt(p.m / (2.0 * p.hbar * p.duration)),
-        -math.sqrt(8.0 * p.m / (p.hbar * p.duration)), p.m / p.hbar)
-
-
-def _printed_terms(z1: float, z2: float, g: float, a: _Printed, b: _Printed,
-                   action_a: ActionBlocks, action_b: ActionBlocks) -> tuple[float, ...]:
-    """i1..i5 exactly as printed, from the two beams' printed-form numbers
-    and, for i3 and i4, their action blocks at g."""
-    def weighted(printed, q):  # Re(W*q), from the two parts of W
-        return printed.weight_re * q.real - printed.weight_im * q.imag
-
-    def double(printed):
-        j1 = printed.j1_0 + g * (printed.j1_1 + g * printed.j1_2)
-        j2 = printed.j2_0 + g * (printed.j2_1 + g * printed.j2_2)
-        return printed.double * (-printed.w1 * j1 + printed.w2 * j2)
-
-    i1 = (z1 * z1 + z2 * z2) * a.c1 * (a.i1 - b.i1)
-    i2 = a.c2 * z1 * z2 * (a.i2 - b.i2)
-    i3 = z1 * (weighted(a, action_a.q1) - weighted(b, action_b.q1))
-    i4 = z2 * (weighted(a, action_a.q2) - weighted(b, action_b.q2))
-    i5 = a.mh * (double(a) - double(b))
-    return i1, i2, i3, i4, i5
-
-
-# ---------------------------------------------------------------------------
-# derived mode: the same grouping read off the oscillator action itself
-# ---------------------------------------------------------------------------
-
-def _derived_terms(z1: float, z2: float, m: float, a: ActionBlocks,
-                   b: ActionBlocks) -> tuple[float, ...]:
-    i1 = (z1 * z1 + z2 * z2) * (a.b1 - b.b1).real
-    i2 = -2.0 * z1 * z2 * (a.b2 - b.b2).real
-    i3 = z1 * (a.q1 - b.q1).real
-    i4 = z2 * (a.q2 - b.q2).real
-    free_a, free_b = -a.q12 / m, -b.q12 / m
-    i5 = (free_a - free_b).real
-    return i1, i2, i3, i4, i5
+        *rows.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +366,7 @@ def _oracle_deviation(nd: Scenario, pair: tuple[_Beam, _Beam],
     """Max over beams of |closed - extrapolated| / |extrapolated| for a
     point in internal units, from its beams' lattice rows and its
     closed-form amplitudes (U_a, U_b).  A beam whose lattice amplitude
-    underflows to 0 raises LatticeError.
+    underflows to 0, or whose deviation is not finite, raises LatticeError.
     """
     worst = 0.0
     for label, beam, closed in zip("ab", pair, amplitudes):
@@ -390,7 +378,10 @@ def _oracle_deviation(nd: Scenario, pair: tuple[_Beam, _Beam],
                 f"beam_{label}: the lattice amplitude underflows to 0 on the "
                 f"schedule {','.join(map(str, schedule))}, so the oracle "
                 f"deviation is undefined")
-        worst = max(worst, abs(closed - extr.value) / abs(extr.value))
+        deviation = abs(closed - extr.value) / abs(extr.value)
+        if not math.isfinite(deviation):
+            raise LatticeError(f"beam_{label}: the oracle deviation is not finite ({deviation})")
+        worst = max(worst, deviation)
     return worst
 
 
@@ -469,9 +460,13 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
         shared = (pd, abs(ua + ub) ** 2, math.cos(pd / p.hbar))
         for mode in modes:
             if not isinstance(row[mode], RpifError):
-                terms = (_printed_terms(z1, z2, g, pair[0].printed, pair[1].printed, *blocks)
-                         if mode == MODE_LITERAL else _derived_terms(z1, z2, m, *blocks))
-                row[mode] = _numbers(mode, *shared, terms)
+                if mode == MODE_LITERAL:
+                    scales = _literal_scales(p)
+                    parts = [beam.printed.parts(g, x) for beam, x in zip(pair, blocks)]
+                else:  # the factors of ``ActionBlocks.action``
+                    scales = (1.0, -2.0, 1.0)
+                    parts = [(x.b1, x.b2, x.q1, x.q2, -x.q12 / m) for x in blocks]
+                row[mode] = _numbers(mode, *shared, _terms(z1, z2, scales, *parts))
     devs: dict[int, float] = {}
     if schedule:
         reached = [i for i, row in enumerate(table) if _open(row)]

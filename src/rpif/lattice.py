@@ -569,16 +569,19 @@ def oracle_propagator(scenario: Scenario, beam_label: str, schedule, *,
     times its magnitude): two levels can differ by that much from rounding
     alone.  At N = 4096 the exponent adds up terms of order 1e4 (the
     measure normalization and -1/2*log det A), which puts the floor near
-    1.5e-11 of the value.
+    1.5e-11 of the value.  A level whose exponent or amplitude is not
+    finite raises LatticeError.
     """
     z1, z2 = scenario.z1, scenario.z2
     if rows is None:
         rows = _rows(scenario, beam_label, schedule)
     g = scenario.params.g
     log_values = rows.log_values(g, z1, z2)
-    if not np.all(np.isfinite(log_values)):
-        bad = rows.n_steps[int(np.argmin(np.isfinite(log_values)))]
-        raise LatticeError(f"lattice reduction produced a non-finite exponent at N={bad}")
-    values = np.exp(log_values)
+    with np.errstate(all="ignore"):  # an overflow reads non-finite, and is refused
+        values = np.exp(log_values)
+    for n, log_value, value in zip(rows.n_steps, log_values.tolist(), values.tolist()):
+        if not (cmath.isfinite(log_value) and cmath.isfinite(value)):
+            raise LatticeError(f"the lattice level N={n} is not finite: exponent "
+                               f"{log_value:.6g}, amplitude {value:.6g}")
     floor = 2.0 * float(np.max(rows.rounding(g, z1, z2) * np.abs(values)))
     return richardson_extrapolate(zip(rows.n_steps, values), floor)

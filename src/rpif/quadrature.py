@@ -116,11 +116,12 @@ def _panel_rate(degree: int, order: int) -> float:
 
 
 def _panels(edges: tuple[float, ...], width: float, rate: float, degree: int,
-            order: int) -> tuple[int, ...]:
+            order: int) -> tuple[int | float, ...]:
     """The panel count of each segment between ``edges`` (on [0, 1]) of an
     interval of ``width``, for an integrand of total ``rate`` and
     ``degree`` on ``order``-node panels: the fewer of the two views of the
-    module docstring."""
+    module docstring.  A need that is not finite, from a rate that
+    overflows, counts as inf panels, which no budget takes."""
     plain, flat = _panel_rate(degree, order), _panel_rate(0, order)
     size = abs(width)
     spread = rate + degree / size if size else rate
@@ -130,7 +131,7 @@ def _panels(edges: tuple[float, ...], width: float, rate: float, degree: int,
         need = half * spread / flat
         if plain > 0.0:
             need = min(need, half * rate / plain)
-        counts.append(max(1, math.ceil(need)))
+        counts.append(max(1, math.ceil(need)) if need < math.inf else math.inf)
     return tuple(counts)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -502,6 +503,63 @@ def test_simulate_lattice_underflow_fails_the_row_not_the_run(tmp_path, capsys):
     assert len(out.read_text().strip().split("\n")) == 3
     err = capsys.readouterr().err
     assert err.count("LatticeError: beam_a: the lattice amplitude underflows") == 2
+
+
+def _strictly(argv, capsys) -> tuple[int, str]:
+    """``main(argv)`` with every warning an error, and its stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_a_record_whose_rate_overflows_fails_its_rows(tmp_path, capsys):
+    # omega = 1e308 is finite in internal units, so the config is valid; the
+    # triangle rate 2*(|1/2 - sqrt2 - i/sqrt2| omega + omega) overflows, and
+    # quadrature refuses the rows by their budget rather than ending in an
+    # OverflowError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "params": {"g": 0.9}, "z1": 0.1, "z2": 0.6,
+        "frame_profile": {"kind": "constant", "value": 1.0},
+        "beam_a": {"trajectory": {"kind": "sinusoid", "amplitude": 0.2, "omega": 1e308,
+                                  "phase": 0.3}, "resolution": 0.5},
+        "beam_b": {"trajectory": {"kind": "constant", "value": -0.1}, "resolution": 1.0},
+        "sweep": {"parameter": "delta_a", "start": 0.5, "stop": 0.6, "steps": 2}}))
+    assert _strictly(["validate", "--config", str(path)], capsys)[0] == EXIT_OK
+    refused = ("QuadratureError: triangle integral over [0, 1] at rate inf needs inf nodes "
+               "per axis, more than its budget of 4096")
+    code, err = _strictly(["simulate", "--config", str(path)], capsys)
+    assert code == EXIT_GUARD
+    assert err == "".join(f"row swept_value={delta} mode=derived: {refused}\n"
+                          for delta in (0.5, 0.6))
+    code, err = _strictly(["compare", "--config", str(path)], capsys)
+    assert (code, err) == (EXIT_GUARD, f"compare failed: {refused}\n")
+
+
+def test_a_lattice_amplitude_that_overflows_fails_every_row(tmp_path, capsys):
+    # a window of 1e-30 with a frame of amplitude 1000: in internal units the
+    # lattice exponent's real part is about 7e13, and its exponential
+    # overflows; each row fails with a LatticeError naming the level, with
+    # no numpy warning, rather than printing an oracle_dev of 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "params": {"tau_end": 1e-30}, "z1": -0.1, "z2": 0.4,
+        "frame_profile": {"kind": "sinusoid", "amplitude": 1000.0, "omega": 2.0,
+                          "phase": 1.0},
+        "beam_a": {"trajectory": {"kind": "constant", "value": 0.12}, "resolution": 1.2},
+        "beam_b": {"trajectory": {"kind": "sinusoid", "amplitude": 0.08, "omega": 5.0},
+                   "resolution": 0.7},
+        "sweep": {"parameter": "delta_b", "start": 0.7, "stop": 2.2, "steps": 6,
+                  "oracle": [256, 512, 1024]}}))
+    out = tmp_path / "rows.csv"
+    code, err = _strictly(["simulate", "--config", str(path), "--output", str(out)], capsys)
+    assert code == EXIT_GUARD
+    assert all(row.endswith(",") for row in out.read_text().splitlines()[1:])
+    lines = err.splitlines()
+    assert len(lines) == 6
+    assert all("LatticeError: the lattice level N=256 is not finite" in line
+               for line in lines)
 
 
 def test_main_calls_in_one_process_are_independent(config_path, tmp_path, monkeypatch):

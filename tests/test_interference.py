@@ -7,10 +7,11 @@ import pytest
 from rpif import (
     MODE_DERIVED,
     MODE_LITERAL,
+    LatticeError,
     RpifError,
     decompose,
 )
-from rpif import actions
+from rpif import actions, interference
 from rpif.interference import _paper_angle, _printed
 from rpif.scenario import nondimensional
 from sampling import random_scenario
@@ -429,6 +430,16 @@ def test_printed_line_integrals_are_the_scaled_action_rows():
         assert np.max(np.abs(printed - scaled)) <= 1e-12 * np.max(np.abs(printed)), beam
 
 
+def test_a_deviation_that_is_not_finite_fails_the_point():
+    # max(0.0, nan) is 0.0: a deviation that is not finite must raise, not
+    # read as perfect agreement
+    nd = nondimensional(make_scenario())
+    pair = tuple(interference._Beam(beam, nd.frame_profile, nd.params)
+                 for beam in (nd.beam_a, nd.beam_b))
+    with pytest.raises(LatticeError, match="^beam_a: the oracle deviation is not finite"):
+        interference._oracle_deviation(nd, pair, (complex(math.nan), 1.0), (256, 512, 1024))
+
+
 def test_the_printed_weight_is_one_at_re_wt():
     # W = 2 e^{-theta} [(1 + e^{-2 theta}) sin theta
     #     + i (1 - e^{-2 theta}) cos theta] sin(wT) / denom(theta) is 1 at
@@ -438,7 +449,7 @@ def test_the_printed_weight_is_one_at_re_wt():
         delta = 2.0 / wt
         w = actions.complex_frequency(p, delta)
         printed = _printed(np.zeros((2, 3)), w, p, delta, abs((w * p.duration).real))
-        assert abs(complex(printed.weight_re, printed.weight_im) - 1.0) <= 1e-13, wt
+        assert abs(printed.weight - 1.0) <= 1e-13, wt
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import dataclasses
 import math
 import pathlib
 
@@ -371,6 +372,23 @@ def test_overflowing_level_reported():
             oracle_propagator(scenario, "a", (1024, 2048, 4096))
         with pytest.raises(LatticeError, match="overflowing"):
             stationary_action(scenario, "a", 64)
+
+
+@pytest.mark.parametrize("level, const, text", [
+    (1, -math.inf, r"N=512 is not finite: exponent -inf\S*, amplitude 0"),
+    (1, math.nan, r"N=512 is not finite: exponent nan\S*, amplitude nan"),
+    (2, 1e4, r"N=1024 is not finite: exponent 9999\.88\S*, amplitude inf"),
+])
+def test_a_level_that_is_not_finite_is_a_lattice_error(level, const, text):
+    # a level whose exponent is not finite, or whose exponential overflows,
+    # is named, with no numpy warning, rather than extrapolated to NaN
+    scenario = make_scenario()
+    rows = _rows(scenario, "a", (256, 512, 1024))
+    bad = rows.const.copy()
+    bad[level] = const
+    with pytest.raises(LatticeError, match=f"^the lattice level {text}"):
+        oracle_propagator(scenario, "a", rows.n_steps,
+                          rows=dataclasses.replace(rows, const=bad))
 
 
 @pytest.mark.parametrize("delta", [1e-200, 1e-161])

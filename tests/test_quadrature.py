@@ -200,6 +200,23 @@ def test_a_refused_triangle_names_its_nodes_budget_and_rate(monkeypatch):
                                "per axis, more than its budget of 64")
 
 
+@pytest.mark.parametrize("rate", [np.inf, np.nan])
+def test_a_rate_that_overflows_is_refused_by_its_budget(rate):
+    # a sinusoid of omega = 1e308 doubles its rate past the float range: its
+    # panel need is not finite, so it is refused as any need over the budget
+    # is, before any node, and alone in a batch
+    with pytest.raises(QuadratureError) as info:
+        integrate(_unevaluated, 0.0, 1.0, rate=rate, degree=0)
+    assert str(info.value) == (f"integral over [0, 1] at rate {rate} needs inf nodes, "
+                               f"more than its budget of 65536")
+    batch = quadrature.Batch(2)
+    value = integrate_triangle(lambda t, s: (np.ones((1, 1, t.size)), np.ones((1, s.size))),
+                               0.0, 1.0, rate=[rate, 1.0], degree=1, batch=batch)
+    assert str(batch.failed[0]) == (f"triangle integral over [0, 1] at rate {rate} needs inf "
+                                    f"nodes per axis, more than its budget of 4096")
+    assert list(batch.failed) == [0] and value[1] == pytest.approx(0.5, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # breakpoints: panel edges at the kinks
 # ---------------------------------------------------------------------------

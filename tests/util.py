@@ -432,23 +432,24 @@ def printed_terms(scenario, theta, rho):
     """i1..i5 as printed for a scenario in internal units, at the angle
     ``theta`` of beam a and ``rho`` of beam b."""
     p, f = scenario.params, scenario.frame_profile
-    (a, action_a), (b, action_b) = (printed_numbers(beam, f, p, th) for beam, th in
-                                    ((scenario.beam_a, theta), (scenario.beam_b, rho)))
-    return interference._printed_terms(scenario.z1, scenario.z2, p.g, a, b, action_a, action_b)
+    parts = []
+    for beam, th in ((scenario.beam_a, theta), (scenario.beam_b, rho)):
+        printed, blocks = printed_numbers(beam, f, p, th)
+        parts.append(printed.parts(p.g, blocks))
+    return interference._terms(scenario.z1, scenario.z2, interference._literal_scales(p),
+                               *parts)
 
 
 def printed_blocks(beam, frame_profile, p, th):
     """One beam's printed blocks in the form of ``unsplit_literal_*``: the
     pair of single integrals anchored at the end (for i3) and at the start
     (for i4), and the double integral (for i5), each with its theta
-    prefactors.  They are read off ``interference._printed_terms`` at
-    z1 = z2 = 1 against a beam b whose numbers are all zero, which gives
-    i3 = -m*end, i4 = m*start and i5 = (m/hbar)*double."""
+    prefactors.  They are read off the beam's ``interference._Printed.parts``
+    at g: Re(W*q1) = -m*end, Re(W*q2) = m*start, and the i5 part is the
+    double integral."""
     printed, blocks = printed_numbers(beam, frame_profile, p, th)
-    zero = interference._Printed(*[0.0] * len(printed))
-    _, _, i3, i4, i5 = interference._printed_terms(1.0, 1.0, p.g, printed, zero, blocks,
-                                                   blocks)
-    return -i3 / p.m, i4 / p.m, i5 / printed.mh
+    _, _, wq1, wq2, double = printed.parts(p.g, blocks)
+    return -wq1.real / p.m, wq2.real / p.m, double
 
 
 def _omega(p, delta):
