@@ -24,7 +24,6 @@ import sys
 from .errors import ConfigError, RpifError, ValidationError
 from .interference import MODE_LITERAL
 from .sweep import (
-    MODE_CHOICES,
     MODE_TOLERANCE,
     compare_modes,
     emit_results,
@@ -53,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="path to the JSON config")
     sim.add_argument("--output", default=None, help="output path (default: stdout)")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    sim.add_argument("--mode", choices=MODE_CHOICES, default=None,
-                     help="override the config's evaluation mode")
     sim.add_argument("--oracle", default=None, metavar="N1,N2,N3",
                      help="lattice oracle schedule (doubling sizes, at least 3)")
     sim.add_argument("--jobs", type=int, default=1, metavar="K",
@@ -90,8 +87,6 @@ def _report_violations(exc: ValidationError) -> None:
 def _cmd_simulate(args) -> int:
     try:
         scenario, spec = _load_config(args.config)
-        if args.mode is not None:
-            spec = dataclasses.replace(spec, mode=args.mode)
         if args.oracle is not None:
             schedule, problems = parse_oracle_schedule(args.oracle, "--oracle")
             if problems:

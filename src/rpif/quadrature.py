@@ -53,7 +53,10 @@ together, so a set gets the panels and the bits it would get on its own.
 A set that its budget refuses, or whose estimate is not finite, fails
 alone, with the error it would raise alone, and the others go on.  An
 evaluation covers as many sets as fit in ``BATCH_POINTS`` points (at
-least one), so the memory of a batch does not grow with its size.
+least one), so the memory of a batch does not grow with its size.  A
+line integral of more nodes than that is evaluated in chunks of
+``BATCH_POINTS`` nodes, whose weighted sums are added in order; one of at
+most ``BATCH_POINTS`` nodes is a single chunk.
 
 Double integrals over the triangle s <= t have separable kernels (a
 finite sum of products g(t)*h(s)), so ``integrate_triangle`` takes the
@@ -215,11 +218,16 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_edges(counts: tuple[int, ...], edges: tuple[float, ...]) -> np.ndarray:
-    """``counts[i]`` equal panels in the i-th segment between ``edges``,
-    each segment cut by its own ``np.linspace``."""
-    cuts = [np.linspace(lo, hi, count + 1)[:-1]
-            for count, lo, hi in zip(counts, edges, edges[1:])]
-    return np.concatenate(cuts + [np.array(edges[-1:])])
+    """``counts[i]`` equal panels in the i-th segment between ``edges``:
+    every segment's cuts at once, with the bits of its own ``np.linspace``,
+    k*step + lo, or (k/count)*delta + lo where the step underflows to 0."""
+    counts, bounds = np.array(counts), np.array(edges)
+    segment = np.repeat(np.arange(counts.size), counts)
+    k = (np.arange(segment.size) - (np.cumsum(counts) - counts)[segment]).astype(float)
+    count, lo, delta = counts[segment], bounds[:-1][segment], np.diff(bounds)[segment]
+    step = delta / count
+    cuts = np.where(step == 0.0, k / count * delta, k * step) + lo
+    return np.append(cuts, bounds[-1])
 
 
 @lru_cache(maxsize=64)
@@ -317,11 +325,18 @@ def _one_level(level, fn, a: float, b: float, rate, degree, breaks,
 
 
 def _line_level(fn, t, a, width, rule, group):
-    """The line rule's estimates for the sets ``group``: weighted sums."""
-    values = np.asarray(fn(t))
-    if isinstance(group, int):
-        values = values[None]
-    return width * np.sum(rule[1] * values, axis=-1)
+    """The line rule's estimates for the sets ``group``: weighted sums over
+    chunks of at most ``BATCH_POINTS`` nodes, added in order, so the memory
+    stays bounded however many nodes the rate asks."""
+    total = None
+    for lo in range(0, t.size, BATCH_POINTS):
+        nodes = slice(lo, lo + BATCH_POINTS)
+        values = np.asarray(fn(t[nodes]))
+        if isinstance(group, int):
+            values = values[None]
+        part = np.sum(rule[1][nodes] * values, axis=-1)
+        total = part if total is None else total + part
+    return width * total
 
 
 def integrate(fn, a: float, b: float, *, rate, degree, breaks=(),

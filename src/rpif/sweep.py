@@ -52,6 +52,9 @@ MAX_STEPS = 10 ** 6
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """What the config's ``sweep`` section asks for; ``oracle_schedule``
+    comes from ``simulate --oracle`` or a library caller, never the config."""
+
     parameter: str
     start: float
     stop: float
@@ -90,8 +93,7 @@ class ResultRow(NamedTuple):
 def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec | None, list[str]]:
     if not isinstance(raw, Mapping):
         return None, ["/sweep: expected an object"]
-    problems = _unknown(raw, ("parameter", "start", "stop", "steps", "mode", "oracle"),
-                        "/sweep")
+    problems = _unknown(raw, ("parameter", "start", "stop", "steps", "mode"), "/sweep")
 
     parameter = raw.get("parameter", "z2")
     if parameter not in SWEEP_PARAMETERS:
@@ -118,11 +120,6 @@ def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec 
         problems.append(f"/sweep/mode: must be one of {', '.join(MODE_CHOICES)}, got {mode!r}")
         mode = "derived"
 
-    schedule = None
-    if raw.get("oracle") is not None:
-        schedule, sched_problems = parse_oracle_schedule(raw["oracle"], "/sweep/oracle")
-        problems.extend(sched_problems)
-
     # checked alongside every other problem; a start that defaults to the
     # base value of a bad parameter or scenario is no bound of the user's
     given = "start" in raw or known
@@ -132,29 +129,27 @@ def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec 
     if problems:
         return None, problems
     return SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps_raw,
-                     mode=mode, oracle_schedule=schedule), []
+                     mode=mode), []
 
 
-def parse_oracle_schedule(raw, where: str) -> tuple[tuple[int, ...] | None, list[str]]:
-    if isinstance(raw, str):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        try:
-            raw = [int(p) for p in parts]
-        except ValueError:
-            return None, [f"{where}: expected comma-separated integers, got {raw!r}"]
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        return None, [f"{where}: expected an array of integers"]
+def parse_oracle_schedule(text: str, where: str) -> tuple[tuple[int, ...] | None, list[str]]:
+    """The lattice sizes of a comma-separated list such as "256,512,1024",
+    or every problem with them, each at ``where``."""
+    try:
+        sizes = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        return None, [f"{where}: expected comma-separated integers, got {text!r}"]
     problems, vals = [], []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+    for i, v in enumerate(sizes):
+        if v < 1:
             problems.append(f"{where}/{i}: expected a positive integer, got {v!r}")
         elif v > MAX_LEVEL:
             problems.append(f"{where}/{i}: lattice sizes must be <= {MAX_LEVEL}, got {v!r}")
         else:
             vals.append(v)
-    if len(raw) < 3:
-        problems.append(f"{where}: need at least 3 lattice sizes, got {len(raw)}")
-    if len(vals) == len(raw):  # doubling is only asked of valid sizes
+    if len(sizes) < 3:
+        problems.append(f"{where}: need at least 3 lattice sizes, got {len(sizes)}")
+    if len(vals) == len(sizes):  # doubling is only asked of valid sizes
         for a, b in zip(vals, vals[1:]):
             if b != 2 * a:
                 problems.append(f"{where}: sizes must double, got {a} then {b}")

@@ -32,6 +32,15 @@ def config_path(tmp_path):
     return str(path)
 
 
+def _config_file(tmp_path, mode="derived", **fields) -> str:
+    """The path of BASE with ``fields`` replaced and its sweep in ``mode``,
+    written to a file named after the mode."""
+    doc = dict(BASE, sweep=dict(BASE["sweep"], mode=mode), **fields)
+    path = tmp_path / f"{mode}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_validate_ok(config_path, capsys):
     assert main(["validate", "--config", config_path]) == EXIT_OK
     out = capsys.readouterr().out
@@ -70,24 +79,28 @@ def test_a_number_past_the_float_range_is_a_config_error(tmp_path, capsys, text,
     assert err.startswith("config invalid:") and f"  {path}: must be " in err
 
 
-@pytest.mark.parametrize("sweep, path", [
-    # validate only parses, so nothing of the size asked for is allocated
-    pytest.param({"steps": 10 ** 320}, "/sweep/steps", id="digits"),
-    pytest.param({"steps": MAX_STEPS + 1}, "/sweep/steps", id="steps"),
-    pytest.param({"oracle": [MAX_LEVEL, 2 * MAX_LEVEL, 4 * MAX_LEVEL]}, "/sweep/oracle/1",
+@pytest.mark.parametrize("sweep, oracle, path", [
+    # validate only parses, and simulate refuses a flag before it runs, so
+    # nothing of the size asked for is allocated
+    pytest.param({"steps": 10 ** 320}, None, "/sweep/steps", id="digits"),
+    pytest.param({"steps": MAX_STEPS + 1}, None, "/sweep/steps", id="steps"),
+    pytest.param({}, f"{MAX_LEVEL},{2 * MAX_LEVEL},{4 * MAX_LEVEL}", "--oracle/1",
                  id="oracle"),
 ])
-def test_a_count_past_its_bound_is_a_config_error(tmp_path, capsys, sweep, path):
+def test_a_count_past_its_bound_is_a_config_error(tmp_path, capsys, sweep, oracle, path):
     config = tmp_path / "big.json"
     config.write_text(json.dumps({"sweep": sweep}))
-    assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
+    argv = (["validate", "--config", str(config)] if oracle is None else
+            ["simulate", "--config", str(config), "--oracle", oracle])
+    assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config invalid:") and f"  {path}: " in err
-    config.write_text(json.dumps({"sweep": {"steps": MAX_STEPS,
-                                            "oracle": [MAX_LEVEL // 4, MAX_LEVEL // 2,
-                                                       MAX_LEVEL]}}))
+    # each bound itself is taken
+    config.write_text(json.dumps({"sweep": {"steps": MAX_STEPS}}))
     assert main(["validate", "--config", str(config)]) == EXIT_OK
     assert f"in {MAX_STEPS} step(s)" in capsys.readouterr().out
+    sizes = (MAX_LEVEL // 4, MAX_LEVEL // 2, MAX_LEVEL)
+    assert parse_oracle_schedule(",".join(map(str, sizes)), "--oracle") == (sizes, [])
 
 
 def test_an_oracle_flag_past_the_bound_is_refused():
@@ -98,32 +111,76 @@ def test_an_oracle_flag_past_the_bound_is_refused():
                         f"--oracle/2: lattice sizes must be <= {MAX_LEVEL}, got {4 * MAX_LEVEL}"]
 
 
-@pytest.mark.parametrize("sweep, paths", [
+@pytest.mark.parametrize("sweep, oracle, paths", [
     # a reversed range beside another problem of the section
-    pytest.param({"start": 2, "stop": 1, "mode": "fast"}, ["/sweep/mode", "/sweep/start"],
-                 id="mode"),
-    pytest.param({"start": 2, "stop": 1, "paramter": "g"}, ["/sweep/paramter", "/sweep/start"],
-                 id="unknown-key"),
-    # every bad lattice size at its index, and the count
-    pytest.param({"oracle": [0, 512, 2 * MAX_LEVEL]}, ["/sweep/oracle/0", "/sweep/oracle/2"],
+    pytest.param({"start": 2, "stop": 1, "mode": "fast"}, None,
+                 ["/sweep/mode", "/sweep/start"], id="mode"),
+    pytest.param({"start": 2, "stop": 1, "paramter": "g"}, None,
+                 ["/sweep/paramter", "/sweep/start"], id="unknown-key"),
+    # every bad lattice size of --oracle at its index, and the count and
+    # the doubling beside them
+    pytest.param({}, f"0,512,{2 * MAX_LEVEL}", ["--oracle/0", "--oracle/2"],
                  id="oracle-entries"),
-    pytest.param({"oracle": [0, 3]}, ["/sweep/oracle/0", "/sweep/oracle: need at least 3"],
-                 id="oracle-count"),
-    pytest.param({"start": 2, "stop": 1, "oracle": [3, 5]},
-                 ["/sweep/start", "/sweep/oracle: need at least 3", "/sweep/oracle: sizes must"],
+    pytest.param({}, "0,3", ["--oracle/0", "--oracle: need at least 3"], id="oracle-count"),
+    pytest.param({}, "3,5", ["--oracle: need at least 3", "--oracle: sizes must"],
                  id="oracle-doubling"),
+    pytest.param({}, "256,x,1024", ["--oracle: expected comma-separated integers"],
+                 id="oracle-text"),
 ])
-def test_every_sweep_problem_is_reported_at_once(tmp_path, capsys, sweep, paths):
-    with pytest.raises(rpif.ConfigError) as err:
-        rpif.parse_config(json.dumps({"sweep": sweep}))
-    assert len(err.value.violations) == len(paths)
-    for path in paths:
-        assert any(v.startswith(path) for v in err.value.violations), path
+def test_every_sweep_problem_is_reported_at_once(tmp_path, capsys, sweep, oracle, paths):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"sweep": sweep}))
-    assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
+    if oracle is None:
+        with pytest.raises(rpif.ConfigError) as err:
+            rpif.parse_config(json.dumps({"sweep": sweep}))
+        violations = err.value.violations
+        argv = ["validate", "--config", str(config)]
+    else:
+        _, violations = parse_oracle_schedule(oracle, "--oracle")
+        argv = ["simulate", "--config", str(config), "--oracle", oracle]
+    assert len(violations) == len(paths)
+    for path in paths:
+        assert any(v.startswith(path) for v in violations), path
+    assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert all(f"  {path}" in err for path in paths)
+
+
+@pytest.mark.parametrize("text, violation", [
+    ("[]", "/: expected a JSON object at the top level"),
+    ('{"params": [1.0]}', "/params: expected an object"),
+    ('{"beam_a": 0.1}', "/beam_a: expected an object"),
+    ('{"sweep": "z2"}', "/sweep: expected an object"),
+    ('{"frame_profile": [1.0]}', "/frame_profile: expected an object, got list"),
+])
+def test_a_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, text, violation):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "config invalid:" and f"  {violation}" in lines[1:]
+
+
+def test_a_scenario_that_is_not_a_mapping_is_refused_at_the_root():
+    with pytest.raises(rpif.ValidationError) as err:
+        rpif.scenario_from_dict([])
+    assert err.value.violations == ["/: expected an object"]
+
+
+def test_an_oracle_in_the_config_is_an_unknown_property(tmp_path, capsys):
+    # the lattice oracle is asked for with --oracle alone
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sweep": {"oracle": [256, 512, 1024]}}))
+    for command in ("validate", "simulate"):
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config invalid:", "  /sweep/oracle: unknown property"]
+
+
+def test_the_mode_is_the_configs_alone(config_path):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--config", config_path, "--mode", "both"])
+    assert exit_.value.code == 2
 
 
 def test_an_oracle_flag_reports_every_bad_size(config_path, tmp_path, capsys):
@@ -188,22 +245,14 @@ def test_simulate_rescales_each_scenario_once(tmp_path, monkeypatch, sweep, call
     assert len(set(map(id, seen))) == calls  # no scenario twice
 
 
-def test_simulate_jobs_do_not_change_bytes(config_path, tmp_path):
+def test_simulate_jobs_do_not_change_bytes(tmp_path):
+    path = _config_file(tmp_path, mode="both")
     out1 = tmp_path / "serial.csv"
     out2 = tmp_path / "threaded.csv"
-    assert main(["simulate", "--config", config_path, "--mode", "both",
-                 "--output", str(out1)]) == EXIT_OK
-    assert main(["simulate", "--config", config_path, "--mode", "both",
-                 "--jobs", "4", "--output", str(out2)]) == EXIT_OK
+    assert main(["simulate", "--config", path, "--output", str(out1)]) == EXIT_OK
+    assert main(["simulate", "--config", path, "--jobs", "4",
+                 "--output", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_simulate_mode_override(config_path, tmp_path):
-    out = tmp_path / "rows.csv"
-    assert main(["simulate", "--config", config_path, "--mode", "both",
-                 "--output", str(out)]) == EXIT_OK
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == 7  # header + 3 points x 2 modes
 
 
 def test_simulate_oracle_column(tmp_path):
@@ -240,9 +289,9 @@ def test_simulate_guard_exit_code(tmp_path, capsys):
     assert "stability guard" in capsys.readouterr().err
 
 
-def test_simulate_strict_modes_exit_code(config_path, tmp_path):
+def test_simulate_strict_modes_exit_code(tmp_path):
     out = tmp_path / "rows.csv"
-    assert main(["simulate", "--config", config_path, "--mode", "both",
+    assert main(["simulate", "--config", _config_file(tmp_path, mode="both"),
                  "--strict-modes", "--output", str(out)]) == EXIT_MODES
 
 
@@ -378,11 +427,7 @@ def test_a_config_error_names_its_field_and_numbers_as_given(tmp_path, capsys, p
 
 def _coarse_config(tmp_path):
     """BASE with beam a at a resolution whose square overflows."""
-    doc = dict(BASE, beam_a=dict(BASE["beam_a"], resolution=1e200))
-    doc["sweep"] = dict(BASE["sweep"], mode="both")
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    return _config_file(tmp_path, mode="both", beam_a=dict(BASE["beam_a"], resolution=1e200))
 
 
 COARSE_ERROR = "RpifError: resolution 1e+200: 4*hbar/(m*T*delta^2) cannot be formed"
@@ -413,16 +458,14 @@ PRINTED_ERROR = "mode=paper-literal: RpifError: paper-literal: the printed denom
 @pytest.mark.parametrize("mode", ["literal", "both"])
 def test_simulate_fails_the_literal_rows_where_the_printed_denominator_is_zero(
         tmp_path, capsys, mode, resolution):
-    doc = dict(BASE, beam_a=dict(BASE["beam_a"], resolution=resolution))
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
+    beam_a = dict(BASE["beam_a"], resolution=resolution)
     out, derived = tmp_path / "rows.csv", tmp_path / "derived.csv"
-    assert main(["simulate", "--config", str(path), "--mode", mode,
+    assert main(["simulate", "--config", _config_file(tmp_path, mode=mode, beam_a=beam_a),
                  "--output", str(out)]) == EXIT_GUARD
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 3 and all(PRINTED_ERROR in line for line in lines)
     # the derived rows beside them are those of a derived run
-    assert main(["simulate", "--config", str(path), "--mode", "derived",
+    assert main(["simulate", "--config", _config_file(tmp_path, beam_a=beam_a),
                  "--output", str(derived)]) == EXIT_OK
     rows = out.read_text().splitlines()
     assert [line for line in rows if ",derived," in line] == (
@@ -550,10 +593,10 @@ def test_a_lattice_amplitude_that_overflows_fails_every_row(tmp_path, capsys):
         "beam_a": {"trajectory": {"kind": "constant", "value": 0.12}, "resolution": 1.2},
         "beam_b": {"trajectory": {"kind": "sinusoid", "amplitude": 0.08, "omega": 5.0},
                    "resolution": 0.7},
-        "sweep": {"parameter": "delta_b", "start": 0.7, "stop": 2.2, "steps": 6,
-                  "oracle": [256, 512, 1024]}}))
+        "sweep": {"parameter": "delta_b", "start": 0.7, "stop": 2.2, "steps": 6}}))
     out = tmp_path / "rows.csv"
-    code, err = _strictly(["simulate", "--config", str(path), "--output", str(out)], capsys)
+    code, err = _strictly(["simulate", "--config", str(path), "--output", str(out),
+                           "--oracle", "256,512,1024"], capsys)
     assert code == EXIT_GUARD
     assert all(row.endswith(",") for row in out.read_text().splitlines()[1:])
     lines = err.splitlines()
@@ -565,14 +608,14 @@ def test_a_lattice_amplitude_that_overflows_fails_every_row(tmp_path, capsys):
 def test_main_calls_in_one_process_are_independent(config_path, tmp_path, monkeypatch):
     # the parser is built once per process; options of one call must not
     # leak into the next
-    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first, second = tmp_path / "first.json", tmp_path / "second.csv"
     assert main(["simulate", "--config", config_path, "--output", str(first),
-                 "--mode", "both", "--oracle", "64,128,256"]) == EXIT_OK
+                 "--format", "json", "--oracle", "64,128,256"]) == EXIT_OK
     assert main(["simulate", "--config", config_path, "--output", str(second)]) == EXIT_OK
-    first_rows = first.read_text().strip().split("\n")[1:]
+    first_rows = json.loads(first.read_text())
     second_rows = second.read_text().strip().split("\n")[1:]
-    assert len(first_rows) == 6 and len(second_rows) == 3
-    assert all(row.split(",")[-1] != "" for row in first_rows)
+    assert len(first_rows) == 3 and len(second_rows) == 3
+    assert all(row["oracle_dev"] is not None for row in first_rows)
     assert all(row.split(",")[1] == "derived" and row.endswith(",")
                for row in second_rows)
     # the same call on a newly built parser writes the same bytes

@@ -23,6 +23,14 @@ four of them off the dyadic grid) takes 640 line nodes in both modes
 once panels end at its samples, against 1 920 for the doubling loop;
 without breakpoints, composite Gauss converges only like h^2 over the
 kinks and burns about 266 000 nodes before it fails.
+
+A detector-like record of 65 537 samples (a noisy omega = 40 sine on a
+uniform grid) puts a line integral of more than a million nodes in
+derived ``decompose``.  The line rule evaluates it in chunks of
+``BATCH_POINTS`` nodes, and the panel edges of its 65 536 segments are
+cut in one numpy expression, so the traced peak is about 54 MiB (1.9 s
+under tracemalloc, 0.6 s without, on a 2-core VM), where evaluating every
+node at once peaked at 238 MiB.
 """
 
 import tracemalloc
@@ -111,3 +119,20 @@ def test_zig_zag_tabulated_record_takes_few_line_nodes(monkeypatch):
     for mode in ("derived", "paper-literal"):
         decompose(scenario, mode)
     assert sum(nodes) < 700
+
+
+def test_a_65537_sample_record_decomposes_in_bounded_memory():
+    n = 65_537
+    times = np.linspace(0.0, 1.0, n)
+    noise = np.random.default_rng(14).standard_normal(n)
+    record = TabulatedFunction(tuple(times.tolist()),
+                               tuple((0.3 * np.sin(40.0 * times) + 0.01 * noise).tolist()))
+    scenario = make_scenario(a=record, delta_a=1.0)
+    tracemalloc.start()
+    try:
+        breakdown = decompose(scenario, "derived")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(breakdown.i1)
+    assert peak < 120 * 2 ** 20

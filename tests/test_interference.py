@@ -192,6 +192,46 @@ def test_i2_derived_matches_closed_bracket_form():
     assert decompose(scenario, MODE_DERIVED).i2 == pytest.approx(expect, rel=1e-10)
 
 
+#: a record of each kind per beam; i1 and i2 depend on the resolutions and
+#: the endpoints alone
+WEAK_RECORDS = {
+    "constant": (ConstantFunction(0.1), ConstantFunction(-0.1)),
+    "polynomial": (PolynomialFunction((0.1, -0.3, 0.2)), PolynomialFunction((-0.05, 0.4))),
+    "sinusoid": (SinusoidFunction(0.2, 7.0, 0.3), SinusoidFunction(0.1, 3.0, 1.0)),
+    "tabulated": (TabulatedFunction((0.0, 0.3, 0.55, 1.0), (0.1, 0.25, -0.05, 0.0)),
+                  TabulatedFunction((0.0, 0.4, 1.0), (-0.1, 0.0, 0.15))),
+}
+
+
+@pytest.mark.parametrize("records", sorted(WEAK_RECORDS))
+@pytest.mark.parametrize("delta_a", [3.0, 10.0, 30.0])
+def test_i1_and_i2_follow_the_weak_measurement_law(records, delta_a):
+    """Under coarse measurement, kappa = 4*hbar*T/(m*delta^2) small, the
+    derived terms tend to
+
+        i1 = (z1^2 + z2^2) * (m/(90T)) * (kappa_a^2 - kappa_b^2),
+        i2 = (7m*z1*z2/(360T)) * (kappa_a^2 - kappa_b^2),
+
+    from the x^2 terms of wT*cot(wT) = 1 - x/3 - x^2/45 - 2x^3/945 -
+    x^4/4725 and wT/sin(wT) = 1 + x/6 + 7x^2/360 + 31x^3/15120 +
+    127x^4/604800 at x = (wT)^2 = -i*kappa; their x^4 terms give the next
+    order, a relative gap of -(kappa_a^2 + kappa_b^2)/105 for i1 and
+    -(127/11760)*(kappa_a^2 + kappa_b^2) for i2.  Each gap must lie within
+    1 % of its prediction.  The test stops at delta_a = 30: the derived
+    form loses digits to cancellation as |wT| -> 0, and at delta_a = 100
+    the i1 gap is -1.3e-7 against a predicted -1.8e-9."""
+    z1, z2, delta_b = 0.3, 0.5, 1.5 * delta_a
+    a, b = WEAK_RECORDS[records]
+    breakdown = decompose(make_scenario(z1=z1, z2=z2, a=a, b=b, delta_a=delta_a,
+                                        delta_b=delta_b), MODE_DERIVED)
+    kappa_a, kappa_b = 4.0 / delta_a ** 2, 4.0 / delta_b ** 2
+    difference, total = kappa_a ** 2 - kappa_b ** 2, kappa_a ** 2 + kappa_b ** 2
+    for term, law, gap in (
+            (breakdown.i1, (z1 ** 2 + z2 ** 2) / 90.0 * difference, -total / 105.0),
+            (breakdown.i2, 7.0 * z1 * z2 / 360.0 * difference, -127.0 / 11760.0 * total)):
+        assert term / law - 1.0 == pytest.approx(gap, rel=1e-2)
+
+
 # ---------------------------------------------------------------------------
 # i3, i4: endpoint-linear terms, checked against finite differences of the
 # action difference (exact for a quadratic function of the endpoints)

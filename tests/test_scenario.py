@@ -177,3 +177,10 @@ def test_swapped_exchanges_beams():
     exchanged = swapped(scenario)
     assert exchanged.beam_a is scenario.beam_b
     assert exchanged.beam_b is scenario.beam_a
+
+
+def test_a_beam_label_other_than_a_or_b_is_refused():
+    scenario = make_scenario()
+    assert scenario.beam("a") is scenario.beam_a and scenario.beam("b") is scenario.beam_b
+    with pytest.raises(ValueError, match="^beam label must be 'a' or 'b', got 'c'$"):
+        scenario.beam("c")

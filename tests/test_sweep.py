@@ -9,6 +9,7 @@ from rpif.sweep import (
     CSV_HEADER,
     SweepSpec,
     apply_sweep_value,
+    parse_oracle_schedule,
     render_csv,
     render_json,
 )
@@ -119,10 +120,8 @@ def test_a_start_that_defaults_to_an_unreadable_base_is_no_bound(doc, path):
 
 
 def test_oracle_schedule_must_double():
-    with pytest.raises(ConfigError) as err:
-        parse_config(_config(sweep={"parameter": "z2", "start": 0, "stop": 1,
-                                    "steps": 2, "oracle": [100, 150, 300]}))
-    assert any("/sweep/oracle" in v for v in err.value.violations)
+    assert parse_oracle_schedule("100,150,300", "--oracle") == (
+        None, ["--oracle: sizes must double, got 100 then 150"])
 
 
 def test_non_numbers_are_reported_alike_in_the_scenario_and_the_sweep():
@@ -766,6 +765,12 @@ def test_emit_requires_rows(tmp_path):
     from rpif import RpifError, emit_results
     with pytest.raises(RpifError):
         emit_results([], "csv", str(tmp_path / "out.csv"))
+
+
+def test_emit_refuses_a_destination_that_is_neither_a_path_nor_a_stream():
+    from rpif import RpifError, emit_results
+    with pytest.raises(RpifError, match="^cannot write to destination 42$"):
+        emit_results(_one_row(), "csv", 42)
 
 
 def test_emit_to_path(tmp_path):
