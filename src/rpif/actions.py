@@ -238,16 +238,16 @@ class ActionRows:
 
 
 def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
-                       m: float, hbar: float, tau_start: float,
-                       tau_end: float) -> list[ActionRows | RpifError]:
-    """The ``ActionRows`` of beams with one frame profile and units that
-    have passed the stability guard, the sets of one ``quadrature.Batch``:
-    one triangle pass and one line pass, which sample each distinct record
-    once per call, then <c^2> once per distinct record.  Returns each
-    beam's rows, or the RpifError that it raises on its own, with the
-    error of the first step that fails alone: the triangle, the line,
-    <c^2>.  The triangle comes first: its budget is the one a fast record
-    exceeds, and then no node of the beam is evaluated.
+                       params: PhysicalParams) -> list[ActionRows | RpifError]:
+    """The ``ActionRows`` of beams under one frame profile and ``params``
+    (whose g is not read) that have passed the stability guard, the sets of
+    one ``quadrature.Batch``: one triangle pass and one line pass, which
+    sample each distinct record once per call, then <c^2> once per
+    distinct record.  Returns each beam's rows, or the RpifError that it
+    raises on its own, with the error of the first step that fails alone:
+    the triangle, the line, <c^2>.  The triangle comes first: its budget
+    is the one a fast record exceeds, and then no node of the beam is
+    evaluated.
 
     ``forces(t, sets)`` gives the rows (F_f(t), F_c(t)) of the force
     F = g*F_f + F_c, shape (..., 2, len(t)), the sets (a ``Batch`` index)
@@ -256,14 +256,13 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
     rate |w| plus the faster of f and c, and their higher degree, and its
     breakpoints are those of f and c; the triangle pairs two of those.
     """
-    t0, t1 = tau_start, tau_end
-    params = PhysicalParams(m, 0.0, hbar, t0, t1)
+    t0, t1, m = params.tau_start, params.tau_end, params.m
     ws = [complex_frequency(params, beam.resolution) for beam in beams]
     kernels = action_kernels(ws, m, params.duration)
     single, f = kernels.single, frame_profile.sampler()
     records = quadrature.Samples([beam.trajectory for beam in beams])
     coefs = quadrature.Coefficients(
-        [(4.0 * hbar / (params.duration * beam.resolution ** 2),) for beam in beams])
+        [(4.0 * params.hbar / (params.duration * beam.resolution ** 2),) for beam in beams])
     breaks = [frame_profile.breakpoints + beam.trajectory.breakpoints for beam in beams]
     rates = [abs(w) + max(frame_profile.rate, beam.trajectory.rate)
              for w, beam in zip(ws, beams)]
@@ -323,8 +322,7 @@ def _beam_rows(beam: BeamRecord, frame_profile: TimeFunction,
                params: PhysicalParams) -> ActionRows:
     """The ``ActionRows`` of one beam that passed the stability guard,
     integrated as a batch of one."""
-    rows, = _batch_action_rows((beam,), frame_profile, params.m, params.hbar,
-                               params.tau_start, params.tau_end)
+    rows, = _batch_action_rows((beam,), frame_profile, params)
     if isinstance(rows, RpifError):
         raise rows
     return rows

@@ -115,14 +115,13 @@ def _terms(z1: float, z2: float, scales: tuple[float, float, float],
 # ---------------------------------------------------------------------------
 
 def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
-                        m: float, hbar: float, tau_start: float, tau_end: float
-                        ) -> list[np.ndarray | RpifError]:
-    """The g-free rows of the printed i5 integral of beams with one frame
-    profile and units: one triangle pass for all of them, which samples
-    each distinct record once per call.  Independent of the endpoints and
-    of g, so an evaluation computes them once per beam, and a resolution
-    sweep once for all its resolutions.  Returns each beam's rows, or the
-    RpifError that it raises on its own.
+                        params: PhysicalParams) -> list[np.ndarray | RpifError]:
+    """The g-free rows of the printed i5 integral of beams under one frame
+    profile and ``params`` (whose g is not read): one triangle pass for all
+    of them, which samples each distinct record once per call.  Independent
+    of the endpoints and of g, so an evaluation computes them once per beam,
+    and a resolution sweep once for all its resolutions.  Returns each
+    beam's rows, or the RpifError that it raises on its own.
 
     The printed kernels combine g^2*(f(t)+f(s)), the record sum, and the
     mixed g*[f(t)c(s)+f(s)c(t)] term under exp((sigma+epsilon)/2), with
@@ -145,12 +144,13 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     twice that plus twice the faster of f and c, its degree twice their
     higher degree, plus one, and its breakpoints those of f and c.
     """
-    t0, t1 = tau_start, tau_end
+    t0, t1 = params.tau_start, params.tau_end
     f = frame_profile.sampler()
     samples = quadrature.Samples([beam.trajectory for beam in beams])
     rt2 = math.sqrt(2.0)
     grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
-    coefs = [4.0 * hbar / (m * (t1 - t0) * beam.resolution ** 2) for beam in beams]
+    coefs = [4.0 * params.hbar / (params.m * (t1 - t0) * beam.resolution ** 2)
+             for beam in beams]
     rates = quadrature.Coefficients([(k, math.sqrt(k)) for k in coefs])  # omega^2, omega
     batch = quadrature.Batch(len(beams))
 
@@ -264,20 +264,17 @@ def _printed(rows: np.ndarray, w: complex, p: PhysicalParams, delta: float,
 # ---------------------------------------------------------------------------
 
 class _Beam:
-    """What every point of an evaluation that has this beam, frame profile
-    and units reads, computed once: the frequency (or the stability
-    error), and what the evaluation fills in for a stable beam: ``action``,
-    its ``ActionRows``, which carry the prefactor and the weight exponent
-    -2<c^2>/delta^2; ``printed``, its printed-form numbers (in the literal
-    mode); and its lattice rows (with the oracle).  A part whose rows fail
-    holds the RpifError instead."""
+    """What every point of an evaluation that has this beam reads, computed
+    once: the frequency (or the stability error), and what the evaluation
+    fills in for a stable beam: ``action``, its ``ActionRows``, which carry
+    the prefactor and the weight exponent -2<c^2>/delta^2; ``printed``, its
+    printed-form numbers (in the literal mode); and its lattice rows (with
+    the oracle).  A part whose rows fail holds the RpifError instead."""
 
-    __slots__ = ("beam", "frame_profile", "params", "w", "error", "action", "printed",
-                 "lattice_rows")
+    __slots__ = ("beam", "w", "error", "action", "printed", "lattice_rows")
 
-    def __init__(self, beam: BeamRecord, frame_profile: TimeFunction,
-                 params: PhysicalParams):
-        self.beam, self.frame_profile, self.params = beam, frame_profile, params
+    def __init__(self, beam: BeamRecord, params: PhysicalParams):
+        self.beam = beam
         self.w, self.error = None, None
         self.action = self.printed = self.lattice_rows = None
         try:
@@ -286,62 +283,53 @@ class _Beam:
             self.error = exc
 
 
-def _fill(beams: Sequence[_Beam], compute: Callable, *extra) -> list:
-    """Each beam's entry of ``compute(records, frame_profile, m, hbar,
-    tau_start, tau_end, *extra)``: its rows, or the RpifError that it
-    raises.  ``compute`` runs once per group of beams that share the frame
-    profile and the units; a call that raises fails every beam of its
-    group with that error."""
-    groups: dict = {}
-    for i, beam in enumerate(beams):
-        p = beam.params
-        groups.setdefault((beam.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end),
-                          []).append(i)
-    out: list = [None] * len(beams)
-    for args, index in groups.items():
-        try:
-            entries = compute(tuple(beams[i].beam for i in index), *args, *extra)
-        except RpifError as exc:
-            entries = [exc] * len(index)
-        for i, entry in zip(index, entries):
-            out[i] = entry.with_traceback(None) if isinstance(entry, RpifError) else entry
-    return out
+def _fill(beams: Sequence[_Beam], compute: Callable, *args) -> list:
+    """Each beam's entry of ``compute(records, *args)``: its rows, or the
+    RpifError that it raises.  ``compute`` runs once for all the beams, and
+    not at all for none; a call that raises fails every beam with that
+    error."""
+    if not beams:
+        return []
+    try:
+        entries = compute(tuple(beam.beam for beam in beams), *args)
+    except RpifError as exc:
+        entries = [exc] * len(beams)
+    return [entry.with_traceback(None) if isinstance(entry, RpifError) else entry
+            for entry in entries]
 
 
-def _beams(points: Sequence[Scenario], modes: Sequence[str]) -> list[tuple[_Beam, _Beam]]:
-    """Each point's two beams, one ``_Beam`` per distinct (beam, frame
-    profile, units), with the ``action`` and, in the literal mode, the
-    ``printed`` part of every stable one filled in: for all the beams with
-    one frame profile and units, at all the resolutions the points visit,
-    the action rows come from one line pass and one triangle pass, and the
-    printed rows from one triangle pass."""
-    by_key: dict = {}
+def _beams(points: Sequence[Scenario], modes: Sequence[str], frame_profile: TimeFunction,
+           params: PhysicalParams) -> list[tuple[_Beam, _Beam]]:
+    """Each point's two beams, one ``_Beam`` per distinct beam, with the
+    ``action`` and, in the literal mode, the ``printed`` part of every
+    stable one filled in: for all the beams at all the resolutions the
+    points visit, under the points' shared ``frame_profile`` and ``params``
+    (``_evaluate``), the action rows come from one line pass and one
+    triangle pass, and the printed rows from one triangle pass."""
+    by_value: dict = {}
     seen: dict = {}   # by object identity first, so a shared beam is hashed once
     pairs = []
     for nd in points:
-        p, f = nd.params, nd.frame_profile
-        units = (p.m, p.hbar, p.tau_start, p.tau_end)
         pair = []
         for beam in (nd.beam_a, nd.beam_b):
-            ident = (id(beam), id(f), *units)
-            found = seen.get(ident)
+            found = seen.get(id(beam))
             if found is None:
-                key = (beam, f, *units)
-                found = by_key.get(key)
+                found = by_value.get(beam)
                 if found is None:
-                    found = by_key[key] = _Beam(beam, f, p)
-                seen[ident] = found
+                    found = by_value[beam] = _Beam(beam, params)
+                seen[id(beam)] = found
             pair.append(found)
         pairs.append(tuple(pair))
-    stable = [beam for beam in by_key.values() if beam.error is None]
-    for beam, rows in zip(stable, _fill(stable, _batch_action_rows)):
+    stable = [beam for beam in by_value.values() if beam.error is None]
+    for beam, rows in zip(stable, _fill(stable, _batch_action_rows, frame_profile, params)):
         beam.action = rows
     if MODE_LITERAL in modes:
-        for beam, rows in zip(stable, _fill(stable, _batch_literal_rows)):
+        literal = _fill(stable, _batch_literal_rows, frame_profile, params)
+        for beam, rows in zip(stable, literal):
             delta = beam.beam.resolution
             try:
                 beam.printed = rows if isinstance(rows, RpifError) else _printed(
-                    rows, beam.w, beam.params, delta, _paper_angle(beam.params, delta))
+                    rows, beam.w, params, delta, _paper_angle(params, delta))
             except RpifError as exc:
                 beam.printed = exc
     return pairs
@@ -405,7 +393,10 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
               schedule: Sequence[int] | None = None
               ) -> list[tuple[list[tuple | RpifError], float | None]]:
     """Points in internal units, each in every mode of ``modes``, with the
-    lattice oracle on ``schedule`` when one is given.
+    lattice oracle on ``schedule`` when one is given.  The points are those
+    of one scenario (``decompose``, ``compare_modes``, ``sweep.run_sweep``):
+    they share its frame profile, by value, and its units, which no sweep
+    parameter changes in internal units.
 
     For each point returns each mode's numbers (``_ROW_NUMBERS``), or the
     RpifError that failed it, and the oracle deviation, or None without a
@@ -425,11 +416,14 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     action rows, actions and amplitudes, each mode's terms, and oracle.  A
     stage runs only for the points with an open mode, and a mode's terms
     only where it is open.  The oracle reduces the beams of those points,
-    each distinct beam once per level, one batch per frame profile and
-    units (``lattice._batch_lattice_rows``); its deviation is shared by the
-    open modes of a point, and its error replaces their numbers.
+    each distinct beam once per level, in one batch
+    (``lattice._batch_lattice_rows``); its deviation is shared by the open
+    modes of a point, and its error replaces their numbers.
     """
-    pairs = _beams(points, modes)
+    if not points:
+        return []
+    frame_profile, params = points[0].frame_profile, points[0].params
+    pairs = _beams(points, modes, frame_profile, params)
     table = [dict.fromkeys(modes) for _ in points]   # per mode: None, numbers or RpifError
     literal = [MODE_LITERAL] if MODE_LITERAL in modes else []
     for row, (a, b) in zip(table, pairs):
@@ -471,7 +465,8 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     if schedule:
         reached = [i for i, row in enumerate(table) if _open(row)]
         beams = list(dict.fromkeys(beam for i in reached for beam in pairs[i]))
-        for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, tuple(schedule))):
+        for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, frame_profile,
+                                           params, tuple(schedule))):
             beam.lattice_rows = rows
         for i in reached:
             try:

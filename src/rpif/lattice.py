@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LatticeError, RpifError, ValidationError
-from .scenario import BeamRecord, Scenario
+from .scenario import BeamRecord, PhysicalParams, Scenario
 from .timefunctions import TimeFunction
 
 #: the spacing of doubles at 1, which bounds the relative rounding of each
@@ -271,22 +271,22 @@ def _reduce_level(n: int, m: float, hbar: float, duration: float,
 
 @np.errstate(all="ignore")
 def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunction,
-                        m: float, hbar: float, tau_start: float, tau_end: float,
+                        params: PhysicalParams,
                         schedule: tuple[int, ...]) -> list[LatticeRows | RpifError]:
-    """Beams that share the frame profile and the units, each reduced at
-    every level of the schedule; none of it depends on g, z1 or z2.  Each
-    distinct function (the frame profile and the records, compared by
-    value) is sampled once per level.  Returns each beam's rows, or the
-    RpifError that it raises on its own; a level that ``_check_level``
-    refuses fails every beam.  numpy reports no floating-point error here:
-    a level that overflows is not finite, and ``_reduce_level`` refuses
-    it."""
+    """Beams under one frame profile and ``params`` (whose g is not read),
+    each reduced at every level of the schedule; none of it depends on g,
+    z1 or z2.  Each distinct function (the frame profile and the records,
+    compared by value) is sampled once per level.  Returns each beam's
+    rows, or the RpifError that it raises on its own; a level that
+    ``_check_level`` refuses fails every beam.  numpy reports no
+    floating-point error here: a level that overflows is not finite, and
+    ``_reduce_level`` refuses it."""
     try:
         for n in schedule:
             _check_level(n)
     except ValidationError as exc:
         return [exc] * len(beams)
-    duration = tau_end - tau_start
+    p = params
     out: list = [None] * len(beams)
     levels: list = [[] for _ in beams]
     for n in schedule:
@@ -294,14 +294,14 @@ def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
 
         def sample(fn):
             if fn not in samples:
-                samples[fn] = _midpoint_samples(fn.sampler(), tau_start, tau_end, n)
+                samples[fn] = _midpoint_samples(fn.sampler(), p.tau_start, p.tau_end, n)
             return samples[fn]
 
         for i, beam in enumerate(beams):
             if out[i] is None:
                 try:
                     levels[i].append(_reduce_level(
-                        n, m, hbar, duration, beam.resolution,
+                        n, p.m, p.hbar, p.duration, beam.resolution,
                         sample(beam.trajectory), sample(frame_profile)))
                 except RpifError as exc:
                     out[i] = exc
@@ -483,10 +483,8 @@ def gaussian_reduce(form: QuadraticForm) -> complex:
 
 def _rows(scenario: Scenario, beam_label: str, schedule) -> LatticeRows:
     """One beam's lattice rows, reduced as a batch of one."""
-    p = scenario.params
     rows, = _batch_lattice_rows((scenario.beam(beam_label),), scenario.frame_profile,
-                                p.m, p.hbar, p.tau_start, p.tau_end,
-                                tuple(int(n) for n in schedule))
+                                scenario.params, tuple(int(n) for n in schedule))
     if isinstance(rows, RpifError):
         raise rows
     return rows

@@ -46,8 +46,8 @@ with a QuadratureError that names the nodes it needs, the budget and its
 rate.
 
 Both rules also integrate a ``Batch``: independent sets of integrands
-over the same interval (the rows of every beam of an evaluation with one
-frame profile and units), each with its own rate, degree and breakpoints.
+over the same interval (the rows of every beam of an evaluation), each
+with its own rate, degree and breakpoints.
 The sets that get the same segment edges and panels are evaluated
 together, so a set gets the panels and the bits it would get on its own.
 A set that its budget refuses, or whose estimate is not finite, fails

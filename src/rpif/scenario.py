@@ -289,7 +289,7 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
         traj = fn_from(section.get("trajectory"), default_traj, f"/{key}/trajectory")
         if "resolution" in section:
             res = _number(section, "resolution", None, f"/{key}/resolution", out)
-        elif key in raw:
+        elif isinstance(raw.get(key), Mapping):  # a non-object section was reported above
             out.append(f"/{key}/resolution: required property is missing")
             res = float("nan")
         else:

@@ -37,7 +37,9 @@ from .scenario import (
 from .timefunctions import _unknown
 
 SWEEP_PARAMETERS = ("z2", "delta_a", "delta_b", "g", "m_over_hbar_scale")
-MODE_CHOICES = ("literal", "derived", "both")
+#: each sweep mode and the modes it evaluates, in row order
+MODE_CHOICES = {"literal": (MODE_LITERAL,), "derived": (MODE_DERIVED,),
+                "both": (MODE_LITERAL, MODE_DERIVED)}
 
 CSV_HEADER = ("swept_value,mode,intensity,reduced_i,i1,i2,i3,i4,i5,"
               "phase_difference,residual,oracle_dev")
@@ -63,9 +65,11 @@ class SweepSpec:
     oracle_schedule: tuple[int, ...] | None = None
 
     def modes(self) -> tuple[str, ...]:
-        if self.mode == "both":
-            return (MODE_LITERAL, MODE_DERIVED)
-        return (MODE_LITERAL,) if self.mode == "literal" else (MODE_DERIVED,)
+        modes = MODE_CHOICES.get(self.mode)
+        if modes is None:
+            raise RpifError(f"unknown sweep mode {self.mode!r}, expected one of "
+                            f"{', '.join(MODE_CHOICES)}")
+        return modes
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -297,9 +301,10 @@ def _point_rows(modes: Sequence[str], value: float, results: list,
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[ResultRow]:
     """One row per sweep point per mode, in deterministic order.
 
-    The scenario is validated once, with the swept field at a neutral
-    value: if it is invalid, or the parameter unknown, every row carries
-    that one error.  Each point is put into internal units with only its
+    A mode that is not one of ``MODE_CHOICES`` raises an RpifError before
+    any point is built.  The scenario is validated once, with the swept
+    field at a neutral value: if it is invalid, or the parameter unknown,
+    every row carries that one error.  Each point is put into internal units with only its
     swept value's check and arithmetic, and the points are evaluated
     together (``interference._evaluate``): what depends on neither g nor
     the endpoints is computed once per distinct beam (a swept resolution
@@ -308,9 +313,9 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[ResultRow]:
     failures (guard trips, refused quadratures, invalid swept values) fail
     only their point's rows, in the ``error`` field.
     """
+    modes = spec.modes()
     values = [float(value) for value in spec.points()]
     points = _internal_points(scenario, spec.parameter, values)
-    modes = spec.modes()
     evaluated = iter(_evaluate([nd for nd in points if isinstance(nd, Scenario)], modes,
                                spec.oracle_schedule))
     rows = []

@@ -290,7 +290,7 @@ def test_non_finite_combined_exponent_names_the_beam(action):
     scenario = make_scenario()
     beam, p = scenario.beam_a, scenario.params
     prefactor = _prefactor(ensure_stable(p, beam.resolution), p)
-    named = _Beam(beam, scenario.frame_profile, p)
+    named = _Beam(beam, p)
     named.action = ActionRows(*(0j,) * 9, prefactor=prefactor,
                               weight_exponent=-2.0 * 0.01 / beam.resolution ** 2)
     error = _amplitudes((named, named), (complex(*action), 0j), p.hbar)
@@ -310,7 +310,7 @@ def test_a_record_near_the_double_range_fails_its_rows_without_a_warning(
     # caller (the suite makes one an error)
     scenario = make_scenario(a=ConstantFunction(value), delta_a=delta)
     beam, p = scenario.beam_a, scenario.params
-    args = ((beam,), scenario.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)
+    args = ((beam,), scenario.frame_profile, p)
     rows, = actions._batch_action_rows(*args)
     assert isinstance(rows, QuadratureError)
     assert str(rows) == "non-finite estimate over [0, 1]"

@@ -474,8 +474,7 @@ def test_a_deviation_that_is_not_finite_fails_the_point():
     # max(0.0, nan) is 0.0: a deviation that is not finite must raise, not
     # read as perfect agreement
     nd = nondimensional(make_scenario())
-    pair = tuple(interference._Beam(beam, nd.frame_profile, nd.params)
-                 for beam in (nd.beam_a, nd.beam_b))
+    pair = tuple(interference._Beam(beam, nd.params) for beam in (nd.beam_a, nd.beam_b))
     with pytest.raises(LatticeError, match="^beam_a: the oracle deviation is not finite"):
         interference._oracle_deviation(nd, pair, (complex(math.nan), 1.0), (256, 512, 1024))
 

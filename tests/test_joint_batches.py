@@ -1,15 +1,15 @@
-"""Every beam of an evaluation with one frame profile and units is
-integrated in one batch, and each beam gets the bits it gets alone.
+"""Every beam of an evaluation is integrated in one batch, and each beam
+gets the bits it gets alone.
 
-``interference._fill`` groups an evaluation's beams by frame profile and
-units only, and integrates each group in one triangle and one line call,
-sampling each distinct record once per evaluation of the integrand.  Each
-set of a batch takes the segments its own breakpoints split and the panels
-its own rates ask, with its own arithmetic, so every beam's rows, and every
-row a sweep prints, must equal those of the beam integrated alone, bit for
-bit, whatever breakpoints the other beams have; a beam whose integrals need
-more nodes than their budget (a stall) must fail with the error a lone
-attempt raises, and leave the others alone.
+The points of an evaluation share their frame profile and units, and
+``interference._fill`` integrates all of its beams in one triangle and one
+line call, sampling each distinct record once per evaluation of the
+integrand.  Each set of a batch takes the segments its own breakpoints
+split and the panels its own rates ask, with its own arithmetic, so every
+beam's rows, and every row a sweep prints, must equal those of the beam
+integrated alone, bit for bit, whatever breakpoints the other beams have;
+a beam whose integrals need more nodes than their budget (a stall) must
+fail with the error a lone attempt raises, and leave the others alone.
 """
 
 import dataclasses
@@ -72,15 +72,15 @@ def _bits(entry):
     return tuple(part.tobytes() for part in entry)
 
 
-def _beams(beams, frame):
-    return [interference._Beam(BeamRecord(RECORDS[record], delta), FRAMES[frame], PARAMS)
+def _beams(beams):
+    return [interference._Beam(BeamRecord(RECORDS[record], delta), PARAMS)
             for record, delta in beams]
 
 
-def _alone(compute, beam):
-    """The entry of ``beam`` (an ``interference._Beam``) in a batch of one."""
-    p = beam.params
-    entry, = compute((beam.beam,), beam.frame_profile, p.m, p.hbar, p.tau_start, p.tau_end)
+def _alone(compute, beam, *args):
+    """The entry of ``beam`` (an ``interference._Beam``) in a batch of one,
+    ``compute``'s other arguments ``args``."""
+    entry, = compute((beam.beam,), *args)
     return entry
 
 
@@ -90,14 +90,14 @@ def _alone(compute, beam):
        frame=st.sampled_from(sorted(FRAMES)))
 @settings(max_examples=25, deadline=None)
 def test_each_beam_of_a_joint_batch_gets_its_rows_alone(beams, frame):
-    beams = _beams(beams, frame)
+    beams, args = _beams(beams), (FRAMES[frame], PARAMS)
     for compute in ROWS:
-        joint = interference._fill(beams, compute)
+        joint = interference._fill(beams, compute, *args)
         for beam, entry in zip(beams, joint):
-            assert _bits(entry) == _bits(_alone(compute, beam)), beam.beam
+            assert _bits(entry) == _bits(_alone(compute, beam, *args)), beam.beam
 
 
-def test_a_joint_batch_has_one_call_per_frame_profile_and_units(monkeypatch):
+def test_a_joint_batch_has_one_call_per_evaluation(monkeypatch):
     calls = []
     triangle = quadrature.integrate_triangle
 
@@ -110,10 +110,11 @@ def test_a_joint_batch_has_one_call_per_frame_profile_and_units(monkeypatch):
     # 2.2e-3; a record with samples of its own: three splits of the window
     beams = [("sinusoid", 1.0), ("linear", 2.5), ("stalled", 1.0), ("polynomial", 250.0),
              ("tabulated", 0.4), ("tabulated_alike", 900.0), ("tabulated_half", 1.0)]
-    beams = _beams(beams, "constant")
+    beams = _beams(beams)
+    frame = FRAMES["constant"]
     for compute in ROWS:
         calls.clear()
-        joint = interference._fill(beams, compute)
+        joint = interference._fill(beams, compute, frame, PARAMS)
         # one call of 7 sets, whatever |wT| and the breakpoints; the stalled
         # beam's triangle budget refuses it before any node, and the line
         # call of its batch leaves it out
@@ -121,13 +122,13 @@ def test_a_joint_batch_has_one_call_per_frame_profile_and_units(monkeypatch):
         assert isinstance(joint[2], quadrature.QuadratureError)
         assert "more than its budget of 4096" in str(joint[2])
         for beam, entry in zip(beams, joint):
-            assert _bits(entry) == _bits(_alone(compute, beam))
+            assert _bits(entry) == _bits(_alone(compute, beam, frame, PARAMS))
 
 
 def _sweep_alone(scenario, spec):
     """The sweep's rows with every beam's rows integrated on their own."""
-    def fill(beams, compute):
-        return [_alone(compute, beam) for beam in beams]
+    def fill(beams, compute, *args):
+        return [_alone(compute, beam, *args) for beam in beams]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(interference, "_fill", fill)
         return run_sweep(scenario, spec)

@@ -39,6 +39,7 @@ from rpif.timefunctions import (
     TimeFunction,
 )
 from util import (
+    NBASE,
     gaussian_exponent_terms,
     lattice_values,
     make_scenario,
@@ -111,7 +112,7 @@ def test_a_sweep_on_a_zero_level_fails_its_rows():
         assert row.error == "ValidationError: lattice.n_steps: must be >= 1, got 0"
         assert row.oracle_dev is None
     entries = _batch_lattice_rows((BeamRecord(ConstantFunction(0.1), 1.0),) * 2,
-                                  ConstantFunction(1.0), 1.0, 1.0, 0.0, 1.0, (4, 8, 0))
+                                  ConstantFunction(1.0), NBASE, (4, 8, 0))
     assert [type(entry) for entry in entries] == [ValidationError] * 2
 
 

@@ -29,7 +29,7 @@ from rpif.timefunctions import (
     TabulatedFunction,
 )
 from sampling import resolve_seed
-from util import RowScale, doubling_integrate, doubling_triangle
+from util import NBASE, RowScale, doubling_integrate, doubling_triangle
 
 RTOL = 1e-12
 #: 0 or a magnitude from 1e-100 to 1: no row falls below the normal range,
@@ -81,7 +81,7 @@ def _integrals(beam, frame, line, triangle):
         patch.setattr(quadrature, "integrate", integrate)
         patch.setattr(quadrature, "integrate_triangle", integrate_triangle)
         for compute in (actions._batch_action_rows, interference._batch_literal_rows):
-            entry, = compute((beam,), frame, 1.0, 1.0, 0.0, 1.0)
+            entry, = compute((beam,), frame, NBASE)
             assert not isinstance(entry, Exception), entry
     return calls
 

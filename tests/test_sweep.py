@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from rpif import ConfigError, PhysicalParams, Scenario, compare_modes, parse_config, run_sweep
+from rpif import (
+    ConfigError,
+    PhysicalParams,
+    RpifError,
+    Scenario,
+    compare_modes,
+    parse_config,
+    run_sweep,
+)
 from rpif.sweep import (
     CSV_HEADER,
     SweepSpec,
@@ -237,6 +245,17 @@ def test_an_unknown_parameter_fails_every_point_with_its_one_error():
     assert _errors(rows) == {"RpifError: unknown sweep parameter 'mass'"}
 
 
+@pytest.mark.parametrize("mode", ["paper-literal", "Literal", "fast"])
+def test_a_sweep_mode_the_library_does_not_know_is_refused(mode):
+    # a config is refused at /sweep/mode; a SweepSpec built in code is not
+    # parsed, and its mode must not fall back to derived
+    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode=mode)
+    with pytest.raises(RpifError) as err:
+        run_sweep(make_scenario(), spec)
+    assert str(err.value) == (f"unknown sweep mode {mode!r}, expected one of "
+                              f"literal, derived, both")
+
+
 def test_a_scale_that_makes_the_mass_positive_does_not_rescue_the_scenario():
     rows = run_sweep(_unvalidated(m=-1.0, hbar=-1.0),
                      SweepSpec(parameter="m_over_hbar_scale", start=-1.0, stop=1.0, steps=3))
@@ -294,7 +313,7 @@ def triangle_calls(monkeypatch):
 
 #: the smooth beams of BASE_CONFIG, and a tabulated beam a whose samples
 #: miss the breakpoint of a tabulated frame profile: the two beams split
-#: the window differently, and still share a frame profile and units
+#: the window differently, and are still integrated in one batch
 RECORDS = {
     "smooth": {},
     "tabulated": {
@@ -313,9 +332,8 @@ def test_z2_sweep_integrates_each_beam_once(triangle_calls, records):
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=16, mode="both")
     rows = run_sweep(scenario, spec)
     assert len(rows) == 32 and all(row.error is None for row in rows)
-    # both beams share a frame profile and units: 1 action block call + 1
-    # literal endpoint-free block call (j1 and j2 together), each for both
-    # beams
+    # one evaluation: 1 action block call + 1 literal endpoint-free block
+    # call (j1 and j2 together), each for both beams
     assert len(triangle_calls) == 2
 
 
@@ -337,10 +355,57 @@ def test_delta_a_sweep_integrates_beam_b_once(triangle_calls, records):
                      mode="both")
     rows = run_sweep(scenario, spec)
     assert all(row.error is None for row in rows)
-    # beam a at all five resolutions and beam b share a frame profile and
-    # units: their action rows in one triangle call, and their literal rows
-    # in another
+    # beam a at all five resolutions and beam b are one evaluation: their
+    # action rows in one triangle call, and their literal rows in another
     assert len(triangle_calls) == 2
+
+
+#: the row builders an evaluation calls, as ``interference`` names them
+ROW_BUILDERS = ("_batch_action_rows", "_batch_literal_rows", "_batch_lattice_rows")
+
+#: a range of each sweep parameter over which every point is valid
+SWEEP_RANGES = {"z2": (-1.0, 1.0), "delta_a": (0.5, 2.5), "delta_b": (0.5, 2.5),
+                "g": (0.0, 2.0), "m_over_hbar_scale": (0.5, 2.0)}
+
+
+@pytest.mark.parametrize("units", ["internal", "physical"])
+@pytest.mark.parametrize("parameter", sorted(SWEEP_RANGES))
+def test_each_row_builder_is_called_once_per_sweep(monkeypatch, parameter, units):
+    # the points of a sweep share their frame profile and units, whatever
+    # is swept: each kind of row is built in one call.  In physical units an
+    # m_over_hbar_scale point is rescaled in full, so every point gets a
+    # fresh frame profile object, equal by value
+    from rpif import interference
+    from rpif.sweep import _internal_points
+    scenario = (make_scenario() if units == "internal" else
+                make_scenario(m=2.7, hbar=0.37, tau_start=0.3, tau_end=1.9))
+    calls = {name: _count_calls(monkeypatch, interference, name) for name in ROW_BUILDERS}
+    start, stop = SWEEP_RANGES[parameter]
+    spec = SweepSpec(parameter=parameter, start=start, stop=stop, steps=4, mode="both",
+                     oracle_schedule=(64, 128, 256))
+    rows = run_sweep(scenario, spec)
+    assert len(rows) == 8 and _errors(rows) == {None}
+    assert {name: len(count) for name, count in calls.items()} == dict.fromkeys(
+        ROW_BUILDERS, 1)
+    if parameter == "m_over_hbar_scale" and units == "physical":
+        frames = [nd.frame_profile for nd in _internal_points(scenario, parameter,
+                                                              spec.points())]
+        assert len({id(f) for f in frames}) == 4 and len(set(frames)) == 1
+
+
+def test_a_sweep_with_no_valid_point_builds_no_row(monkeypatch):
+    # every resolution is negative: no point reaches an evaluation, and the
+    # oracle has no beam to reduce
+    from rpif import interference
+    calls = {name: _count_calls(monkeypatch, interference, name) for name in ROW_BUILDERS}
+    spec = SweepSpec(parameter="delta_a", start=-2.0, stop=-1.0, steps=3, mode="both",
+                     oracle_schedule=(64, 128, 256))
+    rows = run_sweep(make_scenario(), spec)
+    assert len(rows) == 6
+    for row in rows:
+        assert row.error.startswith("ValidationError: beam_a.resolution")
+        assert np.isnan(row.intensity) and row.oracle_dev is None
+    assert all(not count for count in calls.values())
 
 
 def test_a_second_decompose_integrates_again(monkeypatch):
@@ -496,7 +561,7 @@ def test_a_failed_row_batch_is_attempted_once(monkeypatch, mode, line, triangle)
                                (interference._batch_literal_rows, "paper-literal")):
         want = [row.error for row in rows if row.mode == mode_name]
         if want:
-            alone, = compute((beam,), f, 1.0, 1.0, 0.0, 1.0)
+            alone, = compute((beam,), f, scenario.params)
             assert isinstance(alone, QuadratureError)
             assert want == [f"QuadratureError: {alone}"] * 4
 
@@ -570,7 +635,7 @@ def _lone_text(mode_name: str) -> str:
     compute = {"paper-literal": interference._batch_literal_rows,
                "derived": actions._batch_action_rows}[mode_name]
     scenario, _ = parse_config(_config(beam_a=FAILING_BEAMS["literal"]))
-    alone, = compute((scenario.beam_a,), scenario.frame_profile, 1.0, 1.0, 0.0, 1.0)
+    alone, = compute((scenario.beam_a,), scenario.frame_profile, scenario.params)
     assert isinstance(alone, QuadratureError)
     return f"QuadratureError: {alone}"
 

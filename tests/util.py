@@ -412,8 +412,7 @@ def unsplit_action_blocks(beam, frame_profile, params):
 
 def literal_rows(beam, frame_profile, p):
     """One beam's printed i5 triangle rows, integrated as a batch of one."""
-    rows, = interference._batch_literal_rows((beam,), frame_profile, p.m, p.hbar,
-                                             p.tau_start, p.tau_end)
+    rows, = interference._batch_literal_rows((beam,), frame_profile, p)
     if isinstance(rows, RpifError):
         raise rows
     return rows
