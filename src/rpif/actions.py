@@ -115,7 +115,7 @@ def ensure_stable(params: PhysicalParams, delta_c: float) -> complex:
 # batch): the blocks are arrays over the frequencies, and each row takes a
 # ``sets`` argument, a ``quadrature.Batch`` index that picks the
 # frequencies it is evaluated at: an integer for one, whose rows come
-# without a set axis, and a slice or an index array for several.
+# without a set axis, and an index array for several.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -162,17 +162,16 @@ def action_kernels(ws, m: float, T: float) -> ActionKernels:
     of a single frequency, and a beam gets the same bits in any batch; only
     the node rows are vectorized.
     """
-    values = [_frequency_blocks(complex(w), m, T) for w in ws]
-    b1, b2 = (np.array([v[i] for v in values], complex) for i in (0, 1))
-    coefs = quadrature.Coefficients([v[2:] for v in values])
+    values = np.array([_frequency_blocks(complex(w), m, T) for w in ws], complex)
+    b1, b2, freq, inv_sin, inv_w = values.reshape(-1, 5).T
 
     def single(u, sets):
-        w_, inv_sin, _ = coefs.take(sets)
-        return np.sin(w_ * u) * inv_sin
+        w, scale = quadrature._per_set(sets, freq, inv_sin)
+        return np.sin(w * u) * scale
 
     def inner(p, sets):
-        w_, _, inv_w = coefs.take(sets)
-        return np.sin(w_ * p) * inv_w
+        w, scale = quadrature._per_set(sets, freq, inv_w)
+        return np.sin(w * p) * scale
 
     return ActionKernels(b1, b2, single, inner)
 
@@ -261,8 +260,8 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
     kernels = action_kernels(ws, m, params.duration)
     single, f = kernels.single, frame_profile.sampler()
     records = quadrature.Samples([beam.trajectory for beam in beams])
-    coefs = quadrature.Coefficients(
-        [(4.0 * params.hbar / (params.duration * beam.resolution ** 2),) for beam in beams])
+    drive = np.array([4.0 * params.hbar / (params.duration * beam.resolution ** 2)
+                      for beam in beams])
     breaks = [frame_profile.breakpoints + beam.trajectory.breakpoints for beam in beams]
     rates = [abs(w) + max(frame_profile.rate, beam.trajectory.rate)
              for w, beam in zip(ws, beams)]
@@ -270,7 +269,7 @@ def _batch_action_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFunctio
     batch = quadrature.Batch(len(beams))
 
     def forces(t, sets):
-        k, = coefs.take(sets)
+        k, = quadrature._per_set(sets, drive)
         c_part = -1j * k * np.asarray(records.take(sets, t))
         rows = np.empty(c_part.shape[:-1] + (2, c_part.shape[-1]), complex)
         rows[..., 0, :] = -m * np.asarray(f(t))

@@ -151,7 +151,8 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     grow, decay = 0.5 + 1j / rt2, 0.5 - rt2 - 1j / rt2
     coefs = [4.0 * params.hbar / (params.m * (t1 - t0) * beam.resolution ** 2)
              for beam in beams]
-    rates = quadrature.Coefficients([(k, math.sqrt(k)) for k in coefs])  # omega^2, omega
+    omega2 = np.array(coefs)
+    omega = np.sqrt(omega2)
     batch = quadrature.Batch(len(beams))
 
     def side(x):
@@ -162,7 +163,7 @@ def _batch_literal_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
         n = t.size
         both = np.concatenate((t, s))
         fv, cv = f(both), samples.take(batch.index, both)
-        k, w = rates.take(batch.index)
+        k, w = quadrature._per_set(batch.index, omega2, omega)
         base = -0.5j * side(w * (t1 - t))
         one = np.ones(n)
         # rows g^0, g^1, g^2 against the inner factors [1, f(s), c(s)]:

@@ -47,9 +47,11 @@ rate.
 
 Both rules also integrate a ``Batch``: independent sets of integrands
 over the same interval (the rows of every beam of an evaluation), each
-with its own rate, degree and breakpoints.
+with its own rate, degree and breakpoints, passed as one entry per set.
 The sets that get the same segment edges and panels are evaluated
-together, so a set gets the panels and the bits it would get on its own.
+together, one set as an integer index and several as an index array, so
+a set gets the panels and the bits it would get on its own.  An
+integrand reads its per-set numbers with ``_per_set``.
 A set that its budget refuses, or whose estimate is not finite, fails
 alone, with the error it would raise alone, and the others go on.  An
 evaluation covers as many sets as fit in ``BATCH_POINTS`` points (at
@@ -89,7 +91,6 @@ GAUSS_ORDER = 16
 LINE_NODE_BUDGET = 2 ** 16   # single integrals
 AXIS_NODE_BUDGET = 2 ** 12   # per axis of nested double integrals
 BATCH_POINTS = 2 ** 11       # points per evaluation of an integrand, summed over its sets
-_NUMBERS = (int, float, np.number)
 
 
 @lru_cache(maxsize=64)
@@ -144,8 +145,8 @@ class Batch:
 
     The rule sets ``index`` before each call of the integrand, which
     returns the rows of those sets only: an integer names one set, whose
-    rows come without a set axis, and a slice or an integer array names
-    several, whose rows carry one in front.  The integrand keeps its plain
+    rows come without a set axis, and an integer array names several,
+    whose rows carry one in front.  The integrand keeps its plain
     signature, so a wrapper around it sees an ordinary integrand.
 
     A set that fails an integral gets NaN values and goes into ``failed``,
@@ -155,29 +156,19 @@ class Batch:
 
     def __init__(self, size: int):
         self.size = size
-        self.index = slice(None)
+        self.index = np.arange(size)
         self.failed: dict[int, QuadratureError] = {}
 
 
-class Coefficients:
-    """Per-set coefficients of a batched integrand: one tuple of numbers
-    per set."""
-
-    def __init__(self, sets: list):
-        self.sets = sets
-        self.columns = None
-
-    def take(self, index) -> tuple:
-        """The coefficients of the sets ``index`` (a ``Batch`` index),
-        shaped to meet a row of nodes: one set's numbers for an integer, so
-        that a call evaluating one set costs what the scalar arithmetic of
-        one set costs, and a column per set for a slice or an index
-        array."""
-        if isinstance(index, int):
-            return self.sets[index]
-        if self.columns is None:
-            self.columns = [np.array(column) for column in zip(*self.sets)]
-        return tuple(column[index, None] for column in self.columns)
+def _per_set(index, *columns) -> list:
+    """Each of ``columns``, an array of one number per set of a batch, at
+    the sets ``index`` (a ``Batch`` index), shaped to meet a row of nodes:
+    one set's number as a Python scalar for an integer, so that a call
+    evaluating one set costs what the scalar arithmetic of one set costs,
+    and a column for an index array."""
+    if isinstance(index, int):
+        return [column.item(index) for column in columns]
+    return [column[index, None] for column in columns]
 
 
 class Samples:
@@ -192,15 +183,10 @@ class Samples:
 
     def take(self, index, t: np.ndarray) -> np.ndarray:
         """The values at ``t`` of the sets ``index`` (a ``Batch`` index):
-        shape (len(t),) where those sets share one function, else one row
-        per set in front."""
-        if len(self.functions) == 1:
-            return self.functions[0](t)
+        shape (len(t),) for an integer, else one row per set in front."""
         if isinstance(index, int):
             return self.functions[self.which[index]](t)
         which = self.which[index]
-        if (which == which[0]).all():
-            return self.functions[which[0]](t)
         rows = np.empty((len(self.functions), t.size))
         for j in set(which.tolist()):
             rows[j] = self.functions[j](t)
@@ -249,17 +235,13 @@ def _reference_rule(counts: tuple[int, ...], order: int, edges: tuple[float, ...
     return nodes, weights, points, half
 
 
-def _groups(sets: list[int], count: int, size: int) -> list:
-    """``sets``, the sets of a batch of ``count`` that share a rule, in
-    groups of at most ``size``: an integer for a group of one, else a
-    slice while they are every set of the batch, and an index array
-    otherwise."""
+def _groups(sets: list[int], size: int) -> list:
+    """``sets``, the sets of a batch that share a rule, in groups of at
+    most ``size``: an integer for a group of one, else an index array."""
     if size == 1 or len(sets) == 1:
         return sets
-    if len(sets) == count:
-        return [slice(i, min(i + size, count)) for i in range(0, count, size)]
-    index = np.array(sets)
-    return [index[i:i + size] for i in range(0, len(sets), size)]
+    chunks = [sets[i:i + size] for i in range(0, len(sets), size)]
+    return [chunk[0] if len(chunk) == 1 else np.array(chunk) for chunk in chunks]
 
 
 @np.errstate(all="ignore")
@@ -267,7 +249,8 @@ def _one_level(level, fn, a: float, b: float, rate, degree, breaks,
                batch: Batch | None, budget: int, spread: int, refused: str):
     """One level of either rule over [a, b], for each set of ``batch`` on
     the segments its own ``breaks`` split and the panels its own ``rate``
-    and ``degree`` ask (a tuple and numbers, or one of each per set).  The
+    and ``degree`` ask: with a batch, each is a sequence of one entry per
+    set, and without one a number, a number and a sequence.  The
     sets that share edges and panels are evaluated in groups of at most
     ``BATCH_POINTS`` points, ``spread`` per node, and
     ``level(fn, t, a, width, rule, group)`` returns the estimates of the
@@ -281,29 +264,27 @@ def _one_level(level, fn, a: float, b: float, rate, degree, breaks,
     non-finite estimate, which fails its set."""
     order, width = GAUSS_ORDER, b - a
     lone = batch is None
-    batch = Batch(1) if lone else batch
+    if lone:
+        batch, rate, degree, breaks = Batch(1), (rate,), (degree,), (breaks,)
     count = batch.size
-    rates = [rate] * count if isinstance(rate, _NUMBERS) else list(rate)
-    degrees = [degree] * count if isinstance(degree, _NUMBERS) else list(degree)
-    splits = [breaks] * count if isinstance(breaks, tuple) else list(breaks)
     shared: dict[tuple, list[int]] = {}
     for i in range(count):
         if i in batch.failed:
             continue
-        edges = _segments(a, b, splits[i])
-        counts = _panels(edges, width, rates[i], degrees[i], order)
+        edges = _segments(a, b, tuple(breaks[i]))
+        counts = _panels(edges, width, rate[i], degree[i], order)
         nodes = order * sum(counts)
         cap = max(budget, 4 * (len(edges) - 1) * order)  # four panels per segment
         if nodes > cap:
             batch.failed[i] = QuadratureError(refused.format(
-                a=a, b=b, rate=rates[i], nodes=nodes, budget=cap))
+                a=a, b=b, rate=rate[i], nodes=nodes, budget=cap))
         else:
             shared.setdefault((edges, counts), []).append(i)
     value = None
     for (edges, counts), sets in shared.items():
         rule = _reference_rule(counts, order, edges)
         t = a + width * rule[0]
-        for group in _groups(sets, count, max(1, BATCH_POINTS // (spread * t.size))):
+        for group in _groups(sets, max(1, BATCH_POINTS // (spread * t.size))):
             batch.index = group
             est = np.asarray(level(fn, t, a, width, rule, group), complex)
             if value is None:
@@ -348,16 +329,16 @@ def integrate(fn, a: float, b: float, *, rate, degree, breaks=(),
     (..., n) (real or complex).  The result is a complex scalar, or a
     complex array of shape (...).  ``rate`` and ``degree`` are the total
     exponential rate and polynomial degree of the integrand, which size
-    the panels (module docstring).  ``breaks`` is a tuple of the times
+    the panels (module docstring).  ``breaks`` is a sequence of the times
     where ``fn`` may have a kink; those strictly inside (a, b) become
     panel edges.
 
-    With a ``batch``, ``rate`` and ``degree`` may give one number per set,
-    and ``breaks`` a list of one tuple per set; ``fn(t)`` returns the rows
-    of the sets that ``batch.index`` names, shape (..., n) with a set axis
-    in front unless the index is an integer, and the result has shape
-    (batch.size, ...), or is None if every set had failed before; the sets
-    in ``batch.failed`` are left out.
+    With a ``batch``, ``rate``, ``degree`` and ``breaks`` give one entry
+    per set: a number, a number and a sequence of times.  ``fn(t)`` returns
+    the rows of the sets that ``batch.index`` names, shape (..., n) with a
+    set axis in front unless the index is an integer, and the result has
+    shape (batch.size, ...), or is None if every set had failed before;
+    the sets in ``batch.failed`` are left out.
 
     A lone integral raises QuadratureError if its panels would take more
     than ``LINE_NODE_BUDGET`` nodes (or four panels per segment of a
@@ -454,7 +435,7 @@ def integrate_triangle(factors, a: float, b: float, *, rate, degree, breaks=(),
     leading axes.  ``rate`` is the sum of the outer and inner rates, and
     ``degree`` D_outer + D_inner + 1; ``breaks`` are as for ``integrate``.
 
-    With a ``batch``, each of the three may give one value per set, and
+    With a ``batch``, each of the three gives one entry per set, and
     ``factors(t, s)`` returns the rows of the sets that ``batch.index``
     names, with a set axis in front unless the index is an integer: outer
     rows of shape (..., k, len(t)), and inner rows of shape (k, len(s)),

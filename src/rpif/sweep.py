@@ -360,10 +360,14 @@ def render_json(rows: Sequence[ResultRow]) -> str:
 
 
 def emit_results(rows: Sequence[ResultRow], fmt: str, destination) -> None:
-    """Write rows as CSV or JSON to a path or text stream."""
+    """Write rows as CSV (``fmt`` "csv") or JSON ("json") to a path or text
+    stream."""
+    renderers = {"csv": render_csv, "json": render_json}
+    if fmt not in renderers:
+        raise RpifError(f"unknown format {fmt!r}, expected one of {', '.join(renderers)}")
     if not rows:
         raise RpifError("no rows to emit")
-    text = render_csv(rows) if fmt == "csv" else render_json(rows)
+    text = renderers[fmt](rows)
     if isinstance(destination, (str, bytes, os.PathLike)):
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

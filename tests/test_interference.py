@@ -232,6 +232,67 @@ def test_i1_and_i2_follow_the_weak_measurement_law(records, delta_a):
         assert term / law - 1.0 == pytest.approx(gap, rel=1e-2)
 
 
+@pytest.mark.parametrize("delta_a", [0.3, 1.0, 3.0])
+def test_printed_i1_and_i2_are_the_derived_ones_at_delta_over_sqrt_pi(delta_a):
+    """The printed angle theta = sqrt(2*pi*hbar*T/(m*delta^2)) is |Re(wT)|
+    at delta/sqrt(pi), and the printed factors of i1 and i2 are the derived
+    ones over sqrt(pi), with 1/delta in each bracket: so sqrt(pi) times the
+    printed i1 and i2 at (delta_a, delta_b) are the derived i1 and i2 at
+    (delta_a/sqrt(pi), delta_b/sqrt(pi)).  The largest gap, measured, is
+    3.0e-15 of the row's largest derived term (at delta_a = 3); the bound
+    is 1e-14.  The test stops at delta_a = 3: past it both sides lose
+    digits as |wT| -> 0 (1.1e-12 at delta_a = 10, 1.3e-9 at 30)."""
+    root = math.sqrt(math.pi)
+    delta_b = 1.5 * delta_a
+    printed = decompose(make_scenario(z1=0.3, z2=0.5, delta_a=delta_a, delta_b=delta_b),
+                        MODE_LITERAL)
+    derived = decompose(make_scenario(z1=0.3, z2=0.5, delta_a=delta_a / root,
+                                      delta_b=delta_b / root), MODE_DERIVED)
+    largest = max(abs(getattr(derived, k)) for k in ("i1", "i2", "i3", "i4", "i5"))
+    for k in ("i1", "i2"):
+        assert abs(root * getattr(printed, k) - getattr(derived, k)) <= 1e-14 * largest, k
+
+
+#: record pairs of the mass test: constants, and a sinusoid beside a
+#: polynomial
+MASS_RECORDS = {
+    "constants": (ConstantFunction(0.1), ConstantFunction(-0.1)),
+    "sinusoid_polynomial": (SinusoidFunction(0.2, 7.0, 0.3),
+                            PolynomialFunction((-0.05, 0.4, 0.1))),
+}
+
+
+@pytest.mark.parametrize("records", sorted(MASS_RECORDS))
+def test_each_new_term_falls_as_one_over_m_at_coarse_measurement(records):
+    """Gravity still depends on mass: at coarse measurement every term,
+    and the phase difference, falls as 1/m.  With hbar = T = 1, g = 1, a
+    constant frame, delta_a = 20 and delta_b = 30, each of m*i1..m*i5 and
+    m*phase_difference agrees across m = 0.5, 1, 2 and 4 to within
+    C*kappa^2 of its value at m = 4, with kappa = 4*hbar*T/(m*delta_a^2) at
+    the smallest m (kappa^2 = 4e-4) and C = 0.05; the largest gap,
+    measured, is 6.5e-6 (C = 0.016).  And i1 is the weak-measurement law
+    (8/45)*(hbar*T/m)*(z1^2 + z2^2)*(delta_a^-4 - delta_b^-4) within its
+    next order: a relative gap of -(kappa_a^2 + kappa_b^2)/105, which falls
+    as 1/m^2 (-4.6e-6 at m = 0.5), to 1 % of itself."""
+    z1, z2, delta_a, delta_b = 0.3, 0.5, 20.0, 30.0
+    a, b = MASS_RECORDS[records]
+    names = ("i1", "i2", "i3", "i4", "i5", "phase_difference")
+    masses = (0.5, 1.0, 2.0, 4.0)
+    scaled = {}
+    for m in masses:
+        br = decompose(make_scenario(m=m, z1=z1, z2=z2, f=ConstantFunction(1.0), a=a, b=b,
+                                     delta_a=delta_a, delta_b=delta_b), MODE_DERIVED)
+        scaled[m] = [m * getattr(br, k) for k in names]
+        kappa_a, kappa_b = 4.0 / (m * delta_a ** 2), 4.0 / (m * delta_b ** 2)
+        law = 8.0 / 45.0 / m * (z1 ** 2 + z2 ** 2) * (delta_a ** -4 - delta_b ** -4)
+        assert br.i1 / law - 1.0 == pytest.approx(-(kappa_a ** 2 + kappa_b ** 2) / 105.0,
+                                                  rel=1e-2), m
+    bound = 0.05 * (4.0 / (masses[0] * delta_a ** 2)) ** 2
+    for m in masses:
+        for name, value, reference in zip(names, scaled[m], scaled[masses[-1]]):
+            assert abs(value - reference) <= bound * abs(reference), (m, name)
+
+
 # ---------------------------------------------------------------------------
 # i3, i4: endpoint-linear terms, checked against finite differences of the
 # action difference (exact for a quadratic function of the endpoints)

@@ -211,7 +211,8 @@ def test_a_rate_that_overflows_is_refused_by_its_budget(rate):
                                f"more than its budget of 65536")
     batch = quadrature.Batch(2)
     value = integrate_triangle(lambda t, s: (np.ones((1, 1, t.size)), np.ones((1, s.size))),
-                               0.0, 1.0, rate=[rate, 1.0], degree=1, batch=batch)
+                               0.0, 1.0, rate=[rate, 1.0], degree=[1, 1], breaks=[(), ()],
+                               batch=batch)
     assert str(batch.failed[0]) == (f"triangle integral over [0, 1] at rate {rate} needs inf "
                                     f"nodes per axis, more than its budget of 4096")
     assert list(batch.failed) == [0] and value[1] == pytest.approx(0.5, rel=1e-15)
@@ -264,6 +265,24 @@ def test_repeated_breakpoints_count_once():
                                              breaks=(0.37, 0.37)))
     assert once[0] == twice[0]
     assert [t.size for t in once[1]] == [t.size for t in twice[1]]
+
+
+@pytest.mark.parametrize("inside", [(0.5,), (0.25, 0.5)])
+def test_a_lone_integral_takes_any_sequence_of_breakpoints(inside):
+    # a tuple, a list and a numpy array of the same breakpoints give the
+    # same bits, on the line and on the triangle
+    def line(breaks):
+        return integrate(lambda t: np.abs(t - 0.5) + 0j, 0.0, 1.0, rate=0.0, degree=1,
+                         breaks=breaks)
+
+    def triangle(breaks):
+        return integrate_triangle(lambda t, s: ([np.abs(t - 0.25) + 0j], [np.abs(s - 0.5)]),
+                                  0.0, 1.0, rate=0.0, degree=3, breaks=breaks)
+
+    for rule in (line, triangle):
+        want = np.complex128(rule(inside)).tobytes()
+        for breaks in (list(inside), np.array(inside)):
+            assert np.complex128(rule(breaks)).tobytes() == want
 
 
 def test_each_segment_gets_its_own_panels_and_none_straddles_a_breakpoint():
@@ -355,14 +374,14 @@ def test_each_set_of_a_batch_converges_on_its_own(rule):
             return line(t)[..., None, :], np.cos(s)[None, :]
 
         if rule == "line":
-            together = integrate(line, 0.0, 1.0, rate=rates, degree=1, breaks=breaks,
-                                 batch=batch)
+            together = integrate(line, 0.0, 1.0, rate=rates, degree=[1] * len(rates),
+                                 breaks=splits, batch=batch)
             alone = [integrate(lambda t, r=r: rows(t, r), 0.0, 1.0, rate=r, degree=1,
                                breaks=split)
                      for r, split in zip(rates, splits)]
         else:
-            together = integrate_triangle(factors, 0.0, 1.0, rate=rates, degree=2,
-                                          breaks=breaks, batch=batch)
+            together = integrate_triangle(factors, 0.0, 1.0, rate=rates,
+                                          degree=[2] * len(rates), breaks=splits, batch=batch)
             alone = [integrate_triangle(lambda t, s, r=r: (rows(t, r)[..., None, :],
                                                            np.cos(s)[None, :]), 0.0, 1.0,
                                         rate=r, degree=2, breaks=split)
@@ -432,8 +451,9 @@ def test_a_failed_set_fails_alone_with_its_lone_error(monkeypatch, rule, failure
 
     def run():
         if rule == "line":
-            return integrate(line, 0.0, 1.0, rate=rates, degree=0, breaks=splits, batch=batch)
-        return integrate_triangle(factors, 0.0, 1.0, rate=rates, degree=1, breaks=splits,
+            return integrate(line, 0.0, 1.0, rate=rates, degree=[0] * 4, breaks=splits,
+                             batch=batch)
+        return integrate_triangle(factors, 0.0, 1.0, rate=rates, degree=[1] * 4, breaks=splits,
                                   batch=batch)
 
     monkeypatch.setattr(quadrature, "LINE_NODE_BUDGET", 256)
@@ -486,10 +506,12 @@ def test_a_set_that_turns_non_finite_after_the_first_level_fails_alone(rule):
 
     batch = quadrature.Batch(2)
     if rule == "line":
-        value = integrate(rows, 0.0, 1.0, rate=rates, degree=0, batch=batch)
+        value = integrate(rows, 0.0, 1.0, rate=rates, degree=[0, 0], breaks=[(), ()],
+                          batch=batch)
     else:
         value = integrate_triangle(lambda t, s: (rows(t)[..., None, :], np.cos(s)[None, :]),
-                                   0.0, 1.0, rate=rates, degree=1, batch=batch)
+                                   0.0, 1.0, rate=rates, degree=[1, 1], breaks=[(), ()],
+                                   batch=batch)
     with pytest.raises(QuadratureError, match="^non-finite estimate over ") as lone:
         alone(1)
     assert list(batch.failed) == [1]

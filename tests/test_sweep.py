@@ -838,6 +838,16 @@ def test_emit_refuses_a_destination_that_is_neither_a_path_nor_a_stream():
         emit_results(_one_row(), "csv", 42)
 
 
+@pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+def test_emit_refuses_a_format_it_does_not_know(tmp_path, fmt):
+    from rpif import RpifError, emit_results
+    out = tmp_path / "rows.out"
+    with pytest.raises(RpifError) as info:
+        emit_results(_one_row(), fmt, str(out))
+    assert str(info.value) == f"unknown format {fmt!r}, expected one of csv, json"
+    assert not out.exists()
+
+
 def test_emit_to_path(tmp_path):
     from rpif import emit_results
     rows = _one_row()
