@@ -100,12 +100,18 @@ def _literal_scales(p: PhysicalParams) -> tuple[float, float, float]:
             -math.sqrt(8.0 * p.m / (p.hbar * p.duration)), p.m / p.hbar)
 
 
+def _differences(a: Sequence[complex], b: Sequence[complex]) -> tuple[float, ...]:
+    """Re(a_k - b_k) of the beams' parts ``a`` and ``b``: what ``_terms``
+    scales, which depends on the point only through g."""
+    return tuple((x - y).real for x, y in zip(a, b))
+
+
 def _terms(z1: float, z2: float, scales: tuple[float, float, float],
-           a: Sequence[complex], b: Sequence[complex]) -> tuple[float, ...]:
-    """i1..i5 of either mode from the beams' parts ``a`` and ``b`` and the
-    ``scales`` s1, s2 and s5 of i1, i2 and i5 (module docstring)."""
+           d: Sequence[float]) -> tuple[float, ...]:
+    """i1..i5 of either mode from the part differences ``d``
+    (``_differences``) and the ``scales`` s1, s2 and s5 of i1, i2 and i5
+    (module docstring)."""
     s1, s2, s5 = scales
-    d = [(x - y).real for x, y in zip(a, b)]
     return ((z1 * z1 + z2 * z2) * s1 * d[0], s2 * z1 * z2 * d[1], z1 * d[2], z2 * d[3],
             s5 * d[4])
 
@@ -212,7 +218,7 @@ class _Printed(NamedTuple):
     j2_2: float
 
     def parts(self, g: float, blocks: ActionBlocks) -> tuple:
-        """The beam's five parts for ``_terms`` at g, from its action
+        """The beam's five parts for ``_differences`` at g, from its action
         ``blocks`` at g: the i1 and i2 brackets, W*q1, W*q2 and the i5
         block."""
         j1 = self.j1_0 + g * (self.j1_1 + g * self.j1_2)
@@ -336,20 +342,6 @@ def _beams(points: Sequence[Scenario], modes: Sequence[str], frame_profile: Time
     return pairs
 
 
-def _amplitudes(pair: tuple[_Beam, _Beam], actions: Sequence[complex], hbar: float
-                ) -> tuple[complex, complex] | RpifError:
-    """U_a and U_b of a point from its two actions, or the RpifError of the
-    first that fails, naming its beam."""
-    out = []
-    for label, beam, action in zip("ab", pair, actions):
-        try:
-            out.append(_amplitude(beam.beam, beam.action.prefactor,
-                                  beam.action.weight_exponent, 1j * action / hbar))
-        except RpifError as exc:
-            return RpifError(f"beam_{label}: {exc}")
-    return tuple(out)
-
-
 def _oracle_deviation(nd: Scenario, pair: tuple[_Beam, _Beam],
                       amplitudes: tuple[complex, complex], schedule: Sequence[int]) -> float:
     """Max over beams of |closed - extrapolated| / |extrapolated| for a
@@ -401,14 +393,28 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
 
     For each point returns each mode's numbers (``_ROW_NUMBERS``), or the
     RpifError that failed it, and the oracle deviation, or None without a
-    schedule or once every mode failed.  Everything that depends on neither
-    g nor the endpoints is computed once per distinct beam (``_Beam``), and
-    held only until the evaluation returns.  Each point with an open mode
-    is then evaluated alone, in Python complex and float arithmetic: its
-    beams' action blocks at g (``ActionRows.at``), its two actions
-    (``classical_action``), its amplitudes, intensity and reduced_i, and
-    the terms of each mode still open.  A number that overflows there
-    comes out non-finite, with no warning, and fails the point or its mode.
+    schedule or once every mode failed.  Each piece of work is done once at
+    the level it depends on:
+
+    - per distinct beam (``_Beam``), held until the evaluation returns:
+      everything that depends on neither g nor the endpoints, that is,
+      stability, action rows and printed numbers;
+    - per run of consecutive points with one pair of beams: the row the
+      beams' failures leave, which each of those points starts from;
+    - per run of consecutive points with one pair and one g, by the exact
+      bits of g: both beams' action blocks (``ActionRows.at``) and the part
+      differences (``_differences``) of each mode the pair leaves open.  A
+      sweep's points come in order, so a z2 sweep computes them once, and
+      a g or resolution sweep once per point; only the last are held;
+    - per point with an open mode, in Python complex and float arithmetic:
+      its two actions (``classical_action`` from the blocks), amplitudes,
+      intensity and reduced_i, and each open mode's terms (``_terms``).
+
+    Every level does the operations of a point evaluated alone, in the same
+    order, so ``classical_action`` and ``restricted_propagator`` on a
+    point's scenario give its phase difference, intensity and reduced_i bit
+    for bit.  A number that overflows comes out non-finite, with no
+    warning, and fails the point or its mode.
 
     A table holds each point's entry in each mode, and every stage fails
     points by one rule (``_fail``): its error fills the modes of the point
@@ -425,43 +431,53 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
         return []
     frame_profile, params = points[0].frame_profile, points[0].params
     pairs = _beams(points, modes, frame_profile, params)
-    table = [dict.fromkeys(modes) for _ in points]   # per mode: None, numbers or RpifError
     literal = [MODE_LITERAL] if MODE_LITERAL in modes else []
-    for row, (a, b) in zip(table, pairs):
-        for part, among in ((a.error, None), (b.error, None), (a.printed, literal),
-                            (b.printed, literal), (a.action, None), (b.action, None)):
-            _fail(row, part, among)
-    amplitudes = {}
-    for i, (nd, pair, row) in enumerate(zip(points, pairs, table)):
-        if not _open(row):
+    # as Python floats, which overflow without a warning where numpy
+    # scalars from a library caller would warn
+    m, hbar = float(params.m), params.hbar
+    scales = {MODE_LITERAL: _literal_scales(params), MODE_DERIVED: (1.0, -2.0, 1.0)}
+    table, amplitudes = [], {}
+    last_pair = None
+    for i, (nd, pair) in enumerate(zip(points, pairs)):
+        a, b = pair
+        if pair != last_pair:   # by identity: one _Beam per distinct beam
+            template = dict.fromkeys(modes)   # per mode: None, numbers or RpifError
+            for part, among in ((a.error, None), (b.error, None), (a.printed, literal),
+                                (b.printed, literal), (a.action, None), (b.action, None)):
+                _fail(template, part, among)
+            open_modes = [mode for mode in modes if template[mode] is None]
+            last_pair, last_g = pair, None
+        row = template.copy()
+        table.append(row)
+        if not open_modes:
             continue
-        p = nd.params
-        # as Python floats, which overflow without a warning where numpy
-        # scalars from a library caller would warn
-        g, z1, z2, m = float(p.g), float(nd.z1), float(nd.z2), float(p.m)
-        blocks = [beam.action.at(g) for beam in pair]
+        g, z1, z2 = float(nd.params.g), float(nd.z1), float(nd.z2)
+        if g.hex() != last_g:   # by its bits: 0.0 and -0.0 apart
+            last_g = g.hex()
+            (block_a, block_b), differences = _at_g(pair, g, open_modes, m)
         try:
-            actions = [classical_action(beam.beam, nd.frame_profile, p, z1, z2, blocks=block)
-                       for beam, block in zip(pair, blocks)]
+            sa = classical_action(a.beam, frame_profile, params, z1, z2, blocks=block_a)
+            sb = classical_action(b.beam, frame_profile, params, z1, z2, blocks=block_b)
         except RpifError as exc:
             _fail(row, exc)
             continue
-        found = _amplitudes(pair, actions, p.hbar)
-        _fail(row, found)
-        if isinstance(found, RpifError):
+        try:
+            ua = _amplitude(a.beam, a.action.prefactor, a.action.weight_exponent,
+                            1j * sa / hbar)
+        except RpifError as exc:
+            _fail(row, RpifError(f"beam_a: {exc}"))
             continue
-        ua, ub = amplitudes[i] = found
-        pd = actions[0].real - actions[1].real
-        shared = (pd, abs(ua + ub) ** 2, math.cos(pd / p.hbar))
-        for mode in modes:
-            if not isinstance(row[mode], RpifError):
-                if mode == MODE_LITERAL:
-                    scales = _literal_scales(p)
-                    parts = [beam.printed.parts(g, x) for beam, x in zip(pair, blocks)]
-                else:  # the factors of ``ActionBlocks.action``
-                    scales = (1.0, -2.0, 1.0)
-                    parts = [(x.b1, x.b2, x.q1, x.q2, -x.q12 / m) for x in blocks]
-                row[mode] = _numbers(mode, *shared, _terms(z1, z2, scales, *parts))
+        try:
+            ub = _amplitude(b.beam, b.action.prefactor, b.action.weight_exponent,
+                            1j * sb / hbar)
+        except RpifError as exc:
+            _fail(row, RpifError(f"beam_b: {exc}"))
+            continue
+        amplitudes[i] = ua, ub
+        pd = sa.real - sb.real
+        intensity, reduced_i = abs(ua + ub) ** 2, math.cos(pd / hbar)
+        for mode, d in differences:
+            row[mode] = _numbers(mode, pd, intensity, reduced_i, _terms(z1, z2, scales[mode], d))
     devs: dict[int, float] = {}
     if schedule:
         reached = [i for i, row in enumerate(table) if _open(row)]
@@ -475,6 +491,20 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
             except RpifError as exc:
                 _fail(table[i], exc)
     return [(list(row.values()), devs.get(i)) for i, row in enumerate(table)]
+
+
+def _at_g(pair: tuple[_Beam, _Beam], g: float, modes: Sequence[str], m: float) -> tuple:
+    """What every point of a pair of stable beams at g shares: both beams'
+    action blocks at g, and the part differences of each of ``modes``."""
+    blocks = tuple(beam.action.at(g) for beam in pair)
+    differences = []
+    for mode in modes:
+        if mode == MODE_LITERAL:
+            parts = [beam.printed.parts(g, x) for beam, x in zip(pair, blocks)]
+        else:  # the factors of ``ActionBlocks.action``
+            parts = [(x.b1, x.b2, x.q1, x.q2, -x.q12 / m) for x in blocks]
+        differences.append((mode, _differences(*parts)))
+    return blocks, differences
 
 
 def _numbers(mode: str, pd: float, intensity: float, reduced_i: float,

@@ -93,16 +93,33 @@ AXIS_NODE_BUDGET = 2 ** 12   # per axis of nested double integrals
 BATCH_POINTS = 2 ** 11       # points per evaluation of an integrand, summed over its sets
 
 
-@lru_cache(maxsize=64)
-def _segments(a: float, b: float, breaks: tuple) -> tuple[float, ...]:
-    """Segment edges on [0, 1]: the breakpoints strictly inside (a, b),
-    mapped by t -> (t - a)/(b - a), between 0 and 1.
+#: the largest composite rule, in nodes, and the longest split, in
+#: breakpoints, that stay cached: every rule within a triangle's budget,
+#: and every split of no more breakpoints than such a rule has panels.  A
+#: long record's are built per call, so the 64 rules and 64 splits cached
+#: hold about 10 MiB at most, however long the records.
+CACHED_RULE_NODES = AXIS_NODE_BUDGET
+CACHED_BREAKS = CACHED_RULE_NODES // GAUSS_ORDER
 
-    Cached: every integral of a scenario asks with the same breakpoints.
-    """
+
+def _split(a: float, b: float, breaks) -> tuple[float, ...]:
+    """Segment edges on [0, 1]: the breakpoints strictly inside (a, b),
+    mapped by t -> (t - a)/(b - a), between 0 and 1."""
     width = b - a
     inside = sorted({float(x) for x in breaks if a < x < b})
     return (0.0, *((x - a) / width for x in inside), 1.0)
+
+
+# every integral of a scenario asks with the same breakpoints
+_cached_split = lru_cache(maxsize=64)(_split)
+
+
+def _segments(a: float, b: float, breaks) -> tuple[float, ...]:
+    """``_split`` of a sequence of breakpoints, cached up to
+    ``CACHED_BREAKS`` of them, so that a long record's are never hashed."""
+    if len(breaks) > CACHED_BREAKS:
+        return _split(a, b, breaks)
+    return _cached_split(a, b, tuple(breaks))
 
 
 @lru_cache(maxsize=None)
@@ -216,8 +233,7 @@ def _panel_edges(counts: tuple[int, ...], edges: tuple[float, ...]) -> np.ndarra
     return np.append(cuts, bounds[-1])
 
 
-@lru_cache(maxsize=64)
-def _reference_rule(counts: tuple[int, ...], order: int, edges: tuple[float, ...] = (0.0, 1.0)):
+def _rule(counts: tuple[int, ...], order: int, edges: tuple[float, ...] = (0.0, 1.0)):
     """The points on [0, 1] of ``counts[i]`` panels in the i-th segment:
     the composite Gauss-Legendre nodes and weights (n of each), the inner
     points of the nested rule, which are the ``2*order`` Gauss nodes of
@@ -233,6 +249,16 @@ def _reference_rule(counts: tuple[int, ...], order: int, edges: tuple[float, ...
     for arr in (nodes, weights, points, half):
         arr.setflags(write=False)
     return nodes, weights, points, half
+
+
+_cached_rule = lru_cache(maxsize=64)(_rule)
+
+
+def _reference_rule(counts: tuple[int, ...], order: int, edges: tuple[float, ...] = (0.0, 1.0)):
+    """``_rule``, cached up to ``CACHED_RULE_NODES`` nodes."""
+    if order * sum(counts) > CACHED_RULE_NODES:
+        return _rule(counts, order, edges)
+    return _cached_rule(counts, order, edges)
 
 
 def _groups(sets: list[int], size: int) -> list:
@@ -271,7 +297,7 @@ def _one_level(level, fn, a: float, b: float, rate, degree, breaks,
     for i in range(count):
         if i in batch.failed:
             continue
-        edges = _segments(a, b, tuple(breaks[i]))
+        edges = _segments(a, b, breaks[i])
         counts = _panels(edges, width, rate[i], degree[i], order)
         nodes = order * sum(counts)
         cap = max(budget, 4 * (len(edges) - 1) * order)  # four panels per segment

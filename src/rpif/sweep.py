@@ -334,13 +334,11 @@ _CSV_ROW_ORACLE = _CSV_ROW + "%.17g"
 
 def render_csv(rows: Sequence[ResultRow]) -> str:
     lines = [CSV_HEADER]
-    for row in rows:
-        cells = (row.swept_value, row.mode, row.intensity, row.reduced_i, row.i1, row.i2,
-                 row.i3, row.i4, row.i5, row.phase_difference, row.residual)
+    for row in rows:   # the CSV columns are the row's first fields
         if row.oracle_dev is None:
-            lines.append(_CSV_ROW % cells)
+            lines.append(_CSV_ROW % row[:11])
         else:
-            lines.append(_CSV_ROW_ORACLE % (*cells, row.oracle_dev))
+            lines.append(_CSV_ROW_ORACLE % row[:12])
     return "\n".join(lines) + "\n"
 
 

@@ -14,19 +14,14 @@ from rpif import (
     classical_action,
     complex_frequency,
     decompose,
+    interference,
     mean_square,
     oracle_propagator,
     restricted_propagator,
 )
-from rpif.actions import (
-    ActionRows,
-    _prefactor,
-    action_kernels,
-    ensure_stable,
-)
-from rpif.interference import _amplitudes, _Beam
+from rpif.actions import action_kernels, ensure_stable
 from sampling import random_scenario
-from rpif.scenario import BeamRecord, PhysicalParams
+from rpif.scenario import BeamRecord, PhysicalParams, nondimensional
 from rpif.timefunctions import ConstantFunction, TabulatedFunction
 from util import (NBASE, bvp_on_path_action, force_callable, linear_potential_action,
                   make_scenario, unsplit_action)
@@ -286,18 +281,19 @@ def test_far_record_amplitude_from_the_combined_exponent():
 
 @pytest.mark.parametrize("action", [(0.0, -1e4), (0.0, -math.inf), (math.nan, 0.0),
                                     (math.inf, 0.0)])
-def test_non_finite_combined_exponent_names_the_beam(action):
-    scenario = make_scenario()
-    beam, p = scenario.beam_a, scenario.params
-    prefactor = _prefactor(ensure_stable(p, beam.resolution), p)
-    named = _Beam(beam, p)
-    named.action = ActionRows(*(0j,) * 9, prefactor=prefactor,
-                              weight_exponent=-2.0 * 0.01 / beam.resolution ** 2)
-    error = _amplitudes((named, named), (complex(*action), 0j), p.hbar)
-    assert isinstance(error, RpifError)
-    assert "restricted_propagator" in str(error)
-    assert str(error).startswith("beam_a: ")
-    assert "not finite" in str(error)
+def test_non_finite_combined_exponent_names_the_beam(monkeypatch, action):
+    # each beam in turn gets the action, the other 0: the point fails with
+    # the amplitude's error, named after the beam
+    nd = nondimensional(make_scenario())
+    for label, pair in (("a", (complex(*action), 0j)), ("b", (0j, complex(*action)))):
+        given = iter(pair)
+        monkeypatch.setattr(interference, "classical_action",
+                            lambda *args, blocks: next(given))
+        [((error,), _)] = interference._evaluate([nd], (interference.MODE_DERIVED,))
+        assert isinstance(error, RpifError)
+        assert "restricted_propagator" in str(error)
+        assert str(error).startswith(f"beam_{label}: ")
+        assert "not finite" in str(error)
 
 
 @pytest.mark.parametrize("value, delta", [(1e160, 1.0), (1e155, 1000.0)])

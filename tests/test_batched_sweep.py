@@ -22,8 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpif import classical_action, restricted_propagator
 from rpif import scenario as scenario_module
-from rpif.sweep import SWEEP_PARAMETERS, SweepSpec, run_sweep
+from rpif.scenario import nondimensional
+from rpif.sweep import SWEEP_PARAMETERS, SweepSpec, apply_sweep_value, run_sweep
 from rpif.timefunctions import LinearFunction, SinusoidFunction, TabulatedFunction
 from util import make_scenario
 
@@ -98,17 +100,61 @@ def test_every_row_of_a_sweep_is_its_point_alone_bit_for_bit(
     units = dict(m=2.7, hbar=0.37) if physical else {}
     scenario = make_scenario(g=g, z1=z1, z2=z2, f=LinearFunction(0.5, 1.0),
                              a=RECORDS[record], delta_a=0.8, **units)
-    spec = SweepSpec(parameter=parameter, start=start, stop=stop,
-                     steps=16, mode=mode)
+    _assert_each_row_is_its_point_alone(scenario, SweepSpec(
+        parameter=parameter, start=start, stop=stop, steps=16, mode=mode))
+
+
+def _assert_each_row_is_its_point_alone(scenario, spec):
     rows = run_sweep(scenario, spec)
     width = len(spec.modes())
     for i, value in enumerate(spec.points()):
-        alone = run_sweep(scenario, SweepSpec(parameter=parameter, start=float(value),
-                                              stop=float(value), steps=1, mode=mode))
+        alone = run_sweep(scenario, SweepSpec(parameter=spec.parameter, start=float(value),
+                                              stop=float(value), steps=1, mode=spec.mode))
         for got, want in zip(rows[width * i:width * (i + 1)], alone, strict=True):
             assert got.error == want.error
-            for name in COLUMNS:
+            for name in ("swept_value",) + COLUMNS:
                 assert _same_bits(getattr(got, name), getattr(want, name)), (value, name)
+
+
+@pytest.mark.parametrize("parameter, start, stop, steps", [
+    ("g", -0.0, 0.0, 2), ("g", -0.0, 0.0, 3), ("z2", -1.0, 1.0, 5)])
+def test_points_at_g_minus_zero_and_zero_are_apart(parameter, start, stop, steps):
+    # the points of a pair of beams share their blocks at g by the bits of
+    # g, so a point at g = -0.0 gets its own, as it does alone
+    scenario = make_scenario(g=-0.0, z1=0.3, f=LinearFunction(0.5, 1.0),
+                             a=RECORDS["linear"], delta_a=0.8)
+    _assert_each_row_is_its_point_alone(scenario, SweepSpec(
+        parameter=parameter, start=start, stop=stop, steps=steps, mode="both"))
+
+
+@pytest.mark.parametrize("physical", [False, True], ids=["internal", "physical"])
+@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+def test_each_row_has_the_bits_of_its_points_actions_and_propagators(parameter, physical):
+    # phase_difference, intensity and reduced_i of every row that did not
+    # fail are those of classical_action and restricted_propagator on the
+    # point's own scenario in internal units
+    lo, hi = SWEPT[parameter]
+    units = dict(m=2.7, hbar=0.37) if physical else {}
+    scenario = make_scenario(g=0.6, z1=0.3, z2=-0.4, f=LinearFunction(0.5, 1.0),
+                             a=RECORDS["sinusoid"], delta_a=0.8, **units)
+    spec = SweepSpec(parameter=parameter, start=lo, stop=hi, steps=18, mode="both")
+    rows = run_sweep(scenario, spec)
+    checked = 0
+    for i, value in enumerate(spec.points()):
+        for row in rows[2 * i:2 * i + 2]:
+            if row.error is not None:
+                continue
+            nd = nondimensional(apply_sweep_value(scenario, parameter, float(value)))
+            args = (nd.frame_profile, nd.params, nd.z1, nd.z2)
+            beams = (nd.beam_a, nd.beam_b)
+            sa, sb = (classical_action(beam, *args) for beam in beams)
+            ua, ub = (restricted_propagator(beam, *args).amplitude for beam in beams)
+            pd = sa.real - sb.real
+            for name, want in (("phase_difference", pd), ("intensity", abs(ua + ub) ** 2),
+                               ("reduced_i", math.cos(pd / nd.params.hbar))):
+                assert getattr(row, name).hex() == want.hex(), (value, row.mode, name)
+            checked += 1
+    assert checked >= 16
 
 
 @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)

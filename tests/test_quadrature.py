@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rpif import QuadratureError, quadrature
 from rpif.quadrature import GAUSS_ORDER, integrate, integrate_triangle
+from util import doubling_integrate, doubling_triangle
 
 
 def test_polynomial_exact():
@@ -270,19 +271,21 @@ def test_repeated_breakpoints_count_once():
 @pytest.mark.parametrize("inside", [(0.5,), (0.25, 0.5)])
 def test_a_lone_integral_takes_any_sequence_of_breakpoints(inside):
     # a tuple, a list and a numpy array of the same breakpoints give the
-    # same bits, on the line and on the triangle
-    def line(breaks):
-        return integrate(lambda t: np.abs(t - 0.5) + 0j, 0.0, 1.0, rate=0.0, degree=1,
-                         breaks=breaks)
+    # same bits, on the line and on the triangle, by the package's rules
+    # and by the tests' doubling reference
+    def line(rule, breaks):
+        return rule(lambda t: np.abs(t - 0.5) + 0j, 0.0, 1.0, rate=0.0, degree=1,
+                    breaks=breaks)
 
-    def triangle(breaks):
-        return integrate_triangle(lambda t, s: ([np.abs(t - 0.25) + 0j], [np.abs(s - 0.5)]),
-                                  0.0, 1.0, rate=0.0, degree=3, breaks=breaks)
+    def triangle(rule, breaks):
+        return rule(lambda t, s: ([np.abs(t - 0.25) + 0j], [np.abs(s - 0.5)]),
+                    0.0, 1.0, rate=0.0, degree=3, breaks=breaks)
 
-    for rule in (line, triangle):
-        want = np.complex128(rule(inside)).tobytes()
+    for form, rule in ((line, integrate), (triangle, integrate_triangle),
+                       (line, doubling_integrate), (triangle, doubling_triangle)):
+        want = np.complex128(form(rule, inside)).tobytes()
         for breaks in (list(inside), np.array(inside)):
-            assert np.complex128(rule(breaks)).tobytes() == want
+            assert np.complex128(form(rule, breaks)).tobytes() == want
 
 
 def test_each_segment_gets_its_own_panels_and_none_straddles_a_breakpoint():
@@ -551,7 +554,7 @@ def test_leggauss_runs_once_per_order(monkeypatch):
         return leggauss(order)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     # empty rule tables of their own, which the test leaves behind
-    for name in ("_gauss", "_reference_rule", "_partial_weights"):
+    for name in ("_gauss", "_cached_rule", "_partial_weights"):
         table = getattr(quadrature, name)
         monkeypatch.setattr(quadrature, name,
                             functools.lru_cache(table.cache_parameters()["maxsize"])(

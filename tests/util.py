@@ -160,14 +160,14 @@ def _doubling(level, fn, a, b, breaks, batch, budget, what):
     """Each set of ``batch`` (or a lone integral) on its own: the package's
     ``level`` on 1, 2, 4, ... panels in every segment, doubled together
     until two successive estimates agree, within ``budget`` nodes (grown to
-    the three levels of a longer split).  ``breaks`` is a tuple, or with a
-    batch one tuple per set, as for the package's rules.  It ignores the
-    integrand's rate, so it checks the panel counts the rule derives from
-    it."""
+    the three levels of a longer split).  ``breaks`` is a sequence of times,
+    or with a batch one per set, as for the package's rules.  It ignores
+    the integrand's rate, so it checks the panel counts the rule derives
+    from it."""
     order, width = quadrature.GAUSS_ORDER, b - a
     lone = batch is None
     batch = quadrature.Batch(1) if lone else batch
-    splits = [breaks] * batch.size if isinstance(breaks, tuple) else list(breaks)
+    splits = [breaks] if lone else list(breaks)
     value = None
     for i in range(batch.size):
         if i in batch.failed:
@@ -436,7 +436,7 @@ def printed_terms(scenario, theta, rho):
         printed, blocks = printed_numbers(beam, f, p, th)
         parts.append(printed.parts(p.g, blocks))
     return interference._terms(scenario.z1, scenario.z2, interference._literal_scales(p),
-                               *parts)
+                               interference._differences(*parts))
 
 
 def printed_blocks(beam, frame_profile, p, th):
