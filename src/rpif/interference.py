@@ -432,8 +432,6 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     frame_profile, params = points[0].frame_profile, points[0].params
     pairs = _beams(points, modes, frame_profile, params)
     literal = [MODE_LITERAL] if MODE_LITERAL in modes else []
-    # as Python floats, which overflow without a warning where numpy
-    # scalars from a library caller would warn
     m, hbar = float(params.m), params.hbar
     scales = {MODE_LITERAL: _literal_scales(params), MODE_DERIVED: (1.0, -2.0, 1.0)}
     table, amplitudes = [], {}
@@ -451,6 +449,8 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
         table.append(row)
         if not open_modes:
             continue
+        # as Python floats, like m, which overflow without a warning where
+        # numpy scalars from a library caller would warn
         g, z1, z2 = float(nd.params.g), float(nd.z1), float(nd.z2)
         if g.hex() != last_g:   # by its bits: 0.0 and -0.0 apart
             last_g = g.hex()
