@@ -55,7 +55,7 @@ from .actions import (
     ensure_stable,
 )
 from .errors import LatticeError, RpifError
-from .lattice import _batch_lattice_rows, oracle_propagator
+from .lattice import _batch_lattice_rows, _check_schedule, oracle_propagator
 from .scenario import BeamRecord, PhysicalParams, Scenario, nondimensional
 from .timefunctions import TimeFunction
 
@@ -422,10 +422,12 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     the order stability guard, printed i5 rows (the literal mode's alone),
     action rows, actions and amplitudes, each mode's terms, and oracle.  A
     stage runs only for the points with an open mode, and a mode's terms
-    only where it is open.  The oracle reduces the beams of those points,
-    each distinct beam once per level, in one batch
-    (``lattice._batch_lattice_rows``); its deviation is shared by the open
-    modes of a point, and its error replaces their numbers.
+    only where it is open.  A schedule that ``lattice._check_schedule``
+    refuses fails those points before any level is reduced; otherwise the
+    oracle reduces the beams of those points, each distinct beam once per
+    level, in one batch (``lattice._batch_lattice_rows``); its deviation is
+    shared by the open modes of a point, and its error replaces their
+    numbers.
     """
     if not points:
         return []
@@ -481,15 +483,22 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
     devs: dict[int, float] = {}
     if schedule:
         reached = [i for i, row in enumerate(table) if _open(row)]
-        beams = list(dict.fromkeys(beam for i in reached for beam in pairs[i]))
-        for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, frame_profile,
-                                           params, tuple(schedule))):
-            beam.lattice_rows = rows
-        for i in reached:
-            try:
-                devs[i] = _oracle_deviation(points[i], pairs[i], amplitudes[i], schedule)
-            except RpifError as exc:
-                _fail(table[i], exc)
+        try:
+            _check_schedule(schedule)
+        except RpifError as exc:
+            for i in reached:
+                _fail(table[i], exc.with_traceback(None))
+        else:
+            beams = list(dict.fromkeys(beam for i in reached for beam in pairs[i]))
+            for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, frame_profile,
+                                               params, tuple(schedule))):
+                beam.lattice_rows = rows
+            for i in reached:
+                try:
+                    devs[i] = _oracle_deviation(points[i], pairs[i], amplitudes[i],
+                                                schedule)
+                except RpifError as exc:
+                    _fail(table[i], exc)
     return [(list(row.values()), devs.get(i)) for i, row in enumerate(table)]
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,6 +81,26 @@ def _check_level(n: int) -> None:
         raise ValidationError([f"lattice.n_steps: must be >= 1, got {n}"])
     if n > MAX_LEVEL:
         raise ValidationError([f"lattice.n_steps: must be <= {MAX_LEVEL}, got {n}"])
+
+
+def _check_doubling(ns: Sequence[int]) -> None:
+    """Refuse fewer than 3 levels, or levels that do not double: Richardson's
+    h^2 tableau needs both."""
+    if len(ns) < 3:
+        raise LatticeError(f"need at least 3 lattice levels, got {len(ns)}")
+    for a, b in zip(ns, ns[1:]):
+        if b != 2 * a:
+            raise LatticeError(f"lattice levels must double: got {a} then {b}")
+
+
+def _check_schedule(schedule: Sequence[int]) -> None:
+    """Refuse an oracle schedule before any of its levels is reduced: each
+    level as ``_check_level`` does, then the count and doubling of
+    ``richardson_extrapolate``."""
+    ns = [int(n) for n in schedule]
+    for n in ns:
+        _check_level(n)
+    _check_doubling(ns)
 
 
 @dataclass(frozen=True)
@@ -523,13 +544,8 @@ def richardson_extrapolate(estimates, floor: float = 0.0) -> ExtrapolationResult
     least ``floor``.
     """
     pts = list(estimates)
-    if len(pts) < 3:
-        raise LatticeError(f"need at least 3 lattice levels, got {len(pts)}")
-    ns = [int(n) for n, _ in pts]
+    _check_doubling([int(n) for n, _ in pts])
     vals = [complex(v) for _, v in pts]
-    for a, b in zip(ns, ns[1:]):
-        if b != 2 * a:
-            raise LatticeError(f"lattice levels must double: got {a} then {b}")
 
     diffs = [abs(v2 - v1) for v1, v2 in zip(vals, vals[1:])]
     if all(d == 0.0 for d in diffs):
@@ -568,10 +584,12 @@ def oracle_propagator(scenario: Scenario, beam_label: str, schedule, *,
     alone.  At N = 4096 the exponent adds up terms of order 1e4 (the
     measure normalization and -1/2*log det A), which puts the floor near
     1.5e-11 of the value.  A level whose exponent or amplitude is not
-    finite raises LatticeError.
+    finite raises LatticeError.  A schedule that ``_check_schedule`` refuses
+    is refused before any level is reduced.
     """
     z1, z2 = scenario.z1, scenario.z2
     if rows is None:
+        _check_schedule(schedule)
         rows = _rows(scenario, beam_label, schedule)
     g = scenario.params.g
     log_values = rows.log_values(g, z1, z2)

@@ -139,12 +139,23 @@ class SinusoidFunction(TimeFunction):
         )
 
 
+def _floats(fn: TimeFunction, *names: str) -> None:
+    """Store each sequence field of ``fn`` named in ``names`` as a tuple of
+    floats, as a config builds it, whatever sequence a caller passed: the
+    function then hashes, compares and rescales by value."""
+    for name in names:
+        object.__setattr__(fn, name, tuple(map(float, getattr(fn, name))))
+
+
 @dataclass(frozen=True)
 class PolynomialFunction(TimeFunction):
     """sum_k coefficients[k] * t**k"""
 
     coefficients: tuple[float, ...]
     kind = "polynomial"
+
+    def __post_init__(self):
+        _floats(self, "coefficients")
 
     def _values(self, t):
         return np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients))
@@ -170,16 +181,20 @@ class PolynomialFunction(TimeFunction):
 class TabulatedFunction(TimeFunction):
     """Piecewise-linear interpolation of (time, value) samples.
 
-    Sample times must be strictly increasing; ``validate_scenario`` checks
-    that they cover the scenario's time window.  Interpolation error is
-    controlled by the supplier's sampling density.  The interior sample times are the breakpoints, where
-    quadrature panels end.
+    ``validate_scenario`` checks the table (``check_domain_coverage``): at
+    least 2 samples, as many values as times, strictly increasing times
+    that cover the scenario's time window.  Interpolation error is
+    controlled by the supplier's sampling density.  The interior sample
+    times are the breakpoints, where quadrature panels end.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
     kind = "tabulated"
     degree = 1  # between breakpoints
+
+    def __post_init__(self):
+        _floats(self, "times", "values")
 
     def _values(self, t):
         return np.interp(t, np.asarray(self.times), np.asarray(self.values))
@@ -208,6 +223,26 @@ _KINDS = {
 }
 
 
+#: what a table's times and values must each be
+_TOO_FEW = "an array of at least 2 samples"
+
+
+def _check_table(times, values, where: str, out: list[str]) -> None:
+    """Put into ``out`` what keeps ``times`` and ``values`` from being a
+    table to interpolate: fewer than 2 of either, unequal lengths, or times
+    that do not strictly increase.  A field that is None has been reported
+    already."""
+    for name, samples in (("times", times), ("values", values)):
+        if samples is not None and len(samples) < 2:
+            out.append(f"{where}/{name}: expected {_TOO_FEW}")
+    if times is not None and values is not None and len(times) != len(values):
+        out.append(f"{where}/values: length {len(values)} does not match times ({len(times)})")
+    # a NaN (a time that is not a number) compares false, so it is reported
+    # once, where it is read or as a field that is not finite
+    if times is not None and any(b <= a for a, b in zip(times, times[1:])):
+        out.append(f"{where}/times: sample times must be strictly increasing")
+
+
 def build_time_function(spec: Mapping, where: str = "time function") -> TimeFunction:
     """Build a TimeFunction from a tagged mapping like ``{"kind": ..., ...}``.
 
@@ -233,14 +268,8 @@ def build_time_function(spec: Mapping, where: str = "time function") -> TimeFunc
     if kind == "polynomial":
         args = (array("coefficients", 1, "a nonempty array"),)
     elif kind == "tabulated":
-        ts, vs = args = (array("times", 2, "an array of at least 2 samples"),
-                         array("values", 2, "an array of at least 2 samples"))
-        if ts is not None and vs is not None and len(ts) != len(vs):
-            out.append(f"{where}/values: length {len(vs)} does not match times ({len(ts)})")
-        # a NaN (a time that is not a number) compares false, so it is
-        # reported once, above
-        if ts is not None and any(b <= a for a, b in zip(ts, ts[1:])):
-            out.append(f"{where}/times: sample times must be strictly increasing")
+        args = (array("times", 2, _TOO_FEW), array("values", 2, _TOO_FEW))
+        _check_table(*args, where, out)
     else:
         args = [_as_float(spec.get(name, default), f"{where}/{name}", out)
                 for name, default in fields.items()]
@@ -251,8 +280,13 @@ def build_time_function(spec: Mapping, where: str = "time function") -> TimeFunc
 
 def check_domain_coverage(fn: TimeFunction, window: tuple[float, float],
                           where: str = "time function") -> None:
-    """Reject a tabulated function whose samples do not span the window."""
+    """Reject a tabulated function that is no table (``_check_table``), or
+    whose samples do not span the window."""
     if isinstance(fn, TabulatedFunction):
+        out: list[str] = []
+        _check_table(fn.times, fn.values, where, out)
+        if out:
+            raise ValidationError(out)
         lo, hi = window
         slack = _DOMAIN_SLACK * max(hi - lo, 1.0)
         if fn.times[0] > lo + slack or fn.times[-1] < hi - slack:

@@ -409,6 +409,35 @@ def test_simulate_fails_the_rows_of_a_record_near_the_double_range(tmp_path, cap
         "row swept_value=0.5 mode=derived: QuadratureError: non-finite estimate over [0, 1]\n")
 
 
+def test_simulate_fails_the_rows_of_a_record_past_its_node_budget(tmp_path, capsys):
+    # a sinusoid record at omega = 30 000: its triangle integrals need more
+    # nodes than their budget, and the message names both
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"beam_a": {"trajectory": {
+        "kind": "sinusoid", "amplitude": 0.3, "omega": 30000.0, "phase": 0.0},
+        "resolution": 1.0}}))
+    assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv")]) \
+        == EXIT_GUARD
+    assert capsys.readouterr().err == (
+        "row swept_value=0.5 mode=derived: QuadratureError: triangle integral over [0, 1] "
+        "at rate 60004 needs 64960 nodes per axis, more than its budget of 4096\n")
+
+
+@pytest.mark.parametrize("trajectory, violation", [
+    # a tabulated record short of the window
+    ({"kind": "tabulated", "times": [0.2, 1.0], "values": [0.0, 1.0]},
+     "/beam_a/trajectory/times: samples [0.2, 1] do not cover the interval [0, 1]"),
+    # a record value that is a string
+    ({"kind": "constant", "value": "0.25"},
+     "/beam_a/trajectory/value: expected a number, got '0.25'"),
+])
+def test_validate_refuses_a_record_that_only_parses(tmp_path, capsys, trajectory, violation):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"beam_a": {"trajectory": trajectory, "resolution": 1.0}}))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["config invalid:", f"  {violation}"]
+
+
 @pytest.mark.parametrize("params, violations", [
     # a dot in a number stays a dot
     ('{"tau_start": 2.0, "tau_end": 1.0}',

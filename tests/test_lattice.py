@@ -116,6 +116,37 @@ def test_a_sweep_on_a_zero_level_fails_its_rows():
     assert [type(entry) for entry in entries] == [ValidationError] * 2
 
 
+@pytest.mark.parametrize("schedule, error", [
+    pytest.param((0, 0, 0), "ValidationError: lattice.n_steps: must be >= 1, got 0",
+                 id="level"),
+    pytest.param((64, 128), "LatticeError: need at least 3 lattice levels, got 2", id="count"),
+    pytest.param((64, 100, 200), "LatticeError: lattice levels must double: got 64 then 100",
+                 id="doubling"),
+])
+def test_a_malformed_schedule_is_refused_before_any_level_is_reduced(
+        monkeypatch, schedule, error):
+    import rpif.lattice
+    reduced = []
+    reduce_level = rpif.lattice._reduce_level
+
+    def counted(*args):
+        reduced.append(args[0])
+        return reduce_level(*args)
+    monkeypatch.setattr(rpif.lattice, "_reduce_level", counted)
+    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=4, mode="derived",
+                     oracle_schedule=schedule)
+    rows = run_sweep(scenario_from_dict({}), spec)
+    assert [row.error for row in rows] == [error] * 4
+    scenario = make_scenario()
+    with pytest.raises(RpifError) as err:
+        oracle_propagator(scenario, "a", schedule)
+    assert f"{type(err.value).__name__}: {err.value}" == error
+    assert reduced == []
+    # a one-level schedule is the stationary action's
+    stationary_action(scenario, "a", 64)
+    assert reduced == [64]
+
+
 def test_the_lattice_imports_nothing_from_the_closed_form():
     import rpif.lattice
     tree = ast.parse(pathlib.Path(rpif.lattice.__file__).read_text())
@@ -369,8 +400,9 @@ def test_overflowing_level_reported():
     # warning (the suite makes one an error)
     for delta in (1e-4, 1e-10, 1e-100):
         scenario = make_scenario(delta_a=delta)
-        with pytest.raises(LatticeError, match="overflowing"):
-            oracle_propagator(scenario, "a", (1024, 2048, 4096))
+        for schedule in ((256, 512, 1024), (1024, 2048, 4096)):
+            with pytest.raises(LatticeError, match="overflowing"):
+                oracle_propagator(scenario, "a", schedule)
         with pytest.raises(LatticeError, match="overflowing"):
             stationary_action(scenario, "a", 64)
 
@@ -423,6 +455,15 @@ def test_a_resolution_whose_square_overflows_is_a_lattice_error(delta):
     with pytest.raises(LatticeError) as err:
         stationary_action(scenario, "a", 64)
     assert str(err.value) == text
+
+
+def test_the_oracle_of_a_record_near_the_double_range_is_a_lattice_error():
+    # a record of 1e160 at resolution 1: the lattice levels overflow, as the
+    # sums of the closed form's triangle integrals do (tests/test_cli.py)
+    scenario = scenario_from_dict({"beam_a": {
+        "trajectory": {"kind": "constant", "value": 1e160}, "resolution": 1.0}})
+    with pytest.raises(LatticeError):
+        oracle_propagator(scenario, "a", (256, 512, 1024))
 
 
 def test_single_level_reduction_within_discretization_error():

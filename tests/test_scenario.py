@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,9 +11,13 @@ from rpif import (
     PhysicalParams,
     Scenario,
     ValidationError,
+    compare_modes,
+    decompose,
     mean_square,
+    run_sweep,
     validate_scenario,
 )
+from rpif.sweep import SweepSpec
 from rpif.timefunctions import (
     ConstantFunction,
     LinearFunction,
@@ -134,6 +139,55 @@ def test_validate_rejects_uncovering_table():
     with pytest.raises(ValidationError) as err:
         make_scenario(a=table)
     assert any("beam_a.trajectory" in v for v in err.value.violations)
+
+
+NOT_INCREASING = "beam_a.trajectory/times: sample times must be strictly increasing"
+
+
+@pytest.mark.parametrize("times, values, violations", [
+    # np.interp would read unsorted or repeated times without a word
+    pytest.param((0, 0.7, 0.3, 1), (0.1, 0.2, 0.3, 0.4), [NOT_INCREASING], id="unsorted"),
+    pytest.param((0.0, 0.5, 0.5, 1.0), (0.1, 0.2, 0.3, 0.4), [NOT_INCREASING],
+                 id="repeated"),
+    pytest.param((0.0, 0.5, 1.0), (0.1, 0.2),
+                 ["beam_a.trajectory/values: length 2 does not match times (3)"],
+                 id="lengths"),
+    pytest.param((), (), ["beam_a.trajectory/times: expected an array of at least 2 samples",
+                          "beam_a.trajectory/values: expected an array of at least 2 samples"],
+                 id="empty"),
+])
+def test_a_table_built_in_code_is_checked_before_it_is_used(times, values, violations):
+    # as a config's table is: by validation, and by every evaluation, which
+    # validates its scenario first
+    with pytest.raises(ValidationError) as err:
+        make_scenario(a=TabulatedFunction(times, values))
+    assert err.value.violations == violations
+    beam = BeamRecord(TabulatedFunction(times, values), 1.0)
+    scenario = dataclasses.replace(make_scenario(), beam_a=beam)
+    for evaluate in (decompose, compare_modes):
+        with pytest.raises(ValidationError) as err:
+            evaluate(scenario)
+        assert err.value.violations == violations
+    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=2, mode="both")
+    assert {row.error for row in run_sweep(scenario, spec)} == {
+        f"ValidationError: {'; '.join(violations)}"}
+
+
+def test_sequence_fields_are_stored_as_tuples_of_floats():
+    # a list or an array from a library caller gives the function a config
+    # builds, which hashes and evaluates alike
+    table = TabulatedFunction([0, 0.4, 1], np.array([0.1, -0.2, 0.3]))
+    poly = PolynomialFunction([0.1, np.float64(0.2), 1])
+    assert table == TabulatedFunction((0.0, 0.4, 1.0), (0.1, -0.2, 0.3))
+    assert poly == PolynomialFunction((0.1, 0.2, 1.0))
+    for fn in (table, poly):
+        for field in dataclasses.fields(fn):
+            value = getattr(fn, field.name)
+            assert type(value) is tuple and all(type(v) is float for v in value)
+    listed = make_scenario(a=table, b=poly)
+    assert decompose(listed) == decompose(make_scenario(
+        a=TabulatedFunction((0.0, 0.4, 1.0), (0.1, -0.2, 0.3)),
+        b=PolynomialFunction((0.1, 0.2, 1.0))))
 
 
 def test_nondimensional_scenario_is_fixed_point():
