@@ -481,17 +481,17 @@ def _evaluate(points: Sequence[Scenario], modes: Sequence[str],
         for mode, d in differences:
             row[mode] = _numbers(mode, pd, intensity, reduced_i, _terms(z1, z2, scales[mode], d))
     devs: dict[int, float] = {}
-    if schedule:
+    if schedule is not None:
         reached = [i for i, row in enumerate(table) if _open(row)]
         try:
-            _check_schedule(schedule)
+            schedule = _check_schedule(schedule)
         except RpifError as exc:
             for i in reached:
                 _fail(table[i], exc.with_traceback(None))
         else:
             beams = list(dict.fromkeys(beam for i in reached for beam in pairs[i]))
             for beam, rows in zip(beams, _fill(beams, _batch_lattice_rows, frame_profile,
-                                               params, tuple(schedule))):
+                                               params, schedule)):
                 beam.lattice_rows = rows
             for i in reached:
                 try:

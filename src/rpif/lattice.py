@@ -36,8 +36,8 @@ a sweep of z2, g or the units costs an O(1) read per level per point.
 ``QuadraticForm``, ``assemble_quadratic_form`` and ``gaussian_reduce``
 keep the per-form path, one beam at one level N with the scenario's g and
 endpoints, as the reference the rows are tested against; the oracle does
-not call them.  A level is a plain int 1 <= N <= MAX_LEVEL: the step T/N
-and the endpoints are always read off the scenario.
+not call them.  Levels and schedules are as ``_check_schedule`` has them:
+the step T/N and the endpoints are always read off the scenario.
 
 This module imports nothing from the closed-form modules (``actions``,
 ``interference``, ``quadrature``): separate quadrature, separate algebra,
@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -75,32 +75,31 @@ _SINH_BLOCK = 64
 MAX_LEVEL = 2 ** 20
 
 
-def _check_level(n: int) -> None:
-    """Refuse a lattice level N below one slice or above ``MAX_LEVEL``."""
-    if n < 1:
-        raise ValidationError([f"lattice.n_steps: must be >= 1, got {n}"])
-    if n > MAX_LEVEL:
-        raise ValidationError([f"lattice.n_steps: must be <= {MAX_LEVEL}, got {n}"])
-
-
-def _check_doubling(ns: Sequence[int]) -> None:
-    """Refuse fewer than 3 levels, or levels that do not double: Richardson's
-    h^2 tableau needs both."""
-    if len(ns) < 3:
-        raise LatticeError(f"need at least 3 lattice levels, got {len(ns)}")
-    for a, b in zip(ns, ns[1:]):
-        if b != 2 * a:
-            raise LatticeError(f"lattice levels must double: got {a} then {b}")
-
-
-def _check_schedule(schedule: Sequence[int]) -> None:
-    """Refuse an oracle schedule before any of its levels is reduced: each
-    level as ``_check_level`` does, then the count and doubling of
-    ``richardson_extrapolate``."""
-    ns = [int(n) for n in schedule]
-    for n in ns:
-        _check_level(n)
-    _check_doubling(ns)
+def _check_schedule(levels, where: str = "lattice.n_steps", count: int = 3) -> tuple[int, ...]:
+    """The lattice levels of ``levels`` (one level alone reads as a list of
+    one) as ints, or ValidationError with every problem at ``where``.  Each
+    level, at ``where/<index>``, is an integer, not a bool, with
+    1 <= N <= ``MAX_LEVEL``; there are at least ``count`` of them (3 for
+    Richardson's h^2 tableau), and each valid level is twice the one before."""
+    levels = tuple(levels) if np.iterable(levels) else (levels,)
+    problems, ns = [], []
+    for i, level in enumerate(levels):
+        integer = isinstance(level, (int, np.integer)) and not isinstance(level, bool)
+        n = operator.index(level) if integer else 0
+        if n < 1:
+            problems.append(f"{where}/{i}: expected a positive integer, got {level!r}")
+        elif n > MAX_LEVEL:
+            problems.append(f"{where}/{i}: lattice sizes must be <= {MAX_LEVEL}, got {n!r}")
+        else:
+            ns.append(n)
+    if len(levels) < count:
+        problems.append(f"{where}: need at least {count} lattice sizes, got {len(levels)}")
+    undoubled = next(((a, b) for a, b in zip(ns, ns[1:]) if b != 2 * a), None)
+    if undoubled and len(ns) == len(levels):  # doubling is only asked of valid levels
+        problems.append(f"{where}: sizes must double, got {undoubled[0]} then {undoubled[1]}")
+    if problems:
+        raise ValidationError(problems)
+    return tuple(ns)
 
 
 @dataclass(frozen=True)
@@ -297,16 +296,11 @@ def _batch_lattice_rows(beams: tuple[BeamRecord, ...], frame_profile: TimeFuncti
     """Beams under one frame profile and ``params`` (whose g is not read),
     each reduced at every level of the schedule; none of it depends on g,
     z1 or z2.  Each distinct function (the frame profile and the records,
-    compared by value) is sampled once per level.  Returns each beam's
-    rows, or the RpifError that it raises on its own; a level that
-    ``_check_level`` refuses fails every beam.  numpy reports no
-    floating-point error here: a level that overflows is not finite, and
-    ``_reduce_level`` refuses it."""
-    try:
-        for n in schedule:
-            _check_level(n)
-    except ValidationError as exc:
-        return [exc] * len(beams)
+    compared by value) is sampled once per level.  The schedule is one
+    that ``_check_schedule`` returned.  Returns each beam's rows, or the
+    RpifError that it raises on its own.  numpy reports no floating-point
+    error here: a level that overflows is not finite, and ``_reduce_level``
+    refuses it."""
     p = params
     out: list = [None] * len(beams)
     levels: list = [[] for _ in beams]
@@ -385,10 +379,9 @@ def assemble_quadratic_form(scenario: Scenario, beam_label: str,
     Works in the units of the scenario as given; callers comparing against
     the closed form pass the nondimensionalized scenario on both sides.
     """
-    _check_level(n_steps)
+    n, = _check_schedule((n_steps,), count=1)
     p = scenario.params
     beam = scenario.beam(beam_label)
-    n = n_steps
     h = p.duration / n
     z1, z2 = scenario.z1, scenario.z2
 
@@ -502,10 +495,10 @@ def gaussian_reduce(form: QuadraticForm) -> complex:
     return cmath.exp(log_value)
 
 
-def _rows(scenario: Scenario, beam_label: str, schedule) -> LatticeRows:
-    """One beam's lattice rows, reduced as a batch of one."""
+def _rows(scenario: Scenario, beam_label: str, schedule: tuple[int, ...]) -> LatticeRows:
+    """One beam's lattice rows on a checked schedule, as a batch of one."""
     rows, = _batch_lattice_rows((scenario.beam(beam_label),), scenario.frame_profile,
-                                scenario.params, tuple(int(n) for n in schedule))
+                                scenario.params, schedule)
     if isinstance(rows, RpifError):
         raise rows
     return rows
@@ -520,8 +513,8 @@ def stationary_action(scenario: Scenario, beam_label: str, n_steps: int) -> comp
     endpoints.
     """
     p = scenario.params
-    exponent = _rows(scenario, beam_label, (n_steps,)).stationary(p.g, scenario.z1,
-                                                                  scenario.z2)[0]
+    schedule = _check_schedule((n_steps,), count=1)
+    exponent = _rows(scenario, beam_label, schedule).stationary(p.g, scenario.z1, scenario.z2)[0]
     return complex(-1j * p.hbar * exponent)
 
 
@@ -535,7 +528,8 @@ class ExtrapolationResult:
 def richardson_extrapolate(estimates, floor: float = 0.0) -> ExtrapolationResult:
     """h^2-Richardson limit of a doubling sequence [(N, value), ...].
 
-    Requires at least 3 estimates with N doubling.  Monotone shrinking of
+    Requires at least 3 estimates whose N are lattice levels that double
+    (``_check_schedule``), else raises LatticeError.  Monotone shrinking of
     successive differences is checked first; if convergence is not
     monotone the extrapolation is refused rather than returning a number
     that the h^2 error model does not support.  ``floor`` is the size up
@@ -544,7 +538,10 @@ def richardson_extrapolate(estimates, floor: float = 0.0) -> ExtrapolationResult
     least ``floor``.
     """
     pts = list(estimates)
-    _check_doubling([int(n) for n, _ in pts])
+    try:
+        _check_schedule([n for n, _ in pts])
+    except ValidationError as exc:
+        raise LatticeError(str(exc)) from None
     vals = [complex(v) for _, v in pts]
 
     diffs = [abs(v2 - v1) for v1, v2 in zip(vals, vals[1:])]
@@ -585,12 +582,11 @@ def oracle_propagator(scenario: Scenario, beam_label: str, schedule, *,
     measure normalization and -1/2*log det A), which puts the floor near
     1.5e-11 of the value.  A level whose exponent or amplitude is not
     finite raises LatticeError.  A schedule that ``_check_schedule`` refuses
-    is refused before any level is reduced.
+    raises its ValidationError before any level is reduced.
     """
     z1, z2 = scenario.z1, scenario.z2
     if rows is None:
-        _check_schedule(schedule)
-        rows = _rows(scenario, beam_label, schedule)
+        rows = _rows(scenario, beam_label, _check_schedule(schedule))
     g = scenario.params.g
     log_values = rows.log_values(g, z1, z2)
     with np.errstate(all="ignore"):  # an overflow reads non-finite, and is refused

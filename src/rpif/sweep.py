@@ -21,7 +21,7 @@ from .errors import ConfigError, RpifError, ValidationError
 # decompose is not called here; perfbench/test_perfbench.py looks it up on
 # this module
 from .interference import MODE_DERIVED, MODE_LITERAL, _breakdown, _evaluate, decompose  # noqa: F401
-from .lattice import MAX_LEVEL
+from .lattice import _check_schedule
 from .scenario import (
     BeamRecord,
     PhysicalParams,
@@ -31,6 +31,7 @@ from .scenario import (
     _check_params,
     _check_resolution,
     _number,
+    _pointer,
     nondimensional,
     scenario_from_dict,
 )
@@ -65,11 +66,12 @@ class SweepSpec:
     oracle_schedule: tuple[int, ...] | None = None
 
     def modes(self) -> tuple[str, ...]:
-        modes = MODE_CHOICES.get(self.mode)
-        if modes is None:
-            raise RpifError(f"unknown sweep mode {self.mode!r}, expected one of "
-                            f"{', '.join(MODE_CHOICES)}")
-        return modes
+        """The modes the sweep evaluates, in row order; a ``steps`` or ``mode``
+        that ``_check_sweep`` refuses raises ValidationError."""
+        problems = _check_sweep(self.steps, self.mode)
+        if problems:
+            raise ValidationError(problems)
+        return MODE_CHOICES[self.mode]
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -94,6 +96,21 @@ class ResultRow(NamedTuple):
     error: str | None = None
 
 
+def _check_sweep(steps, mode) -> list[str]:
+    """What keeps ``steps`` and ``mode`` from being a sweep's, at sweep.steps
+    and sweep.mode: steps is an integer, not a bool, with
+    1 <= steps <= ``MAX_STEPS``; mode is a string in ``MODE_CHOICES``."""
+    out = []
+    integer = isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
+    if not integer or steps < 1:
+        out.append(f"sweep.steps: expected an integer >= 1, got {steps!r}")
+    elif steps > MAX_STEPS:
+        out.append(f"sweep.steps: must be <= {MAX_STEPS}, got {steps!r}")
+    if not isinstance(mode, str) or mode not in MODE_CHOICES:
+        out.append(f"sweep.mode: must be one of {', '.join(MODE_CHOICES)}, got {mode!r}")
+    return out
+
+
 def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec | None, list[str]]:
     if not isinstance(raw, Mapping):
         return None, ["/sweep: expected an object"]
@@ -109,20 +126,13 @@ def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec 
     start = _number(raw, "start", base, "/sweep/start", problems)
     stop = _number(raw, "stop", start, "/sweep/stop", problems)
     for name, value in (("start", start), ("stop", stop)):
-        if np.isinf(value):
+        source = raw.get(name, raw.get("start"))  # a stop defaults to the start
+        # a bound that is no number reads NaN too, and is reported as such
+        if np.isinf(value) or isinstance(source, float) and np.isnan(source):
             problems.append(f"/sweep/{name}: must be finite, got {value!r}")
 
-    steps_raw = raw.get("steps", 1)
-    if isinstance(steps_raw, bool) or not isinstance(steps_raw, int) or steps_raw < 1:
-        problems.append(f"/sweep/steps: expected an integer >= 1, got {steps_raw!r}")
-        steps_raw = 1
-    elif steps_raw > MAX_STEPS:
-        problems.append(f"/sweep/steps: must be <= {MAX_STEPS}, got {steps_raw!r}")
-
-    mode = raw.get("mode", "derived")
-    if mode not in MODE_CHOICES:
-        problems.append(f"/sweep/mode: must be one of {', '.join(MODE_CHOICES)}, got {mode!r}")
-        mode = "derived"
+    steps, mode = raw.get("steps", 1), raw.get("mode", "derived")
+    problems.extend(map(_pointer, _check_sweep(steps, mode)))
 
     # checked alongside every other problem; a start that defaults to the
     # base value of a bad parameter or scenario is no bound of the user's
@@ -132,35 +142,22 @@ def _validate_sweep(raw: Mapping, scenario: Scenario | None) -> tuple[SweepSpec 
 
     if problems:
         return None, problems
-    return SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps_raw,
+    return SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps,
                      mode=mode), []
 
 
 def parse_oracle_schedule(text: str, where: str) -> tuple[tuple[int, ...] | None, list[str]]:
     """The lattice sizes of a comma-separated list such as "256,512,1024",
-    or every problem with them, each at ``where``."""
+    or every problem with them, each at ``where``, by the lattice's rule
+    (``lattice._check_schedule``)."""
     try:
         sizes = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         return None, [f"{where}: expected comma-separated integers, got {text!r}"]
-    problems, vals = [], []
-    for i, v in enumerate(sizes):
-        if v < 1:
-            problems.append(f"{where}/{i}: expected a positive integer, got {v!r}")
-        elif v > MAX_LEVEL:
-            problems.append(f"{where}/{i}: lattice sizes must be <= {MAX_LEVEL}, got {v!r}")
-        else:
-            vals.append(v)
-    if len(sizes) < 3:
-        problems.append(f"{where}: need at least 3 lattice sizes, got {len(sizes)}")
-    if len(vals) == len(sizes):  # doubling is only asked of valid sizes
-        for a, b in zip(vals, vals[1:]):
-            if b != 2 * a:
-                problems.append(f"{where}: sizes must double, got {a} then {b}")
-                break
-    if problems:
-        return None, problems
-    return tuple(vals), []
+    try:
+        return _check_schedule(sizes, where), []
+    except ValidationError as exc:
+        return None, exc.violations
 
 
 def _integer(digits: str) -> int | float:
@@ -301,17 +298,19 @@ def _point_rows(modes: Sequence[str], value: float, results: list,
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[ResultRow]:
     """One row per sweep point per mode, in deterministic order.
 
-    A mode that is not one of ``MODE_CHOICES`` raises an RpifError before
-    any point is built.  The scenario is validated once, with the swept
-    field at a neutral value: if it is invalid, or the parameter unknown,
-    every row carries that one error.  Each point is put into internal units with only its
-    swept value's check and arithmetic, and the points are evaluated
-    together (``interference._evaluate``): what depends on neither g nor
-    the endpoints is computed once per distinct beam (a swept resolution
-    is integrated once for the whole sweep, and reduced once per oracle
+    A ``steps`` or ``mode`` that ``_check_sweep`` refuses raises
+    ValidationError before any point is built.  The scenario is validated
+    once, with the swept field at a neutral value: if it is invalid, or the
+    parameter unknown, every row carries that one error; a schedule that
+    ``lattice._check_schedule`` refuses fails every row it reaches.  Each
+    point is put into internal units with only its swept value's check and
+    arithmetic, and the points are evaluated together
+    (``interference._evaluate``): what depends on neither g nor the
+    endpoints is computed once per distinct beam (a swept resolution is
+    integrated once for the whole sweep, and reduced once per oracle
     level), and each point once for all its modes and its oracle.  Other
     failures (guard trips, refused quadratures, invalid swept values) fail
-    only their point's rows, in the ``error`` field.
+    only their point's rows, in ``error``.
     """
     modes = spec.modes()
     values = [float(value) for value in spec.points()]

@@ -167,6 +167,8 @@ class PolynomialFunction(TimeFunction):
 
     def rescaled(self, origin, time_scale, value_scale):
         coefs = np.asarray(self.coefficients)
+        if not coefs.size:  # no polynomial: validation rescales it, then refuses it
+            return self
         if origin == 0.0 and time_scale == 1.0:
             # composing with the identity map only drops trailing zeros and
             # turns -0.0 into 0.0; this gives the same bits without it
@@ -280,8 +282,10 @@ def build_time_function(spec: Mapping, where: str = "time function") -> TimeFunc
 
 def check_domain_coverage(fn: TimeFunction, window: tuple[float, float],
                           where: str = "time function") -> None:
-    """Reject a tabulated function that is no table (``_check_table``), or
-    whose samples do not span the window."""
+    """Reject a polynomial with no coefficients, a tabulated function that is
+    no table (``_check_table``), or one whose samples miss the window."""
+    if isinstance(fn, PolynomialFunction) and not fn.coefficients:
+        raise ValidationError([f"{where}/coefficients: expected a nonempty array"])
     if isinstance(fn, TabulatedFunction):
         out: list[str] = []
         _check_table(fn.times, fn.values, where, out)

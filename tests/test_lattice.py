@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rpif import (
+    ConfigError,
     LatticeError,
     RpifError,
     ValidationError,
@@ -21,8 +22,6 @@ from rpif import (
 from rpif.lattice import (
     MAX_LEVEL,
     QuadraticForm,
-    _batch_lattice_rows,
-    _check_level,
     _log_det,
     _psi,
     _rows,
@@ -31,15 +30,13 @@ from rpif.lattice import (
     assemble_quadratic_form,
     gaussian_reduce,
 )
-from rpif.scenario import BeamRecord
-from rpif.sweep import SweepSpec, run_sweep
+from rpif.sweep import SweepSpec, parse_oracle_schedule, run_sweep
 from rpif.timefunctions import (
     ConstantFunction,
     SinusoidFunction,
     TimeFunction,
 )
 from util import (
-    NBASE,
     gaussian_exponent_terms,
     lattice_values,
     make_scenario,
@@ -95,11 +92,12 @@ def test_lattice_spec_validation():
 
 
 def test_a_level_past_the_bound_is_refused():
-    # checked on its own: a level above the bound is never sampled here
-    _check_level(MAX_LEVEL)
-    with pytest.raises(ValidationError,
-                       match=rf"n_steps: must be <= {MAX_LEVEL}, got {2 * MAX_LEVEL}$"):
-        _check_level(2 * MAX_LEVEL)
+    # Richardson takes the bound itself without sampling anything; a level
+    # above it is refused before it is sampled
+    richardson_extrapolate([(MAX_LEVEL // 4, 1.0), (MAX_LEVEL // 2, 1.0), (MAX_LEVEL, 1.0)])
+    with pytest.raises(ValidationError, match=rf"^lattice.n_steps/0: lattice sizes must be "
+                                              rf"<= {MAX_LEVEL}, got {2 * MAX_LEVEL}$"):
+        stationary_action(make_scenario(), "a", 2 * MAX_LEVEL)
 
 
 def test_a_sweep_on_a_zero_level_fails_its_rows():
@@ -109,30 +107,40 @@ def test_a_sweep_on_a_zero_level_fails_its_rows():
     rows = run_sweep(scenario_from_dict({}), spec)
     assert len(rows) == 6
     for row in rows:
-        assert row.error == "ValidationError: lattice.n_steps: must be >= 1, got 0"
+        assert row.error == ("ValidationError: " + "; ".join(
+            f"lattice.n_steps/{i}: expected a positive integer, got 0" for i in range(3)))
         assert row.oracle_dev is None
-    entries = _batch_lattice_rows((BeamRecord(ConstantFunction(0.1), 1.0),) * 2,
-                                  ConstantFunction(1.0), NBASE, (4, 8, 0))
-    assert [type(entry) for entry in entries] == [ValidationError] * 2
 
 
-@pytest.mark.parametrize("schedule, error", [
-    pytest.param((0, 0, 0), "ValidationError: lattice.n_steps: must be >= 1, got 0",
-                 id="level"),
-    pytest.param((64, 128), "LatticeError: need at least 3 lattice levels, got 2", id="count"),
-    pytest.param((64, 100, 200), "LatticeError: lattice levels must double: got 64 then 100",
-                 id="doubling"),
-])
-def test_a_malformed_schedule_is_refused_before_any_level_is_reduced(
-        monkeypatch, schedule, error):
+@pytest.fixture()
+def reduced(monkeypatch):
+    """The N of every level ``_reduce_level`` reduces while the test runs."""
     import rpif.lattice
-    reduced = []
+    levels = []
     reduce_level = rpif.lattice._reduce_level
 
     def counted(*args):
-        reduced.append(args[0])
+        levels.append(args[0])
         return reduce_level(*args)
     monkeypatch.setattr(rpif.lattice, "_reduce_level", counted)
+    return levels
+
+
+@pytest.mark.parametrize("schedule, error", [
+    pytest.param((64, 0, 256), "ValidationError: lattice.n_steps/1: expected a positive "
+                 "integer, got 0", id="level"),
+    pytest.param((64, 128), "ValidationError: lattice.n_steps: need at least 3 lattice "
+                 "sizes, got 2", id="count"),
+    pytest.param((64, 100, 200), "ValidationError: lattice.n_steps: sizes must double, "
+                 "got 64 then 100", id="doubling"),
+    # one level alone is a schedule of one; only None asks for no oracle
+    pytest.param(64, "ValidationError: lattice.n_steps: need at least 3 lattice sizes, got 1",
+                 id="one-level"),
+    pytest.param((), "ValidationError: lattice.n_steps: need at least 3 lattice sizes, got 0",
+                 id="empty"),
+])
+def test_a_malformed_schedule_is_refused_before_any_level_is_reduced(
+        reduced, schedule, error):
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=4, mode="derived",
                      oracle_schedule=schedule)
     rows = run_sweep(scenario_from_dict({}), spec)
@@ -145,6 +153,70 @@ def test_a_malformed_schedule_is_refused_before_any_level_is_reduced(
     # a one-level schedule is the stationary action's
     stationary_action(scenario, "a", 64)
     assert reduced == [64]
+
+
+def _oracle_flag(level, text):
+    _, problems = parse_oracle_schedule(f"{text},512,1024", "--oracle")
+    if problems:
+        raise ConfigError(problems)
+
+
+def _sweep(level, text):
+    spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=2, mode="both",
+                     oracle_schedule=(level, 512, 1024))
+    errors = {row.error for row in run_sweep(scenario_from_dict({}), spec)}
+    if errors != {None}:   # every row carries the refusal
+        [error] = errors
+        raise RpifError(error)
+
+
+#: the entry points that take lattice levels: each runs ``level`` as the
+#: first of 256, 512, 1024 or as its only level, and ``simulate --oracle``
+#: reads the level's ``text``
+LEVEL_ENTRY_POINTS = {
+    "oracle-flag": _oracle_flag,
+    "oracle_propagator": lambda level, _: oracle_propagator(make_scenario(), "a",
+                                                            (level, 512, 1024)),
+    "stationary_action": lambda level, _: stationary_action(make_scenario(), "a", level),
+    "assemble_quadratic_form": lambda level, _: assemble_quadratic_form(make_scenario(),
+                                                                        "a", level),
+    "richardson_extrapolate": lambda level, _: richardson_extrapolate(
+        [(level, 1.0), (512, 1.0), (1024, 1.0)]),
+    "run_sweep": _sweep,
+}
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRY_POINTS)
+@pytest.mark.parametrize("level, text, message", [
+    pytest.param(256.5, "256.5", "expected a positive integer, got 256.5", id="fraction"),
+    pytest.param(256.0, "256.0", "expected a positive integer, got 256.0", id="float"),
+    pytest.param("256", "'256'", "expected a positive integer, got '256'", id="string"),
+    pytest.param(True, "True", "expected a positive integer, got True", id="bool"),
+    pytest.param(0, "0", "expected a positive integer, got 0", id="zero"),
+    pytest.param(2 * MAX_LEVEL, str(2 * MAX_LEVEL),
+                 f"lattice sizes must be <= {MAX_LEVEL}, got {2 * MAX_LEVEL}", id="past-bound"),
+])
+def test_every_entry_point_refuses_a_level_by_one_rule(reduced, entry, level, text, message):
+    # the flag reads a token that is no integer as no list of integers;
+    # every other refusal is the lattice's, at the level's index
+    if entry == "oracle-flag":
+        expected = (f"--oracle/0: {message}" if text.isdigit() else
+                    f"--oracle: expected comma-separated integers, got {text + ',512,1024'!r}")
+    else:
+        expected = f"lattice.n_steps/0: {message}"
+    with pytest.raises(RpifError) as err:
+        LEVEL_ENTRY_POINTS[entry](level, text)
+    assert str(err.value).removeprefix("ValidationError: ") == expected
+    assert reduced == []
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRY_POINTS)
+def test_every_entry_point_takes_a_numpy_integer_level(reduced, entry):
+    level = np.int64(256)
+    LEVEL_ENTRY_POINTS[entry](level, str(level))
+    assert all(type(n) is int for n in reduced)
+    if entry in ("oracle_propagator", "stationary_action", "run_sweep"):
+        assert reduced[0] == 256 and set(reduced) <= {256, 512, 1024}
 
 
 def test_the_lattice_imports_nothing_from_the_closed_form():

@@ -15,6 +15,7 @@ from rpif import (
     decompose,
     mean_square,
     run_sweep,
+    scenario_from_dict,
     validate_scenario,
 )
 from rpif.sweep import SweepSpec
@@ -171,6 +172,24 @@ def test_a_table_built_in_code_is_checked_before_it_is_used(times, values, viola
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=2, mode="both")
     assert {row.error for row in run_sweep(scenario, spec)} == {
         f"ValidationError: {'; '.join(violations)}"}
+
+
+@pytest.mark.parametrize("params", [{}, {"m": 2.0, "tau_end": 3.0}], ids=["unit", "rescaled"])
+def test_a_polynomial_with_no_coefficients_built_in_code_is_refused(params):
+    # as a config's "coefficients": [] is, at its path; polyval would end in
+    # IndexError, and rescaling in numpy's ValueError
+    violations = ["frame_profile/coefficients: expected a nonempty array"]
+    scenario = make_scenario(**params)
+    scenario = dataclasses.replace(scenario, frame_profile=PolynomialFunction(()))
+    with pytest.raises(ValidationError) as err:
+        validate_scenario(scenario)
+    assert err.value.violations == violations
+    with pytest.raises(ValidationError) as err:
+        decompose(scenario)
+    assert err.value.violations == violations
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict({"frame_profile": {"kind": "polynomial", "coefficients": []}})
+    assert err.value.violations == ["/frame_profile/coefficients: expected a nonempty array"]
 
 
 def test_sequence_fields_are_stored_as_tuples_of_floats():

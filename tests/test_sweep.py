@@ -1,20 +1,24 @@
+import dataclasses
 import functools
 import json
 
 import numpy as np
 import pytest
 
+import rpif.sweep
 from rpif import (
     ConfigError,
     PhysicalParams,
     RpifError,
     Scenario,
+    ValidationError,
     compare_modes,
     parse_config,
     run_sweep,
 )
 from rpif.sweep import (
     CSV_HEADER,
+    MAX_STEPS,
     SweepSpec,
     apply_sweep_value,
     parse_oracle_schedule,
@@ -250,10 +254,56 @@ def test_a_sweep_mode_the_library_does_not_know_is_refused(mode):
     # a config is refused at /sweep/mode; a SweepSpec built in code is not
     # parsed, and its mode must not fall back to derived
     spec = SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3, mode=mode)
-    with pytest.raises(RpifError) as err:
+    with pytest.raises(ValidationError) as err:
         run_sweep(make_scenario(), spec)
-    assert str(err.value) == (f"unknown sweep mode {mode!r}, expected one of "
-                              f"literal, derived, both")
+    assert str(err.value) == f"sweep.mode: must be one of literal, derived, both, got {mode!r}"
+
+
+@pytest.mark.parametrize("sweep, violations", [
+    pytest.param('{"start": NaN, "stop": 1, "steps": 3}', ["/sweep/start: must be finite, got nan"],
+                 id="nan"),
+    # a stop defaults to the start, and is reported as a given infinity is
+    pytest.param('{"start": NaN}', ["/sweep/start: must be finite, got nan",
+                                    "/sweep/stop: must be finite, got nan"], id="nan-default"),
+    pytest.param('{"start": 1e400}', ["/sweep/start: must be finite, got inf",
+                                      "/sweep/stop: must be finite, got inf"], id="inf-default"),
+    # a bound that is no number reads NaN, and is reported once
+    pytest.param('{"start": "0", "stop": 1}', ["/sweep/start: expected a number, got '0'"],
+                 id="no-number"),
+    pytest.param('{"start": null}', ["/sweep/start: expected a number, got None"],
+                 id="no-number-default"),
+])
+def test_a_sweep_bound_that_is_not_finite_is_refused(sweep, violations):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f'{{"sweep": {sweep}}}')
+    assert err.value.violations == violations
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("steps", 0, "expected an integer >= 1, got 0", id="steps-zero"),
+    pytest.param("steps", -2, "expected an integer >= 1, got -2", id="steps-negative"),
+    pytest.param("steps", 2.0, "expected an integer >= 1, got 2.0", id="steps-float"),
+    pytest.param("steps", True, "expected an integer >= 1, got True", id="steps-bool"),
+    pytest.param("steps", MAX_STEPS + 1, f"must be <= {MAX_STEPS}, got {MAX_STEPS + 1}",
+                 id="steps-past-bound"),
+    pytest.param("mode", [], "must be one of literal, derived, both, got []", id="mode-list"),
+    pytest.param("mode", "fast", "must be one of literal, derived, both, got 'fast'",
+                 id="mode-unknown"),
+])
+def test_a_sweep_steps_or_mode_is_refused_by_one_rule(monkeypatch, field, value, message):
+    # at /sweep/<field> in a config, and at sweep.<field> from run_sweep on
+    # a SweepSpec built in code, before any point is built
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"sweep": {field: value}}))
+    assert err.value.violations == [f"/sweep/{field}: {message}"]
+    built = []
+    monkeypatch.setattr(rpif.sweep, "_internal_points", lambda *args: built.append(args))
+    spec = dataclasses.replace(SweepSpec(parameter="z2", start=0.0, stop=1.0, steps=3),
+                               **{field: value})
+    with pytest.raises(ValidationError) as err:
+        run_sweep(make_scenario(), spec)
+    assert err.value.violations == [f"sweep.{field}: {message}"]
+    assert built == []
 
 
 def test_a_scale_that_makes_the_mass_positive_does_not_rescue_the_scenario():
